@@ -36,7 +36,13 @@ from .errors import (
 from . import dataio, pipeline, training
 from .standardize import Scheme, fit_standardizer
 from .training import AnnealConfig, ReportRow, TrainReport
-from .windows import DateInterval, WindowPair, make_windows, year_interval
+from .windows import (
+    PREDICT_EXTENSION_DAYS,
+    DateInterval,
+    WindowPair,
+    make_windows,
+    year_interval,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -253,7 +259,7 @@ def _load_model_dir(models_dir: str):
         train, models = dataio.load_models(path)
         predict_year = year_interval(train.end.year + 1, train.end.year + 1)
         predict = DateInterval(
-            predict_year.start, predict_year.end + dt.timedelta(days=120)
+            predict_year.start, predict_year.end + dt.timedelta(days=PREDICT_EXTENSION_DAYS)
         )
         windows.append(WindowPair(index, train, predict, predict_year))
         fit.models[index] = models
@@ -673,6 +679,8 @@ def _write_online_config(path: str, values: dict[str, str]) -> None:
 
 
 def cmd_online(args) -> int:
+    if parse_scheme(args.scheme) is not Scheme.IDENTITY:
+        raise UsageError("online monitoring supports only the identity scheme")
     paths = _online_paths(args.state)
     if args.init:
         if not args.series or args.monitor_year is None:

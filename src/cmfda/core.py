@@ -149,9 +149,6 @@ class PixelSeries:
                     f"{cur.nominal_date} are {gap} days apart, expected {CADENCE_DAYS}"
                 )
 
-    def clear_observations(self) -> list[Observation]:
-        return [o for o in self.observations if is_clear(o)]
-
     def to_arrays(self) -> "SeriesArrays":
         """Compact numpy view used by the fitting and detection pipelines."""
         n = len(self.observations)

@@ -9,6 +9,14 @@ of the bare prediction year and finish inside the 120-day extension.
 Three rule forms are supported: a single band against one threshold, the
 NIR/NDVI pair against two thresholds combined with an OR, and a local
 Mahalanobis distance of the (NIR, NDVI) error pair against one threshold.
+
+All three rest on one kernel, ``run_levels``: the level of a run is the
+largest threshold at which it still triggers, ``max(min(run), -max(run))``
+for signed errors and ``min(run)`` for the nonnegative index, and a run
+triggers at L iff its level > L. Training sweeps thresholds over the
+levels (``flag_level``), batch detection takes the first allowed start
+above L (``scan_window_errors``), and the online loop scans its trailing
+run with the same ``scan_window_errors``.
 """
 from __future__ import annotations
 
@@ -120,26 +128,35 @@ class DetectionResult:
 # --- rule primitives -------------------------------------------------------
 
 
+def run_levels(values: np.ndarray, consecutive: int, two_sided: bool = True) -> np.ndarray:
+    """Level of the run of C values starting at each index.
+
+    The level is the largest threshold at which the run still triggers:
+    ``max(min(run), -max(run))`` for signed errors (two-sided) and
+    ``min(run)`` for a one-sided index. A run triggers at L iff its
+    level > L.
+    """
+    n_starts = values.size - consecutive + 1
+    if n_starts <= 0:
+        return np.empty(0)
+    low = values[:n_starts].copy()
+    high = low.copy() if two_sided else None
+    for k in range(1, consecutive):
+        np.minimum(low, values[k : k + n_starts], out=low)
+        if two_sided:
+            np.maximum(high, values[k : k + n_starts], out=high)
+    if two_sided:
+        np.maximum(low, -high, out=low)
+    return low
+
+
 def univariate_flag(errors: Sequence[float], threshold: float, consecutive: int) -> bool:
     """True iff all C errors exceed threshold with a common sign."""
     if len(errors) != consecutive:
         raise WrongWindowLength(
             f"expected {consecutive} errors, got {len(errors)}"
         )
-    return all(e > threshold for e in errors) or all(e < -threshold for e in errors)
-
-
-def multivariate_score(
-    errors_nir: Sequence[float],
-    errors_ndvi: Sequence[float],
-    nir_threshold: float,
-    ndvi_threshold: float,
-    consecutive: int,
-) -> int:
-    """Number of bands (0..2) whose run violates its threshold."""
-    return int(univariate_flag(errors_nir, nir_threshold, consecutive)) + int(
-        univariate_flag(errors_ndvi, ndvi_threshold, consecutive)
-    )
+    return bool(run_levels(np.asarray(errors, dtype=float), consecutive)[0] > threshold)
 
 
 def multivariate_flag(
@@ -149,21 +166,29 @@ def multivariate_flag(
     ndvi_threshold: float,
     consecutive: int,
 ) -> bool:
-    return (
-        multivariate_score(errors_nir, errors_ndvi, nir_threshold, ndvi_threshold, consecutive)
-        > 0
+    """Lax OR of the NIR and NDVI runs."""
+    return univariate_flag(errors_nir, nir_threshold, consecutive) | univariate_flag(
+        errors_ndvi, ndvi_threshold, consecutive
     )
+
+
+def _index_values(eps_nir: np.ndarray, eps_ndvi: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """sqrt(eps' inv(sigma) eps) per date, in closed form for (n, 2, 2) sigmas."""
+    s11, s12 = sigmas[:, 0, 0], sigmas[:, 0, 1]
+    s21, s22 = sigmas[:, 1, 0], sigmas[:, 1, 1]
+    det = s11 * s22 - s12 * s21
+    if np.any(s11 <= 0) or np.any(det <= 0):
+        raise SingularCovariance("covariance matrix is not positive definite")
+    quad = (
+        s22 * eps_nir * eps_nir - (s12 + s21) * eps_nir * eps_ndvi + s11 * eps_ndvi * eps_ndvi
+    ) / det
+    return np.sqrt(np.maximum(quad, 0.0))
 
 
 def mahalanobis_index(eps_nir: float, eps_ndvi: float, sigma: np.ndarray) -> float:
     """sqrt(eps' inv(sigma) eps) for a 2x2 covariance matrix."""
-    sigma = np.asarray(sigma, dtype=float)
-    det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
-    if sigma[0, 0] <= 0 or det <= 0:
-        raise SingularCovariance("covariance matrix is not positive definite")
-    eps = np.array([eps_nir, eps_ndvi])
-    solved = np.linalg.solve(sigma, eps)
-    return float(np.sqrt(max(0.0, float(eps @ solved))))
+    sigmas = np.asarray(sigma, dtype=float)[None]
+    return float(_index_values(np.array([eps_nir]), np.array([eps_ndvi]), sigmas)[0])
 
 
 # --- cube covariances ------------------------------------------------------
@@ -347,57 +372,23 @@ def mahalanobis_series(
     col: int,
     row: int,
 ) -> np.ndarray:
-    """Index value at each date of the window, using the date's cube."""
-    values = np.empty(len(we.dates))
-    cache: dict[int, np.ndarray] = {}
-    for i, doy in enumerate(we.doys):
-        square, period = cube_of(col, row, int(doy))
-        sigma = cache.get(period)
-        if sigma is None:
-            sigma = table.matrix_for(site_id, square, period)
-            cache[period] = sigma
-        values[i] = mahalanobis_index(
-            we.errors[Band.NIR][i], we.errors[Band.NDVI][i], sigma
-        )
-    return values
+    """Index value at each date of the window, using the date's cube.
+
+    The pixel's square is fixed, so the covariance is looked up once per
+    distinct period of the window.
+    """
+    if not we.dates:
+        return np.empty(0)
+    doys = [int(doy) for doy in we.doys]
+    periods = np.array([period_of(doy) for doy in doys])
+    _, first, inverse = np.unique(periods, return_index=True, return_inverse=True)
+    sigmas = np.array(
+        [table.matrix_for(site_id, *cube_of(col, row, doys[i])) for i in first]
+    )
+    return _index_values(we.errors[Band.NIR], we.errors[Band.NDVI], sigmas[inverse])
 
 
 # --- run scanning ----------------------------------------------------------
-
-
-def _windows_all(mask: np.ndarray, width: int) -> np.ndarray:
-    """mask[i:i+width].all() for every valid start i."""
-    if mask.size < width:
-        return np.zeros(0, dtype=bool)
-    counts = np.concatenate([[0], np.cumsum(mask)])
-    return (counts[width:] - counts[:-width]) == width
-
-
-def _sliding_min(values: np.ndarray, width: int) -> np.ndarray:
-    if values.size < width:
-        return np.empty(0)
-    out = values[: values.size - width + 1].copy()
-    for k in range(1, width):
-        np.minimum(out, values[k : k + out.size], out)
-    return out
-
-
-def _first_run_start(
-    values: np.ndarray,
-    start_ok: np.ndarray,
-    threshold: float,
-    consecutive: int,
-    two_sided: bool,
-) -> Optional[int]:
-    """Index of the earliest valid triggering run start, if any."""
-    hits = _windows_all(values > threshold, consecutive)
-    if two_sided:
-        hits = hits | _windows_all(values < -threshold, consecutive)
-    if not hits.size:
-        return None
-    hits &= start_ok[: hits.size]
-    idx = np.flatnonzero(hits)
-    return int(idx[0]) if idx.size else None
 
 
 def flag_level(
@@ -406,26 +397,14 @@ def flag_level(
     consecutive: int,
     two_sided: bool = True,
 ) -> float:
-    """Supremum of thresholds at which this sequence still triggers.
+    """Largest run level over the allowed starts.
 
     The sequence triggers at threshold L exactly when flag_level > L,
     which lets threshold sweeps reuse one pass over the data.
     """
-    level = -math.inf
-    if values.size < consecutive:
-        return level
-    n_starts = values.size - consecutive + 1
-    ok = start_ok[:n_starts]
-    if not ok.any():
-        return level
-    mins = _sliding_min(values, consecutive)[ok]
-    if mins.size:
-        level = max(level, float(mins.max()))
-    if two_sided:
-        mins = _sliding_min(-values, consecutive)[ok]
-        if mins.size:
-            level = max(level, float(mins.max()))
-    return level
+    levels = run_levels(values, consecutive, two_sided)
+    levels = levels[start_ok[: levels.size]]
+    return float(levels.max()) if levels.size else -math.inf
 
 
 def detect_pixel(
@@ -447,6 +426,29 @@ def detect_pixel(
     )
 
 
+def _rule_series(
+    we: WindowErrors,
+    rule: DetectionRule,
+    site_id: Optional[str],
+    col: int,
+    row: int,
+) -> list[tuple[Optional[Band], np.ndarray, float, bool]]:
+    """(reported band, values, threshold, two_sided) for each sequence the
+    rule scans; only the multivariate rule reports a triggering band."""
+    if isinstance(rule, UnivariateRule):
+        return [(None, we.errors[rule.band], rule.threshold, True)]
+    if isinstance(rule, MultivariateRule):
+        return [
+            (Band.NIR, we.errors[Band.NIR], rule.nir_threshold, True),
+            (Band.NDVI, we.errors[Band.NDVI], rule.ndvi_threshold, True),
+        ]
+    if site_id is None:
+        raise OutOfRange("Mahalanobis detection requires a site_id")
+    # The index is nonnegative, so only the "> L" side can fire.
+    values = mahalanobis_series(we, rule.covariances, site_id, col, row)
+    return [(None, values, rule.threshold, False)]
+
+
 def scan_window_errors(
     wes_list: Sequence[WindowErrors],
     rule: DetectionRule,
@@ -456,38 +458,22 @@ def scan_window_errors(
     col: int = 0,
     row: int = 0,
 ) -> DetectionResult:
-    """Rule evaluation over precomputed (possibly standardized) errors."""
+    """Rule evaluation over precomputed (possibly standardized) errors.
+
+    In each window the earliest allowed start whose run level exceeds the
+    threshold wins; NIR wins a tie with NDVI.
+    """
     c = rule.consecutive
     best_date: Optional[dt.date] = None
     best_band: Optional[Band] = None
     for we in wes_list:
-        if isinstance(rule, UnivariateRule):
-            start = _first_run_start(
-                we.errors[rule.band], we.start_ok, rule.threshold, c, True
-            )
-            band_hit = None
-        elif isinstance(rule, MultivariateRule):
-            start_nir = _first_run_start(
-                we.errors[Band.NIR], we.start_ok, rule.nir_threshold, c, True
-            )
-            start_ndvi = _first_run_start(
-                we.errors[Band.NDVI], we.start_ok, rule.ndvi_threshold, c, True
-            )
-            if start_nir is None:
-                start, band_hit = start_ndvi, Band.NDVI
-            elif start_ndvi is None or start_nir <= start_ndvi:
-                start, band_hit = start_nir, Band.NIR
-            else:
-                start, band_hit = start_ndvi, Band.NDVI
-        else:
-            if site_id is None:
-                raise OutOfRange("Mahalanobis detection requires a site_id")
-            index_values = mahalanobis_series(
-                we, rule.covariances, site_id, col, row
-            )
-            # The index is nonnegative, so only the "> L" branch can fire.
-            start = _first_run_start(index_values, we.start_ok, rule.threshold, c, False)
-            band_hit = None
+        start: Optional[int] = None
+        band_hit: Optional[Band] = None
+        for band, values, threshold, two_sided in _rule_series(we, rule, site_id, col, row):
+            levels = run_levels(values, c, two_sided)
+            hits = np.flatnonzero((levels > threshold) & we.start_ok[: levels.size])
+            if hits.size and (start is None or hits[0] < start):
+                start, band_hit = int(hits[0]), band
         if start is not None:
             flag_date = we.dates[start + c - 1]
             if best_date is None or flag_date < best_date:
@@ -499,5 +485,5 @@ def scan_window_errors(
         pixel_id=pixel_id,
         flagged=True,
         first_flag_date=best_date,
-        triggering_band=best_band if isinstance(rule, MultivariateRule) else None,
+        triggering_band=best_band,
     )

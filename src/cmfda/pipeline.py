@@ -20,23 +20,17 @@ from .core import BAND_ORDER, Band, PixelSeries, SeriesArrays
 from .detection import (
     DetectionResult,
     DetectionRule,
-    MultivariateRule,
     PairedErrorRecord,
-    UnivariateRule,
     WindowErrors,
     extract_errors_from_arrays,
-    mahalanobis_index,
-    cube_of,
     rule_bands,
     scan_window_errors,
-    univariate_flag,
-    multivariate_flag,
 )
 from .errors import InsufficientData, NoModels, RankDeficient
 from .harmonic import MIN_OBS, HarmonicModel, fit_arrays, predict_many
 from .standardize import ErrorContext, ErrorRecord, Standardizer, transform
 from .training import PixelTrainingData
-from .windows import WindowPair
+from .windows import PREDICT_EXTENSION_DAYS, WindowPair
 
 
 @dataclass
@@ -472,8 +466,13 @@ def online_process_batch(
         train = idx[(a.ordinals[idx] >= train_start) & (a.ordinals[idx] < a.ordinals[run[0]])]
         if train.size < min_obs:
             continue
-        errors = {}
-        failed = False
+        run_errors = WindowErrors(
+            window_index=0,
+            dates=[dt.date.fromordinal(int(o)) for o in a.ordinals[run]],
+            composite_dates=[dt.date.fromordinal(int(o)) for o in a.comp_ordinals[run]],
+            doys=a.doys[run].astype(float),
+            start_ok=np.arange(consecutive) == 0,
+        )
         for band in bands:
             col = BAND_ORDER.index(band)
             try:
@@ -489,34 +488,17 @@ def online_process_batch(
                     min_obs=min_obs,
                 )
             except (InsufficientData, RankDeficient):
-                failed = True
                 break
             fitted[(cp.pixel_id, band)] = model
-            predicted = predict_many(model.coeff_array(), a.doys[run].astype(float))
-            errors[band] = a.values[run, col] - predicted
-        if failed:
-            continue
-        if isinstance(rule, UnivariateRule):
-            hit = univariate_flag(list(errors[rule.band]), rule.threshold, consecutive)
-        elif isinstance(rule, MultivariateRule):
-            hit = multivariate_flag(
-                list(errors[Band.NIR]),
-                list(errors[Band.NDVI]),
-                rule.nir_threshold,
-                rule.ndvi_threshold,
-                consecutive,
-            )
+            predicted = predict_many(model.coeff_array(), run_errors.doys)
+            run_errors.errors[band] = a.values[run, col] - predicted
         else:
-            index_values = []
-            for k, flat in enumerate(run):
-                square, period = cube_of(cp.col, cp.row, int(a.doys[flat]))
-                sigma = rule.covariances.matrix_for(site_id, square, period)
-                index_values.append(
-                    mahalanobis_index(errors[Band.NIR][k], errors[Band.NDVI][k], sigma)
-                )
-            hit = all(v > rule.threshold for v in index_values)
-        if hit:
-            newly[cp.pixel_id] = batch_date
+            result = scan_window_errors(
+                [run_errors], rule, pixel_id=cp.pixel_id, site_id=site_id,
+                col=cp.col, row=cp.row,
+            )
+            if result.flagged:
+                newly[cp.pixel_id] = batch_date
     return OnlineOutcome(newly_flagged=newly, models=fitted)
 
 
@@ -527,11 +509,10 @@ def online_replay(
     *,
     site_id: str = "",
     min_obs: int = MIN_OBS,
-    extension_days: int = 120,
 ) -> dict[str, dt.date]:
     """Replay the online loop over a monitored year plus its extension."""
     compact = _ensure_compact(pixels)
-    last = dt.date(monitor_year, 12, 31) + dt.timedelta(days=extension_days)
+    last = dt.date(monitor_year, 12, 31) + dt.timedelta(days=PREDICT_EXTENSION_DAYS)
     all_ordinals = sorted(
         {
             int(o)

@@ -466,7 +466,9 @@ def test_cli_online_replay_matches_cli_detect(tmp_path):
 
 
 def test_online_smoke(sim_dir, tmp_path):
-    """Init from history, feed two batches, then verify no re-flagging."""
+    """Init from history, feed two batches, then verify no re-flagging.
+    The loop monitors raw errors, so a standardization scheme other than
+    identity is a usage error at --init and at --batch."""
     sites = read_series(sim_dir / "series.csv")
     site_id, pixels = next(iter(sites.items()))
     # history: everything before 2005; batches: first dates of 2005
@@ -488,27 +490,29 @@ def test_online_smoke(sim_dir, tmp_path):
     state = tmp_path / "state"
     hist_path = tmp_path / "history.csv"
     write_series(hist_path, {site_id: slice_series(lambda d: d < split)})
-    code = main(
-        [
-            "online", "--state", str(state), "--init",
-            "--series", str(hist_path), "--monitor-year", "2005",
-            "--rule", "multivariate",
-        ]
-    )
-    assert code == EXIT_OK
+    init = [
+        "online", "--state", str(state), "--init",
+        "--series", str(hist_path), "--monitor-year", "2005",
+        "--rule", "multivariate",
+    ]
+    assert main(init + ["--scheme", "4c"]) == EXIT_USAGE
+    assert not state.exists()
+    assert main(init + ["--scheme=---"]) == EXIT_OK
     for i, batch_date in enumerate(batch_dates):
         batch_path = tmp_path / f"batch{i}.csv"
         write_series(
             batch_path, {site_id: slice_series(lambda d, b=batch_date: d == b)}
         )
         out = tmp_path / f"det{i}.csv"
-        code = main(
-            [
-                "online", "--state", str(state),
-                "--batch", str(batch_path), "--out", str(out),
-            ]
-        )
-        assert code == EXIT_OK
+        step = [
+            "online", "--state", str(state),
+            "--batch", str(batch_path), "--out", str(out),
+        ]
+        if i == 0:
+            assert main(step + ["--scheme", "4c"]) == EXIT_USAGE
+            assert not out.exists()
+            step.append("--scheme=---")
+        assert main(step) == EXIT_OK
         meta, results = read_detections(out)
         assert meta["batch"] == batch_date.isoformat()
     # state histories grew and flagged file exists

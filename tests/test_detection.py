@@ -18,9 +18,9 @@ from cmfda.detection import (
     estimate_cube_covariances,
     extract_window_errors,
     flag_level,
+    rule_bands,
     mahalanobis_index,
     multivariate_flag,
-    multivariate_score,
     univariate_flag,
 )
 from cmfda.errors import NoModels, OutOfRange, SingularCovariance, WrongWindowLength
@@ -85,7 +85,6 @@ def test_multivariate_flag_is_lax_or():
     assert multivariate_flag(nir, ndvi, 0.1, 0.5, 3) is True     # NIR only
     assert multivariate_flag(ndvi, ndvi, 0.5, 0.5, 3) is False   # neither
     assert multivariate_flag(nir, nir, 0.1, 0.1, 3) is True      # both
-    assert multivariate_score(nir, nir, 0.1, 0.1, 3) == 2
 
 
 @given(
@@ -429,58 +428,99 @@ def test_rule_validation():
         MultivariateRule(0.0, 0.1, 4)
 
 
-def _naive_detect(series, models, rule, windows):
+def _same_sign_run(run, threshold):
+    return all(e > threshold for e in run) or all(e < -threshold for e in run)
+
+
+def _naive_index(eps_nir, eps_ndvi, sigma):
+    eps = np.array([eps_nir, eps_ndvi])
+    return math.sqrt(max(0.0, float(eps @ np.linalg.solve(sigma, eps))))
+
+
+def _naive_detect(series, models, rule, windows, site_id=None):
     """Independent re-implementation of the whole detection walk: filter
-    to clear dates carrying the band, take errors against the window's
-    model, and scan every C-run whose start lies in the bare year."""
+    to clear dates carrying every rule band, take errors against the
+    window's models, and scan every C-run whose start lies in the bare
+    year. Returns (flag date, triggering band) or None; the band is set
+    only by the multivariate rule, where NIR wins a tie."""
     from cmfda.harmonic import predict
 
+    if isinstance(rule, UnivariateRule):
+        bands = (rule.band,)
+    else:
+        bands = (Band.NIR, Band.NDVI)
     best = None
     for wp in windows:
-        model = models[wp.index][rule.band]
         usable = [
             obs
             for obs in series.observations
             if obs.nominal_date in wp.predict
             and obs.reliability in (Reliability.GOOD, Reliability.MARGINAL)
-            and obs.band_value(rule.band) is not None
+            and all(obs.band_value(b) is not None for b in bands)
         ]
-        errors = [
-            obs.band_value(rule.band) - predict(model, obs.composite_doy)
-            for obs in usable
-        ]
+        errors = {
+            b: [
+                obs.band_value(b) - predict(models[wp.index][b], obs.composite_doy)
+                for obs in usable
+            ]
+            for b in bands
+        }
         c = rule.consecutive
         for i in range(len(usable) - c + 1):
             if not (usable[i].nominal_date in wp.predict_year):
                 continue
-            run = errors[i : i + c]
-            if all(e > rule.threshold for e in run) or all(
-                e < -rule.threshold for e in run
-            ):
+            band = None
+            if isinstance(rule, UnivariateRule):
+                hit = _same_sign_run(errors[rule.band][i : i + c], rule.threshold)
+            elif isinstance(rule, MultivariateRule):
+                if _same_sign_run(errors[Band.NIR][i : i + c], rule.nir_threshold):
+                    hit, band = True, Band.NIR
+                else:
+                    hit = _same_sign_run(errors[Band.NDVI][i : i + c], rule.ndvi_threshold)
+                    band = Band.NDVI
+            else:
+                index = [
+                    _naive_index(
+                        errors[Band.NIR][k],
+                        errors[Band.NDVI][k],
+                        rule.covariances.matrix_for(
+                            site_id, *cube_of(series.col, series.row, usable[k].composite_doy)
+                        ),
+                    )
+                    for k in range(i, i + c)
+                ]
+                hit = all(v > rule.threshold for v in index)
+            if hit:
                 date = usable[i + c - 1].nominal_date
-                if best is None or date < best:
-                    best = date
+                if best is None or date < best[0]:
+                    best = (date, band)
                 break
     return best
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=180, deadline=None)
 @given(
+    kind=st.sampled_from(["univariate", "multivariate", "mahalanobis"]),
     seed=st.integers(0, 2**32 - 1),
     consecutive=st.integers(2, 5),
     threshold=st.floats(min_value=0.02, max_value=0.12),
 )
-def test_detect_pixel_matches_naive_oracle(seed, consecutive, threshold):
+def test_detect_pixel_matches_naive_oracle(kind, seed, consecutive, threshold):
     rng = np.random.default_rng(seed)
     event = dt.date(2005, 6, 1) + dt.timedelta(days=int(rng.integers(0, 400)))
     shift = float(rng.choice([-0.3, -0.15, 0.0]))
     noise = rng.normal(0, 0.05, size=400)
     fills = rng.random(400) < 0.05
+    # the pair rules also see NDVI noise and a shift of their own
+    ndvi_shift = float(rng.choice([-0.3, -0.15, 0.0]))
+    ndvi_noise = rng.normal(0, 0.05, size=400)
 
     def value_fn(band, date, clean):
+        k = date.toordinal() % 400
+        if band is Band.NDVI and kind != "univariate":
+            return clean + ndvi_noise[k] + (ndvi_shift if date >= event else 0.0)
         if band is not Band.NIR:
             return clean
-        k = date.toordinal() % 400
         if fills[k]:
             return -0.1  # fill
         out = clean + noise[k] + (shift if date >= event else 0.0)
@@ -493,14 +533,36 @@ def test_detect_pixel_matches_naive_oracle(seed, consecutive, threshold):
         reliability_fn=lambda date: Reliability.CLOUDY
         if date.toordinal() % 7 == 0
         else Reliability.GOOD,
+        col=int(rng.integers(0, 25)),
+        row=int(rng.integers(0, 25)),
     )
     windows = make_windows(2003, 2)
-    models = _fit_models(series, windows, (Band.NIR,))
-    rule = UnivariateRule(Band.NIR, threshold, consecutive)
-    result = detect_pixel(series, models, rule, windows)
-    expected = _naive_detect(series, models, rule, windows)
+    if kind == "univariate":
+        rule = UnivariateRule(Band.NIR, threshold, consecutive)
+    elif kind == "multivariate":
+        rule = MultivariateRule(threshold, 2 * threshold, consecutive)
+    else:
+        # sparse random cubes, so lookups also fall back to coarser pools
+        pairs = rng.multivariate_normal(
+            [0, 0], [[0.0025, 0.001], [0.001, 0.0025]], size=400
+        )
+        records = [
+            _record(
+                int(rng.integers(0, 25)),
+                int(rng.integers(0, 25)),
+                int(rng.integers(1, 367)),
+                float(e2),
+                float(e8),
+            )
+            for e2, e8 in pairs
+        ]
+        rule = MahalanobisRule(80 * threshold, estimate_cube_covariances(records), consecutive)
+    models = _fit_models(series, windows, rule_bands(rule))
+    result = detect_pixel(series, models, rule, windows, site_id="s")
+    expected = _naive_detect(series, models, rule, windows, site_id="s")
     assert result.flagged == (expected is not None)
-    assert result.first_flag_date == expected
+    if expected is not None:
+        assert (result.first_flag_date, result.triggering_band) == expected
 
 
 # --- flag_level --------------------------------------------------------------
@@ -511,8 +573,9 @@ def test_detect_pixel_matches_naive_oracle(seed, consecutive, threshold):
     seed=st.integers(0, 2**32 - 1),
     consecutive=st.integers(min_value=2, max_value=6),
     threshold=st.floats(min_value=0.01, max_value=0.4),
+    two_sided=st.booleans(),
 )
-def test_flag_level_matches_brute_force_scan(seed, consecutive, threshold):
+def test_flag_level_matches_brute_force_scan(seed, consecutive, threshold, two_sided):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(0, 40))
     values = rng.normal(0, 0.15, size=n)
@@ -522,8 +585,8 @@ def test_flag_level_matches_brute_force_scan(seed, consecutive, threshold):
         if not start_ok[i]:
             continue
         window = values[i : i + consecutive]
-        if np.all(window > threshold) or np.all(window < -threshold):
+        if np.all(window > threshold) or (two_sided and np.all(window < -threshold)):
             brute = True
             break
-    level = flag_level(values, start_ok, consecutive)
+    level = flag_level(values, start_ok, consecutive, two_sided)
     assert (level > threshold) == brute

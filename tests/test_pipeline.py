@@ -5,7 +5,13 @@ import pytest
 
 from cmfda.core import Band
 from cmfda.dataio import BandSignal, EventSpec, SynthConfig, generate_site, seasonal_cloud_prob
-from cmfda.detection import MultivariateRule, UnivariateRule, detect_pixel
+from cmfda.detection import (
+    MahalanobisRule,
+    MultivariateRule,
+    UnivariateRule,
+    detect_pixel,
+    estimate_cube_covariances,
+)
 from cmfda.harmonic import fit
 from cmfda.pipeline import (
     build_training_dataset,
@@ -161,11 +167,22 @@ def test_standardized_training_dataset(scenario):
     assert best_tss == 1.0
 
 
-def test_online_replay_matches_batch_detection(scenario):
+def _online_rule(kind, pixels, fit_result, windows):
+    if kind == "univariate":
+        return UnivariateRule(Band.NIR, 0.08, 4)
+    if kind == "multivariate":
+        return MultivariateRule(0.082, 0.182, 4)
+    histories = training_residuals(pixels, fit_result, windows, (Band.NIR, Band.NDVI), "mini")
+    table = estimate_cube_covariances(paired_residual_records(histories))
+    return MahalanobisRule(11.72, table, 4)
+
+
+@pytest.mark.parametrize("kind", ["univariate", "multivariate", "mahalanobis"])
+def test_online_replay_matches_batch_detection(scenario, kind):
     pixels, labels = scenario
     windows = make_windows(2003, 1)
-    rule = MultivariateRule(0.082, 0.182, 4)
     fit_result = fit_pixels(pixels, windows, (Band.NIR, Band.NDVI))
+    rule = _online_rule(kind, pixels, fit_result, windows)
     batch_results, _ = detect_pixels(pixels, fit_result, rule, windows, "mini")
     batch_flags = {
         r.pixel_id: r.first_flag_date for r in batch_results if r.flagged
