@@ -25,24 +25,19 @@ from .detection import (
     estimate_cube_covariances,
     rule_bands,
 )
-from .harmonic import HarmonicModel
+from .harmonic import MIN_OBS, HarmonicModel
 from .errors import (
     CmfdaError,
     DegenerateClass,
     InitOffGrid,
     OutOfRange,
+    ParseError,
     TooFewPositives,
 )
 from . import dataio, pipeline, training
 from .standardize import Scheme, fit_standardizer
 from .training import AnnealConfig, ReportRow, TrainReport
-from .windows import (
-    PREDICT_EXTENSION_DAYS,
-    DateInterval,
-    WindowPair,
-    make_windows,
-    year_interval,
-)
+from .windows import DateInterval, WindowPair, make_windows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,6 +57,17 @@ DEFAULT_NIR_GRID = (0.01, 0.30, 0.01)
 DEFAULT_NDVI_GRID = (0.01, 0.50, 0.01)
 DEFAULT_MAHALANOBIS_GRID = (0.5, 30.0, 0.5)
 
+# Consecutive counts every training run covers; the sweep re-applies C=3.
+C_VALUES = (2, 3, 4, 5, 6)
+PAIR_BANDS = (Band.NIR, Band.NDVI)
+
+# The rule-specific flags `train` reads for each rule; any other is refused.
+TRAIN_RULE_FLAGS = {
+    "univariate": ("grid",),
+    "multivariate": ("grid_nir", "grid_ndvi", "anneal_iters"),
+    "mahalanobis": ("grid",),
+}
+
 
 class UsageError(Exception):
     pass
@@ -77,8 +83,8 @@ def parse_grid_spec(spec: str) -> list[float]:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise UsageError(f"bad grid spec {spec!r}; expected lo:hi:step") from None
-    if step <= 0 or hi < lo:
-        raise UsageError(f"bad grid spec {spec!r}")
+    if step <= 0 or hi < lo or lo <= 0:
+        raise UsageError(f"bad grid spec {spec!r}; thresholds must be positive")
     return threshold_grid(lo, hi, step)
 
 
@@ -257,17 +263,30 @@ def _load_model_dir(models_dir: str):
     fit = pipeline.FitResult(models={})
     for index, path in enumerate(paths):
         train, models = dataio.load_models(path)
-        predict_year = year_interval(train.end.year + 1, train.end.year + 1)
-        predict = DateInterval(
-            predict_year.start, predict_year.end + dt.timedelta(days=PREDICT_EXTENSION_DAYS)
-        )
-        windows.append(WindowPair(index, train, predict, predict_year))
+        window = make_windows(train.start.year, 1)[0]
+        if window.train != train:
+            raise ParseError(
+                f"{path}: training window {train.start}..{train.end} is not the two "
+                f"calendar years {window.train.start}..{window.train.end}"
+            )
+        windows.append(replace(window, index=index))
         fit.models[index] = models
     return windows, fit
 
 
 def _window_tag(window: WindowPair) -> str:
     return f"{window.train.start.year}_{window.train.end.year}"
+
+
+def _fit_sites(sites, windows, bands, *, workers: int, min_obs: int = MIN_OBS):
+    """Fit every site's pixels and merge the per-site results."""
+    merged = pipeline.FitResult(models={wp.index: {} for wp in windows})
+    for pixels in sites.values():
+        fit = pipeline.fit_pixels(pixels, windows, bands, min_obs=min_obs, workers=workers)
+        for index, table in fit.models.items():
+            merged.models[index].update(table)
+        merged.skipped.extend(fit.skipped)
+    return merged
 
 
 def _residual_histories(sites, fit, windows, bands):
@@ -277,6 +296,12 @@ def _residual_histories(sites, fit, windows, bands):
         for band in bands:
             histories[band].extend(per_site[band])
     return histories
+
+
+def _cube_covariances(sites, fit, windows) -> CubeCovarianceTable:
+    """Cube covariances of the sites' NIR/NDVI training residuals."""
+    histories = _residual_histories(sites, fit, windows, PAIR_BANDS)
+    return estimate_cube_covariances(pipeline.paired_residual_records(histories))
 
 
 def _build_rule(args, covariances: Optional[CubeCovarianceTable] = None):
@@ -321,6 +346,12 @@ def _rule_meta(rule, scheme_code: str) -> dict[str, str]:
     return meta
 
 
+def _rule_thresholds(rule) -> tuple[float, ...]:
+    if isinstance(rule, MultivariateRule):
+        return (rule.nir_threshold, rule.ndvi_threshold)
+    return (rule.threshold,)
+
+
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -354,17 +385,10 @@ def cmd_fit(args) -> int:
     sites = dataio.read_series(args.series)
     windows = parse_windows_spec(args.windows)
     bands = tuple(parse_band(b) for b in args.bands.split(","))
-    min_obs = args.min_obs if args.min_obs else None
     os.makedirs(args.out, exist_ok=True)
-    merged = pipeline.FitResult(models={wp.index: {} for wp in windows})
-    for site_id, pixels in sites.items():
-        kwargs = {"workers": _threads(args)}
-        if min_obs:
-            kwargs["min_obs"] = min_obs
-        fit = pipeline.fit_pixels(pixels, windows, bands, **kwargs)
-        for index, table in fit.models.items():
-            merged.models[index].update(table)
-        merged.skipped.extend(fit.skipped)
+    merged = _fit_sites(
+        sites, windows, bands, workers=_threads(args), min_obs=args.min_obs or MIN_OBS
+    )
     n_models = 0
     for wp in windows:
         path = os.path.join(args.out, f"models_{_window_tag(wp)}.csv")
@@ -402,12 +426,7 @@ def _standardizers_for(args, sites, fit, windows, bands):
 def cmd_detect(args) -> int:
     sites = dataio.read_series(args.series)
     windows, fit = _load_model_dir(args.models)
-    covariances = None
-    if args.rule == "mahalanobis":
-        histories = _residual_histories(sites, fit, windows, (Band.NIR, Band.NDVI))
-        covariances = estimate_cube_covariances(
-            pipeline.paired_residual_records(histories)
-        )
+    covariances = _cube_covariances(sites, fit, windows) if args.rule == "mahalanobis" else None
     rule = _build_rule(args, covariances)
     standardizers = _standardizers_for(args, sites, fit, windows, rule_bands(rule))
     results = []
@@ -447,111 +466,107 @@ def _cv_or_none(dataset, trainer, folds, seed):
         return None
 
 
-def cmd_train(args) -> int:
-    sites = dataio.read_series(args.series)
-    labels = {l.pixel_id: l.z for l in dataio.read_labels(args.labels)}
-    windows = parse_windows_spec(args.windows)
-    c_values = (2, 3, 4, 5, 6)
-    seed = args.seed
-    folds = args.cv_folds
+def _grid(spec: Optional[str], default: tuple[float, float, float]) -> list[float]:
+    return parse_grid_spec(spec) if spec else threshold_grid(*default)
 
+
+def _check_train_flags(args) -> None:
+    if args.rule not in TRAIN_RULE_FLAGS:
+        raise UsageError(f"unknown rule {args.rule!r}")
+    for flag in ("grid", "grid_nir", "grid_ndvi", "anneal_iters"):
+        if getattr(args, flag) is not None and flag not in TRAIN_RULE_FLAGS[args.rule]:
+            option = "--" + flag.replace("_", "-")
+            raise UsageError(f"{option} does not apply to the {args.rule} rule")
+
+
+def _trainer(args, band: Optional[Band], grids, covariances):
+    """The rule's trainer: (C, dataset) -> (rule, train TSS)."""
     if args.rule == "univariate":
-        band = parse_band(args.band)
-        bands: tuple[Band, ...] = (band,)
+        (grid,) = grids
+
+        def train(c, dataset):
+            best_l, best_tss = training.grid_search_univariate(dataset, band, c, grid)
+            return UnivariateRule(band, best_l, c), best_tss
+
+    elif args.rule == "mahalanobis":
+        (grid,) = grids
+
+        def train(c, dataset):
+            best_l, best_tss = training.grid_search_mahalanobis(dataset, covariances, c, grid)
+            return MahalanobisRule(best_l, covariances, c), best_tss
+
     else:
-        band = None
-        bands = (Band.NIR, Band.NDVI)
-
-    fit = pipeline.FitResult(models={wp.index: {} for wp in windows})
-    for site_id, pixels in sites.items():
-        site_fit = pipeline.fit_pixels(pixels, windows, bands, workers=_threads(args))
-        for index, table in site_fit.models.items():
-            fit.models[index].update(table)
-
-    scheme = parse_scheme(args.scheme)
-    standardizers = None
-    if scheme is not Scheme.IDENTITY:
-        histories = _residual_histories(sites, fit, windows, bands)
-        standardizers = {
-            b: fit_standardizer(histories[b], scheme, b) for b in bands
-        }
-
-    datasets = {}
-    for site_id, pixels in sites.items():
-        dataset, _ = pipeline.build_training_dataset(
-            pixels, fit, windows, labels, site_id, bands, standardizers
-        )
-        datasets[site_id] = dataset
-    pooled = [p for dataset in datasets.values() for p in dataset]
-
-    rows: list[ReportRow] = []
-    if args.rule == "univariate":
-        grid = parse_grid_spec(args.grid) if args.grid else threshold_grid(
-            *(DEFAULT_NIR_GRID if band is Band.NIR else DEFAULT_NDVI_GRID)
-        )
-        for site_id, dataset in datasets.items():
-            for c in c_values:
-                best_l, best_tss = training.grid_search_univariate(dataset, band, c, grid)
-                cv = _cv_or_none(
-                    dataset,
-                    lambda train, c=c: UnivariateRule(
-                        band, training.grid_search_univariate(train, band, c, grid)[0], c
-                    ),
-                    folds, seed,
-                )
-                rows.append(
-                    ReportRow(
-                        scope=site_id, consecutive=c, thresholds=(best_l,),
-                        train_tss=best_tss,
-                        cv_tss=cv.tss_mean if cv else None,
-                        producer_acc=cv.producer_acc if cv else None,
-                        user_acc=cv.user_acc if cv else None,
-                    )
-                )
-        best_rule = None
-    elif args.rule == "multivariate":
-        nir_grid = parse_grid_spec(args.grid_nir) if args.grid_nir else threshold_grid(*DEFAULT_NIR_GRID)
-        ndvi_grid = parse_grid_spec(args.grid_ndvi) if args.grid_ndvi else threshold_grid(*DEFAULT_NDVI_GRID)
+        nir_grid, ndvi_grid = grids
         config = AnnealConfig()
         if args.anneal_iters:
             config = AnnealConfig(
                 steps_per_temp=max(1, args.anneal_iters // config.temp_levels)
             )
 
-        def snap(value, grid):
-            return min(grid, key=lambda g: abs(g - value))
+        def train(c, dataset):
+            init = (
+                _anneal_start(dataset, Band.NIR, c, nir_grid),
+                _anneal_start(dataset, Band.NDVI, c, ndvi_grid),
+            )
+            (l_nir, l_ndvi), best_tss = training.anneal_multivariate(
+                dataset, c, nir_grid, ndvi_grid, init, config, args.seed
+            )
+            return MultivariateRule(l_nir, l_ndvi, c), best_tss
 
-        def make_trainer(c):
-            def trainer(train):
-                init = (
-                    snap(_average_site_optimum(train, Band.NIR, c, nir_grid), nir_grid),
-                    snap(_average_site_optimum(train, Band.NDVI, c, ndvi_grid), ndvi_grid),
-                )
-                (l_nir, l_ndvi), _ = training.anneal_multivariate(
-                    train, c, nir_grid, ndvi_grid, init, config, seed
-                )
-                return MultivariateRule(l_nir, l_ndvi, c)
-            return trainer
+    return train
 
-        best_rule = None
-        best_rule_tss = None
-        for c in c_values:
-            rule = make_trainer(c)(pooled)
-            counts = training.evaluate_rule(pooled, rule)
-            train_tss = training.tss(counts)
-            cv = _cv_or_none(pooled, make_trainer(c), folds, seed)
+
+def cmd_train(args) -> int:
+    _check_train_flags(args)
+    windows = parse_windows_spec(args.windows)
+    band, bands = None, PAIR_BANDS
+    if args.rule == "univariate":
+        band = parse_band(args.band)
+        bands = (band,)
+        grids = [_grid(args.grid, DEFAULT_NIR_GRID if band is Band.NIR else DEFAULT_NDVI_GRID)]
+    elif args.rule == "mahalanobis":
+        grids = [_grid(args.grid, DEFAULT_MAHALANOBIS_GRID)]
+    else:
+        grids = [_grid(args.grid_nir, DEFAULT_NIR_GRID), _grid(args.grid_ndvi, DEFAULT_NDVI_GRID)]
+
+    sites = dataio.read_series(args.series)
+    labels = {l.pixel_id: l.z for l in dataio.read_labels(args.labels)}
+    fit = _fit_sites(sites, windows, bands, workers=_threads(args))
+    standardizers = _standardizers_for(args, sites, fit, windows, bands)
+    datasets = {
+        site_id: pipeline.build_training_dataset(
+            pixels, fit, windows, labels, site_id, bands, standardizers
+        )[0]
+        for site_id, pixels in sites.items()
+    }
+    pooled = [p for dataset in datasets.values() for p in dataset]
+    covariances = _cube_covariances(sites, fit, windows) if args.rule == "mahalanobis" else None
+    train = _trainer(args, band, grids, covariances)
+
+    # univariate thresholds are trained per site, the pair rules on all pixels
+    scopes = datasets if args.rule == "univariate" else {"all": pooled}
+    rows: list[ReportRow] = []
+    trained = {}
+    for scope, dataset in scopes.items():
+        for c in C_VALUES:
+            rule, train_tss = train(c, dataset)
+            cv = _cv_or_none(
+                dataset, lambda fold, c=c: train(c, fold)[0], args.cv_folds, args.seed
+            )
             rows.append(
                 ReportRow(
-                    scope="all", consecutive=c,
-                    thresholds=(rule.nir_threshold, rule.ndvi_threshold),
+                    scope=scope, consecutive=c, thresholds=_rule_thresholds(rule),
                     train_tss=train_tss,
                     cv_tss=cv.tss_mean if cv else None,
                     producer_acc=cv.producer_acc if cv else None,
                     user_acc=cv.user_acc if cv else None,
                 )
             )
-            if best_rule_tss is None or train_tss > best_rule_tss:
-                best_rule, best_rule_tss = rule, train_tss
+            trained[scope, c] = rule, train_tss
+
+    if args.rule == "multivariate":
+        # the pooled optimum over C, scored on each site alone
+        best_rule, _ = max((trained["all", c] for c in C_VALUES), key=lambda pair: pair[1])
         for site_id, dataset in datasets.items():
             counts = training.evaluate_rule(dataset, best_rule)
             try:
@@ -562,55 +577,20 @@ def cmd_train(args) -> int:
             rows.append(
                 ReportRow(
                     scope=site_id, consecutive=best_rule.consecutive,
-                    thresholds=(best_rule.nir_threshold, best_rule.ndvi_threshold),
+                    thresholds=_rule_thresholds(best_rule),
                     train_tss=site_tss, cv_tss=None,
                     producer_acc=producer, user_acc=user,
                 )
             )
-    else:  # mahalanobis
-        histories = _residual_histories(sites, fit, windows, (Band.NIR, Band.NDVI))
-        covariances = estimate_cube_covariances(
-            pipeline.paired_residual_records(histories)
-        )
-        grid = parse_grid_spec(args.grid) if args.grid else threshold_grid(*DEFAULT_MAHALANOBIS_GRID)
-        best_rule = None
-        best_rule_tss = None
-        for c in c_values:
-            best_l, best_tss = training.grid_search_mahalanobis(pooled, covariances, c, grid)
-            cv = _cv_or_none(
-                pooled,
-                lambda train, c=c: MahalanobisRule(
-                    training.grid_search_mahalanobis(train, covariances, c, grid)[0],
-                    covariances, c,
-                ),
-                folds, seed,
-            )
-            rows.append(
-                ReportRow(
-                    scope="all", consecutive=c, thresholds=(best_l,),
-                    train_tss=best_tss,
-                    cv_tss=cv.tss_mean if cv else None,
-                    producer_acc=cv.producer_acc if cv else None,
-                    user_acc=cv.user_acc if cv else None,
-                )
-            )
-            if best_rule_tss is None or best_tss > best_rule_tss:
-                best_rule = MahalanobisRule(best_l, covariances, c)
-                best_rule_tss = best_tss
 
-    if args.sweep_fixed and best_rule is not None:
-        c3_rows = [r for r in rows if r.scope == "all" and r.consecutive == 3]
-        if c3_rows:
-            fixed = replace(best_rule, consecutive=3)
-            if isinstance(fixed, MultivariateRule):
-                fixed = MultivariateRule(c3_rows[0].thresholds[0], c3_rows[0].thresholds[1], 3)
-            else:
-                fixed = replace(fixed, threshold=c3_rows[0].thresholds[0])
-            for sweep in training.sweep_fixed(pooled, fixed):
+    if args.sweep_fixed:
+        for scope, dataset in scopes.items():
+            fixed, _ = trained[scope, 3]
+            for sweep in training.sweep_fixed(dataset, fixed, C_VALUES):
                 rows.append(
                     ReportRow(
-                        scope="all:fixed-L(C=3)", consecutive=sweep.consecutive,
-                        thresholds=c3_rows[0].thresholds,
+                        scope=f"{scope}:fixed-L(C=3)", consecutive=sweep.consecutive,
+                        thresholds=_rule_thresholds(fixed),
                         train_tss=sweep.tss, cv_tss=None,
                         producer_acc=sweep.producer_acc, user_acc=sweep.user_acc,
                     )
@@ -627,8 +607,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _average_site_optimum(dataset, band, consecutive, grid) -> float:
-    """Average of per-site optimal thresholds, the annealing start point."""
+def _anneal_start(dataset, band, consecutive, grid) -> float:
+    """The annealing start point: the grid point nearest the average of the
+    per-site optimal thresholds."""
     by_site: dict[str, list] = {}
     for p in dataset:
         by_site.setdefault(p.site_id, []).append(p)
@@ -641,7 +622,8 @@ def _average_site_optimum(dataset, band, consecutive, grid) -> float:
         optima.append(best_l)
     if not optima:
         return grid[len(grid) // 2]
-    return sum(optima) / len(optima)
+    average = sum(optima) / len(optima)
+    return min(grid, key=lambda g: abs(g - average))
 
 
 def cmd_standardize(args) -> int:
@@ -699,19 +681,9 @@ def cmd_online(args) -> int:
             "L-ndvi": dataio.real(args.L_ndvi),
         }
         if args.rule == "mahalanobis":
-            first_year = args.monitor_year - 2
-            windows = make_windows(first_year, 1)
-            bands = (Band.NIR, Band.NDVI)
-            fit = pipeline.FitResult(models={wp.index: {} for wp in windows})
-            for site_id, pixels in sites.items():
-                site_fit = pipeline.fit_pixels(pixels, windows, bands)
-                for index, table in site_fit.models.items():
-                    fit.models[index].update(table)
-            histories = _residual_histories(sites, fit, windows, bands)
-            table = estimate_cube_covariances(
-                pipeline.paired_residual_records(histories)
-            )
-            dataio.save_covariances(paths["covariances"], table)
+            windows = make_windows(args.monitor_year - 2, 1)
+            fit = _fit_sites(sites, windows, PAIR_BANDS, workers=1)
+            dataio.save_covariances(paths["covariances"], _cube_covariances(sites, fit, windows))
         _write_online_config(paths["config"], config)
         print(f"initialized online state in {args.state} (monitoring {args.monitor_year})")
         return EXIT_OK

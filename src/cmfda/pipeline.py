@@ -30,7 +30,7 @@ from .errors import InsufficientData, NoModels, RankDeficient
 from .harmonic import MIN_OBS, HarmonicModel, fit_arrays, predict_many
 from .standardize import ErrorContext, ErrorRecord, Standardizer, transform
 from .training import PixelTrainingData
-from .windows import PREDICT_EXTENSION_DAYS, WindowPair
+from .windows import PREDICT_EXTENSION_DAYS, DateInterval, WindowPair
 
 
 @dataclass
@@ -110,32 +110,49 @@ class FitResult:
         return out
 
 
+def _fit_window(
+    cp: CompactPixel, train: DateInterval, bands: Sequence[Band], min_obs: int
+) -> tuple[dict[Band, HarmonicModel], list[tuple[Band, str]]]:
+    """Fit each band of one pixel on that band's clear, non-fill dates
+    inside the training interval; returns the models and the (band, reason)
+    of each fit that failed."""
+    a = cp.arrays
+    in_window = (
+        a.clear
+        & (a.ordinals >= train.start.toordinal())
+        & (a.ordinals <= train.end.toordinal())
+    )
+    models: dict[Band, HarmonicModel] = {}
+    failed = []
+    for band in bands:
+        col = BAND_ORDER.index(band)
+        mask = in_window & ~np.isnan(a.values[:, col])
+        try:
+            models[band] = fit_arrays(
+                a.doys[mask].astype(float),
+                a.values[mask, col],
+                band=band,
+                pixel_id=cp.pixel_id,
+                train_window=(train.start, train.end),
+                min_obs=min_obs,
+            )
+        except (InsufficientData, RankDeficient) as exc:
+            failed.append((band, exc.__class__.__name__))
+    return models, failed
+
+
 def _fit_chunk(args):
-    lo, hi, (window_bounds, bands, min_obs) = args
-    chunk = _SHARED["payload"][lo:hi]
-    rows = []       # (window_index, pixel_index, band, coeffs, n_obs)
-    skipped = []    # (pixel_index, window_index, band, reason)
-    for offset, cp in enumerate(chunk):
-        a = cp.arrays
-        for window_index, (start_ord, end_ord, start_date, end_date) in window_bounds:
-            in_window = a.clear & (a.ordinals >= start_ord) & (a.ordinals <= end_ord)
-            for band in bands:
-                col = BAND_ORDER.index(band)
-                mask = in_window & ~np.isnan(a.values[:, col])
-                try:
-                    model = fit_arrays(
-                        a.doys[mask].astype(float),
-                        a.values[mask, col],
-                        band=band,
-                        pixel_id=cp.pixel_id,
-                        train_window=(start_date, end_date),
-                        min_obs=min_obs,
-                    )
-                except (InsufficientData, RankDeficient) as exc:
-                    skipped.append((lo + offset, window_index, band, exc.__class__.__name__))
-                    continue
-                rows.append((window_index, lo + offset, band, model.coeffs, model.n_obs))
-    return rows, skipped
+    lo, hi, (windows, bands, min_obs) = args
+    models = []     # (window_index, model)
+    skipped = []
+    for cp in _SHARED["payload"][lo:hi]:
+        for wp in windows:
+            fitted, failed = _fit_window(cp, wp.train, bands, min_obs)
+            models.extend((wp.index, model) for model in fitted.values())
+            skipped.extend(
+                SkipRecord(cp.pixel_id, wp.index, band, reason) for band, reason in failed
+            )
+    return models, skipped
 
 
 def fit_pixels(
@@ -148,35 +165,12 @@ def fit_pixels(
 ) -> FitResult:
     """Fit every (pixel, band) over each training window."""
     compact = _ensure_compact(pixels)
-    window_bounds = [
-        (
-            wp.index,
-            (
-                wp.train.start.toordinal(),
-                wp.train.end.toordinal(),
-                wp.train.start,
-                wp.train.end,
-            ),
-        )
-        for wp in windows
-    ]
-    train_by_index = {wp.index: (wp.train.start, wp.train.end) for wp in windows}
-    static = (window_bounds, tuple(bands), min_obs)
+    static = (tuple(windows), tuple(bands), min_obs)
     result = FitResult(models={wp.index: {} for wp in windows})
-    for rows, skipped in _run_parallel(_fit_chunk, compact, len(compact), workers, static):
-        for window_index, pixel_index, band, coeffs, n_obs in rows:
-            cp = compact[pixel_index]
-            result.models[window_index][(cp.pixel_id, band)] = HarmonicModel(
-                band=band,
-                pixel_id=cp.pixel_id,
-                coeffs=coeffs,
-                train_window=train_by_index[window_index],
-                n_obs=n_obs,
-            )
-        for pixel_index, window_index, band, reason in skipped:
-            result.skipped.append(
-                SkipRecord(compact[pixel_index].pixel_id, window_index, band, reason)
-            )
+    for models, skipped in _run_parallel(_fit_chunk, compact, len(compact), workers, static):
+        for window_index, model in models:
+            result.models[window_index][(model.pixel_id, model.band)] = model
+        result.skipped.extend(skipped)
     return result
 
 
@@ -437,14 +431,16 @@ def online_process_batch(
 ) -> OnlineOutcome:
     """One step of the online loop for a new nominal date.
 
-    For each still-monitored pixel whose new observation is clear: take the
-    last C clear observations ending at the new one, refit the harmonic
-    models on the two years before the run start, and apply the rule to
-    the run's prediction errors. The run must start inside the monitored
-    year.
+    For each still-monitored pixel whose new observation is clear with a
+    real value in every rule band, the trailing run is its last C such
+    dates, ending at the new one; it must start inside the monitored year.
+    The run gets its own window (train on the two years before the run
+    start, predict from the run start to the new date, the run start the
+    only allowed start), which is fitted, predicted and scanned by the
+    batch code.
     """
     bands = rule_bands(rule)
-    consecutive = rule.consecutive
+    cols = [BAND_ORDER.index(band) for band in bands]
     batch_ord = batch_date.toordinal()
     newly: dict[str, dt.date] = {}
     fitted: dict[tuple[str, Band], HarmonicModel] = {}
@@ -452,53 +448,30 @@ def online_process_batch(
         if cp.pixel_id in already_flagged:
             continue
         a = cp.arrays
-        usable = a.clear & (a.ordinals <= batch_ord)
-        for band in bands:
-            usable &= ~np.isnan(a.values[:, BAND_ORDER.index(band)])
+        usable = a.clear & (a.ordinals <= batch_ord) & ~np.isnan(a.values[:, cols]).any(axis=1)
         idx = np.flatnonzero(usable)
-        if idx.size < consecutive or a.ordinals[idx[-1]] != batch_ord:
+        if idx.size < rule.consecutive or a.ordinals[idx[-1]] != batch_ord:
             continue
-        run = idx[-consecutive:]
-        start_date = dt.date.fromordinal(int(a.ordinals[run[0]]))
-        if start_date.year != monitor_year:
+        start = dt.date.fromordinal(int(a.ordinals[idx[-rule.consecutive]]))
+        if start.year != monitor_year:
             continue
-        train_start = _two_years_before(start_date).toordinal()
-        train = idx[(a.ordinals[idx] >= train_start) & (a.ordinals[idx] < a.ordinals[run[0]])]
-        if train.size < min_obs:
-            continue
-        run_errors = WindowErrors(
-            window_index=0,
-            dates=[dt.date.fromordinal(int(o)) for o in a.ordinals[run]],
-            composite_dates=[dt.date.fromordinal(int(o)) for o in a.comp_ordinals[run]],
-            doys=a.doys[run].astype(float),
-            start_ok=np.arange(consecutive) == 0,
+        window = WindowPair(
+            0,
+            train=DateInterval(_two_years_before(start), start - dt.timedelta(days=1)),
+            predict=DateInterval(start, batch_date),
+            predict_year=DateInterval(start, start),
         )
-        for band in bands:
-            col = BAND_ORDER.index(band)
-            try:
-                model = fit_arrays(
-                    a.doys[train].astype(float),
-                    a.values[train, col],
-                    band=band,
-                    pixel_id=cp.pixel_id,
-                    train_window=(
-                        dt.date.fromordinal(int(train_start)),
-                        start_date,
-                    ),
-                    min_obs=min_obs,
-                )
-            except (InsufficientData, RankDeficient):
-                break
-            fitted[(cp.pixel_id, band)] = model
-            predicted = predict_many(model.coeff_array(), run_errors.doys)
-            run_errors.errors[band] = a.values[run, col] - predicted
-        else:
-            result = scan_window_errors(
-                [run_errors], rule, pixel_id=cp.pixel_id, site_id=site_id,
-                col=cp.col, row=cp.row,
-            )
-            if result.flagged:
-                newly[cp.pixel_id] = batch_date
+        models, _ = _fit_window(cp, window.train, bands, min_obs)
+        fitted.update(((cp.pixel_id, band), model) for band, model in models.items())
+        try:
+            wes = extract_errors_from_arrays(cp.pixel_id, a, {0: models}, [window], bands)
+        except NoModels:
+            continue
+        result = scan_window_errors(
+            wes, rule, pixel_id=cp.pixel_id, site_id=site_id, col=cp.col, row=cp.row,
+        )
+        if result.flagged:
+            newly[cp.pixel_id] = batch_date
     return OnlineOutcome(newly_flagged=newly, models=fitted)
 
 

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from cmfda.cli import (
+    C_VALUES,
     DEFAULT_CONSECUTIVE,
     DEFAULT_MAHALANOBIS_THRESHOLD,
     DEFAULT_NDVI_THRESHOLD,
@@ -267,13 +268,31 @@ def test_usage_errors_exit_1(tmp_path):
     )
 
 
-def test_data_errors_exit_2(tmp_path, models_dir):
+def test_data_errors_exit_2(tmp_path, sim_dir, models_dir):
     missing = tmp_path / "missing.csv"
     assert (
         main(
             [
                 "detect", "--series", str(missing), "--models", str(models_dir),
                 "--out", str(tmp_path / "out.csv"),
+            ]
+        )
+        == EXIT_DATA
+    )
+    # a models file whose training window is not two calendar years
+    edited = tmp_path / "models"
+    edited.mkdir()
+    for path in sorted(models_dir.glob("models_*.csv")):
+        (edited / path.name).write_text(path.read_text())
+    first = sorted(edited.glob("models_*.csv"))[0]
+    header, rest = first.read_text().split("\n", 1)
+    assert "train_end=2004-12-31" in header
+    first.write_text(header.replace("train_end=2004-12-31", "train_end=2003-12-31") + "\n" + rest)
+    assert (
+        main(
+            [
+                "detect", "--series", str(sim_dir / "series.csv"), "--models", str(edited),
+                "--out", str(tmp_path / "out.csv"), "--threads", "1",
             ]
         )
         == EXIT_DATA
@@ -316,6 +335,38 @@ def test_train_univariate_separable_site(sim_dir, tmp_path):
     assert by_c[4].train_tss == 1.0
     assert by_c[4].cv_tss == 1.0
     assert os.path.exists(os.path.splitext(str(out))[0] + ".txt")
+
+
+def test_train_univariate_sweeps_each_site(sim_dir, tmp_path):
+    """Univariate thresholds are trained per site, so --sweep-fixed sweeps
+    each site's C=3 threshold over that site's pixels."""
+    pixels = next(iter(read_series(sim_dir / "series.csv").values()))
+    labels = {l.pixel_id: l.z for l in read_labels(sim_dir / "labels.csv")}
+    events = [p for p in pixels if labels[p.pixel_id]]
+    stable = [p for p in pixels if not labels[p.pixel_id]][:30]
+    sites = {"east": events[::2] + stable[::2], "west": events[1::2] + stable[1::2]}
+    series = tmp_path / "series.csv"
+    write_series(series, sites)
+    out = tmp_path / "report.csv"
+    code = main(
+        [
+            "train", "--series", str(series), "--labels", str(sim_dir / "labels.csv"),
+            "--out", str(out), "--rule", "univariate", "--band", "nir",
+            "--windows", "2003:5", "--grid", "0.04:0.2:0.02", "--cv-folds", "2",
+            "--sweep-fixed", "--threads", "1",
+        ]
+    )
+    assert code == EXIT_OK
+    report = read_report(out)
+    assert {r.scope for r in report.rows} == {
+        "east", "west", "east:fixed-L(C=3)", "west:fixed-L(C=3)"
+    }
+    for site in sites:
+        trained = {r.consecutive: r for r in report.rows if r.scope == site}
+        swept = {r.consecutive: r for r in report.rows if r.scope == f"{site}:fixed-L(C=3)"}
+        assert set(trained) == set(swept) == set(C_VALUES)
+        assert all(r.thresholds == trained[3].thresholds for r in swept.values())
+        assert swept[3].train_tss == trained[3].train_tss
 
 
 def test_standardize_command(sim_dir, models_dir, tmp_path):
@@ -393,6 +444,26 @@ def test_rule_flag_conflicts_are_usage_errors(sim_dir, models_dir, tmp_path):
     assert main(args + ["--rule", "univariate"]) == EXIT_USAGE  # no --L
     assert main(args + ["--consec", "9"]) == EXIT_USAGE
     assert main(args + ["--scheme", "bogus"]) == EXIT_USAGE
+
+    # train refuses a rule it does not know and flags its rule does not read
+    # before reading any file: the series here does not exist
+    train = [
+        "train", "--series", str(tmp_path / "missing.csv"),
+        "--labels", str(sim_dir / "labels.csv"), "--out", str(tmp_path / "r.csv"),
+    ]
+    assert main(train + ["--rule", "univariate"]) == EXIT_DATA
+    for extra in (
+        ["--rule", "bogus"],
+        ["--rule", "multivariate", "--grid", "0.1:0.2:0.1"],
+        ["--rule", "univariate", "--grid-nir", "0.1:0.2:0.1"],
+        ["--rule", "univariate", "--grid-ndvi", "0.1:0.2:0.1"],
+        ["--rule", "univariate", "--anneal-iters", "100"],
+        ["--rule", "mahalanobis", "--grid-nir", "0.1:0.2:0.1"],
+        ["--rule", "mahalanobis", "--grid-ndvi", "0.1:0.2:0.1"],
+        ["--rule", "mahalanobis", "--anneal-iters", "100"],
+        ["--rule", "univariate", "--grid", "0:0.2:0.1"],
+    ):
+        assert main(train + extra) == EXIT_USAGE, extra
 
 
 def test_cli_online_replay_matches_cli_detect(tmp_path):

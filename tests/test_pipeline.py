@@ -1,9 +1,10 @@
+import dataclasses
 import datetime as dt
 
 import numpy as np
 import pytest
 
-from cmfda.core import Band
+from cmfda.core import FILL_INDEX, Band, is_clear
 from cmfda.dataio import BandSignal, EventSpec, SynthConfig, generate_site, seasonal_cloud_prob
 from cmfda.detection import (
     MahalanobisRule,
@@ -18,13 +19,14 @@ from cmfda.pipeline import (
     compact_pixels,
     detect_pixels,
     fit_pixels,
+    online_process_batch,
     online_replay,
     paired_residual_records,
     training_residuals,
 )
 from cmfda.standardize import Scheme, fit_standardizer
 from cmfda.training import grid_search_univariate
-from cmfda.windows import make_windows
+from cmfda.windows import DateInterval, WindowPair, make_windows
 
 SIGNALS = {
     Band.RED: BandSignal((0.08, 0.02, 0.01, 0.0, 0.0), 0.01),
@@ -210,3 +212,40 @@ def test_online_never_reflags(scenario):
     for batch_date in all_dates:
         outcome = online_process_batch(compact, batch_date, rule, 2005, flagged, site_id="mini")
         assert pixels[0].pixel_id not in outcome.newly_flagged
+
+
+def test_online_models_equal_fit_pixels_over_the_run_window(scenario):
+    """The online step fits each band on that band's clear, non-fill dates
+    of the run's trailing window, as fit_pixels does: a fill value in one
+    band does not drop the date from the other band's fit."""
+    pixels, _ = scenario
+    pixel = pixels[0]
+    k = next(
+        i for i, o in enumerate(pixel.observations)
+        if o.nominal_date.year == 2004 and is_clear(o)
+    )
+    obs = pixel.observations[k]
+    filled = dataclasses.replace(obs, values={**obs.values, Band.NDVI: FILL_INDEX})
+    pixel = dataclasses.replace(
+        pixel, observations=pixel.observations[:k] + (filled,) + pixel.observations[k + 1 :]
+    )
+    rule = MultivariateRule(0.082, 0.182, 4)
+    run = [
+        o.nominal_date for o in pixel.observations
+        if o.nominal_date.year == 2005 and is_clear(o)
+        and o.band_value(Band.NIR) is not None and o.band_value(Band.NDVI) is not None
+    ][: rule.consecutive]
+    start, batch_date = run[0], run[-1]
+    outcome = online_process_batch(
+        compact_pixels([pixel]), batch_date, rule, 2005, {}, site_id="mini"
+    )
+    window = WindowPair(
+        0,
+        train=DateInterval(start.replace(year=start.year - 2), start - dt.timedelta(days=1)),
+        predict=DateInterval(start, batch_date),
+        predict_year=DateInterval(start, start),
+    )
+    batch_fit = fit_pixels([pixel], [window], (Band.NIR, Band.NDVI))
+    assert outcome.models == batch_fit.models[0]
+    n_nir, n_ndvi = (outcome.models[pixel.pixel_id, b].n_obs for b in (Band.NIR, Band.NDVI))
+    assert n_nir == n_ndvi + 1

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmfda.core import Band
-from cmfda.detection import MultivariateRule, UnivariateRule, WindowErrors
+from cmfda.detection import (
+    CovarianceEntry,
+    CubeCovarianceTable,
+    MahalanobisRule,
+    MultivariateRule,
+    UnivariateRule,
+    WindowErrors,
+)
 from cmfda.errors import (
     DegenerateClass,
     InitOffGrid,
@@ -24,6 +31,7 @@ from cmfda.training import (
     confusion,
     cross_validate,
     evaluate_rule,
+    grid_search_mahalanobis,
     grid_search_univariate,
     sweep_fixed,
     tss,
@@ -209,6 +217,43 @@ def test_grid_search_equals_exhaustive_oracle(seed, consecutive):
     assert grid_search_univariate(dataset, Band.NIR, consecutive, grid) == (
         brute_force_grid_search(dataset, Band.NIR, consecutive, grid)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), consecutive=st.integers(2, 4))
+def test_trainer_tss_equals_tss_of_returned_rule(seed, consecutive):
+    """Each optimizer's TSS is the TSS of scanning with the rule it returns,
+    which lets training report the optimizer's value without a rescan."""
+    rng = np.random.default_rng(seed)
+    labels = [1, 0] + [int(z) for z in rng.integers(0, 2, size=int(rng.integers(4, 14)))]
+    dataset = []
+    for i, label in enumerate(labels):
+        n = int(rng.integers(consecutive, 12))
+        scale = 0.2 if label else 0.07
+        dataset.append(
+            toy_pixel(
+                f"p{i}", label, rng.normal(0, scale, n), rng.normal(0, 1.5 * scale, n),
+                start_ok=rng.random(n) < 0.7,
+            )
+        )
+    nir_grid = [0.02, 0.05, 0.1, 0.15, 0.25]
+    ndvi_grid = [0.03, 0.08, 0.15, 0.3, 0.45]
+
+    def scanned(rule):
+        return tss(evaluate_rule(dataset, rule))
+
+    best_l, best = grid_search_univariate(dataset, Band.NIR, consecutive, nir_grid)
+    assert best == scanned(UnivariateRule(Band.NIR, best_l, consecutive))
+    (l_nir, l_ndvi), best = anneal_multivariate(
+        dataset, consecutive, nir_grid, ndvi_grid, (nir_grid[2], ndvi_grid[2]),
+        AnnealConfig(steps_per_temp=10, temp_levels=3), seed=seed % 1000,
+    )
+    assert best == scanned(MultivariateRule(l_nir, l_ndvi, consecutive))
+    table = CubeCovarianceTable(
+        cubes={}, site_periods={}, sites={"s": CovarianceEntry(0.01, 0.004, 0.02, 100)}
+    )
+    best_l, best = grid_search_mahalanobis(dataset, table, consecutive, [0.5, 1, 2, 3, 5, 8])
+    assert best == scanned(MahalanobisRule(best_l, table, consecutive))
 
 
 def test_producer_accuracy_nonincreasing_in_threshold(rng):
