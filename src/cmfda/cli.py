@@ -63,9 +63,23 @@ PAIR_BANDS = (Band.NIR, Band.NDVI)
 
 # The rule-specific flags `train` reads for each rule; any other is refused.
 TRAIN_RULE_FLAGS = {
-    "univariate": ("grid",),
+    "univariate": ("band", "grid"),
     "multivariate": ("grid_nir", "grid_ndvi", "anneal_iters"),
     "mahalanobis": ("grid",),
+}
+# The same for `detect` and `online --init`, whose rule flags default to
+# the shipped rule below.
+RULE_FLAGS = {
+    "univariate": ("band", "L"),
+    "multivariate": ("L_nir", "L_ndvi"),
+    "mahalanobis": ("L",),
+}
+RULE_DEFAULTS = {
+    "rule": "multivariate",
+    "band": "nir",
+    "L_nir": DEFAULT_NIR_THRESHOLD,
+    "L_ndvi": DEFAULT_NDVI_THRESHOLD,
+    "consec": DEFAULT_CONSECUTIVE,
 }
 
 
@@ -162,14 +176,14 @@ def build_parser(config: Optional[dict[str, str]] = None) -> _Parser:
     parser.add_argument("--config", help="key=value config file mirroring the flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # None marks a flag not given; RULE_DEFAULTS fills in the shipped value
     def add_rule_flags(p):
-        add(p, "--rule", default="multivariate",
-            help="univariate | multivariate | mahalanobis")
-        add(p, "--band", default="nir", help="band for the univariate rule")
-        add(p, "--L", type=float, default=None, help="univariate/mahalanobis threshold")
-        add(p, "--L-nir", type=float, default=DEFAULT_NIR_THRESHOLD)
-        add(p, "--L-ndvi", type=float, default=DEFAULT_NDVI_THRESHOLD)
-        add(p, "--consec", type=int, default=DEFAULT_CONSECUTIVE)
+        add(p, "--rule", help="univariate | multivariate (default) | mahalanobis")
+        add(p, "--band", help="band for the univariate rule (default nir)")
+        add(p, "--L", type=float, help="univariate/mahalanobis threshold")
+        add(p, "--L-nir", type=float, help=f"default {DEFAULT_NIR_THRESHOLD}")
+        add(p, "--L-ndvi", type=float, help=f"default {DEFAULT_NDVI_THRESHOLD}")
+        add(p, "--consec", type=int, help=f"default {DEFAULT_CONSECUTIVE}")
         add(p, "--scheme", default=Scheme.IDENTITY.value,
             help="standardization scheme code")
 
@@ -206,7 +220,7 @@ def build_parser(config: Optional[dict[str, str]] = None) -> _Parser:
     add(p, "--labels", required=True)
     add(p, "--out", required=True, help="report file (csv); .txt written beside it")
     add(p, "--rule", default="multivariate")
-    add(p, "--band", default="nir")
+    add(p, "--band", default=None, help="univariate band (default nir)")
     add(p, "--windows", default=DEFAULT_WINDOWS)
     add(p, "--grid", default=None, help="lo:hi:step (univariate/mahalanobis)")
     add(p, "--grid-nir", default=None, help="lo:hi:step for the NIR threshold")
@@ -304,6 +318,30 @@ def _cube_covariances(sites, fit, windows) -> CubeCovarianceTable:
     return estimate_cube_covariances(pipeline.paired_residual_records(histories))
 
 
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _refuse_unread(args, flags: Sequence[str], read: Sequence[str]) -> None:
+    """Refuse each of ``flags`` that was given but is not in ``read``."""
+    for flag in flags:
+        if getattr(args, flag) is not None and flag not in read:
+            raise UsageError(f"{_option(flag)} does not apply to the {args.rule} rule")
+
+
+def _rule_args(args) -> None:
+    """Refuse rule flags the chosen rule does not read, then fill in the
+    shipped values of the flags not given."""
+    if args.rule is None:
+        args.rule = RULE_DEFAULTS["rule"]
+    if args.rule not in RULE_FLAGS:
+        raise UsageError(f"unknown rule {args.rule!r}")
+    _refuse_unread(args, ("band", "L", "L_nir", "L_ndvi"), RULE_FLAGS[args.rule])
+    for flag, value in RULE_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
+
+
 def _build_rule(args, covariances: Optional[CubeCovarianceTable] = None):
     kind = args.rule
     consec = args.consec
@@ -313,8 +351,6 @@ def _build_rule(args, covariances: Optional[CubeCovarianceTable] = None):
                 raise UsageError("--L is required for the univariate rule")
             return UnivariateRule(parse_band(args.band), args.L, consec)
         if kind == "multivariate":
-            if args.L is not None:
-                raise UsageError("--L conflicts with the multivariate rule; use --L-nir/--L-ndvi")
             return MultivariateRule(args.L_nir, args.L_ndvi, consec)
         if kind == "mahalanobis":
             threshold = args.L if args.L is not None else DEFAULT_MAHALANOBIS_THRESHOLD
@@ -382,7 +418,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    sites = dataio.read_series(args.series)
+    sites = dataio.read_series_arrays(args.series)
     windows = parse_windows_spec(args.windows)
     bands = tuple(parse_band(b) for b in args.bands.split(","))
     os.makedirs(args.out, exist_ok=True)
@@ -424,7 +460,8 @@ def _standardizers_for(args, sites, fit, windows, bands):
 
 
 def cmd_detect(args) -> int:
-    sites = dataio.read_series(args.series)
+    _rule_args(args)
+    sites = dataio.read_series_arrays(args.series)
     windows, fit = _load_model_dir(args.models)
     covariances = _cube_covariances(sites, fit, windows) if args.rule == "mahalanobis" else None
     rule = _build_rule(args, covariances)
@@ -473,10 +510,10 @@ def _grid(spec: Optional[str], default: tuple[float, float, float]) -> list[floa
 def _check_train_flags(args) -> None:
     if args.rule not in TRAIN_RULE_FLAGS:
         raise UsageError(f"unknown rule {args.rule!r}")
-    for flag in ("grid", "grid_nir", "grid_ndvi", "anneal_iters"):
-        if getattr(args, flag) is not None and flag not in TRAIN_RULE_FLAGS[args.rule]:
-            option = "--" + flag.replace("_", "-")
-            raise UsageError(f"{option} does not apply to the {args.rule} rule")
+    _refuse_unread(
+        args, ("band", "grid", "grid_nir", "grid_ndvi", "anneal_iters"),
+        TRAIN_RULE_FLAGS[args.rule],
+    )
 
 
 def _trainer(args, band: Optional[Band], grids, covariances):
@@ -521,7 +558,7 @@ def cmd_train(args) -> int:
     windows = parse_windows_spec(args.windows)
     band, bands = None, PAIR_BANDS
     if args.rule == "univariate":
-        band = parse_band(args.band)
+        band = parse_band(args.band or RULE_DEFAULTS["band"])
         bands = (band,)
         grids = [_grid(args.grid, DEFAULT_NIR_GRID if band is Band.NIR else DEFAULT_NDVI_GRID)]
     elif args.rule == "mahalanobis":
@@ -529,7 +566,7 @@ def cmd_train(args) -> int:
     else:
         grids = [_grid(args.grid_nir, DEFAULT_NIR_GRID), _grid(args.grid_ndvi, DEFAULT_NDVI_GRID)]
 
-    sites = dataio.read_series(args.series)
+    sites = dataio.read_series_arrays(args.series)
     labels = {l.pixel_id: l.z for l in dataio.read_labels(args.labels)}
     fit = _fit_sites(sites, windows, bands, workers=_threads(args))
     standardizers = _standardizers_for(args, sites, fit, windows, bands)
@@ -627,7 +664,7 @@ def _anneal_start(dataset, band, consecutive, grid) -> float:
 
 
 def cmd_standardize(args) -> int:
-    sites = dataio.read_series(args.series)
+    sites = dataio.read_series_arrays(args.series)
     windows, fit = _load_model_dir(args.models)
     band = parse_band(args.band)
     scheme = parse_scheme(args.scheme)
@@ -655,9 +692,16 @@ def _online_paths(state_dir: str) -> dict[str, str]:
 
 
 def _write_online_config(path: str, values: dict[str, str]) -> None:
-    with open(path, "w") as fh:
+    with dataio.replacing(path) as tmp, open(tmp, "w") as fh:
         for key, value in values.items():
             fh.write(f"{key}={value}\n")
+
+
+def _replace_state(path: str, write, *args, **kwargs) -> None:
+    """Write a state file with ``write(tmp, *args, **kwargs)`` to a
+    temporary path beside ``path``, which it then replaces."""
+    with dataio.replacing(path) as tmp:
+        write(tmp, *args, **kwargs)
 
 
 def cmd_online(args) -> int:
@@ -667,11 +711,20 @@ def cmd_online(args) -> int:
     if args.init:
         if not args.series or args.monitor_year is None:
             raise UsageError("--init needs --series and --monitor-year")
+        _rule_args(args)
+        sites = dataio.read_series_arrays(args.series)
+        covariances = None
+        if args.rule == "mahalanobis":
+            windows = make_windows(args.monitor_year - 2, 1)
+            fit = _fit_sites(sites, windows, PAIR_BANDS, workers=1)
+            covariances = _cube_covariances(sites, fit, windows)
+        _build_rule(args, covariances)  # a rule the batches could not build is refused here
         os.makedirs(args.state, exist_ok=True)
-        sites = dataio.read_series(args.series)
-        dataio.write_series(paths["history"], sites)
-        dataio.write_detections(paths["flagged"], [], {"state": "online"})
-        config = {
+        _replace_state(paths["history"], dataio.write_series_arrays, sites)
+        _replace_state(paths["flagged"], dataio.write_detections, [], {"state": "online"})
+        if covariances is not None:
+            _replace_state(paths["covariances"], dataio.save_covariances, covariances)
+        _write_online_config(paths["config"], {
             "monitor-year": str(args.monitor_year),
             "rule": args.rule,
             "band": args.band,
@@ -679,17 +732,15 @@ def cmd_online(args) -> int:
             "L": "" if args.L is None else dataio.real(args.L),
             "L-nir": dataio.real(args.L_nir),
             "L-ndvi": dataio.real(args.L_ndvi),
-        }
-        if args.rule == "mahalanobis":
-            windows = make_windows(args.monitor_year - 2, 1)
-            fit = _fit_sites(sites, windows, PAIR_BANDS, workers=1)
-            dataio.save_covariances(paths["covariances"], _cube_covariances(sites, fit, windows))
-        _write_online_config(paths["config"], config)
+        })
         print(f"initialized online state in {args.state} (monitoring {args.monitor_year})")
         return EXIT_OK
 
     if not args.batch or not args.out:
         raise UsageError("online step needs --batch and --out (or --init)")
+    for flag in ("rule", "band", "L", "L_nir", "L_ndvi", "consec"):
+        if getattr(args, flag) is not None:
+            raise UsageError(f"{_option(flag)} is read from the state; give it with --init")
     config = load_config_file(paths["config"])
     monitor_year = int(config["monitor-year"])
     covariances = None
@@ -705,59 +756,58 @@ def cmd_online(args) -> int:
     )
     rule = _build_rule(rule_args, covariances)
 
-    history = dataio.read_series(paths["history"])
-    batch = dataio.read_series(args.batch)
+    history = dataio.read_series_arrays(paths["history"])
+    batch = dataio.read_series_arrays(args.batch)
     _, previously = dataio.read_detections(paths["flagged"])
-    flagged = {r.pixel_id: r.first_flag_date for r in previously}
 
     batch_dates = {
-        obs.nominal_date
+        int(ordinal)
         for pixels in batch.values()
-        for series in pixels
-        for obs in series.observations
+        for cp in pixels
+        for ordinal in cp.arrays.ordinals
     }
     if len(batch_dates) != 1:
         raise UsageError("a batch must hold exactly one nominal date")
-    batch_date = batch_dates.pop()
+    batch_date = dt.date.fromordinal(batch_dates.pop())
+    # A batch pixel's flag dated on the batch was written by an earlier run
+    # of this step that stopped before the history took the batch; the step
+    # makes it again.
+    batch_pixels = {cp.pixel_id for pixels in batch.values() for cp in pixels}
+    flagged = {
+        r.pixel_id: r.first_flag_date
+        for r in previously
+        if not (r.first_flag_date == batch_date and r.pixel_id in batch_pixels)
+    }
 
-    merged: dict[str, list] = {}
     newly: dict[str, dt.date] = {}
     models: dict[tuple[str, Band], HarmonicModel] = {}
-    for site_id in set(history) | set(batch):
-        by_pixel = {p.pixel_id: p for p in history.get(site_id, [])}
-        for piece in batch.get(site_id, []):
-            existing = by_pixel.get(piece.pixel_id)
-            if existing is None:
-                by_pixel[piece.pixel_id] = piece
-            else:
-                by_pixel[piece.pixel_id] = replace(
-                    existing, observations=existing.observations + piece.observations
-                )
-        merged[site_id] = list(by_pixel.values())
+    for site_id in sorted(set(history) | set(batch)):
         outcome = pipeline.online_process_batch(
-            pipeline.compact_pixels(merged[site_id]),
+            pipeline.append_batch(history.get(site_id, []), batch.get(site_id, [])),
             batch_date, rule, monitor_year, flagged, site_id=site_id,
         )
         newly.update(outcome.newly_flagged)
         models.update(outcome.models)
 
-    dataio.write_series(paths["history"], merged)
-    results = [
-        DetectionResult(pid, True, date, None)
-        for pid, date in sorted({**flagged, **newly}.items())
-    ]
-    dataio.write_detections(paths["flagged"], results, {"state": "online"})
-    if models:
-        train_window = DateInterval(
-            batch_date - dt.timedelta(days=731 + 16 * rule.consecutive), batch_date
-        )
-        dataio.save_models(paths["models"], models, train_window)
+    # The history gains the batch's rows last: until it does, the same batch
+    # can be run again and writes the same files.
     batch_results = [
         DetectionResult(pid, True, date, None) for pid, date in sorted(newly.items())
     ]
     dataio.write_detections(
         args.out, batch_results, {"batch": batch_date.isoformat(), "new_flags": str(len(newly))}
     )
+    results = [
+        DetectionResult(pid, True, date, None)
+        for pid, date in sorted({**flagged, **newly}.items())
+    ]
+    _replace_state(paths["flagged"], dataio.write_detections, results, {"state": "online"})
+    if models:
+        train_window = DateInterval(
+            batch_date - dt.timedelta(days=731 + 16 * rule.consecutive), batch_date
+        )
+        _replace_state(paths["models"], dataio.save_models, models, train_window)
+    _replace_state(paths["history"], dataio.write_series_arrays, batch, base=paths["history"])
     print(f"batch {batch_date}: {len(newly)} new flags, {len(flagged) + len(newly)} total")
     return EXIT_OK
 

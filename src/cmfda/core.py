@@ -125,6 +125,15 @@ class Observation:
         return self.nominal_date + dt.timedelta(days=lag)
 
 
+def cadence_error(pixel_id: str, prev: dt.date, cur: dt.date) -> OutOfRange:
+    """The error for consecutive nominal dates that are not one cadence
+    step apart."""
+    return OutOfRange(
+        f"pixel {pixel_id}: nominal dates {prev} -> {cur} are "
+        f"{(cur - prev).days} days apart, expected {CADENCE_DAYS}"
+    )
+
+
 def is_clear(obs: Observation) -> bool:
     """True iff the observation's reliability is Good or Marginal."""
     return obs.reliability in CLEAR_CODES
@@ -142,12 +151,8 @@ class PixelSeries:
     def __post_init__(self):
         obs = self.observations
         for prev, cur in zip(obs, obs[1:]):
-            gap = (cur.nominal_date - prev.nominal_date).days
-            if gap != CADENCE_DAYS:
-                raise OutOfRange(
-                    f"pixel {self.pixel_id}: nominal dates {prev.nominal_date} -> "
-                    f"{cur.nominal_date} are {gap} days apart, expected {CADENCE_DAYS}"
-                )
+            if (cur.nominal_date - prev.nominal_date).days != CADENCE_DAYS:
+                raise cadence_error(self.pixel_id, prev.nominal_date, cur.nominal_date)
 
     def to_arrays(self) -> "SeriesArrays":
         """Compact numpy view used by the fitting and detection pipelines."""
@@ -181,6 +186,16 @@ class SeriesArrays(NamedTuple):
     reliability: np.ndarray
     clear: np.ndarray          # bool mask, Good or Marginal
     values: np.ndarray         # (n_obs, 6) in BAND_ORDER
+
+
+@dataclass
+class CompactPixel:
+    """Pickle-friendly form of one pixel series."""
+
+    pixel_id: str
+    col: int
+    row: int
+    arrays: SeriesArrays
 
 
 SITE_SIDE = 25  # pixels per side of a 25 x 25 km site

@@ -7,25 +7,36 @@ precision; counts and dates round-trip exactly.
 """
 from __future__ import annotations
 
+import calendar
+import contextlib
 import csv
 import datetime as dt
 import io
+import itertools
+import os
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core import (
     BAND_ORDER,
+    CADENCE_DAYS,
+    MAX_COMPOSITE_LAG,
+    YEAR_DAYS,
     Band,
+    CompactPixel,
     DefoType,
     DeforestationLabel,
     Observation,
     PixelSeries,
     Reliability,
     SITE_SIDE,
+    SeriesArrays,
     SiteGrid,
     band_fill,
+    band_range,
+    cadence_error,
     day_of_year,
 )
 from .detection import DetectionResult
@@ -71,6 +82,22 @@ def pixel_name(site_id: str, col: int, row: int) -> str:
 # --- versioned header helpers ----------------------------------------------
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """Give a temporary path beside ``path``; the file written there
+    replaces ``path`` when the block ends without error, and is removed
+    otherwise. A reader sees the old file or the new one, never part of
+    one."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _write_header(fh, kind: str, meta: Optional[Mapping[str, str]] = None) -> None:
     parts = [MAGIC, kind, VERSION]
     for key, value in (meta or {}).items():
@@ -92,15 +119,18 @@ def _read_header(fh, kind: str, path) -> dict[str, str]:
     return meta
 
 
+def _check_column_names(names: Optional[list], columns: Sequence[str], path) -> None:
+    """``names`` is the column-name row, None when the file ends before it."""
+    if names is None:
+        raise ParseError(f"{path}: missing column header", line=2)
+    if names != list(columns):
+        raise ParseError(f"{path}: expected columns {list(columns)}, got {names}", line=2)
+
+
 def _rows(fh, columns: Sequence[str], path):
     """Yield (line_number, row dict); enforces the column-name row."""
     reader = csv.reader(fh)
-    try:
-        names = next(reader)
-    except StopIteration:
-        raise ParseError(f"{path}: missing column header", line=2) from None
-    if names != list(columns):
-        raise ParseError(f"{path}: expected columns {list(columns)}, got {names}", line=2)
+    _check_column_names(next(reader, None), columns, path)
     for i, row in enumerate(reader, start=3):
         if not row:
             continue
@@ -138,6 +168,20 @@ SERIES_COLUMNS = (
     "site_id", "pixel_id", "col", "row", "nominal_date", "composite_doy",
     "reliability", "red", "nir", "blue", "mir", "ndvi", "evi",
 )
+BAND_COLUMNS = SERIES_COLUMNS[7:]   # in BAND_ORDER
+
+_FILL_VALUES = tuple(band_fill(band) for band in BAND_ORDER)
+_FILLS = np.array(_FILL_VALUES)
+_RANGES = np.array([band_range(band) for band in BAND_ORDER]).T   # (2, 6): lo, hi
+_RELIABILITY_CODES = frozenset(int(r) for r in Reliability)
+_CLEAR = (int(Reliability.GOOD), int(Reliability.MARGINAL))
+
+
+def _series_row(site_id, pixel_id, col, row, nominal: dt.date, composite_doy, reliability,
+                values) -> list:
+    """One series file row; ``values`` in BAND_ORDER, fill-coded, not NaN."""
+    return [site_id, pixel_id, col, row, nominal.isoformat(), composite_doy, int(reliability),
+            *map(real, values)]
 
 
 def write_series(path, sites: Mapping[str, Sequence[PixelSeries]]) -> None:
@@ -148,67 +192,323 @@ def write_series(path, sites: Mapping[str, Sequence[PixelSeries]]) -> None:
         for site_id, pixels in sites.items():
             for series in pixels:
                 for obs in series.observations:
-                    writer.writerow(
-                        [
-                            site_id,
-                            series.pixel_id,
-                            series.col,
-                            series.row,
-                            obs.nominal_date.isoformat(),
-                            obs.composite_doy,
-                            int(obs.reliability),
-                        ]
-                        + [real(obs.values.get(b, band_fill(b))) for b in BAND_ORDER]
-                    )
+                    writer.writerow(_series_row(
+                        site_id, series.pixel_id, series.col, series.row,
+                        obs.nominal_date, obs.composite_doy, obs.reliability,
+                        map(obs.values.get, BAND_ORDER, _FILL_VALUES),
+                    ))
+
+
+def write_series_arrays(path, sites: Mapping[str, Sequence[CompactPixel]], base=None) -> None:
+    """Write the pixels' rows as a series file. With ``base``, a series
+    file, its text is copied unchanged ahead of the rows, in place of a
+    fresh header."""
+    with open(path, "w", newline="") as fh:
+        if base is None:
+            _write_header(fh, "series")
+            csv.writer(fh).writerow(SERIES_COLUMNS)
+        else:
+            with open(base, newline="") as old:
+                last = ""
+                while block := old.read(1 << 16):
+                    fh.write(block)
+                    last = block[-1]
+            if last not in ("\n", "\r"):
+                fh.write("\n")
+        writer = csv.writer(fh)
+        for site_id, pixels in sites.items():
+            for cp in pixels:
+                a = cp.arrays
+                values = np.where(np.isnan(a.values), _FILLS, a.values).tolist()
+                for ordinal, doy, reliability, row_values in zip(
+                    a.ordinals.tolist(), a.doys.tolist(), a.reliability.tolist(), values
+                ):
+                    writer.writerow(_series_row(
+                        site_id, cp.pixel_id, cp.col, cp.row, dt.date.fromordinal(ordinal),
+                        doy, reliability, row_values,
+                    ))
+
+
+# Rows per chunk of a parsed table: bounds the memory that the rows' field
+# strings take at once.
+_CHUNK_ROWS = 1024
+
+
+def _table_chunks(path, kind: str, names: Sequence[str]):
+    """Yield a table file's data rows, split by ``csv.reader``, in chunks.
+
+    Each chunk is (line numbers of its non-blank rows, its columns over the
+    rows before the first with the wrong field count, that row's field
+    count or None). A chunk with such a row is the last.
+    """
+    with open(path, newline="") as fh:
+        _read_header(fh, kind, path)
+        rows = csv.reader(fh)
+        _check_column_names(next(rows, None), names, path)
+        width = len(names)
+        first_line = 3
+        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+            numbers: Sequence[int] = range(first_line, first_line + len(chunk))
+            first_line += len(chunk)
+            if not all(chunk):  # blank lines are skipped
+                numbers = [line for line, row in zip(numbers, chunk) if row]
+                chunk = [row for row in chunk if row]
+            widths = list(map(len, chunk))
+            n = len(chunk)
+            if set(widths) - {width}:
+                n = next(k for k, w in enumerate(widths) if w != width)
+            columns = list(zip(*chunk[:n])) if n else [()] * width
+            bad_width = widths[n] if n < len(chunk) else None
+            yield numbers, dict(zip(names, columns)), bad_width
+            if bad_width is not None:
+                return
+
+
+def _distinct(items: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct items in first-seen order, and each item's index into
+    them."""
+    index = {item: k for k, item in enumerate(dict.fromkeys(items))}
+    return list(index), np.fromiter(map(index.__getitem__, items), np.intp, count=len(items))
+
+
+def _attempt(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def _parse_distinct(texts, parse, cache: dict) -> tuple[list, np.ndarray]:
+    """``parse`` of each distinct string (None where it fails), parsed once
+    per ``cache``, and each row's index into the results."""
+    distinct, codes = _distinct(texts)
+    for text in distinct:
+        if text not in cache:
+            cache[text] = _attempt(parse, text)
+    return [cache[text] for text in distinct], codes
+
+
+def _gather(values, codes: np.ndarray, dtype) -> np.ndarray:
+    return np.array(values, dtype=dtype)[codes]
+
+
+def _parse_reals(texts) -> tuple[np.ndarray, np.ndarray]:
+    """A column of reals (NaN where unparsable) and its mask of bad rows."""
+    try:
+        return np.fromiter(map(float, texts), float, count=len(texts)), np.zeros(len(texts), bool)
+    except ValueError:
+        parsed = [_attempt(float, t) for t in texts]
+        bad = np.array([v is None for v in parsed], dtype=bool)
+        return np.array([np.nan if v is None else v for v in parsed]), bad
+
+
+class _SeriesTable(NamedTuple):
+    """A parsed series file. Pixel ``p`` is ``keys[p]`` = (site_id,
+    pixel_id), in order of first appearance; its rows, sorted by nominal
+    date, are ``bounds[p]:bounds[p + 1]`` of the row arrays."""
+
+    keys: list
+    cols: list
+    rows: list
+    bounds: np.ndarray
+    ordinals: np.ndarray
+    comp_ordinals: np.ndarray
+    doys: np.ndarray
+    reliability: np.ndarray
+    values: np.ndarray      # (n_rows, 6), fill-coded
+
+
+class _SeriesChunk(NamedTuple):
+    pixels: np.ndarray      # index into _SeriesTable.keys
+    ordinals: np.ndarray
+    lags: np.ndarray
+    doys: np.ndarray
+    reliability: np.ndarray
+    values: np.ndarray
+
+
+def _series_chunk(path, lines, columns, caches, pixels: dict, cols: list, rows: list):
+    """Check and convert one chunk of series rows; new pixels are added to
+    ``pixels`` (key -> index), ``cols`` and ``rows``.
+
+    Every check runs over whole columns. When a row fails, the first
+    failing row is reported with its first failing check, in this order:
+    reliability, the six reals, nominal date, composite day, the
+    observation's own range checks, col, row.
+    """
+    codes_parsed, codes_idx = _parse_distinct(columns["reliability"], int, caches["reliability"])
+    rel_unknown = [c is not None and c not in _RELIABILITY_CODES for c in codes_parsed]
+    reliability = [c if c in _RELIABILITY_CODES else 0 for c in codes_parsed]
+    reals = [_parse_reals(columns[column]) for column in BAND_COLUMNS]
+    n = len(columns["site_id"])
+    values = np.column_stack([v for v, _ in reals]) if n else np.empty((0, len(BAND_ORDER)))
+
+    dates, date_idx = _parse_distinct(
+        columns["nominal_date"], dt.date.fromisoformat, caches["nominal_date"]
+    )
+    ordinals = _gather([d.toordinal() if d else 0 for d in dates], date_idx, np.int64)
+    nominal_doys = _gather([day_of_year(d) if d else 0 for d in dates], date_idx, np.int64)
+    year_days = _gather(
+        [366 if d and calendar.isleap(d.year) else 365 for d in dates], date_idx, np.int64
+    )
+    doys_parsed, doy_idx = _parse_distinct(columns["composite_doy"], int, caches["composite_doy"])
+    doys = _gather(
+        [d if d is not None and 1 <= d <= YEAR_DAYS else 0 for d in doys_parsed],
+        doy_idx, np.int64,
+    )
+    lags = doys - nominal_doys
+    lags = np.where((lags >= 0) & (lags <= MAX_COMPOSITE_LAG), lags, lags + year_days)
+    cols_parsed, col_idx = _parse_distinct(columns["col"], int, caches["col"])
+    rows_parsed, row_idx = _parse_distinct(columns["row"], int, caches["row"])
+
+    def text_error(parse, column):
+        return lambda k: parse(columns[column][k], column, lines[k], path)
+
+    def unknown_code(k):
+        code = codes_parsed[codes_idx[k]]
+        raise ParseError(f"{path}: unknown reliability code {code}", line=lines[k])
+
+    def observation_error(k):
+        try:
+            Observation(
+                nominal_date=dates[date_idx[k]],
+                composite_doy=doys_parsed[doy_idx[k]],
+                values=dict(zip(BAND_ORDER, values[k].tolist())),
+                reliability=Reliability(codes_parsed[codes_idx[k]]),
+            )
+        except OutOfRange as exc:
+            raise ParseError(f"{path}: {exc}", line=lines[k]) from None
+
+    def failed(parsed, idx):
+        return _gather([p is None for p in parsed], idx, bool)
+
+    checks = [
+        (failed(codes_parsed, codes_idx), text_error(_parse_int, "reliability")),
+        (_gather(rel_unknown, codes_idx, bool), unknown_code),
+        *((bad, text_error(_parse_float, column)) for (_, bad), column in zip(reals, BAND_COLUMNS)),
+        (failed(dates, date_idx), text_error(_parse_date, "nominal_date")),
+        (failed(doys_parsed, doy_idx), text_error(_parse_int, "composite_doy")),
+        (
+            (doys == 0)
+            | (lags < 0) | (lags > MAX_COMPOSITE_LAG)
+            | ~((values >= _RANGES[0]) & (values <= _RANGES[1])).all(axis=1),
+            observation_error,
+        ),
+        (failed(cols_parsed, col_idx), text_error(_parse_int, "col")),
+        (failed(rows_parsed, row_idx), text_error(_parse_int, "row")),
+    ]
+    bad = np.zeros(n, dtype=bool)
+    for mask, _ in checks:
+        bad |= mask
+    if bad.any():
+        k = int(np.argmax(bad))
+        for mask, explain in checks:
+            if mask[k]:
+                explain(k)  # raises
+
+    keys, key_idx = _distinct(list(zip(columns["site_id"], columns["pixel_id"])))
+    _, first = np.unique(key_idx, return_index=True)
+    for key, k in zip(keys, first.tolist()):
+        if key not in pixels:
+            pixels[key] = len(pixels)
+            cols.append(cols_parsed[col_idx[k]])
+            rows.append(rows_parsed[row_idx[k]])
+    return _SeriesChunk(
+        pixels=_gather([pixels[key] for key in keys], key_idx, np.intp),
+        ordinals=ordinals,
+        lags=lags,
+        doys=doys,
+        reliability=_gather(reliability, codes_idx, np.int8),
+        values=values,
+    )
+
+
+def _parse_series(path) -> _SeriesTable:
+    """Parse a series file column by column. A fault is reported as the
+    row-by-row reading of the file would meet it: the first bad row (see
+    :func:`_series_chunk`; a wrong field count is checked first), and a
+    break of the 16-day cadence only after every row has passed."""
+    caches: dict[str, dict] = {
+        column: {} for column in ("reliability", "nominal_date", "composite_doy", "col", "row")
+    }
+    pixels: dict = {}
+    cols: list = []
+    rows: list = []
+    chunks = []
+    for lines, columns, bad_width in _table_chunks(path, "series", SERIES_COLUMNS):
+        chunks.append(_series_chunk(path, lines, columns, caches, pixels, cols, rows))
+        if bad_width is not None:
+            n = len(columns["site_id"])
+            raise ParseError(
+                f"{path}: expected {len(SERIES_COLUMNS)} fields, got {bad_width}", line=lines[n]
+            )
+    if chunks:
+        table = _SeriesChunk(*(np.concatenate(parts) for parts in zip(*chunks)))
+    else:
+        table = _SeriesChunk(*(np.empty(0, np.int64),) * 5, np.empty((0, len(BAND_ORDER))))
+    keys = list(pixels)
+    order = np.lexsort((table.ordinals, table.pixels))
+    ordinals, pixel_idx = table.ordinals[order], table.pixels[order]
+    gap_bad = (np.diff(pixel_idx) == 0) & (np.diff(ordinals) != CADENCE_DAYS)
+    if gap_bad.any():
+        j = int(np.argmax(gap_bad))
+        pixel_id = keys[pixel_idx[j]][1]
+        prev, cur = (dt.date.fromordinal(int(o)) for o in ordinals[j:j + 2])
+        raise ParseError(f"{path}: pixel {pixel_id!r}: {cadence_error(pixel_id, prev, cur)}")
+    return _SeriesTable(
+        keys=keys,
+        cols=cols,
+        rows=rows,
+        bounds=np.concatenate(([0], np.cumsum(np.bincount(pixel_idx, minlength=len(keys))))),
+        ordinals=ordinals,
+        comp_ordinals=ordinals + table.lags[order],
+        doys=table.doys[order].astype(np.int32),
+        reliability=table.reliability[order].astype(np.int8),
+        values=table.values[order],
+    )
+
+
+def read_series_arrays(path) -> dict[str, list[CompactPixel]]:
+    """Per site, each pixel's series as arrays (fill values read as NaN),
+    pixels in order of first appearance, each sorted by date."""
+    table = _parse_series(path)
+    values = np.where(table.values == _FILLS, np.nan, table.values)
+    clear = np.isin(table.reliability, _CLEAR)
+    out: dict[str, list[CompactPixel]] = {}
+    for p, (site_id, pixel_id) in enumerate(table.keys):
+        s = slice(table.bounds[p], table.bounds[p + 1])
+        arrays = SeriesArrays(
+            table.ordinals[s], table.comp_ordinals[s], table.doys[s],
+            table.reliability[s], clear[s], values[s],
+        )
+        out.setdefault(site_id, []).append(
+            CompactPixel(pixel_id, table.cols[p], table.rows[p], arrays)
+        )
+    return out
 
 
 def read_series(path) -> dict[str, list[PixelSeries]]:
-    grouped: dict[tuple[str, str], dict] = {}
-    with open(path, newline="") as fh:
-        _read_header(fh, "series", path)
-        for line, row in _rows(fh, SERIES_COLUMNS, path):
-            rel_code = _parse_int(row["reliability"], "reliability", line, path)
-            try:
-                reliability = Reliability(rel_code)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: unknown reliability code {rel_code}", line=line
-                ) from None
-            values = {}
-            for band, column in zip(BAND_ORDER, SERIES_COLUMNS[7:]):
-                values[band] = _parse_float(row[column], column, line, path)
-            try:
-                obs = Observation(
-                    nominal_date=_parse_date(row["nominal_date"], "nominal_date", line, path),
-                    composite_doy=_parse_int(row["composite_doy"], "composite_doy", line, path),
-                    values=values,
-                    reliability=reliability,
-                )
-            except OutOfRange as exc:
-                raise ParseError(f"{path}: {exc}", line=line) from None
-            key = (row["site_id"], row["pixel_id"])
-            entry = grouped.setdefault(
-                key,
-                {
-                    "col": _parse_int(row["col"], "col", line, path),
-                    "row": _parse_int(row["row"], "row", line, path),
-                    "observations": [],
-                },
-            )
-            entry["observations"].append(obs)
+    """Per site, each pixel's series as observations; same parse and order
+    as :func:`read_series_arrays`."""
+    table = _parse_series(path)
     out: dict[str, list[PixelSeries]] = {}
-    for (site_id, pixel_id), entry in grouped.items():
-        observations = sorted(entry["observations"], key=lambda o: o.nominal_date)
-        try:
-            series = PixelSeries(
-                pixel_id=pixel_id,
-                col=entry["col"],
-                row=entry["row"],
-                observations=tuple(observations),
+    for p, (site_id, pixel_id) in enumerate(table.keys):
+        s = slice(table.bounds[p], table.bounds[p + 1])
+        observations = tuple(
+            Observation(
+                nominal_date=dt.date.fromordinal(ordinal),
+                composite_doy=doy,
+                values=dict(zip(BAND_ORDER, row_values)),
+                reliability=Reliability(code),
             )
-        except OutOfRange as exc:
-            raise ParseError(f"{path}: pixel {pixel_id!r}: {exc}") from None
-        out.setdefault(site_id, []).append(series)
+            for ordinal, doy, code, row_values in zip(
+                table.ordinals[s].tolist(), table.doys[s].tolist(),
+                table.reliability[s].tolist(), table.values[s].tolist(),
+            )
+        )
+        out.setdefault(site_id, []).append(
+            PixelSeries(pixel_id, table.cols[p], table.rows[p], observations)
+        )
     return out
 
 

@@ -11,12 +11,20 @@ import datetime as dt
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import BAND_ORDER, Band, PixelSeries, SeriesArrays
+from .core import (
+    BAND_ORDER,
+    CADENCE_DAYS,
+    Band,
+    CompactPixel,
+    PixelSeries,
+    SeriesArrays,
+    cadence_error,
+)
 from .detection import (
     DetectionResult,
     DetectionRule,
@@ -31,16 +39,6 @@ from .harmonic import MIN_OBS, HarmonicModel, fit_arrays, predict_many
 from .standardize import ErrorContext, ErrorRecord, Standardizer, transform
 from .training import PixelTrainingData
 from .windows import PREDICT_EXTENSION_DAYS, DateInterval, WindowPair
-
-
-@dataclass
-class CompactPixel:
-    """Pickle-friendly form of one pixel series."""
-
-    pixel_id: str
-    col: int
-    row: int
-    arrays: SeriesArrays
 
 
 def compact_pixels(pixels: Sequence[PixelSeries]) -> list[CompactPixel]:
@@ -411,6 +409,29 @@ def _two_years_before(date: dt.date) -> dt.date:
         return date.replace(year=date.year - 2)
     except ValueError:  # Feb 29
         return date.replace(year=date.year - 2, day=28)
+
+
+def append_batch(
+    pixels: Sequence[CompactPixel], batch: Sequence[CompactPixel]
+) -> list[CompactPixel]:
+    """The pixels with each batch pixel's rows appended; a pixel new to
+    ``pixels`` is added as it is. A batch row must fall one cadence step
+    after its pixel's last date: an earlier or a later one raises
+    OutOfRange, and nothing is sorted into place."""
+    by_pixel = {cp.pixel_id: cp for cp in pixels}
+    for piece in batch:
+        old = by_pixel.get(piece.pixel_id)
+        if old is None:
+            by_pixel[piece.pixel_id] = piece
+            continue
+        last, first = int(old.arrays.ordinals[-1]), int(piece.arrays.ordinals[0])
+        if first - last != CADENCE_DAYS:
+            raise cadence_error(
+                piece.pixel_id, dt.date.fromordinal(last), dt.date.fromordinal(first)
+            )
+        arrays = SeriesArrays(*(np.concatenate(pair) for pair in zip(old.arrays, piece.arrays)))
+        by_pixel[piece.pixel_id] = replace(old, arrays=arrays)
+    return list(by_pixel.values())
 
 
 @dataclass

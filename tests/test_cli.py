@@ -1,7 +1,14 @@
+import dataclasses
 import datetime as dt
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cmfda
 
 from cmfda.cli import (
     C_VALUES,
@@ -13,16 +20,19 @@ from cmfda.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_USAGE,
+    load_config_file,
     main,
     parse_grid_spec,
     parse_windows_spec,
     threshold_grid,
 )
 from cmfda.dataio import (
+    load_models,
     read_detections,
     read_labels,
     read_report,
     read_series,
+    read_series_arrays,
     write_labels,
     write_series,
 )
@@ -444,6 +454,39 @@ def test_rule_flag_conflicts_are_usage_errors(sim_dir, models_dir, tmp_path):
     assert main(args + ["--rule", "univariate"]) == EXIT_USAGE  # no --L
     assert main(args + ["--consec", "9"]) == EXIT_USAGE
     assert main(args + ["--scheme", "bogus"]) == EXIT_USAGE
+    assert main(args + ["--rule", "bogus"]) == EXIT_USAGE
+
+    # a rule flag the chosen rule does not read is refused, not ignored;
+    # --init refuses it before reading the (missing) series
+    init = [
+        "online", "--state", str(tmp_path / "state"), "--init",
+        "--series", str(tmp_path / "missing.csv"), "--monitor-year", "2005",
+    ]
+    assert main(init) == EXIT_DATA
+    for extra in (
+        ["--rule", "univariate", "--L", "0.1", "--L-nir", "0.5"],
+        ["--rule", "univariate", "--L", "0.1", "--L-ndvi", "0.5"],
+        ["--rule", "mahalanobis", "--L-nir", "0.5"],
+        ["--rule", "mahalanobis", "--L-ndvi", "0.5"],
+        ["--rule", "mahalanobis", "--band", "nir"],
+        ["--band", "ndvi"],
+        ["--rule", "multivariate", "--band", "nir"],
+    ):
+        assert main(args + extra) == EXIT_USAGE, extra
+        assert main(init + extra) == EXIT_USAGE, extra
+    assert not (tmp_path / "state").exists()
+    # a batch step takes its rule from the state: every rule flag is refused
+    # before the (missing) state is read
+    step = [
+        "online", "--state", str(tmp_path / "state"),
+        "--batch", str(sim_dir / "series.csv"), "--out", str(tmp_path / "b.csv"),
+    ]
+    assert main(step) == EXIT_DATA
+    for extra in (
+        ["--rule", "multivariate"], ["--band", "nir"], ["--L", "0.1"],
+        ["--L-nir", "0.08"], ["--L-ndvi", "0.18"], ["--consec", "4"],
+    ):
+        assert main(step + extra) == EXIT_USAGE, extra
 
     # train refuses a rule it does not know and flags its rule does not read
     # before reading any file: the series here does not exist
@@ -454,6 +497,8 @@ def test_rule_flag_conflicts_are_usage_errors(sim_dir, models_dir, tmp_path):
     assert main(train + ["--rule", "univariate"]) == EXIT_DATA
     for extra in (
         ["--rule", "bogus"],
+        ["--rule", "multivariate", "--band", "nir"],
+        ["--rule", "mahalanobis", "--band", "nir"],
         ["--rule", "multivariate", "--grid", "0.1:0.2:0.1"],
         ["--rule", "univariate", "--grid-nir", "0.1:0.2:0.1"],
         ["--rule", "univariate", "--grid-ndvi", "0.1:0.2:0.1"],
@@ -621,3 +666,167 @@ def test_online_smoke(sim_dir, tmp_path):
     assert results == []
     _, flagged_after = read_detections(state / "flagged.csv")
     assert flagged_after == flagged_before
+
+
+# --- online state: merge contract and crash safety ------------------------------
+
+
+def _sliced(pixels, keep):
+    out = []
+    for p in pixels:
+        obs = tuple(o for o in p.observations if keep(o.nominal_date))
+        if obs:
+            out.append(dataclasses.replace(p, observations=obs))
+    return out
+
+
+@pytest.fixture(scope="module")
+def online_inputs(tmp_path_factory):
+    """A history up to 2004 and one batch file per later nominal date."""
+    from test_pipeline import one_year_scenario
+
+    pixels, _ = one_year_scenario(seed=21, n_events=5)
+    pixels = pixels[:25]
+    out = tmp_path_factory.mktemp("online")
+    split = dt.date(2005, 1, 1)
+    write_series(out / "history.csv", {"mini": _sliced(pixels, lambda d: d < split)})
+    dates = sorted(
+        {o.nominal_date for p in pixels for o in p.observations if o.nominal_date >= split}
+    )
+    batches = []
+    for date in dates:
+        path = out / f"batch_{date}.csv"
+        write_series(path, {"mini": _sliced(pixels, lambda d, b=date: d == b)})
+        batches.append(path)
+    return out / "history.csv", batches
+
+
+def _init_online(history, state):
+    assert main(
+        [
+            "online", "--state", str(state), "--init", "--series", str(history),
+            "--monitor-year", "2005",
+        ]
+    ) == EXIT_OK
+
+
+def _step(state, batch, out):
+    return main(["online", "--state", str(state), "--batch", str(batch), "--out", str(out)])
+
+
+def _files(state):
+    return {p.name: p.read_bytes() for p in sorted(state.iterdir())}
+
+
+def test_online_batch_off_cadence_leaves_state_untouched(online_inputs, tmp_path):
+    """A batch date that a pixel's history already holds, or that is not its
+    next 16-day date, is a data error that changes no state file: the
+    batch is never sorted into place."""
+    history, batches = online_inputs
+    state = tmp_path / "state"
+    _init_online(history, state)
+    assert _step(state, batches[0], tmp_path / "first.csv") == EXIT_OK
+    before = _files(state)
+    for batch in (batches[0], batches[2]):
+        out = tmp_path / "refused.csv"
+        assert _step(state, batch, out) == EXIT_DATA
+        assert _files(state) == before
+        assert not out.exists()
+    assert _step(state, batches[1], tmp_path / "second.csv") == EXIT_OK
+
+
+def test_online_state_survives_a_failed_write(online_inputs, tmp_path, monkeypatch):
+    """A step writes the batch output, then replaces flagged.csv,
+    models_online.csv and, last, history.csv. A failure at any of these
+    writes leaves every state file whole, and running the same batch again
+    ends in the output and state files of an uninterrupted run."""
+    history, batches = online_inputs
+    state = tmp_path / "state"
+    _init_online(history, state)
+    for batch in batches:  # up to the first batch that flags a pixel
+        before = tmp_path / "before"
+        shutil.rmtree(before, ignore_errors=True)
+        shutil.copytree(state, before)
+        out = tmp_path / "out.csv"
+        assert _step(state, batch, out) == EXIT_OK
+        if read_detections(out)[1]:
+            break
+    else:
+        pytest.fail("no batch flags a pixel")
+    after = _files(state)
+    assert "models_online.csv" in after
+
+    trial = tmp_path / "unwritable"
+    shutil.copytree(before, trial)
+    assert _step(trial, batch, tmp_path / "missing" / "out.csv") == EXIT_DATA
+    assert _files(trial) == _files(before)
+
+    real_replace = os.replace
+    order = ["flagged.csv", "models_online.csv", "history.csv"]
+    for fail_at in range(len(order)):
+        trial = tmp_path / f"trial{fail_at}"
+        shutil.copytree(before, trial)
+        retry_out = tmp_path / f"out{fail_at}.csv"
+        targets = []
+
+        def failing_replace(src, dst):
+            targets.append(Path(dst).name)
+            if len(targets) > fail_at:
+                raise OSError("injected failure")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert _step(trial, batch, retry_out) == EXIT_DATA
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert targets == order[:fail_at + 1]
+        assert not list(trial.glob("*.tmp"))
+        load_config_file(str(trial / "config.txt"))
+        read_series_arrays(trial / "history.csv")
+        read_detections(trial / "flagged.csv")
+        if (trial / "models_online.csv").exists():
+            load_models(trial / "models_online.csv")
+
+        assert _step(trial, batch, retry_out) == EXIT_OK
+        assert _files(trial) == after
+        assert retry_out.read_bytes() == out.read_bytes()
+
+
+def test_online_models_do_not_depend_on_hash_seed(tmp_path):
+    """With two sites, the step's output files are the same under any
+    string hash seed: sites are processed in sorted order."""
+    from test_pipeline import one_year_scenario
+
+    pixels, _ = one_year_scenario(seed=21, n_events=5)
+    split = dt.date(2005, 5, 1)
+    batch_date = min(
+        o.nominal_date for p in pixels for o in p.observations if o.nominal_date >= split
+    )
+    halves = {"site-a": pixels[:12], "site-b": pixels[12:24]}
+    write_series(
+        tmp_path / "history.csv",
+        {site: _sliced(p, lambda d: d < split) for site, p in halves.items()},
+    )
+    write_series(
+        tmp_path / "batch.csv",
+        {site: _sliced(p, lambda d: d == batch_date) for site, p in halves.items()},
+    )
+    src = str(Path(cmfda.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        state = tmp_path / f"state{seed}"
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        for argv in (
+            ["--init", "--series", str(tmp_path / "history.csv"), "--monitor-year", "2005"],
+            ["--batch", str(tmp_path / "batch.csv"), "--out", str(tmp_path / f"out{seed}.csv")],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "cmfda.cli", "online", "--state", str(state), *argv],
+                env=env, check=True, capture_output=True,
+            )
+        outputs.append(_files(state))
+    assert outputs[0]["models_online.csv"]
+    assert outputs[0] == outputs[1]

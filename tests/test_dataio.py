@@ -1,17 +1,33 @@
 import datetime as dt
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmfda import dataio
 from cmfda.core import (
     BAND_ORDER,
     Band,
     DefoType,
     DeforestationLabel,
     FILL_INDEX,
+    Observation,
+    PixelSeries,
     Reliability,
+    band_fill,
+    day_of_year,
 )
 from cmfda.dataio import (
+    SERIES_COLUMNS,
+    _parse_date,
+    _parse_float,
+    _parse_int,
+    _read_header,
+    _rows,
     BandSignal,
     EventSpec,
     FOREST_CLASSES,
@@ -27,6 +43,7 @@ from cmfda.dataio import (
     read_landuse,
     read_report,
     read_series,
+    read_series_arrays,
     real,
     save_covariances,
     save_models,
@@ -41,8 +58,15 @@ from cmfda.dataio import (
     yucatan_like_config,
 )
 from cmfda.detection import DetectionResult, PairedErrorRecord, estimate_cube_covariances
-from cmfda.errors import InvalidConfig, ParseError, SchemaVersionMismatch, ShapeMismatch
+from cmfda.errors import (
+    InvalidConfig,
+    OutOfRange,
+    ParseError,
+    SchemaVersionMismatch,
+    ShapeMismatch,
+)
 from cmfda.harmonic import fit
+from cmfda.pipeline import compact_pixels
 from cmfda.standardize import ErrorContext, ErrorRecord, Scheme, fit_standardizer, transform
 from cmfda.training import ReportRow, TrainReport
 from cmfda.windows import DateInterval
@@ -143,6 +167,171 @@ def test_series_version_mismatch(tmp_path):
     path.write_text("#cmfda labels v1\npixel_id\n")
     with pytest.raises(SchemaVersionMismatch):
         read_series(path)
+
+
+def oracle_read_series(path):
+    """Row-by-row series reader, the specification of the columnar one:
+    each row becomes a validated Observation, each pixel a PixelSeries."""
+    grouped = {}
+    with open(path, newline="") as fh:
+        _read_header(fh, "series", path)
+        for line, row in _rows(fh, SERIES_COLUMNS, path):
+            rel_code = _parse_int(row["reliability"], "reliability", line, path)
+            try:
+                reliability = Reliability(rel_code)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: unknown reliability code {rel_code}", line=line
+                ) from None
+            values = {}
+            for band, column in zip(BAND_ORDER, SERIES_COLUMNS[7:]):
+                values[band] = _parse_float(row[column], column, line, path)
+            try:
+                obs = Observation(
+                    nominal_date=_parse_date(row["nominal_date"], "nominal_date", line, path),
+                    composite_doy=_parse_int(row["composite_doy"], "composite_doy", line, path),
+                    values=values,
+                    reliability=reliability,
+                )
+            except OutOfRange as exc:
+                raise ParseError(f"{path}: {exc}", line=line) from None
+            key = (row["site_id"], row["pixel_id"])
+            entry = grouped.setdefault(
+                key,
+                {
+                    "col": _parse_int(row["col"], "col", line, path),
+                    "row": _parse_int(row["row"], "row", line, path),
+                    "observations": [],
+                },
+            )
+            entry["observations"].append(obs)
+    out = {}
+    for (site_id, pixel_id), entry in grouped.items():
+        observations = sorted(entry["observations"], key=lambda o: o.nominal_date)
+        try:
+            series = PixelSeries(
+                pixel_id=pixel_id,
+                col=entry["col"],
+                row=entry["row"],
+                observations=tuple(observations),
+            )
+        except OutOfRange as exc:
+            raise ParseError(f"{path}: pixel {pixel_id!r}: {exc}") from None
+        out.setdefault(site_id, []).append(series)
+    return out
+
+
+@st.composite
+def series_rows(draw):
+    """Data rows of a valid series file, in a random arrival order: one or
+    two sites of one to three pixels, each a short 16-day series that may
+    cross a year end, with random composite lags, codes and fill values."""
+    rows = []
+    for s in range(draw(st.integers(1, 2))):
+        for p in range(draw(st.integers(1, 3))):
+            start = dt.date(2003, 11, 20) + dt.timedelta(days=draw(st.integers(0, 60)))
+            col, row = draw(st.integers(0, 24)), draw(st.integers(0, 24))
+            for k in range(draw(st.integers(1, 5))):
+                nominal = start + dt.timedelta(days=16 * k)
+                composite = nominal + dt.timedelta(days=draw(st.integers(0, 15)))
+                values = [
+                    draw(st.one_of(st.just(band_fill(b)), st.floats(band_fill(b), 1.0)))
+                    for b in BAND_ORDER
+                ]
+                rows.append(
+                    [f"site{s}", f"px{s}{p}", str(col), str(row), nominal.isoformat(),
+                     str(day_of_year(composite)), str(int(draw(st.sampled_from(Reliability)))),
+                     *map(real, values)]
+                )
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+CORRUPTIONS = (None, "real", "date", "reliability", "lag", "range", "fields", "cadence")
+
+
+def _corrupt(rows, kind, i, j, blank, quoted):
+    """Lines of the rows with one corruption at row ``i`` (``j`` picks a
+    band). A blank line before row ``blank`` and a quoted site id on every
+    row keep a file valid but shift line numbers and change how the lines
+    are split."""
+    lines = [list(r) for r in rows]
+    parts = lines[i]
+    nominal = dt.date.fromisoformat(parts[4])
+    if kind == "real":
+        parts[7 + j] = "0.1x"
+    elif kind == "date":
+        parts[4] = "2003-02-30"
+    elif kind == "reliability":
+        parts[6] = "7"
+    elif kind == "lag":
+        parts[5] = str(day_of_year(nominal + dt.timedelta(days=16)))
+    elif kind == "range":
+        parts[7 + j] = "1.5" if j % 2 else "-0.5"
+    elif kind == "fields":
+        lines[i] = parts[:-1] if j % 2 else parts + ["0"]
+    elif kind == "cadence":
+        lag = (int(parts[5]) - day_of_year(nominal)) % 365
+        shifted = nominal + dt.timedelta(days=16 if j % 2 else 1)
+        parts[4] = shifted.isoformat()
+        parts[5] = str(day_of_year(shifted + dt.timedelta(days=lag)))
+    if quoted:
+        for parts in lines:
+            parts[0] = f'"{parts[0]}"'
+    lines = [",".join(parts) for parts in lines]
+    if blank is not None:
+        lines.insert(blank % (len(lines) + 1), "")
+    return lines
+
+
+def _outcome(read, path):
+    try:
+        return read(path), None
+    except ParseError as exc:
+        return None, (str(exc), exc.line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=series_rows(),
+    kind=st.sampled_from(CORRUPTIONS),
+    pick=st.integers(0, 10**6),
+    band=st.integers(0, 5),
+    blank=st.none() | st.integers(0, 10**6),
+    quoted=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    chunk_rows=st.sampled_from([3, 1024]),
+)
+def test_read_series_arrays_matches_row_oracle(
+    rows, kind, pick, band, blank, quoted, newline, chunk_rows
+):
+    """The columnar reader gives the arrays of the row-by-row oracle,
+    including NaN positions, or the same ParseError message and line, also
+    when the rows are read in several chunks."""
+    lines = _corrupt(rows, kind, pick % len(rows), band, blank, quoted)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_text(
+            newline.join(["#cmfda series v1", ",".join(SERIES_COLUMNS), *lines]) + newline,
+            newline="",
+        )
+        expected, expected_error = _outcome(oracle_read_series, path)
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+            got, error = _outcome(read_series_arrays, path)
+            series, series_error = _outcome(read_series, path)
+    assert error == expected_error == series_error
+    if expected_error:
+        return
+    assert series == expected
+    assert list(got) == list(expected)
+    for site_id, pixels in expected.items():
+        want = compact_pixels(pixels)
+        assert [(p.pixel_id, p.col, p.row) for p in got[site_id]] == [
+            (p.pixel_id, p.col, p.row) for p in want
+        ]
+        for have, ref in zip(got[site_id], want):
+            for a, b in zip(have.arrays, ref.arrays):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
 
 
 # --- labels -----------------------------------------------------------------------
