@@ -342,6 +342,15 @@ def _rule_args(args) -> None:
             setattr(args, flag, value)
 
 
+def _refuse_standardized_index(args) -> None:
+    """The cube covariances come from raw residuals, so the Mahalanobis
+    rule takes unstandardized errors only."""
+    if args.rule == "mahalanobis" and (
+        parse_scheme(args.scheme) is not Scheme.IDENTITY or getattr(args, "standardizer", None)
+    ):
+        raise UsageError("the mahalanobis rule takes unstandardized errors only")
+
+
 def _build_rule(args, covariances: Optional[CubeCovarianceTable] = None):
     kind = args.rule
     consec = args.consec
@@ -461,6 +470,7 @@ def _standardizers_for(args, sites, fit, windows, bands):
 
 def cmd_detect(args) -> int:
     _rule_args(args)
+    _refuse_standardized_index(args)
     sites = dataio.read_series_arrays(args.series)
     windows, fit = _load_model_dir(args.models)
     covariances = _cube_covariances(sites, fit, windows) if args.rule == "mahalanobis" else None
@@ -529,7 +539,7 @@ def _trainer(args, band: Optional[Band], grids, covariances):
         (grid,) = grids
 
         def train(c, dataset):
-            best_l, best_tss = training.grid_search_mahalanobis(dataset, covariances, c, grid)
+            best_l, best_tss = training.grid_search_mahalanobis(dataset, c, grid)
             return MahalanobisRule(best_l, covariances, c), best_tss
 
     else:
@@ -555,6 +565,7 @@ def _trainer(args, band: Optional[Band], grids, covariances):
 
 def cmd_train(args) -> int:
     _check_train_flags(args)
+    _refuse_standardized_index(args)
     windows = parse_windows_spec(args.windows)
     band, bands = None, PAIR_BANDS
     if args.rule == "univariate":
@@ -577,7 +588,10 @@ def cmd_train(args) -> int:
         for site_id, pixels in sites.items()
     }
     pooled = [p for dataset in datasets.values() for p in dataset]
-    covariances = _cube_covariances(sites, fit, windows) if args.rule == "mahalanobis" else None
+    covariances = None
+    if args.rule == "mahalanobis":
+        covariances = _cube_covariances(sites, fit, windows)
+        training.fill_dataset_index(pooled, covariances)
     train = _trainer(args, band, grids, covariances)
 
     # univariate thresholds are trained per site, the pair rules on all pixels

@@ -10,6 +10,11 @@ Three rule forms are supported: a single band against one threshold, the
 NIR/NDVI pair against two thresholds combined with an OR, and a local
 Mahalanobis distance of the (NIR, NDVI) error pair against one threshold.
 
+The index is error data, not rule logic: the code that knows a pixel's
+site, grid position and covariance table computes it once per window
+(``fill_index``) and stores it beside the band errors, so every rule
+scans plain series.
+
 All three rest on one kernel, ``run_levels``: the level of a run is the
 largest threshold at which it still triggers, ``max(min(run), -max(run))``
 for signed errors and ``min(run)`` for the nonnegative index, and a run
@@ -293,7 +298,8 @@ def estimate_cube_covariances(
 
 @dataclass
 class WindowErrors:
-    """Clear-date prediction errors of one pixel inside one window."""
+    """Clear-date prediction errors of one pixel inside one window, and
+    the Mahalanobis index of the (NIR, NDVI) pairs once it is filled."""
 
     window_index: int
     dates: list[dt.date]                   # nominal dates
@@ -301,6 +307,7 @@ class WindowErrors:
     doys: np.ndarray
     start_ok: np.ndarray                   # run may start here (bare year)
     errors: dict[Band, np.ndarray] = field(default_factory=dict)
+    index: Optional[np.ndarray] = None     # Mahalanobis index, once filled
 
 
 def rule_bands(rule: DetectionRule) -> tuple[Band, ...]:
@@ -388,6 +395,26 @@ def mahalanobis_series(
     return _index_values(we.errors[Band.NIR], we.errors[Band.NDVI], sigmas[inverse])
 
 
+def fill_index(
+    wes_list: Sequence[WindowErrors], rule: DetectionRule,
+    site_id: Optional[str], col: int, row: int,
+) -> None:
+    """Store each window's index series when the rule scans it."""
+    if not isinstance(rule, MahalanobisRule):
+        return
+    if site_id is None:
+        raise OutOfRange("Mahalanobis detection requires a site_id")
+    for we in wes_list:
+        we.index = mahalanobis_series(we, rule.covariances, site_id, col, row)
+
+
+def index_series(we: WindowErrors) -> np.ndarray:
+    """The window's stored index series."""
+    if we.index is None:
+        raise OutOfRange(f"window {we.window_index} has no Mahalanobis index; fill it first")
+    return we.index
+
+
 # --- run scanning ----------------------------------------------------------
 
 
@@ -420,18 +447,12 @@ def detect_pixel(
     (detection time, not event time).
     """
     wes = extract_window_errors(series, models, windows, rule_bands(rule))
-    return scan_window_errors(
-        wes, rule, pixel_id=series.pixel_id, site_id=site_id,
-        col=series.col, row=series.row,
-    )
+    fill_index(wes, rule, site_id, series.col, series.row)
+    return scan_window_errors(wes, rule, pixel_id=series.pixel_id)
 
 
 def _rule_series(
-    we: WindowErrors,
-    rule: DetectionRule,
-    site_id: Optional[str],
-    col: int,
-    row: int,
+    we: WindowErrors, rule: DetectionRule
 ) -> list[tuple[Optional[Band], np.ndarray, float, bool]]:
     """(reported band, values, threshold, two_sided) for each sequence the
     rule scans; only the multivariate rule reports a triggering band."""
@@ -442,23 +463,15 @@ def _rule_series(
             (Band.NIR, we.errors[Band.NIR], rule.nir_threshold, True),
             (Band.NDVI, we.errors[Band.NDVI], rule.ndvi_threshold, True),
         ]
-    if site_id is None:
-        raise OutOfRange("Mahalanobis detection requires a site_id")
     # The index is nonnegative, so only the "> L" side can fire.
-    values = mahalanobis_series(we, rule.covariances, site_id, col, row)
-    return [(None, values, rule.threshold, False)]
+    return [(None, index_series(we), rule.threshold, False)]
 
 
 def scan_window_errors(
-    wes_list: Sequence[WindowErrors],
-    rule: DetectionRule,
-    *,
-    pixel_id: str,
-    site_id: Optional[str] = None,
-    col: int = 0,
-    row: int = 0,
+    wes_list: Sequence[WindowErrors], rule: DetectionRule, *, pixel_id: str
 ) -> DetectionResult:
-    """Rule evaluation over precomputed (possibly standardized) errors.
+    """Rule evaluation over precomputed (possibly standardized) errors; the
+    Mahalanobis rule reads each window's filled index.
 
     In each window the earliest allowed start whose run level exceeds the
     threshold wins; NIR wins a tie with NDVI.
@@ -469,7 +482,7 @@ def scan_window_errors(
     for we in wes_list:
         start: Optional[int] = None
         band_hit: Optional[Band] = None
-        for band, values, threshold, two_sided in _rule_series(we, rule, site_id, col, row):
+        for band, values, threshold, two_sided in _rule_series(we, rule):
             levels = run_levels(values, c, two_sided)
             hits = np.flatnonzero((levels > threshold) & we.start_ok[: levels.size])
             if hits.size and (start is None or hits[0] < start):

@@ -29,8 +29,8 @@ from .detection import (
     DetectionResult,
     DetectionRule,
     PairedErrorRecord,
-    WindowErrors,
     extract_errors_from_arrays,
+    fill_index,
     rule_bands,
     scan_window_errors,
 )
@@ -95,16 +95,12 @@ class FitResult:
     models: dict[int, dict[tuple[str, Band], HarmonicModel]]
     skipped: list[SkipRecord] = field(default_factory=list)
 
-    def for_pixel(self, pixel_id: str) -> dict[int, dict[Band, HarmonicModel]]:
-        out: dict[int, dict[Band, HarmonicModel]] = {}
+    def by_pixel(self) -> dict[str, dict[int, dict[Band, HarmonicModel]]]:
+        """pixel id -> window index -> band -> model, in one pass."""
+        out: dict[str, dict[int, dict[Band, HarmonicModel]]] = {}
         for window_index, table in self.models.items():
-            per_band = {
-                band: model
-                for (pid, band), model in table.items()
-                if pid == pixel_id
-            }
-            if per_band:
-                out[window_index] = per_band
+            for (pid, band), model in table.items():
+                out.setdefault(pid, {}).setdefault(window_index, {})[band] = model
         return out
 
 
@@ -267,42 +263,29 @@ def paired_residual_records(
 # --- detection --------------------------------------------------------------------
 
 
-def standardize_window_errors(
-    wes_list: Sequence[WindowErrors],
-    standardizers: Mapping[Band, Standardizer],
-    pixel_id: str,
-    site_id: str,
-    col: int,
-    row: int,
-) -> list[WindowErrors]:
-    """Transformed copies of the error sequences (identity when no
-    standardizer covers a band)."""
-    out = []
-    for we in wes_list:
-        transformed = WindowErrors(
-            window_index=we.window_index,
-            dates=we.dates,
-            composite_dates=we.composite_dates,
-            doys=we.doys,
-            start_ok=we.start_ok,
-        )
-        for band, values in we.errors.items():
-            std = standardizers.get(band)
-            if std is None:
-                transformed.errors[band] = values
-                continue
-            transformed.errors[band] = np.array(
-                [
-                    transform(
-                        std,
-                        float(v),
-                        ErrorContext(pixel_id, site_id, col, row, date),
-                    )
-                    for v, date in zip(values, we.composite_dates)
-                ]
-            )
-        out.append(transformed)
-    return out
+def _pixel_errors(cp, models, windows, bands, site_id, standardizers=None):
+    """The pixel's errors in every window, each band transformed by its
+    standardizer if it has one; None when some window has no model."""
+    try:
+        wes = extract_errors_from_arrays(cp.pixel_id, cp.arrays, models, windows, bands)
+    except NoModels:
+        return None
+    if not standardizers:
+        return wes
+
+    def transformed(band, values, dates):
+        std = standardizers.get(band)
+        if std is None:
+            return values
+        return np.array([
+            transform(std, float(v), ErrorContext(cp.pixel_id, site_id, cp.col, cp.row, date))
+            for v, date in zip(values, dates)
+        ])
+
+    return [
+        replace(we, errors={b: transformed(b, v, we.composite_dates) for b, v in we.errors.items()})
+        for we in wes
+    ]
 
 
 def _detect_chunk(args):
@@ -312,23 +295,13 @@ def _detect_chunk(args):
     results = []
     skipped = []
     for cp in compact[lo:hi]:
-        try:
-            wes = extract_errors_from_arrays(
-                cp.pixel_id, cp.arrays, models_by_pixel.get(cp.pixel_id, {}), windows, bands
-            )
-        except NoModels:
+        models = models_by_pixel.get(cp.pixel_id, {})
+        wes = _pixel_errors(cp, models, windows, bands, site_id, standardizers)
+        if wes is None:
             skipped.append(cp.pixel_id)
             continue
-        if standardizers:
-            wes = standardize_window_errors(
-                wes, standardizers, cp.pixel_id, site_id, cp.col, cp.row
-            )
-        results.append(
-            scan_window_errors(
-                wes, rule, pixel_id=cp.pixel_id, site_id=site_id,
-                col=cp.col, row=cp.row,
-            )
-        )
+        fill_index(wes, rule, site_id, cp.col, cp.row)
+        results.append(scan_window_errors(wes, rule, pixel_id=cp.pixel_id))
     return results, skipped
 
 
@@ -345,15 +318,11 @@ def detect_pixels(
     """Apply one rule to every pixel; returns results plus skipped pixels
     (those missing a model for some window)."""
     compact = _ensure_compact(pixels)
-    models_by_pixel: dict[str, dict[int, dict[Band, HarmonicModel]]] = {}
-    for window_index, table in fit.models.items():
-        for (pid, band), model in table.items():
-            models_by_pixel.setdefault(pid, {}).setdefault(window_index, {})[band] = model
     static = (tuple(windows), rule, site_id, standardizers)
     results: list[DetectionResult] = []
     skipped: list[str] = []
     for chunk_results, chunk_skipped in _run_parallel(
-        _detect_chunk, (compact, models_by_pixel), len(compact), workers, static
+        _detect_chunk, (compact, fit.by_pixel()), len(compact), workers, static
     ):
         results.extend(chunk_results)
         skipped.extend(chunk_skipped)
@@ -372,22 +341,18 @@ def build_training_dataset(
     bands: Sequence[Band] = (Band.NIR, Band.NDVI),
     standardizers: Optional[Mapping[Band, Standardizer]] = None,
 ) -> tuple[list[PixelTrainingData], list[str]]:
-    """Labelled per-pixel error series for the optimizers."""
+    """Labelled per-pixel error series for the optimizers. The Mahalanobis
+    index is not filled here (see training.fill_dataset_index)."""
     compact = _ensure_compact(pixels)
+    models_by_pixel = fit.by_pixel()
     dataset = []
     skipped = []
     for cp in compact:
-        try:
-            wes = extract_errors_from_arrays(
-                cp.pixel_id, cp.arrays, fit.for_pixel(cp.pixel_id), windows, bands
-            )
-        except NoModels:
+        models = models_by_pixel.get(cp.pixel_id, {})
+        wes = _pixel_errors(cp, models, windows, bands, site_id, standardizers)
+        if wes is None:
             skipped.append(cp.pixel_id)
             continue
-        if standardizers:
-            wes = standardize_window_errors(
-                wes, standardizers, cp.pixel_id, site_id, cp.col, cp.row
-            )
         dataset.append(
             PixelTrainingData(
                 pixel_id=cp.pixel_id,
@@ -484,14 +449,11 @@ def online_process_batch(
         )
         models, _ = _fit_window(cp, window.train, bands, min_obs)
         fitted.update(((cp.pixel_id, band), model) for band, model in models.items())
-        try:
-            wes = extract_errors_from_arrays(cp.pixel_id, a, {0: models}, [window], bands)
-        except NoModels:
+        wes = _pixel_errors(cp, {0: models}, [window], bands, site_id)
+        if wes is None:
             continue
-        result = scan_window_errors(
-            wes, rule, pixel_id=cp.pixel_id, site_id=site_id, col=cp.col, row=cp.row,
-        )
-        if result.flagged:
+        fill_index(wes, rule, site_id, cp.col, cp.row)
+        if scan_window_errors(wes, rule, pixel_id=cp.pixel_id).flagged:
             newly[cp.pixel_id] = batch_date
     return OnlineOutcome(newly_flagged=newly, models=fitted)
 

@@ -21,6 +21,7 @@ from .detection import (
     DetectionRule,
     WindowErrors,
     flag_level,
+    index_series,
     mahalanobis_series,
     scan_window_errors,
 )
@@ -128,34 +129,42 @@ def _check_two_classes(dataset: Sequence[PixelTrainingData]) -> np.ndarray:
     return labels
 
 
+def fill_dataset_index(
+    dataset: Sequence[PixelTrainingData], covariances: CubeCovarianceTable
+) -> None:
+    """Store every window's Mahalanobis index once: thresholds and C never
+    change it, so every later scan of the dataset reads it."""
+    for p in dataset:
+        for we in p.window_errors:
+            we.index = mahalanobis_series(we, covariances, p.site_id, p.col, p.row)
+
+
+def _flag_levels(
+    dataset: Sequence[PixelTrainingData],
+    values_of: Callable[[WindowErrors], np.ndarray],
+    consecutive: int,
+    two_sided: bool,
+) -> np.ndarray:
+    """Per-pixel supremum threshold at which the pixel still flags."""
+    return np.array([
+        max((flag_level(values_of(we), we.start_ok, consecutive, two_sided)
+             for we in p.window_errors), default=-math.inf)
+        for p in dataset
+    ])
+
+
 def univariate_flag_levels(
     dataset: Sequence[PixelTrainingData], band: Band, consecutive: int
 ) -> np.ndarray:
-    """Per-pixel supremum threshold at which the pixel still flags."""
-    return np.array(
-        [
-            max(
-                (flag_level(we.errors[band], we.start_ok, consecutive) for we in p.window_errors),
-                default=-math.inf,
-            )
-            for p in dataset
-        ]
-    )
+    return _flag_levels(dataset, lambda we: we.errors[band], consecutive, two_sided=True)
 
 
 def mahalanobis_flag_levels(
-    dataset: Sequence[PixelTrainingData],
-    covariances: CubeCovarianceTable,
-    consecutive: int,
+    dataset: Sequence[PixelTrainingData], consecutive: int
 ) -> np.ndarray:
-    levels = np.empty(len(dataset))
-    for i, p in enumerate(dataset):
-        best = -math.inf
-        for we in p.window_errors:
-            values = mahalanobis_series(we, covariances, p.site_id, p.col, p.row)
-            best = max(best, flag_level(values, we.start_ok, consecutive, two_sided=False))
-        levels[i] = best
-    return levels
+    """Levels of the filled index series; the index is nonnegative, so the
+    runs are one-sided."""
+    return _flag_levels(dataset, index_series, consecutive, two_sided=False)
 
 
 def _tss_of_flags(flags: np.ndarray, labels: np.ndarray) -> float:
@@ -173,10 +182,7 @@ def evaluate_rule(
     preds = {}
     labels = {}
     for p in dataset:
-        result = scan_window_errors(
-            p.window_errors, rule, pixel_id=p.pixel_id,
-            site_id=p.site_id, col=p.col, row=p.row,
-        )
+        result = scan_window_errors(p.window_errors, rule, pixel_id=p.pixel_id)
         preds[p.pixel_id] = int(result.flagged)
         labels[p.pixel_id] = p.label
     return confusion(preds, labels)
@@ -217,12 +223,12 @@ def grid_search_univariate(
 
 def grid_search_mahalanobis(
     dataset: Sequence[PixelTrainingData],
-    covariances: CubeCovarianceTable,
     consecutive: int,
     grid: Sequence[float],
 ) -> tuple[float, float]:
+    """Grid search over the filled index series (see fill_dataset_index)."""
     labels = _check_two_classes(dataset)
-    levels = mahalanobis_flag_levels(dataset, covariances, consecutive)
+    levels = mahalanobis_flag_levels(dataset, consecutive)
     return _grid_search_levels(levels, labels, grid)
 
 

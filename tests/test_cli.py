@@ -445,6 +445,62 @@ def test_train_multivariate_and_mahalanobis(sim_dir, tmp_path):
     assert any(r.scope.startswith("all:fixed-L") for r in report.rows)
 
 
+def test_train_mahalanobis_computes_each_index_once(tmp_path, monkeypatch):
+    """Thresholds and C never change a window's index series, so training
+    computes it once per (pixel, window), not once per grid search, fold
+    and sweep row."""
+    from cmfda import detection, training
+    from test_pipeline import one_year_scenario
+
+    pixels, labels = one_year_scenario(seed=21, n_events=6)
+    series_path, labels_path = tmp_path / "series.csv", tmp_path / "labels.csv"
+    write_series(series_path, {"mini": pixels})
+    write_labels(
+        labels_path,
+        [DeforestationLabel(p.pixel_id, p.col, p.row, labels[p.pixel_id], labels[p.pixel_id])
+         for p in pixels],
+    )
+    calls = []
+    for module in (detection, training):
+        original = module.mahalanobis_series
+        monkeypatch.setattr(
+            module, "mahalanobis_series",
+            lambda *a, original=original: calls.append(a[0]) or original(*a),
+        )
+    assert main(
+        [
+            "train", "--series", str(series_path), "--labels", str(labels_path),
+            "--out", str(tmp_path / "r.csv"), "--rule", "mahalanobis",
+            "--windows", "2003:2", "--grid", "2:20:2", "--cv-folds", "2",
+            "--sweep-fixed", "--threads", "1",
+        ]
+    ) == EXIT_OK
+    assert len(calls) == len(pixels) * 2
+    assert len({id(we) for we in calls}) == len(calls)
+
+
+def test_mahalanobis_refuses_standardized_errors(tmp_path):
+    """The cube covariances come from raw residuals, so the index of
+    standardized errors would flag nearly every pixel: detect and train
+    refuse the combination before reading any file."""
+    missing = str(tmp_path / "missing.csv")
+    detect = [
+        "detect", "--series", missing, "--models", str(tmp_path),
+        "--out", str(tmp_path / "o.csv"), "--rule", "mahalanobis",
+    ]
+    train = [
+        "train", "--series", missing, "--labels", missing,
+        "--out", str(tmp_path / "r.csv"), "--rule", "mahalanobis",
+    ]
+    for command in (detect, train):
+        assert main(command) == EXIT_DATA
+        assert main(command + ["--scheme=---"]) == EXIT_DATA
+        for scheme in ("4c", "2", "IVii"):
+            assert main(command + ["--scheme", scheme]) == EXIT_USAGE, (command[0], scheme)
+    assert main(detect + ["--standardizer", missing]) == EXIT_USAGE
+    assert main(detect + ["--rule", "multivariate", "--scheme", "4c"]) == EXIT_DATA
+
+
 def test_rule_flag_conflicts_are_usage_errors(sim_dir, models_dir, tmp_path):
     args = [
         "detect", "--series", str(sim_dir / "series.csv"),

@@ -101,9 +101,10 @@ def test_detect_pixels_matches_detect_pixel(scenario):
     results, skipped = detect_pixels(pixels, fit_result, rule, windows, "mini")
     assert not skipped
     by_id = {r.pixel_id: r for r in results}
+    models_by_pixel = fit_result.by_pixel()
     for pixel in pixels[:20]:
         direct = detect_pixel(
-            pixel, fit_result.for_pixel(pixel.pixel_id), rule, windows, site_id="mini"
+            pixel, models_by_pixel[pixel.pixel_id], rule, windows, site_id="mini"
         )
         assert by_id[pixel.pixel_id] == direct
     flagged = {r.pixel_id for r in results if r.flagged}

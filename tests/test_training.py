@@ -31,6 +31,7 @@ from cmfda.training import (
     confusion,
     cross_validate,
     evaluate_rule,
+    fill_dataset_index,
     grid_search_mahalanobis,
     grid_search_univariate,
     sweep_fixed,
@@ -252,7 +253,8 @@ def test_trainer_tss_equals_tss_of_returned_rule(seed, consecutive):
     table = CubeCovarianceTable(
         cubes={}, site_periods={}, sites={"s": CovarianceEntry(0.01, 0.004, 0.02, 100)}
     )
-    best_l, best = grid_search_mahalanobis(dataset, table, consecutive, [0.5, 1, 2, 3, 5, 8])
+    fill_dataset_index(dataset, table)
+    best_l, best = grid_search_mahalanobis(dataset, consecutive, [0.5, 1, 2, 3, 5, 8])
     assert best == scanned(MahalanobisRule(best_l, table, consecutive))
 
 
