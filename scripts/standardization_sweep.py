@@ -9,7 +9,7 @@ used to judge whether any scheme beats leaving the errors alone.
 """
 import numpy as np
 
-from cmfda.core import Band
+from cmfda.core import Band, ResidualHistory
 from cmfda.dataio import BandSignal, sonora_like_config, yucatan_like_config, generate_site
 from cmfda.pipeline import (
     build_training_dataset,
@@ -52,13 +52,11 @@ def main():
     ]
     bands = (Band.NIR, Band.NDVI)
     fits = {}
-    histories = {band: [] for band in bands}
+    per_site = []
     for site_id, pixels, _ in sites:
         fits[site_id] = fit_pixels(pixels, windows, bands)
-        for band, records in training_residuals(
-            pixels, fits[site_id], windows, bands, site_id
-        ).items():
-            histories[band].extend(records)
+        per_site.append(training_residuals(pixels, fits[site_id], windows, bands, site_id))
+    histories = {band: ResidualHistory.concat([h[band] for h in per_site]) for band in bands}
 
     raw_grids = (
         [round(0.02 * k, 4) for k in range(1, 16)],

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .core import BAND_ORDER, Band
+from .core import BAND_ORDER, Band, ResidualHistory
 from .detection import (
     CubeCovarianceTable,
     DetectionResult,
@@ -304,12 +304,11 @@ def _fit_sites(sites, windows, bands, *, workers: int, min_obs: int = MIN_OBS):
 
 
 def _residual_histories(sites, fit, windows, bands):
-    histories = {band: [] for band in bands}
-    for site_id, pixels in sites.items():
-        per_site = pipeline.training_residuals(pixels, fit, windows, bands, site_id)
-        for band in bands:
-            histories[band].extend(per_site[band])
-    return histories
+    per_site = [
+        pipeline.training_residuals(pixels, fit, windows, bands, site_id)
+        for site_id, pixels in sites.items()
+    ]
+    return {band: ResidualHistory.concat([h[band] for h in per_site]) for band in bands}
 
 
 def _cube_covariances(sites, fit, windows) -> CubeCovarianceTable:
@@ -685,9 +684,14 @@ def cmd_standardize(args) -> int:
     histories = _residual_histories(sites, fit, windows, (band,))
     std = fit_standardizer(histories[band], scheme, band)
     dataio.save_standardizer(args.out, std)
+    served = "".join(
+        f"; stage {i} {stage.key_kind.value} {stage.transform_kind} keys served by "
+        + " ".join(f"{kind.value}={n}" for kind, n in stage.served(histories[band]).items())
+        for i, stage in enumerate(std.stages, start=1)
+    )
     print(
         f"wrote {args.out}: scheme {scheme.value}, band {band.name}, "
-        f"{len(histories[band])} history records"
+        f"{len(histories[band])} history records{served}"
     )
     return EXIT_OK
 

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import calendar
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -196,6 +196,113 @@ class CompactPixel:
     col: int
     row: int
     arrays: SeriesArrays
+
+
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+
+
+def ordinal_doys(ordinals: np.ndarray) -> np.ndarray:
+    """Day of year of each proleptic ordinal."""
+    days = (np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    return (days - days.astype("datetime64[Y]")).astype(np.int64) + 1
+
+
+@dataclass(frozen=True, eq=False)
+class ResidualHistory:
+    """Prediction errors with their contexts, one entry per error.
+
+    ``pixel`` and ``site`` index the ``pixel_ids`` and ``site_ids`` tables;
+    ``ordinal`` and ``doy`` are the composite date's ordinal and day of year.
+    Entries keep the order in which the errors were produced.
+    """
+
+    pixel_ids: tuple[str, ...]
+    site_ids: tuple[str, ...]
+    pixel: np.ndarray
+    site: np.ndarray
+    col: np.ndarray
+    row: np.ndarray
+    ordinal: np.ndarray
+    doy: np.ndarray
+    value: np.ndarray
+
+    def __len__(self) -> int:
+        return self.value.size
+
+    @classmethod
+    def build(cls, pixel_ids, site_ids, pixel, site, col, row, ordinal, value) -> "ResidualHistory":
+        ordinal = np.asarray(ordinal, dtype=np.int64)
+        return cls(
+            tuple(pixel_ids), tuple(site_ids),
+            np.asarray(pixel, dtype=np.intp), np.asarray(site, dtype=np.intp),
+            np.asarray(col, dtype=np.int64), np.asarray(row, dtype=np.int64),
+            ordinal, ordinal_doys(ordinal), np.asarray(value, dtype=float),
+        )
+
+    @classmethod
+    def from_records(cls, records, values=None) -> "ResidualHistory":
+        """From objects with ``pixel_id``, ``site_id``, ``col``, ``row``,
+        ``date`` (the composite date) and, unless ``values`` is given,
+        ``value``."""
+        records = list(records)
+        pixel_ids, pixel = distinct([r.pixel_id for r in records])
+        site_ids, site = distinct([r.site_id for r in records])
+        return cls.build(
+            pixel_ids, site_ids, pixel, site,
+            [r.col for r in records], [r.row for r in records],
+            [r.date.toordinal() for r in records],
+            [r.value for r in records] if values is None else values,
+        )
+
+    @classmethod
+    def concat(cls, histories: Sequence["ResidualHistory"]) -> "ResidualHistory":
+        """The entries of every history in turn, over merged id tables."""
+        if not histories:
+            return cls.build((), (), [], [], [], [], [], [])
+        pixel_index: dict[str, int] = {}
+        site_index: dict[str, int] = {}
+        parts: dict[str, list] = {name: [] for name in _ENTRY_FIELDS}
+        for h in histories:
+            pixel_map = [pixel_index.setdefault(p, len(pixel_index)) for p in h.pixel_ids]
+            site_map = [site_index.setdefault(s, len(site_index)) for s in h.site_ids]
+            parts["pixel"].append(np.array(pixel_map, dtype=np.intp)[h.pixel])
+            parts["site"].append(np.array(site_map, dtype=np.intp)[h.site])
+            for name in _ENTRY_FIELDS[2:]:
+                parts[name].append(getattr(h, name))
+        return cls(
+            tuple(pixel_index), tuple(site_index),
+            **{name: np.concatenate(arrays) for name, arrays in parts.items()},
+        )
+
+    def take(self, index: np.ndarray) -> "ResidualHistory":
+        return replace(
+            self, **{name: getattr(self, name)[index] for name in _ENTRY_FIELDS}
+        )
+
+
+_ENTRY_FIELDS = ("pixel", "site", "col", "row", "ordinal", "doy", "value")
+
+
+def distinct(items: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct items in first-seen order, and each item's index into
+    them."""
+    index = {item: k for k, item in enumerate(dict.fromkeys(items))}
+    return list(index), np.fromiter(map(index.__getitem__, items), np.intp, count=len(items))
+
+
+def segments(codes: np.ndarray, order: np.ndarray) -> list[tuple[int, int, int]]:
+    """(code, start, stop) of each group of equal codes, where ``order``
+    sorts ``codes`` and groups them; ``start:stop`` indexes the sorted
+    entries. Groups come in order of the first appearance of their code."""
+    if not codes.size:
+        return []
+    ordered = codes[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    stops = np.r_[starts[1:], ordered.size]
+    first = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(first, kind="stable")
+    return list(zip(ordered[starts][by_first].tolist(), starts[by_first].tolist(),
+                    stops[by_first].tolist()))
 
 
 SITE_SIDE = 25  # pixels per side of a 25 x 25 km site

@@ -38,6 +38,7 @@ from .core import (
     band_range,
     cadence_error,
     day_of_year,
+    distinct,
 )
 from .detection import DetectionResult
 from .errors import (
@@ -234,15 +235,18 @@ def write_series_arrays(path, sites: Mapping[str, Sequence[CompactPixel]], base=
 _CHUNK_ROWS = 1024
 
 
-def _table_chunks(path, kind: str, names: Sequence[str]):
+def _table_chunks(path, kind: str, names: Sequence[str], meta: Optional[dict] = None):
     """Yield a table file's data rows, split by ``csv.reader``, in chunks.
 
     Each chunk is (line numbers of its non-blank rows, its columns over the
     rows before the first with the wrong field count, that row's field
-    count or None). A chunk with such a row is the last.
+    count or None). A chunk with such a row is the last. The header's
+    key=value pairs go into ``meta`` when it is given.
     """
     with open(path, newline="") as fh:
-        _read_header(fh, kind, path)
+        header = _read_header(fh, kind, path)
+        if meta is not None:
+            meta.update(header)
         rows = csv.reader(fh)
         _check_column_names(next(rows, None), names, path)
         width = len(names)
@@ -264,13 +268,6 @@ def _table_chunks(path, kind: str, names: Sequence[str]):
                 return
 
 
-def _distinct(items: Sequence) -> tuple[list, np.ndarray]:
-    """The distinct items in first-seen order, and each item's index into
-    them."""
-    index = {item: k for k, item in enumerate(dict.fromkeys(items))}
-    return list(index), np.fromiter(map(index.__getitem__, items), np.intp, count=len(items))
-
-
 def _attempt(parse, text):
     try:
         return parse(text)
@@ -281,11 +278,25 @@ def _attempt(parse, text):
 def _parse_distinct(texts, parse, cache: dict) -> tuple[list, np.ndarray]:
     """``parse`` of each distinct string (None where it fails), parsed once
     per ``cache``, and each row's index into the results."""
-    distinct, codes = _distinct(texts)
-    for text in distinct:
+    texts, codes = distinct(texts)
+    for text in texts:
         if text not in cache:
             cache[text] = _attempt(parse, text)
-    return [cache[text] for text in distinct], codes
+    return [cache[text] for text in texts], codes
+
+
+def _raise_first_failure(checks, n: int) -> None:
+    """``checks`` are (mask of failing rows, explain) in the order a row is
+    checked; call the explain of the first failing check of the first
+    failing row, which raises."""
+    bad = np.zeros(n, dtype=bool)
+    for mask, _ in checks:
+        bad |= mask
+    if bad.any():
+        k = int(np.argmax(bad))
+        for mask, explain in checks:
+            if mask[k]:
+                explain(k)
 
 
 def _gather(values, codes: np.ndarray, dtype) -> np.ndarray:
@@ -397,16 +408,9 @@ def _series_chunk(path, lines, columns, caches, pixels: dict, cols: list, rows: 
         (failed(cols_parsed, col_idx), text_error(_parse_int, "col")),
         (failed(rows_parsed, row_idx), text_error(_parse_int, "row")),
     ]
-    bad = np.zeros(n, dtype=bool)
-    for mask, _ in checks:
-        bad |= mask
-    if bad.any():
-        k = int(np.argmax(bad))
-        for mask, explain in checks:
-            if mask[k]:
-                explain(k)  # raises
+    _raise_first_failure(checks, n)
 
-    keys, key_idx = _distinct(list(zip(columns["site_id"], columns["pixel_id"])))
+    keys, key_idx = distinct(list(zip(columns["site_id"], columns["pixel_id"])))
     _, first = np.unique(key_idx, return_index=True)
     for key, k in zip(keys, first.tolist()):
         if key not in pixels:
@@ -807,37 +811,64 @@ def save_covariances(path, table: "CubeCovarianceTable") -> None:
 
 
 def load_covariances(path) -> "CubeCovarianceTable":
+    """Parse a covariance file column by column. A fault is reported as a
+    row-by-row reading would meet it: the first bad row, and its first
+    failing check (reals, n, square and period where its level reads them,
+    then the level)."""
     from .detection import CovarianceEntry, CubeCovarianceTable
 
-    cubes = {}
-    site_periods = {}
-    sites = {}
-    with open(path, newline="") as fh:
-        meta = _read_header(fh, "covariances", path)
-        for line, row in _rows(fh, COVARIANCE_COLUMNS, path):
-            entry = CovarianceEntry(
-                var_nir=_parse_float(row["var_nir"], "var_nir", line, path),
-                cov=_parse_float(row["cov"], "cov", line, path),
-                var_ndvi=_parse_float(row["var_ndvi"], "var_ndvi", line, path),
-                n=_parse_int(row["n"], "n", line, path),
-            )
-            if row["level"] == "cube":
-                key = (
-                    row["site"],
-                    _parse_int(row["square"], "square", line, path),
-                    _parse_int(row["period"], "period", line, path),
-                )
-                cubes[key] = entry
-            elif row["level"] == "site_period":
-                site_periods[(row["site"], _parse_int(row["period"], "period", line, path))] = entry
-            elif row["level"] == "site":
-                sites[row["site"]] = entry
+    meta: dict = {}
+    tables: dict[str, dict] = {"cube": {}, "site_period": {}, "site": {}}
+    caches: dict[str, dict] = {"n": {}, "square": {}, "period": {}}
+    for lines, columns, bad_width in _table_chunks(path, "covariances", COVARIANCE_COLUMNS, meta):
+        levels = np.array(columns["level"], dtype=object)
+        n = levels.size
+        is_cube = levels == "cube"
+        reads_period = is_cube | (levels == "site_period")
+        reals = [_parse_reals(columns[c]) for c in ("var_nir", "cov", "var_ndvi")]
+        ints = {c: _parse_distinct(columns[c], int, caches[c]) for c in caches}
+
+        def text_error(parse, column):
+            return lambda k: parse(columns[column][k], column, lines[k], path)
+
+        def unknown_level(k):
+            raise ParseError(f"{path}: unknown level {levels[k]!r}", line=lines[k])
+
+        def failed(column):
+            parsed, idx = ints[column]
+            return _gather([p is None for p in parsed], idx, bool)
+
+        _raise_first_failure([
+            *((bad, text_error(_parse_float, c))
+              for (_, bad), c in zip(reals, ("var_nir", "cov", "var_ndvi"))),
+            (failed("n"), text_error(_parse_int, "n")),
+            (failed("square") & is_cube, text_error(_parse_int, "square")),
+            (failed("period") & reads_period, text_error(_parse_int, "period")),
+            (~(reads_period | (levels == "site")), unknown_level),
+        ], n)
+        counts, squares, periods = (
+            np.array(parsed, dtype=object)[idx].tolist()
+            for parsed, idx in (ints["n"], ints["square"], ints["period"])
+        )
+        entries = map(CovarianceEntry, *(v.tolist() for v, _ in reals), counts)
+        for level, site, square, period, entry in zip(
+            columns["level"], columns["site"], squares, periods, entries
+        ):
+            if level == "cube":
+                tables[level][(site, square, period)] = entry
+            elif level == "site_period":
+                tables[level][(site, period)] = entry
             else:
-                raise ParseError(f"{path}: unknown level {row['level']!r}", line=line)
+                tables[level][site] = entry
+        if bad_width is not None:
+            raise ParseError(
+                f"{path}: expected {len(COVARIANCE_COLUMNS)} fields, got {bad_width}",
+                line=lines[n],
+            )
     return CubeCovarianceTable(
-        cubes=cubes,
-        site_periods=site_periods,
-        sites=sites,
+        cubes=tables["cube"],
+        site_periods=tables["site_period"],
+        sites=tables["site"],
         min_cube_samples=int(meta.get("min_cube_samples", "10")),
     )
 

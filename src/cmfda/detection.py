@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import BAND_ORDER, Band, PixelSeries, SeriesArrays
+from .core import BAND_ORDER, Band, PixelSeries, ResidualHistory, SeriesArrays, segments
 from .errors import (
     NoModels,
     OutOfRange,
@@ -55,18 +55,64 @@ N_PERIODS = 73
 MIN_CUBE_SAMPLES = 10
 
 
+def periods_of(doys) -> np.ndarray:
+    """5-day period index of each day of year."""
+    doys = np.asarray(doys, dtype=np.int64)
+    bad = (doys < 1) | (doys > 366)
+    if bad.any():
+        raise OutOfRange(f"day of year {doys[np.argmax(bad)]} outside 1..366")
+    return np.minimum((doys - 1) // 5, N_PERIODS - 1)
+
+
+def cube_codes(cols, rows, doys) -> tuple[np.ndarray, np.ndarray]:
+    """(square index, period index) of each pixel-date."""
+    cols = np.asarray(cols, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    doys = np.asarray(doys, dtype=np.int64)
+    off_grid = (cols < 0) | (cols > 24) | (rows < 0) | (rows > 24)
+    bad = off_grid | (doys < 1) | (doys > 366)
+    if bad.any():
+        k = np.argmax(bad)
+        if off_grid[k]:
+            raise OutOfRange(f"grid position ({cols[k]}, {rows[k]}) outside 0..24")
+    squares = (rows // SQUARE_SIDE) * SQUARE_SIDE + (cols // SQUARE_SIDE)
+    return squares, periods_of(doys)
+
+
 def period_of(doy: int) -> int:
-    if not 1 <= doy <= 366:
-        raise OutOfRange(f"day of year {doy} outside 1..366")
-    return min((doy - 1) // 5, N_PERIODS - 1)
+    return int(periods_of([doy])[0])
 
 
 def cube_of(col: int, row: int, doy: int) -> tuple[int, int]:
     """(square index, period index) of a pixel-date."""
-    if not (0 <= col <= 24 and 0 <= row <= 24):
-        raise OutOfRange(f"grid position ({col}, {row}) outside 0..24")
-    square = (row // SQUARE_SIDE) * SQUARE_SIDE + (col // SQUARE_SIDE)
-    return square, period_of(doy)
+    squares, periods = cube_codes([col], [row], [doy])
+    return int(squares[0]), int(periods[0])
+
+
+def pool_codes(history: ResidualHistory, pool: str):
+    """Integer code of each entry's key in a pool ("pixel", "site",
+    "global", "period", "site_period" or "cube"), and the function that
+    turns a code back into the key: a pixel or site id, None, a period,
+    (site id, period) or (site id, square, period)."""
+    if pool == "pixel":
+        return history.pixel, history.pixel_ids.__getitem__
+    if pool == "site":
+        return history.site, history.site_ids.__getitem__
+    if pool == "global":
+        return np.zeros(len(history), dtype=np.intp), lambda code: None
+    if pool == "period":
+        return periods_of(history.doy), int
+    if pool == "site_period":
+        periods = periods_of(history.doy)
+        return history.site * N_PERIODS + periods, lambda code: (
+            history.site_ids[code // N_PERIODS], code % N_PERIODS
+        )
+    squares, periods = cube_codes(history.col, history.row, history.doy)
+    return (history.site * N_SQUARES + squares) * N_PERIODS + periods, lambda code: (
+        history.site_ids[code // (N_SQUARES * N_PERIODS)],
+        code // N_PERIODS % N_SQUARES,
+        code % N_PERIODS,
+    )
 
 
 def _check_consecutive(consecutive: int) -> None:
@@ -255,6 +301,25 @@ class CubeCovarianceTable:
         raise SingularCovariance(f"no covariance history for site {site_id!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class PairedResiduals:
+    """(NIR, NDVI) prediction-error pairs: ``nir`` holds the contexts and
+    the NIR errors, ``ndvi`` the NDVI error of each entry."""
+
+    nir: ResidualHistory
+    ndvi: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.nir)
+
+    @classmethod
+    def from_records(cls, records: Iterable[PairedErrorRecord]) -> "PairedResiduals":
+        records = list(records)
+        nir = ResidualHistory.from_records(records, values=[r.eps_nir for r in records])
+        nir = replace(nir, doy=np.array([r.doy for r in records], dtype=np.int64))
+        return cls(nir, np.array([r.eps_ndvi for r in records], dtype=float))
+
+
 def _entry_from_pairs(nir: np.ndarray, ndvi: np.ndarray) -> CovarianceEntry:
     n = nir.size
     if n < 2:
@@ -264,32 +329,29 @@ def _entry_from_pairs(nir: np.ndarray, ndvi: np.ndarray) -> CovarianceEntry:
 
 
 def estimate_cube_covariances(
-    records: Iterable[PairedErrorRecord],
+    pairs: PairedResiduals | Iterable[PairedErrorRecord],
     min_cube_samples: int = MIN_CUBE_SAMPLES,
 ) -> CubeCovarianceTable:
-    """Pool historical error pairs per cube, per site-period, and per site."""
-    by_cube: dict[tuple[str, int, int], list[tuple[float, float]]] = {}
-    by_site_period: dict[tuple[str, int], list[tuple[float, float]]] = {}
-    by_site: dict[str, list[tuple[float, float]]] = {}
-    for rec in records:
-        square, period = cube_of(rec.col, rec.row, rec.doy)
-        pair = (rec.eps_nir, rec.eps_ndvi)
-        by_cube.setdefault((rec.site_id, square, period), []).append(pair)
-        by_site_period.setdefault((rec.site_id, period), []).append(pair)
-        by_site.setdefault(rec.site_id, []).append(pair)
+    """Pool historical error pairs per cube, per site-period, and per site.
 
-    def build(groups):
-        out = {}
-        for key, pairs in groups.items():
-            arr = np.asarray(pairs)
-            out[key] = _entry_from_pairs(arr[:, 0], arr[:, 1])
-        return out
-
+    Each pool is one stable sort by its integer key code; every key, in
+    order of first appearance, gets ``np.cov`` of its contiguous segment,
+    which holds the key's pairs in their original order.
+    """
+    if not isinstance(pairs, PairedResiduals):
+        pairs = PairedResiduals.from_records(pairs)
+    tables = []
+    for pool in ("cube", "site_period", "site"):
+        codes, key_of = pool_codes(pairs.nir, pool)
+        order = np.argsort(codes, kind="stable")
+        nir, ndvi = pairs.nir.value[order], pairs.ndvi[order]
+        tables.append({
+            key_of(code): _entry_from_pairs(nir[lo:hi], ndvi[lo:hi])
+            for code, lo, hi in segments(codes, order)
+        })
+    cubes, site_periods, sites = tables
     return CubeCovarianceTable(
-        cubes=build(by_cube),
-        site_periods=build(by_site_period),
-        sites=build(by_site),
-        min_cube_samples=min_cube_samples,
+        cubes=cubes, site_periods=site_periods, sites=sites, min_cube_samples=min_cube_samples
     )
 
 
@@ -386,12 +448,12 @@ def mahalanobis_series(
     """
     if not we.dates:
         return np.empty(0)
-    doys = [int(doy) for doy in we.doys]
-    periods = np.array([period_of(doy) for doy in doys])
+    n = len(we.dates)
+    squares, periods = cube_codes(np.full(n, col), np.full(n, row), we.doys.astype(np.int64))
     _, first, inverse = np.unique(periods, return_index=True, return_inverse=True)
-    sigmas = np.array(
-        [table.matrix_for(site_id, *cube_of(col, row, doys[i])) for i in first]
-    )
+    sigmas = np.array([
+        table.matrix_for(site_id, int(squares[i]), int(periods[i])) for i in first.tolist()
+    ])
     return _index_values(we.errors[Band.NIR], we.errors[Band.NDVI], sigmas[inverse])
 
 

@@ -22,13 +22,15 @@ from .core import (
     Band,
     CompactPixel,
     PixelSeries,
+    ResidualHistory,
     SeriesArrays,
     cadence_error,
+    distinct,
 )
 from .detection import (
     DetectionResult,
     DetectionRule,
-    PairedErrorRecord,
+    PairedResiduals,
     extract_errors_from_arrays,
     fill_index,
     rule_bands,
@@ -36,7 +38,7 @@ from .detection import (
 )
 from .errors import InsufficientData, NoModels, RankDeficient
 from .harmonic import MIN_OBS, HarmonicModel, fit_arrays, predict_many
-from .standardize import ErrorContext, ErrorRecord, Standardizer, transform
+from .standardize import Standardizer, transform_errors
 from .training import PixelTrainingData
 from .windows import PREDICT_EXTENSION_DAYS, DateInterval, WindowPair
 
@@ -183,15 +185,16 @@ def training_residuals(
     windows: Sequence[WindowPair],
     bands: Sequence[Band],
     site_id: str,
-) -> dict[Band, list[ErrorRecord]]:
+) -> dict[Band, ResidualHistory]:
     """In-sample residuals over the training windows, per band.
 
     Each observation contributes once, through the earliest window whose
-    training interval contains it.
+    training interval contains it. Entries come pixel by pixel, window by
+    window, in date order.
     """
     compact = _ensure_compact(pixels)
-    out: dict[Band, list[ErrorRecord]] = {band: [] for band in bands}
-    for cp in compact:
+    pieces: dict[Band, list] = {band: [] for band in bands}  # (pixel number, ordinals, errors)
+    for number, cp in enumerate(compact):
         a = cp.arrays
         used = np.zeros(a.ordinals.size, dtype=bool)
         for wp in windows:
@@ -216,87 +219,103 @@ def training_residuals(
                 if not idx.size:
                     continue
                 predicted = predict_many(model.coeff_array(), a.doys[idx].astype(float))
-                residuals = a.values[idx, col] - predicted
-                for k, value in zip(idx, residuals):
-                    out[band].append(
-                        ErrorRecord(
-                            pixel_id=cp.pixel_id,
-                            site_id=site_id,
-                            col=cp.col,
-                            row=cp.row,
-                            date=dt.date.fromordinal(int(a.comp_ordinals[k])),
-                            value=float(value),
-                        )
-                    )
+                pieces[band].append((number, a.comp_ordinals[idx], a.values[idx, col] - predicted))
             if claimed:
                 used[fresh] = True
-    return out
 
-
-def paired_residual_records(
-    histories: Mapping[Band, Sequence[ErrorRecord]]
-) -> list[PairedErrorRecord]:
-    """Join NIR and NDVI residual histories on (pixel, date)."""
-    ndvi_by_key = {
-        (r.pixel_id, r.date): r for r in histories.get(Band.NDVI, [])
-    }
-    pairs = []
-    for r in histories.get(Band.NIR, []):
-        other = ndvi_by_key.get((r.pixel_id, r.date))
-        if other is None:
-            continue
-        pairs.append(
-            PairedErrorRecord(
-                pixel_id=r.pixel_id,
-                site_id=r.site_id,
-                col=r.col,
-                row=r.row,
-                date=r.date,
-                doy=r.date.timetuple().tm_yday,
-                eps_nir=r.value,
-                eps_ndvi=other.value,
-            )
+    def history(band_pieces) -> ResidualHistory:
+        numbers = np.repeat(
+            np.array([number for number, _, _ in band_pieces], dtype=np.intp),
+            [ordinals.size for _, ordinals, _ in band_pieces],
         )
-    return pairs
+        return _site_history(
+            compact, site_id, numbers,
+            np.concatenate([o for _, o, _ in band_pieces]) if band_pieces else [],
+            np.concatenate([v for _, _, v in band_pieces]) if band_pieces else [],
+        )
+
+    return {band: history(pieces[band]) for band in bands}
+
+
+def _site_history(compact, site_id, numbers, ordinals, values) -> ResidualHistory:
+    """Errors of one site's pixels; ``numbers`` gives each entry's pixel
+    by its position in ``compact``."""
+    pixel_ids, codes = distinct([cp.pixel_id for cp in compact])
+    cols = np.array([cp.col for cp in compact], dtype=np.int64)
+    rows = np.array([cp.row for cp in compact], dtype=np.int64)
+    return ResidualHistory.build(
+        pixel_ids, (site_id,), codes[numbers], np.zeros(numbers.size),
+        cols[numbers], rows[numbers], ordinals, values,
+    )
+
+
+# Pixel codes and ordinals share one int64 key: ordinals stay below 2**32.
+_ORDINAL_SPAN = 1 << 32
+
+
+def paired_residual_records(histories: Mapping[Band, ResidualHistory]) -> PairedResiduals:
+    """Join NIR and NDVI residual histories on (pixel, composite date), in
+    NIR order; NIR entries without an NDVI partner are dropped."""
+    empty = ResidualHistory.concat([])
+    nir = histories.get(Band.NIR, empty)
+    ndvi = histories.get(Band.NDVI, empty)
+    nir_code = {pixel_id: k for k, pixel_id in enumerate(nir.pixel_ids)}
+    ndvi_pixel = np.array([nir_code.get(p, -1) for p in ndvi.pixel_ids], dtype=np.int64)
+    ndvi_keys = ndvi_pixel[ndvi.pixel] * _ORDINAL_SPAN + ndvi.ordinal
+    nir_keys = nir.pixel * _ORDINAL_SPAN + nir.ordinal
+    # stable, so the last of equal NDVI keys is found, as a dict keeps it
+    order = np.argsort(ndvi_keys, kind="stable")
+    ordered = ndvi_keys[order]
+    pos = np.searchsorted(ordered, nir_keys, side="right") - 1
+    found = pos >= 0
+    found[found] = ordered[pos[found]] == nir_keys[found]
+    matched = np.flatnonzero(found)
+    return PairedResiduals(nir.take(matched), ndvi.value[order[pos[matched]]])
 
 
 # --- detection --------------------------------------------------------------------
 
 
-def _pixel_errors(cp, models, windows, bands, site_id, standardizers=None):
-    """The pixel's errors in every window, each band transformed by its
-    standardizer if it has one; None when some window has no model."""
-    try:
-        wes = extract_errors_from_arrays(cp.pixel_id, cp.arrays, models, windows, bands)
-    except NoModels:
-        return None
-    if not standardizers:
-        return wes
-
-    def transformed(band, values, dates):
-        std = standardizers.get(band)
-        if std is None:
-            return values
-        return np.array([
-            transform(std, float(v), ErrorContext(cp.pixel_id, site_id, cp.col, cp.row, date))
-            for v, date in zip(values, dates)
-        ])
-
-    return [
-        replace(we, errors={b: transformed(b, v, we.composite_dates) for b, v in we.errors.items()})
-        for we in wes
-    ]
+def _pixel_errors(pixels, models_by_pixel, windows, bands, site_id, standardizers=None):
+    """Each pixel's errors in every window, or None when some window has
+    no model. Each band with a standardizer is transformed in one call
+    over all the pixels' errors."""
+    per_pixel = []
+    for cp in pixels:
+        models = models_by_pixel.get(cp.pixel_id, {})
+        try:
+            wes = extract_errors_from_arrays(cp.pixel_id, cp.arrays, models, windows, bands)
+        except NoModels:
+            wes = None
+        per_pixel.append(wes)
+    pieces = [(number, we) for number, wes in enumerate(per_pixel) if wes for we in wes]
+    if standardizers and pieces:
+        sizes = [len(we.composite_dates) for _, we in pieces]
+        contexts = _site_history(
+            pixels, site_id,
+            np.repeat(np.array([number for number, _ in pieces], dtype=np.intp), sizes),
+            [d.toordinal() for _, we in pieces for d in we.composite_dates], np.empty(sum(sizes)),
+        )
+        bounds = np.cumsum(sizes)[:-1]
+        for band, std in standardizers.items():
+            if band not in bands:
+                continue
+            values = np.concatenate([we.errors[band] for _, we in pieces])
+            standardized = transform_errors(std, replace(contexts, value=values))
+            for (_, we), part in zip(pieces, np.split(standardized, bounds)):
+                we.errors[band] = part
+    return per_pixel
 
 
 def _detect_chunk(args):
-    lo, hi, (windows, rule, site_id, standardizers) = args
-    compact, models_by_pixel = _SHARED["payload"]
-    bands = rule_bands(rule)
+    lo, hi, (windows, rule, site_id) = args
+    compact, models_by_pixel, standardizers = _SHARED["payload"]
+    chunk = compact[lo:hi]
     results = []
     skipped = []
-    for cp in compact[lo:hi]:
-        models = models_by_pixel.get(cp.pixel_id, {})
-        wes = _pixel_errors(cp, models, windows, bands, site_id, standardizers)
+    bands = rule_bands(rule)
+    per_pixel = _pixel_errors(chunk, models_by_pixel, windows, bands, site_id, standardizers)
+    for cp, wes in zip(chunk, per_pixel):
         if wes is None:
             skipped.append(cp.pixel_id)
             continue
@@ -318,11 +337,11 @@ def detect_pixels(
     """Apply one rule to every pixel; returns results plus skipped pixels
     (those missing a model for some window)."""
     compact = _ensure_compact(pixels)
-    static = (tuple(windows), rule, site_id, standardizers)
+    static = (tuple(windows), rule, site_id)
     results: list[DetectionResult] = []
     skipped: list[str] = []
     for chunk_results, chunk_skipped in _run_parallel(
-        _detect_chunk, (compact, fit.by_pixel()), len(compact), workers, static
+        _detect_chunk, (compact, fit.by_pixel(), standardizers), len(compact), workers, static
     ):
         results.extend(chunk_results)
         skipped.extend(chunk_skipped)
@@ -344,12 +363,10 @@ def build_training_dataset(
     """Labelled per-pixel error series for the optimizers. The Mahalanobis
     index is not filled here (see training.fill_dataset_index)."""
     compact = _ensure_compact(pixels)
-    models_by_pixel = fit.by_pixel()
     dataset = []
     skipped = []
-    for cp in compact:
-        models = models_by_pixel.get(cp.pixel_id, {})
-        wes = _pixel_errors(cp, models, windows, bands, site_id, standardizers)
+    per_pixel = _pixel_errors(compact, fit.by_pixel(), windows, bands, site_id, standardizers)
+    for cp, wes in zip(compact, per_pixel):
         if wes is None:
             skipped.append(cp.pixel_id)
             continue
@@ -449,7 +466,7 @@ def online_process_batch(
         )
         models, _ = _fit_window(cp, window.train, bands, min_obs)
         fitted.update(((cp.pixel_id, band), model) for band, model in models.items())
-        wes = _pixel_errors(cp, {0: models}, [window], bands, site_id)
+        (wes,) = _pixel_errors([cp], {cp.pixel_id: {0: models}}, [window], bands, site_id)
         if wes is None:
             continue
         fill_index(wes, rule, site_id, cp.col, cp.row)

@@ -1,0 +1,314 @@
+"""Per-record reference implementations of the residual-history chain.
+
+These are the scalar forms that ``cmfda.standardize``, ``cmfda.pipeline``
+and ``cmfda.detection`` replaced with array code: one ``ErrorRecord`` per
+residual, one dict lookup and one ``ErrorContext`` per standardized error,
+and the inverse normal CDF one float at a time. The tests compare the array
+code against them bit for bit.
+"""
+from __future__ import annotations
+
+import datetime as dt
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from cmfda.core import BAND_ORDER, CompactPixel, day_of_year
+from cmfda.detection import CovarianceEntry, CubeCovarianceTable, PairedErrorRecord
+from cmfda.errors import DegenerateHistory, EmptyHistory, EmptySample, OutOfDomain, OutOfRange
+from cmfda.harmonic import predict_many
+from cmfda.standardize import (
+    ECDF,
+    FALLBACK_LEVELS,
+    SCHEME_STAGES,
+    SD,
+    ErrorContext,
+    ErrorRecord,
+    KeyKind,
+)
+
+
+# --- keys --------------------------------------------------------------------
+
+
+def period_of(doy: int) -> int:
+    if not 1 <= doy <= 366:
+        raise OutOfRange(f"day of year {doy} outside 1..366")
+    return min((doy - 1) // 5, 72)
+
+
+def cube_of(col: int, row: int, doy: int) -> tuple[int, int]:
+    if not (0 <= col <= 24 and 0 <= row <= 24):
+        raise OutOfRange(f"grid position ({col}, {row}) outside 0..24")
+    return (row // 5) * 5 + (col // 5), period_of(doy)
+
+
+def key_for(kind: KeyKind, ctx: ErrorContext):
+    if kind is KeyKind.PIXEL:
+        return ctx.pixel_id
+    if kind is KeyKind.SITE:
+        return ctx.site_id
+    if kind is KeyKind.GLOBAL:
+        return None
+    period = period_of(day_of_year(ctx.date))
+    if kind is KeyKind.PERIOD:
+        return period
+    if kind is KeyKind.SITE_PERIOD:
+        return (ctx.site_id, period)
+    square, _ = cube_of(ctx.col, ctx.row, day_of_year(ctx.date))
+    return (ctx.site_id, square, period)
+
+
+# --- ecdf and inverse normal cdf ----------------------------------------------
+
+
+def ecdf_eval(sample: np.ndarray, x: float) -> float:
+    sample = np.asarray(sample)
+    n = sample.size
+    if n == 0:
+        raise EmptySample("ecdf evaluated on an empty sample")
+    rank = int(np.searchsorted(sample, x, side="right"))
+    return min(max(rank, 1), n) / (n + 1)
+
+
+_A = (
+    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
+)
+_B = (
+    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+    6.680131188771972e+01, -1.328068155288572e+01,
+)
+_C = (
+    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
+)
+_D = (
+    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+    3.754408661907416e+00,
+)
+_P_LOW = 0.02425
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _normal_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _icdf_lower_half(p: float) -> float:
+    a, b, c, d = _A, _B, _C, _D
+    if p < _P_LOW:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        )
+    else:
+        q = p - 0.5
+        r = q * q
+        x = (
+            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
+            * q
+            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+        )
+    err = _normal_cdf(x) - p
+    u = err * _SQRT_2PI * math.exp(0.5 * x * x)
+    return x - u / (1.0 + 0.5 * x * u)
+
+
+def inverse_normal_cdf(p: float) -> float:
+    if not 0.0 < p < 1.0:
+        raise OutOfDomain(f"probability {p} outside (0, 1)")
+    if p == 0.5:
+        return 0.0
+    if p > 0.5:
+        return -_icdf_lower_half(1.0 - p)
+    return _icdf_lower_half(p)
+
+
+# --- standardizer ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StageTables:
+    key_kind: KeyKind
+    transform_kind: str
+    sd_levels: tuple = ()
+    ecdf_levels: tuple = ()
+
+    def lookup_sd(self, ctx: ErrorContext) -> float:
+        for kind, table in self.sd_levels:
+            entry = table.get(key_for(kind, ctx))
+            if entry is not None and entry[1] >= 2 and entry[0] > 0:
+                return entry[0]
+        raise DegenerateHistory("no key with positive spread covers this context")
+
+    def lookup_sample(self, ctx: ErrorContext) -> np.ndarray:
+        for kind, table in self.ecdf_levels:
+            sample = table.get(key_for(kind, ctx))
+            if sample is not None and sample.size:
+                return sample
+        raise DegenerateHistory("no populated sample covers this context")
+
+    def apply(self, value: float, ctx: ErrorContext, final: bool) -> float:
+        if self.transform_kind == SD:
+            return value / self.lookup_sd(ctx)
+        p = ecdf_eval(self.lookup_sample(ctx), value)
+        if final:
+            return p - 0.5
+        return inverse_normal_cdf(p)
+
+
+def _fit_stage(key_kind, transform_kind, contexts, values) -> StageTables:
+    levels = FALLBACK_LEVELS[key_kind]
+    groups_per_level = []
+    for kind in levels:
+        groups: dict = {}
+        for ctx, value in zip(contexts, values):
+            groups.setdefault(key_for(kind, ctx), []).append(value)
+        groups_per_level.append(groups)
+    if transform_kind == SD:
+        sd_levels = tuple(
+            (
+                kind,
+                {
+                    key: (float(np.std(vals, ddof=1)) if len(vals) >= 2 else 0.0, len(vals))
+                    for key, vals in groups.items()
+                },
+            )
+            for kind, groups in zip(levels, groups_per_level)
+        )
+        global_sd, global_n = sd_levels[-1][1][None]
+        if global_n < 2 or global_sd <= 0:
+            raise DegenerateHistory("history has no spread; cannot standardize by sd")
+        return StageTables(key_kind, SD, sd_levels=sd_levels)
+    ecdf_levels = tuple(
+        (kind, {key: np.sort(np.asarray(vals)) for key, vals in groups.items()})
+        for kind, groups in zip(levels, groups_per_level)
+    )
+    return StageTables(key_kind, ECDF, ecdf_levels=ecdf_levels)
+
+
+def fit_standardizer(records, scheme) -> tuple[StageTables, ...]:
+    records = list(records)
+    if not records:
+        raise EmptyHistory("cannot fit a standardizer on an empty history")
+    contexts = [ErrorContext(r.pixel_id, r.site_id, r.col, r.row, r.date) for r in records]
+    values = np.array([r.value for r in records], dtype=float)
+    specs = SCHEME_STAGES[scheme]
+    stages = []
+    for i, (key_kind, transform_kind) in enumerate(specs):
+        stage = _fit_stage(key_kind, transform_kind, contexts, values)
+        stages.append(stage)
+        if i + 1 < len(specs):
+            values = np.array(
+                [stage.apply(v, ctx, final=False) for v, ctx in zip(values, contexts)]
+            )
+    return tuple(stages)
+
+
+def transform(stages, eps: float, ctx: ErrorContext) -> float:
+    value = eps
+    last = len(stages) - 1
+    for i, stage in enumerate(stages):
+        value = stage.apply(value, ctx, final=(i == last))
+    return value
+
+
+# --- residual histories and cube covariances ------------------------------------
+
+
+def training_residuals(pixels: list[CompactPixel], fit, windows, bands, site_id):
+    out = {band: [] for band in bands}
+    for cp in pixels:
+        a = cp.arrays
+        used = np.zeros(a.ordinals.size, dtype=bool)
+        for wp in windows:
+            table = fit.models.get(wp.index, {})
+            in_window = (
+                a.clear
+                & ~used
+                & (a.ordinals >= wp.train.start.toordinal())
+                & (a.ordinals <= wp.train.end.toordinal())
+            )
+            fresh = np.flatnonzero(in_window)
+            if not fresh.size:
+                continue
+            claimed = False
+            for band in bands:
+                model = table.get((cp.pixel_id, band))
+                if model is None:
+                    continue
+                claimed = True
+                col = BAND_ORDER.index(band)
+                idx = fresh[~np.isnan(a.values[fresh, col])]
+                if not idx.size:
+                    continue
+                predicted = predict_many(model.coeff_array(), a.doys[idx].astype(float))
+                residuals = a.values[idx, col] - predicted
+                for k, value in zip(idx, residuals):
+                    out[band].append(
+                        ErrorRecord(
+                            pixel_id=cp.pixel_id,
+                            site_id=site_id,
+                            col=cp.col,
+                            row=cp.row,
+                            date=dt.date.fromordinal(int(a.comp_ordinals[k])),
+                            value=float(value),
+                        )
+                    )
+            if claimed:
+                used[fresh] = True
+    return out
+
+
+def paired_residual_records(histories) -> list[PairedErrorRecord]:
+    from cmfda.core import Band
+
+    ndvi_by_key = {(r.pixel_id, r.date): r for r in histories.get(Band.NDVI, [])}
+    pairs = []
+    for r in histories.get(Band.NIR, []):
+        other = ndvi_by_key.get((r.pixel_id, r.date))
+        if other is None:
+            continue
+        pairs.append(
+            PairedErrorRecord(
+                pixel_id=r.pixel_id, site_id=r.site_id, col=r.col, row=r.row, date=r.date,
+                doy=r.date.timetuple().tm_yday, eps_nir=r.value, eps_ndvi=other.value,
+            )
+        )
+    return pairs
+
+
+def _entry_from_pairs(nir: np.ndarray, ndvi: np.ndarray) -> CovarianceEntry:
+    n = nir.size
+    if n < 2:
+        return CovarianceEntry(0.0, 0.0, 0.0, n)
+    cov = np.cov(nir, ndvi, ddof=1)
+    return CovarianceEntry(float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]), n)
+
+
+def estimate_cube_covariances(records, min_cube_samples: int = 10) -> CubeCovarianceTable:
+    by_cube: dict = {}
+    by_site_period: dict = {}
+    by_site: dict = {}
+    for rec in records:
+        square, period = cube_of(rec.col, rec.row, rec.doy)
+        pair = (rec.eps_nir, rec.eps_ndvi)
+        by_cube.setdefault((rec.site_id, square, period), []).append(pair)
+        by_site_period.setdefault((rec.site_id, period), []).append(pair)
+        by_site.setdefault(rec.site_id, []).append(pair)
+
+    def build(groups):
+        out = {}
+        for key, pairs in groups.items():
+            arr = np.asarray(pairs)
+            out[key] = _entry_from_pairs(arr[:, 0], arr[:, 1])
+        return out
+
+    return CubeCovarianceTable(
+        cubes=build(by_cube),
+        site_periods=build(by_site_period),
+        sites=build(by_site),
+        min_cube_samples=min_cube_samples,
+    )

@@ -36,7 +36,8 @@ from cmfda.dataio import (
     write_labels,
     write_series,
 )
-from cmfda.core import DeforestationLabel
+from cmfda.core import Band, DeforestationLabel
+from cmfda.standardize import KeyKind, Scheme
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +406,48 @@ def test_standardize_command(sim_dir, models_dir, tmp_path):
         ]
     )
     assert code == EXIT_OK
+
+
+def test_standardize_reports_fallback_levels(tmp_path, capsys):
+    """The summary counts, per stage, the history's keys that each fallback
+    level served; on 12 pixels over one window most cubes are too sparse."""
+    import scalar_oracle as oracle
+    from cmfda.cli import _load_model_dir
+    from test_pipeline import one_year_scenario
+
+    pixels, _ = one_year_scenario(seed=21, n_events=6)
+    series = tmp_path / "series.csv"
+    write_series(series, {"mini": pixels[:12]})
+    models = tmp_path / "models"
+    assert main([
+        "fit", "--series", str(series), "--out", str(models), "--windows", "2003:1",
+        "--bands", "nir", "--threads", "1",
+    ]) == EXIT_OK
+    capsys.readouterr()
+    for scheme, served in (
+        ("4c", "; stage 1 cube sd keys served by cube=109 site_period=152 site=0 global=0"),
+        ("III.1", "; stage 1 site_period ecdf keys served by site_period=73 period=0 global=0"
+                  "; stage 2 pixel sd keys served by pixel=12 site=0 global=0"),
+    ):
+        assert main([
+            "standardize", "--series", str(series), "--models", str(models),
+            f"--scheme={scheme}", "--band", "nir", "--out", str(tmp_path / "std.csv"),
+        ]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(f"490 history records{served}\n")
+    # the 4c counts, from the per-record tables
+    (site_id, compact), = read_series_arrays(series).items()
+    windows, fit = _load_model_dir(str(models))
+    records = oracle.training_residuals(compact, fit, windows, (Band.NIR,), site_id)[Band.NIR]
+    (stage,) = oracle.fit_standardizer(records, Scheme.CUBE_SD)
+    served_by = {}
+    for r in records:
+        key = oracle.key_for(KeyKind.CUBE, r)
+        for kind, table in stage.sd_levels:
+            sd, n = table.get(oracle.key_for(kind, r), (0.0, 0))
+            if n >= 2 and sd > 0:
+                served_by.setdefault(key, kind)
+                break
+    assert [list(served_by.values()).count(kind) for kind, _ in stage.sd_levels] == [109, 152, 0, 0]
 
 
 def test_train_multivariate_and_mahalanobis(sim_dir, tmp_path):

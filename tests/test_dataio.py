@@ -429,6 +429,61 @@ def test_covariances_round_trip(tmp_path, rng):
     )
 
 
+def _covariance_file(tmp_path, rng):
+    records = [
+        PairedErrorRecord(
+            "p", site, int(rng.integers(0, 25)), int(rng.integers(0, 25)),
+            dt.date(2005, 1, 1), int(rng.integers(1, 367)),
+            float(rng.normal(0, 0.02)), float(rng.normal(0, 0.03)),
+        )
+        for site in ("s", "t") for _ in range(200)
+    ]
+    path = tmp_path / "cov.csv"
+    save_covariances(path, estimate_cube_covariances(records))
+    return path, path.read_text().split("\n")
+
+
+def test_covariances_load_every_entry_in_file_order(tmp_path, rng):
+    path, lines = _covariance_file(tmp_path, rng)
+    loaded = load_covariances(path)
+    rows = [line.split(",") for line in lines[2:] if line]
+    assert [row[0] for row in rows] == (
+        ["cube"] * len(loaded.cubes) + ["site_period"] * len(loaded.site_periods)
+        + ["site"] * len(loaded.sites)
+    )
+    keys = [*loaded.cubes, *loaded.site_periods, *loaded.sites]
+    assert keys == [
+        (site, int(square), int(period)) if level == "cube"
+        else (site, int(period)) if level == "site_period" else site
+        for level, site, square, period, *_ in rows
+    ]
+    entries = [*loaded.cubes.values(), *loaded.site_periods.values(), *loaded.sites.values()]
+    assert [(e.var_nir, e.cov, e.var_ndvi, e.n) for e in entries] == [
+        (float(a), float(b), float(c), int(n)) for *_, a, b, c, n in rows
+    ]
+    assert all(type(e.var_nir) is float and type(e.n) is int for e in entries)
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda row: ",".join(row.split(",")[:5] + ["abc"] + row.split(",")[6:]), 7,
+     "bad real in column 'cov': 'abc'"),
+    (lambda row: "cubes" + row[4:], 9, "unknown level 'cubes'"),
+    (lambda row: row.rsplit(",", 1)[0], 5, "expected 8 fields, got 7"),
+    (lambda row: row.rsplit(",", 1)[0] + ",2.5", 4, "bad integer in column 'n': '2.5'"),
+], ids=["bad-real", "bad-level", "short-row", "bad-count"])
+def test_covariances_bad_row(tmp_path, rng, edit, line, message):
+    """A bad row is reported with its line and its first failing check,
+    even when a later row is bad too."""
+    path, lines = _covariance_file(tmp_path, rng)
+    lines[line - 1] = edit(lines[line - 1])
+    lines[line + 3] = "bogus," + lines[line + 3].split(",", 1)[1]
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_covariances(path)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {path}: {message}"
+
+
 # --- detections and reports ------------------------------------------------------------
 
 

@@ -127,13 +127,13 @@ def test_training_residuals_and_pairs(scenario):
     fit_result = fit_pixels(pixels[:10], windows, (Band.NIR, Band.NDVI))
     histories = training_residuals(pixels[:10], fit_result, windows, (Band.NIR, Band.NDVI), "mini")
     assert set(histories) == {Band.NIR, Band.NDVI}
-    for band, records in histories.items():
-        assert records
+    for band, history in histories.items():
+        assert history
         # residuals of an OLS fit over its own training window center on zero
-        values = np.array([r.value for r in records])
-        assert abs(values.mean()) < 0.01
-        for r in records[:50]:
-            assert windows[0].train.start <= r.date <= windows[0].train.end + dt.timedelta(days=15)
+        assert abs(history.value.mean()) < 0.01
+        for ordinal in history.ordinal[:50]:
+            date = dt.date.fromordinal(int(ordinal))
+            assert windows[0].train.start <= date <= windows[0].train.end + dt.timedelta(days=15)
     pairs = paired_residual_records(histories)
     assert pairs and len(pairs) == len(histories[Band.NIR])
 
