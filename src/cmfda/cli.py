@@ -146,6 +146,19 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+THREADS_HELP = (
+    "threads over pixel slices of %d pixels; a smaller site runs on one "
+    "(default: the CPU count)" % pipeline.SLICE_PIXELS
+)
+
+
+def _thread_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise UsageError(f"--threads must be at least 1, got {n}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -202,7 +215,7 @@ def build_parser(config: Optional[dict[str, str]] = None) -> _Parser:
     add(p, "--windows", default=DEFAULT_WINDOWS)
     add(p, "--bands", default=",".join(b.name.lower() for b in BAND_ORDER))
     add(p, "--min-obs", type=int, default=None)
-    add(p, "--threads", type=int, default=None)
+    add(p, "--threads", type=_thread_count, default=None, help=THREADS_HELP)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("detect", help="apply a fixed rule to a series")
@@ -212,7 +225,7 @@ def build_parser(config: Optional[dict[str, str]] = None) -> _Parser:
     add_rule_flags(p)
     add(p, "--standardizer", action="append", default=None,
         help="fitted standardizer file (repeat per band)")
-    add(p, "--threads", type=int, default=None)
+    add(p, "--threads", type=_thread_count, default=None, help=THREADS_HELP)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("train", help="optimize thresholds against labels")
@@ -231,7 +244,7 @@ def build_parser(config: Optional[dict[str, str]] = None) -> _Parser:
     add(p, "--anneal-iters", type=int, default=None, help="total annealing steps")
     add(p, "--sweep-fixed", action="store_true",
         help="also sweep the C=3 optimum across C=2..6")
-    add(p, "--threads", type=int, default=None)
+    add(p, "--threads", type=_thread_count, default=None, help=THREADS_HELP)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("standardize", help="fit and save a standardizer")
@@ -265,8 +278,7 @@ def build_parser(config: Optional[dict[str, str]] = None) -> _Parser:
 
 
 def _threads(args) -> int:
-    n = getattr(args, "threads", None)
-    return n if n and n > 0 else pipeline.default_workers()
+    return args.threads or pipeline.default_workers()
 
 
 def _load_model_dir(models_dir: str):

@@ -190,7 +190,7 @@ class SeriesArrays(NamedTuple):
 
 @dataclass
 class CompactPixel:
-    """Pickle-friendly form of one pixel series."""
+    """One pixel series as arrays, the form fitting and detection read."""
 
     pixel_id: str
     col: int

@@ -15,7 +15,7 @@ import io
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .errors import (
     SchemaVersionMismatch,
     ShapeMismatch,
 )
-from .harmonic import HarmonicModel, design_matrix
+from .harmonic import N_COEFFS, HarmonicModel, design_matrix
 from .standardize import (
     ECDF,
     KeyKind,
@@ -235,18 +235,19 @@ def write_series_arrays(path, sites: Mapping[str, Sequence[CompactPixel]], base=
 _CHUNK_ROWS = 1024
 
 
-def _table_chunks(path, kind: str, names: Sequence[str], meta: Optional[dict] = None):
+def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Callable] = None):
     """Yield a table file's data rows, split by ``csv.reader``, in chunks.
 
     Each chunk is (line numbers of its non-blank rows, its columns over the
     rows before the first with the wrong field count, that row's field
-    count or None). A chunk with such a row is the last. The header's
-    key=value pairs go into ``meta`` when it is given.
+    count or None). A chunk with such a row is the last. ``on_header``,
+    when given, gets the header's key=value pairs before the column names
+    are checked.
     """
     with open(path, newline="") as fh:
         header = _read_header(fh, kind, path)
-        if meta is not None:
-            meta.update(header)
+        if on_header is not None:
+            on_header(header)
         rows = csv.reader(fh)
         _check_column_names(next(rows, None), names, path)
         width = len(names)
@@ -647,34 +648,58 @@ def save_models(
             )
 
 
+_BANDS = {int(band): band for band in Band}
+
+
 def load_models(path) -> tuple[DateInterval, dict[tuple[str, Band], HarmonicModel]]:
-    with open(path, newline="") as fh:
-        meta = _read_header(fh, "models", path)
+    """Parse a model file column by column. A fault is reported as a
+    row-by-row reading would meet it: the first bad row, and its first
+    failing check (band, a0..a4, then n_obs)."""
+    windows = []
+
+    def read_window(meta):
         try:
-            window = DateInterval(
+            windows.append(DateInterval(
                 dt.date.fromisoformat(meta["train_start"]),
                 dt.date.fromisoformat(meta["train_end"]),
-            )
+            ))
         except (KeyError, ValueError):
             raise ParseError(f"{path}: header lacks a valid training window", line=1) from None
-        models = {}
-        for line, row in _rows(fh, MODEL_COLUMNS, path):
-            code = _parse_int(row["band"], "band", line, path)
-            try:
-                band = Band(code)
-            except ValueError:
-                raise ParseError(f"{path}: unknown band code {code}", line=line) from None
-            coeffs = tuple(
-                _parse_float(row[f"a{k}"], f"a{k}", line, path) for k in range(5)
+
+    models = {}
+    caches: dict[str, dict] = {"band": {}, "n_obs": {}}
+    for lines, columns, bad_width in _table_chunks(path, "models", MODEL_COLUMNS, read_window):
+        n = len(columns["pixel_id"])
+        codes, code_rows = _parse_distinct(columns["band"], int, caches["band"])
+        bands = [None if code is None else _BANDS.get(code) for code in codes]
+        reals = [_parse_reals(columns[f"a{k}"]) for k in range(N_COEFFS)]
+        counts, count_rows = _parse_distinct(columns["n_obs"], int, caches["n_obs"])
+
+        def text_error(parse, column):
+            return lambda k: parse(columns[column][k], column, lines[k], path)
+
+        def unknown_band(k):
+            raise ParseError(f"{path}: unknown band code {codes[code_rows[k]]}", line=lines[k])
+
+        _raise_first_failure([
+            (_gather([code is None for code in codes], code_rows, bool), text_error(_parse_int, "band")),
+            (_gather([band is None for band in bands], code_rows, bool), unknown_band),
+            *((bad, text_error(_parse_float, f"a{k}")) for k, (_, bad) in enumerate(reals)),
+            (_gather([c is None for c in counts], count_rows, bool), text_error(_parse_int, "n_obs")),
+        ], n)
+        train = (windows[0].start, windows[0].end)
+        for pixel_id, band, coeffs, n_obs in zip(
+            columns["pixel_id"],
+            np.array(bands, dtype=object)[code_rows].tolist(),
+            map(tuple, np.column_stack([v for v, _ in reals]).tolist()),
+            np.array(counts, dtype=object)[count_rows].tolist(),
+        ):
+            models[(pixel_id, band)] = HarmonicModel(band, pixel_id, coeffs, train, n_obs)
+        if bad_width is not None:
+            raise ParseError(
+                f"{path}: expected {len(MODEL_COLUMNS)} fields, got {bad_width}", line=lines[n]
             )
-            models[(row["pixel_id"], band)] = HarmonicModel(
-                band=band,
-                pixel_id=row["pixel_id"],
-                coeffs=coeffs,
-                train_window=(window.start, window.end),
-                n_obs=_parse_int(row["n_obs"], "n_obs", line, path),
-            )
-    return window, models
+    return windows[0], models
 
 
 # --- standardizer files ----------------------------------------------------------
@@ -820,7 +845,9 @@ def load_covariances(path) -> "CubeCovarianceTable":
     meta: dict = {}
     tables: dict[str, dict] = {"cube": {}, "site_period": {}, "site": {}}
     caches: dict[str, dict] = {"n": {}, "square": {}, "period": {}}
-    for lines, columns, bad_width in _table_chunks(path, "covariances", COVARIANCE_COLUMNS, meta):
+    for lines, columns, bad_width in _table_chunks(
+        path, "covariances", COVARIANCE_COLUMNS, meta.update
+    ):
         levels = np.array(columns["level"], dtype=object)
         n = levels.size
         is_cube = levels == "cube"

@@ -417,7 +417,7 @@ def extract_errors_from_arrays(
             & (ordinals <= wp.predict_year.end.toordinal()),
         )
         for band, col in zip(bands, band_cols):
-            predicted = predict_many(band_models[band].coeff_array(), we.doys)
+            predicted = predict_many(band_models[band].coeff_array(), arrays.doys[idx])
             we.errors[band] = arrays.values[idx, col] - predicted
         out.append(we)
     return out

@@ -6,13 +6,16 @@ The seasonal signal of one band at one pixel is modelled as
                   + a2*cos(4*pi*d/366) + b2*sin(4*pi*d/366)
 
 where d is the composite day of the year. Coefficients are fitted by
-ordinary least squares over the clear observations of a training window.
+ordinary least squares over the clear observations of a training window:
+fit_batch fits many (pixel, band) series in one call, fit_arrays one.
 """
 from __future__ import annotations
 
 import datetime as dt
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .core import Band, Observation, PixelSeries, YEAR_DAYS, is_clear
@@ -49,7 +52,19 @@ def design_matrix(doys: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+# Composite days are integers, so every design row comes from one table.
+_DESIGN_ROWS = design_matrix(np.arange(1, YEAR_DAYS + 1))
+
+
+def design_rows(doys: np.ndarray) -> np.ndarray:
+    """Design rows of integer composite days: shape ``doys.shape + (5,)``."""
+    doys = np.asarray(doys)
+    if doys.size and (doys.min() < 1 or doys.max() > YEAR_DAYS):
+        raise OutOfRangeDay(f"day of year outside 1..{YEAR_DAYS}")
+    return _DESIGN_ROWS[doys - 1]
+
+
+@dataclass(frozen=True, slots=True)
 class HarmonicModel:
     """Fitted coefficients for one (pixel, band) over one training window."""
 
@@ -104,6 +119,102 @@ def fit_arrays(
     )
 
 
+# Status of one fit in a BatchFit: FIT_OK, or k + 1 for the failure
+# FIT_FAILURES[k] that fit_arrays would raise.
+FIT_OK = 0
+FIT_FAILURES = (InsufficientData, RankDeficient)
+_INSUFFICIENT = 1 + FIT_FAILURES.index(InsufficientData)
+_RANK_DEFICIENT = 1 + FIT_FAILURES.index(RankDeficient)
+
+
+class BatchFit(NamedTuple):
+    """The fits of one fit_batch call, per (group, band)."""
+
+    coeffs: np.ndarray   # (n, b, 5); NaN where the fit failed
+    n_obs: np.ndarray    # (n, b)
+    status: np.ndarray   # (n, b) int8
+
+
+# Date columns per block of fit_batch. A two-year window holds at most 46
+# dates, so its fits take one block.
+FIT_WIDTH = 48
+
+# Groups per Gram product in fit_batch; keeps its Z under 1 MB.
+_GROUP_CHUNK = 64
+
+
+def fit_batch(
+    design: np.ndarray, values: np.ndarray, mask: np.ndarray, *, min_obs: int = MIN_OBS
+) -> BatchFit:
+    """OLS fits of many series at once, with the checks of fit_arrays.
+
+    A group is one pixel's dates in one training window: ``design`` (n, w,
+    5) holds their design rows, ``values`` (n, w, b) their values in b
+    bands and ``mask`` (n, w, b) the dates each band's fit uses.
+
+    Each fit's normal equations come from one Gram matrix Z Zᵀ (_gram).
+    It has the same shape for every fit, and blocks of a longer w are added
+    in order, so a fit's sums do not depend on the other groups or on w.
+    Then come the ``min_obs`` check, one batched ``eigvalsh`` condition
+    check and batched Cholesky solves: each distinct normal matrix is
+    factored and its factor inverted once, and bands of a group with equal
+    normal matrices share them.
+    """
+    n, width, n_bands = mask.shape
+    fits = n * n_bands
+    gram = np.empty((n, n_bands, N_COEFFS + 1, N_COEFFS + 1))
+    for lo in range(0, n, _GROUP_CHUNK):
+        part = slice(lo, lo + _GROUP_CHUNK)
+        gram[part] = _gram(design[part], values[part], mask[part])
+    ata = gram[:, :, :N_COEFFS, :N_COEFFS].reshape(n, n_bands, N_COEFFS * N_COEFFS)
+    aty = gram[:, :, :N_COEFFS, N_COEFFS].reshape(fits, N_COEFFS, 1)
+
+    n_obs = mask.sum(axis=1)
+    status = np.where(n_obs < min_obs, _INSUFFICIENT, FIT_OK).astype(np.int8).reshape(-1)
+    index = np.arange(fits).reshape(n, n_bands)
+    shared = (ata == ata[:, :1]).all(axis=-1)
+    source = np.where(shared, index[:, :1], index).reshape(-1)
+    ata = ata.reshape(fits, N_COEFFS, N_COEFFS)
+    own = np.flatnonzero((source == index.reshape(-1)) & (status == FIT_OK))
+    if own.size:
+        eigs = np.linalg.eigvalsh(ata[own])
+        singular = ~(eigs[:, 0] > 0)
+        singular[~singular] = eigs[~singular, 0] / eigs[~singular, -1] < RCOND_MIN
+        status[own[singular]] = _RANK_DEFICIENT
+        own = own[~singular]
+    status = status[source]     # equal matrices: equal n_obs, equal outcome
+    coeffs = np.full((fits, N_COEFFS), np.nan)
+    fitted = np.flatnonzero(status == FIT_OK)
+    if fitted.size:
+        # A = L Lᵀ, so the coefficients are L⁻ᵀ (L⁻¹ Aᵀy)
+        factor_row = np.empty(fits, dtype=np.intp)
+        factor_row[own] = np.arange(own.size)
+        inverse = np.linalg.inv(np.linalg.cholesky(ata[own]))[factor_row[source[fitted]]]
+        coeffs[fitted] = (np.swapaxes(inverse, 1, 2) @ (inverse @ aty[fitted]))[:, :, 0]
+    return BatchFit(coeffs.reshape(n, n_bands, N_COEFFS), n_obs, status.reshape(n, n_bands))
+
+
+def _gram(design: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Z Zᵀ (n, b, 6, 6) for each fit of a few groups: the rows of Z (6,
+    FIT_WIDTH) are the design columns and the values, zero on the dates
+    the fit does not use, so Z Zᵀ holds AᵀA and Aᵀy."""
+    n, width, n_bands = mask.shape
+    gram = np.zeros((n, n_bands, N_COEFFS + 1, N_COEFFS + 1))
+    z = np.empty((n, n_bands, N_COEFFS + 1, FIT_WIDTH))
+    for lo in range(0, width, FIT_WIDTH):
+        span = min(FIT_WIDTH, width - lo)
+        used = np.moveaxis(mask[:, lo:lo + span], 1, 2)
+        np.multiply(
+            np.moveaxis(design[:, lo:lo + span], 1, 2)[:, None],
+            used[:, :, None],
+            out=z[:, :, :N_COEFFS, :span],
+        )
+        z[:, :, N_COEFFS, :span] = np.where(used, np.moveaxis(values[:, lo:lo + span], 1, 2), 0.0)
+        z[:, :, :, span:] = 0.0
+        gram += z @ np.swapaxes(z, 2, 3)
+    return gram
+
+
 def fit(
     series: PixelSeries,
     band: Band,
@@ -137,7 +248,11 @@ def predict(model: HarmonicModel, doy: int) -> float:
 
 
 def predict_many(coeffs: np.ndarray, doys: np.ndarray) -> np.ndarray:
-    return design_matrix(doys) @ np.asarray(coeffs)
+    """Predictions at many composite days; integer days read the design
+    table, which holds the same values design_matrix computes."""
+    doys = np.asarray(doys)
+    design = design_rows(doys) if np.issubdtype(doys.dtype, np.integer) else design_matrix(doys)
+    return design @ np.asarray(coeffs)
 
 
 def residual(model: HarmonicModel, obs: Observation, band: Band) -> float:

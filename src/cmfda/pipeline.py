@@ -1,18 +1,21 @@
-"""Site-scale orchestration: parallel fitting and detection, residual
+"""Site-scale orchestration: batched fitting and detection, residual
 histories for standardizers and cube covariances, training datasets, and
 the online monitoring loop.
 
-Work is distributed over pixels with a process pool; every worker input is
-a compact numpy bundle, so nothing mutable is shared.
+Fitting and detection cut the pixels into fixed-size slices. One slice
+runs inline; several run on a pool of threads, which overlap wherever
+NumPy releases the GIL. A slice reads only its own pixels and builds its
+own results, so nothing mutable is shared.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
-import multiprocessing
+import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,8 +39,18 @@ from .detection import (
     rule_bands,
     scan_window_errors,
 )
-from .errors import InsufficientData, NoModels, RankDeficient
-from .harmonic import MIN_OBS, HarmonicModel, fit_arrays, predict_many
+from .errors import NoModels
+from .harmonic import (  # noqa: F401  (fit_arrays stays importable here for the tracer)
+    FIT_FAILURES,
+    FIT_OK,
+    MIN_OBS,
+    BatchFit,
+    HarmonicModel,
+    design_rows,
+    fit_arrays,
+    fit_batch,
+    predict_many,
+)
 from .standardize import Standardizer, transform_errors
 from .training import PixelTrainingData
 from .windows import PREDICT_EXTENSION_DAYS, DateInterval, WindowPair
@@ -51,32 +64,31 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-# Payload shared with forked workers: set in the parent immediately before
-# the pool is created, inherited copy-on-write, so nothing is pickled per
-# task except index ranges and small results.
-_SHARED: dict = {}
+# Pixels per slice of fit and detect work. A slice's arrays take a few MB,
+# and a site of up to this many pixels runs inline, on no extra thread.
+SLICE_PIXELS = 256
 
 
-def _ranges(n_items: int, workers: int) -> list[tuple[int, int]]:
-    n_chunks = max(1, min(n_items, workers))
-    size = (n_items + n_chunks - 1) // n_chunks
-    return [(lo, min(lo + size, n_items)) for lo in range(0, n_items, size)]
+def _run_slices(body, pixels: Sequence, workers: int, *args) -> list:
+    """``body(slice, *args)`` for each slice of the pixels, in order: inline
+    when there is one slice or one thread to run them, else on threads, at
+    most ``workers`` and one per CPU this process may use."""
+    slices = [pixels[lo:lo + SLICE_PIXELS] for lo in range(0, len(pixels), SLICE_PIXELS)]
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    threads = min(workers, len(slices), len(cpus) or default_workers())
+    if threads <= 1:
+        return [body(piece, *args) for piece in slices]
+    started = itertools.count()
 
+    def pin():
+        # Threads that pass the GIL back and forth tend to be woken on one
+        # CPU while the others idle; each worker keeps a CPU of its own.
+        if cpus:
+            with contextlib.suppress(OSError):   # pinning is refused: run unpinned
+                os.sched_setaffinity(0, {cpus[next(started) % len(cpus)]})
 
-def _run_parallel(worker, payload, n_items: int, workers: int, static):
-    _SHARED["payload"] = payload
-    try:
-        if workers <= 1 or n_items <= 1:
-            return [worker((0, n_items, static))]
-        args = [(lo, hi, static) for lo, hi in _ranges(n_items, workers)]
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            return [worker(a) for a in args]
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            return list(pool.map(worker, args))
-    finally:
-        _SHARED.pop("payload", None)
+    with ThreadPoolExecutor(max_workers=threads, initializer=pin) as pool:
+        return list(pool.map(lambda piece: body(piece, *args), slices))
 
 
 # --- fitting ------------------------------------------------------------------
@@ -106,49 +118,79 @@ class FitResult:
         return out
 
 
-def _fit_window(
-    cp: CompactPixel, train: DateInterval, bands: Sequence[Band], min_obs: int
-) -> tuple[dict[Band, HarmonicModel], list[tuple[Band, str]]]:
-    """Fit each band of one pixel on that band's clear, non-fill dates
-    inside the training interval; returns the models and the (band, reason)
-    of each fit that failed."""
-    a = cp.arrays
-    in_window = (
-        a.clear
-        & (a.ordinals >= train.start.toordinal())
-        & (a.ordinals <= train.end.toordinal())
+class _Stack(NamedTuple):
+    """A slice's series as (pixel, date) arrays, padded at the end to the
+    longest: a padding date is not clear and has doy 1."""
+
+    ordinals: np.ndarray
+    doys: np.ndarray
+    clear: np.ndarray
+    values: np.ndarray      # (pixel, date, 6), NaN where missing
+
+
+def _stack(pixels: Sequence[CompactPixel]) -> _Stack:
+    lengths = {cp.arrays.ordinals.size for cp in pixels}
+    if len(lengths) == 1:
+        return _Stack(*(
+            np.stack([getattr(cp.arrays, name) for cp in pixels])
+            for name in ("ordinals", "doys", "clear", "values")
+        ))
+    n, length = len(pixels), max(lengths, default=0)
+    stack = _Stack(
+        np.zeros((n, length), dtype=np.int64),
+        np.ones((n, length), dtype=np.int32),
+        np.zeros((n, length), dtype=bool),
+        np.full((n, length, len(BAND_ORDER)), np.nan),
     )
-    models: dict[Band, HarmonicModel] = {}
-    failed = []
-    for band in bands:
-        col = BAND_ORDER.index(band)
-        mask = in_window & ~np.isnan(a.values[:, col])
-        try:
-            models[band] = fit_arrays(
-                a.doys[mask].astype(float),
-                a.values[mask, col],
-                band=band,
-                pixel_id=cp.pixel_id,
-                train_window=(train.start, train.end),
-                min_obs=min_obs,
-            )
-        except (InsufficientData, RankDeficient) as exc:
-            failed.append((band, exc.__class__.__name__))
-    return models, failed
+    for k, cp in enumerate(pixels):
+        a = cp.arrays
+        m = a.ordinals.size
+        stack.ordinals[k, :m] = a.ordinals
+        stack.doys[k, :m] = a.doys
+        stack.clear[k, :m] = a.clear
+        stack.values[k, :m] = a.values
+    return stack
 
 
-def _fit_chunk(args):
-    lo, hi, (windows, bands, min_obs) = args
-    models = []     # (window_index, model)
-    skipped = []
-    for cp in _SHARED["payload"][lo:hi]:
-        for wp in windows:
-            fitted, failed = _fit_window(cp, wp.train, bands, min_obs)
-            models.extend((wp.index, model) for model in fitted.values())
-            skipped.extend(
-                SkipRecord(cp.pixel_id, wp.index, band, reason) for band, reason in failed
-            )
-    return models, skipped
+def _fit_spans(stack: _Stack, first, last, bands: Sequence[Band], min_obs: int) -> BatchFit:
+    """One fit_batch call with a group per pixel: its bands on their clear,
+    non-fill dates from ordinal ``first`` to ``last`` (scalars, or one per
+    pixel as (n, 1) arrays), with those dates moved to the front."""
+    inside = stack.clear & (stack.ordinals >= first) & (stack.ordinals <= last)
+    counts = inside.sum(axis=1)
+    rows = np.argsort(~inside, axis=1, kind="stable")[:, : counts.max(initial=0)]
+    used = np.arange(rows.shape[1]) < counts[:, None]
+    values = np.take_along_axis(
+        stack.values[:, :, [BAND_ORDER.index(band) for band in bands]], rows[:, :, None], axis=1
+    )
+    return fit_batch(
+        design_rows(np.take_along_axis(stack.doys, rows, axis=1)),
+        values,
+        used[:, :, None] & ~np.isnan(values),
+        min_obs=min_obs,
+    )
+
+
+def _models(fits: BatchFit, pixel_ids, bands, trains):
+    """(k, j, model) for each fitted (group, band), group by group; group
+    k is pixel ``pixel_ids[k]`` over training window ``trains[k]``, and j
+    indexes ``bands``."""
+    ks, js = np.nonzero(fits.status == FIT_OK)
+    for k, j, coeffs, n_obs in zip(
+        ks.tolist(), js.tolist(), fits.coeffs[ks, js].tolist(), fits.n_obs[ks, js].tolist()
+    ):
+        yield k, j, HarmonicModel(bands[j], pixel_ids[k], tuple(coeffs), trains[k], n_obs)
+
+
+def _fit_chunk(chunk, windows, bands, min_obs):
+    """Fit one slice of pixels over every window: its pixel ids and one
+    BatchFit per window. Only array work, so that slices on threads
+    overlap; the caller builds the models."""
+    stack = _stack(chunk)
+    return [cp.pixel_id for cp in chunk], [
+        _fit_spans(stack, wp.train.start.toordinal(), wp.train.end.toordinal(), bands, min_obs)
+        for wp in windows
+    ]
 
 
 def fit_pixels(
@@ -160,13 +202,24 @@ def fit_pixels(
     workers: int = 1,
 ) -> FitResult:
     """Fit every (pixel, band) over each training window."""
-    compact = _ensure_compact(pixels)
-    static = (tuple(windows), tuple(bands), min_obs)
+    windows, bands = tuple(windows), tuple(bands)
     result = FitResult(models={wp.index: {} for wp in windows})
-    for models, skipped in _run_parallel(_fit_chunk, compact, len(compact), workers, static):
-        for window_index, model in models:
-            result.models[window_index][(model.pixel_id, model.band)] = model
-        result.skipped.extend(skipped)
+    reasons = [failure.__name__ for failure in FIT_FAILURES]
+    for pixel_ids, fits in _run_slices(
+        _fit_chunk, _ensure_compact(pixels), workers, windows, bands, min_obs
+    ):
+        keys = [[(pixel_id, band) for band in bands] for pixel_id in pixel_ids]
+        for wp, window_fits in zip(windows, fits):
+            trains = [(wp.train.start, wp.train.end)] * len(pixel_ids)
+            result.models[wp.index].update(
+                (keys[k][j], model) for k, j, model in _models(window_fits, pixel_ids, bands, trains)
+            )
+        # skips go pixel by pixel, then window by window
+        failed = np.stack([f.status for f in fits], axis=1) if fits else np.zeros((0, 0, 0))
+        result.skipped.extend(
+            SkipRecord(pixel_ids[k], windows[w].index, bands[j], reasons[failed[k, w, j] - 1])
+            for k, w, j in zip(*(axis.tolist() for axis in np.nonzero(failed)))
+        )
     return result
 
 
@@ -218,7 +271,7 @@ def training_residuals(
                 idx = fresh[~np.isnan(a.values[fresh, col])]
                 if not idx.size:
                     continue
-                predicted = predict_many(model.coeff_array(), a.doys[idx].astype(float))
+                predicted = predict_many(model.coeff_array(), a.doys[idx])
                 pieces[band].append((number, a.comp_ordinals[idx], a.values[idx, col] - predicted))
             if claimed:
                 used[fresh] = True
@@ -307,10 +360,8 @@ def _pixel_errors(pixels, models_by_pixel, windows, bands, site_id, standardizer
     return per_pixel
 
 
-def _detect_chunk(args):
-    lo, hi, (windows, rule, site_id) = args
-    compact, models_by_pixel, standardizers = _SHARED["payload"]
-    chunk = compact[lo:hi]
+def _detect_chunk(chunk, windows, rule, site_id, models_by_pixel, standardizers):
+    """Scan one slice of pixels; returns its results and skipped pixels."""
     results = []
     skipped = []
     bands = rule_bands(rule)
@@ -336,12 +387,11 @@ def detect_pixels(
 ) -> tuple[list[DetectionResult], list[str]]:
     """Apply one rule to every pixel; returns results plus skipped pixels
     (those missing a model for some window)."""
-    compact = _ensure_compact(pixels)
-    static = (tuple(windows), rule, site_id)
     results: list[DetectionResult] = []
     skipped: list[str] = []
-    for chunk_results, chunk_skipped in _run_parallel(
-        _detect_chunk, (compact, fit.by_pixel(), standardizers), len(compact), workers, static
+    for chunk_results, chunk_skipped in _run_slices(
+        _detect_chunk, _ensure_compact(pixels), workers,
+        tuple(windows), rule, site_id, fit.by_pixel(), standardizers,
     ):
         results.extend(chunk_results)
         skipped.extend(chunk_skipped)
@@ -439,14 +489,13 @@ def online_process_batch(
     dates, ending at the new one; it must start inside the monitored year.
     The run gets its own window (train on the two years before the run
     start, predict from the run start to the new date, the run start the
-    only allowed start), which is fitted, predicted and scanned by the
-    batch code.
+    only allowed start). One fit_batch call fits every run's window; each
+    run is then predicted and scanned by the batch code.
     """
     bands = rule_bands(rule)
     cols = [BAND_ORDER.index(band) for band in bands]
     batch_ord = batch_date.toordinal()
-    newly: dict[str, dt.date] = {}
-    fitted: dict[tuple[str, Band], HarmonicModel] = {}
+    runs = []   # (pixel, its run's window)
     for cp in pixels:
         if cp.pixel_id in already_flagged:
             continue
@@ -458,14 +507,24 @@ def online_process_batch(
         start = dt.date.fromordinal(int(a.ordinals[idx[-rule.consecutive]]))
         if start.year != monitor_year:
             continue
-        window = WindowPair(
+        runs.append((cp, WindowPair(
             0,
             train=DateInterval(_two_years_before(start), start - dt.timedelta(days=1)),
             predict=DateInterval(start, batch_date),
             predict_year=DateInterval(start, start),
-        )
-        models, _ = _fit_window(cp, window.train, bands, min_obs)
-        fitted.update(((cp.pixel_id, band), model) for band, model in models.items())
+        )))
+    if not runs:
+        return OnlineOutcome(newly_flagged={}, models={})
+    trains = [(window.train.start, window.train.end) for _, window in runs]
+    first, last = (np.array([[date.toordinal()] for date in dates]) for dates in zip(*trains))
+    fits = _fit_spans(_stack([cp for cp, _ in runs]), first, last, bands, min_obs)
+    fitted = {
+        (model.pixel_id, model.band): model
+        for _, _, model in _models(fits, [cp.pixel_id for cp, _ in runs], bands, trains)
+    }
+    newly: dict[str, dt.date] = {}
+    for cp, window in runs:
+        models = {band: fitted[cp.pixel_id, band] for band in bands if (cp.pixel_id, band) in fitted}
         (wes,) = _pixel_errors([cp], {cp.pixel_id: {0: models}}, [window], bands, site_id)
         if wes is None:
             continue

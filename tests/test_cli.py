@@ -929,3 +929,49 @@ def test_online_models_do_not_depend_on_hash_seed(tmp_path):
         outputs.append(_files(state))
     assert outputs[0]["models_online.csv"]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exit_1(tmp_path, sim_dir, models_dir, threads, capsys):
+    series = str(sim_dir / "series.csv")
+    commands = (
+        ["fit", "--series", series, "--out", str(tmp_path / "m")],
+        ["detect", "--series", series, "--models", str(models_dir), "--out", str(tmp_path / "d")],
+        ["train", "--series", series, "--labels", str(sim_dir / "labels.csv"),
+         "--out", str(tmp_path / "r.csv")],
+    )
+    for command in commands:
+        assert main(command + ["--threads", threads]) == EXIT_USAGE, command[0]
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    config = tmp_path / "threads.cfg"
+    config.write_text(f"threads={threads}\n")
+    assert main(["--config", str(config)] + commands[0]) == EXIT_USAGE
+    assert not (tmp_path / "m").exists() and not (tmp_path / "d").exists()
+
+
+def test_threaded_commands_never_fork(tmp_path, sim_dir, monkeypatch):
+    """fit and detect run their pixel slices on threads, so they work in a
+    process that cannot fork."""
+    from cmfda import dataio, pipeline
+    from cmfda.detection import MultivariateRule
+    from cmfda.windows import make_windows
+
+    def no_fork():
+        raise OSError("fork is not allowed here")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    (pixels,) = dataio.read_series_arrays(sim_dir / "series.csv").values()
+    assert len(pixels) == 625   # several slices, so the calls below run threads
+    windows = make_windows(2003, 1)
+    fit = pipeline.fit_pixels(pixels, windows, (Band.NIR, Band.NDVI), workers=4)
+    assert len(fit.models[0]) + len(fit.skipped) == 2 * len(pixels)
+    results, skipped = pipeline.detect_pixels(
+        pixels, fit, MultivariateRule(0.082, 0.182, 4), windows, "site", workers=3
+    )
+    assert len(results) + len(skipped) == len(pixels)
+    out = tmp_path / "models"
+    assert main([
+        "fit", "--series", str(sim_dir / "series.csv"), "--out", str(out),
+        "--windows", "2003:1", "--bands", "nir", "--threads", "2",
+    ]) == EXIT_OK
+    assert (out / "models_2003_2004.csv").exists()

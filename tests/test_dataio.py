@@ -22,6 +22,7 @@ from cmfda.core import (
     day_of_year,
 )
 from cmfda.dataio import (
+    MODEL_COLUMNS,
     SERIES_COLUMNS,
     _parse_date,
     _parse_float,
@@ -65,7 +66,7 @@ from cmfda.errors import (
     SchemaVersionMismatch,
     ShapeMismatch,
 )
-from cmfda.harmonic import fit
+from cmfda.harmonic import HarmonicModel, fit
 from cmfda.pipeline import compact_pixels
 from cmfda.standardize import ErrorContext, ErrorRecord, Scheme, fit_standardizer, transform
 from cmfda.training import ReportRow, TrainReport
@@ -376,6 +377,109 @@ def test_models_round_trip(tmp_path):
         assert got.n_obs == model.n_obs
         assert got.train_window == model.train_window
         assert got.coeffs == tuple(round9(c) for c in model.coeffs)
+
+
+
+def oracle_load_models(path):
+    """Row-by-row model reader, the specification of the columnar one."""
+    with open(path, newline="") as fh:
+        meta = _read_header(fh, "models", path)
+        try:
+            window = DateInterval(
+                dt.date.fromisoformat(meta["train_start"]),
+                dt.date.fromisoformat(meta["train_end"]),
+            )
+        except (KeyError, ValueError):
+            raise ParseError(f"{path}: header lacks a valid training window", line=1) from None
+        models = {}
+        for line, row in _rows(fh, MODEL_COLUMNS, path):
+            code = _parse_int(row["band"], "band", line, path)
+            try:
+                band = Band(code)
+            except ValueError:
+                raise ParseError(f"{path}: unknown band code {code}", line=line) from None
+            coeffs = tuple(
+                _parse_float(row[f"a{k}"], f"a{k}", line, path) for k in range(5)
+            )
+            models[(row["pixel_id"], band)] = HarmonicModel(
+                band=band,
+                pixel_id=row["pixel_id"],
+                coeffs=coeffs,
+                train_window=(window.start, window.end),
+                n_obs=_parse_int(row["n_obs"], "n_obs", line, path),
+            )
+    return window, models
+
+
+@st.composite
+def model_rows(draw):
+    """Data rows of a valid model file: a few pixels, some of them listed
+    twice, each with a few bands, coefficients written as ``real`` does."""
+    rows = []
+    for p in range(draw(st.integers(0, 4))):
+        for band in draw(st.lists(st.sampled_from(BAND_ORDER), min_size=1, max_size=3)):
+            coeffs = draw(st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5))
+            rows.append([f"px{p}", str(int(band)), *map(real, coeffs),
+                         str(draw(st.integers(0, 46)))])
+    return rows
+
+
+MODEL_CORRUPTIONS = (None, "band", "unknown-band", "real", "n_obs", "fields", "header")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=model_rows(),
+    kind=st.sampled_from(MODEL_CORRUPTIONS),
+    pick=st.integers(0, 10**6),
+    column=st.integers(0, 4),
+    blank=st.none() | st.integers(0, 10**6),
+    quoted=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    chunk_rows=st.sampled_from([2, 1024]),
+)
+def test_load_models_matches_row_oracle(
+    rows, kind, pick, column, blank, quoted, newline, chunk_rows
+):
+    """The columnar model reader gives the models of the row-by-row
+    oracle, in the same order, or the same ParseError message and line,
+    also when the rows are read in several chunks."""
+    lines = [list(r) for r in rows]
+    header = "#cmfda models v1 train_start=2003-01-01 train_end=2004-12-31"
+    if lines:
+        parts = lines[pick % len(lines)]
+        if kind == "band":
+            parts[1] = "x2"
+        elif kind == "unknown-band":
+            parts[1] = "4"
+        elif kind == "real":
+            parts[2 + column] = "0.1x"
+        elif kind == "n_obs":
+            parts[7] = "12.5"
+        elif kind == "fields":
+            lines[pick % len(lines)] = parts[:-1] if column % 2 else parts + ["0"]
+    if kind == "header":
+        header = "#cmfda models v1 train_start=2003-01-01"
+    if quoted:
+        for parts in lines:
+            parts[0] = f'"{parts[0]}"'
+    text = [",".join(parts) for parts in lines]
+    if blank is not None:
+        text.insert(blank % (len(text) + 1), "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "models.csv"
+        path.write_text(
+            newline.join([header, ",".join(MODEL_COLUMNS), *text]) + newline, newline=""
+        )
+        expected, expected_error = _outcome(oracle_load_models, path)
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+            got, error = _outcome(load_models, path)
+    assert error == expected_error
+    if expected_error:
+        return
+    assert got[0] == expected[0]
+    assert list(got[1].items()) == list(expected[1].items())
+    assert all(type(m.n_obs) is int and type(m.band) is Band for m in got[1].values())
 
 
 # --- standardizer -----------------------------------------------------------------

@@ -14,8 +14,15 @@ from cmfda.errors import (
     RankDeficient,
 )
 from cmfda.harmonic import (
+    FIT_FAILURES,
+    FIT_OK,
+    FIT_WIDTH,
     HarmonicModel,
     MIN_OBS,
+    design_matrix,
+    design_rows,
+    fit_batch,
+    predict_many,
     design_vector,
     fit,
     fit_arrays,
@@ -189,3 +196,122 @@ def test_interannual_variant_reproduces_two_year_cycle(rng):
     np.testing.assert_allclose(kept, signal, atol=1e-8)
     dropped = predict_interannual(coeffs, days, keep_interannual=False)
     assert np.max(np.abs(dropped - signal)) > 0.005
+
+
+# --- batched kernel -------------------------------------------------------------
+
+
+@st.composite
+def fit_batches(draw, doys=st.integers(1, 366)):
+    """A batch of groups: each has up to FIT_WIDTH + 6 dates (so some take
+    two blocks), values in b bands and a random mask per band."""
+    n, b = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    width = draw(st.integers(0, FIT_WIDTH + 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    days = np.array(draw(st.lists(st.lists(doys, min_size=width, max_size=width),
+                                  min_size=n, max_size=n)), dtype=np.int64).reshape(n, width)
+    values = rng.normal(0.4, 0.1, size=(n, width, b))
+    keep = draw(st.floats(0.3, 1.0))
+    mask = rng.random((n, width, b)) < keep
+    if draw(st.booleans()):     # one mask for every band, as when no value is missing
+        mask[:, :, 1:] = mask[:, :, :1]
+    return days, values, mask
+
+
+def _scalar(days, values, mask):
+    """Per (group, band): ('ok', coeffs, n_obs, rcond) or (exception name,)."""
+    out = []
+    for g in range(days.shape[0]):
+        row = []
+        for j in range(values.shape[2]):
+            used = mask[g, :, j]
+            try:
+                model = fit_arrays(days[g, used], values[g, used, j], band=Band.NIR)
+            except (InsufficientData, RankDeficient) as exc:
+                row.append((exc.__class__.__name__,))
+                continue
+            eigs = np.linalg.eigvalsh(design_rows(days[g, used]).T @ design_rows(days[g, used]))
+            row.append(("ok", np.array(model.coeffs), model.n_obs, eigs[0] / eigs[-1]))
+        out.append(row)
+    return out
+
+
+def _check_against_scalar(days, values, mask):
+    got = fit_batch(design_rows(days), values, mask)
+    for g, row in enumerate(_scalar(days, values, mask)):
+        for j, expected in enumerate(row):
+            status = int(got.status[g, j])
+            if expected[0] != "ok":
+                assert status != FIT_OK and FIT_FAILURES[status - 1].__name__ == expected[0]
+                assert np.isnan(got.coeffs[g, j]).all()
+                continue
+            _, coeffs, n_obs, rcond = expected
+            assert status == FIT_OK and got.n_obs[g, j] == n_obs
+            # forward error grows with the condition number of AᵀA
+            tol = 1e-12 * max(1.0, 1e-3 / rcond) * np.linalg.norm(coeffs)
+            assert np.linalg.norm(got.coeffs[g, j] - coeffs) <= tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=fit_batches())
+def test_fit_batch_matches_scalar_fit(batch):
+    _check_against_scalar(*batch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=fit_batches(doys=st.sampled_from([100, 101, 103, 250])),
+)
+def test_fit_batch_skips_clustered_and_short_series_as_scalar_fit(batch):
+    """At most four distinct days (a rank-deficient design) or fewer than
+    MIN_OBS dates: the same skip reason as fit_arrays."""
+    _check_against_scalar(*batch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=fit_batches(), data=st.data())
+def test_fit_batch_fit_does_not_depend_on_its_batch(batch, data):
+    """A group fitted alone, with one band alone, or inside any split of
+    the batch gives the same bits as in the whole batch."""
+    days, values, mask = batch
+    design = design_rows(days)
+    whole = fit_batch(design, values, mask)
+    n, _, b = mask.shape
+    g = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, b - 1))
+    alone = fit_batch(design[g:g + 1], values[g:g + 1], mask[g:g + 1])
+    band = fit_batch(design[g:g + 1], values[g:g + 1, :, j:j + 1], mask[g:g + 1, :, j:j + 1])
+    cut = data.draw(st.integers(0, n))
+    parts = [fit_batch(design[s], values[s], mask[s]) for s in (slice(0, cut), slice(cut, n))]
+    for field, got in zip(whole._fields, whole):
+        np.testing.assert_array_equal(getattr(alone, field)[0], got[g])
+        np.testing.assert_array_equal(getattr(band, field)[0, 0], got[g, j])
+        np.testing.assert_array_equal(
+            np.concatenate([getattr(p, field) for p in parts]), got
+        )
+    # the padding columns of a narrower batch change nothing either
+    wider = fit_batch(
+        np.concatenate([design, np.zeros((n, 3, 5))], axis=1),
+        np.concatenate([values, np.ones((n, 3, b))], axis=1),
+        np.concatenate([mask, np.zeros((n, 3, b), dtype=bool)], axis=1),
+    )
+    for field, got in zip(whole._fields, whole):
+        np.testing.assert_array_equal(getattr(wider, field), got)
+
+
+def test_design_table_equals_design_matrix():
+    """Integer days read a table of design rows; it must hold the bits
+    design_matrix computes, at any length and position of the input."""
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 46, 366):
+        days = rng.integers(1, 367, size=n)
+        np.testing.assert_array_equal(design_rows(days), design_matrix(days.astype(float)))
+        coeffs = rng.normal(size=5)
+        np.testing.assert_array_equal(
+            predict_many(coeffs, days), predict_many(coeffs, days.astype(float))
+        )
+    np.testing.assert_array_equal(
+        design_rows(np.arange(1, 367)), design_matrix(np.arange(1.0, 367.0))
+    )
+    with pytest.raises(OutOfRangeDay):
+        design_rows(np.array([0, 5]))

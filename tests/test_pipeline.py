@@ -93,6 +93,22 @@ def test_fit_pixels_parallel_matches_serial(scenario):
         assert serial.models[0][key].coeffs == parallel.models[0][key].coeffs
 
 
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_fit_pixels_slices_do_not_change_models(scenario, monkeypatch, workers):
+    """Models, their order and the skips are the same however the pixels
+    are cut into slices and however many threads run them."""
+    import cmfda.pipeline as pipeline
+
+    pixels, _ = scenario
+    windows = make_windows(2003, 2)
+    whole = fit_pixels(pixels, windows, (Band.NIR, Band.NDVI, Band.EVI))
+    monkeypatch.setattr(pipeline, "SLICE_PIXELS", 7)
+    sliced = fit_pixels(pixels, windows, (Band.NIR, Band.NDVI, Band.EVI), workers=workers)
+    for index, table in whole.models.items():
+        assert list(sliced.models[index].items()) == list(table.items())
+    assert sliced.skipped == whole.skipped
+
 def test_detect_pixels_matches_detect_pixel(scenario):
     pixels, labels = scenario
     windows = make_windows(2003, 1)
@@ -120,6 +136,37 @@ def test_detect_pixels_parallel_matches_serial(scenario):
     parallel, _ = detect_pixels(pixels, fit_result, rule, windows, "mini", workers=3)
     assert sorted(serial, key=lambda r: r.pixel_id) == sorted(parallel, key=lambda r: r.pixel_id)
 
+
+
+def test_threaded_detect_with_shared_standardizers_equals_inline(scenario, monkeypatch):
+    """Slices on threads share the standardizers, whose key resolution is
+    memoized as detection uses it: with tiny slices, more workers than
+    CPUs and a short switch interval, the results equal the inline run."""
+    import sys
+
+    import cmfda.pipeline as pipeline
+
+    pixels, _ = scenario
+    windows = make_windows(2003, 1)
+    bands = (Band.NIR, Band.NDVI)
+    fit_result = fit_pixels(pixels, windows, bands)
+    histories = training_residuals(pixels, fit_result, windows, bands, "mini")
+
+    def standardizers():
+        return {band: fit_standardizer(histories[band], Scheme.CUBE_ECDF, band) for band in bands}
+
+    rule = MultivariateRule(1.5, 1.5, 4)
+    inline = detect_pixels(pixels, fit_result, rule, windows, "mini", standardizers())
+    monkeypatch.setattr(pipeline, "SLICE_PIXELS", 3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = detect_pixels(
+            pixels, fit_result, rule, windows, "mini", standardizers(), workers=8
+        )
+    finally:
+        sys.setswitchinterval(switch)
+    assert threaded == inline
 
 def test_training_residuals_and_pairs(scenario):
     pixels, _ = scenario
