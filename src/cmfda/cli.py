@@ -715,6 +715,7 @@ def _online_paths(state_dir: str) -> dict[str, str]:
     return {
         "config": os.path.join(state_dir, "config.txt"),
         "history": os.path.join(state_dir, "history.csv"),
+        "mirror": os.path.join(state_dir, "history.npy"),
         "flagged": os.path.join(state_dir, "flagged.csv"),
         "models": os.path.join(state_dir, "models_online.csv"),
         "covariances": os.path.join(state_dir, "covariances.csv"),
@@ -735,6 +736,18 @@ def _replace_state(path: str, write, *args, **kwargs) -> None:
 
 
 def cmd_online(args) -> int:
+    """With ``--init``, start a state directory from ``--series``; without,
+    run one step of the loop on ``--batch``.
+
+    The state is ``config.txt``, ``history.csv`` (every observation so far),
+    ``flagged.csv``, ``models_online.csv`` (the last step's refits),
+    ``covariances.csv`` (Mahalanobis rule only) and ``history.npy``. That
+    last is a binary mirror of the parsed ``history.csv``: derived, never
+    authoritative, and safe to delete. A step uses it only while the
+    SHA-256 it holds matches ``history.csv``, and parses the CSV otherwise.
+    A step writes ``--out``, ``flagged.csv``, ``models_online.csv``, then
+    ``history.csv``, which commits the step, then the mirror.
+    """
     if parse_scheme(args.scheme) is not Scheme.IDENTITY:
         raise UsageError("online monitoring supports only the identity scheme")
     paths = _online_paths(args.state)
@@ -742,7 +755,8 @@ def cmd_online(args) -> int:
         if not args.series or args.monitor_year is None:
             raise UsageError("--init needs --series and --monitor-year")
         _rule_args(args)
-        sites = dataio.read_series_arrays(args.series)
+        # The state works on the values as history.csv holds them.
+        sites = dataio.series_as_written(dataio.read_series_arrays(args.series))
         covariances = None
         if args.rule == "mahalanobis":
             windows = make_windows(args.monitor_year - 2, 1)
@@ -751,6 +765,7 @@ def cmd_online(args) -> int:
         _build_rule(args, covariances)  # a rule the batches could not build is refused here
         os.makedirs(args.state, exist_ok=True)
         _replace_state(paths["history"], dataio.write_series_arrays, sites)
+        dataio.write_history_mirror(paths["mirror"], paths["history"], sites)
         _replace_state(paths["flagged"], dataio.write_detections, [], {"state": "online"})
         if covariances is not None:
             _replace_state(paths["covariances"], dataio.save_covariances, covariances)
@@ -786,8 +801,8 @@ def cmd_online(args) -> int:
     )
     rule = _build_rule(rule_args, covariances)
 
-    history = dataio.read_series_arrays(paths["history"])
-    batch = dataio.read_series_arrays(args.batch)
+    history = dataio.read_state_history(paths["history"], paths["mirror"])
+    batch = dataio.series_as_written(dataio.read_series_arrays(args.batch))
     _, previously = dataio.read_detections(paths["flagged"])
 
     batch_dates = {
@@ -809,18 +824,21 @@ def cmd_online(args) -> int:
         if not (r.first_flag_date == batch_date and r.pixel_id in batch_pixels)
     }
 
+    merged = {
+        site_id: pipeline.append_batch(history.get(site_id, []), batch.get(site_id, []))
+        for site_id in sorted(set(history) | set(batch))
+    }
     newly: dict[str, dt.date] = {}
     models: dict[tuple[str, Band], HarmonicModel] = {}
-    for site_id in sorted(set(history) | set(batch)):
+    for site_id, pixels in merged.items():
         outcome = pipeline.online_process_batch(
-            pipeline.append_batch(history.get(site_id, []), batch.get(site_id, [])),
-            batch_date, rule, monitor_year, flagged, site_id=site_id,
+            pixels, batch_date, rule, monitor_year, flagged, site_id=site_id,
         )
         newly.update(outcome.newly_flagged)
         models.update(outcome.models)
 
-    # The history gains the batch's rows last: until it does, the same batch
-    # can be run again and writes the same files.
+    # history.csv gains the batch's rows after the other state files: until
+    # it does, the same batch can be run again and writes the same files.
     batch_results = [
         DetectionResult(pid, True, date, None) for pid, date in sorted(newly.items())
     ]
@@ -833,11 +851,23 @@ def cmd_online(args) -> int:
     ]
     _replace_state(paths["flagged"], dataio.write_detections, results, {"state": "online"})
     if models:
+        # The header window spans every refit's own training window.
         train_window = DateInterval(
-            batch_date - dt.timedelta(days=731 + 16 * rule.consecutive), batch_date
+            min(model.train_window[0] for model in models.values()),
+            max(model.train_window[1] for model in models.values()),
         )
         _replace_state(paths["models"], dataio.save_models, models, train_window)
     _replace_state(paths["history"], dataio.write_series_arrays, batch, base=paths["history"])
+    # The step is committed. The mirror lists the sites in the order a parse
+    # of the new history.csv meets them: the history's, then the batch's new
+    # ones. A mirror left stale by a failed write is refused by its hash.
+    order = [*history, *(site_id for site_id in batch if site_id not in history)]
+    try:
+        dataio.write_history_mirror(
+            paths["mirror"], paths["history"], {site_id: merged[site_id] for site_id in order}
+        )
+    except OSError as exc:
+        print(f"cmfda: warning: history mirror not written: {exc}", file=sys.stderr)
     print(f"batch {batch_date}: {len(newly)} new flags, {len(flagged) + len(newly)} total")
     return EXIT_OK
 

@@ -3,7 +3,8 @@
 All text formats are comma-separated with a one-line versioned header
 (``#cmfda <kind> v1 ...``) followed by a column-name row. Reals are
 written with 9 significant digits, so values round-trip through that
-precision; counts and dates round-trip exactly.
+precision; counts and dates round-trip exactly. The one binary file is
+the online state's history mirror (see :func:`write_history_mirror`).
 """
 from __future__ import annotations
 
@@ -11,10 +12,12 @@ import calendar
 import contextlib
 import csv
 import datetime as dt
+import hashlib
 import io
 import itertools
+import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -515,6 +518,106 @@ def read_series(path) -> dict[str, list[PixelSeries]]:
             PixelSeries(pixel_id, table.cols[p], table.rows[p], observations)
         )
     return out
+
+
+def series_as_written(sites: Mapping[str, Sequence[CompactPixel]]) -> dict[str, list[CompactPixel]]:
+    """The pixels as :func:`read_series_arrays` gives them back from a
+    series file written from them: each value passes through the file's
+    9-significant-digit text, and one that lands on its band's fill value
+    reads as missing."""
+    parts = [cp.arrays.values for cps in sites.values() for cp in cps]
+    values = np.concatenate([np.empty((0, len(BAND_ORDER))), *parts])
+    filled = np.where(np.isnan(values), _FILLS, values)
+    read = np.array([float(real(v)) for v in filled.ravel().tolist()]).reshape(filled.shape)
+    read = np.where(read == _FILLS, np.nan, read)
+    out: dict[str, list[CompactPixel]] = {}
+    start = 0
+    for site_id, cps in sites.items():
+        out[site_id] = []
+        for cp in cps:
+            stop = start + len(cp.arrays.values)
+            out[site_id].append(replace(cp, arrays=cp.arrays._replace(values=read[start:stop])))
+            start = stop
+    return out
+
+
+# --- history mirror -------------------------------------------------------------
+#
+# Beside an online state's history.csv sits a binary copy of what
+# read_series_arrays returns for it, so a step need not parse the whole
+# history. The file is a sequence of .npy arrays: a JSON header (format tag,
+# SHA-256 of the history.csv bytes it mirrors, and each pixel's site, id,
+# col and row in read order), the pixels' row bounds, then one array per
+# SeriesArrays field over all rows. The copy is derived, never
+# authoritative: it is used only while its hash matches history.csv.
+
+_MIRROR_FORMAT = "cmfda history-mirror v1"
+_MIRROR_EMPTY = SeriesArrays(
+    np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int32),
+    np.empty(0, np.int8), np.empty(0, bool), np.empty((0, len(BAND_ORDER))),
+)
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def write_history_mirror(path, history_path, sites: Mapping[str, Sequence[CompactPixel]]) -> None:
+    """Write the mirror of ``history_path``; ``sites`` must be what
+    :func:`read_series_arrays` returns for it, in the same order. The file
+    replaces ``path`` when whole."""
+    pixels = [(site_id, cp) for site_id, cps in sites.items() for cp in cps]
+    header = {
+        "format": _MIRROR_FORMAT,
+        "sha256": _sha256(history_path),
+        "pixels": [[site_id, cp.pixel_id, int(cp.col), int(cp.row)] for site_id, cp in pixels],
+    }
+    bounds = np.cumsum([0] + [len(cp.arrays.ordinals) for _, cp in pixels], dtype=np.int64)
+    columns = [
+        np.concatenate([empty, *(cp.arrays[i] for _, cp in pixels)])
+        for i, empty in enumerate(_MIRROR_EMPTY)
+    ]
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        for array in (np.frombuffer(json.dumps(header).encode(), np.uint8), bounds, *columns):
+            np.save(fh, array, allow_pickle=False)
+
+
+def _load_mirror(path, digest: str) -> Optional[dict[str, list[CompactPixel]]]:
+    """The mirror's sites when it is whole and mirrors the history whose
+    SHA-256 is ``digest``; None otherwise."""
+    try:
+        with open(path, "rb") as fh:
+            header = json.loads(np.load(fh, allow_pickle=False).tobytes())
+            if (not isinstance(header, dict) or header.get("format") != _MIRROR_FORMAT
+                    or header.get("sha256") != digest):
+                return None
+            bounds = np.load(fh, allow_pickle=False)
+            columns = SeriesArrays(*(np.load(fh, allow_pickle=False) for _ in _MIRROR_EMPTY))
+    except (OSError, EOFError, ValueError):  # missing, truncated or not a mirror
+        return None
+    keys = header["pixels"]
+    if bounds.dtype != np.int64 or bounds.shape != (len(keys) + 1,):
+        return None
+    for array, empty in zip(columns, _MIRROR_EMPTY):
+        if array.dtype != empty.dtype or array.shape != (bounds[-1], *empty.shape[1:]):
+            return None
+    stops = bounds.tolist()
+    out: dict[str, list[CompactPixel]] = {}
+    for p, (site_id, pixel_id, col, row) in enumerate(keys):
+        s = slice(stops[p], stops[p + 1])
+        out.setdefault(site_id, []).append(
+            CompactPixel(pixel_id, col, row, SeriesArrays(*(a[s] for a in columns)))
+        )
+    return out
+
+
+def read_state_history(path, mirror_path) -> dict[str, list[CompactPixel]]:
+    """``read_series_arrays(path)``, taken from the mirror at
+    ``mirror_path`` when that mirrors the current bytes of ``path``; the
+    file is parsed when the mirror is missing, stale or unreadable."""
+    sites = _load_mirror(mirror_path, _sha256(path))
+    return read_series_arrays(path) if sites is None else sites
 
 
 # --- label files --------------------------------------------------------------

@@ -97,6 +97,20 @@ def make_series(
     return PixelSeries(pixel_id, col, row, tuple(observations))
 
 
+def assert_same_sites(got, want):
+    """Per-site pixel lists equal in order, ids, col/row and every
+    SeriesArrays field's dtype, shape and bits (NaN equals NaN)."""
+    assert list(got) == list(want)
+    for site_id, pixels in want.items():
+        assert [(type(p.col), p.pixel_id, p.col, p.row) for p in got[site_id]] == [
+            (type(p.col), p.pixel_id, p.col, p.row) for p in pixels
+        ]
+        for have, ref in zip(got[site_id], pixels):
+            for field, a, b in zip(ref.arrays._fields, have.arrays, ref.arrays):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (site_id, have.pixel_id, field)
+                assert a.tobytes() == b.tobytes(), (site_id, have.pixel_id, field)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240517)

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cmfda
+from cmfda import dataio, pipeline
 
 from cmfda.cli import (
     C_VALUES,
@@ -36,8 +38,9 @@ from cmfda.dataio import (
     write_labels,
     write_series,
 )
-from cmfda.core import Band, DeforestationLabel
+from cmfda.core import Band, DeforestationLabel, Reliability
 from cmfda.standardize import KeyKind, Scheme
+from conftest import assert_same_sites
 
 
 @pytest.fixture(scope="module")
@@ -929,6 +932,278 @@ def test_online_models_do_not_depend_on_hash_seed(tmp_path):
         outputs.append(_files(state))
     assert outputs[0]["models_online.csv"]
     assert outputs[0] == outputs[1]
+
+
+# --- online state: the history mirror ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mirror_inputs(tmp_path_factory):
+    """A history of site "west" up to 2004 and ten batches of 2005. West's
+    last pixel joins at the second batch, and site "east" (sorted ahead of
+    west, and parsed after it) at the third. The fourth batch is all
+    cloudy; the fifth is written with every digit of its values."""
+    from test_pipeline import one_year_scenario
+
+    pixels, _ = one_year_scenario(seed=21, n_events=5)
+    west, east = pixels[:8], pixels[8:14]
+    out = tmp_path_factory.mktemp("mirror")
+    split = dt.date(2005, 1, 1)
+    write_series(out / "history.csv", {"west": _sliced(west[:-1], lambda d: d < split)})
+    dates = sorted(
+        {o.nominal_date for p in pixels for o in p.observations if o.nominal_date >= split}
+    )[:10]
+    batches = []
+    for i, date in enumerate(dates):
+        sites = {"west": _sliced(west if i else west[:-1], lambda d, b=date: d == b)}
+        if i >= 2:
+            sites["east"] = _sliced(east, lambda d, b=date: d == b)
+        if i == 3:
+            sites = {
+                site_id: [
+                    dataclasses.replace(p, observations=tuple(
+                        dataclasses.replace(o, reliability=Reliability.CLOUDY)
+                        for o in p.observations
+                    ))
+                    for p in site
+                ]
+                for site_id, site in sites.items()
+            }
+        path = out / f"batch_{date}.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            if i == 4:
+                patch.setattr(dataio, "real", lambda x: repr(float(x)))
+            write_series(path, sites)
+        batches.append(path)
+    return out / "history.csv", batches
+
+
+# The step at which the fault tests below break or remove the mirror.
+MIRROR_STEP = 6
+
+
+@pytest.fixture(scope="module")
+def mirror_reference(mirror_inputs, tmp_path_factory):
+    """An uninterrupted run over the mirror inputs: a copy of the state dir
+    before each step (``before<i>``; ``before0`` is the state --init wrote)
+    and each step's --out bytes and state files."""
+    history, batches = mirror_inputs
+    root = tmp_path_factory.mktemp("mirror_reference")
+    state = root / "state"
+    _init_online(history, state)
+    record = []
+    for i, batch in enumerate(batches):
+        shutil.copytree(state, root / f"before{i}")
+        assert _step(state, batch, root / "out.csv") == EXIT_OK
+        record.append(((root / "out.csv").read_bytes(), _files(state)))
+    return root, record
+
+
+def _run_steps(state, batches, outs):
+    """Each step's --out bytes and the state files after it."""
+    outs.mkdir()
+    record = []
+    for batch in batches:
+        out = outs / batch.name
+        assert _step(state, batch, out) == EXIT_OK
+        record.append((out.read_bytes(), _files(state)))
+    return record
+
+
+def _refuse_history_parse(monkeypatch, state):
+    """Make any parse of the state's history.csv fail the test."""
+    history = (state / "history.csv").resolve()
+    parse = dataio._parse_series
+
+    def guarded(path):
+        assert Path(path).resolve() != history, "history.csv was parsed"
+        return parse(path)
+
+    monkeypatch.setattr(dataio, "_parse_series", guarded)
+
+
+def test_online_steps_load_history_from_the_mirror(mirror_inputs, tmp_path, monkeypatch):
+    """After --init and after every step, the mirror loads as
+    read_series_arrays(history.csv) does: site and pixel order, dtypes and
+    bits. A step whose mirror is valid never parses history.csv."""
+    history, batches = mirror_inputs
+    raw = read_series_arrays(batches[4])
+    assert any(
+        not np.array_equal(a.arrays.values, b.arrays.values, equal_nan=True)
+        for site_id, pixels in dataio.series_as_written(raw).items()
+        for a, b in zip(pixels, raw[site_id])
+    ), "the fifth batch has values the history rounds"
+    state = tmp_path / "state"
+    _init_online(history, state)
+    for batch in [None, *batches]:
+        with monkeypatch.context() as patch:
+            _refuse_history_parse(patch, state)
+            if batch is not None:
+                assert _step(state, batch, tmp_path / "out.csv") == EXIT_OK
+            mirrored = dataio.read_state_history(state / "history.csv", state / "history.npy")
+        assert_same_sites(mirrored, read_series_arrays(state / "history.csv"))
+    assert list(mirrored) == ["west", "east"]
+
+
+def _nine_digit_copy(src, dst):
+    """Write the series file ``src`` again at the file format's 9 digits."""
+    write_series(dst, read_series(src))
+    assert dst.read_bytes() != src.read_bytes()
+    return dst
+
+
+def test_online_step_works_on_the_batch_as_history_holds_it(
+    mirror_inputs, mirror_reference, tmp_path
+):
+    """A step on a batch written with every digit ends in the --out and
+    state files of the same step on that batch written at 9 digits."""
+    _, batches = mirror_inputs
+    root, record = mirror_reference
+    state = tmp_path / "state"
+    shutil.copytree(root / "before4", state)
+    rounded = _nine_digit_copy(batches[4], tmp_path / batches[4].name)
+    assert _run_steps(state, [rounded], tmp_path / "outs") == record[4:5]
+
+
+def test_online_init_works_on_the_series_as_history_holds_it(tmp_path, monkeypatch):
+    """--init on a series written with every digit writes the state files,
+    covariances.csv among them, of --init on that series written at 9
+    digits."""
+    from test_pipeline import one_year_scenario
+
+    pixels, _ = one_year_scenario(seed=21, n_events=5)
+    full = tmp_path / "full.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(dataio, "real", lambda x: repr(float(x)))
+        write_series(full, {"mini": _sliced(pixels[:12], lambda d: d < dt.date(2005, 1, 1))})
+    states = []
+    for series in (full, _nine_digit_copy(full, tmp_path / "rounded.csv")):
+        state = tmp_path / f"state_{series.stem}"
+        assert main([
+            "online", "--state", str(state), "--init", "--series", str(series),
+            "--monitor-year", "2005", "--rule", "mahalanobis",
+        ]) == EXIT_OK
+        states.append(_files(state))
+    assert "covariances.csv" in states[0]
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize(
+    "fault", ["deleted", "truncated", "truncated_header", "other_state", "none_since_init"]
+)
+def test_online_step_without_a_valid_mirror_parses_history(
+    mirror_inputs, mirror_reference, tmp_path, fault
+):
+    """A mirror deleted, truncated or taken from another state, and a state
+    dir whose --init wrote none, end in the --out and state files of the
+    run with valid mirrors."""
+    _, batches = mirror_inputs
+    root, record = mirror_reference
+    start = 0 if fault == "none_since_init" else MIRROR_STEP
+    state = tmp_path / "state"
+    shutil.copytree(root / f"before{start}", state)
+    mirror = state / "history.npy"
+    if fault in ("deleted", "none_since_init"):
+        mirror.unlink()
+    elif fault.startswith("truncated"):
+        size = 100 if fault == "truncated_header" else mirror.stat().st_size // 2
+        mirror.write_bytes(mirror.read_bytes()[:size])
+    else:
+        shutil.copy(root / f"before{start - 1}" / "history.npy", mirror)
+    assert _run_steps(state, batches[start:], tmp_path / "outs") == record[start:]
+
+
+def test_online_step_reads_a_hand_edited_history(mirror_inputs, mirror_reference, tmp_path):
+    """history.csv edited after its mirror was written: the steps end as
+    a run whose mirror was rebuilt for the edited file. The edit, which
+    drops a refit pixel's rows, changes the refits."""
+    _, batches = mirror_inputs
+    root, record = mirror_reference
+    _, models = load_models(root / "state" / "models_online.csv")
+    dropped = next(iter(models))[0].encode()
+    runs = []
+    for rebuilt in (False, True):
+        state = tmp_path / f"state_{rebuilt}"
+        shutil.copytree(root / f"before{MIRROR_STEP}", state)
+        history = state / "history.csv"
+        lines = history.read_bytes().splitlines(keepends=True)
+        history.write_bytes(b"".join(l for l in lines if l.split(b",")[1:2] != [dropped]))
+        if rebuilt:
+            dataio.write_history_mirror(
+                state / "history.npy", history, read_series_arrays(history)
+            )
+        runs.append(_run_steps(state, batches[MIRROR_STEP:], tmp_path / f"outs_{rebuilt}"))
+    assert runs[0] == runs[1]
+    assert runs[0][-1][1]["models_online.csv"] != record[-1][1]["models_online.csv"]
+
+
+def test_online_step_survives_a_failed_mirror_write(
+    mirror_inputs, mirror_reference, tmp_path, monkeypatch, capsys
+):
+    """The mirror is replaced after history.csv commits the step. When that
+    replace fails, the step still exits 0 with its outputs and leaves the
+    old mirror; the next step refuses it as stale and ends as an
+    uninterrupted run."""
+    _, batches = mirror_inputs
+    root, record = mirror_reference
+    state = tmp_path / "state"
+    shutil.copytree(root / f"before{MIRROR_STEP}", state)
+    stale = (state / "history.npy").read_bytes()
+    real_replace = os.replace
+    targets = []
+
+    def failing_replace(src, dst):
+        targets.append(Path(dst).name)
+        if Path(dst).name == "history.npy":
+            raise OSError("injected failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    out = tmp_path / "out.csv"
+    assert _step(state, batches[MIRROR_STEP], out) == EXIT_OK
+    monkeypatch.setattr(os, "replace", real_replace)
+    assert targets == ["flagged.csv", "models_online.csv", "history.csv", "history.npy"]
+    assert "history mirror not written: injected failure" in capsys.readouterr().err
+    out_bytes, files = record[MIRROR_STEP]
+    assert out.read_bytes() == out_bytes
+    assert _files(state) == {**files, "history.npy": stale}
+    assert _run_steps(state, batches[MIRROR_STEP + 1:], tmp_path / "outs") == record[
+        MIRROR_STEP + 1:
+    ]
+
+
+def test_online_models_header_spans_the_refits(mirror_inputs, tmp_path, monkeypatch):
+    """The models_online.csv header window is the envelope of the step's
+    refits' own training windows: it holds each, and it ends before the
+    batch date."""
+    history, batches = mirror_inputs
+    state = tmp_path / "state"
+    _init_online(history, state)
+    refits = []
+    process = pipeline.online_process_batch
+
+    def recording(*args, **kwargs):
+        outcome = process(*args, **kwargs)
+        refits.extend(outcome.models.values())
+        return outcome
+
+    monkeypatch.setattr(pipeline, "online_process_batch", recording)
+    checked = 0
+    for batch in batches:
+        refits.clear()
+        out = tmp_path / "out.csv"
+        assert _step(state, batch, out) == EXIT_OK
+        if not refits:
+            continue
+        train, models = load_models(state / "models_online.csv")
+        assert len(models) == len(refits)
+        for model in refits:
+            assert train.start <= model.train_window[0] <= model.train_window[1] <= train.end
+        assert train.start == min(model.train_window[0] for model in refits)
+        assert train.end == max(model.train_window[1] for model in refits)
+        assert train.end < dt.date.fromisoformat(read_detections(out)[0]["batch"])
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import tempfile
 from pathlib import Path
@@ -45,17 +46,21 @@ from cmfda.dataio import (
     read_report,
     read_series,
     read_series_arrays,
+    read_state_history,
     real,
     save_covariances,
     save_models,
     save_standardizer,
     seasonal_cloud_prob,
+    series_as_written,
     sonora_like_config,
     write_detections,
+    write_history_mirror,
     write_labels,
     write_landuse,
     write_report,
     write_series,
+    write_series_arrays,
     yucatan_like_config,
 )
 from cmfda.detection import DetectionResult, PairedErrorRecord, estimate_cube_covariances
@@ -71,7 +76,7 @@ from cmfda.pipeline import compact_pixels
 from cmfda.standardize import ErrorContext, ErrorRecord, Scheme, fit_standardizer, transform
 from cmfda.training import ReportRow, TrainReport
 from cmfda.windows import DateInterval
-from conftest import harmonic_value, make_series
+from conftest import assert_same_sites, harmonic_value, make_series
 
 
 def round9(x):
@@ -333,6 +338,71 @@ def test_read_series_arrays_matches_row_oracle(
             for a, b in zip(have.arrays, ref.arrays):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
+
+
+def _write_rows(path, rows):
+    path.write_text("\n".join(["#cmfda series v1", ",".join(SERIES_COLUMNS),
+                               *(",".join(r) for r in rows)]) + "\n")
+
+
+_EDGE_VALUES = (
+    0.0, -0.0, 0.1, float(np.nextafter(0.1, 0)), float(np.nextafter(0.1, 1)), 1.0,
+    float(np.nextafter(1.0, 0)), 1e-20, 5e-324, 0.099999999, 0.0999999995, 0.123456789,
+    0.1234567891, 3e-8,
+)
+
+
+def _band_values(band):
+    fill = band_fill(band)
+    return st.one_of(
+        st.just(np.nan), st.just(fill), st.just(fill + 1e-12), st.floats(fill, 1.0),
+        st.sampled_from(_EDGE_VALUES),
+        st.integers(-10**8, 10**9).map(lambda m: m / 1e9).filter(lambda v: v >= fill),
+        st.integers(-10**9, 10**10).map(lambda m: m / 1e10).filter(lambda v: v >= fill),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=series_rows(), data=st.data())
+def test_series_as_written_equals_a_file_round_trip(rows, data):
+    """Values of any precision, NaN, and values that round onto a band's
+    fill value come back from a written series file as series_as_written
+    gives them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_rows(Path(tmp) / "in.csv", rows)
+        sites = {
+            site_id: [
+                dataclasses.replace(cp, arrays=cp.arrays._replace(values=np.array([
+                    [data.draw(_band_values(band)) for band in BAND_ORDER]
+                    for _ in cp.arrays.ordinals
+                ])))
+                for cp in pixels
+            ]
+            for site_id, pixels in read_series_arrays(Path(tmp) / "in.csv").items()
+        }
+        write_series_arrays(Path(tmp) / "out.csv", sites)
+        assert_same_sites(series_as_written(sites), read_series_arrays(Path(tmp) / "out.csv"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=series_rows(), quoted=st.booleans())
+def test_history_mirror_gives_back_the_parse_without_parsing(rows, quoted):
+    """A mirror written from a series file's parse loads as that parse,
+    bit for bit, and no series file is parsed to load it; after the file
+    changes, the mirror is refused and the file is parsed."""
+    if quoted:  # site ids that need CSV quoting
+        rows = [[f'"{r[0]},\u00e9"', *r[1:]] for r in rows]
+    rows = [list(r) for r in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        history, mirror = Path(tmp) / "history.csv", Path(tmp) / "history.npy"
+        _write_rows(history, rows)
+        parsed = read_series_arrays(history)
+        write_history_mirror(mirror, history, parsed)
+        with mock.patch.object(dataio, "_parse_series", side_effect=AssertionError("parsed")):
+            assert_same_sites(read_state_history(history, mirror), parsed)
+        rows[0][6] = "3" if rows[0][6] != "3" else "0"   # a reliability code
+        _write_rows(history, rows)
+        assert_same_sites(read_state_history(history, mirror), read_series_arrays(history))
 
 
 # --- labels -----------------------------------------------------------------------
