@@ -132,8 +132,10 @@ def parse_band(name: str) -> Band:
         ) from None
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config(path: str) -> dict[str, tuple[str, int]]:
+    """A config file's ``key=value`` lines as key -> (value, line number);
+    a later line wins over an earlier one with the same key."""
+    entries: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
         for i, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -142,8 +144,12 @@ def load_config_file(path: str) -> dict[str, str]:
             key, eq, value = line.partition("=")
             if not eq:
                 raise UsageError(f"{path}:{i}: expected key=value, got {line!r}")
-            values[key.strip()] = value.strip()
-    return values
+            entries[key.strip()] = (value.strip(), i)
+    return entries
+
+
+def load_config_file(path: str) -> dict[str, str]:
+    return {key: value for key, (value, _) in _read_config(path).items()}
 
 
 THREADS_HELP = (
@@ -168,110 +174,149 @@ def _str2bool(text: str) -> bool:
     return text.strip().lower() in ("1", "true", "yes", "on")
 
 
-def build_parser(config: Optional[dict[str, str]] = None) -> _Parser:
+# Each subcommand's arguments; ``add`` adds a flag whose default a config
+# file may set.
+
+
+def _add_rule_flags(add):
+    # None marks a flag not given; RULE_DEFAULTS fills in the shipped value
+    add("--rule", help="univariate | multivariate (default) | mahalanobis")
+    add("--band", help="band for the univariate rule (default nir)")
+    add("--L", type=float, help="univariate/mahalanobis threshold")
+    add("--L-nir", type=float, help=f"default {DEFAULT_NIR_THRESHOLD}")
+    add("--L-ndvi", type=float, help=f"default {DEFAULT_NDVI_THRESHOLD}")
+    add("--consec", type=int, help=f"default {DEFAULT_CONSECUTIVE}")
+    add("--scheme", default=Scheme.IDENTITY.value, help="standardization scheme code")
+
+
+def _simulate_arguments(add):
+    add("--scenario", default="sonora-like", help="sonora-like | yucatan-like")
+    add("--out", required=True, help="output directory")
+    add("--seed", type=int, default=0)
+    add("--noise-sd", type=float, default=0.02)
+    add("--n-events", type=int, default=30)
+    add("--first-year", type=int, default=2003)
+    return cmd_simulate
+
+
+def _fit_arguments(add):
+    add("--series", required=True)
+    add("--out", required=True, help="output directory for model files")
+    add("--windows", default=DEFAULT_WINDOWS)
+    add("--bands", default=",".join(b.name.lower() for b in BAND_ORDER))
+    add("--min-obs", type=int, default=None)
+    add("--threads", type=_thread_count, default=None, help=THREADS_HELP)
+    return cmd_fit
+
+
+def _detect_arguments(add):
+    add("--series", required=True)
+    add("--models", required=True, help="directory of models_*.csv files")
+    add("--out", required=True, help="detections file")
+    _add_rule_flags(add)
+    add("--standardizer", action="append", default=None,
+        help="fitted standardizer file (repeat per band)")
+    add("--threads", type=_thread_count, default=None, help=THREADS_HELP)
+    return cmd_detect
+
+
+def _train_arguments(add):
+    add("--series", required=True)
+    add("--labels", required=True)
+    add("--out", required=True, help="report file (csv); .txt written beside it")
+    add("--rule", default="multivariate")
+    add("--band", default=None, help="univariate band (default nir)")
+    add("--windows", default=DEFAULT_WINDOWS)
+    add("--grid", default=None, help="lo:hi:step (univariate/mahalanobis)")
+    add("--grid-nir", default=None, help="lo:hi:step for the NIR threshold")
+    add("--grid-ndvi", default=None, help="lo:hi:step for the NDVI threshold")
+    add("--scheme", default=Scheme.IDENTITY.value)
+    add("--cv-folds", type=int, default=DEFAULT_CV_FOLDS)
+    add("--seed", type=int, default=0)
+    add("--anneal-iters", type=int, default=None, help="total annealing steps")
+    add("--sweep-fixed", action="store_true",
+        help="also sweep the C=3 optimum across C=2..6")
+    add("--threads", type=_thread_count, default=None, help=THREADS_HELP)
+    return cmd_train
+
+
+def _standardize_arguments(add):
+    add("--series", required=True)
+    add("--models", required=True)
+    add("--scheme", required=True)
+    add("--band", required=True)
+    add("--out", required=True)
+    return cmd_standardize
+
+
+def _online_arguments(add):
+    add("--state", required=True, help="state directory")
+    add("--init", action="store_true", help="initialize state from --series")
+    add("--series", default=None, help="historical series (with --init)")
+    add("--monitor-year", type=int, default=None)
+    add("--batch", default=None, help="series file holding one new nominal date")
+    add("--out", default=None, help="detections file for this batch")
+    _add_rule_flags(add)
+    return cmd_online
+
+
+def _report_arguments(add):
+    add("--detections", required=True)
+    add("--labels", required=True)
+    add("--out", default=None, help="write the summary here instead of stdout")
+    return cmd_report
+
+
+# name: (help, the function that adds its arguments and names its command)
+SUBCOMMANDS = {
+    "simulate": ("write a synthetic site (series + labels)", _simulate_arguments),
+    "fit": ("fit harmonic models per training window", _fit_arguments),
+    "detect": ("apply a fixed rule to a series", _detect_arguments),
+    "train": ("optimize thresholds against labels", _train_arguments),
+    "standardize": ("fit and save a standardizer", _standardize_arguments),
+    "online": ("incremental monitoring loop", _online_arguments),
+    "report": ("evaluate a detections file against labels", _report_arguments),
+}
+
+
+def build_parser(config: Optional[dict[str, str]] = None, *, only: Optional[str] = None) -> _Parser:
+    """The command-line parser; a flag named in ``config`` takes its
+    default from there. With ``only``, a subcommand's name, the parser knows
+    that subcommand alone: it parses an argument list that opens with it as
+    the full parser does, and builds a fraction of it."""
     config = config or {}
-
-    def add(sub, flag, *, type=str, default=None, action=None, **kw):
-        key = flag.lstrip("-")
-        if key in config:
-            if action == "store_true":
-                default = _str2bool(config[key])
-                action = None
-                sub.add_argument(flag, default=default, action="store_true", **kw)
-                return
-            default = type(config[key]) if type is not None else config[key]
-        if action:
-            sub.add_argument(flag, action=action, default=default, **kw)
-        else:
-            sub.add_argument(flag, type=type, default=default, **kw)
-
     parser = _Parser(prog="cmfda", description=__doc__)
     parser.add_argument("--config", help="key=value config file mirroring the flags")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments) in SUBCOMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
 
-    # None marks a flag not given; RULE_DEFAULTS fills in the shipped value
-    def add_rule_flags(p):
-        add(p, "--rule", help="univariate | multivariate (default) | mahalanobis")
-        add(p, "--band", help="band for the univariate rule (default nir)")
-        add(p, "--L", type=float, help="univariate/mahalanobis threshold")
-        add(p, "--L-nir", type=float, help=f"default {DEFAULT_NIR_THRESHOLD}")
-        add(p, "--L-ndvi", type=float, help=f"default {DEFAULT_NDVI_THRESHOLD}")
-        add(p, "--consec", type=int, help=f"default {DEFAULT_CONSECUTIVE}")
-        add(p, "--scheme", default=Scheme.IDENTITY.value,
-            help="standardization scheme code")
+        def add(flag, *, type=str, default=None, action=None, **kw):
+            key = flag.lstrip("-")
+            if key in config:
+                if action == "store_true":
+                    p.add_argument(flag, default=_str2bool(config[key]), action=action, **kw)
+                    return
+                try:
+                    default = type(config[key]) if type is not None else config[key]
+                except ValueError:
+                    raise UsageError(f"--config: bad value for {key}: {config[key]!r}") from None
+            if action:
+                p.add_argument(flag, action=action, default=default, **kw)
+            else:
+                p.add_argument(flag, type=type, default=default, **kw)
 
-    p = sub.add_parser("simulate", help="write a synthetic site (series + labels)")
-    add(p, "--scenario", default="sonora-like", help="sonora-like | yucatan-like")
-    add(p, "--out", required=True, help="output directory")
-    add(p, "--seed", type=int, default=0)
-    add(p, "--noise-sd", type=float, default=0.02)
-    add(p, "--n-events", type=int, default=30)
-    add(p, "--first-year", type=int, default=2003)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", help="fit harmonic models per training window")
-    add(p, "--series", required=True)
-    add(p, "--out", required=True, help="output directory for model files")
-    add(p, "--windows", default=DEFAULT_WINDOWS)
-    add(p, "--bands", default=",".join(b.name.lower() for b in BAND_ORDER))
-    add(p, "--min-obs", type=int, default=None)
-    add(p, "--threads", type=_thread_count, default=None, help=THREADS_HELP)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("detect", help="apply a fixed rule to a series")
-    add(p, "--series", required=True)
-    add(p, "--models", required=True, help="directory of models_*.csv files")
-    add(p, "--out", required=True, help="detections file")
-    add_rule_flags(p)
-    add(p, "--standardizer", action="append", default=None,
-        help="fitted standardizer file (repeat per band)")
-    add(p, "--threads", type=_thread_count, default=None, help=THREADS_HELP)
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("train", help="optimize thresholds against labels")
-    add(p, "--series", required=True)
-    add(p, "--labels", required=True)
-    add(p, "--out", required=True, help="report file (csv); .txt written beside it")
-    add(p, "--rule", default="multivariate")
-    add(p, "--band", default=None, help="univariate band (default nir)")
-    add(p, "--windows", default=DEFAULT_WINDOWS)
-    add(p, "--grid", default=None, help="lo:hi:step (univariate/mahalanobis)")
-    add(p, "--grid-nir", default=None, help="lo:hi:step for the NIR threshold")
-    add(p, "--grid-ndvi", default=None, help="lo:hi:step for the NDVI threshold")
-    add(p, "--scheme", default=Scheme.IDENTITY.value)
-    add(p, "--cv-folds", type=int, default=DEFAULT_CV_FOLDS)
-    add(p, "--seed", type=int, default=0)
-    add(p, "--anneal-iters", type=int, default=None, help="total annealing steps")
-    add(p, "--sweep-fixed", action="store_true",
-        help="also sweep the C=3 optimum across C=2..6")
-    add(p, "--threads", type=_thread_count, default=None, help=THREADS_HELP)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("standardize", help="fit and save a standardizer")
-    add(p, "--series", required=True)
-    add(p, "--models", required=True)
-    add(p, "--scheme", required=True)
-    add(p, "--band", required=True)
-    add(p, "--out", required=True)
-    p.set_defaults(func=cmd_standardize)
-
-    p = sub.add_parser("online", help="incremental monitoring loop")
-    add(p, "--state", required=True, help="state directory")
-    add(p, "--init", action="store_true", help="initialize state from --series")
-    add(p, "--series", default=None, help="historical series (with --init)")
-    add(p, "--monitor-year", type=int, default=None)
-    add(p, "--batch", default=None, help="series file holding one new nominal date")
-    add(p, "--out", default=None, help="detections file for this batch")
-    add_rule_flags(p)
-    p.set_defaults(func=cmd_online)
-
-    p = sub.add_parser("report", help="evaluate a detections file against labels")
-    add(p, "--detections", required=True)
-    add(p, "--labels", required=True)
-    add(p, "--out", default=None, help="write the summary here instead of stdout")
-    p.set_defaults(func=cmd_report)
-
+        p.set_defaults(func=arguments(add))
     return parser
+
+
+def _flag_keys(command: str) -> set[str]:
+    """The config keys of ``command``'s flags."""
+    keys: set[str] = set()
+    SUBCOMMANDS[command][1](lambda flag, **kw: keys.add(flag.lstrip("-")))
+    return keys
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -437,8 +482,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# The series mirror that fit writes into --out, and detect and standardize
+# read from --models.
+SERIES_MIRROR = "series.npy"
+
+
 def cmd_fit(args) -> int:
-    sites = dataio.read_series_arrays(args.series)
+    """Fit the models of every (pixel, band, window) into ``--out``: one
+    ``models_<first>_<last>.csv`` per window and ``fit_report.txt``.
+
+    ``--out`` also gets ``series.npy``, a binary mirror of ``--series`` as
+    parsed, in the format of the online state's ``history.npy``. It is
+    derived, never authoritative, and may be deleted: it holds the SHA-256
+    of the series bytes that fit parsed, and ``detect`` and ``standardize``
+    read it in place of ``--series`` only while that matches the file's
+    bytes. A mirror that cannot be written is a warning, not an error.
+    """
+    sites, digest = dataio.read_series_hashed(args.series)
     windows = parse_windows_spec(args.windows)
     bands = tuple(parse_band(b) for b in args.bands.split(","))
     os.makedirs(args.out, exist_ok=True)
@@ -459,6 +519,12 @@ def cmd_fit(args) -> int:
                 f"skip {skip.pixel_id} window={skip.window_index} "
                 f"band={skip.band.name} reason={skip.reason}\n"
             )
+    try:
+        dataio.write_series_mirror(
+            os.path.join(args.out, SERIES_MIRROR), args.series, sites, digest=digest
+        )
+    except OSError as exc:
+        print(f"cmfda: warning: series mirror not written: {exc}", file=sys.stderr)
     print(f"fitted {n_models} models; skipped {len(merged.skipped)}; report: {report_path}")
     return EXIT_OK
 
@@ -479,10 +545,26 @@ def _standardizers_for(args, sites, fit, windows, bands):
     }
 
 
+def _read_series(args):
+    """``--series`` as parsed, taken from the mirror that ``fit`` left in
+    ``--models`` while that mirrors the file's current bytes."""
+    return dataio.read_series_mirrored(args.series, os.path.join(args.models, SERIES_MIRROR))
+
+
 def cmd_detect(args) -> int:
+    """Apply a rule to ``--series`` with the models in ``--models`` and write
+    the detections to ``--out``.
+
+    ``fit`` also leaves ``series.npy`` in ``--models``: a mirror of the
+    series as parsed, in the format of the online state's ``history.npy``.
+    It is derived, and may be deleted. The series is read from it while
+    the SHA-256 it holds matches the bytes of ``--series``, and parsed
+    otherwise: mirror missing, stale, truncated or unreadable, or a models
+    dir without one. Either way the outputs are the same.
+    """
     _rule_args(args)
     _refuse_standardized_index(args)
-    sites = dataio.read_series_arrays(args.series)
+    sites = _read_series(args)
     windows, fit = _load_model_dir(args.models)
     covariances = _cube_covariances(sites, fit, windows) if args.rule == "mahalanobis" else None
     rule = _build_rule(args, covariances)
@@ -689,7 +771,15 @@ def _anneal_start(dataset, band, consecutive, grid) -> float:
 
 
 def cmd_standardize(args) -> int:
-    sites = dataio.read_series_arrays(args.series)
+    """Fit a standardizer for ``--band`` from the training residuals of
+    ``--series`` under the models in ``--models``, and write it to ``--out``.
+
+    The series is read as ``detect`` reads it: from the ``series.npy`` that
+    ``fit`` left in ``--models`` (a derived mirror in the format of the
+    online ``history.npy``, which may be deleted) while the SHA-256 it holds
+    matches the bytes of ``--series``, and parsed otherwise.
+    """
+    sites = _read_series(args)
     windows, fit = _load_model_dir(args.models)
     band = parse_band(args.band)
     scheme = parse_scheme(args.scheme)
@@ -742,9 +832,10 @@ def cmd_online(args) -> int:
     The state is ``config.txt``, ``history.csv`` (every observation so far),
     ``flagged.csv``, ``models_online.csv`` (the last step's refits),
     ``covariances.csv`` (Mahalanobis rule only) and ``history.npy``. That
-    last is a binary mirror of the parsed ``history.csv``: derived, never
-    authoritative, and safe to delete. A step uses it only while the
-    SHA-256 it holds matches ``history.csv``, and parses the CSV otherwise.
+    last is a binary mirror of the parsed ``history.csv``, in the format of
+    the ``series.npy`` that ``fit`` writes: derived, never authoritative,
+    and safe to delete. A step uses it only while the SHA-256 it holds
+    matches ``history.csv``, and parses the CSV otherwise.
     A step writes ``--out``, ``flagged.csv``, ``models_online.csv``, then
     ``history.csv``, which commits the step, then the mirror.
     """
@@ -765,7 +856,7 @@ def cmd_online(args) -> int:
         _build_rule(args, covariances)  # a rule the batches could not build is refused here
         os.makedirs(args.state, exist_ok=True)
         _replace_state(paths["history"], dataio.write_series_arrays, sites)
-        dataio.write_history_mirror(paths["mirror"], paths["history"], sites)
+        dataio.write_series_mirror(paths["mirror"], paths["history"], sites)
         _replace_state(paths["flagged"], dataio.write_detections, [], {"state": "online"})
         if covariances is not None:
             _replace_state(paths["covariances"], dataio.save_covariances, covariances)
@@ -801,7 +892,7 @@ def cmd_online(args) -> int:
     )
     rule = _build_rule(rule_args, covariances)
 
-    history = dataio.read_state_history(paths["history"], paths["mirror"])
+    history = dataio.read_series_mirrored(paths["history"], paths["mirror"])
     batch = dataio.series_as_written(dataio.read_series_arrays(args.batch))
     _, previously = dataio.read_detections(paths["flagged"])
 
@@ -863,7 +954,7 @@ def cmd_online(args) -> int:
     # ones. A mirror left stale by a failed write is refused by its hash.
     order = [*history, *(site_id for site_id in batch if site_id not in history)]
     try:
-        dataio.write_history_mirror(
+        dataio.write_series_mirror(
             paths["mirror"], paths["history"], {site_id: merged[site_id] for site_id in order}
         )
     except OSError as exc:
@@ -900,21 +991,48 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _config_path(argv: Sequence[str]) -> Optional[str]:
+    """The file that ``--config`` names in ``argv``, or None."""
+    if "--config" in argv:
+        i = argv.index("--config")
+        if i + 1 == len(argv):
+            raise UsageError("argument --config: expected one argument")
+        return argv[i + 1]
+    path = None
+    for item in argv:
+        if item.startswith("--config="):
+            path = item.split("=", 1)[1]
+    return path
+
+
+def _named_command(argv: Sequence[str]) -> Optional[str]:
+    """The subcommand that ``argv`` opens with, after an optional
+    ``--config FILE``; None when it opens otherwise."""
+    rest = list(argv)
+    if rest[:1] == ["--config"]:
+        rest = rest[2:]
+    elif rest and rest[0].startswith("--config="):
+        rest = rest[1:]
+    return rest[0] if rest and rest[0] in SUBCOMMANDS else None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config = {}
     try:
-        if "--config" in argv:
-            config = load_config_file(argv[argv.index("--config") + 1])
-        else:
-            for item in argv:
-                if item.startswith("--config="):
-                    config = load_config_file(item.split("=", 1)[1])
-        parser = build_parser(config)
+        path = _config_path(argv)
+        entries = _read_config(path) if path is not None else {}
+        config = {key: value for key, (value, _) in entries.items()}
+        parser = build_parser(config, only=_named_command(argv))
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        if args.config != path:  # an abbreviated or repeated --config
+            raise UsageError("give --config FILE once, spelled out in full")
+        keys = _flag_keys(args.command)
+        for key, (_, line) in entries.items():
+            if key not in keys:
+                raise UsageError(f"{path}:{line}: {key!r} names no flag of {args.command}")
         return args.func(args)
     except UsageError as exc:
         print(f"cmfda: error: {exc}", file=sys.stderr)

@@ -3,8 +3,8 @@
 All text formats are comma-separated with a one-line versioned header
 (``#cmfda <kind> v1 ...``) followed by a column-name row. Reals are
 written with 9 significant digits, so values round-trip through that
-precision; counts and dates round-trip exactly. The one binary file is
-the online state's history mirror (see :func:`write_history_mirror`).
+precision; counts and dates round-trip exactly. The one binary format is
+the series mirror (see :func:`write_series_mirror`).
 """
 from __future__ import annotations
 
@@ -236,18 +236,52 @@ def write_series_arrays(path, sites: Mapping[str, Sequence[CompactPixel]], base=
 # Rows per chunk of a parsed table: bounds the memory that the rows' field
 # strings take at once.
 _CHUNK_ROWS = 1024
+# Bytes per read of a file that is hashed.
+_HASH_BLOCK = 1 << 16
 
 
-def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Callable] = None):
+class _HashingReader(io.RawIOBase):
+    """An unbuffered binary file that feeds every byte read from it to
+    ``digest``."""
+
+    def __init__(self, file, digest):
+        self._file = file
+        self._digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        if n:
+            self._digest.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _open_text(path, digest=None):
+    """``open(path, newline="")``; with ``digest``, a hashlib object, every
+    byte read from the file is fed to it as well."""
+    if digest is None:
+        return open(path, newline="")
+    raw = _HashingReader(open(path, "rb", buffering=0), digest)
+    return io.TextIOWrapper(io.BufferedReader(raw, buffer_size=_HASH_BLOCK), newline="")
+
+
+def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Callable] = None,
+                  digest=None):
     """Yield a table file's data rows, split by ``csv.reader``, in chunks.
 
     Each chunk is (line numbers of its non-blank rows, its columns over the
     rows before the first with the wrong field count, that row's field
     count or None). A chunk with such a row is the last. ``on_header``,
     when given, gets the header's key=value pairs before the column names
-    are checked.
+    are checked. ``digest``, a hashlib object, is fed the bytes read.
     """
-    with open(path, newline="") as fh:
+    with _open_text(path, digest) as fh:
         header = _read_header(fh, kind, path)
         if on_header is not None:
             on_header(header)
@@ -431,11 +465,12 @@ def _series_chunk(path, lines, columns, caches, pixels: dict, cols: list, rows: 
     )
 
 
-def _parse_series(path) -> _SeriesTable:
+def _parse_series(path, digest=None) -> _SeriesTable:
     """Parse a series file column by column. A fault is reported as the
     row-by-row reading of the file would meet it: the first bad row (see
     :func:`_series_chunk`; a wrong field count is checked first), and a
-    break of the 16-day cadence only after every row has passed."""
+    break of the 16-day cadence only after every row has passed.
+    ``digest``, a hashlib object, is fed the bytes parsed."""
     caches: dict[str, dict] = {
         column: {} for column in ("reliability", "nominal_date", "composite_doy", "col", "row")
     }
@@ -443,7 +478,7 @@ def _parse_series(path) -> _SeriesTable:
     cols: list = []
     rows: list = []
     chunks = []
-    for lines, columns, bad_width in _table_chunks(path, "series", SERIES_COLUMNS):
+    for lines, columns, bad_width in _table_chunks(path, "series", SERIES_COLUMNS, digest=digest):
         chunks.append(_series_chunk(path, lines, columns, caches, pixels, cols, rows))
         if bad_width is not None:
             n = len(columns["site_id"])
@@ -479,7 +514,19 @@ def _parse_series(path) -> _SeriesTable:
 def read_series_arrays(path) -> dict[str, list[CompactPixel]]:
     """Per site, each pixel's series as arrays (fill values read as NaN),
     pixels in order of first appearance, each sorted by date."""
-    table = _parse_series(path)
+    return _series_arrays(_parse_series(path))
+
+
+def read_series_hashed(path) -> tuple[dict[str, list[CompactPixel]], str]:
+    """:func:`read_series_arrays` of ``path`` and the SHA-256 of the very
+    bytes it parsed, taken as the parser reads them: the file may change
+    while it is read, and the digest then still names what was parsed."""
+    digest = hashlib.sha256()
+    table = _parse_series(path, digest)
+    return _series_arrays(table), digest.hexdigest()
+
+
+def _series_arrays(table: _SeriesTable) -> dict[str, list[CompactPixel]]:
     values = np.where(table.values == _FILLS, np.nan, table.values)
     clear = np.isin(table.reliability, _CLEAR)
     out: dict[str, list[CompactPixel]] = {}
@@ -541,15 +588,18 @@ def series_as_written(sites: Mapping[str, Sequence[CompactPixel]]) -> dict[str, 
     return out
 
 
-# --- history mirror -------------------------------------------------------------
+# --- series mirror --------------------------------------------------------------
 #
-# Beside an online state's history.csv sits a binary copy of what
-# read_series_arrays returns for it, so a step need not parse the whole
-# history. The file is a sequence of .npy arrays: a JSON header (format tag,
-# SHA-256 of the history.csv bytes it mirrors, and each pixel's site, id,
-# col and row in read order), the pixels' row bounds, then one array per
-# SeriesArrays field over all rows. The copy is derived, never
-# authoritative: it is used only while its hash matches history.csv.
+# A binary copy of what read_series_arrays returns for a series file lets a
+# reader skip the parse: fit leaves one of its --series beside its models,
+# and an online state keeps one of its history.csv.
+# The file is a sequence of .npy arrays: a JSON header (format tag, SHA-256
+# of the series bytes it mirrors, and each pixel's site, id, col and row in
+# read order), the pixels' row bounds, then one array per SeriesArrays field
+# over all rows. The copy is derived, never authoritative: it is used only
+# while its hash matches the series file's current bytes. The format tag
+# predates its use beyond the online history and is kept, so a mirror's
+# bytes depend only on the series it mirrors.
 
 _MIRROR_FORMAT = "cmfda history-mirror v1"
 _MIRROR_EMPTY = SeriesArrays(
@@ -559,18 +609,26 @@ _MIRROR_EMPTY = SeriesArrays(
 
 
 def _sha256(path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        while block := fh.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest()
 
 
-def write_history_mirror(path, history_path, sites: Mapping[str, Sequence[CompactPixel]]) -> None:
-    """Write the mirror of ``history_path``; ``sites`` must be what
-    :func:`read_series_arrays` returns for it, in the same order. The file
-    replaces ``path`` when whole."""
+def write_series_mirror(
+    path, series_path, sites: Mapping[str, Sequence[CompactPixel]], digest: Optional[str] = None
+) -> None:
+    """Write the mirror of the series file ``series_path``; ``sites`` must
+    be what :func:`read_series_arrays` returns for it, in the same order.
+    ``digest`` is the SHA-256 of the bytes ``sites`` were parsed from (see
+    :func:`read_series_hashed`); without it the file's current bytes are
+    hashed, which is right only for a file no other process writes. The
+    mirror replaces ``path`` when whole."""
     pixels = [(site_id, cp) for site_id, cps in sites.items() for cp in cps]
     header = {
         "format": _MIRROR_FORMAT,
-        "sha256": _sha256(history_path),
+        "sha256": _sha256(series_path) if digest is None else digest,
         "pixels": [[site_id, cp.pixel_id, int(cp.col), int(cp.row)] for site_id, cp in pixels],
     }
     bounds = np.cumsum([0] + [len(cp.arrays.ordinals) for _, cp in pixels], dtype=np.int64)
@@ -584,7 +642,7 @@ def write_history_mirror(path, history_path, sites: Mapping[str, Sequence[Compac
 
 
 def _load_mirror(path, digest: str) -> Optional[dict[str, list[CompactPixel]]]:
-    """The mirror's sites when it is whole and mirrors the history whose
+    """The mirror's sites when it is whole and mirrors the series whose
     SHA-256 is ``digest``; None otherwise."""
     try:
         with open(path, "rb") as fh:
@@ -612,10 +670,11 @@ def _load_mirror(path, digest: str) -> Optional[dict[str, list[CompactPixel]]]:
     return out
 
 
-def read_state_history(path, mirror_path) -> dict[str, list[CompactPixel]]:
+def read_series_mirrored(path, mirror_path) -> dict[str, list[CompactPixel]]:
     """``read_series_arrays(path)``, taken from the mirror at
     ``mirror_path`` when that mirrors the current bytes of ``path``; the
-    file is parsed when the mirror is missing, stale or unreadable."""
+    file is parsed when the mirror is missing, stale, truncated or
+    unreadable."""
     sites = _load_mirror(mirror_path, _sha256(path))
     return read_series_arrays(path) if sites is None else sites
 

@@ -22,6 +22,8 @@ from cmfda.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_USAGE,
+    SUBCOMMANDS,
+    build_parser,
     load_config_file,
     main,
     parse_grid_spec,
@@ -38,7 +40,7 @@ from cmfda.dataio import (
     write_labels,
     write_series,
 )
-from cmfda.core import Band, DeforestationLabel, Reliability
+from cmfda.core import Band, DeforestationLabel, Reliability, band_fill
 from cmfda.standardize import KeyKind, Scheme
 from conftest import assert_same_sites
 
@@ -280,6 +282,52 @@ def test_usage_errors_exit_1(tmp_path):
         )
         == EXIT_USAGE
     )
+
+
+def test_config_file_faults_exit_1(tmp_path, capsys):
+    """--config with no file after it, a config key that names no flag of
+    the subcommand, a value its flag cannot take and an abbreviated
+    --config are usage errors, and the command does not run."""
+    out = tmp_path / "models"
+    fit = ["fit", "--series", str(tmp_path / "missing.csv"), "--out", str(out)]
+    assert main(fit + ["--config"]) == EXIT_USAGE
+    assert "argument --config: expected one argument" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    for text, error in (
+        ("# defaults\nwindows=2003:1\nbogus=1\n", f"{config}:3: 'bogus' names no flag of fit"),
+        ("rule=univariate\n", f"{config}:1: 'rule' names no flag of fit"),
+        ("min-obs=many\n", "--config: bad value for min-obs: 'many'"),
+    ):
+        config.write_text(text)
+        assert main(["--config", str(config), *fit]) == EXIT_USAGE
+        assert error in capsys.readouterr().err
+    config.write_text("windows=2003:1\n")
+    assert main(["--conf", str(config), *fit]) == EXIT_USAGE
+    assert "give --config FILE once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in SUBCOMMANDS)])
+def test_help_is_the_full_parsers(argv, capsys):
+    """main builds the parser of the named subcommand alone; the help it
+    prints is the full parser's, word for word."""
+    assert main(argv) == EXIT_OK
+    text = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert text == capsys.readouterr().out
+    assert text.startswith("usage: cmfda")
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
+    built = []
+    for name, (help_text, arguments) in list(SUBCOMMANDS.items()):
+        monkeypatch.setitem(SUBCOMMANDS, name, (
+            help_text, lambda add, name=name, arguments=arguments: built.append(name) or arguments(add)
+        ))
+    assert main(["simulate", "--scenario", "nowhere", "--out", "unused"]) == EXIT_USAGE
+    assert "unknown scenario 'nowhere'" in capsys.readouterr().err
+    assert set(built) == {"simulate"}
 
 
 def test_data_errors_exit_2(tmp_path, sim_dir, models_dir):
@@ -1040,7 +1088,7 @@ def test_online_steps_load_history_from_the_mirror(mirror_inputs, tmp_path, monk
             _refuse_history_parse(patch, state)
             if batch is not None:
                 assert _step(state, batch, tmp_path / "out.csv") == EXIT_OK
-            mirrored = dataio.read_state_history(state / "history.csv", state / "history.npy")
+            mirrored = dataio.read_series_mirrored(state / "history.csv", state / "history.npy")
         assert_same_sites(mirrored, read_series_arrays(state / "history.csv"))
     assert list(mirrored) == ["west", "east"]
 
@@ -1129,7 +1177,7 @@ def test_online_step_reads_a_hand_edited_history(mirror_inputs, mirror_reference
         lines = history.read_bytes().splitlines(keepends=True)
         history.write_bytes(b"".join(l for l in lines if l.split(b",")[1:2] != [dropped]))
         if rebuilt:
-            dataio.write_history_mirror(
+            dataio.write_series_mirror(
                 state / "history.npy", history, read_series_arrays(history)
             )
         runs.append(_run_steps(state, batches[MIRROR_STEP:], tmp_path / f"outs_{rebuilt}"))
@@ -1250,3 +1298,219 @@ def test_threaded_commands_never_fork(tmp_path, sim_dir, monkeypatch):
         "--windows", "2003:1", "--bands", "nir", "--threads", "2",
     ]) == EXIT_OK
     assert (out / "models_2003_2004.csv").exists()
+
+
+# --- fit's series mirror ----------------------------------------------------------
+
+
+def _without_pixel(src, dst, pixel_id):
+    """Copy the series file ``src`` without the rows of ``pixel_id``."""
+    lines = src.read_bytes().splitlines(keepends=True)
+    kept = [l for l in lines if l.split(b",")[1:2] != [pixel_id.encode()]]
+    assert len(kept) < len(lines)
+    dst.write_bytes(b"".join(kept))
+    return dst
+
+
+@pytest.fixture(scope="module")
+def fit_mirror_scene(tmp_path_factory):
+    """A series of two sites whose rows interleave in the file (sorted by
+    date), with fill values and cloudy dates; a copy of it without one
+    pixel; and the models dir that fit writes for the first."""
+    from test_pipeline import one_year_scenario
+
+    pixels, _ = one_year_scenario(seed=21, n_events=5)
+
+    def with_fills(pixel, k):
+        observations = tuple(
+            dataclasses.replace(o, values={**o.values, Band.NIR: band_fill(Band.NIR)})
+            if (i + k) % 7 == 0 else o
+            for i, o in enumerate(pixel.observations)
+        )
+        return dataclasses.replace(pixel, observations=observations)
+
+    root = tmp_path_factory.mktemp("fit_mirror")
+    sites = {
+        "west": [with_fills(p, k) for k, p in enumerate(pixels[:10])],
+        "east": pixels[10:20],
+    }
+    write_series(root / "by_site.csv", sites)
+    header, names, *rows = (root / "by_site.csv").read_bytes().splitlines(keepends=True)
+    series = root / "series.csv"
+    series.write_bytes(header + names + b"".join(sorted(rows, key=lambda r: r.split(b",")[4])))
+    dropped = _without_pixel(series, root / "dropped.csv", sites["west"][3].pixel_id)
+    models = root / "models"
+    assert _fit(series, models) == EXIT_OK
+    return series, dropped, models
+
+
+def _fit(series, models):
+    return main([
+        "fit", "--series", str(series), "--out", str(models), "--windows", "2003:1",
+        "--bands", "nir,ndvi", "--threads", "1",
+    ])
+
+
+def _detect_and_standardize(series, models, out):
+    """The bytes of a shipped detect and of a 4c standardize of ``series``
+    under the models in ``models``."""
+    out.mkdir()
+    assert main([
+        "detect", "--series", str(series), "--models", str(models),
+        "--out", str(out / "detect.csv"), "--threads", "1",
+    ]) == EXIT_OK
+    assert main([
+        "standardize", "--series", str(series), "--models", str(models), "--scheme", "4c",
+        "--band", "nir", "--out", str(out / "std.csv"),
+    ]) == EXIT_OK
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _parsed_outputs(series, models, out):
+    """:func:`_detect_and_standardize` under a copy of ``models`` without
+    its mirror, so the series is parsed."""
+    bare = out.parent / f"{out.name}_models"
+    shutil.copytree(models, bare, ignore=shutil.ignore_patterns("series.npy"))
+    return _detect_and_standardize(series, bare, out)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths that ``_parse_series`` is called on."""
+    paths = []
+    parse = dataio._parse_series
+
+    def recording(path, *args, **kwargs):
+        paths.append(Path(path))
+        return parse(path, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "_parse_series", recording)
+    return paths
+
+
+def test_fit_mirror_loads_as_the_parse(fit_mirror_scene, monkeypatch):
+    """fit leaves series.npy beside its models. It loads as
+    read_series_arrays(series) does, in site and pixel order, dtypes and
+    bits, and loading it parses nothing."""
+    series, _, models = fit_mirror_scene
+    parsed = read_series_arrays(series)
+    assert list(parsed) == ["west", "east"]
+    assert any(np.isnan(cp.arrays.values).any() for cp in parsed["west"])
+    assert any((~cp.arrays.clear).any() for cp in parsed["east"])
+    with monkeypatch.context() as patch:
+        patch.setattr(dataio, "_parse_series", lambda *a, **k: pytest.fail("series parsed"))
+        mirrored = dataio.read_series_mirrored(series, models / "series.npy")
+    assert_same_sites(mirrored, parsed)
+
+
+def test_detect_and_standardize_read_a_valid_mirror_without_parsing(
+    fit_mirror_scene, tmp_path, monkeypatch
+):
+    """With fit's mirror valid, detect and standardize never parse the
+    series, and they write what they write from a parse."""
+    series, _, models = fit_mirror_scene
+    with monkeypatch.context() as patch:
+        patch.setattr(dataio, "_parse_series", lambda *a, **k: pytest.fail("series parsed"))
+        mirrored = _detect_and_standardize(series, models, tmp_path / "mirrored")
+    assert mirrored == _parsed_outputs(series, models, tmp_path / "parsed")
+
+
+@pytest.mark.parametrize(
+    "fault", ["deleted", "truncated", "foreign", "series_edited", "no_mirror_written"]
+)
+def test_detect_without_a_valid_fit_mirror_parses_the_series(
+    fit_mirror_scene, tmp_path, fault, parses
+):
+    """A fit mirror deleted, truncated, taken from another series or left
+    stale by an edit of the series, and a models dir written without one
+    (as a fit that predates the mirror writes it): detect and standardize
+    parse the series and write what a parse gives."""
+    scene_series, dropped, scene_models = fit_mirror_scene
+    series, models = tmp_path / "series.csv", tmp_path / "models"
+    shutil.copy(scene_series, series)
+    shutil.copytree(scene_models, models)
+    mirror = models / "series.npy"
+    if fault == "deleted":
+        mirror.unlink()
+    elif fault == "truncated":
+        mirror.write_bytes(mirror.read_bytes()[: mirror.stat().st_size // 2])
+    elif fault == "foreign":
+        assert _fit(dropped, tmp_path / "other") == EXIT_OK
+        shutil.copy(tmp_path / "other" / "series.npy", mirror)
+    elif fault == "series_edited":
+        shutil.copy(dropped, series)
+    else:
+        shutil.rmtree(models)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "write_series_mirror", lambda *a, **k: None)
+            assert _fit(series, models) == EXIT_OK
+        assert not mirror.exists()
+        assert _files(models) == {
+            name: data for name, data in _files(scene_models).items() if name != "series.npy"
+        }
+    parses.clear()
+    outputs = _detect_and_standardize(series, models, tmp_path / "out")
+    assert parses == [series, series]
+    assert outputs == _parsed_outputs(series, models, tmp_path / "parsed")
+    if fault in ("foreign", "series_edited"):   # the mirror's series writes other bytes
+        mirrored = dropped if fault == "foreign" else scene_series
+        assert outputs != _parsed_outputs(mirrored, models, tmp_path / "mirrored")
+
+
+def test_fit_survives_a_failed_mirror_write(
+    fit_mirror_scene, tmp_path, monkeypatch, capsys, parses
+):
+    """When the mirror cannot be written, fit still exits 0, with a warning,
+    and writes the same model files; detect then parses the series."""
+    series, _, scene_models = fit_mirror_scene
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "series.npy":
+            raise OSError("injected failure")
+        real_replace(src, dst)
+
+    models = tmp_path / "models"
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", failing_replace)
+        assert _fit(series, models) == EXIT_OK
+    assert "series mirror not written: injected failure" in capsys.readouterr().err
+    assert _files(models) == {
+        name: data for name, data in _files(scene_models).items() if name != "series.npy"
+    }
+    parses.clear()
+    assert _detect_and_standardize(series, models, tmp_path / "out") == _parsed_outputs(
+        series, scene_models, tmp_path / "parsed"
+    )
+    assert parses[:2] == [series, series]
+
+
+def test_fit_mirror_holds_the_hash_of_the_bytes_fit_parsed(
+    fit_mirror_scene, tmp_path, monkeypatch, parses
+):
+    """The series changes after fit parsed it and before fit writes the
+    mirror. The mirror names the bytes fit parsed: detect parses the changed
+    file, and uses the mirror again once the file holds those bytes."""
+    scene_series, dropped, scene_models = fit_mirror_scene
+    series, models = tmp_path / "series.csv", tmp_path / "models"
+    shutil.copy(scene_series, series)
+    fit_pixels = pipeline.fit_pixels
+
+    def fit_then_edit(*args, **kwargs):
+        shutil.copy(dropped, series)
+        return fit_pixels(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "fit_pixels", fit_then_edit)
+        assert _fit(series, models) == EXIT_OK
+    assert series.read_bytes() == dropped.read_bytes()
+    assert _files(models) == _files(scene_models)
+    parses.clear()
+    assert _detect_and_standardize(series, models, tmp_path / "edited") == _parsed_outputs(
+        series, models, tmp_path / "edited_parsed"
+    )
+    assert parses[:2] == [series, series]
+    shutil.copy(scene_series, series)
+    parses.clear()
+    _detect_and_standardize(series, models, tmp_path / "restored")
+    assert parses == []

@@ -1,5 +1,7 @@
 import dataclasses
 import datetime as dt
+import hashlib
+import os
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -46,7 +48,8 @@ from cmfda.dataio import (
     read_report,
     read_series,
     read_series_arrays,
-    read_state_history,
+    read_series_hashed,
+    read_series_mirrored,
     real,
     save_covariances,
     save_models,
@@ -55,7 +58,7 @@ from cmfda.dataio import (
     series_as_written,
     sonora_like_config,
     write_detections,
-    write_history_mirror,
+    write_series_mirror,
     write_labels,
     write_landuse,
     write_report,
@@ -397,12 +400,88 @@ def test_history_mirror_gives_back_the_parse_without_parsing(rows, quoted):
         history, mirror = Path(tmp) / "history.csv", Path(tmp) / "history.npy"
         _write_rows(history, rows)
         parsed = read_series_arrays(history)
-        write_history_mirror(mirror, history, parsed)
+        write_series_mirror(mirror, history, parsed)
         with mock.patch.object(dataio, "_parse_series", side_effect=AssertionError("parsed")):
-            assert_same_sites(read_state_history(history, mirror), parsed)
+            assert_same_sites(read_series_mirrored(history, mirror), parsed)
         rows[0][6] = "3" if rows[0][6] != "3" else "0"   # a reliability code
         _write_rows(history, rows)
-        assert_same_sites(read_state_history(history, mirror), read_series_arrays(history))
+        assert_same_sites(read_series_mirrored(history, mirror), read_series_arrays(history))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=series_rows(), quoted=st.booleans())
+def test_hashed_read_is_the_parse_and_the_hash_of_its_bytes(rows, quoted):
+    """read_series_hashed gives read_series_arrays and the SHA-256 of the
+    file's bytes, as the parser read them."""
+    if quoted:
+        rows = [[f'"{r[0]},\u00e9"', *r[1:]] for r in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        _write_rows(path, rows)
+        sites, digest = read_series_hashed(path)
+        assert_same_sites(sites, read_series_arrays(path))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("when", ["before_the_parse_opens_it", "during_the_parse"])
+def test_hashed_read_names_the_bytes_it_parsed(tmp_path, monkeypatch, when):
+    """A series file replaced as it is about to be parsed, or while it is
+    parsed: the parse and the digest are both of the bytes read."""
+
+    def rows(reliability):
+        dates = [dt.date(2004, 1, 1) + dt.timedelta(days=16 * k) for k in range(3)]
+        return [
+            ["s", f"p{p}", str(p), "0", date.isoformat(), str(day_of_year(date)), reliability,
+             *["0.25"] * len(BAND_ORDER)]
+            for p in range(2) for date in dates
+        ]
+
+    path, replacement = tmp_path / "in.csv", tmp_path / "new.csv"
+    originals, replacements = tmp_path / "original.csv", tmp_path / "replacement.csv"
+    for target, code in ((path, "0"), (originals, "0"), (replacement, "3"), (replacements, "3")):
+        _write_rows(target, rows(code))
+    name = "_parse_series" if when.startswith("before") else "_series_chunk"
+    call = getattr(dataio, name)
+
+    def replace_then_call(*args, **kwargs):
+        if replacement.exists():
+            os.replace(replacement, path)
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(dataio, name, replace_then_call)
+    sites, digest = read_series_hashed(path)
+    monkeypatch.undo()
+    read = replacements if when.startswith("before") else originals
+    assert digest == hashlib.sha256(read.read_bytes()).hexdigest()
+    assert_same_sites(sites, read_series_arrays(read))
+    assert path.read_bytes() == replacements.read_bytes() != originals.read_bytes()
+
+
+def test_file_hash_reads_in_blocks(tmp_path, monkeypatch):
+    """A file is hashed in 64 KB reads, never read whole."""
+    path = tmp_path / "big.bin"
+    data = np.random.default_rng(3).bytes(3 * dataio._HASH_BLOCK + 17)
+    path.write_bytes(data)
+    sizes = []
+    real_open = open
+
+    class Spy:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size=-1):
+            sizes.append(size)
+            return self.fh.read(size)
+
+    monkeypatch.setattr(dataio, "open", lambda *a, **k: Spy(real_open(*a, **k)), raising=False)
+    assert dataio._sha256(path) == hashlib.sha256(data).hexdigest()
+    assert sizes and all(0 < size <= dataio._HASH_BLOCK for size in sizes)
 
 
 # --- labels -----------------------------------------------------------------------
