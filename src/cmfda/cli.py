@@ -818,6 +818,25 @@ def _write_online_config(path: str, values: dict[str, str]) -> None:
             fh.write(f"{key}={value}\n")
 
 
+def _state_settings(path: str):
+    """The function that reads a key of the state's ``config.txt``:
+    ``parse`` of its value, or of ``default`` when the key is absent. A
+    missing key without a default or a value ``parse`` refuses is a
+    ``ParseError`` naming the file and the line."""
+    config = _read_config(path)
+
+    def setting(key: str, parse=str, default: Optional[str] = None):
+        value, line = config.get(key, (default, None))
+        if value is None:
+            raise ParseError(f"{path}: missing key {key!r}")
+        try:
+            return parse(value)
+        except ValueError:
+            raise ParseError(f"{path}: bad value for {key!r}: {value!r}", line=line) from None
+
+    return setting
+
+
 def _replace_state(path: str, write, *args, **kwargs) -> None:
     """Write a state file with ``write(tmp, *args, **kwargs)`` to a
     temporary path beside ``path``, which it then replaces."""
@@ -877,18 +896,19 @@ def cmd_online(args) -> int:
     for flag in ("rule", "band", "L", "L_nir", "L_ndvi", "consec"):
         if getattr(args, flag) is not None:
             raise UsageError(f"{_option(flag)} is read from the state; give it with --init")
-    config = load_config_file(paths["config"])
-    monitor_year = int(config["monitor-year"])
+    setting = _state_settings(paths["config"])
+    monitor_year = setting("monitor-year", int)
+    kind = setting("rule")
     covariances = None
-    if config["rule"] == "mahalanobis":
+    if kind == "mahalanobis":
         covariances = dataio.load_covariances(paths["covariances"])
     rule_args = argparse.Namespace(
-        rule=config["rule"],
-        band=config.get("band", "nir"),
-        L=float(config["L"]) if config.get("L") else None,
-        L_nir=float(config["L-nir"]),
-        L_ndvi=float(config["L-ndvi"]),
-        consec=int(config["consec"]),
+        rule=kind,
+        band=setting("band", default="nir"),
+        L=setting("L", lambda text: float(text) if text else None, default=""),
+        L_nir=setting("L-nir", float),
+        L_ndvi=setting("L-ndvi", float),
+        consec=setting("consec", int),
     )
     rule = _build_rule(rule_args, covariances)
 

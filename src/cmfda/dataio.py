@@ -276,10 +276,11 @@ def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Cal
     """Yield a table file's data rows, split by ``csv.reader``, in chunks.
 
     Each chunk is (line numbers of its non-blank rows, its columns over the
-    rows before the first with the wrong field count, that row's field
-    count or None). A chunk with such a row is the last. ``on_header``,
-    when given, gets the header's key=value pairs before the column names
-    are checked. ``digest``, a hashlib object, is fed the bytes read.
+    rows before the first with the wrong field count). A chunk with such a
+    row is the last: resumed after it, the generator raises the row's
+    ``ParseError``, so the caller has checked the rows before it first.
+    ``on_header``, when given, gets the header's key=value pairs before the
+    column names are checked. ``digest``, a hashlib object, is fed the bytes read.
     """
     with _open_text(path, digest) as fh:
         header = _read_header(fh, kind, path)
@@ -300,10 +301,11 @@ def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Cal
             if set(widths) - {width}:
                 n = next(k for k, w in enumerate(widths) if w != width)
             columns = list(zip(*chunk[:n])) if n else [()] * width
-            bad_width = widths[n] if n < len(chunk) else None
-            yield numbers, dict(zip(names, columns)), bad_width
-            if bad_width is not None:
-                return
+            yield numbers, dict(zip(names, columns))
+            if n < len(chunk):
+                raise ParseError(
+                    f"{path}: expected {width} fields, got {widths[n]}", line=numbers[n]
+                )
 
 
 def _attempt(parse, text):
@@ -478,13 +480,8 @@ def _parse_series(path, digest=None) -> _SeriesTable:
     cols: list = []
     rows: list = []
     chunks = []
-    for lines, columns, bad_width in _table_chunks(path, "series", SERIES_COLUMNS, digest=digest):
+    for lines, columns in _table_chunks(path, "series", SERIES_COLUMNS, digest=digest):
         chunks.append(_series_chunk(path, lines, columns, caches, pixels, cols, rows))
-        if bad_width is not None:
-            n = len(columns["site_id"])
-            raise ParseError(
-                f"{path}: expected {len(SERIES_COLUMNS)} fields, got {bad_width}", line=lines[n]
-            )
     if chunks:
         table = _SeriesChunk(*(np.concatenate(parts) for parts in zip(*chunks)))
     else:
@@ -830,7 +827,7 @@ def load_models(path) -> tuple[DateInterval, dict[tuple[str, Band], HarmonicMode
 
     models = {}
     caches: dict[str, dict] = {"band": {}, "n_obs": {}}
-    for lines, columns, bad_width in _table_chunks(path, "models", MODEL_COLUMNS, read_window):
+    for lines, columns in _table_chunks(path, "models", MODEL_COLUMNS, read_window):
         n = len(columns["pixel_id"])
         codes, code_rows = _parse_distinct(columns["band"], int, caches["band"])
         bands = [None if code is None else _BANDS.get(code) for code in codes]
@@ -857,10 +854,6 @@ def load_models(path) -> tuple[DateInterval, dict[tuple[str, Band], HarmonicMode
             np.array(counts, dtype=object)[count_rows].tolist(),
         ):
             models[(pixel_id, band)] = HarmonicModel(band, pixel_id, coeffs, train, n_obs)
-        if bad_width is not None:
-            raise ParseError(
-                f"{path}: expected {len(MODEL_COLUMNS)} fields, got {bad_width}", line=lines[n]
-            )
     return windows[0], models
 
 
@@ -1007,9 +1000,7 @@ def load_covariances(path) -> "CubeCovarianceTable":
     meta: dict = {}
     tables: dict[str, dict] = {"cube": {}, "site_period": {}, "site": {}}
     caches: dict[str, dict] = {"n": {}, "square": {}, "period": {}}
-    for lines, columns, bad_width in _table_chunks(
-        path, "covariances", COVARIANCE_COLUMNS, meta.update
-    ):
+    for lines, columns in _table_chunks(path, "covariances", COVARIANCE_COLUMNS, meta.update):
         levels = np.array(columns["level"], dtype=object)
         n = levels.size
         is_cube = levels == "cube"
@@ -1049,16 +1040,18 @@ def load_covariances(path) -> "CubeCovarianceTable":
                 tables[level][(site, period)] = entry
             else:
                 tables[level][site] = entry
-        if bad_width is not None:
-            raise ParseError(
-                f"{path}: expected {len(COVARIANCE_COLUMNS)} fields, got {bad_width}",
-                line=lines[n],
-            )
+    try:
+        min_cube_samples = int(meta.get("min_cube_samples", "10"))
+    except ValueError:
+        raise ParseError(
+            f"{path}: bad integer in header key 'min_cube_samples': {meta['min_cube_samples']!r}",
+            line=1,
+        ) from None
     return CubeCovarianceTable(
         cubes=tables["cube"],
         site_periods=tables["site_period"],
         sites=tables["site"],
-        min_cube_samples=int(meta.get("min_cube_samples", "10")),
+        min_cube_samples=min_cube_samples,
     )
 
 
@@ -1090,15 +1083,24 @@ def read_detections(path) -> tuple[dict[str, str], list[DetectionResult]]:
     with open(path, newline="") as fh:
         meta = _read_header(fh, "detections", path)
         for line, row in _rows(fh, DETECTION_COLUMNS, path):
-            flagged = bool(_parse_int(row["flagged"], "flagged", line, path))
+            flagged = _parse_int(row["flagged"], "flagged", line, path)
+            if flagged not in (0, 1):
+                raise ParseError(f"{path}: flagged must be 0 or 1, got {flagged}", line=line)
             date = (
                 _parse_date(row["first_flag_date"], "first_flag_date", line, path)
                 if row["first_flag_date"]
                 else None
             )
-            band = Band[row["triggering_band"]] if row["triggering_band"] else None
+            band = None
+            if row["triggering_band"]:
+                band = Band.__members__.get(row["triggering_band"])
+                if band is None:
+                    raise ParseError(
+                        f"{path}: unknown band {row['triggering_band']!r} in column "
+                        "'triggering_band'", line=line,
+                    )
             try:
-                out.append(DetectionResult(row["pixel_id"], flagged, date, band))
+                out.append(DetectionResult(row["pixel_id"], bool(flagged), date, band))
             except OutOfRange as exc:
                 raise ParseError(f"{path}: {exc}", line=line) from None
     return meta, out

@@ -364,9 +364,9 @@ class WindowErrors:
     the Mahalanobis index of the (NIR, NDVI) pairs once it is filled."""
 
     window_index: int
-    dates: list[dt.date]                   # nominal dates
-    composite_dates: list[dt.date]         # actual composite-day dates
-    doys: np.ndarray
+    ordinals: np.ndarray                   # nominal dates as ordinals
+    comp_ordinals: np.ndarray              # actual composite-day dates as ordinals
+    doys: np.ndarray                       # composite day of year
     start_ok: np.ndarray                   # run may start here (bare year)
     errors: dict[Band, np.ndarray] = field(default_factory=dict)
     index: Optional[np.ndarray] = None     # Mahalanobis index, once filled
@@ -408,16 +408,14 @@ def extract_errors_from_arrays(
         ordinals = arrays.ordinals[idx]
         we = WindowErrors(
             window_index=wp.index,
-            dates=[dt.date.fromordinal(int(o)) for o in ordinals],
-            composite_dates=[
-                dt.date.fromordinal(int(o)) for o in arrays.comp_ordinals[idx]
-            ],
-            doys=arrays.doys[idx].astype(float),
+            ordinals=ordinals,
+            comp_ordinals=arrays.comp_ordinals[idx],
+            doys=arrays.doys[idx],
             start_ok=(ordinals >= wp.predict_year.start.toordinal())
             & (ordinals <= wp.predict_year.end.toordinal()),
         )
         for band, col in zip(bands, band_cols):
-            predicted = predict_many(band_models[band].coeff_array(), arrays.doys[idx])
+            predicted = predict_many(band_models[band].coeff_array(), we.doys)
             we.errors[band] = arrays.values[idx, col] - predicted
         out.append(we)
     return out
@@ -446,10 +444,10 @@ def mahalanobis_series(
     The pixel's square is fixed, so the covariance is looked up once per
     distinct period of the window.
     """
-    if not we.dates:
+    n = we.ordinals.size
+    if not n:
         return np.empty(0)
-    n = len(we.dates)
-    squares, periods = cube_codes(np.full(n, col), np.full(n, row), we.doys.astype(np.int64))
+    squares, periods = cube_codes(np.full(n, col), np.full(n, row), we.doys)
     _, first, inverse = np.unique(periods, return_index=True, return_inverse=True)
     sigmas = np.array([
         table.matrix_for(site_id, int(squares[i]), int(periods[i])) for i in first.tolist()
@@ -539,7 +537,7 @@ def scan_window_errors(
     threshold wins; NIR wins a tie with NDVI.
     """
     c = rule.consecutive
-    best_date: Optional[dt.date] = None
+    best_ordinal: Optional[int] = None
     best_band: Optional[Band] = None
     for we in wes_list:
         start: Optional[int] = None
@@ -550,15 +548,15 @@ def scan_window_errors(
             if hits.size and (start is None or hits[0] < start):
                 start, band_hit = int(hits[0]), band
         if start is not None:
-            flag_date = we.dates[start + c - 1]
-            if best_date is None or flag_date < best_date:
-                best_date = flag_date
+            flag_ordinal = int(we.ordinals[start + c - 1])
+            if best_ordinal is None or flag_ordinal < best_ordinal:
+                best_ordinal = flag_ordinal
                 best_band = band_hit
-    if best_date is None:
+    if best_ordinal is None:
         return DetectionResult(pixel_id=pixel_id, flagged=False)
     return DetectionResult(
         pixel_id=pixel_id,
         flagged=True,
-        first_flag_date=best_date,
+        first_flag_date=dt.date.fromordinal(best_ordinal),
         triggering_band=best_band,
     )

@@ -343,11 +343,11 @@ def _pixel_errors(pixels, models_by_pixel, windows, bands, site_id, standardizer
         per_pixel.append(wes)
     pieces = [(number, we) for number, wes in enumerate(per_pixel) if wes for we in wes]
     if standardizers and pieces:
-        sizes = [len(we.composite_dates) for _, we in pieces]
+        sizes = [we.comp_ordinals.size for _, we in pieces]
         contexts = _site_history(
             pixels, site_id,
             np.repeat(np.array([number for number, _ in pieces], dtype=np.intp), sizes),
-            [d.toordinal() for _, we in pieces for d in we.composite_dates], np.empty(sum(sizes)),
+            np.concatenate([we.comp_ordinals for _, we in pieces]), np.empty(sum(sizes)),
         )
         bounds = np.cumsum(sizes)[:-1]
         for band, std in standardizers.items():

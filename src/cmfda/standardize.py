@@ -9,12 +9,12 @@ stage sees roughly normal values, while a final ECDF stage is shifted by
 -0.5 to a symmetric uniform range.
 
 Everything runs on arrays. A history is a ``ResidualHistory``; each key
-kind is an integer code per entry, so a stage's tables take one stable
-sort per fallback level, with ``np.std`` or ``np.sort`` of each key's
-segment. The fallback chain is resolved when the tables are built: each
-level becomes rows of statistics over the periods, and each key's chain is
-merged once and kept (see ``StageTables``), so a transform is a gather,
-plus one rank search for an ECDF stage. Tables, values and saved files are bit-identical to the
+kind is an integer code per entry, given by ``detection.pool_codes``, so a
+stage's tables take one stable sort per fallback level, with ``np.std`` or
+``np.sort`` of each key's segment. A transform walks the fallback levels in
+order and looks up, at each, the distinct keys of the entries no earlier
+level served (see ``StageTables``), then rescales, or makes one rank search
+for an ECDF stage. Tables, values and saved files are bit-identical to the
 record-by-record definition. The inverse normal CDF keeps the scalar order
 of operations and calls ``math.log``, ``math.exp`` and ``math.erfc``
 through ``np.frompyfunc``: NumPy's ``log`` and ``exp`` differ from them in
@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import Band, ResidualHistory, segments
-from .detection import N_PERIODS, N_SQUARES, cube_codes, periods_of, pool_codes
+from .detection import pool_codes
 from .errors import (
     DegenerateHistory,
     EmptyHistory,
@@ -227,46 +227,19 @@ def inverse_normal_cdf(p: float) -> float:
     return float(inverse_normal_cdf_array([p])[0])
 
 
-_PERIOD_POOLS = frozenset((KeyKind.PERIOD, KeyKind.SITE_PERIOD, KeyKind.CUBE))
-_SITE_POOLS = frozenset((KeyKind.SITE, KeyKind.SITE_PERIOD, KeyKind.CUBE))
-
-
-def _split_key(kind: KeyKind, key) -> tuple:
-    """(entity, period) of a key; the period is 0 in pools without one."""
-    if kind is KeyKind.PERIOD:
-        return None, key
-    if kind is KeyKind.SITE_PERIOD:
-        return key[0], key[1]
-    if kind is KeyKind.CUBE:
-        return key[:2], key[2]
-    return key, 0
-
-
-def _entity(kind: KeyKind, pixel_id: str, site_id: str, square):
-    """The part of a context's key in a pool that does not vary by period."""
-    if kind is KeyKind.PIXEL:
-        return pixel_id
-    if kind in (KeyKind.SITE, KeyKind.SITE_PERIOD):
-        return site_id
-    if kind is KeyKind.CUBE:
-        return (site_id, square)
-    return None
-
-
 @dataclass(frozen=True)
 class StageTables:
     """Fitted lookup tables for one stage, most specific level first:
     (sd, n) per key for an sd stage, the sorted sample per key for an
     ECDF stage.
 
-    Building a stage resolves its fallback chain. Each level's tables
-    become rows over the 73 periods, one per entity (the key minus its
-    period), holding the statistic where that level can serve the key and
-    NaN where it cannot: an sd needs n >= 2 and sd > 0, a sample at least
-    one value. A context's statistic is the first level's non-NaN entry;
-    the merged row of each distinct chain of entities is kept, so every
-    key is resolved once. An ECDF stage's statistic is a sample number:
-    the samples lie end to end in one pooled array.
+    Building a stage keeps, for each fallback level, the statistic of
+    every key that level can serve: the sd where n >= 2 and sd > 0, or
+    for an ECDF stage the number of a non-empty sample, the samples lying
+    end to end in one pooled array. A lookup walks the levels in order:
+    the entries no earlier level served take their keys at the level from
+    ``pool_codes``, one dict lookup per distinct key, and the walk stops
+    once every entry is served.
     """
 
     key_kind: KeyKind
@@ -275,29 +248,19 @@ class StageTables:
     ecdf_levels: tuple[tuple[KeyKind, dict], ...] = ()
 
     def __post_init__(self):
-        levels = self.sd_levels if self.transform_kind == SD else self.ecdf_levels
-        kinds = tuple(kind for kind, _ in levels)
-        width = N_PERIODS if _PERIOD_POOLS.intersection(kinds) else 1
-        rows: list[dict] = []
+        served: list[tuple[KeyKind, dict]] = []
         samples: list[np.ndarray] = []
-        for kind, table in levels:
-            level_rows: dict = {}
+        for kind, table in self.sd_levels if self.transform_kind == SD else self.ecdf_levels:
+            stats: dict = {}
             for key, entry in table.items():
-                entity, period = _split_key(kind, key)
-                if not 0 <= period < width:
-                    continue  # no context has this key
-                row = level_rows.get(entity)
-                if row is None:
-                    size = width if kind in _PERIOD_POOLS else 1
-                    row = level_rows[entity] = np.full(size, np.nan)
                 if self.transform_kind == SD:
                     sd, n = entry
                     if n >= 2 and sd > 0:
-                        row[period] = sd
+                        stats[key] = sd
                 elif entry.size:
-                    row[period] = len(samples)
+                    stats[key] = len(samples)
                     samples.append(entry)
-            rows.append(level_rows)
+            served.append((kind, stats))
         sizes = np.array([sample.size for sample in samples], dtype=np.int64)
         pool = np.concatenate(samples) if samples else np.empty(0)
         # A value's rank in its sample is a search in one sorted array of
@@ -309,69 +272,37 @@ class StageTables:
             distinct, pool, side="right"
         )
         set_ = partial(object.__setattr__, self)
-        set_("_kinds", kinds)
-        set_("_width", width)
-        set_("_rows", rows)
-        set_("_resolved", {})
+        set_("_served", tuple(served))
         set_("_sizes", sizes)
         set_("_starts", np.cumsum(sizes) - sizes)
         set_("_distinct", distinct)
         set_("_stride", stride)
         set_("_codes", codes)
 
-    def _resolve(self, entities: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Per period, the statistic of the first level that can serve
-        these entities, and that level's depth (NaN and -1 when none can)."""
-        hit = self._resolved.get(entities)
-        if hit is None:
-            stat = np.full(self._width, np.nan)
-            depth = np.full(self._width, -1)
-            for level, (rows, entity) in enumerate(zip(self._rows, entities)):
-                row = rows.get(entity)
-                if row is not None:
-                    take = (depth < 0) & ~np.isnan(row)
-                    stat = np.where(take, row, stat)
-                    depth = np.where(take, level, depth)
-            hit = self._resolved[entities] = (stat, depth)
-        return hit
-
-    def _lookup(self, errors: ResidualHistory):
-        """For each entry: its statistic, the depth of the level that
-        served it, and a code of its key at the stage's own level."""
-        if not len(errors):
-            return np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        kinds = self._kinds
-        chain = np.zeros(len(errors), dtype=np.int64)
-        if KeyKind.PIXEL in kinds:
-            chain = errors.pixel.astype(np.int64)
-        if _SITE_POOLS.intersection(kinds):
-            chain = chain * len(errors.site_ids) + errors.site
-        squares = None
-        if KeyKind.CUBE in kinds:
-            squares, _ = cube_codes(errors.col, errors.row, errors.doy)
-            chain = chain * N_SQUARES + squares
-        periods = periods_of(errors.doy) if self._width > 1 else 0
-        if (chain == chain[0]).all():  # one pixel's errors: one chain
-            first, inverse = np.zeros(1, dtype=np.intp), np.zeros(chain.size, dtype=np.intp)
-        else:
-            _, first, inverse = np.unique(chain, return_index=True, return_inverse=True)
-        resolved = [
-            self._resolve(tuple(
-                _entity(
-                    kind, errors.pixel_ids[errors.pixel[k]], errors.site_ids[errors.site[k]],
-                    None if squares is None else int(squares[k]),
-                )
-                for kind in kinds
-            ))
-            for k in first.tolist()
-        ]
-        stat = np.stack([r[0] for r in resolved])[inverse, periods]
-        depth = np.stack([r[1] for r in resolved])[inverse, periods]
-        return stat, depth, inverse * self._width + periods
+    def _lookup(self, errors: ResidualHistory) -> tuple[np.ndarray, np.ndarray]:
+        """For each entry: its statistic and the depth of the level that
+        served it (NaN and -1 where no level can)."""
+        stat = np.full(len(errors), np.nan)
+        depth = np.full(len(errors), -1)
+        for level, (kind, stats) in enumerate(self._served):
+            unserved = np.flatnonzero(depth < 0)
+            if not unserved.size:
+                break
+            codes, key_of = pool_codes(errors, kind.value)
+            codes = codes[unserved]
+            # np.unique's return_inverse costs several times this search
+            # on the one-entry histories of the scalar transform
+            keys = np.unique(codes)
+            found = np.array([stats.get(key_of(code), np.nan) for code in keys.tolist()])
+            found = found[np.searchsorted(keys, codes)]
+            hit = ~np.isnan(found)
+            stat[unserved[hit]] = found[hit]
+            depth[unserved[hit]] = level
+        return stat, depth
 
     def apply(self, errors: ResidualHistory, values: np.ndarray, final: bool) -> np.ndarray:
         """The stage's transform of each value, at its entry's context."""
-        stat, _, _ = self._lookup(errors)
+        stat, _ = self._lookup(errors)
         if np.isnan(stat).any():
             raise DegenerateHistory(
                 "no key with positive spread covers this context"
@@ -390,11 +321,13 @@ class StageTables:
 
     def served(self, errors: ResidualHistory) -> dict[KeyKind, int]:
         """How many of the distinct keys that the entries have at the
-        stage's own level each fallback level serves."""
-        _, depth, key = self._lookup(errors)
-        _, first = np.unique(key, return_index=True)
-        counts = np.bincount(depth[first], minlength=len(self._kinds))
-        return dict(zip(self._kinds, counts.tolist()))
+        stage's own level each fallback level serves; a key whose entries
+        fall back apart counts at the level that serves its first entry."""
+        _, depth = self._lookup(errors)
+        codes, _ = pool_codes(errors, self.key_kind.value)
+        _, first = np.unique(codes, return_index=True)
+        counts = np.bincount(depth[first], minlength=len(self._served))
+        return dict(zip((kind for kind, _ in self._served), counts.tolist()))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from cmfda.dataio import (
     write_series,
 )
 from cmfda.core import Band, DeforestationLabel, Reliability, band_fill
+from cmfda.detection import DetectionResult
 from cmfda.standardize import KeyKind, Scheme
 from conftest import assert_same_sites
 
@@ -249,6 +250,16 @@ def test_report_command(sim_dir, models_dir, tmp_path, capsys):
     text = out.read_text()
     assert "tss: 1.0000" in text
     assert "producer_acc: 1.0000" in text
+
+
+def test_report_on_detections_with_unknown_band_is_a_data_error(sim_dir, tmp_path, capsys):
+    det = tmp_path / "det.csv"
+    dataio.write_detections(det, [DetectionResult("p", True, dt.date(2006, 3, 7), Band.NIR)], {})
+    det.write_text(det.read_text().replace(",NIR", ",FOO"))
+    command = ["report", "--detections", str(det), "--labels", str(sim_dir / "labels.csv"),
+               "--out", str(tmp_path / "summary.txt")]
+    assert main(command) == EXIT_DATA
+    assert f"line 3: {det}: unknown band 'FOO'" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(sim_dir, models_dir, tmp_path):
@@ -883,6 +894,26 @@ def test_online_batch_off_cadence_leaves_state_untouched(online_inputs, tmp_path
         assert _files(state) == before
         assert not out.exists()
     assert _step(state, batches[1], tmp_path / "second.csv") == EXIT_OK
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("monitor-year=2005", "monitor-year=20x5"),
+     "line 1: {path}: bad value for 'monitor-year': '20x5'"),
+    (lambda text: text.replace("rule=multivariate\n", ""), "{path}: missing key 'rule'"),
+], ids=["bad-year", "no-rule"])
+def test_online_step_with_a_bad_state_config_is_a_data_error(
+    online_inputs, tmp_path, capsys, edit, message
+):
+    history, batches = online_inputs
+    state = tmp_path / "state"
+    _init_online(history, state)
+    config = state / "config.txt"
+    text = config.read_text()
+    assert edit(text) != text
+    config.write_text(edit(text))
+    capsys.readouterr()
+    assert _step(state, batches[0], tmp_path / "out.csv") == EXIT_DATA
+    assert message.format(path=config) in capsys.readouterr().err
 
 
 def test_online_state_survives_a_failed_write(online_inputs, tmp_path, monkeypatch):

@@ -737,7 +737,35 @@ def test_covariances_bad_row(tmp_path, rng, edit, line, message):
     assert str(err.value) == f"line {line}: {path}: {message}"
 
 
+def test_covariances_bad_min_cube_samples(tmp_path, rng):
+    path, lines = _covariance_file(tmp_path, rng)
+    assert "min_cube_samples=10" in lines[0]
+    lines[0] = lines[0].replace("min_cube_samples=10", "min_cube_samples=abc")
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_covariances(path)
+    assert err.value.line == 1
+    assert str(err.value) == (
+        f"line 1: {path}: bad integer in header key 'min_cube_samples': 'abc'"
+    )
+
+
 # --- detections and reports ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row.replace(",NDVI", ",FOO"), "unknown band 'FOO' in column 'triggering_band'"),
+    (lambda row: row.replace("b,1,", "b,2,"), "flagged must be 0 or 1, got 2"),
+], ids=["unknown-band", "flagged-2"])
+def test_detections_bad_row(tmp_path, edit, message):
+    path = tmp_path / "det.csv"
+    write_detections(path, [DetectionResult("b", True, dt.date(2006, 3, 7), Band.NDVI)], {})
+    lines = path.read_text().split("\n")
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        read_detections(path)
+    assert str(err.value) == f"line 3: {path}: {message}"
 
 
 def test_detections_round_trip(tmp_path):

@@ -375,7 +375,7 @@ def test_date_axis_requires_all_rule_bands():
     models = _fit_models(series, windows, (Band.NIR, Band.NDVI))
     wes = extract_window_errors(series, models, windows, (Band.NIR, Band.NDVI))
     for we in wes:
-        assert missing not in we.dates
+        assert missing.toordinal() not in we.ordinals
     result = detect_pixel(series, models, MultivariateRule(0.082, 0.182, 4), windows)
     assert result.flagged
     assert result.first_flag_date == post[4]  # one date later than without the gap

@@ -139,9 +139,9 @@ def test_detect_pixels_parallel_matches_serial(scenario):
 
 
 def test_threaded_detect_with_shared_standardizers_equals_inline(scenario, monkeypatch):
-    """Slices on threads share the standardizers, whose key resolution is
-    memoized as detection uses it: with tiny slices, more workers than
-    CPUs and a short switch interval, the results equal the inline run."""
+    """Slices on threads share the standardizers: with tiny slices, more
+    workers than CPUs and a short switch interval, the results equal the
+    inline run."""
     import sys
 
     import cmfda.pipeline as pipeline

@@ -153,6 +153,35 @@ def test_core_records_reach_every_fallback_level():
     assert pixel.served(unseen) == {KeyKind.PIXEL: 0, KeyKind.SITE: 0, KeyKind.GLOBAL: 1}
 
 
+@pytest.mark.parametrize("p_values, served", [
+    ((0.03, -0.02, 0.05), {KeyKind.PIXEL: 2, KeyKind.SITE: 0, KeyKind.GLOBAL: 0}),
+    # p has no spread: its s0 errors fall back to s0, its s1 errors to the
+    # global pool; p counts once, at the level of its first error
+    ((0.02, 0.02, 0.02), {KeyKind.PIXEL: 1, KeyKind.SITE: 1, KeyKind.GLOBAL: 0}),
+], ids=["spread", "no-spread"])
+def test_one_pixel_id_under_two_sites(p_values, served):
+    """Pixel p has errors in sites s0 and s1, and q in s0: every scheme
+    transforms as the oracle does, and ``served`` counts distinct pixel
+    keys, not (pixel, site) pairs."""
+    records = [
+        ErrorRecord("p", site, 0, 0, BASE + dt.timedelta(days=9 * i + k), value)
+        for k, site in enumerate(("s0", "s1"))
+        for i, value in enumerate(p_values)
+    ] + [
+        ErrorRecord("q", "s0", 7, 3, BASE + dt.timedelta(days=11 * i), value)
+        for i, value in enumerate((0.01, -0.04, 0.06))
+    ]
+    history = history_of(records)
+    for scheme in Scheme:
+        expected = oracle.fit_standardizer(records, scheme)
+        std = fit_standardizer(history, scheme, Band.NIR)
+        assert_same_tables(std.stages, expected)
+        want = [oracle.transform(expected, r.value, r) for r in records]
+        assert bits(transform_errors(std, history)) == bits(want), scheme
+    (pixel,) = fit_standardizer(history, Scheme.PIXEL_SD, Band.NIR).stages
+    assert pixel.served(history) == served
+
+
 # --- inverse normal cdf --------------------------------------------------------------
 
 

@@ -42,14 +42,15 @@ from cmfda.training import (
 def toy_pixel(pid, label, nir_errors, ndvi_errors=None, start_ok=None, site="s"):
     n = len(nir_errors)
     dates = [dt.date(2005, 1, 4) + dt.timedelta(days=16 * i) for i in range(n)]
+    ordinals = np.array([d.toordinal() for d in dates], dtype=np.int64)
     errors = {Band.NIR: np.asarray(nir_errors, dtype=float)}
     if ndvi_errors is not None:
         errors[Band.NDVI] = np.asarray(ndvi_errors, dtype=float)
     we = WindowErrors(
         window_index=0,
-        dates=dates,
-        composite_dates=dates,
-        doys=np.array([d.timetuple().tm_yday for d in dates], dtype=float),
+        ordinals=ordinals,
+        comp_ordinals=ordinals,
+        doys=np.array([d.timetuple().tm_yday for d in dates], dtype=np.int64),
         start_ok=np.asarray(start_ok if start_ok is not None else [True] * n),
         errors=errors,
     )
