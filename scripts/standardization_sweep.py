@@ -18,7 +18,7 @@ from cmfda.pipeline import (
     training_residuals,
 )
 from cmfda.standardize import SCHEME_STAGES, Scheme, fit_standardizer
-from cmfda.training import AnnealConfig, anneal_multivariate, evaluate_rule, tss
+from cmfda.training import AnnealConfig, TrainingSet, anneal_multivariate, evaluate_rule, tss
 from cmfda.detection import MultivariateRule
 from cmfda.windows import make_windows
 
@@ -78,7 +78,7 @@ def main():
                 pixels, fits[site_id], windows, label_map, site_id, bands, standardizers
             )
             datasets[site_id] = dataset
-        pooled = [p for d in datasets.values() for p in d]
+        pooled = TrainingSet.concat(datasets.values())
         stages = SCHEME_STAGES[scheme]
         if not stages:
             grids = raw_grids

@@ -16,7 +16,6 @@ from .detection import (
     MahalanobisRule,
     MultivariateRule,
     UnivariateRule,
-    detect_pixel,
     estimate_cube_covariances,
     mahalanobis_index,
     multivariate_flag,
@@ -24,6 +23,7 @@ from .detection import (
 )
 from .harmonic import HarmonicModel, design_vector, fit, predict, residual
 from .indices import EviParams, evi, ndvi
+from .pipeline import detect_pixel
 from .standardize import Scheme, Standardizer, fit_standardizer, transform
 from .training import (
     AnnealConfig,

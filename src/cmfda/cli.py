@@ -15,6 +15,8 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import BAND_ORDER, Band, ResidualHistory
 from .detection import (
     CubeCovarianceTable,
@@ -132,9 +134,10 @@ def parse_band(name: str) -> Band:
         ) from None
 
 
-def _read_config(path: str) -> dict[str, tuple[str, int]]:
+def _read_config(path: str, fault=UsageError) -> dict[str, tuple[str, int]]:
     """A config file's ``key=value`` lines as key -> (value, line number);
-    a later line wins over an earlier one with the same key."""
+    a later line wins over an earlier one with the same key. A line
+    without ``=`` raises ``fault``, naming the file and the line."""
     entries: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
         for i, raw in enumerate(fh, start=1):
@@ -143,7 +146,7 @@ def _read_config(path: str) -> dict[str, tuple[str, int]]:
                 continue
             key, eq, value = line.partition("=")
             if not eq:
-                raise UsageError(f"{path}:{i}: expected key=value, got {line!r}")
+                raise fault(f"{path}:{i}: expected key=value, got {line!r}")
             entries[key.strip()] = (value.strip(), i)
     return entries
 
@@ -680,7 +683,7 @@ def cmd_train(args) -> int:
         )[0]
         for site_id, pixels in sites.items()
     }
-    pooled = [p for dataset in datasets.values() for p in dataset]
+    pooled = training.TrainingSet.concat(datasets.values())
     covariances = None
     if args.rule == "mahalanobis":
         covariances = _cube_covariances(sites, fit, windows)
@@ -754,11 +757,9 @@ def cmd_train(args) -> int:
 def _anneal_start(dataset, band, consecutive, grid) -> float:
     """The annealing start point: the grid point nearest the average of the
     per-site optimal thresholds."""
-    by_site: dict[str, list] = {}
-    for p in dataset:
-        by_site.setdefault(p.site_id, []).append(p)
     optima = []
-    for site_pixels in by_site.values():
+    for site_id in dict.fromkeys(dataset.site_ids.tolist()):
+        site_pixels = dataset.take(np.flatnonzero(dataset.site_ids == site_id))
         try:
             best_l, _ = training.grid_search_univariate(site_pixels, band, consecutive, grid)
         except DegenerateClass:
@@ -822,8 +823,9 @@ def _state_settings(path: str):
     """The function that reads a key of the state's ``config.txt``:
     ``parse`` of its value, or of ``default`` when the key is absent. A
     missing key without a default or a value ``parse`` refuses is a
-    ``ParseError`` naming the file and the line."""
-    config = _read_config(path)
+    ``ParseError`` naming the file and the line, as is a line without
+    ``=``."""
+    config = _read_config(path, ParseError)
 
     def setting(key: str, parse=str, default: Optional[str] = None):
         value, line = config.get(key, (default, None))

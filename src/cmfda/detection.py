@@ -9,38 +9,34 @@ of the bare prediction year and finish inside the 120-day extension.
 Three rule forms are supported: a single band against one threshold, the
 NIR/NDVI pair against two thresholds combined with an OR, and a local
 Mahalanobis distance of the (NIR, NDVI) error pair against one threshold.
+The index is error data, not rule logic: ``mahalanobis_series`` computes it
+once and stores it beside the band errors, so every rule scans plain values.
 
-The index is error data, not rule logic: the code that knows a pixel's
-site, grid position and covariance table computes it once per window
-(``fill_index``) and stores it beside the band errors, so every rule
-scans plain series.
-
-All three rest on one kernel, ``run_levels``: the level of a run is the
-largest threshold at which it still triggers, ``max(min(run), -max(run))``
-for signed errors and ``min(run)`` for the nonnegative index, and a run
-triggers at L iff its level > L. Training sweeps thresholds over the
-levels (``flag_level``), batch detection takes the first allowed start
-above L (``scan_window_errors``), and the online loop scans its trailing
-run with the same ``scan_window_errors``.
+Errors live in one flat form (``FlatErrors``): a segment per (pixel,
+window), or per online run, laid end to end. All three rules rest on one
+kernel, ``run_levels``: the level of a run is the largest threshold at
+which it still triggers, ``max(min(run), -max(run))`` for signed errors and
+``min(run)`` for the index, and a run triggers at L iff its level > L. It
+runs once over the flat values; starts outside the prediction year and runs
+that cross a segment end are masked off. Training takes each pixel's
+largest level (``flag_levels``); batch detection and the online loop take
+each pixel's earliest flag date (``scan_window_errors``).
 """
 from __future__ import annotations
 
 import datetime as dt
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import BAND_ORDER, Band, PixelSeries, ResidualHistory, SeriesArrays, segments
+from .core import BAND_ORDER, Band, ResidualHistory, SeriesArrays, distinct, segments
 from .errors import (
-    NoModels,
     OutOfRange,
     SingularCovariance,
     WrongWindowLength,
 )
-from .harmonic import HarmonicModel, predict_many
-from .windows import WindowPair
+from .harmonic import predict_many
 
 MIN_CONSECUTIVE = 2
 MAX_CONSECUTIVE = 6
@@ -355,21 +351,88 @@ def estimate_cube_covariances(
     )
 
 
-# --- per-window error extraction -------------------------------------------
+# --- flat errors --------------------------------------------------------------
 
 
-@dataclass
-class WindowErrors:
-    """Clear-date prediction errors of one pixel inside one window, and
-    the Mahalanobis index of the (NIR, NDVI) pairs once it is filled."""
+@dataclass(eq=False)
+class FlatErrors:
+    """Clear-date prediction errors of many segments, laid end to end.
 
-    window_index: int
+    A segment is one pixel's dates inside one prediction window (or one
+    online run), in date order; segment s ends before entry ``ends[s]`` and
+    belongs to pixel number ``pixel[s]``. Segments come pixel by pixel, a
+    pixel's in window order. A date enters only if it is clear and every
+    band of ``errors`` carries a real value there, so all bands share one
+    date axis.
+    """
+
     ordinals: np.ndarray                   # nominal dates as ordinals
     comp_ordinals: np.ndarray              # actual composite-day dates as ordinals
     doys: np.ndarray                       # composite day of year
     start_ok: np.ndarray                   # run may start here (bare year)
-    errors: dict[Band, np.ndarray] = field(default_factory=dict)
+    errors: dict[Band, np.ndarray]
+    ends: np.ndarray
+    pixel: np.ndarray
     index: Optional[np.ndarray] = None     # Mahalanobis index, once filled
+
+    def __len__(self) -> int:
+        return self.ordinals.size
+
+    def filled_index(self) -> np.ndarray:
+        if self.index is None:
+            raise OutOfRange("the errors have no Mahalanobis index; fill it first")
+        return self.index
+
+    def entry_pixels(self) -> np.ndarray:
+        return np.repeat(self.pixel, np.diff(self.ends, prepend=0))
+
+    @classmethod
+    def concat(cls, parts: Sequence["FlatErrors"], pixel_offsets) -> "FlatErrors":
+        """The parts end to end, part i's pixel numbers raised by
+        ``pixel_offsets[i]``, with the bands and index that every part has."""
+        def joined(arrays, dtype=float):
+            return np.concatenate(list(arrays)) if parts else np.empty(0, dtype=dtype)
+
+        starts = np.cumsum([0] + [len(part) for part in parts[:-1]])
+        return cls(
+            *(joined((getattr(part, name) for part in parts), np.int64)
+              for name in ("ordinals", "comp_ordinals", "doys")),
+            joined((part.start_ok for part in parts), bool),
+            {band: joined(part.errors[band] for part in parts)
+             for band in (parts[0].errors if parts else BAND_ORDER)
+             if all(band in part.errors for part in parts)},
+            joined((part.ends + lo for part, lo in zip(parts, starts)), np.int64),
+            joined((part.pixel + k for part, k in zip(parts, pixel_offsets)), np.intp),
+            joined(part.index for part in parts)
+            if all(part.index is not None for part in parts) else None,
+        )
+
+    def take(self, pixels) -> "FlatErrors":
+        """The segments of the given pixel numbers, pixel ``pixels[k]``
+        renumbered k."""
+        pixels = np.asarray(pixels, dtype=np.intp)
+        lo, hi = (np.searchsorted(self.pixel, pixels, side) for side in ("left", "right"))
+        chosen = _ranges(lo, hi)
+        starts = np.r_[0, self.ends[:-1]][chosen]
+        entries = _ranges(starts, self.ends[chosen])
+        return FlatErrors(
+            self.ordinals[entries], self.comp_ordinals[entries], self.doys[entries],
+            self.start_ok[entries], {band: v[entries] for band, v in self.errors.items()},
+            np.cumsum(self.ends[chosen] - starts), np.repeat(np.arange(pixels.size), hi - lo),
+            None if self.index is None else self.index[entries],
+        )
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``lo[i]:hi[i]`` for each i, concatenated."""
+    ends = np.cumsum(hi - lo)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(hi - ends, hi - lo)
+
+
+def WindowErrors(ordinals, comp_ordinals, doys, start_ok, errors, index=None) -> FlatErrors:
+    """One segment, of pixel 0: a pixel's errors inside one window."""
+    return FlatErrors(ordinals, comp_ordinals, doys, np.asarray(start_ok, dtype=bool),
+                      dict(errors), np.array([len(ordinals)]), np.zeros(1, dtype=np.intp), index)
 
 
 def rule_bands(rule: DetectionRule) -> tuple[Band, ...]:
@@ -378,185 +441,121 @@ def rule_bands(rule: DetectionRule) -> tuple[Band, ...]:
     return (Band.NIR, Band.NDVI)
 
 
-def extract_errors_from_arrays(
-    pixel_id: str,
-    arrays: SeriesArrays,
-    models: Mapping[int, Mapping[Band, HarmonicModel]],
-    windows: Sequence[WindowPair],
-    bands: Sequence[Band],
-) -> list[WindowErrors]:
-    """Prediction errors over each extended prediction window.
+def stack_errors(stack: SeriesArrays, coeffs: np.ndarray, bounds: np.ndarray,
+                 bands: Sequence[Band]) -> FlatErrors:
+    """Prediction errors of every (pixel, window) segment of a stack.
 
-    A date enters the sequence only if the observation is clear and every
-    requested band carries a real (non-fill) value, so all band sequences
-    share one date axis.
+    ``stack`` holds the series as (pixel, date) arrays and ``coeffs``
+    (pixel, window, band, 5) the models of ``bands``. ``bounds``,
+    broadcastable to (pixel, window, 4), holds the first and last ordinal
+    of each window's dates, then of the dates its runs may start on.
     """
-    band_cols = [BAND_ORDER.index(b) for b in bands]
-    out = []
-    for wp in windows:
-        band_models = models.get(wp.index)
-        if band_models is None or any(b not in band_models for b in bands):
-            raise NoModels(f"pixel {pixel_id!r}: no model for window {wp.index}")
-        mask = (
-            arrays.clear
-            & (arrays.ordinals >= wp.predict.start.toordinal())
-            & (arrays.ordinals <= wp.predict.end.toordinal())
-        )
-        for col in band_cols:
-            mask &= ~np.isnan(arrays.values[:, col])
-        idx = np.flatnonzero(mask)
-        ordinals = arrays.ordinals[idx]
-        we = WindowErrors(
-            window_index=wp.index,
-            ordinals=ordinals,
-            comp_ordinals=arrays.comp_ordinals[idx],
-            doys=arrays.doys[idx],
-            start_ok=(ordinals >= wp.predict_year.start.toordinal())
-            & (ordinals <= wp.predict_year.end.toordinal()),
-        )
-        for band, col in zip(bands, band_cols):
-            predicted = predict_many(band_models[band].coeff_array(), we.doys)
-            we.errors[band] = arrays.values[idx, col] - predicted
-        out.append(we)
-    return out
-
-
-def extract_window_errors(
-    series: PixelSeries,
-    models: Mapping[int, Mapping[Band, HarmonicModel]],
-    windows: Sequence[WindowPair],
-    bands: Sequence[Band],
-) -> list[WindowErrors]:
-    return extract_errors_from_arrays(
-        series.pixel_id, series.to_arrays(), models, windows, bands
+    values = stack.values[:, :, [BAND_ORDER.index(band) for band in bands]]
+    usable = stack.clear & ~np.isnan(values).any(axis=2)
+    first, last, year_first, year_last = np.moveaxis(
+        np.broadcast_to(bounds, (*coeffs.shape[:2], 4)), -1, 0
+    )
+    dates = stack.ordinals[:, None, :]
+    inside = usable[:, None, :] & (dates >= first[:, :, None]) & (dates <= last[:, :, None])
+    k, w, j = np.nonzero(inside)
+    ordinals, doys = stack.ordinals[k, j], stack.doys[k, j]
+    return FlatErrors(
+        ordinals, stack.comp_ordinals[k, j], doys,
+        (ordinals >= year_first[k, w]) & (ordinals <= year_last[k, w]),
+        {band: values[k, j, b] - predict_many(coeffs[k, w, b], doys)
+         for b, band in enumerate(bands)},
+        np.cumsum(inside.sum(axis=2).ravel()), np.repeat(np.arange(len(inside)), inside.shape[1]),
     )
 
 
 def mahalanobis_series(
-    we: WindowErrors,
+    errors: FlatErrors,
     table: CubeCovarianceTable,
-    site_id: str,
-    col: int,
-    row: int,
+    site_ids: Sequence[str],
+    cols: Sequence[int],
+    rows: Sequence[int],
 ) -> np.ndarray:
-    """Index value at each date of the window, using the date's cube.
-
-    The pixel's square is fixed, so the covariance is looked up once per
-    distinct period of the window.
-    """
-    n = we.ordinals.size
-    if not n:
+    """Index value at each entry, using the entry's cube: pixel k lies at
+    (cols[k], rows[k]) in site site_ids[k]. The covariance is looked up
+    once per distinct cube."""
+    if not len(errors):
         return np.empty(0)
-    squares, periods = cube_codes(np.full(n, col), np.full(n, row), we.doys)
-    _, first, inverse = np.unique(periods, return_index=True, return_inverse=True)
+    pixel = errors.entry_pixels()
+    squares, periods = cube_codes(np.asarray(cols)[pixel], np.asarray(rows)[pixel], errors.doys)
+    _, site = distinct(site_ids)
+    cubes = (site[pixel] * N_SQUARES + squares) * N_PERIODS + periods
+    _, first, inverse = np.unique(cubes, return_index=True, return_inverse=True)
     sigmas = np.array([
-        table.matrix_for(site_id, int(squares[i]), int(periods[i])) for i in first.tolist()
+        table.matrix_for(site_ids[pixel[i]], int(squares[i]), int(periods[i]))
+        for i in first.tolist()
     ])
-    return _index_values(we.errors[Band.NIR], we.errors[Band.NDVI], sigmas[inverse])
-
-
-def fill_index(
-    wes_list: Sequence[WindowErrors], rule: DetectionRule,
-    site_id: Optional[str], col: int, row: int,
-) -> None:
-    """Store each window's index series when the rule scans it."""
-    if not isinstance(rule, MahalanobisRule):
-        return
-    if site_id is None:
-        raise OutOfRange("Mahalanobis detection requires a site_id")
-    for we in wes_list:
-        we.index = mahalanobis_series(we, rule.covariances, site_id, col, row)
-
-
-def index_series(we: WindowErrors) -> np.ndarray:
-    """The window's stored index series."""
-    if we.index is None:
-        raise OutOfRange(f"window {we.window_index} has no Mahalanobis index; fill it first")
-    return we.index
+    return _index_values(errors.errors[Band.NIR], errors.errors[Band.NDVI], sigmas[inverse])
 
 
 # --- run scanning ----------------------------------------------------------
 
 
-def flag_level(
-    values: np.ndarray,
-    start_ok: np.ndarray,
-    consecutive: int,
-    two_sided: bool = True,
-) -> float:
-    """Largest run level over the allowed starts.
+def _run_starts(errors: FlatErrors, consecutive: int) -> np.ndarray:
+    """Whether a run may start at each of the first N - C + 1 entries: the
+    entry is an allowed start, and the run ends inside its segment."""
+    n_starts = max(len(errors) - consecutive + 1, 0)
+    segment_end = np.repeat(errors.ends, np.diff(errors.ends, prepend=0))[:n_starts]
+    return errors.start_ok[:n_starts] & (np.arange(n_starts) + consecutive <= segment_end)
 
-    The sequence triggers at threshold L exactly when flag_level > L,
-    which lets threshold sweeps reuse one pass over the data.
+
+def flag_levels(
+    errors: FlatErrors, values: np.ndarray, consecutive: int, two_sided: bool, n_pixels: int
+) -> np.ndarray:
+    """Each pixel's largest run level of ``values`` over its allowed
+    starts, -inf without one.
+
+    A pixel triggers at threshold L exactly when its level > L, which lets
+    threshold sweeps reuse one pass over the data.
     """
-    levels = run_levels(values, consecutive, two_sided)
-    levels = levels[start_ok[: levels.size]]
-    return float(levels.max()) if levels.size else -math.inf
-
-
-def detect_pixel(
-    series: PixelSeries,
-    models: Mapping[int, Mapping[Band, HarmonicModel]],
-    rule: DetectionRule,
-    windows: Sequence[WindowPair],
-    site_id: Optional[str] = None,
-) -> DetectionResult:
-    """Apply the rule over every prediction window of one pixel.
-
-    The flag date is the last date of the earliest triggering run
-    (detection time, not event time).
-    """
-    wes = extract_window_errors(series, models, windows, rule_bands(rule))
-    fill_index(wes, rule, site_id, series.col, series.row)
-    return scan_window_errors(wes, rule, pixel_id=series.pixel_id)
-
-
-def _rule_series(
-    we: WindowErrors, rule: DetectionRule
-) -> list[tuple[Optional[Band], np.ndarray, float, bool]]:
-    """(reported band, values, threshold, two_sided) for each sequence the
-    rule scans; only the multivariate rule reports a triggering band."""
-    if isinstance(rule, UnivariateRule):
-        return [(None, we.errors[rule.band], rule.threshold, True)]
-    if isinstance(rule, MultivariateRule):
-        return [
-            (Band.NIR, we.errors[Band.NIR], rule.nir_threshold, True),
-            (Band.NDVI, we.errors[Band.NDVI], rule.ndvi_threshold, True),
-        ]
-    # The index is nonnegative, so only the "> L" side can fire.
-    return [(None, index_series(we), rule.threshold, False)]
+    found = run_levels(values, consecutive, two_sided)
+    levels = np.full(len(errors) + 1, -np.inf)
+    ok = np.flatnonzero(_run_starts(errors, consecutive))
+    levels[ok] = found[ok]
+    bounds = np.r_[0, errors.ends][np.searchsorted(errors.pixel, np.arange(n_pixels + 1))]
+    out = np.maximum.reduceat(levels, bounds[:-1])
+    out[bounds[:-1] == bounds[1:]] = -np.inf
+    return out
 
 
 def scan_window_errors(
-    wes_list: Sequence[WindowErrors], rule: DetectionRule, *, pixel_id: str
-) -> DetectionResult:
+    errors: FlatErrors, rule: DetectionRule, n_pixels: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Rule evaluation over precomputed (possibly standardized) errors; the
-    Mahalanobis rule reads each window's filled index.
+    Mahalanobis rule reads the filled index.
 
-    In each window the earliest allowed start whose run level exceeds the
-    threshold wins; NIR wins a tie with NDVI.
+    Returns each pixel's flag date as an ordinal (0 where it does not
+    flag) and its triggering band (-1 where none is reported; only the
+    multivariate rule reports one). The flag date is the last date of the
+    earliest triggering run over all of the pixel's segments; on an equal
+    date the earlier segment wins, then NIR over NDVI.
     """
+    if isinstance(rule, UnivariateRule):
+        series = [(-1, errors.errors[rule.band], rule.threshold, True)]
+    elif isinstance(rule, MultivariateRule):
+        series = [
+            (int(Band.NIR), errors.errors[Band.NIR], rule.nir_threshold, True),
+            (int(Band.NDVI), errors.errors[Band.NDVI], rule.ndvi_threshold, True),
+        ]
+    else:
+        # The index is nonnegative, so only the "> L" side can fire.
+        series = [(-1, errors.filled_index(), rule.threshold, False)]
     c = rule.consecutive
-    best_ordinal: Optional[int] = None
-    best_band: Optional[Band] = None
-    for we in wes_list:
-        start: Optional[int] = None
-        band_hit: Optional[Band] = None
-        for band, values, threshold, two_sided in _rule_series(we, rule):
-            levels = run_levels(values, c, two_sided)
-            hits = np.flatnonzero((levels > threshold) & we.start_ok[: levels.size])
-            if hits.size and (start is None or hits[0] < start):
-                start, band_hit = int(hits[0]), band
-        if start is not None:
-            flag_ordinal = int(we.ordinals[start + c - 1])
-            if best_ordinal is None or flag_ordinal < best_ordinal:
-                best_ordinal = flag_ordinal
-                best_band = band_hit
-    if best_ordinal is None:
-        return DetectionResult(pixel_id=pixel_id, flagged=False)
-    return DetectionResult(
-        pixel_id=pixel_id,
-        flagged=True,
-        first_flag_date=dt.date.fromordinal(best_ordinal),
-        triggering_band=best_band,
-    )
+    ok = _run_starts(errors, c)
+    hits = [np.flatnonzero((run_levels(v, c, two_sided) > threshold) & ok)
+            for _, v, threshold, two_sided in series]
+    starts = np.concatenate(hits)
+    bands = np.repeat([code for code, *_ in series], [h.size for h in hits])
+    dates = errors.ordinals[starts + c - 1]
+    pixel = errors.entry_pixels()[starts]
+    order = np.lexsort((bands, starts, dates, pixel))
+    flagged, first = np.unique(pixel[order], return_index=True)
+    flag_dates = np.zeros(n_pixels, dtype=np.int64)
+    flag_bands = np.full(n_pixels, -1)
+    flag_dates[flagged] = dates[order[first]]
+    flag_bands[flagged] = bands[order[first]]
+    return flag_dates, flag_bands

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Band, Observation, PixelSeries, YEAR_DAYS, is_clear
+from .core import BAND_ORDER, Band, Observation, PixelSeries, YEAR_DAYS
 from .errors import InsufficientData, MissingBandValue, OutOfRangeDay, RankDeficient
 from .windows import DateInterval
 
@@ -43,12 +43,13 @@ def design_vector(doy: int) -> np.ndarray:
 
 
 def design_matrix(doys: np.ndarray) -> np.ndarray:
+    """Design rows of composite days: shape ``doys.shape + (5,)``."""
     doys = np.asarray(doys, dtype=float)
     if doys.size and (doys.min() < 1 or doys.max() > YEAR_DAYS):
         raise OutOfRangeDay("day of year outside 1..366")
     w = _TWO_PI * doys / YEAR_DAYS
-    return np.column_stack(
-        [np.ones_like(w), np.cos(w), np.sin(w), np.cos(2 * w), np.sin(2 * w)]
+    return np.stack(
+        [np.ones_like(w), np.cos(w), np.sin(w), np.cos(2 * w), np.sin(2 * w)], axis=-1
     )
 
 
@@ -223,23 +224,13 @@ def fit(
     min_obs: int = MIN_OBS,
 ) -> HarmonicModel:
     """Fit the model for one band over the clear in-window observations."""
-    doys = []
-    values = []
-    for obs in series.observations:
-        if obs.nominal_date not in window or not is_clear(obs):
-            continue
-        value = obs.band_value(band)
-        if value is None:
-            continue
-        doys.append(obs.composite_doy)
-        values.append(value)
+    a = series.to_arrays()
+    values = a.values[:, BAND_ORDER.index(band)]
+    used = (a.clear & ~np.isnan(values) & (a.ordinals >= window.start.toordinal())
+            & (a.ordinals <= window.end.toordinal()))
     return fit_arrays(
-        np.array(doys, dtype=float),
-        np.array(values, dtype=float),
-        band=band,
-        pixel_id=series.pixel_id,
-        train_window=(window.start, window.end),
-        min_obs=min_obs,
+        a.doys[used].astype(float), values[used], band=band, pixel_id=series.pixel_id,
+        train_window=(window.start, window.end), min_obs=min_obs,
     )
 
 
@@ -248,11 +239,16 @@ def predict(model: HarmonicModel, doy: int) -> float:
 
 
 def predict_many(coeffs: np.ndarray, doys: np.ndarray) -> np.ndarray:
-    """Predictions at many composite days; integer days read the design
-    table, which holds the same values design_matrix computes."""
+    """Predictions at many composite days: ``coeffs`` is one (5,) model or
+    one model per day, (..., 5). Integer days read the design table, which
+    holds the same values design_matrix computes.
+
+    Each prediction is its own row sum, so its bits do not depend on the
+    other days of the call (a matrix product may block them differently).
+    """
     doys = np.asarray(doys)
     design = design_rows(doys) if np.issubdtype(doys.dtype, np.integer) else design_matrix(doys)
-    return design @ np.asarray(coeffs)
+    return (design * np.asarray(coeffs)).sum(axis=-1)
 
 
 def residual(model: HarmonicModel, obs: Observation, band: Band) -> float:

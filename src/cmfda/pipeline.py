@@ -6,6 +6,9 @@ Fitting and detection cut the pixels into fixed-size slices. One slice
 runs inline; several run on a pool of threads, which overlap wherever
 NumPy releases the GIL. A slice reads only its own pixels and builds its
 own results, so nothing mutable is shared.
+
+Detection, training sets and each online step build their errors in one
+pass over stacked arrays, into the flat form that detection scans.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,17 +36,20 @@ from .core import (
 from .detection import (
     DetectionResult,
     DetectionRule,
+    FlatErrors,
+    MahalanobisRule,
     PairedResiduals,
-    extract_errors_from_arrays,
-    fill_index,
+    mahalanobis_series,
     rule_bands,
     scan_window_errors,
+    stack_errors,
 )
-from .errors import NoModels
+from .errors import NoModels, OutOfRange
 from .harmonic import (  # noqa: F401  (fit_arrays stays importable here for the tracer)
     FIT_FAILURES,
     FIT_OK,
     MIN_OBS,
+    N_COEFFS,
     BatchFit,
     HarmonicModel,
     design_rows,
@@ -52,8 +58,8 @@ from .harmonic import (  # noqa: F401  (fit_arrays stays importable here for the
     predict_many,
 )
 from .standardize import Standardizer, transform_errors
-from .training import PixelTrainingData
-from .windows import PREDICT_EXTENSION_DAYS, DateInterval, WindowPair
+from .training import PixelTrainingData, TrainingSet
+from .windows import PREDICT_EXTENSION_DAYS, WindowPair
 
 
 def compact_pixels(pixels: Sequence[PixelSeries]) -> list[CompactPixel]:
@@ -109,50 +115,26 @@ class FitResult:
     models: dict[int, dict[tuple[str, Band], HarmonicModel]]
     skipped: list[SkipRecord] = field(default_factory=list)
 
-    def by_pixel(self) -> dict[str, dict[int, dict[Band, HarmonicModel]]]:
-        """pixel id -> window index -> band -> model, in one pass."""
-        out: dict[str, dict[int, dict[Band, HarmonicModel]]] = {}
-        for window_index, table in self.models.items():
-            for (pid, band), model in table.items():
-                out.setdefault(pid, {}).setdefault(window_index, {})[band] = model
-        return out
 
-
-class _Stack(NamedTuple):
-    """A slice's series as (pixel, date) arrays, padded at the end to the
+def _stack(pixels: Sequence[CompactPixel]) -> SeriesArrays:
+    """The pixels' series as (pixel, date) arrays, padded at the end to the
     longest: a padding date is not clear and has doy 1."""
-
-    ordinals: np.ndarray
-    doys: np.ndarray
-    clear: np.ndarray
-    values: np.ndarray      # (pixel, date, 6), NaN where missing
-
-
-def _stack(pixels: Sequence[CompactPixel]) -> _Stack:
     lengths = {cp.arrays.ordinals.size for cp in pixels}
     if len(lengths) == 1:
-        return _Stack(*(
-            np.stack([getattr(cp.arrays, name) for cp in pixels])
-            for name in ("ordinals", "doys", "clear", "values")
-        ))
-    n, length = len(pixels), max(lengths, default=0)
-    stack = _Stack(
-        np.zeros((n, length), dtype=np.int64),
-        np.ones((n, length), dtype=np.int32),
-        np.zeros((n, length), dtype=bool),
-        np.full((n, length, len(BAND_ORDER)), np.nan),
+        return SeriesArrays(*(np.stack(column) for column in zip(*(cp.arrays for cp in pixels))))
+    shape = (len(pixels), max(lengths, default=0))
+    stack = SeriesArrays(
+        np.zeros(shape, np.int64), np.zeros(shape, np.int64), np.ones(shape, np.int64),
+        np.zeros(shape, np.int8), np.zeros(shape, bool),
+        np.full((*shape, len(BAND_ORDER)), np.nan),
     )
     for k, cp in enumerate(pixels):
-        a = cp.arrays
-        m = a.ordinals.size
-        stack.ordinals[k, :m] = a.ordinals
-        stack.doys[k, :m] = a.doys
-        stack.clear[k, :m] = a.clear
-        stack.values[k, :m] = a.values
+        for padded, column in zip(stack, cp.arrays):
+            padded[k, :len(column)] = column
     return stack
 
 
-def _fit_spans(stack: _Stack, first, last, bands: Sequence[Band], min_obs: int) -> BatchFit:
+def _fit_spans(stack: SeriesArrays, first, last, bands: Sequence[Band], min_obs: int) -> BatchFit:
     """One fit_batch call with a group per pixel: its bands on their clear,
     non-fill dates from ordinal ``first`` to ``last`` (scalars, or one per
     pixel as (n, 1) arrays), with those dates moved to the front."""
@@ -242,52 +224,30 @@ def training_residuals(
     """In-sample residuals over the training windows, per band.
 
     Each observation contributes once, through the earliest window whose
-    training interval contains it. Entries come pixel by pixel, window by
-    window, in date order.
+    training interval contains it and that has a model of the pixel in
+    some band. Entries come pixel by pixel, window by window, in date order.
     """
     compact = _ensure_compact(pixels)
-    pieces: dict[Band, list] = {band: [] for band in bands}  # (pixel number, ordinals, errors)
-    for number, cp in enumerate(compact):
-        a = cp.arrays
-        used = np.zeros(a.ordinals.size, dtype=bool)
-        for wp in windows:
-            table = fit.models.get(wp.index, {})
-            in_window = (
-                a.clear
-                & ~used
-                & (a.ordinals >= wp.train.start.toordinal())
-                & (a.ordinals <= wp.train.end.toordinal())
-            )
-            fresh = np.flatnonzero(in_window)
-            if not fresh.size:
-                continue
-            claimed = False
-            for band in bands:
-                model = table.get((cp.pixel_id, band))
-                if model is None:
-                    continue
-                claimed = True
-                col = BAND_ORDER.index(band)
-                idx = fresh[~np.isnan(a.values[fresh, col])]
-                if not idx.size:
-                    continue
-                predicted = predict_many(model.coeff_array(), a.doys[idx])
-                pieces[band].append((number, a.comp_ordinals[idx], a.values[idx, col] - predicted))
-            if claimed:
-                used[fresh] = True
-
-    def history(band_pieces) -> ResidualHistory:
-        numbers = np.repeat(
-            np.array([number for number, _, _ in band_pieces], dtype=np.intp),
-            [ordinals.size for _, ordinals, _ in band_pieces],
-        )
-        return _site_history(
-            compact, site_id, numbers,
-            np.concatenate([o for _, o, _ in band_pieces]) if band_pieces else [],
-            np.concatenate([v for _, _, v in band_pieces]) if band_pieces else [],
-        )
-
-    return {band: history(pieces[band]) for band in bands}
+    windows, bands = tuple(windows), tuple(bands)
+    stack = _stack(compact)
+    coeffs, present = _window_coeffs(fit, [cp.pixel_id for cp in compact], windows, bands)
+    first, last = (
+        np.array([[date.toordinal() for date in dates]], dtype=np.int64)
+        for dates in ([wp.train.start for wp in windows], [wp.train.end for wp in windows])
+    )
+    dates = stack.ordinals[:, None, :]
+    claimed = (
+        stack.clear[:, None, :] & (dates >= first[:, :, None]) & (dates <= last[:, :, None])
+        & present.any(axis=2)[:, :, None]
+    )
+    owner = claimed & (np.cumsum(claimed, axis=1) == 1)
+    histories = {}
+    for b, band in enumerate(bands):
+        values = stack.values[:, :, BAND_ORDER.index(band)]
+        k, w, j = np.nonzero(owner & present[:, :, b, None] & ~np.isnan(values)[:, None, :])
+        residuals = values[k, j] - predict_many(coeffs[k, w, b], stack.doys[k, j])
+        histories[band] = _site_history(compact, site_id, k, stack.comp_ordinals[k, j], residuals)
+    return histories
 
 
 def _site_history(compact, site_id, numbers, ordinals, values) -> ResidualHistory:
@@ -329,50 +289,89 @@ def paired_residual_records(histories: Mapping[Band, ResidualHistory]) -> Paired
 # --- detection --------------------------------------------------------------------
 
 
-def _pixel_errors(pixels, models_by_pixel, windows, bands, site_id, standardizers=None):
-    """Each pixel's errors in every window, or None when some window has
-    no model. Each band with a standardizer is transformed in one call
-    over all the pixels' errors."""
-    per_pixel = []
-    for cp in pixels:
-        models = models_by_pixel.get(cp.pixel_id, {})
-        try:
-            wes = extract_errors_from_arrays(cp.pixel_id, cp.arrays, models, windows, bands)
-        except NoModels:
-            wes = None
-        per_pixel.append(wes)
-    pieces = [(number, we) for number, wes in enumerate(per_pixel) if wes for we in wes]
-    if standardizers and pieces:
-        sizes = [we.comp_ordinals.size for _, we in pieces]
+def _window_coeffs(fit: FitResult, pixel_ids, windows, bands):
+    """(pixel, window, band, 5) coefficients, gathered window by window,
+    NaN where the fit has no model, and (pixel, window, band) whether it
+    has one."""
+    coeffs = np.full((len(pixel_ids), len(windows), len(bands), N_COEFFS), np.nan)
+    present = np.zeros(coeffs.shape[:3], dtype=bool)
+    for w, wp in enumerate(windows):
+        table = fit.models.get(wp.index, {})
+        for b, band in enumerate(bands):
+            models = [table.get((pixel_id, band)) for pixel_id in pixel_ids]
+            present[:, w, b] = [model is not None for model in models]
+            coeffs[present[:, w, b], w, b] = np.reshape(
+                [m.coeffs for m in models if m is not None], (-1, N_COEFFS)
+            )
+    return coeffs, present
+
+
+def _slice_errors(pixels, fit, windows, bands, site_id, standardizers=None):
+    """The errors of the pixels with a model for every (window, band), those
+    pixels, and the ids of the others. Each band with a standardizer is
+    transformed in one call over all the errors."""
+    coeffs, present = _window_coeffs(fit, [cp.pixel_id for cp in pixels], windows, bands)
+    found = present.all(axis=(1, 2))
+    kept = [cp for cp, ok in zip(pixels, found.tolist()) if ok]
+    skipped = [cp.pixel_id for cp, ok in zip(pixels, found.tolist()) if not ok]
+    bounds = [[[date.toordinal() for date in (wp.predict.start, wp.predict.end,
+                                              wp.predict_year.start, wp.predict_year.end)]
+               for wp in windows]]
+    errors = stack_errors(_stack(kept), coeffs[found], np.reshape(bounds, (1, -1, 4)), bands)
+    if standardizers and len(errors):
         contexts = _site_history(
-            pixels, site_id,
-            np.repeat(np.array([number for number, _ in pieces], dtype=np.intp), sizes),
-            np.concatenate([we.comp_ordinals for _, we in pieces]), np.empty(sum(sizes)),
+            kept, site_id, errors.entry_pixels(), errors.comp_ordinals, np.empty(len(errors))
         )
-        bounds = np.cumsum(sizes)[:-1]
         for band, std in standardizers.items():
-            if band not in bands:
-                continue
-            values = np.concatenate([we.errors[band] for _, we in pieces])
-            standardized = transform_errors(std, replace(contexts, value=values))
-            for (_, we), part in zip(pieces, np.split(standardized, bounds)):
-                we.errors[band] = part
-    return per_pixel
+            if band in bands:
+                errors.errors[band] = transform_errors(
+                    std, replace(contexts, value=errors.errors[band])
+                )
+    return errors, kept, skipped
 
 
-def _detect_chunk(chunk, windows, rule, site_id, models_by_pixel, standardizers):
+def _fill_index(errors: FlatErrors, rule: DetectionRule, site_id: str, pixels) -> None:
+    if isinstance(rule, MahalanobisRule):
+        errors.index = mahalanobis_series(
+            errors, rule.covariances, [site_id] * len(pixels),
+            [cp.col for cp in pixels], [cp.row for cp in pixels],
+        )
+
+
+def _detect_chunk(chunk, windows, rule, site_id, fit, standardizers):
     """Scan one slice of pixels; returns its results and skipped pixels."""
-    results = []
-    skipped = []
-    bands = rule_bands(rule)
-    per_pixel = _pixel_errors(chunk, models_by_pixel, windows, bands, site_id, standardizers)
-    for cp, wes in zip(chunk, per_pixel):
-        if wes is None:
-            skipped.append(cp.pixel_id)
-            continue
-        fill_index(wes, rule, site_id, cp.col, cp.row)
-        results.append(scan_window_errors(wes, rule, pixel_id=cp.pixel_id))
-    return results, skipped
+    errors, kept, skipped = _slice_errors(
+        chunk, fit, windows, rule_bands(rule), site_id, standardizers
+    )
+    _fill_index(errors, rule, site_id, kept)
+    flag_dates, flag_bands = scan_window_errors(errors, rule, len(kept))
+    return [
+        DetectionResult(cp.pixel_id, bool(date), dt.date.fromordinal(date) if date else None,
+                        Band(band) if band > 0 else None)
+        for cp, date, band in zip(kept, flag_dates.tolist(), flag_bands.tolist())
+    ], skipped
+
+
+def detect_pixel(
+    series: PixelSeries,
+    models: Mapping[int, Mapping[Band, HarmonicModel]],
+    rule: DetectionRule,
+    windows: Sequence[WindowPair],
+    site_id: Optional[str] = None,
+) -> DetectionResult:
+    """Apply the rule over every prediction window of one pixel, as a
+    slice of detect_pixels. The flag date is the last date of the earliest
+    triggering run (detection time, not event time)."""
+    if isinstance(rule, MahalanobisRule) and site_id is None:
+        raise OutOfRange("Mahalanobis detection requires a site_id")
+    fit = FitResult({
+        index: {(series.pixel_id, band): model for band, model in table.items()}
+        for index, table in models.items()
+    })
+    results, skipped = _detect_chunk(compact_pixels([series]), windows, rule, site_id, fit, None)
+    if skipped:
+        raise NoModels(f"pixel {series.pixel_id!r}: no model for some window and rule band")
+    return results[0]
 
 
 def detect_pixels(
@@ -391,7 +390,7 @@ def detect_pixels(
     skipped: list[str] = []
     for chunk_results, chunk_skipped in _run_slices(
         _detect_chunk, _ensure_compact(pixels), workers,
-        tuple(windows), rule, site_id, fit.by_pixel(), standardizers,
+        tuple(windows), rule, site_id, fit, standardizers,
     ):
         results.extend(chunk_results)
         skipped.extend(chunk_skipped)
@@ -409,28 +408,18 @@ def build_training_dataset(
     site_id: str,
     bands: Sequence[Band] = (Band.NIR, Band.NDVI),
     standardizers: Optional[Mapping[Band, Standardizer]] = None,
-) -> tuple[list[PixelTrainingData], list[str]]:
-    """Labelled per-pixel error series for the optimizers. The Mahalanobis
-    index is not filled here (see training.fill_dataset_index)."""
-    compact = _ensure_compact(pixels)
-    dataset = []
-    skipped = []
-    per_pixel = _pixel_errors(compact, fit.by_pixel(), windows, bands, site_id, standardizers)
-    for cp, wes in zip(compact, per_pixel):
-        if wes is None:
-            skipped.append(cp.pixel_id)
-            continue
-        dataset.append(
-            PixelTrainingData(
-                pixel_id=cp.pixel_id,
-                site_id=site_id,
-                col=cp.col,
-                row=cp.row,
-                label=labels[cp.pixel_id],
-                window_errors=wes,
-            )
-        )
-    return dataset, skipped
+) -> tuple[TrainingSet, list[str]]:
+    """Labelled error series for the optimizers, and the pixels skipped for
+    want of a model. The Mahalanobis index is not filled here (see
+    training.fill_dataset_index)."""
+    errors, kept, skipped = _slice_errors(
+        _ensure_compact(pixels), fit, tuple(windows), tuple(bands), site_id, standardizers
+    )
+    pixels = [
+        PixelTrainingData(cp.pixel_id, site_id, cp.col, cp.row, labels[cp.pixel_id], [])
+        for cp in kept
+    ]
+    return replace(TrainingSet.of(pixels), errors=errors), skipped
 
 
 # --- online loop -----------------------------------------------------------------
@@ -489,13 +478,13 @@ def online_process_batch(
     dates, ending at the new one; it must start inside the monitored year.
     The run gets its own window (train on the two years before the run
     start, predict from the run start to the new date, the run start the
-    only allowed start). One fit_batch call fits every run's window; each
-    run is then predicted and scanned by the batch code.
+    only allowed start). One fit_batch call fits every run's window; the
+    runs are then predicted and scanned together by the batch code.
     """
     bands = rule_bands(rule)
     cols = [BAND_ORDER.index(band) for band in bands]
     batch_ord = batch_date.toordinal()
-    runs = []   # (pixel, its run's window)
+    runs = []   # (pixel, the first date of its run)
     for cp in pixels:
         if cp.pixel_id in already_flagged:
             continue
@@ -505,32 +494,28 @@ def online_process_batch(
         if idx.size < rule.consecutive or a.ordinals[idx[-1]] != batch_ord:
             continue
         start = dt.date.fromordinal(int(a.ordinals[idx[-rule.consecutive]]))
-        if start.year != monitor_year:
-            continue
-        runs.append((cp, WindowPair(
-            0,
-            train=DateInterval(_two_years_before(start), start - dt.timedelta(days=1)),
-            predict=DateInterval(start, batch_date),
-            predict_year=DateInterval(start, start),
-        )))
+        if start.year == monitor_year:
+            runs.append((cp, start))
     if not runs:
         return OnlineOutcome(newly_flagged={}, models={})
-    trains = [(window.train.start, window.train.end) for _, window in runs]
+    trains = [(_two_years_before(start), start - dt.timedelta(days=1)) for _, start in runs]
     first, last = (np.array([[date.toordinal()] for date in dates]) for dates in zip(*trains))
-    fits = _fit_spans(_stack([cp for cp, _ in runs]), first, last, bands, min_obs)
+    stack = _stack([cp for cp, _ in runs])
+    fits = _fit_spans(stack, first, last, bands, min_obs)
     fitted = {
         (model.pixel_id, model.band): model
         for _, _, model in _models(fits, [cp.pixel_id for cp, _ in runs], bands, trains)
     }
-    newly: dict[str, dt.date] = {}
-    for cp, window in runs:
-        models = {band: fitted[cp.pixel_id, band] for band in bands if (cp.pixel_id, band) in fitted}
-        (wes,) = _pixel_errors([cp], {cp.pixel_id: {0: models}}, [window], bands, site_id)
-        if wes is None:
-            continue
-        fill_index(wes, rule, site_id, cp.col, cp.row)
-        if scan_window_errors(wes, rule, pixel_id=cp.pixel_id).flagged:
-            newly[cp.pixel_id] = batch_date
+    found = (fits.status == FIT_OK).all(axis=1)
+    kept = [cp for (cp, _), ok in zip(runs, found.tolist()) if ok]
+    begin = (last + 1)[found]   # each run's first date, its only allowed start
+    errors = stack_errors(
+        SeriesArrays(*(column[found] for column in stack)), fits.coeffs[found][:, None],
+        np.stack([begin, np.full_like(begin, batch_ord), begin, begin], axis=-1), bands,
+    )
+    _fill_index(errors, rule, site_id, kept)
+    flag_dates, _ = scan_window_errors(errors, rule, len(kept))
+    newly = {cp.pixel_id: batch_date for cp, date in zip(kept, flag_dates.tolist()) if date}
     return OnlineOutcome(newly_flagged=newly, models=fitted)
 
 
@@ -544,25 +529,15 @@ def online_replay(
 ) -> dict[str, dt.date]:
     """Replay the online loop over a monitored year plus its extension."""
     compact = _ensure_compact(pixels)
-    last = dt.date(monitor_year, 12, 31) + dt.timedelta(days=PREDICT_EXTENSION_DAYS)
-    all_ordinals = sorted(
-        {
-            int(o)
-            for cp in compact
-            for o in cp.arrays.ordinals
-            if dt.date(monitor_year, 1, 1).toordinal() <= o <= last.toordinal()
-        }
-    )
+    first = dt.date(monitor_year, 1, 1).toordinal()
+    last = dt.date(monitor_year, 12, 31).toordinal() + PREDICT_EXTENSION_DAYS
+    dates = [cp.arrays.ordinals for cp in compact]
+    ordinals = np.unique(np.concatenate(dates)) if dates else np.empty(0, np.int64)
     flagged: dict[str, dt.date] = {}
-    for ordinal in all_ordinals:
+    for ordinal in ordinals[(ordinals >= first) & (ordinals <= last)].tolist():
         outcome = online_process_batch(
-            compact,
-            dt.date.fromordinal(ordinal),
-            rule,
-            monitor_year,
-            flagged,
-            site_id=site_id,
-            min_obs=min_obs,
+            compact, dt.date.fromordinal(ordinal), rule, monitor_year, flagged,
+            site_id=site_id, min_obs=min_obs,
         )
         flagged.update(outcome.newly_flagged)
     return flagged

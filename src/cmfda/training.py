@@ -1,17 +1,17 @@
 """Threshold training: skill metrics, grid search, simulated annealing,
 cross-validation and fixed-threshold sweeps.
 
-The optimizers exploit the fact that for a fixed pixel and consecutive
-count, the set of thresholds at which the pixel is flagged is exactly
-(0, flag_level): one pass over each error series yields the whole
-threshold response.
+A training set holds its pixels' errors in the flat form of detection. For
+a fixed pixel and consecutive count, the thresholds at which the pixel is
+flagged are exactly (0, level) (``detection.flag_levels``), so one scan of
+the errors yields every pixel's whole threshold response.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,9 +19,8 @@ from .core import Band
 from .detection import (
     CubeCovarianceTable,
     DetectionRule,
-    WindowErrors,
-    flag_level,
-    index_series,
+    FlatErrors,
+    flag_levels,
     mahalanobis_series,
     scan_window_errors,
 )
@@ -73,21 +72,17 @@ class ConfusionCounts:
         )
 
 
+def _counts(flags: np.ndarray, observed: np.ndarray) -> ConfusionCounts:
+    """Confusion of predicted against observed flags, as bool arrays."""
+    s, v = int((flags & observed).sum()), int((flags & ~observed).sum())
+    return ConfusionCounts(s, int(observed.sum()) - s, int((~observed).sum()) - v, v)
+
+
 def confusion(preds: Mapping[str, int], labels: Mapping[str, int]) -> ConfusionCounts:
     if set(preds) != set(labels):
         raise KeyMismatch("prediction and label maps cover different pixels")
-    s = t = u = v = 0
-    for pixel, predicted in preds.items():
-        observed = labels[pixel]
-        if predicted and observed:
-            s += 1
-        elif predicted and not observed:
-            v += 1
-        elif not predicted and observed:
-            t += 1
-        else:
-            u += 1
-    return ConfusionCounts(s, t, u, v)
+    return _counts(*(np.array([bool(table[k]) for k in labels], dtype=bool)
+                     for table in (preds, labels)))
 
 
 def tss(c: ConfusionCounts) -> float:
@@ -112,87 +107,116 @@ def accuracies(c: ConfusionCounts) -> tuple[float, Optional[float]]:
 
 @dataclass
 class PixelTrainingData:
-    """One pixel's labelled, per-window prediction errors."""
+    """One pixel's labelled prediction errors, one WindowErrors per window."""
 
     pixel_id: str
     site_id: str
     col: int
     row: int
     label: int
-    window_errors: list[WindowErrors]
+    window_errors: list[FlatErrors]
 
 
-def _check_two_classes(dataset: Sequence[PixelTrainingData]) -> np.ndarray:
-    labels = np.array([p.label for p in dataset])
-    if labels.size == 0 or labels.min() == labels.max():
+@dataclass(eq=False)
+class TrainingSet:
+    """Labelled pixels and their prediction errors in one flat form: pixel
+    k is ``pixel_ids[k]``, at (``cols[k]``, ``rows[k]``) in site
+    ``site_ids[k]``, labelled ``labels[k]``, and owns the segments of
+    ``errors`` numbered k."""
+
+    pixel_ids: np.ndarray
+    site_ids: np.ndarray
+    cols: np.ndarray
+    rows: np.ndarray
+    labels: np.ndarray
+    errors: FlatErrors
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    @classmethod
+    def of(cls, dataset: "Dataset") -> "TrainingSet":
+        """A training set as it is, or pixels with their windows end to end."""
+        if isinstance(dataset, TrainingSet):
+            return dataset
+        pixels = list(dataset)
+        return cls(
+            np.array([p.pixel_id for p in pixels], dtype=object),
+            np.array([p.site_id for p in pixels], dtype=object),
+            np.array([p.col for p in pixels], dtype=np.int64),
+            np.array([p.row for p in pixels], dtype=np.int64),
+            np.array([p.label for p in pixels], dtype=np.int64),
+            FlatErrors.concat(
+                [we for p in pixels for we in p.window_errors],
+                [k for k, p in enumerate(pixels) for _ in p.window_errors],
+            ),
+        )
+
+    @classmethod
+    def concat(cls, sets: Sequence["TrainingSet"]) -> "TrainingSet":
+        sets = list(sets)
+        sizes = np.array([len(part) for part in sets], dtype=np.intp)
+        return cls(
+            *(np.concatenate([getattr(part, name) for part in sets]) for name in _PIXEL_FIELDS),
+            FlatErrors.concat([part.errors for part in sets], np.cumsum(sizes) - sizes),
+        )
+
+    def take(self, pixels) -> "TrainingSet":
+        """The given pixels, in that order, with their errors."""
+        pixels = np.asarray(pixels, dtype=np.intp)
+        return TrainingSet(
+            *(getattr(self, name)[pixels] for name in _PIXEL_FIELDS), self.errors.take(pixels)
+        )
+
+
+_PIXEL_FIELDS = ("pixel_ids", "site_ids", "cols", "rows", "labels")
+
+# What the training functions accept: a training set, or the pixels of one.
+Dataset = Union[TrainingSet, Sequence[PixelTrainingData]]
+
+
+def _check_two_classes(dataset: TrainingSet) -> np.ndarray:
+    """The pixels' labels as bools, when both classes occur."""
+    observed = dataset.labels != 0
+    if observed.all() or not observed.any():
         raise DegenerateClass("training labels must contain both classes")
-    return labels
+    return observed
 
 
-def fill_dataset_index(
-    dataset: Sequence[PixelTrainingData], covariances: CubeCovarianceTable
-) -> None:
-    """Store every window's Mahalanobis index once: thresholds and C never
-    change it, so every later scan of the dataset reads it."""
-    for p in dataset:
-        for we in p.window_errors:
-            we.index = mahalanobis_series(we, covariances, p.site_id, p.col, p.row)
+def fill_dataset_index(dataset: TrainingSet, covariances: CubeCovarianceTable) -> None:
+    """Store the Mahalanobis index of every entry once: thresholds and C
+    never change it, and subsets of the pixels (``take``) carry it, so
+    every later scan of the set or of its folds reads it."""
+    dataset.errors.index = mahalanobis_series(
+        dataset.errors, covariances, dataset.site_ids, dataset.cols, dataset.rows
+    )
 
 
-def _flag_levels(
-    dataset: Sequence[PixelTrainingData],
-    values_of: Callable[[WindowErrors], np.ndarray],
-    consecutive: int,
-    two_sided: bool,
-) -> np.ndarray:
+def univariate_flag_levels(dataset: Dataset, band: Band, consecutive: int) -> np.ndarray:
     """Per-pixel supremum threshold at which the pixel still flags."""
-    return np.array([
-        max((flag_level(values_of(we), we.start_ok, consecutive, two_sided)
-             for we in p.window_errors), default=-math.inf)
-        for p in dataset
-    ])
+    errors = TrainingSet.of(dataset).errors
+    return flag_levels(errors, errors.errors[band], consecutive, True, len(dataset))
 
 
-def univariate_flag_levels(
-    dataset: Sequence[PixelTrainingData], band: Band, consecutive: int
-) -> np.ndarray:
-    return _flag_levels(dataset, lambda we: we.errors[band], consecutive, two_sided=True)
+def mahalanobis_flag_levels(dataset: Dataset, consecutive: int) -> np.ndarray:
+    """Levels of the filled index; the index is nonnegative, so the runs
+    are one-sided."""
+    errors = TrainingSet.of(dataset).errors
+    return flag_levels(errors, errors.filled_index(), consecutive, False, len(dataset))
 
 
-def mahalanobis_flag_levels(
-    dataset: Sequence[PixelTrainingData], consecutive: int
-) -> np.ndarray:
-    """Levels of the filled index series; the index is nonnegative, so the
-    runs are one-sided."""
-    return _flag_levels(dataset, index_series, consecutive, two_sided=False)
-
-
-def _tss_of_flags(flags: np.ndarray, labels: np.ndarray) -> float:
-    n1 = int(labels.sum())
-    n0 = labels.size - n1
-    s = int((flags & (labels == 1)).sum())
-    u = int((~flags & (labels == 0)).sum())
-    return s / n1 + u / n0 - 1.0
-
-
-def evaluate_rule(
-    dataset: Sequence[PixelTrainingData], rule: DetectionRule
-) -> ConfusionCounts:
+def evaluate_rule(dataset: Dataset, rule: DetectionRule) -> ConfusionCounts:
     """Confusion of a fixed rule over the dataset."""
-    preds = {}
-    labels = {}
-    for p in dataset:
-        result = scan_window_errors(p.window_errors, rule, pixel_id=p.pixel_id)
-        preds[p.pixel_id] = int(result.flagged)
-        labels[p.pixel_id] = p.label
-    return confusion(preds, labels)
+    dataset = TrainingSet.of(dataset)
+    return _counts(scan_window_errors(dataset.errors, rule, len(dataset))[0] > 0,
+                   dataset.labels != 0)
 
 
 # --- grid search ------------------------------------------------------------
 
 
 def _grid_search_levels(
-    levels: np.ndarray, labels: np.ndarray, grid: Sequence[float]
+    levels: np.ndarray, observed: np.ndarray, grid: Sequence[float]
 ) -> tuple[float, float]:
     if len(grid) == 0:
         raise ValueError("threshold grid is empty")
@@ -201,7 +225,7 @@ def _grid_search_levels(
     best_threshold = None
     best_tss = -math.inf
     for threshold in grid:
-        score = _tss_of_flags(levels > threshold, labels)
+        score = tss(_counts(levels > threshold, observed))
         if score > best_tss:
             best_tss = score
             best_threshold = threshold
@@ -209,27 +233,29 @@ def _grid_search_levels(
 
 
 def grid_search_univariate(
-    dataset: Sequence[PixelTrainingData],
+    dataset: Dataset,
     band: Band,
     consecutive: int,
     grid: Sequence[float],
 ) -> tuple[float, float]:
     """Exhaustive search; ties break toward the smallest threshold, which
     favours earlier detection."""
-    labels = _check_two_classes(dataset)
+    dataset = TrainingSet.of(dataset)
+    observed = _check_two_classes(dataset)
     levels = univariate_flag_levels(dataset, band, consecutive)
-    return _grid_search_levels(levels, labels, grid)
+    return _grid_search_levels(levels, observed, grid)
 
 
 def grid_search_mahalanobis(
-    dataset: Sequence[PixelTrainingData],
+    dataset: Dataset,
     consecutive: int,
     grid: Sequence[float],
 ) -> tuple[float, float]:
-    """Grid search over the filled index series (see fill_dataset_index)."""
-    labels = _check_two_classes(dataset)
+    """Grid search over the filled index (see fill_dataset_index)."""
+    dataset = TrainingSet.of(dataset)
+    observed = _check_two_classes(dataset)
     levels = mahalanobis_flag_levels(dataset, consecutive)
-    return _grid_search_levels(levels, labels, grid)
+    return _grid_search_levels(levels, observed, grid)
 
 
 # --- simulated annealing ----------------------------------------------------
@@ -297,7 +323,7 @@ def anneal_on_grid(
 
 
 def anneal_multivariate(
-    dataset: Sequence[PixelTrainingData],
+    dataset: Dataset,
     consecutive: int,
     nir_grid: Sequence[float],
     ndvi_grid: Sequence[float],
@@ -306,7 +332,8 @@ def anneal_multivariate(
     seed: int = 0,
 ) -> tuple[tuple[float, float], float]:
     """Joint (NIR, NDVI) threshold search by simulated annealing."""
-    labels = _check_two_classes(dataset)
+    dataset = TrainingSet.of(dataset)
+    observed = _check_two_classes(dataset)
     nir_grid = list(nir_grid)
     ndvi_grid = list(ndvi_grid)
     if init[0] not in nir_grid or init[1] not in ndvi_grid:
@@ -316,7 +343,7 @@ def anneal_multivariate(
 
     def utility(i: int, j: int) -> float:
         flags = (nir_levels > nir_grid[i]) | (ndvi_levels > ndvi_grid[j])
-        return _tss_of_flags(flags, labels)
+        return tss(_counts(flags, observed))
 
     init_idx = (nir_grid.index(init[0]), ndvi_grid.index(init[1]))
     (bi, bj), best_tss = anneal_on_grid(
@@ -345,8 +372,8 @@ class CvResult:
 
 
 def cross_validate(
-    dataset: Sequence[PixelTrainingData],
-    trainer: Callable[[list[PixelTrainingData]], DetectionRule],
+    dataset: Dataset,
+    trainer: Callable[[TrainingSet], DetectionRule],
     k: int = 5,
     seed: int = 0,
 ) -> CvResult:
@@ -354,9 +381,10 @@ def cross_validate(
     pixel's errors cannot leak between its own train and test folds)."""
     if k < 2:
         raise ValueError("cross-validation needs k >= 2")
-    _check_two_classes(dataset)
-    positives = [p for p in dataset if p.label == 1]
-    negatives = [p for p in dataset if p.label == 0]
+    dataset = TrainingSet.of(dataset)
+    observed = _check_two_classes(dataset)
+    positives = np.flatnonzero(observed).tolist()
+    negatives = np.flatnonzero(~observed).tolist()
     if len(positives) < k or len(negatives) < k:
         raise TooFewPositives(
             f"need at least {k} pixels of each class to stratify {k} folds"
@@ -364,18 +392,14 @@ def cross_validate(
     rng = random.Random(seed)
     rng.shuffle(positives)
     rng.shuffle(negatives)
-    folds: list[list[PixelTrainingData]] = [[] for _ in range(k)]
-    for i, p in enumerate(positives):
-        folds[i % k].append(p)
-    for i, p in enumerate(negatives):
-        folds[i % k].append(p)
+    folds = [positives[f::k] + negatives[f::k] for f in range(k)]
 
     fold_results = []
     pooled = ConfusionCounts(0, 0, 0, 0)
     for held_out in range(k):
         train = [p for f in range(k) if f != held_out for p in folds[f]]
-        rule = trainer(train)
-        counts = evaluate_rule(folds[held_out], rule)
+        rule = trainer(dataset.take(train))
+        counts = evaluate_rule(dataset.take(folds[held_out]), rule)
         fold_results.append(FoldResult(counts, tss(counts)))
         pooled = pooled + counts
     producer, user = accuracies(pooled)
@@ -402,7 +426,7 @@ class SweepRow:
 
 
 def sweep_fixed(
-    dataset: Sequence[PixelTrainingData],
+    dataset: Dataset,
     rule: DetectionRule,
     c_values: Sequence[int] = (2, 3, 4, 5, 6),
 ) -> list[SweepRow]:
@@ -411,6 +435,7 @@ def sweep_fixed(
     Rows are emitted even when the skill metrics are undefined (single
     label class), with None in place of the undefined values.
     """
+    dataset = TrainingSet.of(dataset)
     rows = []
     for c in c_values:
         counts = evaluate_rule(dataset, replace(rule, consecutive=c))

@@ -3,8 +3,9 @@
 These are the scalar forms that ``cmfda.standardize``, ``cmfda.pipeline``
 and ``cmfda.detection`` replaced with array code: one ``ErrorRecord`` per
 residual, one dict lookup and one ``ErrorContext`` per standardized error,
-and the inverse normal CDF one float at a time. The tests compare the array
-code against them bit for bit.
+the inverse normal CDF one float at a time, and the rule scanned one
+window at a time. The tests compare the array code against them bit for
+bit.
 """
 from __future__ import annotations
 
@@ -14,8 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cmfda.core import BAND_ORDER, CompactPixel, day_of_year
-from cmfda.detection import CovarianceEntry, CubeCovarianceTable, PairedErrorRecord
+from cmfda.core import BAND_ORDER, Band, CompactPixel, day_of_year
+from cmfda.detection import (
+    CovarianceEntry,
+    CubeCovarianceTable,
+    MultivariateRule,
+    PairedErrorRecord,
+    UnivariateRule,
+    run_levels,
+)
 from cmfda.errors import DegenerateHistory, EmptyHistory, EmptySample, OutOfDomain, OutOfRange
 from cmfda.harmonic import predict_many
 from cmfda.standardize import (
@@ -263,8 +271,6 @@ def training_residuals(pixels: list[CompactPixel], fit, windows, bands, site_id)
 
 
 def paired_residual_records(histories) -> list[PairedErrorRecord]:
-    from cmfda.core import Band
-
     ndvi_by_key = {(r.pixel_id, r.date): r for r in histories.get(Band.NDVI, [])}
     pairs = []
     for r in histories.get(Band.NIR, []):
@@ -312,3 +318,47 @@ def estimate_cube_covariances(records, min_cube_samples: int = 10) -> CubeCovari
         sites=build(by_site),
         min_cube_samples=min_cube_samples,
     )
+
+
+# --- per-window rule scan ------------------------------------------------------
+
+
+def flag_level(values, start_ok, consecutive, two_sided=True) -> float:
+    """Largest run level over the allowed starts of one window."""
+    levels = run_levels(np.asarray(values, dtype=float), consecutive, two_sided)
+    levels = levels[np.asarray(start_ok, dtype=bool)[: levels.size]]
+    return float(levels.max()) if levels.size else -math.inf
+
+
+def rule_series(window, rule):
+    """(reported band, values, threshold, two_sided) for each sequence the
+    rule scans in one window (a one-segment FlatErrors)."""
+    if isinstance(rule, UnivariateRule):
+        return [(None, window.errors[rule.band], rule.threshold, True)]
+    if isinstance(rule, MultivariateRule):
+        return [
+            (Band.NIR, window.errors[Band.NIR], rule.nir_threshold, True),
+            (Band.NDVI, window.errors[Band.NDVI], rule.ndvi_threshold, True),
+        ]
+    return [(None, window.index, rule.threshold, False)]
+
+
+def scan_windows(windows, rule):
+    """(flag ordinal, band) of one pixel's windows, or None: in each window
+    the earliest allowed start whose run level exceeds the threshold, NIR
+    winning a tie with NDVI; over the windows the earliest flag date, the
+    earlier window winning a tie."""
+    c = rule.consecutive
+    best = None
+    for window in windows:
+        start = band_hit = None
+        for band, values, threshold, two_sided in rule_series(window, rule):
+            levels = run_levels(values, c, two_sided)
+            hits = np.flatnonzero((levels > threshold) & window.start_ok[: levels.size])
+            if hits.size and (start is None or hits[0] < start):
+                start, band_hit = int(hits[0]), band
+        if start is not None:
+            flag = int(window.ordinals[start + c - 1])
+            if best is None or flag < best[0]:
+                best = (flag, band_hit)
+    return best

@@ -551,10 +551,11 @@ def test_train_multivariate_and_mahalanobis(sim_dir, tmp_path):
 
 
 def test_train_mahalanobis_computes_each_index_once(tmp_path, monkeypatch):
-    """Thresholds and C never change a window's index series, so training
-    computes it once per (pixel, window), not once per grid search, fold
-    and sweep row."""
-    from cmfda import detection, training
+    """Thresholds and C never change an entry's index, so training computes
+    the index of each (pixel, window, date) entry once, not once per grid
+    search, fold and sweep row: the index entries computed add up to the
+    entries of the training sets."""
+    from cmfda import detection, pipeline, training
     from test_pipeline import one_year_scenario
 
     pixels, labels = one_year_scenario(seed=21, n_events=6)
@@ -565,13 +566,19 @@ def test_train_mahalanobis_computes_each_index_once(tmp_path, monkeypatch):
         [DeforestationLabel(p.pixel_id, p.col, p.row, labels[p.pixel_id], labels[p.pixel_id])
          for p in pixels],
     )
-    calls = []
+    indexed = []
     for module in (detection, training):
         original = module.mahalanobis_series
         monkeypatch.setattr(
             module, "mahalanobis_series",
-            lambda *a, original=original: calls.append(a[0]) or original(*a),
+            lambda *a, original=original: indexed.append(len(a[0])) or original(*a),
         )
+    datasets = []
+    build = pipeline.build_training_dataset
+    monkeypatch.setattr(
+        pipeline, "build_training_dataset",
+        lambda *a, **kw: datasets.append(build(*a, **kw)) or datasets[-1],
+    )
     assert main(
         [
             "train", "--series", str(series_path), "--labels", str(labels_path),
@@ -580,8 +587,9 @@ def test_train_mahalanobis_computes_each_index_once(tmp_path, monkeypatch):
             "--sweep-fixed", "--threads", "1",
         ]
     ) == EXIT_OK
-    assert len(calls) == len(pixels) * 2
-    assert len({id(we) for we in calls}) == len(calls)
+    entries = sum(len(dataset.errors) for dataset, _ in datasets)
+    assert len(datasets[0][0]) == len(pixels) and entries > 0
+    assert sum(indexed) == entries
 
 
 def test_mahalanobis_refuses_standardized_errors(tmp_path):
@@ -900,7 +908,9 @@ def test_online_batch_off_cadence_leaves_state_untouched(online_inputs, tmp_path
     (lambda text: text.replace("monitor-year=2005", "monitor-year=20x5"),
      "line 1: {path}: bad value for 'monitor-year': '20x5'"),
     (lambda text: text.replace("rule=multivariate\n", ""), "{path}: missing key 'rule'"),
-], ids=["bad-year", "no-rule"])
+    (lambda text: text.replace("rule=multivariate\n", "rule\n"),
+     "{path}:{line}: expected key=value, got 'rule'"),
+], ids=["bad-year", "no-rule", "no-equals"])
 def test_online_step_with_a_bad_state_config_is_a_data_error(
     online_inputs, tmp_path, capsys, edit, message
 ):
@@ -913,7 +923,8 @@ def test_online_step_with_a_bad_state_config_is_a_data_error(
     config.write_text(edit(text))
     capsys.readouterr()
     assert _step(state, batches[0], tmp_path / "out.csv") == EXIT_DATA
-    assert message.format(path=config) in capsys.readouterr().err
+    line = text.splitlines().index("rule=multivariate") + 1
+    assert message.format(path=config, line=line) in capsys.readouterr().err
 
 
 def test_online_state_survives_a_failed_write(online_inputs, tmp_path, monkeypatch):

@@ -6,27 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfda.core import Band, FILL_INDEX, Reliability
+from cmfda.core import Band, FILL_INDEX, Reliability, SeriesArrays
 from cmfda.detection import (
     CubeCovarianceTable,
+    FlatErrors,
     MahalanobisRule,
     MultivariateRule,
     PairedErrorRecord,
     UnivariateRule,
+    WindowErrors,
     cube_of,
-    detect_pixel,
     estimate_cube_covariances,
-    extract_window_errors,
-    flag_level,
+    flag_levels,
     rule_bands,
     mahalanobis_index,
     multivariate_flag,
+    scan_window_errors,
+    stack_errors,
     univariate_flag,
 )
 from cmfda.errors import NoModels, OutOfRange, SingularCovariance, WrongWindowLength
 from cmfda.harmonic import fit
+from cmfda.pipeline import detect_pixel
 from cmfda.windows import make_windows
 from conftest import make_series, nominal_dates
+from scalar_oracle import flag_level, scan_windows
 
 error_lists = st.lists(
     st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=2, max_size=6
@@ -373,9 +377,14 @@ def test_date_axis_requires_all_rule_bands():
     )
     windows = make_windows(2003, 2)
     models = _fit_models(series, windows, (Band.NIR, Band.NDVI))
-    wes = extract_window_errors(series, models, windows, (Band.NIR, Band.NDVI))
-    for we in wes:
-        assert missing.toordinal() not in we.ordinals
+    bands = (Band.NIR, Band.NDVI)
+    coeffs = np.array([[[models[wp.index][band].coeffs for band in bands] for wp in windows]])
+    bounds = np.array([[[d.toordinal() for d in (wp.predict.start, wp.predict.end,
+                                                 wp.predict_year.start, wp.predict_year.end)]
+                        for wp in windows]])
+    stack = SeriesArrays(*(np.asarray(column)[None] for column in series.to_arrays()))
+    errors = stack_errors(stack, coeffs, bounds, bands)
+    assert len(errors) and missing.toordinal() not in errors.ordinals
     result = detect_pixel(series, models, MultivariateRule(0.082, 0.182, 4), windows)
     assert result.flagged
     assert result.first_flag_date == post[4]  # one date later than without the gap
@@ -565,7 +574,7 @@ def test_detect_pixel_matches_naive_oracle(kind, seed, consecutive, threshold):
         assert (result.first_flag_date, result.triggering_band) == expected
 
 
-# --- flag_level --------------------------------------------------------------
+# --- flag levels and the segmented scan -------------------------------------
 
 
 @settings(max_examples=200, deadline=None)
@@ -588,5 +597,68 @@ def test_flag_level_matches_brute_force_scan(seed, consecutive, threshold, two_s
         if np.all(window > threshold) or (two_sided and np.all(window < -threshold)):
             brute = True
             break
-    level = flag_level(values, start_ok, consecutive, two_sided)
+    errors = WindowErrors(np.arange(n), np.arange(n), np.ones(n), start_ok, {Band.NIR: values})
+    (level,) = flag_levels(errors, values, consecutive, two_sided, 1)
     assert (level > threshold) == brute
+    assert level == flag_level(values, start_ok, consecutive, two_sided)
+
+
+_ROUNDED = st.sampled_from([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3])
+
+
+@st.composite
+def _window(draw):
+    """One window of a pixel: dates from a shared 16-date pool, so windows
+    overlap and reach equal flag dates, and values that are multiples of
+    0.1, so NIR and NDVI runs tie."""
+    days = sorted(draw(st.lists(st.integers(0, 15), max_size=10, unique=True)))
+    n = len(days)
+    ordinals = 732000 + 16 * np.array(days, dtype=np.int64)
+
+    def series(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+
+    return WindowErrors(
+        ordinals, ordinals, np.ones(n, dtype=np.int64),
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+        {Band.NIR: series(_ROUNDED), Band.NDVI: series(_ROUNDED)},
+        index=np.abs(series(_ROUNDED)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pixels=st.lists(st.lists(_window(), max_size=3), min_size=1, max_size=5),
+    kind=st.sampled_from(["univariate", "multivariate", "mahalanobis"]),
+    consecutive=st.integers(2, 4),
+    thresholds=st.tuples(st.sampled_from([0.05, 0.15]), st.sampled_from([0.05, 0.15])),
+)
+def test_segmented_scan_matches_per_window_oracle(pixels, kind, consecutive, thresholds):
+    """One scan over the flat form gives each pixel the flag date and band
+    of the per-window oracle, and each pixel's largest level is the largest
+    per-window level: runs never cross a segment end."""
+    if kind == "univariate":
+        rule = UnivariateRule(Band.NDVI, thresholds[0], consecutive)
+    elif kind == "multivariate":
+        rule = MultivariateRule(*thresholds, consecutive)
+    else:
+        rule = MahalanobisRule(thresholds[0], CubeCovarianceTable({}, {}, {}), consecutive)
+    flat = FlatErrors.concat(
+        [window for windows in pixels for window in windows],
+        [k for k, windows in enumerate(pixels) for _ in windows],
+    )
+    flag_dates, flag_bands = scan_window_errors(flat, rule, len(pixels))
+    for k, windows in enumerate(pixels):
+        expected = scan_windows(windows, rule)
+        got = (int(flag_dates[k]), None if flag_bands[k] < 0 else Band(flag_bands[k]))
+        assert got == (expected or (0, None)), k
+    two_sided = kind != "mahalanobis"
+    values = flat.errors[Band.NDVI] if two_sided else flat.index
+    levels = flag_levels(flat, values, consecutive, two_sided, len(pixels))
+    for k, windows in enumerate(pixels):
+        per_window = [
+            flag_level(w.errors[Band.NDVI] if two_sided else w.index, w.start_ok,
+                       consecutive, two_sided)
+            for w in windows
+        ]
+        assert levels[k] == max(per_window, default=-math.inf), k

@@ -315,3 +315,30 @@ def test_design_table_equals_design_matrix():
     )
     with pytest.raises(OutOfRangeDay):
         design_rows(np.array([0, 5]))
+
+
+@pytest.mark.parametrize("as_float", [False, True], ids=["int days", "float days"])
+def test_predict_many_bits_do_not_depend_on_the_batch(as_float):
+    """A date's prediction has the same bits alone, inside its window,
+    after a permutation and in a gathered 2-D batch with one model per
+    date, so errors computed in any batch agree bit for bit."""
+    rng = np.random.default_rng(11)
+    models = rng.normal(0.3, 0.2, size=(8, 5))
+    for n in (1, 2, 5, 8, 9, 23, 46, 130):
+        days = rng.integers(1, 367, size=n)
+        days = days.astype(float) if as_float else days
+        which = rng.integers(0, len(models), size=n)
+        alone = np.array(
+            [predict_many(models[m], days[i:i + 1])[0] for i, m in enumerate(which)]
+        )
+        for m in np.unique(which):
+            mine = which == m
+            np.testing.assert_array_equal(predict_many(models[m], days[mine]), alone[mine])
+        order = rng.permutation(n)
+        np.testing.assert_array_equal(
+            predict_many(models[which[order]], days[order]), alone[order]
+        )
+        gather = rng.integers(0, n, size=(3, n))
+        np.testing.assert_array_equal(
+            predict_many(models[which[gather]], days[gather]), alone[gather]
+        )

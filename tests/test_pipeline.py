@@ -10,12 +10,12 @@ from cmfda.detection import (
     MahalanobisRule,
     MultivariateRule,
     UnivariateRule,
-    detect_pixel,
     estimate_cube_covariances,
 )
 from cmfda.harmonic import fit
 from cmfda.pipeline import (
     build_training_dataset,
+    detect_pixel,
     compact_pixels,
     detect_pixels,
     fit_pixels,
@@ -117,11 +117,12 @@ def test_detect_pixels_matches_detect_pixel(scenario):
     results, skipped = detect_pixels(pixels, fit_result, rule, windows, "mini")
     assert not skipped
     by_id = {r.pixel_id: r for r in results}
-    models_by_pixel = fit_result.by_pixel()
     for pixel in pixels[:20]:
-        direct = detect_pixel(
-            pixel, models_by_pixel[pixel.pixel_id], rule, windows, site_id="mini"
-        )
+        models = {
+            index: {band: table[pixel.pixel_id, band] for band in (Band.NIR, Band.NDVI)}
+            for index, table in fit_result.models.items()
+        }
+        direct = detect_pixel(pixel, models, rule, windows, site_id="mini")
         assert by_id[pixel.pixel_id] == direct
     flagged = {r.pixel_id for r in results if r.flagged}
     assert flagged == {pid for pid, z in labels.items() if z}

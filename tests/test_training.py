@@ -25,6 +25,7 @@ from cmfda.training import (
     AnnealConfig,
     ConfusionCounts,
     PixelTrainingData,
+    TrainingSet,
     accuracies,
     anneal_multivariate,
     anneal_on_grid,
@@ -47,7 +48,6 @@ def toy_pixel(pid, label, nir_errors, ndvi_errors=None, start_ok=None, site="s")
     if ndvi_errors is not None:
         errors[Band.NDVI] = np.asarray(ndvi_errors, dtype=float)
     we = WindowErrors(
-        window_index=0,
         ordinals=ordinals,
         comp_ordinals=ordinals,
         doys=np.array([d.timetuple().tm_yday for d in dates], dtype=np.int64),
@@ -254,6 +254,7 @@ def test_trainer_tss_equals_tss_of_returned_rule(seed, consecutive):
     table = CubeCovarianceTable(
         cubes={}, site_periods={}, sites={"s": CovarianceEntry(0.01, 0.004, 0.02, 100)}
     )
+    dataset = TrainingSet.of(dataset)
     fill_dataset_index(dataset, table)
     best_l, best = grid_search_mahalanobis(dataset, consecutive, [0.5, 1, 2, 3, 5, 8])
     assert best == scanned(MahalanobisRule(best_l, table, consecutive))
