@@ -27,7 +27,7 @@ from .detection import (
     estimate_cube_covariances,
     rule_bands,
 )
-from .harmonic import MIN_OBS, HarmonicModel
+from .harmonic import HarmonicModel
 from .errors import (
     CmfdaError,
     DegenerateClass,
@@ -137,17 +137,21 @@ def parse_band(name: str) -> Band:
 def _read_config(path: str, fault=UsageError) -> dict[str, tuple[str, int]]:
     """A config file's ``key=value`` lines as key -> (value, line number);
     a later line wins over an earlier one with the same key. A line
-    without ``=`` raises ``fault``, naming the file and the line."""
+    without ``=`` or not UTF-8 text raises ``fault``, naming the file and
+    the line."""
     entries: dict[str, tuple[str, int]] = {}
-    with open(path) as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise fault(f"{path}:{i}: expected key=value, got {line!r}")
-            entries[key.strip()] = (value.strip(), i)
+    try:
+        with open(path, encoding=dataio.ENCODING) as fh:
+            for i, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, eq, value = line.partition("=")
+                if not eq:
+                    raise fault(f"{path}:{i}: expected key=value, got {line!r}")
+                entries[key.strip()] = (value.strip(), i)
+    except UnicodeDecodeError:
+        raise fault(f"{path}:{dataio.undecodable_line(path)}: not {dataio.ENCODING} text") from None
     return entries
 
 
@@ -207,7 +211,6 @@ def _fit_arguments(add):
     add("--out", required=True, help="output directory for model files")
     add("--windows", default=DEFAULT_WINDOWS)
     add("--bands", default=",".join(b.name.lower() for b in BAND_ORDER))
-    add("--min-obs", type=int, default=None)
     add("--threads", type=_thread_count, default=None, help=THREADS_HELP)
     return cmd_fit
 
@@ -352,11 +355,11 @@ def _window_tag(window: WindowPair) -> str:
     return f"{window.train.start.year}_{window.train.end.year}"
 
 
-def _fit_sites(sites, windows, bands, *, workers: int, min_obs: int = MIN_OBS):
+def _fit_sites(sites, windows, bands, *, workers: int):
     """Fit every site's pixels and merge the per-site results."""
     merged = pipeline.FitResult(models={wp.index: {} for wp in windows})
     for pixels in sites.values():
-        fit = pipeline.fit_pixels(pixels, windows, bands, min_obs=min_obs, workers=workers)
+        fit = pipeline.fit_pixels(pixels, windows, bands, workers=workers)
         for index, table in fit.models.items():
             merged.models[index].update(table)
         merged.skipped.extend(fit.skipped)
@@ -505,9 +508,7 @@ def cmd_fit(args) -> int:
     windows = parse_windows_spec(args.windows)
     bands = tuple(parse_band(b) for b in args.bands.split(","))
     os.makedirs(args.out, exist_ok=True)
-    merged = _fit_sites(
-        sites, windows, bands, workers=_threads(args), min_obs=args.min_obs or MIN_OBS
-    )
+    merged = _fit_sites(sites, windows, bands, workers=_threads(args))
     n_models = 0
     for wp in windows:
         path = os.path.join(args.out, f"models_{_window_tag(wp)}.csv")
@@ -917,6 +918,10 @@ def cmd_online(args) -> int:
     history = dataio.read_series_mirrored(paths["history"], paths["mirror"])
     batch = dataio.series_as_written(dataio.read_series_arrays(args.batch))
     _, previously = dataio.read_detections(paths["flagged"])
+    dataio.check_pixel_sites(args.batch, (
+        (site_id, cp.pixel_id)
+        for sites in (history, batch) for site_id, cps in sites.items() for cp in cps
+    ))
 
     batch_dates = {
         int(ordinal)

@@ -1,10 +1,19 @@
 """File formats, label aggregation, and synthetic scene generation.
 
-All text formats are comma-separated with a one-line versioned header
-(``#cmfda <kind> v1 ...``) followed by a column-name row. Reals are
-written with 9 significant digits, so values round-trip through that
-precision; counts and dates round-trip exactly. The one binary format is
-the series mirror (see :func:`write_series_mirror`).
+All text formats are comma-separated UTF-8 tables with a one-line
+versioned header (``#cmfda <kind> v1 ...``) followed by a column-name row.
+Reals are written with 9 significant digits, so values round-trip through
+that precision; counts and dates round-trip exactly. The one binary format
+is the series mirror (see :func:`write_series_mirror`).
+
+Every table is written by :func:`_write_table` (the online history's
+append, :func:`write_series_arrays`, shares its header writer) and read
+through :func:`_table_chunks`, which alone opens a table file and checks
+its framing: header, column names, field counts, UTF-8 text and what
+``csv`` refuses. The row readers take its rows through :func:`_rows`; the
+series, model and covariance readers take its chunks column by column.
+A fault in a table is a ``ParseError`` naming the file and, where it has
+one, the line; a wrong header is a ``SchemaVersionMismatch``.
 """
 from __future__ import annotations
 
@@ -42,8 +51,9 @@ from .core import (
     cadence_error,
     day_of_year,
     distinct,
+    ordinal_doys,
 )
-from .detection import DetectionResult
+from .detection import CovarianceEntry, CubeCovarianceTable, DetectionResult
 from .errors import (
     InvalidConfig,
     OutOfRange,
@@ -54,6 +64,7 @@ from .errors import (
 from .harmonic import N_COEFFS, HarmonicModel, design_matrix
 from .standardize import (
     ECDF,
+    FALLBACK_LEVELS,
     KeyKind,
     SD,
     SCHEME_STAGES,
@@ -66,6 +77,7 @@ from .windows import DateInterval
 
 MAGIC = "#cmfda"
 VERSION = "v1"
+ENCODING = "utf-8"
 
 # NALCMS level-II class codes; 1-6 are the forest classes.
 N_LANDUSE_CLASSES = 19
@@ -102,11 +114,21 @@ def replacing(path):
         raise
 
 
-def _write_header(fh, kind: str, meta: Optional[Mapping[str, str]] = None) -> None:
-    parts = [MAGIC, kind, VERSION]
-    for key, value in (meta or {}).items():
-        parts.append(f"{key}={value}")
+def _write_header(fh, kind: str, columns: Sequence[str],
+                  meta: Optional[Mapping[str, str]] = None) -> None:
+    """Write a table's versioned header line and its column-name row."""
+    parts = [MAGIC, kind, VERSION, *(f"{key}={value}" for key, value in (meta or {}).items())]
     fh.write(" ".join(parts) + "\n")
+    csv.writer(fh).writerow(columns)
+
+
+def _write_table(path, kind: str, columns: Sequence[str], rows,
+                 meta: Optional[Mapping[str, str]] = None) -> None:
+    """Write a table file: its header (see :func:`_write_header`), then
+    ``rows``, an iterable of field lists."""
+    with open(path, "w", newline="", encoding=ENCODING) as fh:
+        _write_header(fh, kind, columns, meta)
+        csv.writer(fh).writerows(rows)
 
 
 def _read_header(fh, kind: str, path) -> dict[str, str]:
@@ -121,28 +143,6 @@ def _read_header(fh, kind: str, path) -> dict[str, str]:
         key, _, value = part.partition("=")
         meta[key] = value
     return meta
-
-
-def _check_column_names(names: Optional[list], columns: Sequence[str], path) -> None:
-    """``names`` is the column-name row, None when the file ends before it."""
-    if names is None:
-        raise ParseError(f"{path}: missing column header", line=2)
-    if names != list(columns):
-        raise ParseError(f"{path}: expected columns {list(columns)}, got {names}", line=2)
-
-
-def _rows(fh, columns: Sequence[str], path):
-    """Yield (line_number, row dict); enforces the column-name row."""
-    reader = csv.reader(fh)
-    _check_column_names(next(reader, None), columns, path)
-    for i, row in enumerate(reader, start=3):
-        if not row:
-            continue
-        if len(row) != len(columns):
-            raise ParseError(
-                f"{path}: expected {len(columns)} fields, got {len(row)}", line=i
-            )
-        yield i, dict(zip(columns, row))
 
 
 def _parse_float(text: str, column: str, line: int, path) -> float:
@@ -189,30 +189,27 @@ def _series_row(site_id, pixel_id, col, row, nominal: dt.date, composite_doy, re
 
 
 def write_series(path, sites: Mapping[str, Sequence[PixelSeries]]) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_header(fh, "series")
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_COLUMNS)
-        for site_id, pixels in sites.items():
-            for series in pixels:
-                for obs in series.observations:
-                    writer.writerow(_series_row(
-                        site_id, series.pixel_id, series.col, series.row,
-                        obs.nominal_date, obs.composite_doy, obs.reliability,
-                        map(obs.values.get, BAND_ORDER, _FILL_VALUES),
-                    ))
+    _write_table(path, "series", SERIES_COLUMNS, (
+        _series_row(
+            site_id, series.pixel_id, series.col, series.row,
+            obs.nominal_date, obs.composite_doy, obs.reliability,
+            map(obs.values.get, BAND_ORDER, _FILL_VALUES),
+        )
+        for site_id, pixels in sites.items()
+        for series in pixels
+        for obs in series.observations
+    ))
 
 
 def write_series_arrays(path, sites: Mapping[str, Sequence[CompactPixel]], base=None) -> None:
     """Write the pixels' rows as a series file. With ``base``, a series
     file, its text is copied unchanged ahead of the rows, in place of a
     fresh header."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding=ENCODING) as fh:
         if base is None:
-            _write_header(fh, "series")
-            csv.writer(fh).writerow(SERIES_COLUMNS)
+            _write_header(fh, "series", SERIES_COLUMNS)
         else:
-            with open(base, newline="") as old:
+            with open(base, newline="", encoding=ENCODING) as old:
                 last = ""
                 while block := old.read(1 << 16):
                     fh.write(block)
@@ -263,12 +260,25 @@ class _HashingReader(io.RawIOBase):
 
 
 def _open_text(path, digest=None):
-    """``open(path, newline="")``; with ``digest``, a hashlib object, every
-    byte read from the file is fed to it as well."""
+    """``path`` opened as UTF-8 text for ``csv``; with ``digest``, a
+    hashlib object, every byte read from the file is fed to it as well."""
     if digest is None:
-        return open(path, newline="")
+        return open(path, newline="", encoding=ENCODING)
     raw = _HashingReader(open(path, "rb", buffering=0), digest)
-    return io.TextIOWrapper(io.BufferedReader(raw, buffer_size=_HASH_BLOCK), newline="")
+    return io.TextIOWrapper(
+        io.BufferedReader(raw, buffer_size=_HASH_BLOCK), newline="", encoding=ENCODING
+    )
+
+
+def undecodable_line(path) -> Optional[int]:
+    """The number of the first line of ``path`` that is not UTF-8 text."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                line.decode(ENCODING)
+            except UnicodeDecodeError:
+                return number
+    return None
 
 
 def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Callable] = None,
@@ -279,33 +289,53 @@ def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Cal
     rows before the first with the wrong field count). A chunk with such a
     row is the last: resumed after it, the generator raises the row's
     ``ParseError``, so the caller has checked the rows before it first.
+    Text that is not UTF-8 and a row ``csv`` refuses (a field over its size
+    limit) are a ``ParseError`` at their line as soon as they are read.
     ``on_header``, when given, gets the header's key=value pairs before the
     column names are checked. ``digest``, a hashlib object, is fed the bytes read.
     """
     with _open_text(path, digest) as fh:
-        header = _read_header(fh, kind, path)
-        if on_header is not None:
-            on_header(header)
-        rows = csv.reader(fh)
-        _check_column_names(next(rows, None), names, path)
-        width = len(names)
-        first_line = 3
-        while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-            numbers: Sequence[int] = range(first_line, first_line + len(chunk))
-            first_line += len(chunk)
-            if not all(chunk):  # blank lines are skipped
-                numbers = [line for line, row in zip(numbers, chunk) if row]
-                chunk = [row for row in chunk if row]
-            widths = list(map(len, chunk))
-            n = len(chunk)
-            if set(widths) - {width}:
-                n = next(k for k, w in enumerate(widths) if w != width)
-            columns = list(zip(*chunk[:n])) if n else [()] * width
-            yield numbers, dict(zip(names, columns))
-            if n < len(chunk):
-                raise ParseError(
-                    f"{path}: expected {width} fields, got {widths[n]}", line=numbers[n]
-                )
+        try:
+            header = _read_header(fh, kind, path)
+            if on_header is not None:
+                on_header(header)
+            rows = csv.reader(fh)
+            found = next(rows, None)
+            if found is None:
+                raise ParseError(f"{path}: missing column header", line=2)
+            if found != list(names):
+                raise ParseError(f"{path}: expected columns {list(names)}, got {found}", line=2)
+            width = len(names)
+            first_line = 3
+            while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+                numbers: Sequence[int] = range(first_line, first_line + len(chunk))
+                first_line += len(chunk)
+                if not all(chunk):  # blank lines are skipped
+                    numbers = [line for line, row in zip(numbers, chunk) if row]
+                    chunk = [row for row in chunk if row]
+                widths = list(map(len, chunk))
+                n = len(chunk)
+                if set(widths) - {width}:
+                    n = next(k for k, w in enumerate(widths) if w != width)
+                columns = list(zip(*chunk[:n])) if n else [()] * width
+                yield numbers, dict(zip(names, columns))
+                if n < len(chunk):
+                    raise ParseError(
+                        f"{path}: expected {width} fields, got {widths[n]}", line=numbers[n]
+                    )
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not {ENCODING} text", line=undecodable_line(path)) from None
+        except csv.Error as exc:
+            # the header line is read before the csv reader counts lines
+            raise ParseError(f"{path}: {exc}", line=rows.line_num + 1) from None
+
+
+def _rows(path, kind: str, columns: Sequence[str], on_header: Optional[Callable] = None):
+    """Yield (line number, row dict) for each data row of a table file, as
+    :func:`_table_chunks` reads and checks it."""
+    for lines, chunk in _table_chunks(path, kind, columns, on_header):
+        for line, *fields in zip(lines, *chunk.values()):
+            yield line, dict(zip(columns, fields))
 
 
 def _attempt(parse, text):
@@ -487,6 +517,7 @@ def _parse_series(path, digest=None) -> _SeriesTable:
     else:
         table = _SeriesChunk(*(np.empty(0, np.int64),) * 5, np.empty((0, len(BAND_ORDER))))
     keys = list(pixels)
+    check_pixel_sites(path, keys)
     order = np.lexsort((table.ordinals, table.pixels))
     ordinals, pixel_idx = table.ordinals[order], table.pixels[order]
     gap_bad = (np.diff(pixel_idx) == 0) & (np.diff(ordinals) != CADENCE_DAYS)
@@ -506,6 +537,17 @@ def _parse_series(path, digest=None) -> _SeriesTable:
         reliability=table.reliability[order].astype(np.int8),
         values=table.values[order],
     )
+
+
+def check_pixel_sites(path, keys) -> None:
+    """Refuse a pixel id that ``keys``, (site_id, pixel_id) pairs read from
+    ``path``, hold under two sites: model, label and detection files key a
+    pixel by its id alone."""
+    sites: dict[str, str] = {}
+    for site_id, pixel_id in keys:
+        first = sites.setdefault(pixel_id, site_id)
+        if first != site_id:
+            raise ParseError(f"{path}: pixel {pixel_id!r} is under sites {first!r} and {site_id!r}")
 
 
 def read_series_arrays(path) -> dict[str, list[CompactPixel]]:
@@ -673,7 +715,10 @@ def read_series_mirrored(path, mirror_path) -> dict[str, list[CompactPixel]]:
     file is parsed when the mirror is missing, stale, truncated or
     unreadable."""
     sites = _load_mirror(mirror_path, _sha256(path))
-    return read_series_arrays(path) if sites is None else sites
+    if sites is None:
+        return read_series_arrays(path)
+    check_pixel_sites(path, ((site_id, cp.pixel_id) for site_id, cps in sites.items() for cp in cps))
+    return sites
 
 
 # --- label files --------------------------------------------------------------
@@ -682,31 +727,26 @@ LABEL_COLUMNS = ("pixel_id", "col", "row", "defo_count", "z")
 
 
 def write_labels(path, labels: Sequence[DeforestationLabel]) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_header(fh, "labels")
-        writer = csv.writer(fh)
-        writer.writerow(LABEL_COLUMNS)
-        for label in labels:
-            writer.writerow([label.pixel_id, label.col, label.row, label.defo_count, label.z])
+    _write_table(path, "labels", LABEL_COLUMNS, (
+        [label.pixel_id, label.col, label.row, label.defo_count, label.z] for label in labels
+    ))
 
 
 def read_labels(path) -> list[DeforestationLabel]:
     out = []
-    with open(path, newline="") as fh:
-        _read_header(fh, "labels", path)
-        for line, row in _rows(fh, LABEL_COLUMNS, path):
-            try:
-                out.append(
-                    DeforestationLabel(
-                        pixel_id=row["pixel_id"],
-                        col=_parse_int(row["col"], "col", line, path),
-                        row=_parse_int(row["row"], "row", line, path),
-                        defo_count=_parse_int(row["defo_count"], "defo_count", line, path),
-                        z=_parse_int(row["z"], "z", line, path),
-                    )
+    for line, row in _rows(path, "labels", LABEL_COLUMNS):
+        try:
+            out.append(
+                DeforestationLabel(
+                    pixel_id=row["pixel_id"],
+                    col=_parse_int(row["col"], "col", line, path),
+                    row=_parse_int(row["row"], "row", line, path),
+                    defo_count=_parse_int(row["defo_count"], "defo_count", line, path),
+                    z=_parse_int(row["z"], "z", line, path),
                 )
-            except OutOfRange as exc:
-                raise ParseError(f"{path}: {exc}", line=line) from None
+            )
+        except OutOfRange as exc:
+            raise ParseError(f"{path}: {exc}", line=line) from None
     return out
 
 
@@ -717,30 +757,24 @@ LANDUSE_COLUMNS = ("col", "row", "landuse_class")
 
 def write_landuse(path, grid: np.ndarray) -> None:
     grid = np.asarray(grid)
-    with open(path, "w", newline="") as fh:
-        _write_header(fh, "landuse")
-        writer = csv.writer(fh)
-        writer.writerow(LANDUSE_COLUMNS)
-        for r in range(grid.shape[0]):
-            for c in range(grid.shape[1]):
-                writer.writerow([c, r, int(grid[r, c])])
+    _write_table(path, "landuse", LANDUSE_COLUMNS, (
+        [c, r, int(grid[r, c])] for r in range(grid.shape[0]) for c in range(grid.shape[1])
+    ))
 
 
 def read_landuse(path) -> np.ndarray:
     grid = np.zeros((FINE_SIDE, FINE_SIDE), dtype=np.int16)
     seen = np.zeros((FINE_SIDE, FINE_SIDE), dtype=bool)
-    with open(path, newline="") as fh:
-        _read_header(fh, "landuse", path)
-        for line, row in _rows(fh, LANDUSE_COLUMNS, path):
-            c = _parse_int(row["col"], "col", line, path)
-            r = _parse_int(row["row"], "row", line, path)
-            cls = _parse_int(row["landuse_class"], "landuse_class", line, path)
-            if not (0 <= c < FINE_SIDE and 0 <= r < FINE_SIDE):
-                raise ParseError(f"{path}: cell ({c}, {r}) outside the 100x100 grid", line=line)
-            if not 1 <= cls <= N_LANDUSE_CLASSES:
-                raise ParseError(f"{path}: land-use class {cls} outside 1..19", line=line)
-            grid[r, c] = cls
-            seen[r, c] = True
+    for line, row in _rows(path, "landuse", LANDUSE_COLUMNS):
+        c = _parse_int(row["col"], "col", line, path)
+        r = _parse_int(row["row"], "row", line, path)
+        cls = _parse_int(row["landuse_class"], "landuse_class", line, path)
+        if not (0 <= c < FINE_SIDE and 0 <= r < FINE_SIDE):
+            raise ParseError(f"{path}: cell ({c}, {r}) outside the 100x100 grid", line=line)
+        if not 1 <= cls <= N_LANDUSE_CLASSES:
+            raise ParseError(f"{path}: land-use class {cls} outside 1..19", line=line)
+        grid[r, c] = cls
+        seen[r, c] = True
     if not seen.all():
         raise ParseError(f"{path}: {int((~seen).sum())} cells missing from the 100x100 grid")
     return grid
@@ -790,21 +824,12 @@ def save_models(
     models: Mapping[tuple[str, Band], HarmonicModel],
     train_window: DateInterval,
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_header(
-            fh,
-            "models",
-            {
-                "train_start": train_window.start.isoformat(),
-                "train_end": train_window.end.isoformat(),
-            },
-        )
-        writer = csv.writer(fh)
-        writer.writerow(MODEL_COLUMNS)
-        for (pixel_id, band), model in models.items():
-            writer.writerow(
-                [pixel_id, int(band)] + [real(c) for c in model.coeffs] + [model.n_obs]
-            )
+    _write_table(
+        path, "models", MODEL_COLUMNS,
+        ([pixel_id, int(band), *map(real, model.coeffs), model.n_obs]
+         for (pixel_id, band), model in models.items()),
+        {"train_start": train_window.start.isoformat(), "train_end": train_window.end.isoformat()},
+    )
 
 
 _BANDS = {int(band): band for band in Band}
@@ -867,101 +892,107 @@ _KEY_SEP = "|"
 def _encode_key(kind: KeyKind, key) -> str:
     if kind is KeyKind.GLOBAL:
         return ""
-    if kind in (KeyKind.PIXEL, KeyKind.SITE):
-        return str(key)
-    if kind is KeyKind.PERIOD:
+    if kind in (KeyKind.PIXEL, KeyKind.SITE, KeyKind.PERIOD):
         return str(key)
     return _KEY_SEP.join(str(part) for part in key)
 
 
+# Integer parts after the site in an encoded key.
+_KEY_INTS = {KeyKind.SITE_PERIOD: 1, KeyKind.CUBE: 2}
+
+
 def _decode_key(kind: KeyKind, text: str):
+    """The key that :func:`_encode_key` wrote as ``text``; ValueError when
+    ``text`` is no key of ``kind``."""
     if kind is KeyKind.GLOBAL:
         return None
     if kind in (KeyKind.PIXEL, KeyKind.SITE):
         return text
     if kind is KeyKind.PERIOD:
         return int(text)
-    parts = text.split(_KEY_SEP)
-    if kind is KeyKind.SITE_PERIOD:
-        return (parts[0], int(parts[1]))
-    return (parts[0], int(parts[1]), int(parts[2]))
+    site, *ints = text.rsplit(_KEY_SEP, _KEY_INTS[kind])
+    if len(ints) != _KEY_INTS[kind]:
+        raise ValueError(text)
+    return (site, *map(int, ints))
 
 
 def save_standardizer(path, std: Standardizer) -> None:
     # Standardizer reals are written exactly (shortest round-trip repr):
     # a chained ECDF stage ranks incoming values against these tables, so
     # any re-quantization would shift ranks at tie points.
-    with open(path, "w", newline="") as fh:
-        _write_header(
-            fh, "standardizer", {"scheme": std.scheme.value, "band": std.band.name}
-        )
-        writer = csv.writer(fh)
-        writer.writerow(STANDARDIZER_COLUMNS)
+    def rows():
         for stage_idx, stage in enumerate(std.stages):
             for kind, table in stage.sd_levels:
                 for key, (sd, n) in table.items():
-                    writer.writerow(
-                        [stage_idx, SD, kind.value, _encode_key(kind, key), n, repr(float(sd))]
-                    )
+                    yield [stage_idx, SD, kind.value, _encode_key(kind, key), n, repr(float(sd))]
             for kind, table in stage.ecdf_levels:
                 for key, sample in table.items():
                     for seq, value in enumerate(sample):
-                        writer.writerow(
-                            [stage_idx, ECDF, kind.value, _encode_key(kind, key), seq, repr(float(value))]
-                        )
+                        yield [stage_idx, ECDF, kind.value, _encode_key(kind, key), seq,
+                               repr(float(value))]
+
+    _write_table(path, "standardizer", STANDARDIZER_COLUMNS, rows(),
+                 {"scheme": std.scheme.value, "band": std.band.name})
 
 
 def load_standardizer(path) -> Standardizer:
-    with open(path, newline="") as fh:
-        meta = _read_header(fh, "standardizer", path)
+    """Read a standardizer file. A row must name a stage of the header's
+    scheme, that stage's table kind (sd or ecdf) and one of its fallback
+    levels, with a key of that level."""
+    header = {}
+
+    def read_scheme(meta):
         try:
-            scheme = Scheme(meta["scheme"])
-            band = Band[meta["band"]]
+            header["scheme"], header["band"] = Scheme(meta["scheme"]), Band[meta["band"]]
         except (KeyError, ValueError):
             raise ParseError(f"{path}: header lacks a valid scheme/band", line=1) from None
-        specs = SCHEME_STAGES[scheme]
-        sd_data: list[dict] = [dict() for _ in specs]
-        ecdf_data: list[dict] = [dict() for _ in specs]
-        for line, row in _rows(fh, STANDARDIZER_COLUMNS, path):
-            stage_idx = _parse_int(row["stage"], "stage", line, path)
-            if not 0 <= stage_idx < len(specs):
-                raise ParseError(f"{path}: stage {stage_idx} not in scheme", line=line)
-            try:
-                kind = KeyKind(row["kind"])
-            except ValueError:
-                raise ParseError(f"{path}: unknown key kind {row['kind']!r}", line=line) from None
-            key = _decode_key(kind, row["key"])
-            if row["table"] == SD:
-                sd = _parse_float(row["value"], "value", line, path)
-                n = _parse_int(row["seq"], "seq", line, path)
-                sd_data[stage_idx].setdefault(kind, {})[key] = (sd, n)
-            else:
-                seq = _parse_int(row["seq"], "seq", line, path)
-                value = _parse_float(row["value"], "value", line, path)
-                ecdf_data[stage_idx].setdefault(kind, {}).setdefault(key, []).append((seq, value))
-    stages = []
-    from .standardize import FALLBACK_LEVELS
 
-    for stage_idx, (key_kind, transform_kind) in enumerate(specs):
-        levels = FALLBACK_LEVELS[key_kind]
-        if transform_kind == SD:
-            sd_levels = tuple(
-                (kind, dict(sd_data[stage_idx].get(kind, {}))) for kind in levels
+    data: dict[int, dict] = {}   # stage -> kind -> key -> (sd, n) or [(seq, value)]
+    for line, row in _rows(path, "standardizer", STANDARDIZER_COLUMNS, read_scheme):
+        specs = SCHEME_STAGES[header["scheme"]]
+        stage_idx = _parse_int(row["stage"], "stage", line, path)
+        if not 0 <= stage_idx < len(specs):
+            raise ParseError(f"{path}: stage {stage_idx} not in scheme", line=line)
+        key_kind, transform_kind = specs[stage_idx]
+        if row["table"] != transform_kind:
+            raise ParseError(
+                f"{path}: stage {stage_idx} is an {transform_kind} stage, got table "
+                f"{row['table']!r}", line=line,
             )
-            stages.append(StageTables(key_kind, SD, sd_levels=sd_levels))
+        try:
+            kind = KeyKind(row["kind"])
+        except ValueError:
+            raise ParseError(f"{path}: unknown key kind {row['kind']!r}", line=line) from None
+        if kind not in FALLBACK_LEVELS[key_kind]:
+            raise ParseError(
+                f"{path}: key kind {kind.value!r} is no level of stage {stage_idx}", line=line
+            )
+        try:
+            key = _decode_key(kind, row["key"])
+        except ValueError:
+            raise ParseError(f"{path}: bad {kind.value} key {row['key']!r}", line=line) from None
+        table = data.setdefault(stage_idx, {}).setdefault(kind, {})
+        if transform_kind == SD:
+            sd = _parse_float(row["value"], "value", line, path)
+            table[key] = (sd, _parse_int(row["seq"], "seq", line, path))
+        else:
+            seq = _parse_int(row["seq"], "seq", line, path)
+            value = _parse_float(row["value"], "value", line, path)
+            table.setdefault(key, []).append((seq, value))
+    stages = []
+    for stage_idx, (key_kind, transform_kind) in enumerate(SCHEME_STAGES[header["scheme"]]):
+        tables = data.get(stage_idx, {})
+        levels = [(kind, tables.get(kind, {})) for kind in FALLBACK_LEVELS[key_kind]]
+        if transform_kind == SD:
+            stages.append(StageTables(key_kind, SD, sd_levels=tuple(levels)))
         else:
             ecdf_levels = tuple(
-                (
-                    kind,
-                    {
-                        key: np.array([v for _, v in sorted(entries)])
-                        for key, entries in ecdf_data[stage_idx].get(kind, {}).items()
-                    },
-                )
-                for kind in levels
+                (kind, {key: np.array([v for _, v in sorted(entries)])
+                        for key, entries in table.items()})
+                for kind, table in levels
             )
             stages.append(StageTables(key_kind, ECDF, ecdf_levels=ecdf_levels))
-    return Standardizer(scheme=scheme, band=band, stages=tuple(stages))
+    return Standardizer(scheme=header["scheme"], band=header["band"], stages=tuple(stages))
 
 
 # --- covariance tables ----------------------------------------------------------
@@ -969,34 +1000,24 @@ def load_standardizer(path) -> Standardizer:
 COVARIANCE_COLUMNS = ("level", "site", "square", "period", "var_nir", "cov", "var_ndvi", "n")
 
 
-def save_covariances(path, table: "CubeCovarianceTable") -> None:
-    from .detection import CubeCovarianceTable  # noqa: F401  (type only)
-
-    with open(path, "w", newline="") as fh:
-        _write_header(fh, "covariances", {"min_cube_samples": str(table.min_cube_samples)})
-        writer = csv.writer(fh)
-        writer.writerow(COVARIANCE_COLUMNS)
-        for (site, square, period), e in table.cubes.items():
-            writer.writerow(
-                ["cube", site, square, period, real(e.var_nir), real(e.cov), real(e.var_ndvi), e.n]
-            )
-        for (site, period), e in table.site_periods.items():
-            writer.writerow(
-                ["site_period", site, "", period, real(e.var_nir), real(e.cov), real(e.var_ndvi), e.n]
-            )
-        for site, e in table.sites.items():
-            writer.writerow(
-                ["site", site, "", "", real(e.var_nir), real(e.cov), real(e.var_ndvi), e.n]
-            )
+def save_covariances(path, table: CubeCovarianceTable) -> None:
+    keyed = [
+        *((("cube", site, square, period), e) for (site, square, period), e in table.cubes.items()),
+        *((("site_period", site, "", period), e) for (site, period), e in table.site_periods.items()),
+        *((("site", site, "", ""), e) for site, e in table.sites.items()),
+    ]
+    _write_table(
+        path, "covariances", COVARIANCE_COLUMNS,
+        ([*key, real(e.var_nir), real(e.cov), real(e.var_ndvi), e.n] for key, e in keyed),
+        {"min_cube_samples": str(table.min_cube_samples)},
+    )
 
 
-def load_covariances(path) -> "CubeCovarianceTable":
+def load_covariances(path) -> CubeCovarianceTable:
     """Parse a covariance file column by column. A fault is reported as a
     row-by-row reading would meet it: the first bad row, and its first
     failing check (reals, n, square and period where its level reads them,
     then the level)."""
-    from .detection import CovarianceEntry, CubeCovarianceTable
-
     meta: dict = {}
     tables: dict[str, dict] = {"cube": {}, "site_period": {}, "site": {}}
     caches: dict[str, dict] = {"n": {}, "square": {}, "period": {}}
@@ -1063,46 +1084,41 @@ DETECTION_COLUMNS = ("pixel_id", "flagged", "first_flag_date", "triggering_band"
 def write_detections(
     path, results: Sequence[DetectionResult], meta: Optional[Mapping[str, str]] = None
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_header(fh, "detections", meta)
-        writer = csv.writer(fh)
-        writer.writerow(DETECTION_COLUMNS)
-        for res in results:
-            writer.writerow(
-                [
-                    res.pixel_id,
-                    int(res.flagged),
-                    res.first_flag_date.isoformat() if res.first_flag_date else "",
-                    res.triggering_band.name if res.triggering_band else "",
-                ]
-            )
+    _write_table(path, "detections", DETECTION_COLUMNS, (
+        [
+            res.pixel_id,
+            int(res.flagged),
+            res.first_flag_date.isoformat() if res.first_flag_date else "",
+            res.triggering_band.name if res.triggering_band else "",
+        ]
+        for res in results
+    ), meta)
 
 
 def read_detections(path) -> tuple[dict[str, str], list[DetectionResult]]:
+    meta: dict[str, str] = {}
     out = []
-    with open(path, newline="") as fh:
-        meta = _read_header(fh, "detections", path)
-        for line, row in _rows(fh, DETECTION_COLUMNS, path):
-            flagged = _parse_int(row["flagged"], "flagged", line, path)
-            if flagged not in (0, 1):
-                raise ParseError(f"{path}: flagged must be 0 or 1, got {flagged}", line=line)
-            date = (
-                _parse_date(row["first_flag_date"], "first_flag_date", line, path)
-                if row["first_flag_date"]
-                else None
-            )
-            band = None
-            if row["triggering_band"]:
-                band = Band.__members__.get(row["triggering_band"])
-                if band is None:
-                    raise ParseError(
-                        f"{path}: unknown band {row['triggering_band']!r} in column "
-                        "'triggering_band'", line=line,
-                    )
-            try:
-                out.append(DetectionResult(row["pixel_id"], bool(flagged), date, band))
-            except OutOfRange as exc:
-                raise ParseError(f"{path}: {exc}", line=line) from None
+    for line, row in _rows(path, "detections", DETECTION_COLUMNS, meta.update):
+        flagged = _parse_int(row["flagged"], "flagged", line, path)
+        if flagged not in (0, 1):
+            raise ParseError(f"{path}: flagged must be 0 or 1, got {flagged}", line=line)
+        date = (
+            _parse_date(row["first_flag_date"], "first_flag_date", line, path)
+            if row["first_flag_date"]
+            else None
+        )
+        band = None
+        if row["triggering_band"]:
+            band = Band.__members__.get(row["triggering_band"])
+            if band is None:
+                raise ParseError(
+                    f"{path}: unknown band {row['triggering_band']!r} in column "
+                    "'triggering_band'", line=line,
+                )
+        try:
+            out.append(DetectionResult(row["pixel_id"], bool(flagged), date, band))
+        except OutOfRange as exc:
+            raise ParseError(f"{path}: {exc}", line=line) from None
     return meta, out
 
 
@@ -1122,47 +1138,45 @@ def write_report(path, report: TrainReport) -> None:
     meta = {"rule": report.rule_kind}
     if report.band is not None:
         meta["band"] = report.band.name
-    with open(path, "w", newline="") as fh:
-        _write_header(fh, "report", meta)
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in report.rows:
-            t1 = real(row.thresholds[0]) if row.thresholds else ""
-            t2 = real(row.thresholds[1]) if len(row.thresholds) > 1 else ""
-            writer.writerow(
-                [
-                    row.scope, row.consecutive, t1, t2,
-                    _opt(row.train_tss), _opt(row.cv_tss),
-                    _opt(row.producer_acc), _opt(row.user_acc),
-                ]
-            )
+    _write_table(path, "report", REPORT_COLUMNS, (
+        [
+            row.scope, row.consecutive,
+            real(row.thresholds[0]) if row.thresholds else "",
+            real(row.thresholds[1]) if len(row.thresholds) > 1 else "",
+            _opt(row.train_tss), _opt(row.cv_tss), _opt(row.producer_acc), _opt(row.user_acc),
+        ]
+        for row in report.rows
+    ), meta)
 
 
 def read_report(path) -> TrainReport:
-    with open(path, newline="") as fh:
-        meta = _read_header(fh, "report", path)
-        rows = []
-        for line, row in _rows(fh, REPORT_COLUMNS, path):
-            thresholds = tuple(
-                _parse_float(row[c], c, line, path)
-                for c in ("threshold_1", "threshold_2")
-                if row[c]
+    header = {}
+
+    def read_rule(meta):
+        header["rule"] = meta.get("rule", "")
+        try:
+            header["band"] = Band[meta["band"]] if "band" in meta else None
+        except KeyError:
+            raise ParseError(f"{path}: unknown band {meta['band']!r} in header", line=1) from None
+
+    rows = []
+    for line, row in _rows(path, "report", REPORT_COLUMNS, read_rule):
+        def opt(column):
+            return _parse_float(row[column], column, line, path) if row[column] else None
+
+        thresholds = tuple(opt(c) for c in ("threshold_1", "threshold_2") if row[c])
+        rows.append(
+            ReportRow(
+                scope=row["scope"],
+                consecutive=_parse_int(row["consec"], "consec", line, path),
+                thresholds=thresholds,
+                train_tss=opt("train_tss"),
+                cv_tss=opt("cv_tss"),
+                producer_acc=opt("producer_acc"),
+                user_acc=opt("user_acc"),
             )
-            def opt(column):
-                return _parse_float(row[column], column, line, path) if row[column] else None
-            rows.append(
-                ReportRow(
-                    scope=row["scope"],
-                    consecutive=_parse_int(row["consec"], "consec", line, path),
-                    thresholds=thresholds,
-                    train_tss=opt("train_tss"),
-                    cv_tss=opt("cv_tss"),
-                    producer_acc=opt("producer_acc"),
-                    user_acc=opt("user_acc"),
-                )
-            )
-    band = Band[meta["band"]] if "band" in meta else None
-    return TrainReport(rule_kind=meta.get("rule", ""), band=band, rows=tuple(rows))
+        )
+    return TrainReport(rule_kind=header["rule"], band=header["band"], rows=tuple(rows))
 
 
 def format_report_text(report: TrainReport) -> str:
@@ -1275,11 +1289,8 @@ def generate_site(cfg: SynthConfig) -> tuple[SiteGrid, list[DeforestationLabel]]
     rng = np.random.default_rng(cfg.seed)
     n_pixels = SITE_SIDE * SITE_SIDE
 
-    dates = []
-    d = cfg.start
-    while d <= cfg.end:
-        dates.append(d)
-        d += dt.timedelta(days=16)
+    ordinals = np.arange(cfg.start.toordinal(), cfg.end.toordinal() + 1, CADENCE_DAYS)
+    dates = [dt.date.fromordinal(o) for o in ordinals.tolist()]
     n_dates = len(dates)
     months = np.array([d.month - 1 for d in dates])
     cloud_p = np.asarray(cfg.cloud_prob)[months]
@@ -1291,15 +1302,7 @@ def generate_site(cfg: SynthConfig) -> tuple[SiteGrid, list[DeforestationLabel]]
         for band in BAND_ORDER
     }
 
-    composite_dates = np.array(
-        [[dates[j].toordinal() + offsets[i, j] for j in range(n_dates)] for i in range(n_pixels)]
-    )
-    composite_doys = np.array(
-        [
-            [day_of_year(dt.date.fromordinal(int(o))) for o in row]
-            for row in composite_dates
-        ]
-    )
+    composite_doys = ordinal_doys(ordinals[None, :] + offsets)
 
     reliability = np.where(
         quality_draw < cloud_p[None, :],
@@ -1314,7 +1317,7 @@ def generate_site(cfg: SynthConfig) -> tuple[SiteGrid, list[DeforestationLabel]]
     shift = {band: np.zeros((n_pixels, n_dates)) for band in BAND_ORDER}
     event_pixels: set[tuple[int, int]] = set()
     for event in cfg.events:
-        post = np.array([d >= event.date for d in dates])
+        post = ordinals >= event.date.toordinal()
         for col, row in event.pixels:
             event_pixels.add((col, row))
             idx = row * SITE_SIDE + col

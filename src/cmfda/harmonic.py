@@ -86,7 +86,6 @@ def fit_arrays(
     band: Band,
     pixel_id: str = "",
     train_window: tuple[dt.date, dt.date] = (dt.date.min, dt.date.max),
-    min_obs: int = MIN_OBS,
 ) -> HarmonicModel:
     """OLS fit on prepared (composite doy, value) arrays.
 
@@ -95,10 +94,10 @@ def fit_arrays(
     """
     doys = np.asarray(doys, dtype=float)
     values = np.asarray(values, dtype=float)
-    if doys.size < min_obs:
+    if doys.size < MIN_OBS:
         raise InsufficientData(
             f"pixel {pixel_id!r} band {band.name}: {doys.size} clear observations, "
-            f"need {min_obs}"
+            f"need {MIN_OBS}"
         )
     design = design_matrix(doys)
     ata = design.T @ design
@@ -144,9 +143,7 @@ FIT_WIDTH = 48
 _GROUP_CHUNK = 64
 
 
-def fit_batch(
-    design: np.ndarray, values: np.ndarray, mask: np.ndarray, *, min_obs: int = MIN_OBS
-) -> BatchFit:
+def fit_batch(design: np.ndarray, values: np.ndarray, mask: np.ndarray) -> BatchFit:
     """OLS fits of many series at once, with the checks of fit_arrays.
 
     A group is one pixel's dates in one training window: ``design`` (n, w,
@@ -156,7 +153,7 @@ def fit_batch(
     Each fit's normal equations come from one Gram matrix Z Zᵀ (_gram).
     It has the same shape for every fit, and blocks of a longer w are added
     in order, so a fit's sums do not depend on the other groups or on w.
-    Then come the ``min_obs`` check, one batched ``eigvalsh`` condition
+    Then come the ``MIN_OBS`` check, one batched ``eigvalsh`` condition
     check and batched Cholesky solves: each distinct normal matrix is
     factored and its factor inverted once, and bands of a group with equal
     normal matrices share them.
@@ -171,7 +168,7 @@ def fit_batch(
     aty = gram[:, :, :N_COEFFS, N_COEFFS].reshape(fits, N_COEFFS, 1)
 
     n_obs = mask.sum(axis=1)
-    status = np.where(n_obs < min_obs, _INSUFFICIENT, FIT_OK).astype(np.int8).reshape(-1)
+    status = np.where(n_obs < MIN_OBS, _INSUFFICIENT, FIT_OK).astype(np.int8).reshape(-1)
     index = np.arange(fits).reshape(n, n_bands)
     shared = (ata == ata[:, :1]).all(axis=-1)
     source = np.where(shared, index[:, :1], index).reshape(-1)
@@ -216,13 +213,7 @@ def _gram(design: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarra
     return gram
 
 
-def fit(
-    series: PixelSeries,
-    band: Band,
-    window: DateInterval,
-    *,
-    min_obs: int = MIN_OBS,
-) -> HarmonicModel:
+def fit(series: PixelSeries, band: Band, window: DateInterval) -> HarmonicModel:
     """Fit the model for one band over the clear in-window observations."""
     a = series.to_arrays()
     values = a.values[:, BAND_ORDER.index(band)]
@@ -230,7 +221,7 @@ def fit(
             & (a.ordinals <= window.end.toordinal()))
     return fit_arrays(
         a.doys[used].astype(float), values[used], band=band, pixel_id=series.pixel_id,
-        train_window=(window.start, window.end), min_obs=min_obs,
+        train_window=(window.start, window.end),
     )
 
 

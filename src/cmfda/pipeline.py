@@ -48,7 +48,6 @@ from .errors import NoModels, OutOfRange
 from .harmonic import (  # noqa: F401  (fit_arrays stays importable here for the tracer)
     FIT_FAILURES,
     FIT_OK,
-    MIN_OBS,
     N_COEFFS,
     BatchFit,
     HarmonicModel,
@@ -134,7 +133,7 @@ def _stack(pixels: Sequence[CompactPixel]) -> SeriesArrays:
     return stack
 
 
-def _fit_spans(stack: SeriesArrays, first, last, bands: Sequence[Band], min_obs: int) -> BatchFit:
+def _fit_spans(stack: SeriesArrays, first, last, bands: Sequence[Band]) -> BatchFit:
     """One fit_batch call with a group per pixel: its bands on their clear,
     non-fill dates from ordinal ``first`` to ``last`` (scalars, or one per
     pixel as (n, 1) arrays), with those dates moved to the front."""
@@ -149,7 +148,6 @@ def _fit_spans(stack: SeriesArrays, first, last, bands: Sequence[Band], min_obs:
         design_rows(np.take_along_axis(stack.doys, rows, axis=1)),
         values,
         used[:, :, None] & ~np.isnan(values),
-        min_obs=min_obs,
     )
 
 
@@ -164,13 +162,13 @@ def _models(fits: BatchFit, pixel_ids, bands, trains):
         yield k, j, HarmonicModel(bands[j], pixel_ids[k], tuple(coeffs), trains[k], n_obs)
 
 
-def _fit_chunk(chunk, windows, bands, min_obs):
+def _fit_chunk(chunk, windows, bands):
     """Fit one slice of pixels over every window: its pixel ids and one
     BatchFit per window. Only array work, so that slices on threads
     overlap; the caller builds the models."""
     stack = _stack(chunk)
     return [cp.pixel_id for cp in chunk], [
-        _fit_spans(stack, wp.train.start.toordinal(), wp.train.end.toordinal(), bands, min_obs)
+        _fit_spans(stack, wp.train.start.toordinal(), wp.train.end.toordinal(), bands)
         for wp in windows
     ]
 
@@ -180,7 +178,6 @@ def fit_pixels(
     windows: Sequence[WindowPair],
     bands: Sequence[Band] = BAND_ORDER,
     *,
-    min_obs: int = MIN_OBS,
     workers: int = 1,
 ) -> FitResult:
     """Fit every (pixel, band) over each training window."""
@@ -188,7 +185,7 @@ def fit_pixels(
     result = FitResult(models={wp.index: {} for wp in windows})
     reasons = [failure.__name__ for failure in FIT_FAILURES]
     for pixel_ids, fits in _run_slices(
-        _fit_chunk, _ensure_compact(pixels), workers, windows, bands, min_obs
+        _fit_chunk, _ensure_compact(pixels), workers, windows, bands
     ):
         keys = [[(pixel_id, band) for band in bands] for pixel_id in pixel_ids]
         for wp, window_fits in zip(windows, fits):
@@ -469,7 +466,6 @@ def online_process_batch(
     already_flagged: Mapping[str, dt.date],
     *,
     site_id: str = "",
-    min_obs: int = MIN_OBS,
 ) -> OnlineOutcome:
     """One step of the online loop for a new nominal date.
 
@@ -501,7 +497,7 @@ def online_process_batch(
     trains = [(_two_years_before(start), start - dt.timedelta(days=1)) for _, start in runs]
     first, last = (np.array([[date.toordinal()] for date in dates]) for dates in zip(*trains))
     stack = _stack([cp for cp, _ in runs])
-    fits = _fit_spans(stack, first, last, bands, min_obs)
+    fits = _fit_spans(stack, first, last, bands)
     fitted = {
         (model.pixel_id, model.band): model
         for _, _, model in _models(fits, [cp.pixel_id for cp, _ in runs], bands, trains)
@@ -525,7 +521,6 @@ def online_replay(
     monitor_year: int,
     *,
     site_id: str = "",
-    min_obs: int = MIN_OBS,
 ) -> dict[str, dt.date]:
     """Replay the online loop over a monitored year plus its extension."""
     compact = _ensure_compact(pixels)
@@ -537,7 +532,7 @@ def online_replay(
     for ordinal in ordinals[(ordinals >= first) & (ordinals <= last)].tolist():
         outcome = online_process_batch(
             compact, dt.date.fromordinal(ordinal), rule, monitor_year, flagged,
-            site_id=site_id, min_obs=min_obs,
+            site_id=site_id,
         )
         flagged.update(outcome.newly_flagged)
     return flagged

@@ -297,8 +297,9 @@ def test_usage_errors_exit_1(tmp_path):
 
 def test_config_file_faults_exit_1(tmp_path, capsys):
     """--config with no file after it, a config key that names no flag of
-    the subcommand, a value its flag cannot take and an abbreviated
-    --config are usage errors, and the command does not run."""
+    the subcommand, a value its flag cannot take, a file that is not UTF-8
+    and an abbreviated --config are usage errors, and the command does not
+    run."""
     out = tmp_path / "models"
     fit = ["fit", "--series", str(tmp_path / "missing.csv"), "--out", str(out)]
     assert main(fit + ["--config"]) == EXIT_USAGE
@@ -307,11 +308,14 @@ def test_config_file_faults_exit_1(tmp_path, capsys):
     for text, error in (
         ("# defaults\nwindows=2003:1\nbogus=1\n", f"{config}:3: 'bogus' names no flag of fit"),
         ("rule=univariate\n", f"{config}:1: 'rule' names no flag of fit"),
-        ("min-obs=many\n", "--config: bad value for min-obs: 'many'"),
+        ("threads=many\n", "--config: bad value for threads: 'many'"),
     ):
         config.write_text(text)
         assert main(["--config", str(config), *fit]) == EXIT_USAGE
         assert error in capsys.readouterr().err
+    config.write_bytes(b"windows=2003:1\nbands=nir\xff\n")
+    assert main(["--config", str(config), *fit]) == EXIT_USAGE
+    assert f"{config}:2: not utf-8 text" in capsys.readouterr().err
     config.write_text("windows=2003:1\n")
     assert main(["--conf", str(config), *fit]) == EXIT_USAGE
     assert "give --config FILE once" in capsys.readouterr().err
@@ -370,6 +374,25 @@ def test_data_errors_exit_2(tmp_path, sim_dir, models_dir):
         )
         == EXIT_DATA
     )
+
+
+def test_fit_refuses_a_series_it_cannot_key_by_pixel_id(sim_dir, tmp_path, capsys):
+    """A series that is not UTF-8, or that holds one pixel id under two
+    sites, is a data error: model, label and detection files key a pixel
+    by its id alone."""
+    series = tmp_path / "series.csv"
+    lines = (sim_dir / "series.csv").read_bytes().splitlines(keepends=True)
+    fit = ["fit", "--series", str(series), "--out", str(tmp_path / "models")]
+    series.write_bytes(b"".join(lines[:3] + [lines[3].replace(b"sonora-like-", b"\xff", 1)]))
+    assert main(fit) == EXIT_DATA
+    assert f"line 4: {series}: not utf-8 text" in capsys.readouterr().err
+    pixel = [line for line in lines if line.startswith(b"sonora-like,sonora-like-00-00,")]
+    series.write_bytes(b"".join(lines + [b"other" + line[len(b"sonora-like"):] for line in pixel]))
+    assert main(fit) == EXIT_DATA
+    assert "pixel 'sonora-like-00-00' is under sites 'sonora-like' and 'other'" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "models").exists()
 
 
 def test_degenerate_training_exits_3(sim_dir, models_dir, tmp_path):
@@ -910,7 +933,9 @@ def test_online_batch_off_cadence_leaves_state_untouched(online_inputs, tmp_path
     (lambda text: text.replace("rule=multivariate\n", ""), "{path}: missing key 'rule'"),
     (lambda text: text.replace("rule=multivariate\n", "rule\n"),
      "{path}:{line}: expected key=value, got 'rule'"),
-], ids=["bad-year", "no-rule", "no-equals"])
+    (lambda text: text.replace("rule=multivariate\n", "rule=multi\udcffvariate\n"),
+     "{path}:{line}: not utf-8 text"),
+], ids=["bad-year", "no-rule", "no-equals", "not-utf-8"])
 def test_online_step_with_a_bad_state_config_is_a_data_error(
     online_inputs, tmp_path, capsys, edit, message
 ):
@@ -920,11 +945,31 @@ def test_online_step_with_a_bad_state_config_is_a_data_error(
     config = state / "config.txt"
     text = config.read_text()
     assert edit(text) != text
-    config.write_text(edit(text))
+    config.write_text(edit(text), errors="surrogateescape")  # \udcff is the byte 0xff
     capsys.readouterr()
     assert _step(state, batches[0], tmp_path / "out.csv") == EXIT_DATA
     line = text.splitlines().index("rule=multivariate") + 1
     assert message.format(path=config, line=line) in capsys.readouterr().err
+
+
+def test_online_step_refuses_a_pixel_the_history_holds_under_another_site(
+    online_inputs, tmp_path, capsys
+):
+    """A batch pixel that the history holds under another site is a data
+    error that changes no state file; written, the history would hold the
+    pixel under two sites and refuse every later read."""
+    history, batches = online_inputs
+    state = tmp_path / "state"
+    _init_online(history, state)
+    batch = tmp_path / "batch.csv"
+    batch.write_bytes(batches[0].read_bytes().replace(b"\nmini,", b"\nother,"))
+    before = _files(state)
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert _step(state, batch, out) == EXIT_DATA
+    assert "is under sites 'mini' and 'other'" in capsys.readouterr().err
+    assert _files(state) == before
+    assert not out.exists()
 
 
 def test_online_state_survives_a_failed_write(online_inputs, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import datetime as dt
 import hashlib
@@ -31,7 +32,6 @@ from cmfda.dataio import (
     _parse_float,
     _parse_int,
     _read_header,
-    _rows,
     BandSignal,
     EventSpec,
     FOREST_CLASSES,
@@ -76,7 +76,10 @@ from cmfda.errors import (
 )
 from cmfda.harmonic import HarmonicModel, fit
 from cmfda.pipeline import compact_pixels
-from cmfda.standardize import ErrorContext, ErrorRecord, Scheme, fit_standardizer, transform
+from cmfda.standardize import (
+    SD, ErrorContext, ErrorRecord, KeyKind, Scheme, StageTables, Standardizer, fit_standardizer,
+    transform,
+)
 from cmfda.training import ReportRow, TrainReport
 from cmfda.windows import DateInterval
 from conftest import assert_same_sites, harmonic_value, make_series
@@ -178,13 +181,31 @@ def test_series_version_mismatch(tmp_path):
         read_series(path)
 
 
+def reference_rows(fh, columns, path):
+    """Row-by-row framing reference for dataio's chunked table reader:
+    after the header line, check the column-name row, then yield
+    (line number, row dict) for each non-blank data row."""
+    reader = csv.reader(fh)
+    names = next(reader, None)
+    if names is None:
+        raise ParseError(f"{path}: missing column header", line=2)
+    if names != list(columns):
+        raise ParseError(f"{path}: expected columns {list(columns)}, got {names}", line=2)
+    for i, row in enumerate(reader, start=3):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise ParseError(f"{path}: expected {len(columns)} fields, got {len(row)}", line=i)
+        yield i, dict(zip(columns, row))
+
+
 def oracle_read_series(path):
     """Row-by-row series reader, the specification of the columnar one:
     each row becomes a validated Observation, each pixel a PixelSeries."""
     grouped = {}
     with open(path, newline="") as fh:
         _read_header(fh, "series", path)
-        for line, row in _rows(fh, SERIES_COLUMNS, path):
+        for line, row in reference_rows(fh, SERIES_COLUMNS, path):
             rel_code = _parse_int(row["reliability"], "reliability", line, path)
             try:
                 reliability = Reliability(rel_code)
@@ -408,6 +429,26 @@ def test_history_mirror_gives_back_the_parse_without_parsing(rows, quoted):
         assert_same_sites(read_series_mirrored(history, mirror), read_series_arrays(history))
 
 
+def test_a_pixel_id_under_two_sites_is_refused_by_parse_and_mirror(tmp_path):
+    """Model, label and detection files key a pixel by its id alone: a
+    series that holds one pixel id under two sites is a ParseError, read
+    by a parse or from its mirror."""
+    row = ["2004-01-01", "1", "0", *["0.5"] * 6]
+    history, mirror = tmp_path / "history.csv", tmp_path / "history.npy"
+    _write_rows(history, [["a", "px", "0", "0", *row], ["b", "qx", "1", "0", *row]])
+    sites = read_series_arrays(history)
+    sites["b"] = [dataclasses.replace(sites["b"][0], pixel_id="px")]
+    _write_rows(history, [["a", "px", "0", "0", *row], ["b", "px", "1", "0", *row]])
+    write_series_mirror(mirror, history, sites)
+    with pytest.raises(ParseError) as err:
+        read_series_arrays(history)
+    assert str(err.value) == f"{history}: pixel 'px' is under sites 'a' and 'b'"
+    with mock.patch.object(dataio, "_parse_series", side_effect=AssertionError("parsed")):
+        with pytest.raises(ParseError) as mirrored:
+            read_series_mirrored(history, mirror)
+    assert str(mirrored.value) == str(err.value)
+
+
 @settings(max_examples=100, deadline=None)
 @given(rows=series_rows(), quoted=st.booleans())
 def test_hashed_read_is_the_parse_and_the_hash_of_its_bytes(rows, quoted):
@@ -541,7 +582,7 @@ def oracle_load_models(path):
         except (KeyError, ValueError):
             raise ParseError(f"{path}: header lacks a valid training window", line=1) from None
         models = {}
-        for line, row in _rows(fh, MODEL_COLUMNS, path):
+        for line, row in reference_rows(fh, MODEL_COLUMNS, path):
             code = _parse_int(row["band"], "band", line, path)
             try:
                 band = Band(code)
@@ -800,6 +841,106 @@ def test_report_round_trip_and_text(tmp_path):
     assert loaded.rows[1].thresholds == (0.082, 0.182)
     text = format_report_text(report)
     assert "siteA" in text and "0.082, 0.182" in text
+
+
+def test_report_bad_header_band(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(path, TrainReport(rule_kind="univariate", band=Band.NIR, rows=()))
+    path.write_text(path.read_text().replace("band=NIR", "band=XYZ"))
+    with pytest.raises(ParseError) as err:
+        read_report(path)
+    assert str(err.value) == f"line 1: {path}: unknown band 'XYZ' in header"
+
+
+@pytest.mark.parametrize("scheme, row, message", [
+    (Scheme.DAY_SD_OVERALL, "0,sd,period,abc,5,0.1", "bad period key 'abc'"),
+    (Scheme.CUBE_SD, "0,sd,cube,x|1,5,0.1", "bad cube key 'x|1'"),
+    (Scheme.DAY_SD_SITE, "0,sd,site_period,x,5,0.1", "bad site_period key 'x'"),
+    (Scheme.DAY_SD_SITE, "0,xyz,site_period,x|3,5,0.1", "stage 0 is an sd stage, got table 'xyz'"),
+    (Scheme.DAY_SD_OVERALL, "0,sd,cube,x|1|3,5,0.1", "key kind 'cube' is no level of stage 0"),
+], ids=["period-key", "cube-key", "site-period-key", "table", "kind-not-a-level"])
+def test_standardizer_bad_row(tmp_path, scheme, row, message):
+    path = tmp_path / "std.csv"
+    path.write_text(
+        f"#cmfda standardizer v1 scheme={scheme.value} band=NIR\n"
+        "stage,table,kind,key,seq,value\n0,sd,global,,5,0.2\n" + row + "\n"
+    )
+    with pytest.raises(ParseError) as err:
+        load_standardizer(path)
+    assert str(err.value) == f"line 4: {path}: {message}"
+
+
+def test_standardizer_key_site_may_hold_the_separator(tmp_path):
+    std = Standardizer(Scheme.CUBE_SD, Band.NIR, (StageTables(
+        KeyKind.CUBE, SD, sd_levels=((KeyKind.CUBE, {("a|b", 5, 3): (0.5, 9)}),),
+    ),))
+    path = tmp_path / "std.csv"
+    save_standardizer(path, std)
+    assert load_standardizer(path).stages[0].sd_levels[0] == (KeyKind.CUBE, {("a|b", 5, 3): (0.5, 9)})
+
+
+# --- table framing ------------------------------------------------------------------------
+
+# Each table reader with its kind, the header keys of a valid file and its columns.
+TABLE_READERS = {
+    "series": (read_series, "series", "", SERIES_COLUMNS),
+    "labels": (read_labels, "labels", "", dataio.LABEL_COLUMNS),
+    "landuse": (read_landuse, "landuse", "", dataio.LANDUSE_COLUMNS),
+    "models": (load_models, "models", "train_start=2003-01-01 train_end=2004-12-31", MODEL_COLUMNS),
+    "standardizer": (
+        load_standardizer, "standardizer", "scheme=1 band=NIR", dataio.STANDARDIZER_COLUMNS
+    ),
+    "covariances": (
+        load_covariances, "covariances", "min_cube_samples=10", dataio.COVARIANCE_COLUMNS
+    ),
+    "detections": (read_detections, "detections", "", dataio.DETECTION_COLUMNS),
+    "report": (read_report, "report", "rule=univariate band=NIR", dataio.REPORT_COLUMNS),
+}
+
+
+@pytest.mark.parametrize("fault", [
+    "not-utf-8-header", "not-utf-8-columns", "not-utf-8-row", "field-too-large",
+    "short-row", "column-row", "header",
+])
+@pytest.mark.parametrize("table", list(TABLE_READERS))
+def test_table_framing_faults(tmp_path, table, fault):
+    """Every table reader meets a framing fault the same way: a byte that
+    is not UTF-8, a field over csv's size limit, a short row or a wrong
+    column-name row is a ParseError at its line, a wrong header a
+    SchemaVersionMismatch."""
+    read, kind, meta, columns = TABLE_READERS[table]
+    lines = [f"#cmfda {kind} v1 {meta}".encode(), ",".join(columns).encode(),
+             b"," * (len(columns) - 1)]
+    expected = {
+        "not-utf-8-header": (1, "not utf-8 text"),
+        "not-utf-8-columns": (2, "not utf-8 text"),
+        "not-utf-8-row": (3, "not utf-8 text"),
+        "field-too-large": (3, "field larger than field limit (131072)"),
+        "short-row": (3, "expected %d fields, got 2" % len(columns)),
+        "column-row": (2, f"expected columns {list(columns)}, got ['x', 'y']"),
+    }
+    if fault.startswith("not-utf-8"):
+        line = expected[fault][0]
+        lines[line - 1] = b"\xff" + lines[line - 1]
+    elif fault == "field-too-large":
+        lines[2] = b"x" * 200_000 + lines[2]
+    elif fault == "short-row":
+        lines[2] = b"a,b"
+    elif fault == "column-row":
+        lines[1] = b"x,y"
+    else:
+        lines[0] = b"#cmfda other v1"
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    if fault == "header":
+        with pytest.raises(SchemaVersionMismatch) as err:
+            read(path)
+        assert str(err.value) == f"{path}: expected '#cmfda {kind} v1' header, got '#cmfda other v1'"
+        return
+    with pytest.raises(ParseError) as err:
+        read(path)
+    line, message = expected[fault]
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {path}: {message}")
 
 
 # --- land use and label aggregation ------------------------------------------------------
