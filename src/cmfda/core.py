@@ -323,11 +323,6 @@ class SiteGrid:
                 f"got {len(self.pixels)}"
             )
 
-    def pixel_at(self, col: int, row: int) -> PixelSeries:
-        if not (0 <= col < SITE_SIDE and 0 <= row < SITE_SIDE):
-            raise OutOfRange(f"pixel ({col}, {row}) outside the {SITE_SIDE}x{SITE_SIDE} site")
-        return self.pixels[row * SITE_SIDE + col]
-
 
 @dataclass(frozen=True)
 class DeforestationLabel:

@@ -26,6 +26,7 @@ import io
 import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -286,9 +287,10 @@ def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Cal
     """Yield a table file's data rows, split by ``csv.reader``, in chunks.
 
     Each chunk is (line numbers of its non-blank rows, its columns over the
-    rows before the first with the wrong field count). A chunk with such a
-    row is the last: resumed after it, the generator raises the row's
-    ``ParseError``, so the caller has checked the rows before it first.
+    rows before the first with the wrong field count), a row numbered by
+    the line it ends on. A chunk with such a row is the last: resumed after
+    it, the generator raises the row's ``ParseError``, so the caller has
+    checked the rows before it first.
     Text that is not UTF-8 and a row ``csv`` refuses (a field over its size
     limit) are a ``ParseError`` at their line as soon as they are read.
     ``on_header``, when given, gets the header's key=value pairs before the
@@ -306,10 +308,14 @@ def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Cal
             if found != list(names):
                 raise ParseError(f"{path}: expected columns {list(names)}, got {found}", line=2)
             width = len(names)
-            first_line = 3
+            read = rows.line_num + 1   # lines read: the header, then csv's
             while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-                numbers: Sequence[int] = range(first_line, first_line + len(chunk))
-                first_line += len(chunk)
+                numbers: Sequence[int] = range(read + 1, read + 1 + len(chunk))
+                if rows.line_num + 1 - read != len(chunk):   # a quoted field holds a line break
+                    numbers = [read + n for n in itertools.accumulate(
+                        1 + len(re.findall("\r\n|\r|\n", ",".join(row))) for row in chunk
+                    )]
+                read = rows.line_num + 1
                 if not all(chunk):  # blank lines are skipped
                     numbers = [line for line, row in zip(numbers, chunk) if row]
                     chunk = [row for row in chunk if row]

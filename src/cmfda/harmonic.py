@@ -147,7 +147,8 @@ def fit_batch(design: np.ndarray, values: np.ndarray, mask: np.ndarray) -> Batch
     """OLS fits of many series at once, with the checks of fit_arrays.
 
     A group is one pixel's dates in one training window: ``design`` (n, w,
-    5) holds their design rows, ``values`` (n, w, b) their values in b
+    5) holds their design rows (or (n, w) integer composite days, looked
+    up a few groups at a time), ``values`` (n, w, b) their values in b
     bands and ``mask`` (n, w, b) the dates each band's fit uses.
 
     Each fit's normal equations come from one Gram matrix Z Zᵀ (_gram).
@@ -160,12 +161,14 @@ def fit_batch(design: np.ndarray, values: np.ndarray, mask: np.ndarray) -> Batch
     """
     n, width, n_bands = mask.shape
     fits = n * n_bands
+    as_design = design_rows if np.issubdtype(design.dtype, np.integer) else np.asarray
     gram = np.empty((n, n_bands, N_COEFFS + 1, N_COEFFS + 1))
     for lo in range(0, n, _GROUP_CHUNK):
         part = slice(lo, lo + _GROUP_CHUNK)
-        gram[part] = _gram(design[part], values[part], mask[part])
+        gram[part] = _gram(as_design(design[part]), values[part], mask[part])
     ata = gram[:, :, :N_COEFFS, :N_COEFFS].reshape(n, n_bands, N_COEFFS * N_COEFFS)
     aty = gram[:, :, :N_COEFFS, N_COEFFS].reshape(fits, N_COEFFS, 1)
+    del gram
 
     n_obs = mask.sum(axis=1)
     status = np.where(n_obs < MIN_OBS, _INSUFFICIENT, FIT_OK).astype(np.int8).reshape(-1)

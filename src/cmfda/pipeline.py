@@ -7,8 +7,10 @@ runs inline; several run on a pool of threads, which overlap wherever
 NumPy releases the GIL. A slice reads only its own pixels and builds its
 own results, so nothing mutable is shared.
 
-Detection, training sets and each online step build their errors in one
-pass over stacked arrays, into the flat form that detection scans.
+Detection and training sets build their errors in one pass over stacked
+arrays, into the flat form that detection scans. So does the online loop:
+one pass fits and scans every monitored run that ends in a date range; a
+step is that pass over its batch date, a replay over the monitored year.
 """
 from __future__ import annotations
 
@@ -51,7 +53,6 @@ from .harmonic import (  # noqa: F401  (fit_arrays stays importable here for the
     N_COEFFS,
     BatchFit,
     HarmonicModel,
-    design_rows,
     fit_arrays,
     fit_batch,
     predict_many,
@@ -133,22 +134,21 @@ def _stack(pixels: Sequence[CompactPixel]) -> SeriesArrays:
     return stack
 
 
-def _fit_spans(stack: SeriesArrays, first, last, bands: Sequence[Band]) -> BatchFit:
-    """One fit_batch call with a group per pixel: its bands on their clear,
-    non-fill dates from ordinal ``first`` to ``last`` (scalars, or one per
-    pixel as (n, 1) arrays), with those dates moved to the front."""
-    inside = stack.clear & (stack.ordinals >= first) & (stack.ordinals <= last)
-    counts = inside.sum(axis=1)
-    rows = np.argsort(~inside, axis=1, kind="stable")[:, : counts.max(initial=0)]
-    used = np.arange(rows.shape[1]) < counts[:, None]
-    values = np.take_along_axis(
-        stack.values[:, :, [BAND_ORDER.index(band) for band in bands]], rows[:, :, None], axis=1
-    )
-    return fit_batch(
-        design_rows(np.take_along_axis(stack.doys, rows, axis=1)),
-        values,
-        used[:, :, None] & ~np.isnan(values),
-    )
+def _fit_spans(stack: SeriesArrays, owner, first, last, bands: Sequence[Band]) -> BatchFit:
+    """One fit_batch call with a group per stack row number in ``owner``:
+    its bands on its clear, non-fill dates from ordinal ``first`` to
+    ``last`` (scalars or one per group), those dates first, in date order."""
+    width = stack.clear.shape[1]
+    clear = np.flatnonzero(stack.clear)
+    keys = clear // width * _ORDINAL_SPAN + stack.ordinals.ravel()[clear]   # increasing
+    lo = np.searchsorted(keys, owner * _ORDINAL_SPAN + first, side="left")
+    counts = np.searchsorted(keys, owner * _ORDINAL_SPAN + last, side="right") - lo
+    span = np.arange(counts.max(initial=0))
+    rows = clear[np.minimum(lo[:, None] + span, clear.size - 1)]
+    cols = [BAND_ORDER.index(band) for band in bands]
+    values = stack.values.reshape(-1, len(BAND_ORDER))[:, cols][rows]
+    used = span < counts[:, None]
+    return fit_batch(stack.doys.ravel()[rows], values, used[:, :, None] & ~np.isnan(values))
 
 
 def _models(fits: BatchFit, pixel_ids, bands, trains):
@@ -166,9 +166,9 @@ def _fit_chunk(chunk, windows, bands):
     """Fit one slice of pixels over every window: its pixel ids and one
     BatchFit per window. Only array work, so that slices on threads
     overlap; the caller builds the models."""
-    stack = _stack(chunk)
+    stack, owner = _stack(chunk), np.arange(len(chunk))
     return [cp.pixel_id for cp in chunk], [
-        _fit_spans(stack, wp.train.start.toordinal(), wp.train.end.toordinal(), bands)
+        _fit_spans(stack, owner, wp.train.start.toordinal(), wp.train.end.toordinal(), bands)
         for wp in windows
     ]
 
@@ -422,11 +422,13 @@ def build_training_dataset(
 # --- online loop -----------------------------------------------------------------
 
 
-def _two_years_before(date: dt.date) -> dt.date:
-    try:
-        return date.replace(year=date.year - 2)
-    except ValueError:  # Feb 29
-        return date.replace(year=date.year - 2, day=28)
+def _two_years_before(ordinals: np.ndarray) -> np.ndarray:
+    """The same day two years earlier of each ordinal; Feb 29 goes to Feb 28."""
+    epoch = dt.date(1970, 1, 1).toordinal()
+    days = (ordinals - epoch).astype("M8[D]")
+    month = days.astype("M8[M]") - np.timedelta64(24, "M")
+    same_day = month.astype("M8[D]") + (days - days.astype("M8[M]").astype("M8[D]"))
+    return np.minimum(same_day, (month + 1).astype("M8[D]") - 1).astype(np.int64) + epoch
 
 
 def append_batch(
@@ -458,6 +460,41 @@ class OnlineOutcome:
     models: dict[tuple[str, Band], HarmonicModel]
 
 
+def _monitored_runs(pixels, rule: DetectionRule, monitor_year: int, first: int, last: int,
+                    site_id: str):
+    """Fit and scan in one pass every run of C consecutive usable dates of
+    a pixel (clear, a real value in every rule band) that starts in the
+    monitored year and ends on an ordinal from ``first`` to ``last``. Each
+    run is fitted on the clear dates of the two years before its start and,
+    if every band fits, predicted as a segment of its pixel that may start
+    only at its first date. Returns each pixel's earliest triggering run end
+    (0 for none), and per run its pixel, training ordinals and fit."""
+    bands, c = rule_bands(rule), rule.consecutive
+    stack = _stack(pixels)
+    width = stack.clear.shape[1]   # flat entry i is a date of pixel i // width
+    flat = SeriesArrays(*(column.reshape(-1, *column.shape[2:]) for column in stack))
+    values = flat.values[:, [BAND_ORDER.index(band) for band in bands]]
+    usable = np.flatnonzero(flat.clear & ~np.isnan(values).any(axis=1))
+    runs = usable[np.arange(usable.size - c + 1)[:, None] + np.arange(c)]   # (runs, C) dates
+    start, end = flat.ordinals[runs[:, 0]], flat.ordinals[runs[:, -1]]
+    year = [dt.date(monitor_year, 1, 1).toordinal(), dt.date(monitor_year, 12, 31).toordinal()]
+    chosen = ((runs[:, 0] // width == runs[:, -1] // width) & (end >= first) & (end <= last)
+              & (start >= year[0]) & (start <= year[1]))
+    runs, start, end = runs[chosen], start[chosen], end[chosen]
+    owner = runs[:, 0] // width
+    train = np.stack([_two_years_before(start), start - 1], axis=1)
+    fits = _fit_spans(stack, owner, train[:, 0], train[:, 1], bands)
+    found = (fits.status == FIT_OK).all(axis=1)
+    errors = stack_errors(
+        SeriesArrays(*(column[runs[found]] for column in flat)), fits.coeffs[found][:, None],
+        np.stack([start, end, start, start], axis=-1)[found, None], bands,
+    )
+    errors.pixel = owner[found]
+    _fill_index(errors, rule, site_id, pixels)
+    flags, _ = scan_window_errors(errors, rule, len(pixels))
+    return flags, owner, train, fits
+
+
 def online_process_batch(
     pixels: Sequence[CompactPixel],
     batch_date: dt.date,
@@ -467,52 +504,20 @@ def online_process_batch(
     *,
     site_id: str = "",
 ) -> OnlineOutcome:
-    """One step of the online loop for a new nominal date.
-
-    For each still-monitored pixel whose new observation is clear with a
-    real value in every rule band, the trailing run is its last C such
-    dates, ending at the new one; it must start inside the monitored year.
-    The run gets its own window (train on the two years before the run
-    start, predict from the run start to the new date, the run start the
-    only allowed start). One fit_batch call fits every run's window; the
-    runs are then predicted and scanned together by the batch code.
-    """
-    bands = rule_bands(rule)
-    cols = [BAND_ORDER.index(band) for band in bands]
-    batch_ord = batch_date.toordinal()
-    runs = []   # (pixel, the first date of its run)
-    for cp in pixels:
-        if cp.pixel_id in already_flagged:
-            continue
-        a = cp.arrays
-        usable = a.clear & (a.ordinals <= batch_ord) & ~np.isnan(a.values[:, cols]).any(axis=1)
-        idx = np.flatnonzero(usable)
-        if idx.size < rule.consecutive or a.ordinals[idx[-1]] != batch_ord:
-            continue
-        start = dt.date.fromordinal(int(a.ordinals[idx[-rule.consecutive]]))
-        if start.year == monitor_year:
-            runs.append((cp, start))
-    if not runs:
-        return OnlineOutcome(newly_flagged={}, models={})
-    trains = [(_two_years_before(start), start - dt.timedelta(days=1)) for _, start in runs]
-    first, last = (np.array([[date.toordinal()] for date in dates]) for dates in zip(*trains))
-    stack = _stack([cp for cp, _ in runs])
-    fits = _fit_spans(stack, first, last, bands)
-    fitted = {
-        (model.pixel_id, model.band): model
-        for _, _, model in _models(fits, [cp.pixel_id for cp, _ in runs], bands, trains)
-    }
-    found = (fits.status == FIT_OK).all(axis=1)
-    kept = [cp for (cp, _), ok in zip(runs, found.tolist()) if ok]
-    begin = (last + 1)[found]   # each run's first date, its only allowed start
-    errors = stack_errors(
-        SeriesArrays(*(column[found] for column in stack)), fits.coeffs[found][:, None],
-        np.stack([begin, np.full_like(begin, batch_ord), begin, begin], axis=-1), bands,
+    """One step of the online loop for a new nominal date: the monitored
+    runs (see _monitored_runs) of the pixels not yet flagged that end on
+    the batch date, at most one per pixel. Returns the pixels whose run
+    triggers and every band model the step fitted."""
+    active = [cp for cp in pixels if cp.pixel_id not in already_flagged]
+    batch = batch_date.toordinal()
+    flags, owner, train, fits = _monitored_runs(active, rule, monitor_year, batch, batch, site_id)
+    trains = [tuple(map(dt.date.fromordinal, dates)) for dates in train.tolist()]
+    run_ids = [active[k].pixel_id for k in owner.tolist()]
+    return OnlineOutcome(
+        newly_flagged={active[k].pixel_id: batch_date for k in np.flatnonzero(flags).tolist()},
+        models={(model.pixel_id, model.band): model
+                for _, _, model in _models(fits, run_ids, rule_bands(rule), trains)},
     )
-    _fill_index(errors, rule, site_id, kept)
-    flag_dates, _ = scan_window_errors(errors, rule, len(kept))
-    newly = {cp.pixel_id: batch_date for cp, date in zip(kept, flag_dates.tolist()) if date}
-    return OnlineOutcome(newly_flagged=newly, models=fitted)
 
 
 def online_replay(
@@ -522,17 +527,13 @@ def online_replay(
     *,
     site_id: str = "",
 ) -> dict[str, dt.date]:
-    """Replay the online loop over a monitored year plus its extension."""
+    """Replay the online loop over a monitored year plus its extension, as
+    one pass over every run that ends in it: a pixel's flag date is the end
+    of its earliest triggering run, the step that would flag it."""
     compact = _ensure_compact(pixels)
     first = dt.date(monitor_year, 1, 1).toordinal()
     last = dt.date(monitor_year, 12, 31).toordinal() + PREDICT_EXTENSION_DAYS
-    dates = [cp.arrays.ordinals for cp in compact]
-    ordinals = np.unique(np.concatenate(dates)) if dates else np.empty(0, np.int64)
-    flagged: dict[str, dt.date] = {}
-    for ordinal in ordinals[(ordinals >= first) & (ordinals <= last)].tolist():
-        outcome = online_process_batch(
-            compact, dt.date.fromordinal(ordinal), rule, monitor_year, flagged,
-            site_id=site_id,
-        )
-        flagged.update(outcome.newly_flagged)
-    return flagged
+    flags, *_ = _monitored_runs(compact, rule, monitor_year, first, last, site_id)
+    # in step order: by flag date, then pixel
+    return {compact[k].pixel_id: dt.date.fromordinal(int(flags[k]))
+            for k in np.argsort(flags, kind="stable").tolist() if flags[k]}

@@ -29,11 +29,6 @@ class DateInterval:
     def days(self) -> int:
         return (self.end - self.start).days + 1
 
-    def overlap_days(self, other: "DateInterval") -> int:
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
-        return max(0, (end - start).days + 1)
-
 
 @dataclass(frozen=True)
 class WindowPair:

@@ -3,9 +3,9 @@
 These are the scalar forms that ``cmfda.standardize``, ``cmfda.pipeline``
 and ``cmfda.detection`` replaced with array code: one ``ErrorRecord`` per
 residual, one dict lookup and one ``ErrorContext`` per standardized error,
-the inverse normal CDF one float at a time, and the rule scanned one
-window at a time. The tests compare the array code against them bit for
-bit.
+the inverse normal CDF one float at a time, the rule scanned one
+window at a time, and the online loop run date by date and pixel by pixel.
+The tests compare the array code against them bit for bit.
 """
 from __future__ import annotations
 
@@ -19,13 +19,18 @@ from cmfda.core import BAND_ORDER, Band, CompactPixel, day_of_year
 from cmfda.detection import (
     CovarianceEntry,
     CubeCovarianceTable,
+    MahalanobisRule,
     MultivariateRule,
     PairedErrorRecord,
     UnivariateRule,
+    WindowErrors,
+    mahalanobis_index,
+    rule_bands,
     run_levels,
 )
 from cmfda.errors import DegenerateHistory, EmptyHistory, EmptySample, OutOfDomain, OutOfRange
-from cmfda.harmonic import predict_many
+from cmfda.harmonic import FIT_OK, HarmonicModel, design_rows, fit_batch, predict_many
+from cmfda.windows import PREDICT_EXTENSION_DAYS
 from cmfda.standardize import (
     ECDF,
     FALLBACK_LEVELS,
@@ -362,3 +367,99 @@ def scan_windows(windows, rule):
             if best is None or flag < best[0]:
                 best = (flag, band_hit)
     return best
+
+
+# --- online loop ------------------------------------------------------------------
+
+
+def two_years_before(date: dt.date) -> dt.date:
+    try:
+        return date.replace(year=date.year - 2)
+    except ValueError:  # Feb 29
+        return date.replace(year=date.year - 2, day=28)
+
+
+def online_step(pixels, batch_date, rule, monitor_year, already_flagged, site_id=""):
+    """(newly flagged, refits) of one online step, pixel by pixel.
+
+    A monitored pixel whose new date is usable (clear, a real value in
+    every rule band) has a trailing run: its last C usable dates, ending
+    on the batch date. If the run starts in the monitored year, each band
+    is fitted on its clear, non-fill dates of the two years before the run
+    start, one group per fit_batch call; when every band fits, the run's C
+    errors are scanned with the run start the only allowed start.
+    """
+    bands = rule_bands(rule)
+    c = rule.consecutive
+    batch = batch_date.toordinal()
+    newly, models = {}, {}
+    for cp in pixels:
+        if cp.pixel_id in already_flagged:
+            continue
+        a = cp.arrays
+        usable = [
+            i for i in range(a.ordinals.size)
+            if a.clear[i] and a.ordinals[i] <= batch
+            and not any(math.isnan(a.values[i, BAND_ORDER.index(band)]) for band in bands)
+        ]
+        if len(usable) < c or a.ordinals[usable[-1]] != batch:
+            continue
+        run = usable[-c:]
+        start = dt.date.fromordinal(int(a.ordinals[run[0]]))
+        if start.year != monitor_year:
+            continue
+        train = (two_years_before(start), start - dt.timedelta(days=1))
+        days = [
+            i for i in range(a.ordinals.size)
+            if a.clear[i] and train[0].toordinal() <= a.ordinals[i] <= train[1].toordinal()
+        ]
+        values = a.values[days][:, [BAND_ORDER.index(band) for band in bands]]
+        fitted = fit_batch(design_rows(a.doys[days])[None], values[None], ~np.isnan(values)[None])
+        coeffs = {}
+        for j, band in enumerate(bands):
+            if fitted.status[0, j] == FIT_OK:
+                coeffs[band] = fitted.coeffs[0, j]
+                models[cp.pixel_id, band] = HarmonicModel(
+                    band, cp.pixel_id, tuple(coeffs[band].tolist()), train,
+                    int(fitted.n_obs[0, j]),
+                )
+        if len(coeffs) < len(bands):
+            continue
+        doys = a.doys[run]
+        errors = {
+            band: a.values[run, BAND_ORDER.index(band)] - predict_many(coeffs[band], doys)
+            for band in bands
+        }
+        index = None
+        if isinstance(rule, MahalanobisRule):
+            index = np.array([
+                mahalanobis_index(
+                    errors[Band.NIR][i], errors[Band.NDVI][i],
+                    rule.covariances.matrix_for(site_id, *cube_of(cp.col, cp.row, int(doys[i]))),
+                )
+                for i in range(c)
+            ])
+        window = WindowErrors(
+            a.ordinals[run], a.comp_ordinals[run], doys, [True] + [False] * (c - 1), errors, index
+        )
+        if scan_windows([window], rule) is not None:
+            newly[cp.pixel_id] = batch_date
+    return newly, models
+
+
+def online_steps(pixels, rule, monitor_year, site_id=""):
+    """The online loop over the monitored year plus its extension: one
+    (batch date, newly flagged, refits) per nominal date of any pixel, and
+    the flag dates of the whole replay."""
+    first = dt.date(monitor_year, 1, 1)
+    last = dt.date(monitor_year, 12, 31) + dt.timedelta(days=PREDICT_EXTENSION_DAYS)
+    dates = sorted({
+        dt.date.fromordinal(int(o)) for cp in pixels for o in cp.arrays.ordinals
+        if first.toordinal() <= o <= last.toordinal()
+    })
+    flagged, steps = {}, []
+    for date in dates:
+        newly, models = online_step(pixels, date, rule, monitor_year, flagged, site_id)
+        flagged.update(newly)
+        steps.append((date, newly, models))
+    return steps, flagged

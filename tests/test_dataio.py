@@ -22,6 +22,7 @@ from cmfda.core import (
     Observation,
     PixelSeries,
     Reliability,
+    SITE_SIDE,
     band_fill,
     day_of_year,
 )
@@ -184,19 +185,21 @@ def test_series_version_mismatch(tmp_path):
 def reference_rows(fh, columns, path):
     """Row-by-row framing reference for dataio's chunked table reader:
     after the header line, check the column-name row, then yield
-    (line number, row dict) for each non-blank data row."""
+    (line number, row dict) for each non-blank data row, numbered by the
+    physical line it ends on."""
     reader = csv.reader(fh)
     names = next(reader, None)
     if names is None:
         raise ParseError(f"{path}: missing column header", line=2)
     if names != list(columns):
         raise ParseError(f"{path}: expected columns {list(columns)}, got {names}", line=2)
-    for i, row in enumerate(reader, start=3):
+    for row in reader:
+        line = reader.line_num + 1   # the header line was read before the reader
         if not row:
             continue
         if len(row) != len(columns):
-            raise ParseError(f"{path}: expected {len(columns)} fields, got {len(row)}", line=i)
-        yield i, dict(zip(columns, row))
+            raise ParseError(f"{path}: expected {len(columns)} fields, got {len(row)}", line=line)
+        yield line, dict(zip(columns, row))
 
 
 def oracle_read_series(path):
@@ -943,6 +946,34 @@ def test_table_framing_faults(tmp_path, table, fault):
     assert (err.value.line, str(err.value)) == (line, f"line {line}: {path}: {message}")
 
 
+SERIES_ROW = "p,0,0,{date},{doy},0,0.08,{nir},0.05,0.18,0.68,0.55"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("chunk_rows", [1, 2, 1024])
+@pytest.mark.parametrize("table", ["labels", "series"])
+def test_rows_after_a_quoted_line_break_keep_their_line(tmp_path, table, chunk_rows, newline):
+    """A quoted field that holds a line break spans two lines, so the bad
+    row after it is reported at the physical line it ends on (5 in the
+    labels file, 6 in the series), in every reader and wherever the chunks
+    are cut."""
+    if table == "labels":
+        rows = ['"a', 'b",0,0,0,0', "c,x,0,0,0"]
+        readers = [read_labels]
+    else:
+        rows = ['"s', 't",' + SERIES_ROW.format(date="2003-01-01", doy=1, nir=0.42),
+                '"s', 't",' + SERIES_ROW.format(date="2003-01-17", doy=17, nir="0.4x")]
+        readers = [read_series_arrays, read_series]
+    columns = ",".join(dataio.LABEL_COLUMNS if table == "labels" else SERIES_COLUMNS)
+    path = tmp_path / f"{table}.csv"
+    path.write_text(newline.join([f"#cmfda {table} v1", columns, *rows]) + newline, newline="")
+    with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+        for read in readers:
+            with pytest.raises(ParseError) as err:
+                read(path)
+            assert err.value.line == (5 if table == "labels" else 6)
+
+
 # --- land use and label aggregation ------------------------------------------------------
 
 
@@ -1010,7 +1041,8 @@ def test_generate_zero_noise_equals_harmonic():
     site, labels = generate_site(cfg)
     assert len(site.pixels) == 625
     assert all(l.z == 0 for l in labels)
-    probe = site.pixel_at(13, 7)
+    probe = site.pixels[7 * SITE_SIDE + 13]
+    assert (probe.col, probe.row) == (13, 7)
     for obs in probe.observations[:20]:
         for band in BAND_ORDER:
             expected = harmonic_value(cfg.signals[band].coeffs, obs.composite_doy)
@@ -1031,7 +1063,8 @@ def test_generate_event_shift_self_check():
     label_map = {(l.col, l.row): l.z for l in labels}
     assert label_map[(5, 9)] == 1
     assert sum(label_map.values()) == 1
-    pixel = site.pixel_at(5, 9)
+    pixel = site.pixels[9 * SITE_SIDE + 5]
+    assert (pixel.col, pixel.row) == (5, 9)
     post = [o for o in pixel.observations if o.nominal_date >= event_date]
     drops = [
         o.values[Band.NIR] - harmonic_value(cfg.signals[Band.NIR].coeffs, o.composite_doy)

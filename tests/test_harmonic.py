@@ -272,7 +272,8 @@ def test_fit_batch_skips_clustered_and_short_series_as_scalar_fit(batch):
 @given(batch=fit_batches(), data=st.data())
 def test_fit_batch_fit_does_not_depend_on_its_batch(batch, data):
     """A group fitted alone, with one band alone, or inside any split of
-    the batch gives the same bits as in the whole batch."""
+    the batch gives the same bits as in the whole batch, and so do integer
+    days given in place of their design rows."""
     days, values, mask = batch
     design = design_rows(days)
     whole = fit_batch(design, values, mask)
@@ -295,8 +296,10 @@ def test_fit_batch_fit_does_not_depend_on_its_batch(batch, data):
         np.concatenate([values, np.ones((n, 3, b))], axis=1),
         np.concatenate([mask, np.zeros((n, 3, b), dtype=bool)], axis=1),
     )
+    by_days = fit_batch(days, values, mask)
     for field, got in zip(whole._fields, whole):
         np.testing.assert_array_equal(getattr(wider, field), got)
+        np.testing.assert_array_equal(getattr(by_days, field), got)
 
 
 def test_design_table_equals_design_matrix():

@@ -42,7 +42,7 @@ def test_train_adjacent_to_predict():
 
 def test_train_never_overlaps_predict_year():
     for pair in make_windows(2003, 6):
-        assert pair.train.overlap_days(pair.predict_year) == 0
+        assert pair.train.end < pair.predict_year.start
 
 
 def test_predict_overlap_with_later_train_windows():
@@ -54,9 +54,8 @@ def test_predict_overlap_with_later_train_windows():
         predict = windows[j].predict
         train_next2 = windows[j + 2].train
         assert predict.start == train_next2.start
-        overlap = predict.overlap_days(train_next2)
-        assert overlap == predict.days()
-        assert overlap in (485, 486)
+        assert predict.end <= train_next2.end
+        assert predict.days() in (485, 486)
         tail = (train_next2.end - predict.end).days
         assert tail in (245, 246)
 
