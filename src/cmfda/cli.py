@@ -811,6 +811,7 @@ def _online_paths(state_dir: str) -> dict[str, str]:
         "flagged": os.path.join(state_dir, "flagged.csv"),
         "models": os.path.join(state_dir, "models_online.csv"),
         "covariances": os.path.join(state_dir, "covariances.csv"),
+        "covariance_mirror": os.path.join(state_dir, "covariances.npy"),
     }
 
 
@@ -853,13 +854,17 @@ def cmd_online(args) -> int:
 
     The state is ``config.txt``, ``history.csv`` (every observation so far),
     ``flagged.csv``, ``models_online.csv`` (the last step's refits),
-    ``covariances.csv`` (Mahalanobis rule only) and ``history.npy``. That
-    last is a binary mirror of the parsed ``history.csv``, in the format of
-    the ``series.npy`` that ``fit`` writes: derived, never authoritative,
-    and safe to delete. A step uses it only while the SHA-256 it holds
-    matches ``history.csv``, and parses the CSV otherwise.
-    A step writes ``--out``, ``flagged.csv``, ``models_online.csv``, then
-    ``history.csv``, which commits the step, then the mirror.
+    ``covariances.csv`` (Mahalanobis rule only) and two binary mirrors:
+    ``history.npy`` of the parsed ``history.csv``, in the format of the
+    ``series.npy`` that ``fit`` writes, and ``covariances.npy`` of the rows
+    of ``covariances.csv`` that a lookup can serve. A mirror is derived,
+    never authoritative, and safe to delete: a step uses it only while the
+    SHA-256 it holds matches its table's bytes, and parses the table
+    otherwise. A step hashes ``history.csv`` once, formats the batch's
+    values once, and holds the history in the mirror's layout from the read
+    to the writes. It writes ``--out``, ``flagged.csv`` (unless the file
+    holds those bytes already), ``models_online.csv``, then ``history.csv``,
+    which commits the step, then the history mirror.
     """
     if parse_scheme(args.scheme) is not Scheme.IDENTITY:
         raise UsageError("online monitoring supports only the identity scheme")
@@ -869,19 +874,23 @@ def cmd_online(args) -> int:
             raise UsageError("--init needs --series and --monitor-year")
         _rule_args(args)
         # The state works on the values as history.csv holds them.
-        sites = dataio.series_as_written(dataio.read_series_arrays(args.series))
+        history, rows = dataio.read_series_as_written(args.series)
         covariances = None
         if args.rule == "mahalanobis":
+            sites = history.sites()
             windows = make_windows(args.monitor_year - 2, 1)
             fit = _fit_sites(sites, windows, PAIR_BANDS, workers=1)
             covariances = _cube_covariances(sites, fit, windows)
         _build_rule(args, covariances)  # a rule the batches could not build is refused here
         os.makedirs(args.state, exist_ok=True)
-        _replace_state(paths["history"], dataio.write_series_arrays, sites)
-        dataio.write_series_mirror(paths["mirror"], paths["history"], sites)
+        digest = dataio.append_series_rows(paths["history"], rows)
+        dataio.write_series_mirror(paths["mirror"], paths["history"], history, digest.hexdigest())
         _replace_state(paths["flagged"], dataio.write_detections, [], {"state": "online"})
         if covariances is not None:
             _replace_state(paths["covariances"], dataio.save_covariances, covariances)
+            dataio.write_covariance_mirror(
+                paths["covariance_mirror"], paths["covariances"], covariances
+            )
         _write_online_config(paths["config"], {
             "monitor-year": str(args.monitor_year),
             "rule": args.rule,
@@ -904,7 +913,9 @@ def cmd_online(args) -> int:
     kind = setting("rule")
     covariances = None
     if kind == "mahalanobis":
-        covariances = dataio.load_covariances(paths["covariances"])
+        covariances = dataio.read_covariances_mirrored(
+            paths["covariances"], paths["covariance_mirror"]
+        )
     rule_args = argparse.Namespace(
         rule=kind,
         band=setting("band", default="nir"),
@@ -915,40 +926,29 @@ def cmd_online(args) -> int:
     )
     rule = _build_rule(rule_args, covariances)
 
-    history = dataio.read_series_mirrored(paths["history"], paths["mirror"])
-    batch = dataio.series_as_written(dataio.read_series_arrays(args.batch))
+    history, digest = dataio.read_flat_mirrored(paths["history"], paths["mirror"])
+    batch, rows = dataio.read_series_as_written(args.batch)
     _, previously = dataio.read_detections(paths["flagged"])
-    dataio.check_pixel_sites(args.batch, (
-        (site_id, cp.pixel_id)
-        for sites in (history, batch) for site_id, cps in sites.items() for cp in cps
-    ))
+    dataio.check_pixel_sites(args.batch, (key[:2] for key in [*history.keys, *batch.keys]))
 
-    batch_dates = {
-        int(ordinal)
-        for pixels in batch.values()
-        for cp in pixels
-        for ordinal in cp.arrays.ordinals
-    }
+    batch_dates = set(batch.columns.ordinals.tolist())
     if len(batch_dates) != 1:
         raise UsageError("a batch must hold exactly one nominal date")
     batch_date = dt.date.fromordinal(batch_dates.pop())
     # A batch pixel's flag dated on the batch was written by an earlier run
     # of this step that stopped before the history took the batch; the step
     # makes it again.
-    batch_pixels = {cp.pixel_id for pixels in batch.values() for cp in pixels}
+    batch_pixels = {key[1] for key in batch.keys}
     flagged = {
         r.pixel_id: r.first_flag_date
         for r in previously
         if not (r.first_flag_date == batch_date and r.pixel_id in batch_pixels)
     }
 
-    merged = {
-        site_id: pipeline.append_batch(history.get(site_id, []), batch.get(site_id, []))
-        for site_id in sorted(set(history) | set(batch))
-    }
+    merged = pipeline.append_batch(history, batch)
     newly: dict[str, dt.date] = {}
     models: dict[tuple[str, Band], HarmonicModel] = {}
-    for site_id, pixels in merged.items():
+    for site_id, pixels in sorted(merged.sites().items()):
         outcome = pipeline.online_process_batch(
             pixels, batch_date, rule, monitor_year, flagged, site_id=site_id,
         )
@@ -967,7 +967,7 @@ def cmd_online(args) -> int:
         DetectionResult(pid, True, date, None)
         for pid, date in sorted({**flagged, **newly}.items())
     ]
-    _replace_state(paths["flagged"], dataio.write_detections, results, {"state": "online"})
+    dataio.replace_detections(paths["flagged"], results, {"state": "online"})
     if models:
         # The header window spans every refit's own training window.
         train_window = DateInterval(
@@ -975,15 +975,11 @@ def cmd_online(args) -> int:
             max(model.train_window[1] for model in models.values()),
         )
         _replace_state(paths["models"], dataio.save_models, models, train_window)
-    _replace_state(paths["history"], dataio.write_series_arrays, batch, base=paths["history"])
-    # The step is committed. The mirror lists the sites in the order a parse
-    # of the new history.csv meets them: the history's, then the batch's new
-    # ones. A mirror left stale by a failed write is refused by its hash.
-    order = [*history, *(site_id for site_id in batch if site_id not in history)]
+    dataio.append_series_rows(paths["history"], rows, digest)
+    # The step is committed; a mirror left stale by a failed write is
+    # refused by its hash.
     try:
-        dataio.write_series_mirror(
-            paths["mirror"], paths["history"], {site_id: merged[site_id] for site_id in order}
-        )
+        dataio.write_series_mirror(paths["mirror"], paths["history"], merged, digest.hexdigest())
     except OSError as exc:
         print(f"cmfda: warning: history mirror not written: {exc}", file=sys.stderr)
     print(f"batch {batch_date}: {len(newly)} new flags, {len(flagged) + len(newly)} total")

@@ -188,6 +188,13 @@ class SeriesArrays(NamedTuple):
     values: np.ndarray         # (n_obs, 6) in BAND_ORDER
 
 
+# No rows, in the dtypes that a read of a series file gives.
+EMPTY_ARRAYS = SeriesArrays(
+    np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int32),
+    np.empty(0, np.int8), np.empty(0, bool), np.empty((0, len(BAND_ORDER))),
+)
+
+
 @dataclass
 class CompactPixel:
     """One pixel series as arrays, the form fitting and detection read."""
@@ -196,6 +203,54 @@ class CompactPixel:
     col: int
     row: int
     arrays: SeriesArrays
+
+
+class FlatSeries(NamedTuple):
+    """Many pixels' series in one set of arrays, pixels grouped by site as
+    a read of their series file orders them. Pixel ``p`` is ``keys[p]`` =
+    (site_id, pixel_id, col, row); its rows, sorted by date, are
+    ``bounds[p]:bounds[p + 1]`` of ``columns``."""
+
+    keys: list
+    bounds: np.ndarray       # int64, one more than keys
+    columns: SeriesArrays
+
+    @classmethod
+    def from_sites(cls, sites: Mapping[str, Sequence[CompactPixel]]) -> "FlatSeries":
+        pixels = [(site_id, cp) for site_id, cps in sites.items() for cp in cps]
+        return cls(
+            [(site_id, cp.pixel_id, int(cp.col), int(cp.row)) for site_id, cp in pixels],
+            np.cumsum([0] + [len(cp.arrays.ordinals) for _, cp in pixels], dtype=np.int64),
+            SeriesArrays(*(np.concatenate([e, *(cp.arrays[i] for _, cp in pixels)])
+                           for i, e in enumerate(EMPTY_ARRAYS))),
+        )
+
+    @classmethod
+    def of_rows(cls, keys: Sequence, pixel: np.ndarray, columns: SeriesArrays) -> "FlatSeries":
+        """Rows in any order, row ``i`` a date of pixel ``keys[pixel[i]]``,
+        with the pixels grouped by site, sites and pixels in ``keys`` order."""
+        sites: dict = {}
+        group = np.argsort([sites.setdefault(key[0], len(sites)) for key in keys], kind="stable")
+        rank = np.empty(len(keys), np.intp)
+        rank[group] = np.arange(len(keys))
+        rank = rank[pixel]
+        order = np.lexsort((columns.ordinals, rank))
+        return cls(
+            [keys[q] for q in group.tolist()],
+            np.cumsum([0, *np.bincount(rank, minlength=len(keys))], dtype=np.int64),
+            SeriesArrays(*(column[order] for column in columns)),
+        )
+
+    def sites(self) -> dict[str, list[CompactPixel]]:
+        """Per site, its pixels as views of the arrays."""
+        stops = self.bounds.tolist()
+        out: dict[str, list[CompactPixel]] = {}
+        for p, (site_id, pixel_id, col, row) in enumerate(self.keys):
+            s = slice(stops[p], stops[p + 1])
+            out.setdefault(site_id, []).append(
+                CompactPixel(pixel_id, col, row, SeriesArrays(*(a[s] for a in self.columns)))
+            )
+        return out
 
 
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()

@@ -1,17 +1,19 @@
-"""File formats, label aggregation, and synthetic scene generation.
+"""File formats and label aggregation; synthetic scenes (see ``synth``)
+are imported from here too.
 
 All text formats are comma-separated UTF-8 tables with a one-line
 versioned header (``#cmfda <kind> v1 ...``) followed by a column-name row.
 Reals are written with 9 significant digits, so values round-trip through
-that precision; counts and dates round-trip exactly. The one binary format
-is the series mirror (see :func:`write_series_mirror`).
+that precision; counts and dates round-trip exactly. The binary formats
+are the mirrors of parsed tables (see "binary mirrors" below).
 
-Every table is written by :func:`_write_table` (the online history's
-append, :func:`write_series_arrays`, shares its header writer) and read
-through :func:`_table_chunks`, which alone opens a table file and checks
-its framing: header, column names, field counts, UTF-8 text and what
-``csv`` refuses. The row readers take its rows through :func:`_rows`; the
-series, model and covariance readers take its chunks column by column.
+Every table is written by :func:`_write_table` or, where its bytes are
+needed first, with its header writer (:func:`append_series_rows`,
+:func:`replace_detections`), and read through :func:`_table_chunks`,
+which alone opens a table file and checks its framing: header, column
+names, field counts, UTF-8 text and what ``csv`` refuses. The row readers
+take its rows through :func:`_rows`; the series, model and covariance
+readers take its chunks column by column.
 A fault in a table is a ``ParseError`` naming the file and, where it has
 one, the line; a wrong header is a ``SchemaVersionMismatch``.
 """
@@ -27,7 +29,6 @@ import itertools
 import json
 import os
 import re
-from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -39,30 +40,28 @@ from .core import (
     YEAR_DAYS,
     Band,
     CompactPixel,
-    DefoType,
     DeforestationLabel,
+    EMPTY_ARRAYS,
+    FlatSeries,
     Observation,
     PixelSeries,
     Reliability,
     SITE_SIDE,
     SeriesArrays,
-    SiteGrid,
     band_fill,
     band_range,
     cadence_error,
     day_of_year,
     distinct,
-    ordinal_doys,
 )
 from .detection import CovarianceEntry, CubeCovarianceTable, DetectionResult
 from .errors import (
-    InvalidConfig,
     OutOfRange,
     ParseError,
     SchemaVersionMismatch,
     ShapeMismatch,
 )
-from .harmonic import N_COEFFS, HarmonicModel, design_matrix
+from .harmonic import N_COEFFS, HarmonicModel
 from .standardize import (
     ECDF,
     FALLBACK_LEVELS,
@@ -74,6 +73,16 @@ from .standardize import (
     Standardizer,
 )
 from .training import ReportRow, TrainReport
+from .synth import (  # noqa: F401  (scene generation is imported from here too)
+    BandSignal,
+    EventSpec,
+    SynthConfig,
+    generate_site,
+    pixel_name,
+    seasonal_cloud_prob,
+    sonora_like_config,
+    yucatan_like_config,
+)
 from .windows import DateInterval
 
 MAGIC = "#cmfda"
@@ -90,10 +99,6 @@ FINE_PER_COARSE = 4      # 250 m cells per 1 km cell side
 
 def real(x: float) -> str:
     return format(float(x), ".9g")
-
-
-def pixel_name(site_id: str, col: int, row: int) -> str:
-    return f"{site_id}-{col:02d}-{row:02d}"
 
 
 # --- versioned header helpers ----------------------------------------------
@@ -202,33 +207,36 @@ def write_series(path, sites: Mapping[str, Sequence[PixelSeries]]) -> None:
     ))
 
 
-def write_series_arrays(path, sites: Mapping[str, Sequence[CompactPixel]], base=None) -> None:
-    """Write the pixels' rows as a series file. With ``base``, a series
-    file, its text is copied unchanged ahead of the rows, in place of a
-    fresh header."""
-    with open(path, "w", newline="", encoding=ENCODING) as fh:
-        if base is None:
-            _write_header(fh, "series", SERIES_COLUMNS)
-        else:
-            with open(base, newline="", encoding=ENCODING) as old:
-                last = ""
-                while block := old.read(1 << 16):
-                    fh.write(block)
-                    last = block[-1]
-            if last not in ("\n", "\r"):
-                fh.write("\n")
-        writer = csv.writer(fh)
-        for site_id, pixels in sites.items():
-            for cp in pixels:
-                a = cp.arrays
-                values = np.where(np.isnan(a.values), _FILLS, a.values).tolist()
-                for ordinal, doy, reliability, row_values in zip(
-                    a.ordinals.tolist(), a.doys.tolist(), a.reliability.tolist(), values
-                ):
-                    writer.writerow(_series_row(
-                        site_id, cp.pixel_id, cp.col, cp.row, dt.date.fromordinal(ordinal),
-                        doy, reliability, row_values,
-                    ))
+def write_series_arrays(path, sites: Mapping[str, Sequence[CompactPixel]]) -> None:
+    append_series_rows(path, _as_written(FlatSeries.from_sites(sites))[1])
+
+
+def _as_written(flat: FlatSeries) -> tuple[FlatSeries, list[bytes]]:
+    """The pixels as a series file written from them holds them, each value
+    formatted once to 9 significant digits: the pixels with the values that
+    text reads back as (NaN for a fill value), and the file's data rows as
+    UTF-8 text in chunks of ``_CHUNK_ROWS`` rows."""
+    c = flat.columns
+    filled = np.where(np.isnan(c.values), _FILLS, c.values)
+    values = np.empty_like(filled)
+    pixel = np.repeat(np.arange(len(flat.keys)), np.diff(flat.bounds)).tolist()
+    iso = {o: dt.date.fromordinal(o).isoformat() for o in set(c.ordinals.tolist())}
+    width = len(BAND_ORDER)
+    chunks = []
+    for start in range(0, len(filled), _CHUNK_ROWS):
+        s = slice(start, start + _CHUNK_ROWS)
+        texts = [format(v, ".9g") for v in filled[s].ravel().tolist()]
+        values[s] = np.fromiter(map(float, texts), float, count=len(texts)).reshape(-1, width)
+        text = io.StringIO()
+        csv.writer(text).writerows(
+            [*flat.keys[p], iso[o], doy, code, *texts[width * i:width * (i + 1)]]
+            for i, (p, o, doy, code) in enumerate(zip(
+                pixel[s], c.ordinals[s].tolist(), c.doys[s].tolist(), c.reliability[s].tolist()
+            ))
+        )
+        chunks.append(text.getvalue().encode(ENCODING))
+    values[values == _FILLS] = np.nan
+    return flat._replace(columns=c._replace(values=values)), chunks
 
 
 # Rows per chunk of a parsed table: bounds the memory that the rows' field
@@ -389,24 +397,8 @@ def _parse_reals(texts) -> tuple[np.ndarray, np.ndarray]:
         return np.array([np.nan if v is None else v for v in parsed]), bad
 
 
-class _SeriesTable(NamedTuple):
-    """A parsed series file. Pixel ``p`` is ``keys[p]`` = (site_id,
-    pixel_id), in order of first appearance; its rows, sorted by nominal
-    date, are ``bounds[p]:bounds[p + 1]`` of the row arrays."""
-
-    keys: list
-    cols: list
-    rows: list
-    bounds: np.ndarray
-    ordinals: np.ndarray
-    comp_ordinals: np.ndarray
-    doys: np.ndarray
-    reliability: np.ndarray
-    values: np.ndarray      # (n_rows, 6), fill-coded
-
-
 class _SeriesChunk(NamedTuple):
-    pixels: np.ndarray      # index into _SeriesTable.keys
+    pixels: np.ndarray      # index into the file's pixels
     ordinals: np.ndarray
     lags: np.ndarray
     doys: np.ndarray
@@ -503,7 +495,7 @@ def _series_chunk(path, lines, columns, caches, pixels: dict, cols: list, rows: 
     )
 
 
-def _parse_series(path, digest=None) -> _SeriesTable:
+def _parse_series(path, digest=None) -> FlatSeries:
     """Parse a series file column by column. A fault is reported as the
     row-by-row reading of the file would meet it: the first bad row (see
     :func:`_series_chunk`; a wrong field count is checked first), and a
@@ -524,25 +516,23 @@ def _parse_series(path, digest=None) -> _SeriesTable:
         table = _SeriesChunk(*(np.empty(0, np.int64),) * 5, np.empty((0, len(BAND_ORDER))))
     keys = list(pixels)
     check_pixel_sites(path, keys)
-    order = np.lexsort((table.ordinals, table.pixels))
-    ordinals, pixel_idx = table.ordinals[order], table.pixels[order]
-    gap_bad = (np.diff(pixel_idx) == 0) & (np.diff(ordinals) != CADENCE_DAYS)
-    if gap_bad.any():
-        j = int(np.argmax(gap_bad))
-        pixel_id = keys[pixel_idx[j]][1]
-        prev, cur = (dt.date.fromordinal(int(o)) for o in ordinals[j:j + 2])
-        raise ParseError(f"{path}: pixel {pixel_id!r}: {cadence_error(pixel_id, prev, cur)}")
-    return _SeriesTable(
-        keys=keys,
-        cols=cols,
-        rows=rows,
-        bounds=np.concatenate(([0], np.cumsum(np.bincount(pixel_idx, minlength=len(keys))))),
-        ordinals=ordinals,
-        comp_ordinals=ordinals + table.lags[order],
-        doys=table.doys[order].astype(np.int32),
-        reliability=table.reliability[order].astype(np.int8),
-        values=table.values[order],
+    reliability = table.reliability.astype(np.int8)
+    flat = FlatSeries.of_rows(
+        [(*key, col, row) for key, col, row in zip(keys, cols, rows)], table.pixels,
+        SeriesArrays(table.ordinals, table.ordinals + table.lags, table.doys.astype(np.int32),
+                     reliability, np.isin(reliability, _CLEAR),
+                     np.where(table.values == _FILLS, np.nan, table.values)),
     )
+    same = np.repeat(np.arange(len(keys)), np.diff(flat.bounds))
+    gap_bad = (np.diff(same) == 0) & (np.diff(flat.columns.ordinals) != CADENCE_DAYS)
+    if gap_bad.any():
+        bad = np.flatnonzero(gap_bad)
+        # the first break of the pixel that comes first in the file
+        j = int(bad[np.argmin([pixels[flat.keys[p][:2]] for p in same[bad].tolist()])])
+        pixel_id = flat.keys[same[j]][1]
+        prev, cur = (dt.date.fromordinal(int(o)) for o in flat.columns.ordinals[j:j + 2])
+        raise ParseError(f"{path}: pixel {pixel_id!r}: {cadence_error(pixel_id, prev, cur)}")
+    return flat
 
 
 def check_pixel_sites(path, keys) -> None:
@@ -559,7 +549,7 @@ def check_pixel_sites(path, keys) -> None:
 def read_series_arrays(path) -> dict[str, list[CompactPixel]]:
     """Per site, each pixel's series as arrays (fill values read as NaN),
     pixels in order of first appearance, each sorted by date."""
-    return _series_arrays(_parse_series(path))
+    return _parse_series(path).sites()
 
 
 def read_series_hashed(path) -> tuple[dict[str, list[CompactPixel]], str]:
@@ -567,47 +557,35 @@ def read_series_hashed(path) -> tuple[dict[str, list[CompactPixel]], str]:
     bytes it parsed, taken as the parser reads them: the file may change
     while it is read, and the digest then still names what was parsed."""
     digest = hashlib.sha256()
-    table = _parse_series(path, digest)
-    return _series_arrays(table), digest.hexdigest()
+    flat = _parse_series(path, digest)
+    return flat.sites(), digest.hexdigest()
 
 
-def _series_arrays(table: _SeriesTable) -> dict[str, list[CompactPixel]]:
-    values = np.where(table.values == _FILLS, np.nan, table.values)
-    clear = np.isin(table.reliability, _CLEAR)
-    out: dict[str, list[CompactPixel]] = {}
-    for p, (site_id, pixel_id) in enumerate(table.keys):
-        s = slice(table.bounds[p], table.bounds[p + 1])
-        arrays = SeriesArrays(
-            table.ordinals[s], table.comp_ordinals[s], table.doys[s],
-            table.reliability[s], clear[s], values[s],
-        )
-        out.setdefault(site_id, []).append(
-            CompactPixel(pixel_id, table.cols[p], table.rows[p], arrays)
-        )
-    return out
+def read_series_as_written(path) -> tuple[FlatSeries, list[bytes]]:
+    """A series file's pixels as a series file written from them holds
+    them (see :func:`series_as_written`), and that file's data rows (see
+    :func:`append_series_rows`); each value is formatted once."""
+    return _as_written(_parse_series(path))
 
 
 def read_series(path) -> dict[str, list[PixelSeries]]:
     """Per site, each pixel's series as observations; same parse and order
     as :func:`read_series_arrays`."""
-    table = _parse_series(path)
-    out: dict[str, list[PixelSeries]] = {}
-    for p, (site_id, pixel_id) in enumerate(table.keys):
-        s = slice(table.bounds[p], table.bounds[p + 1])
-        observations = tuple(
-            Observation(
-                nominal_date=dt.date.fromordinal(ordinal),
-                composite_doy=doy,
-                values=dict(zip(BAND_ORDER, row_values)),
-                reliability=Reliability(code),
-            )
-            for ordinal, doy, code, row_values in zip(
-                table.ordinals[s].tolist(), table.doys[s].tolist(),
-                table.reliability[s].tolist(), table.values[s].tolist(),
-            )
+    flat = _parse_series(path)
+    c = flat.columns
+    observations = [
+        Observation(dt.date.fromordinal(ordinal), doy, dict(zip(BAND_ORDER, values)),
+                    Reliability(code))
+        for ordinal, doy, code, values in zip(
+            c.ordinals.tolist(), c.doys.tolist(), c.reliability.tolist(),
+            np.where(np.isnan(c.values), _FILLS, c.values).tolist(),
         )
+    ]
+    stops = flat.bounds.tolist()
+    out: dict[str, list[PixelSeries]] = {}
+    for p, (site_id, pixel_id, col, row) in enumerate(flat.keys):
         out.setdefault(site_id, []).append(
-            PixelSeries(pixel_id, table.cols[p], table.rows[p], observations)
+            PixelSeries(pixel_id, col, row, tuple(observations[stops[p]:stops[p + 1]]))
         )
     return out
 
@@ -617,114 +595,155 @@ def series_as_written(sites: Mapping[str, Sequence[CompactPixel]]) -> dict[str, 
     series file written from them: each value passes through the file's
     9-significant-digit text, and one that lands on its band's fill value
     reads as missing."""
-    parts = [cp.arrays.values for cps in sites.values() for cp in cps]
-    values = np.concatenate([np.empty((0, len(BAND_ORDER))), *parts])
-    filled = np.where(np.isnan(values), _FILLS, values)
-    read = np.array([float(real(v)) for v in filled.ravel().tolist()]).reshape(filled.shape)
-    read = np.where(read == _FILLS, np.nan, read)
-    out: dict[str, list[CompactPixel]] = {}
-    start = 0
-    for site_id, cps in sites.items():
-        out[site_id] = []
-        for cp in cps:
-            stop = start + len(cp.arrays.values)
-            out[site_id].append(replace(cp, arrays=cp.arrays._replace(values=read[start:stop])))
-            start = stop
-    return out
+    return _as_written(FlatSeries.from_sites(sites))[0].sites()
 
 
-# --- series mirror --------------------------------------------------------------
-#
-# A binary copy of what read_series_arrays returns for a series file lets a
-# reader skip the parse: fit leaves one of its --series beside its models,
-# and an online state keeps one of its history.csv.
-# The file is a sequence of .npy arrays: a JSON header (format tag, SHA-256
-# of the series bytes it mirrors, and each pixel's site, id, col and row in
-# read order), the pixels' row bounds, then one array per SeriesArrays field
-# over all rows. The copy is derived, never authoritative: it is used only
-# while its hash matches the series file's current bytes. The format tag
-# predates its use beyond the online history and is kept, so a mirror's
-# bytes depend only on the series it mirrors.
-
-_MIRROR_FORMAT = "cmfda history-mirror v1"
-_MIRROR_EMPTY = SeriesArrays(
-    np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int32),
-    np.empty(0, np.int8), np.empty(0, bool), np.empty((0, len(BAND_ORDER))),
-)
-
-
-def _sha256(path) -> str:
+def _file_digest(path):
+    """The SHA-256 object fed the bytes of ``path``, read in blocks."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while block := fh.read(_HASH_BLOCK):
             digest.update(block)
-    return digest.hexdigest()
+    return digest
 
 
-def write_series_mirror(
-    path, series_path, sites: Mapping[str, Sequence[CompactPixel]], digest: Optional[str] = None
-) -> None:
-    """Write the mirror of the series file ``series_path``; ``sites`` must
-    be what :func:`read_series_arrays` returns for it, in the same order.
-    ``digest`` is the SHA-256 of the bytes ``sites`` were parsed from (see
-    :func:`read_series_hashed`); without it the file's current bytes are
-    hashed, which is right only for a file no other process writes. The
-    mirror replaces ``path`` when whole."""
-    pixels = [(site_id, cp) for site_id, cps in sites.items() for cp in cps]
-    header = {
-        "format": _MIRROR_FORMAT,
-        "sha256": _sha256(series_path) if digest is None else digest,
-        "pixels": [[site_id, cp.pixel_id, int(cp.col), int(cp.row)] for site_id, cp in pixels],
-    }
-    bounds = np.cumsum([0] + [len(cp.arrays.ordinals) for _, cp in pixels], dtype=np.int64)
-    columns = [
-        np.concatenate([empty, *(cp.arrays[i] for _, cp in pixels)])
-        for i, empty in enumerate(_MIRROR_EMPTY)
-    ]
+def _sha256(path) -> str:
+    return _file_digest(path).hexdigest()
+
+
+def append_series_rows(path, rows: Sequence[bytes], digest=None):
+    """Replace the series file ``path`` with one that ends in the data rows
+    ``rows`` (see :func:`read_series_as_written`), and return the SHA-256
+    object fed the new file's bytes as they are written.
+
+    Without ``digest`` the rows follow a fresh header. With it, the SHA-256
+    object fed the current bytes of ``path`` (see :func:`read_flat_mirrored`),
+    those bytes are copied first, unchanged and unread by a decoder, and the
+    digest is fed the bytes that follow them."""
     with replacing(path) as tmp, open(tmp, "wb") as fh:
-        for array in (np.frombuffer(json.dumps(header).encode(), np.uint8), bounds, *columns):
-            np.save(fh, array, allow_pickle=False)
+        if digest is None:
+            digest, header = hashlib.sha256(), io.StringIO()
+            _write_header(header, "series", SERIES_COLUMNS)
+            rows = [header.getvalue().encode(ENCODING), *rows]
+        else:
+            with open(path, "rb") as old:
+                last = b"\n"
+                while block := old.read(_HASH_BLOCK):
+                    fh.write(block)
+                    last = block[-1:]
+            if last not in (b"\n", b"\r"):
+                rows = [b"\n", *rows]
+        for chunk in rows:
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest
 
 
-def _load_mirror(path, digest: str) -> Optional[dict[str, list[CompactPixel]]]:
-    """The mirror's sites when it is whole and mirrors the series whose
-    SHA-256 is ``digest``; None otherwise."""
+# --- binary mirrors ---------------------------------------------------------------
+#
+# A binary copy of what a reader makes of a table file lets the next reader
+# skip the parse: fit's series.npy of its --series; an online state's
+# history.npy of history.csv and covariances.npy of the covariances.csv rows
+# a lookup can serve. A mirror is one JSON line (format tag, SHA-256 of the
+# table bytes it mirrors, each array's dtype and shape), then the arrays'
+# bytes, each start 8-byte aligned: one write, one read. It is derived, used
+# only while its hash matches the table's current bytes; another format,
+# such as the .npy sequences these once were, is refused and parsed around.
+
+_SERIES_MIRROR = "cmfda series-mirror v2"
+_COVARIANCE_MIRROR = "cmfda covariance-mirror v2"
+_ALIGN = 8
+
+
+def _write_mirror(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
+    """Write a mirror of ``header`` and ``arrays``; it replaces ``path``
+    when whole."""
+    head = json.dumps({**header, "arrays": [[a.dtype.str, a.shape] for a in arrays]}).encode()
+    parts = [head + b" " * (-(len(head) + 1) % _ALIGN) + b"\n"]
+    for a in arrays:
+        parts += [np.ascontiguousarray(a).reshape(-1).view(np.uint8), bytes(-a.nbytes % _ALIGN)]
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        if os.writev(fh.fileno(), parts) != sum(map(len, parts)):
+            raise OSError(f"{tmp}: short write")
+
+
+def _read_mirror(path, kind: str, digest: str, dtypes) -> Optional[tuple[dict, list[np.ndarray]]]:
+    """The header and arrays of the mirror at ``path`` when it is whole, of
+    format ``kind``, mirrors the bytes whose SHA-256 is ``digest`` and holds
+    arrays of ``dtypes``; None otherwise."""
     try:
-        with open(path, "rb") as fh:
-            header = json.loads(np.load(fh, allow_pickle=False).tobytes())
-            if (not isinstance(header, dict) or header.get("format") != _MIRROR_FORMAT
-                    or header.get("sha256") != digest):
+        with open(path, "rb", buffering=0) as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            if fh.readinto(data) != len(data):
                 return None
-            bounds = np.load(fh, allow_pickle=False)
-            columns = SeriesArrays(*(np.load(fh, allow_pickle=False) for _ in _MIRROR_EMPTY))
-    except (OSError, EOFError, ValueError):  # missing, truncated or not a mirror
-        return None
-    keys = header["pixels"]
-    if bounds.dtype != np.int64 or bounds.shape != (len(keys) + 1,):
-        return None
-    for array, empty in zip(columns, _MIRROR_EMPTY):
-        if array.dtype != empty.dtype or array.shape != (bounds[-1], *empty.shape[1:]):
+        end = data.index(b"\n") + 1
+        header = json.loads(data[:end])
+        if (not isinstance(header, dict) or header.get("format") != kind
+                or header.get("sha256") != digest
+                or [spec[0] for spec in header["arrays"]] != [np.dtype(d).str for d in dtypes]):
             return None
-    stops = bounds.tolist()
-    out: dict[str, list[CompactPixel]] = {}
-    for p, (site_id, pixel_id, col, row) in enumerate(keys):
-        s = slice(stops[p], stops[p + 1])
-        out.setdefault(site_id, []).append(
-            CompactPixel(pixel_id, col, row, SeriesArrays(*(a[s] for a in columns)))
-        )
-    return out
+        arrays = []
+        for dtype, shape in header["arrays"]:
+            if not all(isinstance(n, int) and n >= 0 for n in shape):
+                return None
+            count = int(np.prod(shape, dtype=np.int64))
+            arrays.append(np.frombuffer(data, dtype, count, end).reshape(shape))
+            end += -(-arrays[-1].nbytes // _ALIGN) * _ALIGN
+    except (OSError, ValueError, TypeError, KeyError, IndexError):  # missing, truncated or foreign
+        return None
+    return (header, arrays) if end == len(data) else None
+
+
+def write_series_mirror(path, series_path, sites, digest: Optional[str] = None) -> None:
+    """Write the mirror of the series file ``series_path``; ``sites``, a
+    ``FlatSeries`` or per-site pixels, must be what a read of it gives, in
+    the same order. ``digest`` is the SHA-256 of the bytes ``sites`` were
+    parsed from (see :func:`read_series_hashed`); without it the file's
+    current bytes are hashed, which is right only for a file no other
+    process writes. The mirror replaces ``path`` when whole."""
+    flat = sites if isinstance(sites, FlatSeries) else FlatSeries.from_sites(sites)
+    header = {
+        "format": _SERIES_MIRROR,
+        "sha256": _sha256(series_path) if digest is None else digest,
+        "pixels": flat.keys,
+    }
+    _write_mirror(path, header, [flat.bounds, *flat.columns])
+
+
+def _load_mirror(path, digest: str) -> Optional[FlatSeries]:
+    """The mirrored series when the mirror at ``path`` is whole and mirrors
+    the series whose SHA-256 is ``digest``; None otherwise."""
+    read = _read_mirror(path, _SERIES_MIRROR, digest,
+                        [np.int64, *(a.dtype for a in EMPTY_ARRAYS)])
+    if read is None:
+        return None
+    header, (bounds, *columns) = read
+    keys = [tuple(key) for key in header["pixels"]]
+    if bounds.shape != (len(keys) + 1,) or any(
+        array.shape != (bounds[-1], *empty.shape[1:]) for array, empty in zip(columns, EMPTY_ARRAYS)
+    ):
+        return None
+    return FlatSeries(keys, bounds, SeriesArrays(*columns))
+
+
+def read_flat_mirrored(path, mirror_path) -> tuple[FlatSeries, object]:
+    """The series file ``path`` as read, taken from the mirror at
+    ``mirror_path`` while that mirrors the file's current bytes, and parsed
+    when the mirror is missing, stale, truncated or unreadable; and the
+    SHA-256 object fed those bytes, which are hashed once, a block at a
+    time."""
+    digest = _file_digest(path)
+    flat = _load_mirror(mirror_path, digest.hexdigest())
+    if flat is None:
+        return _parse_series(path), digest
+    check_pixel_sites(path, (key[:2] for key in flat.keys))
+    return flat, digest
 
 
 def read_series_mirrored(path, mirror_path) -> dict[str, list[CompactPixel]]:
-    """``read_series_arrays(path)``, taken from the mirror at
-    ``mirror_path`` when that mirrors the current bytes of ``path``; the
-    file is parsed when the mirror is missing, stale, truncated or
-    unreadable."""
-    sites = _load_mirror(mirror_path, _sha256(path))
-    if sites is None:
-        return read_series_arrays(path)
-    check_pixel_sites(path, ((site_id, cp.pixel_id) for site_id, cps in sites.items() for cp in cps))
-    return sites
+    """``read_series_arrays(path)``, taken from its mirror while it can be
+    (see :func:`read_flat_mirrored`)."""
+    return read_flat_mirrored(path, mirror_path)[0].sites()
 
 
 # --- label files --------------------------------------------------------------
@@ -1006,17 +1025,53 @@ def load_standardizer(path) -> Standardizer:
 COVARIANCE_COLUMNS = ("level", "site", "square", "period", "var_nir", "cov", "var_ndvi", "n")
 
 
-def save_covariances(path, table: CubeCovarianceTable) -> None:
-    keyed = [
-        *((("cube", site, square, period), e) for (site, square, period), e in table.cubes.items()),
-        *((("site_period", site, "", period), e) for (site, period), e in table.site_periods.items()),
-        *((("site", site, "", ""), e) for site, e in table.sites.items()),
+def _covariance_rows(table: CubeCovarianceTable) -> list[tuple]:
+    """(level, site, square, period, entry) per entry, in file order; ""
+    stands for a key part that the level lacks."""
+    return [
+        *(("cube", site, square, period, e) for (site, square, period), e in table.cubes.items()),
+        *(("site_period", site, "", period, e) for (site, period), e in table.site_periods.items()),
+        *(("site", site, "", "", e) for site, e in table.sites.items()),
     ]
+
+
+def save_covariances(path, table: CubeCovarianceTable) -> None:
     _write_table(
         path, "covariances", COVARIANCE_COLUMNS,
-        ([*key, real(e.var_nir), real(e.cov), real(e.var_ndvi), e.n] for key, e in keyed),
+        ([*key, real(e.var_nir), real(e.cov), real(e.var_ndvi), e.n]
+         for *key, e in _covariance_rows(table)),
         {"min_cube_samples": str(table.min_cube_samples)},
     )
+
+
+def write_covariance_mirror(path, covariance_path, table: CubeCovarianceTable) -> None:
+    """Write the mirror of the covariance file ``covariance_path`` that
+    ``table`` was saved to: the rows ``matrix_for`` can serve, with the
+    values a load of the file gives. It replaces ``path`` when whole."""
+    served = [row for row in _covariance_rows(table)
+              if row[-1].n >= (table.min_cube_samples if row[0] == "cube" else 2)]
+    values = [float(real(v)) for *_, e in served for v in (e.var_nir, e.cov, e.var_ndvi)]
+    _write_mirror(path, {
+        "format": _COVARIANCE_MIRROR,
+        "sha256": _sha256(covariance_path),
+        "min_cube_samples": table.min_cube_samples,
+        "rows": [[*key, e.n] for *key, e in served],
+    }, [np.array(values, dtype=float).reshape(-1, 3)])
+
+
+def read_covariances_mirrored(path, mirror_path) -> CubeCovarianceTable:
+    """``load_covariances(path)`` as ``matrix_for`` serves it: built from
+    the served rows in the mirror at ``mirror_path`` while that mirrors the
+    file's current bytes, parsed otherwise."""
+    read = _read_mirror(mirror_path, _COVARIANCE_MIRROR, _sha256(path), [np.float64])
+    if read is None or read[1][0].shape != (len(read[0]["rows"]), 3):
+        return load_covariances(path)
+    header, (values,) = read
+    tables: dict[str, dict] = {"cube": {}, "site_period": {}, "site": {}}
+    for (level, site, square, period, n), v in zip(header["rows"], values.tolist()):
+        key = {"cube": (site, square, period), "site_period": (site, period)}.get(level, site)
+        tables[level][key] = CovarianceEntry(*v, n)
+    return CubeCovarianceTable(*tables.values(), header["min_cube_samples"])
 
 
 def load_covariances(path) -> CubeCovarianceTable:
@@ -1087,10 +1142,8 @@ def load_covariances(path) -> CubeCovarianceTable:
 DETECTION_COLUMNS = ("pixel_id", "flagged", "first_flag_date", "triggering_band")
 
 
-def write_detections(
-    path, results: Sequence[DetectionResult], meta: Optional[Mapping[str, str]] = None
-) -> None:
-    _write_table(path, "detections", DETECTION_COLUMNS, (
+def _detection_rows(results: Sequence[DetectionResult]):
+    return (
         [
             res.pixel_id,
             int(res.flagged),
@@ -1098,7 +1151,29 @@ def write_detections(
             res.triggering_band.name if res.triggering_band else "",
         ]
         for res in results
-    ), meta)
+    )
+
+
+def write_detections(
+    path, results: Sequence[DetectionResult], meta: Optional[Mapping[str, str]] = None
+) -> None:
+    _write_table(path, "detections", DETECTION_COLUMNS, _detection_rows(results), meta)
+
+
+def replace_detections(
+    path, results: Sequence[DetectionResult], meta: Optional[Mapping[str, str]] = None
+) -> None:
+    """Replace the detection file ``path`` with ``results`` unless it holds
+    those very bytes already."""
+    text = io.StringIO()
+    _write_header(text, "detections", DETECTION_COLUMNS, meta)
+    csv.writer(text).writerows(_detection_rows(results))
+    data = text.getvalue().encode(ENCODING)
+    with contextlib.suppress(OSError), open(path, "rb") as fh:
+        if fh.read(len(data) + 1) == data:
+            return
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(data)
 
 
 def read_detections(path) -> tuple[dict[str, str], list[DetectionResult]]:
@@ -1204,255 +1279,3 @@ def format_report_text(report: TrainReport) -> str:
             + cell(row.producer_acc, 7) + cell(row.user_acc, 7) + "\n"
         )
     return out.getvalue()
-
-
-# --- synthetic scenes -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BandSignal:
-    """Harmonic coefficients and noise level of one band's clean signal."""
-
-    coeffs: tuple[float, float, float, float, float]
-    noise_sd: float = 0.0
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """A step change applied to every observation from ``date`` on."""
-
-    pixels: tuple[tuple[int, int], ...]   # (col, row)
-    date: dt.date
-    shifts: Mapping[Band, float]
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    site_id: str
-    start: dt.date
-    end: dt.date
-    signals: Mapping[Band, BandSignal]
-    cloud_prob: tuple[float, ...]         # monthly probability of a cloudy flag
-    marginal_prob: float = 0.1
-    events: tuple[EventSpec, ...] = ()
-    seed: int = 0
-    defo_type: DefoType = DefoType.UNKNOWN
-
-
-# Real (non-fill) data ranges used to clip noisy synthetic values; kept
-# inside the acceptance range and away from the fill codes.
-_CLIP = {band: (0.0, 1.0) for band in BAND_ORDER[:4]}
-_CLIP.update({band: (-0.2, 1.0) for band in BAND_ORDER[4:]})
-
-
-def _validate_config(cfg: SynthConfig) -> None:
-    if cfg.end < cfg.start:
-        raise InvalidConfig("end date before start date")
-    if len(cfg.cloud_prob) != 12:
-        raise InvalidConfig("cloud_prob needs one probability per month")
-    if any(not 0 <= p <= 1 for p in cfg.cloud_prob):
-        raise InvalidConfig("cloud probabilities must lie in [0, 1]")
-    if not 0 <= cfg.marginal_prob <= 1:
-        raise InvalidConfig("marginal probability must lie in [0, 1]")
-    if any(p + cfg.marginal_prob > 1 for p in cfg.cloud_prob):
-        raise InvalidConfig("cloudy plus marginal probability exceeds 1")
-    for band in BAND_ORDER:
-        if band not in cfg.signals:
-            raise InvalidConfig(f"missing signal for band {band.name}")
-    # worst-case cumulative shift per band: shifts only stack on a pixel
-    # hit by several events
-    per_pixel: dict[tuple[int, int], dict[Band, float]] = {}
-    for event in cfg.events:
-        if not cfg.start <= event.date <= cfg.end:
-            raise InvalidConfig(f"event date {event.date} outside the scene dates")
-        for col, row in event.pixels:
-            if not (0 <= col < SITE_SIDE and 0 <= row < SITE_SIDE):
-                raise InvalidConfig(f"event pixel ({col}, {row}) outside the site")
-            totals = per_pixel.setdefault((col, row), {})
-            for band, shift in event.shifts.items():
-                totals[band] = totals.get(band, 0.0) + shift
-    down = {band: 0.0 for band in BAND_ORDER}
-    up = {band: 0.0 for band in BAND_ORDER}
-    for totals in per_pixel.values():
-        for band, shift in totals.items():
-            down[band] = min(down[band], shift)
-            up[band] = max(up[band], shift)
-    for band, signal in cfg.signals.items():
-        if signal.noise_sd < 0:
-            raise InvalidConfig(f"{band.name}: negative noise sd")
-        amplitude = sum(abs(c) for c in signal.coeffs[1:])
-        lo, hi = _CLIP[band]
-        if signal.coeffs[0] - amplitude + down[band] < lo - 1e-9:
-            raise InvalidConfig(f"{band.name}: clean signal can fall below {lo}")
-        if signal.coeffs[0] + amplitude + up[band] > hi + 1e-9:
-            raise InvalidConfig(f"{band.name}: clean signal can exceed {hi}")
-
-
-def generate_site(cfg: SynthConfig) -> tuple[SiteGrid, list[DeforestationLabel]]:
-    """Deterministic synthetic site: per-band harmonics plus noise, monthly
-    cloud flags, and step-change events; labels mirror the event pixel set."""
-    _validate_config(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    n_pixels = SITE_SIDE * SITE_SIDE
-
-    ordinals = np.arange(cfg.start.toordinal(), cfg.end.toordinal() + 1, CADENCE_DAYS)
-    dates = [dt.date.fromordinal(o) for o in ordinals.tolist()]
-    n_dates = len(dates)
-    months = np.array([d.month - 1 for d in dates])
-    cloud_p = np.asarray(cfg.cloud_prob)[months]
-
-    offsets = rng.integers(0, 16, size=(n_pixels, n_dates))
-    quality_draw = rng.random(size=(n_pixels, n_dates))
-    noise = {
-        band: rng.standard_normal((n_pixels, n_dates)) * cfg.signals[band].noise_sd
-        for band in BAND_ORDER
-    }
-
-    composite_doys = ordinal_doys(ordinals[None, :] + offsets)
-
-    reliability = np.where(
-        quality_draw < cloud_p[None, :],
-        int(Reliability.CLOUDY),
-        np.where(
-            quality_draw < cloud_p[None, :] + cfg.marginal_prob,
-            int(Reliability.MARGINAL),
-            int(Reliability.GOOD),
-        ),
-    )
-
-    shift = {band: np.zeros((n_pixels, n_dates)) for band in BAND_ORDER}
-    event_pixels: set[tuple[int, int]] = set()
-    for event in cfg.events:
-        post = ordinals >= event.date.toordinal()
-        for col, row in event.pixels:
-            event_pixels.add((col, row))
-            idx = row * SITE_SIDE + col
-            for band, amount in event.shifts.items():
-                shift[band][idx, post] += amount
-
-    values = {}
-    for band in BAND_ORDER:
-        coeffs = np.asarray(cfg.signals[band].coeffs)
-        clean = np.array(
-            [design_matrix(composite_doys[i]) @ coeffs for i in range(n_pixels)]
-        )
-        lo, hi = _CLIP[band]
-        values[band] = np.clip(clean + shift[band] + noise[band], lo, hi)
-
-    pixels = []
-    labels = []
-    for row in range(SITE_SIDE):
-        for col in range(SITE_SIDE):
-            idx = row * SITE_SIDE + col
-            observations = tuple(
-                Observation(
-                    nominal_date=dates[j],
-                    composite_doy=int(composite_doys[idx, j]),
-                    values={band: float(values[band][idx, j]) for band in BAND_ORDER},
-                    reliability=Reliability(int(reliability[idx, j])),
-                )
-                for j in range(n_dates)
-            )
-            pid = pixel_name(cfg.site_id, col, row)
-            pixels.append(PixelSeries(pid, col, row, observations))
-            deforested = (col, row) in event_pixels
-            labels.append(
-                DeforestationLabel(
-                    pixel_id=pid,
-                    col=col,
-                    row=row,
-                    defo_count=16 if deforested else 0,
-                    z=1 if deforested else 0,
-                )
-            )
-    site = SiteGrid(site_id=cfg.site_id, pixels=tuple(pixels), defo_type=cfg.defo_type)
-    return site, labels
-
-
-# Monthly cloudy probabilities; the April-September wet season doubles the
-# base rate.
-def seasonal_cloud_prob(base: float = 0.06) -> tuple[float, ...]:
-    return tuple(2 * base if 4 <= month <= 9 else base for month in range(1, 13))
-
-
-_DEFAULT_SIGNALS = {
-    Band.RED: BandSignal((0.08, 0.02, 0.012, 0.006, 0.004)),
-    Band.NIR: BandSignal((0.42, 0.05, 0.03, 0.012, 0.008)),
-    Band.BLUE: BandSignal((0.05, 0.01, 0.006, 0.003, 0.002)),
-    Band.MIR: BandSignal((0.18, 0.03, 0.018, 0.008, 0.005)),
-    Band.NDVI: BandSignal((0.68, -0.06, -0.04, 0.015, 0.01)),
-    Band.EVI: BandSignal((0.55, -0.05, -0.03, 0.012, 0.008)),
-}
-
-
-def _with_noise(noise_sd: float) -> dict[Band, BandSignal]:
-    return {
-        band: BandSignal(signal.coeffs, noise_sd)
-        for band, signal in _DEFAULT_SIGNALS.items()
-    }
-
-
-def _scenario_config(
-    site_id: str,
-    shifts: Mapping[Band, float],
-    defo_type: DefoType,
-    seed: int,
-    noise_sd: float,
-    n_events: int,
-    first_year: int,
-    event_years: Sequence[int],
-    cloud_base: float,
-) -> SynthConfig:
-    picker = np.random.default_rng(seed + 987654321)
-    chosen = picker.choice(SITE_SIDE * SITE_SIDE, size=n_events, replace=False)
-    events = []
-    for idx in sorted(int(i) for i in chosen):
-        col, row = idx % SITE_SIDE, idx // SITE_SIDE
-        year = int(picker.choice(list(event_years)))
-        month = int(picker.integers(2, 11))
-        day = int(picker.integers(1, 29))
-        events.append(
-            EventSpec(pixels=((col, row),), date=dt.date(year, month, day), shifts=dict(shifts))
-        )
-    last_predict_year = first_year + 6
-    return SynthConfig(
-        site_id=site_id,
-        start=dt.date(first_year, 1, 1),
-        end=dt.date(last_predict_year + 1, 5, 1),
-        signals=_with_noise(noise_sd),
-        cloud_prob=seasonal_cloud_prob(cloud_base),
-        marginal_prob=0.08,
-        events=tuple(events),
-        seed=seed,
-        defo_type=defo_type,
-    )
-
-
-def sonora_like_config(
-    seed: int = 0,
-    noise_sd: float = 0.02,
-    n_events: int = 30,
-    first_year: int = 2003,
-    event_years: Sequence[int] = (2005, 2006, 2007, 2008, 2009),
-    cloud_base: float = 0.06,
-) -> SynthConfig:
-    """Forest-to-water scene: deforestation shows as an NIR drop."""
-    return _scenario_config(
-        "sonora-like", {Band.NIR: -0.3}, DefoType.FOREST_TO_WATER,
-        seed, noise_sd, n_events, first_year, event_years, cloud_base,
-    )
-
-
-def yucatan_like_config(
-    seed: int = 0,
-    noise_sd: float = 0.02,
-    n_events: int = 30,
-    first_year: int = 2003,
-    event_years: Sequence[int] = (2005, 2006, 2007, 2008, 2009),
-    cloud_base: float = 0.06,
-) -> SynthConfig:
-    """Forest-to-urban/cropland scene: deforestation shows as an NDVI drop."""
-    return _scenario_config(
-        "yucatan-like", {Band.NDVI: -0.3}, DefoType.FOREST_TO_URBAN_CROPLAND,
-        seed, noise_sd, n_events, first_year, event_years, cloud_base,
-    )

@@ -29,6 +29,7 @@ from .core import (
     CADENCE_DAYS,
     Band,
     CompactPixel,
+    FlatSeries,
     PixelSeries,
     ResidualHistory,
     SeriesArrays,
@@ -431,27 +432,34 @@ def _two_years_before(ordinals: np.ndarray) -> np.ndarray:
     return np.minimum(same_day, (month + 1).astype("M8[D]") - 1).astype(np.int64) + epoch
 
 
-def append_batch(
-    pixels: Sequence[CompactPixel], batch: Sequence[CompactPixel]
-) -> list[CompactPixel]:
-    """The pixels with each batch pixel's rows appended; a pixel new to
-    ``pixels`` is added as it is. A batch row must fall one cadence step
-    after its pixel's last date: an earlier or a later one raises
-    OutOfRange, and nothing is sorted into place."""
-    by_pixel = {cp.pixel_id: cp for cp in pixels}
-    for piece in batch:
-        old = by_pixel.get(piece.pixel_id)
-        if old is None:
-            by_pixel[piece.pixel_id] = piece
-            continue
-        last, first = int(old.arrays.ordinals[-1]), int(piece.arrays.ordinals[0])
-        if first - last != CADENCE_DAYS:
-            raise cadence_error(
-                piece.pixel_id, dt.date.fromordinal(last), dt.date.fromordinal(first)
-            )
-        arrays = SeriesArrays(*(np.concatenate(pair) for pair in zip(old.arrays, piece.arrays)))
-        by_pixel[piece.pixel_id] = replace(old, arrays=arrays)
-    return list(by_pixel.values())
+def append_batch(history: FlatSeries, batch: FlatSeries) -> FlatSeries:
+    """The history with the batch's rows after its own, laid out as a read
+    of the series file that gains them would lay it out. A pixel's first
+    batch row must fall one cadence step after its last date: an earlier or
+    a later one raises OutOfRange (the first such pixel in site order), and
+    nothing is sorted into place."""
+    index = {key[:2]: p for p, key in enumerate(history.keys)}
+    for j in sorted(range(len(batch.keys)), key=lambda j: batch.keys[j][0]):
+        p = index.get(batch.keys[j][:2])
+        if p is not None:
+            last = int(history.columns.ordinals[history.bounds[p + 1] - 1])
+            first = int(batch.columns.ordinals[batch.bounds[j]])
+            if first - last != CADENCE_DAYS:
+                raise cadence_error(
+                    batch.keys[j][1], dt.date.fromordinal(last), dt.date.fromordinal(first)
+                )
+    keys = [*history.keys, *(key for key in batch.keys if key[:2] not in index)]
+    index = {key[:2]: p for p, key in enumerate(keys)}
+    pixel = np.repeat([index[key[:2]] for key in [*history.keys, *batch.keys]],
+                      np.concatenate([np.diff(history.bounds), np.diff(batch.bounds)]))
+    return FlatSeries.of_rows(keys, pixel, SeriesArrays(*map(np.concatenate, zip(
+        history.columns, batch.columns
+    ))))
+
+
+# Monitored runs fitted and scanned at once: bounds the training dates that
+# a replay over a whole site gathers at a time (about 3 KB per run).
+_RUN_CHUNK = 2048
 
 
 @dataclass
@@ -483,16 +491,25 @@ def _monitored_runs(pixels, rule: DetectionRule, monitor_year: int, first: int, 
     runs, start, end = runs[chosen], start[chosen], end[chosen]
     owner = runs[:, 0] // width
     train = np.stack([_two_years_before(start), start - 1], axis=1)
-    fits = _fit_spans(stack, owner, train[:, 0], train[:, 1], bands)
-    found = (fits.status == FIT_OK).all(axis=1)
-    errors = stack_errors(
-        SeriesArrays(*(column[runs[found]] for column in flat)), fits.coeffs[found][:, None],
-        np.stack([start, end, start, start], axis=-1)[found, None], bands,
-    )
-    errors.pixel = owner[found]
-    _fill_index(errors, rule, site_id, pixels)
-    flags, _ = scan_window_errors(errors, rule, len(pixels))
-    return flags, owner, train, fits
+    spans = np.stack([start, end, start, start], axis=-1)
+    flags = np.zeros(len(pixels), np.int64)
+    fits = []
+    # Runs are in (pixel, date) order, so a pixel's earliest triggering run
+    # is in the first chunk that flags it. No runs still make one chunk.
+    for first_run in range(0, len(runs) or 1, _RUN_CHUNK):
+        part = slice(first_run, first_run + _RUN_CHUNK)
+        fit = _fit_spans(stack, owner[part], train[part, 0], train[part, 1], bands)
+        found = (fit.status == FIT_OK).all(axis=1)
+        errors = stack_errors(
+            SeriesArrays(*(column[runs[part][found]] for column in flat)),
+            fit.coeffs[found][:, None], spans[part][found, None], bands,
+        )
+        errors.pixel = owner[part][found]
+        _fill_index(errors, rule, site_id, pixels)
+        chunk_flags, _ = scan_window_errors(errors, rule, len(pixels))
+        flags = np.where(flags == 0, chunk_flags, flags)
+        fits.append(fit)
+    return flags, owner, train, BatchFit(*map(np.concatenate, zip(*fits)))
 
 
 def online_process_batch(

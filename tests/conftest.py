@@ -1,11 +1,30 @@
 """Shared builders for synthetic observations and series."""
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cmfda.core import BAND_ORDER, Band, Observation, PixelSeries, Reliability
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """When a test fails, import hypothesis's patch writer once, with
+    DeprecationWarning ignored, before hypothesis's own report hook does:
+    the libcst it imports raises that warning, which the suite's error
+    filter would turn into an internal error in place of the falsifying
+    example. Imported only then, libcst's many objects do not slow the
+    garbage collections of passing runs (acceptance 12 times those)."""
+    if call.excinfo is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:
+                pass
+    yield
 
 
 def harmonic_value(coeffs, doy):

@@ -31,17 +31,19 @@ from cmfda.cli import (
     threshold_grid,
 )
 from cmfda.dataio import (
+    load_covariances,
     load_models,
     read_detections,
     read_labels,
     read_report,
     read_series,
     read_series_arrays,
+    save_covariances,
     write_labels,
     write_series,
 )
 from cmfda.core import Band, DeforestationLabel, Reliability, band_fill
-from cmfda.detection import DetectionResult
+from cmfda.detection import CovarianceEntry, CubeCovarianceTable, DetectionResult
 from cmfda.standardize import KeyKind, Scheme
 from conftest import assert_same_sites
 
@@ -1272,39 +1274,48 @@ def test_online_step_reads_a_hand_edited_history(mirror_inputs, mirror_reference
     assert runs[0][-1][1]["models_online.csv"] != record[-1][1]["models_online.csv"]
 
 
+# The mirror step that flags the first pixel; MIRROR_STEP flags none.
+FLAG_STEP = 8
+
+
 def test_online_step_survives_a_failed_mirror_write(
     mirror_inputs, mirror_reference, tmp_path, monkeypatch, capsys
 ):
-    """The mirror is replaced after history.csv commits the step. When that
-    replace fails, the step still exits 0 with its outputs and leaves the
-    old mirror; the next step refuses it as stale and ends as an
-    uninterrupted run."""
+    """The mirror is replaced after history.csv commits the step, and
+    flagged.csv before the other state files only when its bytes change:
+    on a step with new flags, not on one without. When the mirror's replace
+    fails, the step still exits 0 with its outputs and leaves the old
+    mirror; the next step refuses it as stale and ends as an uninterrupted
+    run."""
     _, batches = mirror_inputs
     root, record = mirror_reference
-    state = tmp_path / "state"
-    shutil.copytree(root / f"before{MIRROR_STEP}", state)
-    stale = (state / "history.npy").read_bytes()
     real_replace = os.replace
-    targets = []
+    for step, replaced in [
+        (MIRROR_STEP, ["models_online.csv", "history.csv", "history.npy"]),
+        (FLAG_STEP, ["flagged.csv", "models_online.csv", "history.csv", "history.npy"]),
+    ]:
+        assert (b" new_flags=0" in record[step][0]) == (step == MIRROR_STEP)
+        state = tmp_path / f"state{step}"
+        shutil.copytree(root / f"before{step}", state)
+        stale = (state / "history.npy").read_bytes()
+        targets = []
 
-    def failing_replace(src, dst):
-        targets.append(Path(dst).name)
-        if Path(dst).name == "history.npy":
-            raise OSError("injected failure")
-        real_replace(src, dst)
+        def failing_replace(src, dst):
+            targets.append(Path(dst).name)
+            if Path(dst).name == "history.npy":
+                raise OSError("injected failure")
+            real_replace(src, dst)
 
-    monkeypatch.setattr(os, "replace", failing_replace)
-    out = tmp_path / "out.csv"
-    assert _step(state, batches[MIRROR_STEP], out) == EXIT_OK
-    monkeypatch.setattr(os, "replace", real_replace)
-    assert targets == ["flagged.csv", "models_online.csv", "history.csv", "history.npy"]
-    assert "history mirror not written: injected failure" in capsys.readouterr().err
-    out_bytes, files = record[MIRROR_STEP]
-    assert out.read_bytes() == out_bytes
-    assert _files(state) == {**files, "history.npy": stale}
-    assert _run_steps(state, batches[MIRROR_STEP + 1:], tmp_path / "outs") == record[
-        MIRROR_STEP + 1:
-    ]
+        monkeypatch.setattr(os, "replace", failing_replace)
+        out = tmp_path / f"out{step}.csv"
+        assert _step(state, batches[step], out) == EXIT_OK
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert targets == replaced
+        assert "history mirror not written: injected failure" in capsys.readouterr().err
+        out_bytes, files = record[step]
+        assert out.read_bytes() == out_bytes
+        assert _files(state) == {**files, "history.npy": stale}
+        assert _run_steps(state, batches[step + 1:], tmp_path / f"outs{step}") == record[step + 1:]
 
 
 def test_online_models_header_spans_the_refits(mirror_inputs, tmp_path, monkeypatch):
@@ -1339,6 +1350,124 @@ def test_online_models_header_spans_the_refits(mirror_inputs, tmp_path, monkeypa
         assert train.end < dt.date.fromisoformat(read_detections(out)[0]["batch"])
         checked += 1
     assert checked
+
+
+def test_online_step_refuses_and_rewrites_a_parent_format_mirror(
+    mirror_inputs, mirror_reference, tmp_path, parses
+):
+    """A history mirror in the format that mirrors had before they became
+    one block is refused though it holds the history's hash: the step
+    parses history.csv and writes the mirror anew, ending as a run whose
+    mirrors were valid, and the next step reads it without a parse."""
+    from test_dataio import _parent_format_mirror
+
+    _, batches = mirror_inputs
+    root, record = mirror_reference
+    state = tmp_path / "state"
+    shutil.copytree(root / f"before{MIRROR_STEP}", state)
+    _parent_format_mirror(state / "history.npy", state / "history.csv")
+    parses.clear()
+    steps = batches[MIRROR_STEP:MIRROR_STEP + 2]
+    assert _run_steps(state, steps, tmp_path / "outs") == record[MIRROR_STEP:MIRROR_STEP + 2]
+    assert [path.name for path in parses] == [
+        "history.csv", steps[0].name, steps[1].name
+    ]
+
+
+# --- online state: the covariance mirror ---------------------------------------
+
+# Steps of the Mahalanobis runs below.
+SIGMA_STEPS = 8
+
+
+def _init_mahalanobis(history, state, monitor_year="2005"):
+    assert main([
+        "online", "--state", str(state), "--init", "--series", str(history),
+        "--monitor-year", monitor_year, "--rule", "mahalanobis",
+    ]) == EXIT_OK
+
+
+def _covariance_loads(monkeypatch):
+    """The paths that ``load_covariances`` is called on."""
+    paths = []
+    load = dataio.load_covariances
+
+    def recording(path):
+        paths.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(dataio, "load_covariances", recording)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def sigma_reference(online_inputs, tmp_path_factory):
+    """A Mahalanobis state as --init wrote it (``init``) and a run of the
+    first batches from it, with each step's --out bytes and state files;
+    no step of that run parses covariances.csv."""
+    history, batches = online_inputs
+    root = tmp_path_factory.mktemp("sigma")
+    _init_mahalanobis(history, root / "init")
+    assert {"covariances.csv", "covariances.npy"} <= set(_files(root / "init"))
+    shutil.copytree(root / "init", root / "state")
+    with pytest.MonkeyPatch.context() as patch:
+        loads = _covariance_loads(patch)
+        record = _run_steps(root / "state", batches[:SIGMA_STEPS], root / "outs")
+    assert loads == []
+    return root, record
+
+
+def _scale_covariances(path, factor):
+    """Save the covariance file again with every variance and covariance
+    times ``factor``: a hand edit that changes every served value."""
+    table = load_covariances(path)
+
+    def scaled(entries):
+        return {key: CovarianceEntry(e.var_nir * factor, e.cov * factor, e.var_ndvi * factor, e.n)
+                for key, e in entries.items()}
+
+    save_covariances(path, CubeCovarianceTable(
+        scaled(table.cubes), scaled(table.site_periods), scaled(table.sites),
+        table.min_cube_samples,
+    ))
+
+
+def _without_covariance_mirror(record):
+    return [(out, {name: data for name, data in files.items() if name != "covariances.npy"})
+            for out, files in record]
+
+
+@pytest.mark.parametrize("fault", ["deleted", "truncated", "other_state", "edited"])
+def test_online_step_without_a_valid_covariance_mirror_parses_covariances(
+    online_inputs, sigma_reference, tmp_path, monkeypatch, fault
+):
+    """A covariance mirror deleted, truncated or copied from another state,
+    or left stale by a hand edit of covariances.csv, ends in the --out and
+    state files (but the mirror) of a run whose mirror was deleted: every
+    step parses covariances.csv. The edit changes the flags."""
+    history, batches = online_inputs
+    root, record = sigma_reference
+    runs = []
+    for broken in (True, False):
+        state = tmp_path / f"state_{broken}"
+        shutil.copytree(root / "init", state)
+        if fault == "edited":
+            _scale_covariances(state / "covariances.csv", 1e-4)
+        mirror = state / "covariances.npy"
+        if not broken or fault == "deleted":
+            mirror.unlink()
+        elif fault == "truncated":
+            mirror.write_bytes(mirror.read_bytes()[:mirror.stat().st_size // 2])
+        elif fault == "other_state":
+            _init_mahalanobis(history, tmp_path / "other", monitor_year="2006")
+            shutil.copy(tmp_path / "other" / "covariances.npy", mirror)
+        with monkeypatch.context() as patch:
+            loads = _covariance_loads(patch)
+            runs.append(_run_steps(state, batches[:SIGMA_STEPS], tmp_path / f"outs_{broken}"))
+        assert loads == ["covariances.csv"] * SIGMA_STEPS
+    assert _without_covariance_mirror(runs[0]) == _without_covariance_mirror(runs[1])
+    outs = [[out for out, _ in run] for run in (runs[0], record)]
+    assert (outs[0] != outs[1]) == (fault == "edited")
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -23,6 +24,7 @@ from cmfda.core import (
     PixelSeries,
     Reliability,
     SITE_SIDE,
+    SeriesArrays,
     band_fill,
     day_of_year,
 )
@@ -50,6 +52,8 @@ from cmfda.dataio import (
     read_series,
     read_series_arrays,
     read_series_hashed,
+    read_covariances_mirrored,
+    read_series_as_written,
     read_series_mirrored,
     real,
     save_covariances,
@@ -58,6 +62,7 @@ from cmfda.dataio import (
     seasonal_cloud_prob,
     series_as_written,
     sonora_like_config,
+    write_covariance_mirror,
     write_detections,
     write_series_mirror,
     write_labels,
@@ -67,13 +72,20 @@ from cmfda.dataio import (
     write_series_arrays,
     yucatan_like_config,
 )
-from cmfda.detection import DetectionResult, PairedErrorRecord, estimate_cube_covariances
+from cmfda.detection import (
+    N_PERIODS,
+    N_SQUARES,
+    DetectionResult,
+    PairedErrorRecord,
+    estimate_cube_covariances,
+)
 from cmfda.errors import (
     InvalidConfig,
     OutOfRange,
     ParseError,
     SchemaVersionMismatch,
     ShapeMismatch,
+    SingularCovariance,
 )
 from cmfda.harmonic import HarmonicModel, fit
 from cmfda.pipeline import compact_pixels
@@ -499,6 +511,107 @@ def test_hashed_read_names_the_bytes_it_parsed(tmp_path, monkeypatch, when):
     assert digest == hashlib.sha256(read.read_bytes()).hexdigest()
     assert_same_sites(sites, read_series_arrays(read))
     assert path.read_bytes() == replacements.read_bytes() != originals.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=series_rows(), data=st.data())
+def test_one_pass_rounding_is_series_as_written(rows, data):
+    """read_series_as_written formats each value once: its pixels are
+    series_as_written of the parse, bit for bit, for values of any
+    precision, fill values, NaN and values that round onto a fill value;
+    its rows hold each parsed value's 9-digit text and, under a fresh
+    header, read back as its pixels."""
+    rows = [
+        [*row[:7], *(real(band_fill(band)) if np.isnan(v) else repr(v)
+                     for band, v in ((band, data.draw(_band_values(band))) for band in BAND_ORDER))]
+        for row in rows
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
+        _write_rows(path, rows)
+        parsed = read_series_arrays(path)
+        flat, chunks = read_series_as_written(path)
+        assert_same_sites(flat.sites(), series_as_written(parsed))
+        digest = dataio.append_series_rows(out, chunks)
+        assert digest.hexdigest() == hashlib.sha256(out.read_bytes()).hexdigest()
+        assert_same_sites(read_series_arrays(out), flat.sites())
+    texts = [
+        [site_id, cp.pixel_id, str(cp.col), str(cp.row), dt.date.fromordinal(o).isoformat(),
+         str(doy), str(code), *(real(band_fill(b) if np.isnan(v) else v) for b, v in zip(BAND_ORDER, vs))]
+        for site_id, cps in parsed.items() for cp in cps
+        for o, doy, code, vs in zip(cp.arrays.ordinals.tolist(), cp.arrays.doys.tolist(),
+                                    cp.arrays.reliability.tolist(), cp.arrays.values.tolist())
+    ]
+    assert b"".join(chunks).decode().splitlines() == [",".join(t) for t in texts]
+
+
+def _parent_format_mirror(path, series):
+    """Write the mirror of ``series`` as mirrors were before they became one
+    block: a sequence of .npy arrays, the first a JSON header that holds the
+    series' SHA-256."""
+    pixels = [(site_id, cp) for site_id, cps in read_series_arrays(series).items() for cp in cps]
+    header = {
+        "format": "cmfda history-mirror v1",
+        "sha256": hashlib.sha256(Path(series).read_bytes()).hexdigest(),
+        "pixels": [[site_id, cp.pixel_id, cp.col, cp.row] for site_id, cp in pixels],
+    }
+    with open(path, "wb") as fh:
+        np.save(fh, np.frombuffer(json.dumps(header).encode(), np.uint8))
+        np.save(fh, np.cumsum([0] + [len(cp.arrays.ordinals) for _, cp in pixels]))
+        for i in range(len(SeriesArrays._fields)):
+            np.save(fh, np.concatenate([cp.arrays[i] for _, cp in pixels]))
+
+
+def test_a_parent_format_mirror_is_parsed_around(tmp_path):
+    """A mirror in the format of the .npy sequences that mirrors once were,
+    even one that holds the series' hash, is refused: the series is parsed."""
+    series, mirror = tmp_path / "series.csv", tmp_path / "series.npy"
+    _write_rows(series, [["s", "px", "0", "0", "2004-01-01", "1", "0", *["0.5"] * 6]])
+    _parent_format_mirror(mirror, series)
+    with mock.patch.object(dataio, "_parse_series", side_effect=AssertionError("parsed")):
+        with pytest.raises(AssertionError, match="parsed"):
+            read_series_mirrored(series, mirror)
+    assert_same_sites(read_series_mirrored(series, mirror), read_series_arrays(series))
+
+
+def test_covariance_mirror_serves_the_bits_of_the_file(tmp_path, rng):
+    """A table built from the covariance mirror holds only the rows a
+    lookup can serve, and gives the matrix_for bits of load_covariances for
+    every (square, period) of each site; a site with no served row, or
+    none, raises SingularCovariance from both."""
+    def record(site, col, row, doy):
+        return PairedErrorRecord("p", site, col, row, dt.date(2005, 1, 1), doy,
+                                 float(rng.normal(0, 0.02)), float(rng.normal(0, 0.03)))
+
+    records = [
+        *(record("s", int(rng.integers(0, 5)), int(rng.integers(0, 5)), int(rng.integers(1, 31)))
+          for _ in range(300)),   # square 0, periods 0-5: dense cubes
+        *(record("s", int(rng.integers(0, 25)), int(rng.integers(0, 25)),
+                 int(rng.integers(1, 367))) for _ in range(200)),
+        record("t", 3, 3, 100),   # one pair: nothing served
+    ]
+    path, mirror = tmp_path / "cov.csv", tmp_path / "cov.npy"
+    table = estimate_cube_covariances(records)
+    save_covariances(path, table)
+    write_covariance_mirror(mirror, path, table)
+    loaded = load_covariances(path)
+    with mock.patch.object(dataio, "load_covariances", side_effect=AssertionError("parsed")):
+        mirrored = read_covariances_mirrored(path, mirror)
+    assert 0 < len(mirrored.cubes) < len(loaded.cubes)
+    assert len(mirrored.site_periods) < len(loaded.site_periods)
+
+    def bits(table, key):
+        try:
+            return table.matrix_for(*key).tobytes()
+        except SingularCovariance:
+            return None
+
+    for site in ("s", "t", "nowhere"):
+        keys = [(site, q, p) for q in range(N_SQUARES) for p in range(N_PERIODS)]
+        assert [bits(mirrored, key) for key in keys] == [bits(loaded, key) for key in keys]
+    assert bits(loaded, ("s", 0, 0)) is not None and bits(loaded, ("t", 0, 0)) is None
+    path.write_text(path.read_text().replace(",s,", ",u,"))   # stale: the file is parsed
+    assert list(read_covariances_mirrored(path, mirror).sites) == ["u", "t"]
 
 
 def test_file_hash_reads_in_blocks(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from cmfda import pipeline
 from cmfda.core import BAND_ORDER, Band, Reliability
 from cmfda.dataio import EventSpec, generate_site, sonora_like_config
 from cmfda.detection import (
@@ -115,6 +116,23 @@ def test_online_paths_equal_the_per_date_oracle(noise, kind, others, scale, cons
     else:
         rule = MahalanobisRule(2.0 * scale, table, consecutive)
     assert_matches_oracle(pixels, rule, site_id=site_id)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_runs_in_chunks_give_the_flags_of_one_chunk(monkeypatch, chunk):
+    """online_replay fits and scans its runs a fixed number at a time and
+    keeps each pixel's earliest triggering run end across chunks: chunks of
+    one to three runs give the flags, in order, of a single chunk, and
+    the step sequence still equals the oracle."""
+    site_id, compact, events, table = late_event_scene(0.05)
+    pixels = [compact[k] for k in sorted({*events, 0, 300, 624})]
+    rules = (MultivariateRule(0.082, 0.182, 4), MahalanobisRule(5.0, table, 3))
+    whole = [list(online_replay(pixels, rule, YEAR, site_id=site_id).items()) for rule in rules]
+    assert all(whole)
+    monkeypatch.setattr(pipeline, "_RUN_CHUNK", chunk)
+    assert [list(online_replay(pixels, rule, YEAR, site_id=site_id).items())
+            for rule in rules] == whole
+    assert_matches_oracle(pixels[:4], rules[0], site_id=site_id)
 
 
 def test_late_events_flag_inside_the_extension():

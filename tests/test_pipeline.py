@@ -4,16 +4,26 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from cmfda import dataio
 from cmfda.core import FILL_INDEX, Band, is_clear
-from cmfda.dataio import BandSignal, EventSpec, SynthConfig, generate_site, seasonal_cloud_prob
+from cmfda.dataio import (
+    SERIES_COLUMNS,
+    BandSignal,
+    EventSpec,
+    SynthConfig,
+    generate_site,
+    seasonal_cloud_prob,
+)
 from cmfda.detection import (
     MahalanobisRule,
     MultivariateRule,
     UnivariateRule,
     estimate_cube_covariances,
 )
+from cmfda.errors import OutOfRange
 from cmfda.harmonic import fit
 from cmfda.pipeline import (
+    append_batch,
     build_training_dataset,
     detect_pixel,
     compact_pixels,
@@ -298,3 +308,38 @@ def test_online_models_equal_fit_pixels_over_the_run_window(scenario):
     assert outcome.models == batch_fit.models[0]
     n_nir, n_ndvi = (outcome.models[pixel.pixel_id, b].n_obs for b in (Band.NIR, Band.NDVI))
     assert n_nir == n_ndvi + 1
+
+
+def _series_file(path, rows):
+    """A series file of (site, pixel, col, date) rows, one value text each."""
+    path.write_text("\n".join([
+        "#cmfda series v1", ",".join(SERIES_COLUMNS),
+        *(f"{site},{pixel},{col},0,{date.isoformat()},{date.timetuple().tm_yday},0,"
+          + ",".join([f"0.{col}{k}" for k in range(6)]) for site, pixel, col, date in rows),
+    ]) + "\n")
+    return path
+
+
+def test_append_batch_lays_out_the_rows_as_a_read_of_the_appended_file(tmp_path):
+    """A batch that lists a new site first, then a new pixel of the
+    history's last site, rows of history pixels and a new pixel of its first
+    site: append_batch gives, bit for bit, what a read of the history file
+    with the batch's rows after its own gives. A batch row off its pixel's
+    cadence is refused, naming the first such pixel in site order."""
+    d = [dt.date(2004, 1, 1) + dt.timedelta(days=16 * k) for k in range(3)]
+    history = [(site, pixel, col, date) for date in d[:2]
+               for site, pixel, col in (("A", "a1", 1), ("A", "a2", 2), ("B", "b1", 3))]
+    batch = [("C", "c1", 4, d[2]), ("B", "b2", 5, d[2]), ("A", "a1", 1, d[2]),
+             ("B", "b1", 3, d[2]), ("A", "a3", 6, d[2])]
+    read = dataio._parse_series
+    merged = append_batch(read(_series_file(tmp_path / "h.csv", history)),
+                          read(_series_file(tmp_path / "b.csv", batch)))
+    want = read(_series_file(tmp_path / "all.csv", history + batch))
+    assert merged.keys == want.keys
+    assert [k[1] for k in merged.keys] == ["a1", "a2", "a3", "b1", "b2", "c1"]
+    for got, ref in zip((merged.bounds, *merged.columns), (want.bounds, *want.columns)):
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+    late = [("B", "b1", 3, d[2] + dt.timedelta(days=16)), ("A", "a1", 1, d[1])]
+    with pytest.raises(OutOfRange, match="pixel a1: nominal dates 2004-01-17 -> 2004-01-17"):
+        append_batch(read(_series_file(tmp_path / "h.csv", history)),
+                     read(_series_file(tmp_path / "late.csv", late)))
