@@ -351,6 +351,15 @@ def _load_model_dir(models_dir: str):
     return windows, fit
 
 
+def _try_mirror(name: str, write, *args) -> None:
+    """Write a binary mirror with ``write(*args)``. A mirror is derived and
+    its readers parse its table without it, so a failure is a warning."""
+    try:
+        write(*args)
+    except OSError as exc:
+        print(f"cmfda: warning: {name} not written: {exc}", file=sys.stderr)
+
+
 def _window_tag(window: WindowPair) -> str:
     return f"{window.train.start.year}_{window.train.end.year}"
 
@@ -499,12 +508,13 @@ def cmd_fit(args) -> int:
 
     ``--out`` also gets ``series.npy``, a binary mirror of ``--series`` as
     parsed, in the format of the online state's ``history.npy``. It is
-    derived, never authoritative, and may be deleted: it holds the SHA-256
-    of the series bytes that fit parsed, and ``detect`` and ``standardize``
-    read it in place of ``--series`` only while that matches the file's
-    bytes. A mirror that cannot be written is a warning, not an error.
+    derived and may be deleted: it holds the SHA-256 of the bytes fit read
+    and parsed, and ``detect`` and ``standardize`` use it in place of a
+    parse only while that is the hash of the bytes they read. A mirror that
+    cannot be written is a warning, not an error.
     """
-    sites, digest = dataio.read_series_hashed(args.series)
+    series = dataio.read_series_file(args.series)
+    sites = series.flat.sites()
     windows = parse_windows_spec(args.windows)
     bands = tuple(parse_band(b) for b in args.bands.split(","))
     os.makedirs(args.out, exist_ok=True)
@@ -523,12 +533,8 @@ def cmd_fit(args) -> int:
                 f"skip {skip.pixel_id} window={skip.window_index} "
                 f"band={skip.band.name} reason={skip.reason}\n"
             )
-    try:
-        dataio.write_series_mirror(
-            os.path.join(args.out, SERIES_MIRROR), args.series, sites, digest=digest
-        )
-    except OSError as exc:
-        print(f"cmfda: warning: series mirror not written: {exc}", file=sys.stderr)
+    _try_mirror("series mirror", dataio.write_series_mirror,
+                os.path.join(args.out, SERIES_MIRROR), series.flat, series.sha256.hexdigest())
     print(f"fitted {n_models} models; skipped {len(merged.skipped)}; report: {report_path}")
     return EXIT_OK
 
@@ -550,9 +556,10 @@ def _standardizers_for(args, sites, fit, windows, bands):
 
 
 def _read_series(args):
-    """``--series`` as parsed, taken from the mirror that ``fit`` left in
-    ``--models`` while that mirrors the file's current bytes."""
-    return dataio.read_series_mirrored(args.series, os.path.join(args.models, SERIES_MIRROR))
+    """``--series`` as parsed, read once and taken from the mirror that
+    ``fit`` left in ``--models`` while that mirrors the bytes read."""
+    mirror = os.path.join(args.models, SERIES_MIRROR)
+    return dataio.read_series_file(args.series, mirror).flat.sites()
 
 
 def cmd_detect(args) -> int:
@@ -561,10 +568,10 @@ def cmd_detect(args) -> int:
 
     ``fit`` also leaves ``series.npy`` in ``--models``: a mirror of the
     series as parsed, in the format of the online state's ``history.npy``.
-    It is derived, and may be deleted. The series is read from it while
-    the SHA-256 it holds matches the bytes of ``--series``, and parsed
-    otherwise: mirror missing, stale, truncated or unreadable, or a models
-    dir without one. Either way the outputs are the same.
+    It is derived, and may be deleted. ``--series`` is read once, and taken
+    from the mirror while the SHA-256 it holds is that of the bytes read;
+    those bytes are parsed otherwise (mirror missing, stale, truncated or
+    unreadable, or a models dir without one). The outputs are the same.
     """
     _rule_args(args)
     _refuse_standardized_index(args)
@@ -776,10 +783,9 @@ def cmd_standardize(args) -> int:
     """Fit a standardizer for ``--band`` from the training residuals of
     ``--series`` under the models in ``--models``, and write it to ``--out``.
 
-    The series is read as ``detect`` reads it: from the ``series.npy`` that
-    ``fit`` left in ``--models`` (a derived mirror in the format of the
-    online ``history.npy``, which may be deleted) while the SHA-256 it holds
-    matches the bytes of ``--series``, and parsed otherwise.
+    The series is read as ``detect`` reads it: read once, and taken from the
+    ``series.npy`` that ``fit`` left in ``--models`` (a derived mirror, which
+    may be deleted) while the SHA-256 it holds is that of the bytes read.
     """
     sites = _read_series(args)
     windows, fit = _load_model_dir(args.models)
@@ -857,40 +863,46 @@ def cmd_online(args) -> int:
     ``covariances.csv`` (Mahalanobis rule only) and two binary mirrors:
     ``history.npy`` of the parsed ``history.csv``, in the format of the
     ``series.npy`` that ``fit`` writes, and ``covariances.npy`` of the rows
-    of ``covariances.csv`` that a lookup can serve. A mirror is derived,
-    never authoritative, and safe to delete: a step uses it only while the
-    SHA-256 it holds matches its table's bytes, and parses the table
-    otherwise. A step hashes ``history.csv`` once, formats the batch's
-    values once, and holds the history in the mirror's layout from the read
-    to the writes. It writes ``--out``, ``flagged.csv`` (unless the file
-    holds those bytes already), ``models_online.csv``, then ``history.csv``,
-    which commits the step, then the history mirror.
+    of ``covariances.csv`` that a lookup can serve. A mirror is derived and
+    safe to delete: a table is read once, and its mirror used only while
+    the SHA-256 it holds is that of the bytes read; a failed mirror write is
+    a warning. ``history.csv`` keeps its input rows byte for byte: a fresh
+    header and the data rows of ``--series``, then those of each batch, the
+    history bytes a step read and computed on written back with them in one
+    write. A step writes ``--out``, ``flagged.csv`` (unless the file holds
+    those bytes already), ``models_online.csv``, then ``history.csv``, which
+    commits the step, then the history mirror.
     """
     if parse_scheme(args.scheme) is not Scheme.IDENTITY:
         raise UsageError("online monitoring supports only the identity scheme")
+    # Each mode refuses the flags only the other reads; a step's rule is the state's.
+    unread = ("series", "monitor_year", "rule", "band", "L", "L_nir", "L_ndvi", "consec")
+    mode = "--init" if args.init else "a step"
+    for flag in ("batch", "out") if args.init else unread:
+        if getattr(args, flag) is not None:
+            raise UsageError(f"{_option(flag)} does not apply to {mode}")
     paths = _online_paths(args.state)
     if args.init:
         if not args.series or args.monitor_year is None:
             raise UsageError("--init needs --series and --monitor-year")
         _rule_args(args)
-        # The state works on the values as history.csv holds them.
-        history, rows = dataio.read_series_as_written(args.series)
+        series = dataio.read_series_file(args.series)
         covariances = None
         if args.rule == "mahalanobis":
-            sites = history.sites()
+            sites = series.flat.sites()
             windows = make_windows(args.monitor_year - 2, 1)
             fit = _fit_sites(sites, windows, PAIR_BANDS, workers=1)
             covariances = _cube_covariances(sites, fit, windows)
         _build_rule(args, covariances)  # a rule the batches could not build is refused here
         os.makedirs(args.state, exist_ok=True)
-        digest = dataio.append_series_rows(paths["history"], rows)
-        dataio.write_series_mirror(paths["mirror"], paths["history"], history, digest.hexdigest())
+        digest = dataio.append_series_rows(paths["history"], None, series)
+        _try_mirror("history mirror", dataio.write_series_mirror,
+                    paths["mirror"], series.flat, digest)
         _replace_state(paths["flagged"], dataio.write_detections, [], {"state": "online"})
         if covariances is not None:
             _replace_state(paths["covariances"], dataio.save_covariances, covariances)
-            dataio.write_covariance_mirror(
-                paths["covariance_mirror"], paths["covariances"], covariances
-            )
+            _try_mirror("covariance mirror", dataio.write_covariance_mirror,
+                        paths["covariance_mirror"], paths["covariances"], covariances)
         _write_online_config(paths["config"], {
             "monitor-year": str(args.monitor_year),
             "rule": args.rule,
@@ -905,9 +917,6 @@ def cmd_online(args) -> int:
 
     if not args.batch or not args.out:
         raise UsageError("online step needs --batch and --out (or --init)")
-    for flag in ("rule", "band", "L", "L_nir", "L_ndvi", "consec"):
-        if getattr(args, flag) is not None:
-            raise UsageError(f"{_option(flag)} is read from the state; give it with --init")
     setting = _state_settings(paths["config"])
     monitor_year = setting("monitor-year", int)
     kind = setting("rule")
@@ -926,26 +935,27 @@ def cmd_online(args) -> int:
     )
     rule = _build_rule(rule_args, covariances)
 
-    history, digest = dataio.read_flat_mirrored(paths["history"], paths["mirror"])
-    batch, rows = dataio.read_series_as_written(args.batch)
+    history = dataio.read_series_file(paths["history"], paths["mirror"])
+    batch = dataio.read_series_file(args.batch)
     _, previously = dataio.read_detections(paths["flagged"])
-    dataio.check_pixel_sites(args.batch, (key[:2] for key in [*history.keys, *batch.keys]))
+    keys = [*history.flat.keys, *batch.flat.keys]
+    dataio.check_pixel_sites(args.batch, (key[:2] for key in keys))
 
-    batch_dates = set(batch.columns.ordinals.tolist())
+    batch_dates = set(batch.flat.columns.ordinals.tolist())
     if len(batch_dates) != 1:
         raise UsageError("a batch must hold exactly one nominal date")
     batch_date = dt.date.fromordinal(batch_dates.pop())
     # A batch pixel's flag dated on the batch was written by an earlier run
     # of this step that stopped before the history took the batch; the step
     # makes it again.
-    batch_pixels = {key[1] for key in batch.keys}
+    batch_pixels = {key[1] for key in batch.flat.keys}
     flagged = {
         r.pixel_id: r.first_flag_date
         for r in previously
         if not (r.first_flag_date == batch_date and r.pixel_id in batch_pixels)
     }
 
-    merged = pipeline.append_batch(history, batch)
+    merged = pipeline.append_batch(history.flat, batch.flat)
     newly: dict[str, dt.date] = {}
     models: dict[tuple[str, Band], HarmonicModel] = {}
     for site_id, pixels in sorted(merged.sites().items()):
@@ -975,13 +985,10 @@ def cmd_online(args) -> int:
             max(model.train_window[1] for model in models.values()),
         )
         _replace_state(paths["models"], dataio.save_models, models, train_window)
-    dataio.append_series_rows(paths["history"], rows, digest)
+    digest = dataio.append_series_rows(paths["history"], history, batch)
     # The step is committed; a mirror left stale by a failed write is
     # refused by its hash.
-    try:
-        dataio.write_series_mirror(paths["mirror"], paths["history"], merged, digest.hexdigest())
-    except OSError as exc:
-        print(f"cmfda: warning: history mirror not written: {exc}", file=sys.stderr)
+    _try_mirror("history mirror", dataio.write_series_mirror, paths["mirror"], merged, digest)
     print(f"batch {batch_date}: {len(newly)} new flags, {len(flagged) + len(newly)} total")
     return EXIT_OK
 

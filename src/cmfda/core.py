@@ -216,16 +216,6 @@ class FlatSeries(NamedTuple):
     columns: SeriesArrays
 
     @classmethod
-    def from_sites(cls, sites: Mapping[str, Sequence[CompactPixel]]) -> "FlatSeries":
-        pixels = [(site_id, cp) for site_id, cps in sites.items() for cp in cps]
-        return cls(
-            [(site_id, cp.pixel_id, int(cp.col), int(cp.row)) for site_id, cp in pixels],
-            np.cumsum([0] + [len(cp.arrays.ordinals) for _, cp in pixels], dtype=np.int64),
-            SeriesArrays(*(np.concatenate([e, *(cp.arrays[i] for _, cp in pixels)])
-                           for i, e in enumerate(EMPTY_ARRAYS))),
-        )
-
-    @classmethod
     def of_rows(cls, keys: Sequence, pixel: np.ndarray, columns: SeriesArrays) -> "FlatSeries":
         """Rows in any order, row ``i`` a date of pixel ``keys[pixel[i]]``,
         with the pixels grouped by site, sites and pixels in ``keys`` order."""

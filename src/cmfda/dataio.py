@@ -10,10 +10,14 @@ are the mirrors of parsed tables (see "binary mirrors" below).
 Every table is written by :func:`_write_table` or, where its bytes are
 needed first, with its header writer (:func:`append_series_rows`,
 :func:`replace_detections`), and read through :func:`_table_chunks`,
-which alone opens a table file and checks its framing: header, column
-names, field counts, UTF-8 text and what ``csv`` refuses. The row readers
-take its rows through :func:`_rows`; the series, model and covariance
-readers take its chunks column by column.
+which alone checks its framing: header, column names, field counts, UTF-8
+text and what ``csv`` refuses. The row readers take its rows through
+:func:`_rows`; the series, model and covariance readers take its chunks
+column by column. A series or covariance file is read once, whole, by
+:func:`_read_mirrored`, which hashes those bytes and either takes the
+file's binary mirror, when the mirror holds that hash, or parses the same
+bytes; the online history grows by those bytes plus the data rows of a
+batch file as read (:func:`append_series_rows`).
 A fault in a table is a ``ParseError`` naming the file and, where it has
 one, the line; a wrong header is a ``SchemaVersionMismatch``.
 """
@@ -207,81 +211,15 @@ def write_series(path, sites: Mapping[str, Sequence[PixelSeries]]) -> None:
     ))
 
 
-def write_series_arrays(path, sites: Mapping[str, Sequence[CompactPixel]]) -> None:
-    append_series_rows(path, _as_written(FlatSeries.from_sites(sites))[1])
-
-
-def _as_written(flat: FlatSeries) -> tuple[FlatSeries, list[bytes]]:
-    """The pixels as a series file written from them holds them, each value
-    formatted once to 9 significant digits: the pixels with the values that
-    text reads back as (NaN for a fill value), and the file's data rows as
-    UTF-8 text in chunks of ``_CHUNK_ROWS`` rows."""
-    c = flat.columns
-    filled = np.where(np.isnan(c.values), _FILLS, c.values)
-    values = np.empty_like(filled)
-    pixel = np.repeat(np.arange(len(flat.keys)), np.diff(flat.bounds)).tolist()
-    iso = {o: dt.date.fromordinal(o).isoformat() for o in set(c.ordinals.tolist())}
-    width = len(BAND_ORDER)
-    chunks = []
-    for start in range(0, len(filled), _CHUNK_ROWS):
-        s = slice(start, start + _CHUNK_ROWS)
-        texts = [format(v, ".9g") for v in filled[s].ravel().tolist()]
-        values[s] = np.fromiter(map(float, texts), float, count=len(texts)).reshape(-1, width)
-        text = io.StringIO()
-        csv.writer(text).writerows(
-            [*flat.keys[p], iso[o], doy, code, *texts[width * i:width * (i + 1)]]
-            for i, (p, o, doy, code) in enumerate(zip(
-                pixel[s], c.ordinals[s].tolist(), c.doys[s].tolist(), c.reliability[s].tolist()
-            ))
-        )
-        chunks.append(text.getvalue().encode(ENCODING))
-    values[values == _FILLS] = np.nan
-    return flat._replace(columns=c._replace(values=values)), chunks
-
-
 # Rows per chunk of a parsed table: bounds the memory that the rows' field
 # strings take at once.
 _CHUNK_ROWS = 1024
-# Bytes per read of a file that is hashed.
-_HASH_BLOCK = 1 << 16
 
 
-class _HashingReader(io.RawIOBase):
-    """An unbuffered binary file that feeds every byte read from it to
-    ``digest``."""
-
-    def __init__(self, file, digest):
-        self._file = file
-        self._digest = digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._file.readinto(buffer)
-        if n:
-            self._digest.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
-def _open_text(path, digest=None):
-    """``path`` opened as UTF-8 text for ``csv``; with ``digest``, a
-    hashlib object, every byte read from the file is fed to it as well."""
-    if digest is None:
-        return open(path, newline="", encoding=ENCODING)
-    raw = _HashingReader(open(path, "rb", buffering=0), digest)
-    return io.TextIOWrapper(
-        io.BufferedReader(raw, buffer_size=_HASH_BLOCK), newline="", encoding=ENCODING
-    )
-
-
-def undecodable_line(path) -> Optional[int]:
-    """The number of the first line of ``path`` that is not UTF-8 text."""
-    with open(path, "rb") as fh:
+def undecodable_line(path, data: Optional[bytes] = None) -> Optional[int]:
+    """The number of the first line of ``path``, or of its bytes ``data``,
+    that is not UTF-8 text."""
+    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
         for number, line in enumerate(fh, start=1):
             try:
                 line.decode(ENCODING)
@@ -291,7 +229,7 @@ def undecodable_line(path) -> Optional[int]:
 
 
 def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Callable] = None,
-                  digest=None):
+                  data: Optional[bytes] = None):
     """Yield a table file's data rows, split by ``csv.reader``, in chunks.
 
     Each chunk is (line numbers of its non-blank rows, its columns over the
@@ -302,14 +240,19 @@ def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Cal
     Text that is not UTF-8 and a row ``csv`` refuses (a field over its size
     limit) are a ``ParseError`` at their line as soon as they are read.
     ``on_header``, when given, gets the header's key=value pairs before the
-    column names are checked. ``digest``, a hashlib object, is fed the bytes read.
+    column names are checked. The file is read whole, in one read, unless
+    ``data`` holds its bytes as read already.
     """
-    with _open_text(path, digest) as fh:
+    if data is None:
+        data = _read_bytes(path)
+    with io.TextIOWrapper(io.BytesIO(data), newline="", encoding=ENCODING) as fh:
         try:
             header = _read_header(fh, kind, path)
             if on_header is not None:
                 on_header(header)
-            rows = csv.reader(fh)
+            # strict: a quoted field left open at the end of the file is an
+            # error, so a file's rows end where its bytes do
+            rows = csv.reader(fh, strict=True)
             found = next(rows, None)
             if found is None:
                 raise ParseError(f"{path}: missing column header", line=2)
@@ -338,7 +281,8 @@ def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Cal
                         f"{path}: expected {width} fields, got {widths[n]}", line=numbers[n]
                     )
         except UnicodeDecodeError:
-            raise ParseError(f"{path}: not {ENCODING} text", line=undecodable_line(path)) from None
+            raise ParseError(f"{path}: not {ENCODING} text",
+                             line=undecodable_line(path, data)) from None
         except csv.Error as exc:
             # the header line is read before the csv reader counts lines
             raise ParseError(f"{path}: {exc}", line=rows.line_num + 1) from None
@@ -495,12 +439,12 @@ def _series_chunk(path, lines, columns, caches, pixels: dict, cols: list, rows: 
     )
 
 
-def _parse_series(path, digest=None) -> FlatSeries:
-    """Parse a series file column by column. A fault is reported as the
-    row-by-row reading of the file would meet it: the first bad row (see
-    :func:`_series_chunk`; a wrong field count is checked first), and a
-    break of the 16-day cadence only after every row has passed.
-    ``digest``, a hashlib object, is fed the bytes parsed."""
+def _parse_series(path, data: bytes) -> FlatSeries:
+    """Parse the bytes ``data`` of the series file ``path`` column by
+    column. A fault is reported as the row-by-row reading of the file would
+    meet it: the first bad row (see :func:`_series_chunk`; a wrong field
+    count is checked first), and a break of the 16-day cadence only after
+    every row has passed."""
     caches: dict[str, dict] = {
         column: {} for column in ("reliability", "nominal_date", "composite_doy", "col", "row")
     }
@@ -508,7 +452,7 @@ def _parse_series(path, digest=None) -> FlatSeries:
     cols: list = []
     rows: list = []
     chunks = []
-    for lines, columns in _table_chunks(path, "series", SERIES_COLUMNS, digest=digest):
+    for lines, columns in _table_chunks(path, "series", SERIES_COLUMNS, data=data):
         chunks.append(_series_chunk(path, lines, columns, caches, pixels, cols, rows))
     if chunks:
         table = _SeriesChunk(*(np.concatenate(parts) for parts in zip(*chunks)))
@@ -549,29 +493,13 @@ def check_pixel_sites(path, keys) -> None:
 def read_series_arrays(path) -> dict[str, list[CompactPixel]]:
     """Per site, each pixel's series as arrays (fill values read as NaN),
     pixels in order of first appearance, each sorted by date."""
-    return _parse_series(path).sites()
-
-
-def read_series_hashed(path) -> tuple[dict[str, list[CompactPixel]], str]:
-    """:func:`read_series_arrays` of ``path`` and the SHA-256 of the very
-    bytes it parsed, taken as the parser reads them: the file may change
-    while it is read, and the digest then still names what was parsed."""
-    digest = hashlib.sha256()
-    flat = _parse_series(path, digest)
-    return flat.sites(), digest.hexdigest()
-
-
-def read_series_as_written(path) -> tuple[FlatSeries, list[bytes]]:
-    """A series file's pixels as a series file written from them holds
-    them (see :func:`series_as_written`), and that file's data rows (see
-    :func:`append_series_rows`); each value is formatted once."""
-    return _as_written(_parse_series(path))
+    return read_series_file(path).flat.sites()
 
 
 def read_series(path) -> dict[str, list[PixelSeries]]:
     """Per site, each pixel's series as observations; same parse and order
     as :func:`read_series_arrays`."""
-    flat = _parse_series(path)
+    flat = read_series_file(path).flat
     c = flat.columns
     observations = [
         Observation(dt.date.fromordinal(ordinal), doy, dict(zip(BAND_ORDER, values)),
@@ -590,53 +518,30 @@ def read_series(path) -> dict[str, list[PixelSeries]]:
     return out
 
 
-def series_as_written(sites: Mapping[str, Sequence[CompactPixel]]) -> dict[str, list[CompactPixel]]:
-    """The pixels as :func:`read_series_arrays` gives them back from a
-    series file written from them: each value passes through the file's
-    9-significant-digit text, and one that lands on its band's fill value
-    reads as missing."""
-    return _as_written(FlatSeries.from_sites(sites))[0].sites()
+_LINE_END = re.compile(rb"\r\n|\r|\n")
 
 
-def _file_digest(path):
-    """The SHA-256 object fed the bytes of ``path``, read in blocks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(_HASH_BLOCK):
-            digest.update(block)
-    return digest
-
-
-def _sha256(path) -> str:
-    return _file_digest(path).hexdigest()
-
-
-def append_series_rows(path, rows: Sequence[bytes], digest=None):
-    """Replace the series file ``path`` with one that ends in the data rows
-    ``rows`` (see :func:`read_series_as_written`), and return the SHA-256
-    object fed the new file's bytes as they are written.
-
-    Without ``digest`` the rows follow a fresh header. With it, the SHA-256
-    object fed the current bytes of ``path`` (see :func:`read_flat_mirrored`),
-    those bytes are copied first, unchanged and unread by a decoder, and the
-    digest is fed the bytes that follow them."""
-    with replacing(path) as tmp, open(tmp, "wb") as fh:
-        if digest is None:
-            digest, header = hashlib.sha256(), io.StringIO()
-            _write_header(header, "series", SERIES_COLUMNS)
-            rows = [header.getvalue().encode(ENCODING), *rows]
-        else:
-            with open(path, "rb") as old:
-                last = b"\n"
-                while block := old.read(_HASH_BLOCK):
-                    fh.write(block)
-                    last = block[-1:]
-            if last not in (b"\n", b"\r"):
-                rows = [b"\n", *rows]
-        for chunk in rows:
-            fh.write(chunk)
-            digest.update(chunk)
-    return digest
+def append_series_rows(path, head: Optional[SeriesFile], rows: SeriesFile) -> str:
+    """Replace the series file ``path`` with the bytes of ``head``, or a
+    fresh header when it is None, followed by the data rows of ``rows`` as
+    its file holds them (all after its column-name row), in one write; and
+    return the SHA-256 of the bytes written, extending ``head``'s hash."""
+    if head is None:
+        text = io.StringIO()
+        _write_header(text, "series", SERIES_COLUMNS)
+        data = text.getvalue().encode(ENCODING)
+        sha256 = hashlib.sha256(data)
+    else:
+        data, sha256 = head.data, head.sha256.copy()
+    start = 0
+    for _ in range(2):   # the header line and the column-name row
+        end = _LINE_END.search(rows.data, start)
+        start = end.end() if end else len(rows.data)
+    parts = [data, b"" if data.endswith((b"\n", b"\r")) else b"\n", memoryview(rows.data)[start:]]
+    for part in parts[1:]:
+        sha256.update(part)
+    _write_parts(path, parts)
+    return sha256.hexdigest()
 
 
 # --- binary mirrors ---------------------------------------------------------------
@@ -646,13 +551,22 @@ def append_series_rows(path, rows: Sequence[bytes], digest=None):
 # history.npy of history.csv and covariances.npy of the covariances.csv rows
 # a lookup can serve. A mirror is one JSON line (format tag, SHA-256 of the
 # table bytes it mirrors, each array's dtype and shape), then the arrays'
-# bytes, each start 8-byte aligned: one write, one read. It is derived, used
-# only while its hash matches the table's current bytes; another format,
-# such as the .npy sequences these once were, is refused and parsed around.
+# bytes, each start 8-byte aligned: one write, one read. It is derived: a
+# reader reads the table's bytes once and takes the mirror only while its
+# hash is theirs, parsing those same bytes otherwise; another format, such
+# as the .npy sequences these once were, is refused and parsed around.
 
 _SERIES_MIRROR = "cmfda series-mirror v2"
 _COVARIANCE_MIRROR = "cmfda covariance-mirror v2"
 _ALIGN = 8
+
+
+def _write_parts(path, parts) -> None:
+    """Write the bytes of ``parts`` with one ``os.writev``; the file
+    replaces ``path`` when whole."""
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        if os.writev(fh.fileno(), parts) != sum(map(len, parts)):
+            raise OSError(f"{tmp}: short write")
 
 
 def _write_mirror(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
@@ -662,9 +576,12 @@ def _write_mirror(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
     parts = [head + b" " * (-(len(head) + 1) % _ALIGN) + b"\n"]
     for a in arrays:
         parts += [np.ascontiguousarray(a).reshape(-1).view(np.uint8), bytes(-a.nbytes % _ALIGN)]
-    with replacing(path) as tmp, open(tmp, "wb") as fh:
-        if os.writev(fh.fileno(), parts) != sum(map(len, parts)):
-            raise OSError(f"{tmp}: short write")
+    _write_parts(path, parts)
+
+
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _read_mirror(path, kind: str, digest: str, dtypes) -> Optional[tuple[dict, list[np.ndarray]]]:
@@ -672,10 +589,7 @@ def _read_mirror(path, kind: str, digest: str, dtypes) -> Optional[tuple[dict, l
     format ``kind``, mirrors the bytes whose SHA-256 is ``digest`` and holds
     arrays of ``dtypes``; None otherwise."""
     try:
-        with open(path, "rb", buffering=0) as fh:
-            data = bytearray(os.fstat(fh.fileno()).st_size)
-            if fh.readinto(data) != len(data):
-                return None
+        data = _read_bytes(path)
         end = data.index(b"\n") + 1
         header = json.loads(data[:end])
         if (not isinstance(header, dict) or header.get("format") != kind
@@ -694,56 +608,60 @@ def _read_mirror(path, kind: str, digest: str, dtypes) -> Optional[tuple[dict, l
     return (header, arrays) if end == len(data) else None
 
 
-def write_series_mirror(path, series_path, sites, digest: Optional[str] = None) -> None:
-    """Write the mirror of the series file ``series_path``; ``sites``, a
-    ``FlatSeries`` or per-site pixels, must be what a read of it gives, in
-    the same order. ``digest`` is the SHA-256 of the bytes ``sites`` were
-    parsed from (see :func:`read_series_hashed`); without it the file's
-    current bytes are hashed, which is right only for a file no other
-    process writes. The mirror replaces ``path`` when whole."""
-    flat = sites if isinstance(sites, FlatSeries) else FlatSeries.from_sites(sites)
-    header = {
-        "format": _SERIES_MIRROR,
-        "sha256": _sha256(series_path) if digest is None else digest,
-        "pixels": flat.keys,
-    }
-    _write_mirror(path, header, [flat.bounds, *flat.columns])
+def _read_mirrored(path, mirror_path, kind: str, dtypes, parse, unmirror):
+    """Read the table file ``path`` once: (what it holds, its bytes, the
+    SHA-256 object fed them). What it holds is ``unmirror(path, header,
+    arrays)`` of the mirror at ``mirror_path`` (see :func:`_read_mirror`)
+    while that mirrors these very bytes and ``unmirror`` does not refuse it
+    with None, and ``parse(path, data)`` of the same bytes otherwise."""
+    data = _read_bytes(path)
+    sha256 = hashlib.sha256(data)
+    held = None
+    if mirror_path is not None:
+        mirror = _read_mirror(mirror_path, kind, sha256.hexdigest(), dtypes)
+        held = None if mirror is None else unmirror(path, *mirror)
+    if held is None:
+        held = parse(path, data)
+    return held, data, sha256
 
 
-def _load_mirror(path, digest: str) -> Optional[FlatSeries]:
-    """The mirrored series when the mirror at ``path`` is whole and mirrors
-    the series whose SHA-256 is ``digest``; None otherwise."""
-    read = _read_mirror(path, _SERIES_MIRROR, digest,
-                        [np.int64, *(a.dtype for a in EMPTY_ARRAYS)])
-    if read is None:
-        return None
-    header, (bounds, *columns) = read
+class SeriesFile(NamedTuple):
+    """A series file read once: what it holds, its bytes and the SHA-256
+    object fed them."""
+
+    flat: FlatSeries
+    data: bytes
+    sha256: object
+
+
+def _series_from_mirror(path, header: dict, arrays) -> Optional[FlatSeries]:
+    bounds, *columns = arrays
     keys = [tuple(key) for key in header["pixels"]]
     if bounds.shape != (len(keys) + 1,) or any(
         array.shape != (bounds[-1], *empty.shape[1:]) for array, empty in zip(columns, EMPTY_ARRAYS)
     ):
         return None
+    check_pixel_sites(path, (key[:2] for key in keys))
     return FlatSeries(keys, bounds, SeriesArrays(*columns))
 
 
-def read_flat_mirrored(path, mirror_path) -> tuple[FlatSeries, object]:
-    """The series file ``path`` as read, taken from the mirror at
-    ``mirror_path`` while that mirrors the file's current bytes, and parsed
-    when the mirror is missing, stale, truncated or unreadable; and the
-    SHA-256 object fed those bytes, which are hashed once, a block at a
-    time."""
-    digest = _file_digest(path)
-    flat = _load_mirror(mirror_path, digest.hexdigest())
-    if flat is None:
-        return _parse_series(path), digest
-    check_pixel_sites(path, (key[:2] for key in flat.keys))
-    return flat, digest
+def read_series_file(path, mirror_path=None) -> SeriesFile:
+    """The series file ``path``, read once (see :func:`_read_mirrored`):
+    taken from the mirror at ``mirror_path``, when given, while that mirrors
+    the bytes read, and parsed from them when the mirror is missing, stale,
+    truncated or unreadable."""
+    return SeriesFile(*_read_mirrored(
+        path, mirror_path, _SERIES_MIRROR, [np.int64, *(a.dtype for a in EMPTY_ARRAYS)],
+        _parse_series, _series_from_mirror,
+    ))
 
 
-def read_series_mirrored(path, mirror_path) -> dict[str, list[CompactPixel]]:
-    """``read_series_arrays(path)``, taken from its mirror while it can be
-    (see :func:`read_flat_mirrored`)."""
-    return read_flat_mirrored(path, mirror_path)[0].sites()
+def write_series_mirror(path, flat: FlatSeries, digest: str) -> None:
+    """Write the mirror of the series file whose bytes have the SHA-256
+    ``digest``; ``flat`` must be what a read of those bytes gives. The
+    mirror replaces ``path`` when whole."""
+    header = {"format": _SERIES_MIRROR, "sha256": digest, "pixels": flat.keys}
+    _write_mirror(path, header, [flat.bounds, *flat.columns])
 
 
 # --- label files --------------------------------------------------------------
@@ -1053,20 +971,16 @@ def write_covariance_mirror(path, covariance_path, table: CubeCovarianceTable) -
     values = [float(real(v)) for *_, e in served for v in (e.var_nir, e.cov, e.var_ndvi)]
     _write_mirror(path, {
         "format": _COVARIANCE_MIRROR,
-        "sha256": _sha256(covariance_path),
+        "sha256": hashlib.sha256(_read_bytes(covariance_path)).hexdigest(),
         "min_cube_samples": table.min_cube_samples,
         "rows": [[*key, e.n] for *key, e in served],
     }, [np.array(values, dtype=float).reshape(-1, 3)])
 
 
-def read_covariances_mirrored(path, mirror_path) -> CubeCovarianceTable:
-    """``load_covariances(path)`` as ``matrix_for`` serves it: built from
-    the served rows in the mirror at ``mirror_path`` while that mirrors the
-    file's current bytes, parsed otherwise."""
-    read = _read_mirror(mirror_path, _COVARIANCE_MIRROR, _sha256(path), [np.float64])
-    if read is None or read[1][0].shape != (len(read[0]["rows"]), 3):
-        return load_covariances(path)
-    header, (values,) = read
+def _covariances_from_mirror(path, header: dict, arrays) -> Optional[CubeCovarianceTable]:
+    (values,) = arrays
+    if values.shape != (len(header["rows"]), 3):
+        return None
     tables: dict[str, dict] = {"cube": {}, "site_period": {}, "site": {}}
     for (level, site, square, period, n), v in zip(header["rows"], values.tolist()):
         key = {"cube": (site, square, period), "site_period": (site, period)}.get(level, site)
@@ -1074,15 +988,24 @@ def read_covariances_mirrored(path, mirror_path) -> CubeCovarianceTable:
     return CubeCovarianceTable(*tables.values(), header["min_cube_samples"])
 
 
-def load_covariances(path) -> CubeCovarianceTable:
-    """Parse a covariance file column by column. A fault is reported as a
-    row-by-row reading would meet it: the first bad row, and its first
-    failing check (reals, n, square and period where its level reads them,
-    then the level)."""
+def read_covariances_mirrored(path, mirror_path) -> CubeCovarianceTable:
+    """``load_covariances(path)`` as ``matrix_for`` serves it, the file read
+    once (see :func:`_read_mirrored`): built from the served rows in the
+    mirror at ``mirror_path`` while that mirrors the bytes read, and parsed
+    from them otherwise."""
+    return _read_mirrored(path, mirror_path, _COVARIANCE_MIRROR, [np.float64],
+                          load_covariances, _covariances_from_mirror)[0]
+
+
+def load_covariances(path, data: Optional[bytes] = None) -> CubeCovarianceTable:
+    """Parse a covariance file, or its bytes ``data`` as read, column by
+    column. A fault is reported as a row-by-row reading would meet it: the
+    first bad row, and its first failing check (reals, n, square and period
+    where its level reads them, then the level)."""
     meta: dict = {}
     tables: dict[str, dict] = {"cube": {}, "site_period": {}, "site": {}}
     caches: dict[str, dict] = {"n": {}, "square": {}, "period": {}}
-    for lines, columns in _table_chunks(path, "covariances", COVARIANCE_COLUMNS, meta.update):
+    for lines, columns in _table_chunks(path, "covariances", COVARIANCE_COLUMNS, meta.update, data):
         levels = np.array(columns["level"], dtype=object)
         n = levels.size
         is_cube = levels == "cube"
@@ -1172,8 +1095,7 @@ def replace_detections(
     with contextlib.suppress(OSError), open(path, "rb") as fh:
         if fh.read(len(data) + 1) == data:
             return
-    with replacing(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(data)
+    _write_parts(path, [data])
 
 
 def read_detections(path) -> tuple[dict[str, str], list[DetectionResult]]:

@@ -679,8 +679,13 @@ def test_rule_flag_conflicts_are_usage_errors(sim_dir, models_dir, tmp_path):
     for extra in (
         ["--rule", "multivariate"], ["--band", "nir"], ["--L", "0.1"],
         ["--L-nir", "0.08"], ["--L-ndvi", "0.18"], ["--consec", "4"],
+        ["--monitor-year", "2009"], ["--series", str(tmp_path / "missing.csv")],
     ):
         assert main(step + extra) == EXIT_USAGE, extra
+    # and --init refuses the flags of a step, before it reads the series
+    for extra in (["--batch", str(sim_dir / "series.csv")], ["--out", str(tmp_path / "b.csv")]):
+        assert main(init + extra) == EXIT_USAGE, extra
+    assert not (tmp_path / "state").exists() and not (tmp_path / "b.csv").exists()
 
     # train refuses a rule it does not know and flags its rule does not read
     # before reading any file: the series here does not exist
@@ -1152,9 +1157,9 @@ def _refuse_history_parse(monkeypatch, state):
     history = (state / "history.csv").resolve()
     parse = dataio._parse_series
 
-    def guarded(path):
+    def guarded(path, *args):
         assert Path(path).resolve() != history, "history.csv was parsed"
-        return parse(path)
+        return parse(path, *args)
 
     monkeypatch.setattr(dataio, "_parse_series", guarded)
 
@@ -1164,12 +1169,7 @@ def test_online_steps_load_history_from_the_mirror(mirror_inputs, tmp_path, monk
     read_series_arrays(history.csv) does: site and pixel order, dtypes and
     bits. A step whose mirror is valid never parses history.csv."""
     history, batches = mirror_inputs
-    raw = read_series_arrays(batches[4])
-    assert any(
-        not np.array_equal(a.arrays.values, b.arrays.values, equal_nan=True)
-        for site_id, pixels in dataio.series_as_written(raw).items()
-        for a, b in zip(pixels, raw[site_id])
-    ), "the fifth batch has values the history rounds"
+    assert _beyond_nine_digits(batches[4]), "the fifth batch has values past 9 digits"
     state = tmp_path / "state"
     _init_online(history, state)
     for batch in [None, *batches]:
@@ -1177,52 +1177,84 @@ def test_online_steps_load_history_from_the_mirror(mirror_inputs, tmp_path, monk
             _refuse_history_parse(patch, state)
             if batch is not None:
                 assert _step(state, batch, tmp_path / "out.csv") == EXIT_OK
-            mirrored = dataio.read_series_mirrored(state / "history.csv", state / "history.npy")
-        assert_same_sites(mirrored, read_series_arrays(state / "history.csv"))
-    assert list(mirrored) == ["west", "east"]
+            mirrored = dataio.read_series_file(state / "history.csv", state / "history.npy")
+        assert_same_sites(mirrored.flat.sites(), read_series_arrays(state / "history.csv"))
+    assert list(mirrored.flat.sites()) == ["west", "east"]
 
 
-def _nine_digit_copy(src, dst):
-    """Write the series file ``src`` again at the file format's 9 digits."""
-    write_series(dst, read_series(src))
-    assert dst.read_bytes() != src.read_bytes()
-    return dst
+def _beyond_nine_digits(path):
+    """Whether the series file ``path`` holds a real that its 9-digit text
+    would change."""
+    _, _, *rows = path.read_text().splitlines()
+    return any(dataio.real(float(t)) != t for row in rows for t in row.split(",")[7:])
 
 
-def test_online_step_works_on_the_batch_as_history_holds_it(
-    mirror_inputs, mirror_reference, tmp_path
+def _data_rows(path):
+    """The bytes of a series file after its column-name row."""
+    return path.read_bytes().split(b"\n", 2)[2]
+
+
+def test_online_history_keeps_its_input_rows_verbatim(mirror_inputs, mirror_reference, tmp_path):
+    """After --init and each step, history.csv is a fresh header followed
+    by the data bytes of --series and of each batch, a line break put in
+    only after a file that lacks a final one, and its mirror loads as a
+    read of it. The inputs differ from the reference run's in line ends,
+    quoting and a final newline, and one batch holds values past 9 digits:
+    every --out and state file but the history's is that run's."""
+    history, batches = mirror_inputs
+    _, record = mirror_reference
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    edits = {
+        0: lambda data: data.replace(b"\r\n", b"\n"),
+        1: lambda data: data.replace(b"\nwest,", b'\n"west",'),
+        6: lambda data: data.rstrip(b"\r\n"),
+    }
+    files = []
+    for i, path in enumerate([history, *batches]):
+        files.append(inputs / path.name)
+        files[-1].write_bytes(edits.get(i, lambda data: data)(path.read_bytes()))
+    assert _beyond_nine_digits(files[5])
+    state = tmp_path / "state"
+    _init_online(files[0], state)
+    expected = b"#cmfda series v1\n" + ",".join(dataio.SERIES_COLUMNS).encode() + b"\r\n"
+    for i, path in enumerate(files):
+        if i:
+            out = tmp_path / "out.csv"
+            assert _step(state, path, out) == EXIT_OK
+            assert out.read_bytes() == record[i - 1][0]
+            assert {name: data for name, data in _files(state).items()
+                    if not name.startswith("history")} == {
+                name: data for name, data in record[i - 1][1].items()
+                if not name.startswith("history")}
+        if not expected.endswith(b"\n"):
+            expected += b"\n"
+        expected += _data_rows(path)
+        assert (state / "history.csv").read_bytes() == expected
+        mirrored = dataio.read_series_file(state / "history.csv", state / "history.npy")
+        assert_same_sites(mirrored.flat.sites(), read_series_arrays(state / "history.csv"))
+
+
+def test_online_step_commits_the_history_it_read(
+    mirror_inputs, mirror_reference, tmp_path, monkeypatch
 ):
-    """A step on a batch written with every digit ends in the --out and
-    state files of the same step on that batch written at 9 digits."""
+    """history.csv rewritten while a step computes on it: the step commits
+    the history it read plus the batch's rows, and ends in the --out and
+    state files of an uninterrupted step."""
     _, batches = mirror_inputs
     root, record = mirror_reference
     state = tmp_path / "state"
-    shutil.copytree(root / "before4", state)
-    rounded = _nine_digit_copy(batches[4], tmp_path / batches[4].name)
-    assert _run_steps(state, [rounded], tmp_path / "outs") == record[4:5]
+    shutil.copytree(root / f"before{MIRROR_STEP}", state)
+    process = pipeline.online_process_batch
 
+    def edit_then_process(*args, **kwargs):
+        (state / "history.csv").write_bytes(b"#cmfda series v1\nedited\n")
+        return process(*args, **kwargs)
 
-def test_online_init_works_on_the_series_as_history_holds_it(tmp_path, monkeypatch):
-    """--init on a series written with every digit writes the state files,
-    covariances.csv among them, of --init on that series written at 9
-    digits."""
-    from test_pipeline import one_year_scenario
-
-    pixels, _ = one_year_scenario(seed=21, n_events=5)
-    full = tmp_path / "full.csv"
-    with monkeypatch.context() as patch:
-        patch.setattr(dataio, "real", lambda x: repr(float(x)))
-        write_series(full, {"mini": _sliced(pixels[:12], lambda d: d < dt.date(2005, 1, 1))})
-    states = []
-    for series in (full, _nine_digit_copy(full, tmp_path / "rounded.csv")):
-        state = tmp_path / f"state_{series.stem}"
-        assert main([
-            "online", "--state", str(state), "--init", "--series", str(series),
-            "--monitor-year", "2005", "--rule", "mahalanobis",
-        ]) == EXIT_OK
-        states.append(_files(state))
-    assert "covariances.csv" in states[0]
-    assert states[0] == states[1]
+    monkeypatch.setattr(pipeline, "online_process_batch", edit_then_process)
+    assert _run_steps(state, batches[MIRROR_STEP:MIRROR_STEP + 1], tmp_path / "outs") == (
+        record[MIRROR_STEP:MIRROR_STEP + 1]
+    )
 
 
 @pytest.mark.parametrize(
@@ -1266,9 +1298,8 @@ def test_online_step_reads_a_hand_edited_history(mirror_inputs, mirror_reference
         lines = history.read_bytes().splitlines(keepends=True)
         history.write_bytes(b"".join(l for l in lines if l.split(b",")[1:2] != [dropped]))
         if rebuilt:
-            dataio.write_series_mirror(
-                state / "history.npy", history, read_series_arrays(history)
-            )
+            read = dataio.read_series_file(history)
+            dataio.write_series_mirror(state / "history.npy", read.flat, read.sha256.hexdigest())
         runs.append(_run_steps(state, batches[MIRROR_STEP:], tmp_path / f"outs_{rebuilt}"))
     assert runs[0] == runs[1]
     assert runs[0][-1][1]["models_online.csv"] != record[-1][1]["models_online.csv"]
@@ -1392,9 +1423,9 @@ def _covariance_loads(monkeypatch):
     paths = []
     load = dataio.load_covariances
 
-    def recording(path):
+    def recording(path, *args):
         paths.append(Path(path).name)
-        return load(path)
+        return load(path, *args)
 
     monkeypatch.setattr(dataio, "load_covariances", recording)
     return paths
@@ -1468,6 +1499,38 @@ def test_online_step_without_a_valid_covariance_mirror_parses_covariances(
     assert _without_covariance_mirror(runs[0]) == _without_covariance_mirror(runs[1])
     outs = [[out for out, _ in run] for run in (runs[0], record)]
     assert (outs[0] != outs[1]) == (fault == "edited")
+
+
+@pytest.mark.parametrize("mirror", ["history.npy", "covariances.npy"])
+def test_online_init_survives_a_failed_mirror_write(
+    online_inputs, sigma_reference, tmp_path, monkeypatch, capsys, mirror
+):
+    """When --init cannot write a mirror, it warns, exits 0 and writes every
+    other state file; three steps then end in the --out and state files of
+    an uninterrupted run, but for a covariance mirror, which no step
+    writes."""
+    history, batches = online_inputs
+    root, record = sigma_reference
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == mirror:
+            raise OSError("injected failure")
+        real_replace(src, dst)
+
+    state = tmp_path / "state"
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", failing_replace)
+        _init_mahalanobis(history, state)
+    name = "history" if mirror == "history.npy" else "covariance"
+    assert f"{name} mirror not written: injected failure" in capsys.readouterr().err
+    written = _files(root / "init")
+    del written[mirror]
+    assert _files(state) == written
+    outs, files = record[2]
+    if mirror == "covariances.npy":
+        del files["covariances.npy"]
+    assert _run_steps(state, batches[:3], tmp_path / "outs")[2] == (outs, files)
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -1615,7 +1678,7 @@ def test_fit_mirror_loads_as_the_parse(fit_mirror_scene, monkeypatch):
     assert any((~cp.arrays.clear).any() for cp in parsed["east"])
     with monkeypatch.context() as patch:
         patch.setattr(dataio, "_parse_series", lambda *a, **k: pytest.fail("series parsed"))
-        mirrored = dataio.read_series_mirrored(series, models / "series.npy")
+        mirrored = dataio.read_series_file(series, models / "series.npy").flat.sites()
     assert_same_sites(mirrored, parsed)
 
 
@@ -1730,3 +1793,51 @@ def test_fit_mirror_holds_the_hash_of_the_bytes_fit_parsed(
     parses.clear()
     _detect_and_standardize(series, models, tmp_path / "restored")
     assert parses == []
+
+
+def test_each_command_opens_its_series_once(
+    fit_mirror_scene, online_inputs, tmp_path, monkeypatch
+):
+    """fit, detect and standardize with fit's mirror and without it, online
+    --init and a step each open --series, history.csv or --batch for
+    reading once: the bytes read are hashed and parsed, or mirrored, with
+    no second read."""
+    import builtins
+
+    series, _, models = fit_mirror_scene
+    history, batches = online_inputs
+    bare = tmp_path / "bare"
+    shutil.copytree(models, bare, ignore=shutil.ignore_patterns("series.npy"))
+    state = tmp_path / "state"
+    inputs = {series.resolve(), history.resolve(), batches[0].resolve(),
+              (state / "history.csv").resolve()}
+    opened = []
+    real_open = builtins.open
+
+    def counting(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() in inputs:
+            assert "r" in mode and "+" not in mode, (file, mode)
+            opened.append(Path(file).name)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    runs = {
+        "fit": lambda: _fit(series, tmp_path / "fitted"),
+        "detect, standardize": lambda: _detect_and_standardize(series, models, tmp_path / "hit"),
+        "detect, standardize without a mirror":
+            lambda: _detect_and_standardize(series, bare, tmp_path / "miss"),
+        "online --init": lambda: _init_online(history, state),
+        "online step": lambda: _step(state, batches[0], tmp_path / "out.csv"),
+    }
+    counts = {}
+    for command, run in runs.items():
+        opened.clear()
+        run()
+        counts[command] = opened.copy()
+    assert counts == {
+        "fit": ["series.csv"],
+        "detect, standardize": ["series.csv"] * 2,
+        "detect, standardize without a mirror": ["series.csv"] * 2,
+        "online --init": ["history.csv"],
+        "online step": ["history.csv", batches[0].name],
+    }

@@ -51,16 +51,13 @@ from cmfda.dataio import (
     read_report,
     read_series,
     read_series_arrays,
-    read_series_hashed,
+    read_series_file,
     read_covariances_mirrored,
-    read_series_as_written,
-    read_series_mirrored,
     real,
     save_covariances,
     save_models,
     save_standardizer,
     seasonal_cloud_prob,
-    series_as_written,
     sonora_like_config,
     write_covariance_mirror,
     write_detections,
@@ -69,7 +66,6 @@ from cmfda.dataio import (
     write_landuse,
     write_report,
     write_series,
-    write_series_arrays,
     yucatan_like_config,
 )
 from cmfda.detection import (
@@ -402,28 +398,6 @@ def _band_values(band):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=series_rows(), data=st.data())
-def test_series_as_written_equals_a_file_round_trip(rows, data):
-    """Values of any precision, NaN, and values that round onto a band's
-    fill value come back from a written series file as series_as_written
-    gives them."""
-    with tempfile.TemporaryDirectory() as tmp:
-        _write_rows(Path(tmp) / "in.csv", rows)
-        sites = {
-            site_id: [
-                dataclasses.replace(cp, arrays=cp.arrays._replace(values=np.array([
-                    [data.draw(_band_values(band)) for band in BAND_ORDER]
-                    for _ in cp.arrays.ordinals
-                ])))
-                for cp in pixels
-            ]
-            for site_id, pixels in read_series_arrays(Path(tmp) / "in.csv").items()
-        }
-        write_series_arrays(Path(tmp) / "out.csv", sites)
-        assert_same_sites(series_as_written(sites), read_series_arrays(Path(tmp) / "out.csv"))
-
-
-@settings(max_examples=150, deadline=None)
 @given(rows=series_rows(), quoted=st.booleans())
 def test_history_mirror_gives_back_the_parse_without_parsing(rows, quoted):
     """A mirror written from a series file's parse loads as that parse,
@@ -435,13 +409,17 @@ def test_history_mirror_gives_back_the_parse_without_parsing(rows, quoted):
     with tempfile.TemporaryDirectory() as tmp:
         history, mirror = Path(tmp) / "history.csv", Path(tmp) / "history.npy"
         _write_rows(history, rows)
-        parsed = read_series_arrays(history)
-        write_series_mirror(mirror, history, parsed)
+        read = read_series_file(history)
+        write_series_mirror(mirror, read.flat, read.sha256.hexdigest())
         with mock.patch.object(dataio, "_parse_series", side_effect=AssertionError("parsed")):
-            assert_same_sites(read_series_mirrored(history, mirror), parsed)
+            assert_same_sites(_mirrored(history, mirror), read.flat.sites())
         rows[0][6] = "3" if rows[0][6] != "3" else "0"   # a reliability code
         _write_rows(history, rows)
-        assert_same_sites(read_series_mirrored(history, mirror), read_series_arrays(history))
+        assert_same_sites(_mirrored(history, mirror), read_series_arrays(history))
+
+
+def _mirrored(path, mirror):
+    return read_series_file(path, mirror).flat.sites()
 
 
 def test_a_pixel_id_under_two_sites_is_refused_by_parse_and_mirror(tmp_path):
@@ -451,38 +429,39 @@ def test_a_pixel_id_under_two_sites_is_refused_by_parse_and_mirror(tmp_path):
     row = ["2004-01-01", "1", "0", *["0.5"] * 6]
     history, mirror = tmp_path / "history.csv", tmp_path / "history.npy"
     _write_rows(history, [["a", "px", "0", "0", *row], ["b", "qx", "1", "0", *row]])
-    sites = read_series_arrays(history)
-    sites["b"] = [dataclasses.replace(sites["b"][0], pixel_id="px")]
+    flat = read_series_file(history).flat
+    flat = flat._replace(keys=[flat.keys[0], ("b", "px", *flat.keys[1][2:])])
     _write_rows(history, [["a", "px", "0", "0", *row], ["b", "px", "1", "0", *row]])
-    write_series_mirror(mirror, history, sites)
+    write_series_mirror(mirror, flat, hashlib.sha256(history.read_bytes()).hexdigest())
     with pytest.raises(ParseError) as err:
         read_series_arrays(history)
     assert str(err.value) == f"{history}: pixel 'px' is under sites 'a' and 'b'"
     with mock.patch.object(dataio, "_parse_series", side_effect=AssertionError("parsed")):
         with pytest.raises(ParseError) as mirrored:
-            read_series_mirrored(history, mirror)
+            read_series_file(history, mirror)
     assert str(mirrored.value) == str(err.value)
 
 
 @settings(max_examples=100, deadline=None)
 @given(rows=series_rows(), quoted=st.booleans())
 def test_hashed_read_is_the_parse_and_the_hash_of_its_bytes(rows, quoted):
-    """read_series_hashed gives read_series_arrays and the SHA-256 of the
-    file's bytes, as the parser read them."""
+    """read_series_file gives read_series_arrays, the file's bytes and the
+    SHA-256 object fed them."""
     if quoted:
         rows = [[f'"{r[0]},\u00e9"', *r[1:]] for r in rows]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.csv"
         _write_rows(path, rows)
-        sites, digest = read_series_hashed(path)
-        assert_same_sites(sites, read_series_arrays(path))
-        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        read = read_series_file(path)
+        assert_same_sites(read.flat.sites(), read_series_arrays(path))
+        assert read.data == path.read_bytes()
+        assert read.sha256.hexdigest() == hashlib.sha256(read.data).hexdigest()
 
 
 @pytest.mark.parametrize("when", ["before_the_parse_opens_it", "during_the_parse"])
 def test_hashed_read_names_the_bytes_it_parsed(tmp_path, monkeypatch, when):
-    """A series file replaced as it is about to be parsed, or while it is
-    parsed: the parse and the digest are both of the bytes read."""
+    """A series file replaced as it is about to be read, or while its bytes
+    are parsed: the parse and the digest are both of the bytes read."""
 
     def rows(reliability):
         dates = [dt.date(2004, 1, 1) + dt.timedelta(days=16 * k) for k in range(3)]
@@ -496,7 +475,7 @@ def test_hashed_read_names_the_bytes_it_parsed(tmp_path, monkeypatch, when):
     originals, replacements = tmp_path / "original.csv", tmp_path / "replacement.csv"
     for target, code in ((path, "0"), (originals, "0"), (replacement, "3"), (replacements, "3")):
         _write_rows(target, rows(code))
-    name = "_parse_series" if when.startswith("before") else "_series_chunk"
+    name = "_read_bytes" if when.startswith("before") else "_series_chunk"
     call = getattr(dataio, name)
 
     def replace_then_call(*args, **kwargs):
@@ -505,44 +484,47 @@ def test_hashed_read_names_the_bytes_it_parsed(tmp_path, monkeypatch, when):
         return call(*args, **kwargs)
 
     monkeypatch.setattr(dataio, name, replace_then_call)
-    sites, digest = read_series_hashed(path)
+    got = read_series_file(path)
     monkeypatch.undo()
     read = replacements if when.startswith("before") else originals
-    assert digest == hashlib.sha256(read.read_bytes()).hexdigest()
-    assert_same_sites(sites, read_series_arrays(read))
+    assert got.sha256.hexdigest() == hashlib.sha256(read.read_bytes()).hexdigest()
+    assert_same_sites(got.flat.sites(), read_series_arrays(read))
     assert path.read_bytes() == replacements.read_bytes() != originals.read_bytes()
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=series_rows(), data=st.data())
-def test_one_pass_rounding_is_series_as_written(rows, data):
-    """read_series_as_written formats each value once: its pixels are
-    series_as_written of the parse, bit for bit, for values of any
-    precision, fill values, NaN and values that round onto a fill value;
-    its rows hold each parsed value's 9-digit text and, under a fresh
-    header, read back as its pixels."""
+@given(rows=series_rows(), data=st.data(), quoted=st.booleans(),
+       newline=st.sampled_from(["\n", "\r\n"]), final=st.booleans())
+def test_appended_series_rows_are_the_input_bytes(rows, data, quoted, newline, final):
+    """append_series_rows writes a fresh header, or the bytes of a file read
+    before, then the data rows of a series file byte for byte, whatever
+    their precision, quoting and line ends, and with a line break between
+    where the first part lacks one; it returns the SHA-256 of the file. A
+    read gives the values as the input gives them."""
     rows = [
-        [*row[:7], *(real(band_fill(band)) if np.isnan(v) else repr(v)
-                     for band, v in ((band, data.draw(_band_values(band))) for band in BAND_ORDER))]
+        [f'"{row[0]},\u00e9"' if quoted else row[0], *row[1:7],
+         *(real(band_fill(band)) if np.isnan(v) else repr(v)
+           for band, v in ((band, data.draw(_band_values(band))) for band in BAND_ORDER))]
         for row in rows
     ]
+    text = newline.join(["#cmfda series v1 source=test", ",".join(SERIES_COLUMNS),
+                         *(",".join(r) for r in rows)])
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
-        _write_rows(path, rows)
-        parsed = read_series_arrays(path)
-        flat, chunks = read_series_as_written(path)
-        assert_same_sites(flat.sites(), series_as_written(parsed))
-        digest = dataio.append_series_rows(out, chunks)
-        assert digest.hexdigest() == hashlib.sha256(out.read_bytes()).hexdigest()
-        assert_same_sites(read_series_arrays(out), flat.sites())
-    texts = [
-        [site_id, cp.pixel_id, str(cp.col), str(cp.row), dt.date.fromordinal(o).isoformat(),
-         str(doy), str(code), *(real(band_fill(b) if np.isnan(v) else v) for b, v in zip(BAND_ORDER, vs))]
-        for site_id, cps in parsed.items() for cp in cps
-        for o, doy, code, vs in zip(cp.arrays.ordinals.tolist(), cp.arrays.doys.tolist(),
-                                    cp.arrays.reliability.tolist(), cp.arrays.values.tolist())
-    ]
-    assert b"".join(chunks).decode().splitlines() == [",".join(t) for t in texts]
+        path, out, twice = Path(tmp) / "in.csv", Path(tmp) / "out.csv", Path(tmp) / "twice.csv"
+        path.write_bytes((text + newline * final).encode())
+        read = read_series_file(path)
+        digest = dataio.append_series_rows(out, None, read)
+        body = read.data.split(newline.encode(), 2)[2]
+        header = b"#cmfda series v1\n" + ",".join(SERIES_COLUMNS).encode() + b"\r\n"
+        assert out.read_bytes() == header + body
+        assert digest == hashlib.sha256(out.read_bytes()).hexdigest()
+        assert_same_sites(read_series_arrays(out), read.flat.sites())
+        assert dataio.append_series_rows(twice, read_series_file(out), read) == hashlib.sha256(
+            twice.read_bytes()).hexdigest()
+        assert twice.read_bytes() == header + body + b"\n" * (not final) + body
+    given = [float(t) for r in rows for b, t in zip(BAND_ORDER, r[7:]) if float(t) != band_fill(b)]
+    values = read.flat.columns.values
+    assert sorted(values[~np.isnan(values)].tolist()) == sorted(given)
 
 
 def _parent_format_mirror(path, series):
@@ -570,8 +552,8 @@ def test_a_parent_format_mirror_is_parsed_around(tmp_path):
     _parent_format_mirror(mirror, series)
     with mock.patch.object(dataio, "_parse_series", side_effect=AssertionError("parsed")):
         with pytest.raises(AssertionError, match="parsed"):
-            read_series_mirrored(series, mirror)
-    assert_same_sites(read_series_mirrored(series, mirror), read_series_arrays(series))
+            read_series_file(series, mirror)
+    assert_same_sites(_mirrored(series, mirror), read_series_arrays(series))
 
 
 def test_covariance_mirror_serves_the_bits_of_the_file(tmp_path, rng):
@@ -614,31 +596,42 @@ def test_covariance_mirror_serves_the_bits_of_the_file(tmp_path, rng):
     assert list(read_covariances_mirrored(path, mirror).sites) == ["u", "t"]
 
 
-def test_file_hash_reads_in_blocks(tmp_path, monkeypatch):
-    """A file is hashed in 64 KB reads, never read whole."""
-    path = tmp_path / "big.bin"
-    data = np.random.default_rng(3).bytes(3 * dataio._HASH_BLOCK + 17)
-    path.write_bytes(data)
-    sizes = []
+def test_a_mirrored_table_is_opened_once(tmp_path, monkeypatch):
+    """A series or covariance file is opened once, whether its mirror is
+    used, stale or missing, and what is read is what is hashed."""
+    series, mirror = tmp_path / "series.csv", tmp_path / "series.npy"
+    _write_rows(series, [["s", "px", "0", "0", "2004-01-01", "1", "0", *["0.5"] * 6]])
+    read = read_series_file(series)
+    write_series_mirror(mirror, read.flat, read.sha256.hexdigest())
+    covariances, covariance_mirror = tmp_path / "cov.csv", tmp_path / "cov.npy"
+    table = estimate_cube_covariances([
+        PairedErrorRecord("p", "s", 0, 0, dt.date(2005, 1, 1), doy, 0.01 * doy, 0.02 / doy)
+        for doy in range(1, 4)
+    ])
+    save_covariances(covariances, table)
+    write_covariance_mirror(covariance_mirror, covariances, table)
+    opened = []
     real_open = open
 
-    class Spy:
-        def __init__(self, fh):
-            self.fh = fh
+    def counting(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def read(self, size=-1):
-            sizes.append(size)
-            return self.fh.read(size)
-
-    monkeypatch.setattr(dataio, "open", lambda *a, **k: Spy(real_open(*a, **k)), raising=False)
-    assert dataio._sha256(path) == hashlib.sha256(data).hexdigest()
-    assert sizes and all(0 < size <= dataio._HASH_BLOCK for size in sizes)
+    for stale in (False, True):
+        if stale:   # the files change: each mirror is refused and the file parsed
+            _write_rows(series, [["s", "px", "0", "0", "2004-01-01", "1", "1", *["0.5"] * 6]])
+            covariances.write_text(covariances.read_text().replace(",s,", ",t,"))
+        opened.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(dataio, "open", counting, raising=False)
+            got = read_series_file(series, mirror)
+            sites = read_covariances_mirrored(covariances, covariance_mirror).sites
+            read_series_file(series, tmp_path / "missing.npy")
+        assert opened == ["series.csv", "series.npy", "cov.csv", "cov.npy",
+                          "series.csv", "missing.npy"]
+        assert got.sha256.hexdigest() == hashlib.sha256(series.read_bytes()).hexdigest()
+        assert_same_sites(got.flat.sites(), read_series_arrays(series))
+        assert list(sites) == (["t"] if stale else ["s"])
 
 
 # --- labels -----------------------------------------------------------------------
@@ -1016,14 +1009,14 @@ TABLE_READERS = {
 
 @pytest.mark.parametrize("fault", [
     "not-utf-8-header", "not-utf-8-columns", "not-utf-8-row", "field-too-large",
-    "short-row", "column-row", "header",
+    "short-row", "column-row", "header", "open-quote",
 ])
 @pytest.mark.parametrize("table", list(TABLE_READERS))
 def test_table_framing_faults(tmp_path, table, fault):
     """Every table reader meets a framing fault the same way: a byte that
-    is not UTF-8, a field over csv's size limit, a short row or a wrong
-    column-name row is a ParseError at its line, a wrong header a
-    SchemaVersionMismatch."""
+    is not UTF-8, a field over csv's size limit, a short row, a wrong
+    column-name row or a quoted field still open at the end of the file is a
+    ParseError at its line, a wrong header a SchemaVersionMismatch."""
     read, kind, meta, columns = TABLE_READERS[table]
     lines = [f"#cmfda {kind} v1 {meta}".encode(), ",".join(columns).encode(),
              b"," * (len(columns) - 1)]
@@ -1034,6 +1027,7 @@ def test_table_framing_faults(tmp_path, table, fault):
         "field-too-large": (3, "field larger than field limit (131072)"),
         "short-row": (3, "expected %d fields, got 2" % len(columns)),
         "column-row": (2, f"expected columns {list(columns)}, got ['x', 'y']"),
+        "open-quote": (3, "unexpected end of data"),
     }
     if fault.startswith("not-utf-8"):
         line = expected[fault][0]
@@ -1044,6 +1038,8 @@ def test_table_framing_faults(tmp_path, table, fault):
         lines[2] = b"a,b"
     elif fault == "column-row":
         lines[1] = b"x,y"
+    elif fault == "open-quote":
+        lines[2] = b'"' + lines[2]
     else:
         lines[0] = b"#cmfda other v1"
     path = tmp_path / "table.csv"

@@ -331,7 +331,9 @@ def test_append_batch_lays_out_the_rows_as_a_read_of_the_appended_file(tmp_path)
                for site, pixel, col in (("A", "a1", 1), ("A", "a2", 2), ("B", "b1", 3))]
     batch = [("C", "c1", 4, d[2]), ("B", "b2", 5, d[2]), ("A", "a1", 1, d[2]),
              ("B", "b1", 3, d[2]), ("A", "a3", 6, d[2])]
-    read = dataio._parse_series
+    def read(path):
+        return dataio.read_series_file(path).flat
+
     merged = append_batch(read(_series_file(tmp_path / "h.csv", history)),
                           read(_series_file(tmp_path / "b.csv", batch)))
     want = read(_series_file(tmp_path / "all.csv", history + batch))
