@@ -339,7 +339,7 @@ def _load_model_dir(models_dir: str):
     windows = []
     fit = pipeline.FitResult(models={})
     for index, path in enumerate(paths):
-        train, models = dataio.load_models(path)
+        train, models = dataio.load_models(path, os.path.splitext(path)[0] + ".npy")
         window = make_windows(train.start.year, 1)[0]
         if window.train != train:
             raise ParseError(
@@ -506,12 +506,13 @@ def cmd_fit(args) -> int:
     """Fit the models of every (pixel, band, window) into ``--out``: one
     ``models_<first>_<last>.csv`` per window and ``fit_report.txt``.
 
-    ``--out`` also gets ``series.npy``, a binary mirror of ``--series`` as
-    parsed, in the format of the online state's ``history.npy``. It is
-    derived and may be deleted: it holds the SHA-256 of the bytes fit read
-    and parsed, and ``detect`` and ``standardize`` use it in place of a
-    parse only while that is the hash of the bytes they read. A mirror that
-    cannot be written is a warning, not an error.
+    ``--out`` also gets binary mirrors of the tables as a read of them
+    gives them: ``series.npy`` of ``--series``, in the format of the online
+    state's ``history.npy``, and ``models_<first>_<last>.npy`` of each
+    model file. They are derived and may be deleted: each holds the SHA-256
+    of the bytes of its table, and ``detect`` and ``standardize`` use it in
+    place of a parse only while that is the hash of the bytes they read. A
+    mirror that cannot be written is a warning, not an error.
     """
     series = dataio.read_series_file(args.series)
     sites = series.flat.sites()
@@ -522,7 +523,8 @@ def cmd_fit(args) -> int:
     n_models = 0
     for wp in windows:
         path = os.path.join(args.out, f"models_{_window_tag(wp)}.csv")
-        dataio.save_models(path, merged.models[wp.index], wp.train)
+        _try_mirror("model mirror", dataio.write_mirror, os.path.splitext(path)[0] + ".npy",
+                    *dataio.save_models(path, merged.models[wp.index], wp.train))
         n_models += len(merged.models[wp.index])
     report_path = os.path.join(args.out, "fit_report.txt")
     with open(report_path, "w") as fh:
@@ -566,11 +568,11 @@ def cmd_detect(args) -> int:
     """Apply a rule to ``--series`` with the models in ``--models`` and write
     the detections to ``--out``.
 
-    ``fit`` also leaves ``series.npy`` in ``--models``: a mirror of the
-    series as parsed, in the format of the online state's ``history.npy``.
-    It is derived, and may be deleted. ``--series`` is read once, and taken
-    from the mirror while the SHA-256 it holds is that of the bytes read;
-    those bytes are parsed otherwise (mirror missing, stale, truncated or
+    ``fit`` also leaves in ``--models`` a mirror of the series and of each
+    model file as parsed (see :func:`cmd_fit`); they are derived, and may be
+    deleted. ``--series`` and each model file are read once, and taken from
+    their mirror while the SHA-256 it holds is that of the bytes read; those
+    bytes are parsed otherwise (mirror missing, stale, truncated or
     unreadable, or a models dir without one). The outputs are the same.
     """
     _rule_args(args)
@@ -783,9 +785,10 @@ def cmd_standardize(args) -> int:
     """Fit a standardizer for ``--band`` from the training residuals of
     ``--series`` under the models in ``--models``, and write it to ``--out``.
 
-    The series is read as ``detect`` reads it: read once, and taken from the
-    ``series.npy`` that ``fit`` left in ``--models`` (a derived mirror, which
-    may be deleted) while the SHA-256 it holds is that of the bytes read.
+    The series and the models are read as ``detect`` reads them: each file
+    once, and taken from the mirror that ``fit`` left in ``--models`` (a
+    derived file, which may be deleted) while the SHA-256 it holds is that
+    of the bytes read.
     """
     sites = _read_series(args)
     windows, fit = _load_model_dir(args.models)
@@ -871,7 +874,8 @@ def cmd_online(args) -> int:
     history bytes a step read and computed on written back with them in one
     write. A step writes ``--out``, ``flagged.csv`` (unless the file holds
     those bytes already), ``models_online.csv``, then ``history.csv``, which
-    commits the step, then the history mirror.
+    commits the step, then the history mirror, and the covariance mirror
+    again when the step parsed ``covariances.csv``.
     """
     if parse_scheme(args.scheme) is not Scheme.IDENTITY:
         raise UsageError("online monitoring supports only the identity scheme")
@@ -901,8 +905,10 @@ def cmd_online(args) -> int:
         _replace_state(paths["flagged"], dataio.write_detections, [], {"state": "online"})
         if covariances is not None:
             _replace_state(paths["covariances"], dataio.save_covariances, covariances)
+            # the mirror holds the table as a read of the file gives it (9-digit reals)
             _try_mirror("covariance mirror", dataio.write_covariance_mirror,
-                        paths["covariance_mirror"], paths["covariances"], covariances)
+                        paths["covariance_mirror"],
+                        *dataio.read_covariances_mirrored(paths["covariances"], None))
         _write_online_config(paths["config"], {
             "monitor-year": str(args.monitor_year),
             "rule": args.rule,
@@ -920,9 +926,9 @@ def cmd_online(args) -> int:
     setting = _state_settings(paths["config"])
     monitor_year = setting("monitor-year", int)
     kind = setting("rule")
-    covariances = None
+    covariances = sigma_digest = None
     if kind == "mahalanobis":
-        covariances = dataio.read_covariances_mirrored(
+        covariances, sigma_digest = dataio.read_covariances_mirrored(
             paths["covariances"], paths["covariance_mirror"]
         )
     rule_args = argparse.Namespace(
@@ -989,6 +995,9 @@ def cmd_online(args) -> int:
     # The step is committed; a mirror left stale by a failed write is
     # refused by its hash.
     _try_mirror("history mirror", dataio.write_series_mirror, paths["mirror"], merged, digest)
+    if sigma_digest is not None:   # covariances.csv was parsed: its mirror is regained
+        _try_mirror("covariance mirror", dataio.write_covariance_mirror,
+                    paths["covariance_mirror"], covariances, sigma_digest)
     print(f"batch {batch_date}: {len(newly)} new flags, {len(flagged) + len(newly)} total")
     return EXIT_OK
 

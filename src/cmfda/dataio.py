@@ -9,15 +9,16 @@ are the mirrors of parsed tables (see "binary mirrors" below).
 
 Every table is written by :func:`_write_table` or, where its bytes are
 needed first, with its header writer (:func:`append_series_rows`,
-:func:`replace_detections`), and read through :func:`_table_chunks`,
-which alone checks its framing: header, column names, field counts, UTF-8
-text and what ``csv`` refuses. The row readers take its rows through
-:func:`_rows`; the series, model and covariance readers take its chunks
-column by column. A series or covariance file is read once, whole, by
-:func:`_read_mirrored`, which hashes those bytes and either takes the
-file's binary mirror, when the mirror holds that hash, or parses the same
-bytes; the online history grows by those bytes plus the data rows of a
-batch file as read (:func:`append_series_rows`).
+:func:`replace_detections`, :func:`save_models`, which formats its rows
+in bulk), and read through :func:`_table_chunks`, which alone checks its
+framing: header, column names, field counts, UTF-8 text and what ``csv``
+refuses; it frames a table without quotes in bulk. The row readers take
+its rows through :func:`_rows`; the series, model and covariance readers
+take its chunks column by column. A series, model or covariance file is
+read once, whole, by :func:`_read_mirrored`, which hashes those bytes and
+either takes the file's binary mirror, when the mirror holds that hash,
+or parses the same bytes; the online history grows by those bytes plus
+the data rows of a batch file as read (:func:`append_series_rows`).
 A fault in a table is a ``ParseError`` naming the file and, where it has
 one, the line; a wrong header is a ``SchemaVersionMismatch``.
 """
@@ -132,13 +133,21 @@ def _write_header(fh, kind: str, columns: Sequence[str],
     csv.writer(fh).writerow(columns)
 
 
+def _table_bytes(kind: str, columns: Sequence[str], rows,
+                 meta: Optional[Mapping[str, str]] = None) -> bytes:
+    """A table file's bytes: its header (see :func:`_write_header`), then
+    ``rows``, an iterable of field lists."""
+    text = io.StringIO()
+    _write_header(text, kind, columns, meta)
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode(ENCODING)
+
+
 def _write_table(path, kind: str, columns: Sequence[str], rows,
                  meta: Optional[Mapping[str, str]] = None) -> None:
-    """Write a table file: its header (see :func:`_write_header`), then
-    ``rows``, an iterable of field lists."""
-    with open(path, "w", newline="", encoding=ENCODING) as fh:
-        _write_header(fh, kind, columns, meta)
-        csv.writer(fh).writerows(rows)
+    """Write a table file (see :func:`_table_bytes`)."""
+    with open(path, "wb") as fh:
+        fh.write(_table_bytes(kind, columns, rows, meta))
 
 
 def _read_header(fh, kind: str, path) -> dict[str, str]:
@@ -215,28 +224,76 @@ def write_series(path, sites: Mapping[str, Sequence[PixelSeries]]) -> None:
 # strings take at once.
 _CHUNK_ROWS = 1024
 
+# A line end, as csv and the text reader see one.
+_LINE_END = re.compile(rb"\r\n|\r|\n")
+
 
 def undecodable_line(path, data: Optional[bytes] = None) -> Optional[int]:
     """The number of the first line of ``path``, or of its bytes ``data``,
-    that is not UTF-8 text."""
-    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
-        for number, line in enumerate(fh, start=1):
-            try:
-                line.decode(ENCODING)
-            except UnicodeDecodeError:
-                return number
+    that is not UTF-8 text, lines ending as csv ends them: at CR LF, CR or
+    LF."""
+    if data is None:
+        data = _read_bytes(path)
+    try:
+        data.decode(ENCODING)
+    except UnicodeDecodeError as exc:
+        return 1 + len(_LINE_END.findall(data, 0, exc.start))
     return None
+
+
+def _line_blocks(data: bytes) -> Optional[list[tuple[int, int]]]:
+    """Bounds of blocks of whole lines of the table bytes ``data``, each at
+    most csv's field size limit long, so that no line holds a field csv
+    refuses; None when a line may be longer, or no block ends at a line
+    feed."""
+    limit, bounds, start = csv.field_size_limit(), [], 0
+    while start < len(data):
+        end = len(data) if len(data) - start <= limit else data.rfind(b"\n", start, start + limit) + 1
+        if not end:
+            return None
+        bounds.append((start, end))
+        start = end
+    return bounds
+
+
+def _bulk_chunks(data: bytes, bounds):
+    """(line numbers, lines) per chunk of the data rows of the table bytes
+    ``data``, split block by block (see :func:`_line_blocks`)."""
+    blocks = (data[start:end].splitlines() for start, end in bounds)
+    lines = itertools.islice(itertools.chain.from_iterable(blocks), 2, None)   # after the header
+    number = 3
+    while chunk := list(itertools.islice(lines, _CHUNK_ROWS)):
+        yield range(number, number + len(chunk)), chunk
+        number += len(chunk)
+
+
+def _csv_chunks(rows):
+    """(line numbers, rows) per chunk of the data rows of the csv reader
+    ``rows``, which has read the column-name row."""
+    read = rows.line_num + 1   # lines read: the header, then csv's
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        numbers: Sequence[int] = range(read + 1, read + 1 + len(chunk))
+        if rows.line_num + 1 - read != len(chunk):   # a quoted field holds a line break
+            numbers = [read + n for n in itertools.accumulate(
+                1 + len(re.findall("\r\n|\r|\n", ",".join(row))) for row in chunk
+            )]
+        read = rows.line_num + 1
+        yield numbers, chunk
 
 
 def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Callable] = None,
                   data: Optional[bytes] = None):
-    """Yield a table file's data rows, split by ``csv.reader``, in chunks.
+    """Yield a table file's data rows in chunks.
 
     Each chunk is (line numbers of its non-blank rows, its columns over the
     rows before the first with the wrong field count), a row numbered by
     the line it ends on. A chunk with such a row is the last: resumed after
     it, the generator raises the row's ``ParseError``, so the caller has
     checked the rows before it first.
+    A table whose bytes hold no quote character is framed in bulk (see
+    :func:`_bulk_chunks`); any other, and one that may hold a line over
+    csv's field size limit, by ``csv.reader``. Both give the same chunks
+    and faults.
     Text that is not UTF-8 and a row ``csv`` refuses (a field over its size
     limit) are a ``ParseError`` at their line as soon as they are read.
     ``on_header``, when given, gets the header's key=value pairs before the
@@ -259,27 +316,26 @@ def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Cal
             if found != list(names):
                 raise ParseError(f"{path}: expected columns {list(names)}, got {found}", line=2)
             width = len(names)
-            read = rows.line_num + 1   # lines read: the header, then csv's
-            while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-                numbers: Sequence[int] = range(read + 1, read + 1 + len(chunk))
-                if rows.line_num + 1 - read != len(chunk):   # a quoted field holds a line break
-                    numbers = [read + n for n in itertools.accumulate(
-                        1 + len(re.findall("\r\n|\r|\n", ",".join(row))) for row in chunk
-                    )]
-                read = rows.line_num + 1
+            bounds = None if b'"' in data else _line_blocks(data)
+            for numbers, chunk in _csv_chunks(rows) if bounds is None else _bulk_chunks(data, bounds):
                 if not all(chunk):  # blank lines are skipped
                     numbers = [line for line, row in zip(numbers, chunk) if row]
                     chunk = [row for row in chunk if row]
-                widths = list(map(len, chunk))
+                # fields per row; csv would split a quote-free line at its commas alone
+                widths, expected = (list(map(len, chunk)), width) if bounds is None else (
+                    list(map(bytes.count, chunk, itertools.repeat(b","))), width - 1)
                 n = len(chunk)
-                if set(widths) - {width}:
-                    n = next(k for k, w in enumerate(widths) if w != width)
-                columns = list(zip(*chunk[:n])) if n else [()] * width
+                if set(widths) - {expected}:
+                    n = next(k for k, w in enumerate(widths) if w != expected)
+                if bounds is None:
+                    columns = list(zip(*chunk[:n])) if n else [()] * width
+                else:   # the chunk's lines split into fields at once
+                    fields = b",".join(chunk[:n]).decode(ENCODING).split(",") if n else []
+                    columns = [fields[k::width] for k in range(width)]
                 yield numbers, dict(zip(names, columns))
                 if n < len(chunk):
-                    raise ParseError(
-                        f"{path}: expected {width} fields, got {widths[n]}", line=numbers[n]
-                    )
+                    raise ParseError(f"{path}: expected {width} fields, "
+                                     f"got {widths[n] + width - expected}", line=numbers[n])
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not {ENCODING} text",
                              line=undecodable_line(path, data)) from None
@@ -518,9 +574,6 @@ def read_series(path) -> dict[str, list[PixelSeries]]:
     return out
 
 
-_LINE_END = re.compile(rb"\r\n|\r|\n")
-
-
 def append_series_rows(path, head: Optional[SeriesFile], rows: SeriesFile) -> str:
     """Replace the series file ``path`` with the bytes of ``head``, or a
     fresh header when it is None, followed by the data rows of ``rows`` as
@@ -547,9 +600,11 @@ def append_series_rows(path, head: Optional[SeriesFile], rows: SeriesFile) -> st
 # --- binary mirrors ---------------------------------------------------------------
 #
 # A binary copy of what a reader makes of a table file lets the next reader
-# skip the parse: fit's series.npy of its --series; an online state's
-# history.npy of history.csv and covariances.npy of the covariances.csv rows
-# a lookup can serve. A mirror is one JSON line (format tag, SHA-256 of the
+# skip the parse: fit's series.npy of its --series and models_<tag>.npy of
+# each model file it writes (from the text written, not the fits); an online
+# state's history.npy of history.csv and covariances.npy of the
+# covariances.csv rows a lookup can serve, written again by a step that had
+# to parse the file. A mirror is one JSON line (format tag, SHA-256 of the
 # table bytes it mirrors, each array's dtype and shape), then the arrays'
 # bytes, each start 8-byte aligned: one write, one read. It is derived: a
 # reader reads the table's bytes once and takes the mirror only while its
@@ -558,6 +613,7 @@ def append_series_rows(path, head: Optional[SeriesFile], rows: SeriesFile) -> st
 
 _SERIES_MIRROR = "cmfda series-mirror v2"
 _COVARIANCE_MIRROR = "cmfda covariance-mirror v2"
+_MODEL_MIRROR = "cmfda model-mirror v1"
 _ALIGN = 8
 
 
@@ -569,7 +625,7 @@ def _write_parts(path, parts) -> None:
             raise OSError(f"{tmp}: short write")
 
 
-def _write_mirror(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
+def write_mirror(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
     """Write a mirror of ``header`` and ``arrays``; it replaces ``path``
     when whole."""
     head = json.dumps({**header, "arrays": [[a.dtype.str, a.shape] for a in arrays]}).encode()
@@ -610,19 +666,21 @@ def _read_mirror(path, kind: str, digest: str, dtypes) -> Optional[tuple[dict, l
 
 def _read_mirrored(path, mirror_path, kind: str, dtypes, parse, unmirror):
     """Read the table file ``path`` once: (what it holds, its bytes, the
-    SHA-256 object fed them). What it holds is ``unmirror(path, header,
-    arrays)`` of the mirror at ``mirror_path`` (see :func:`_read_mirror`)
-    while that mirrors these very bytes and ``unmirror`` does not refuse it
-    with None, and ``parse(path, data)`` of the same bytes otherwise."""
+    SHA-256 object fed them, whether the mirror gave what it holds). What it
+    holds is ``unmirror(path, header, arrays)`` of the mirror at
+    ``mirror_path`` (see :func:`_read_mirror`) while that mirrors these very
+    bytes and ``unmirror`` does not refuse it with None, and
+    ``parse(path, data)`` of the same bytes otherwise."""
     data = _read_bytes(path)
     sha256 = hashlib.sha256(data)
     held = None
     if mirror_path is not None:
         mirror = _read_mirror(mirror_path, kind, sha256.hexdigest(), dtypes)
         held = None if mirror is None else unmirror(path, *mirror)
-    if held is None:
+    mirrored = held is not None
+    if not mirrored:
         held = parse(path, data)
-    return held, data, sha256
+    return held, data, sha256, mirrored
 
 
 class SeriesFile(NamedTuple):
@@ -653,7 +711,7 @@ def read_series_file(path, mirror_path=None) -> SeriesFile:
     return SeriesFile(*_read_mirrored(
         path, mirror_path, _SERIES_MIRROR, [np.int64, *(a.dtype for a in EMPTY_ARRAYS)],
         _parse_series, _series_from_mirror,
-    ))
+    )[:3])
 
 
 def write_series_mirror(path, flat: FlatSeries, digest: str) -> None:
@@ -661,7 +719,7 @@ def write_series_mirror(path, flat: FlatSeries, digest: str) -> None:
     ``digest``; ``flat`` must be what a read of those bytes gives. The
     mirror replaces ``path`` when whole."""
     header = {"format": _SERIES_MIRROR, "sha256": digest, "pixels": flat.keys}
-    _write_mirror(path, header, [flat.bounds, *flat.columns])
+    write_mirror(path, header, [flat.bounds, *flat.columns])
 
 
 # --- label files --------------------------------------------------------------
@@ -766,36 +824,62 @@ def save_models(
     path,
     models: Mapping[tuple[str, Band], HarmonicModel],
     train_window: DateInterval,
-) -> None:
-    _write_table(
-        path, "models", MODEL_COLUMNS,
-        ([pixel_id, int(band), *map(real, model.coeffs), model.n_obs]
-         for (pixel_id, band), model in models.items()),
-        {"train_start": train_window.start.isoformat(), "train_end": train_window.end.isoformat()},
-    )
+) -> tuple[dict, list[np.ndarray]]:
+    """Write a model file, its reals formatted in bulk as ``real`` formats
+    them; return its mirror (see :func:`write_mirror`): the SHA-256 of the
+    bytes written, and the rows as a read of them gives them (pixel ids,
+    int8 band codes, coefficients parsed from their text, int64 n_obs)."""
+    pixel_ids = [pixel_id for pixel_id, _ in models]
+    codes = [int(band) for _, band in models]
+    n_obs = [model.n_obs for model in models.values()]
+    values = tuple(itertools.chain.from_iterable(model.coeffs for model in models.values()))
+    texts = ("%.9g," * len(values) % values).split(",")[:-1]   # each as ``real`` formats it
+    rows = zip(pixel_ids, codes, *(texts[k::N_COEFFS] for k in range(N_COEFFS)), n_obs)
+    meta = {"train_start": train_window.start.isoformat(),
+            "train_end": train_window.end.isoformat()}
+    quoted = re.search('[",\r\n]', "".join(pixel_ids))   # csv quotes such a pixel id
+    data = _table_bytes("models", MODEL_COLUMNS, rows if quoted else (), meta)
+    if not quoted:   # the bytes csv writes, in one call
+        data += "".join(map("%s,%s,%s,%s,%s,%s,%s,%s\r\n".__mod__, rows)).encode(ENCODING)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    coeffs = np.fromiter(map(float, texts), float, count=len(texts)).reshape(-1, N_COEFFS)
+    header = {"format": _MODEL_MIRROR, "sha256": hashlib.sha256(data).hexdigest(),
+              "pixels": pixel_ids, **meta}
+    return header, [np.array(codes, dtype=np.int8), coeffs, np.array(n_obs, dtype=np.int64)]
 
 
 _BANDS = {int(band): band for band in Band}
+_BAND_OF = np.array([_BANDS.get(code) for code in range(max(_BANDS) + 1)], dtype=object)
 
 
-def load_models(path) -> tuple[DateInterval, dict[tuple[str, Band], HarmonicModel]]:
-    """Parse a model file column by column. A fault is reported as a
-    row-by-row reading would meet it: the first bad row, and its first
+def _train_window(path, meta: Mapping) -> DateInterval:
+    """The training window in the header of the model file ``path``."""
+    try:
+        return DateInterval(dt.date.fromisoformat(meta["train_start"]),
+                            dt.date.fromisoformat(meta["train_end"]))
+    except (KeyError, ValueError):
+        raise ParseError(f"{path}: header lacks a valid training window", line=1) from None
+
+
+def _models_of(train: DateInterval, pixel_ids: list, bands: list, coeffs: np.ndarray, n_obs):
+    """The model dict of rows in file order; a later row of a (pixel, band)
+    replaces the earlier."""
+    models = map(HarmonicModel, bands, pixel_ids, zip(*coeffs.T.tolist()),
+                 itertools.repeat((train.start, train.end)), n_obs)
+    return dict(zip(zip(pixel_ids, bands), models))
+
+
+def _parse_models(path, data: bytes) -> tuple[DateInterval, dict[tuple[str, Band], HarmonicModel]]:
+    """Parse the bytes of a model file column by column. A fault is reported
+    as a row-by-row reading would meet it: the first bad row, and its first
     failing check (band, a0..a4, then n_obs)."""
     windows = []
-
-    def read_window(meta):
-        try:
-            windows.append(DateInterval(
-                dt.date.fromisoformat(meta["train_start"]),
-                dt.date.fromisoformat(meta["train_end"]),
-            ))
-        except (KeyError, ValueError):
-            raise ParseError(f"{path}: header lacks a valid training window", line=1) from None
-
     models = {}
     caches: dict[str, dict] = {"band": {}, "n_obs": {}}
-    for lines, columns in _table_chunks(path, "models", MODEL_COLUMNS, read_window):
+    for lines, columns in _table_chunks(path, "models", MODEL_COLUMNS,
+                                        lambda meta: windows.append(_train_window(path, meta)),
+                                        data):
         n = len(columns["pixel_id"])
         codes, code_rows = _parse_distinct(columns["band"], int, caches["band"])
         bands = [None if code is None else _BANDS.get(code) for code in codes]
@@ -814,15 +898,31 @@ def load_models(path) -> tuple[DateInterval, dict[tuple[str, Band], HarmonicMode
             *((bad, text_error(_parse_float, f"a{k}")) for k, (_, bad) in enumerate(reals)),
             (_gather([c is None for c in counts], count_rows, bool), text_error(_parse_int, "n_obs")),
         ], n)
-        train = (windows[0].start, windows[0].end)
-        for pixel_id, band, coeffs, n_obs in zip(
-            columns["pixel_id"],
-            np.array(bands, dtype=object)[code_rows].tolist(),
-            map(tuple, np.column_stack([v for v, _ in reals]).tolist()),
+        models.update(_models_of(
+            windows[0], columns["pixel_id"], np.array(bands, dtype=object)[code_rows].tolist(),
+            np.column_stack([v for v, _ in reals]),
             np.array(counts, dtype=object)[count_rows].tolist(),
-        ):
-            models[(pixel_id, band)] = HarmonicModel(band, pixel_id, coeffs, train, n_obs)
+        ))
     return windows[0], models
+
+
+def _models_from_mirror(path, header: dict, arrays):
+    bands, coeffs, n_obs = arrays
+    n = len(header["pixels"])
+    if (bands.shape, coeffs.shape, n_obs.shape) != ((n,), (n, N_COEFFS), (n,)):
+        return None
+    train = _train_window(path, header)
+    return train, _models_of(train, header["pixels"], _BAND_OF[bands].tolist(), coeffs,
+                             n_obs.tolist())
+
+
+def load_models(path, mirror_path=None) -> tuple[DateInterval, dict[tuple[str, Band], HarmonicModel]]:
+    """The training window and models, in file order, of a model file read
+    once (see :func:`_read_mirrored`): taken from the mirror at
+    ``mirror_path`` while that mirrors the bytes read, and parsed from them
+    otherwise (see :func:`_parse_models`)."""
+    return _read_mirrored(path, mirror_path, _MODEL_MIRROR, [np.int8, np.float64, np.int64],
+                          _parse_models, _models_from_mirror)[0]
 
 
 # --- standardizer files ----------------------------------------------------------
@@ -962,16 +1062,17 @@ def save_covariances(path, table: CubeCovarianceTable) -> None:
     )
 
 
-def write_covariance_mirror(path, covariance_path, table: CubeCovarianceTable) -> None:
-    """Write the mirror of the covariance file ``covariance_path`` that
-    ``table`` was saved to: the rows ``matrix_for`` can serve, with the
-    values a load of the file gives. It replaces ``path`` when whole."""
+def write_covariance_mirror(path, table: CubeCovarianceTable, digest: str) -> None:
+    """Write the mirror of the covariance file whose bytes have the SHA-256
+    ``digest``: the rows of ``table``, what a read of those bytes gives
+    (see :func:`read_covariances_mirrored`), that ``matrix_for`` can serve.
+    It replaces ``path`` when whole."""
     served = [row for row in _covariance_rows(table)
               if row[-1].n >= (table.min_cube_samples if row[0] == "cube" else 2)]
-    values = [float(real(v)) for *_, e in served for v in (e.var_nir, e.cov, e.var_ndvi)]
-    _write_mirror(path, {
+    values = [v for *_, e in served for v in (e.var_nir, e.cov, e.var_ndvi)]
+    write_mirror(path, {
         "format": _COVARIANCE_MIRROR,
-        "sha256": hashlib.sha256(_read_bytes(covariance_path)).hexdigest(),
+        "sha256": digest,
         "min_cube_samples": table.min_cube_samples,
         "rows": [[*key, e.n] for *key, e in served],
     }, [np.array(values, dtype=float).reshape(-1, 3)])
@@ -988,13 +1089,16 @@ def _covariances_from_mirror(path, header: dict, arrays) -> Optional[CubeCovaria
     return CubeCovarianceTable(*tables.values(), header["min_cube_samples"])
 
 
-def read_covariances_mirrored(path, mirror_path) -> CubeCovarianceTable:
+def read_covariances_mirrored(path, mirror_path) -> tuple[CubeCovarianceTable, Optional[str]]:
     """``load_covariances(path)`` as ``matrix_for`` serves it, the file read
     once (see :func:`_read_mirrored`): built from the served rows in the
     mirror at ``mirror_path`` while that mirrors the bytes read, and parsed
-    from them otherwise."""
-    return _read_mirrored(path, mirror_path, _COVARIANCE_MIRROR, [np.float64],
-                          load_covariances, _covariances_from_mirror)[0]
+    from them otherwise; and, when parsed, the SHA-256 of the bytes read,
+    under which the mirror can be written again (None when it served)."""
+    table, _, sha256, mirrored = _read_mirrored(path, mirror_path, _COVARIANCE_MIRROR,
+                                                [np.float64], load_covariances,
+                                                _covariances_from_mirror)
+    return table, None if mirrored else sha256.hexdigest()
 
 
 def load_covariances(path, data: Optional[bytes] = None) -> CubeCovarianceTable:
@@ -1088,10 +1192,7 @@ def replace_detections(
 ) -> None:
     """Replace the detection file ``path`` with ``results`` unless it holds
     those very bytes already."""
-    text = io.StringIO()
-    _write_header(text, "detections", DETECTION_COLUMNS, meta)
-    csv.writer(text).writerows(_detection_rows(results))
-    data = text.getvalue().encode(ENCODING)
+    data = _table_bytes("detections", DETECTION_COLUMNS, _detection_rows(results), meta)
     with contextlib.suppress(OSError), open(path, "rb") as fh:
         if fh.read(len(data) + 1) == data:
             return

@@ -130,6 +130,19 @@ def assert_same_sites(got, want):
                 assert a.tobytes() == b.tobytes(), (site_id, have.pixel_id, field)
 
 
+def assert_same_models(got, want):
+    """Equal (window, models) loads: the models in the same order, with
+    the same band, pixel, window and n_obs (of the same types) and the
+    same coefficient bits."""
+    assert got[0] == want[0]
+    assert list(got[1]) == list(want[1])
+    for have, ref in zip(got[1].values(), want[1].values()):
+        assert (have.band, have.pixel_id, have.train_window, have.n_obs) == (
+            ref.band, ref.pixel_id, ref.train_window, ref.n_obs)
+        assert (type(have.band), type(have.n_obs)) == (Band, int)
+        assert np.array(have.coeffs).tobytes() == np.array(ref.coeffs).tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240517)

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import hashlib
 import os
 import shutil
 import subprocess
@@ -39,13 +40,14 @@ from cmfda.dataio import (
     read_series,
     read_series_arrays,
     save_covariances,
+    save_models,
     write_labels,
     write_series,
 )
 from cmfda.core import Band, DeforestationLabel, Reliability, band_fill
 from cmfda.detection import CovarianceEntry, CubeCovarianceTable, DetectionResult
 from cmfda.standardize import KeyKind, Scheme
-from conftest import assert_same_sites
+from conftest import assert_same_models, assert_same_sites
 
 
 @pytest.fixture(scope="module")
@@ -168,9 +170,9 @@ def test_fit_writes_window_model_files(models_dir):
     names = sorted(os.listdir(models_dir))
     assert "fit_report.txt" in names
     model_files = [n for n in names if n.startswith("models_")]
-    assert model_files == [
-        "models_2003_2004.csv", "models_2004_2005.csv", "models_2005_2006.csv",
-        "models_2006_2007.csv", "models_2007_2008.csv",
+    assert model_files == [   # each model file with its mirror
+        f"models_{tag}.{ext}" for tag in ("2003_2004", "2004_2005", "2005_2006", "2006_2007",
+                                          "2007_2008") for ext in ("csv", "npy")
     ]
 
 
@@ -1463,19 +1465,16 @@ def _scale_covariances(path, factor):
     ))
 
 
-def _without_covariance_mirror(record):
-    return [(out, {name: data for name, data in files.items() if name != "covariances.npy"})
-            for out, files in record]
-
-
 @pytest.mark.parametrize("fault", ["deleted", "truncated", "other_state", "edited"])
 def test_online_step_without_a_valid_covariance_mirror_parses_covariances(
     online_inputs, sigma_reference, tmp_path, monkeypatch, fault
 ):
     """A covariance mirror deleted, truncated or copied from another state,
     or left stale by a hand edit of covariances.csv, ends in the --out and
-    state files (but the mirror) of a run whose mirror was deleted: every
-    step parses covariances.csv. The edit changes the flags."""
+    state files of a run whose mirror was deleted: the first step parses
+    covariances.csv and writes its mirror again, which serves every later
+    step. Unedited, the run is the run with a valid mirror; the edit
+    changes the flags."""
     history, batches = online_inputs
     root, record = sigma_reference
     runs = []
@@ -1495,10 +1494,11 @@ def test_online_step_without_a_valid_covariance_mirror_parses_covariances(
         with monkeypatch.context() as patch:
             loads = _covariance_loads(patch)
             runs.append(_run_steps(state, batches[:SIGMA_STEPS], tmp_path / f"outs_{broken}"))
-        assert loads == ["covariances.csv"] * SIGMA_STEPS
-    assert _without_covariance_mirror(runs[0]) == _without_covariance_mirror(runs[1])
+        assert loads == ["covariances.csv"]
+    assert runs[0] == runs[1]
     outs = [[out for out, _ in run] for run in (runs[0], record)]
     assert (outs[0] != outs[1]) == (fault == "edited")
+    assert (runs[0] == record) == (fault != "edited")
 
 
 @pytest.mark.parametrize("mirror", ["history.npy", "covariances.npy"])
@@ -1507,8 +1507,7 @@ def test_online_init_survives_a_failed_mirror_write(
 ):
     """When --init cannot write a mirror, it warns, exits 0 and writes every
     other state file; three steps then end in the --out and state files of
-    an uninterrupted run, but for a covariance mirror, which no step
-    writes."""
+    an uninterrupted run: the first step writes the missing mirror."""
     history, batches = online_inputs
     root, record = sigma_reference
     real_replace = os.replace
@@ -1527,10 +1526,7 @@ def test_online_init_survives_a_failed_mirror_write(
     written = _files(root / "init")
     del written[mirror]
     assert _files(state) == written
-    outs, files = record[2]
-    if mirror == "covariances.npy":
-        del files["covariances.npy"]
-    assert _run_steps(state, batches[:3], tmp_path / "outs")[2] == (outs, files)
+    assert _run_steps(state, batches[:3], tmp_path / "outs")[2] == record[2]
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -1793,6 +1789,149 @@ def test_fit_mirror_holds_the_hash_of_the_bytes_fit_parsed(
     parses.clear()
     _detect_and_standardize(series, models, tmp_path / "restored")
     assert parses == []
+
+
+# The SHA-256 of each model file that fit writes for the models_dir scene,
+# as the row-by-row writer (each real through ``real``, each row through
+# csv) wrote them.
+MODEL_FILE_DIGESTS = {
+    "models_2003_2004.csv": "9657b96492c1ef626c7f31cc132ca7a9549e587ad8746895c5e845bf99f3ca09",
+    "models_2004_2005.csv": "569202fc1abacc3a4054aba2cacbeb0062dff3d020c58828b2df9c0475f1382d",
+    "models_2005_2006.csv": "67f7f10a7a7b701572b5837de452ad99d596f6cd5a637835c720b832e179c219",
+    "models_2006_2007.csv": "91604c527ac1829f5fc14b86f334325b4ae982c26666d7de53fdc65c85384e0f",
+    "models_2007_2008.csv": "ca230c22de082bd796bbbdc01a70eba4f72f60491855606f420fc1375e5957e6",
+}
+
+
+def test_fit_writes_the_model_bytes_of_the_row_writer(models_dir):
+    """fit formats its model files in bulk, with the bytes that the
+    row-by-row writer wrote."""
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(models_dir.glob("models_*.csv"))
+    } == MODEL_FILE_DIGESTS
+
+
+@pytest.fixture
+def model_parses(monkeypatch):
+    """The paths that ``_parse_models`` is called on."""
+    paths = []
+    parse = dataio._parse_models
+
+    def recording(path, *args):
+        paths.append(Path(path))
+        return parse(path, *args)
+
+    monkeypatch.setattr(dataio, "_parse_models", recording)
+    return paths
+
+
+MODEL_FILE = "models_2003_2004.csv"   # the one model file of fit_mirror_scene
+
+
+def _without_model_mirrors(models, copy):
+    shutil.copytree(models, copy, ignore=shutil.ignore_patterns("models_*.npy"))
+    return copy
+
+
+def test_fit_model_mirrors_load_as_the_parse(fit_mirror_scene, model_parses):
+    """fit leaves models_<tag>.npy beside each model file. It loads as the
+    parse of the file, in file order and bit for bit, without parsing."""
+    _, _, models = fit_mirror_scene
+    path = models / MODEL_FILE
+    parsed = load_models(path)
+    model_parses.clear()
+    assert_same_models(load_models(path, models / "models_2003_2004.npy"), parsed)
+    assert model_parses == []
+
+
+@pytest.mark.parametrize("fault", ["deleted", "truncated", "foreign", "csv_edited"])
+def test_detect_without_a_valid_model_mirror_parses_the_models(
+    fit_mirror_scene, tmp_path, fault, model_parses
+):
+    """A model mirror deleted, truncated, taken from another fit or left
+    stale by an edit of its model file: detect and standardize parse that
+    file and write what a parse gives. The edit changes the outputs."""
+    series, dropped, scene_models = fit_mirror_scene
+    models = tmp_path / "models"
+    shutil.copytree(scene_models, models)
+    mirror = models / "models_2003_2004.npy"
+    if fault == "deleted":
+        mirror.unlink()
+    elif fault == "truncated":
+        mirror.write_bytes(mirror.read_bytes()[: mirror.stat().st_size // 2])
+    elif fault == "foreign":
+        assert _fit(dropped, tmp_path / "other") == EXIT_OK
+        shutil.copy(tmp_path / "other" / "models_2003_2004.npy", mirror)
+    else:   # every intercept raised, the mirror left as it was
+        window, table = load_models(models / MODEL_FILE)
+        save_models(models / MODEL_FILE, {
+            key: dataclasses.replace(m, coeffs=(m.coeffs[0] + 0.3, *m.coeffs[1:]))
+            for key, m in table.items()
+        }, window)
+    model_parses.clear()
+    outputs = _detect_and_standardize(series, models, tmp_path / "out")
+    assert model_parses == [models / MODEL_FILE] * 2
+    bare = _without_model_mirrors(models, tmp_path / "bare")
+    assert outputs == _detect_and_standardize(series, bare, tmp_path / "parsed")
+    scene = _detect_and_standardize(series, scene_models, tmp_path / "scene")
+    assert (outputs != scene) == (fault == "csv_edited")
+
+
+def test_fit_survives_a_failed_model_mirror_write(
+    fit_mirror_scene, tmp_path, monkeypatch, capsys, model_parses
+):
+    """When a model mirror cannot be written, fit still exits 0, with a
+    warning, and writes every other file as before; detect and standardize
+    then parse that model file and write the same outputs."""
+    series, _, scene_models = fit_mirror_scene
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "models_2003_2004.npy":
+            raise OSError("injected failure")
+        real_replace(src, dst)
+
+    models = tmp_path / "models"
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", failing_replace)
+        assert _fit(series, models) == EXIT_OK
+    assert "model mirror not written: injected failure" in capsys.readouterr().err
+    assert _files(models) == {
+        name: data for name, data in _files(scene_models).items() if name != "models_2003_2004.npy"
+    }
+    model_parses.clear()
+    outputs = _detect_and_standardize(series, models, tmp_path / "out")
+    assert model_parses == [models / MODEL_FILE] * 2
+    assert outputs == _detect_and_standardize(series, scene_models, tmp_path / "scene")
+
+
+def test_detect_and_standardize_open_each_model_file_once(
+    fit_mirror_scene, tmp_path, monkeypatch, model_parses
+):
+    """detect and standardize open each models_*.csv for reading once,
+    with its mirror (and then parse nothing) and without it."""
+    import builtins
+
+    series, _, models = fit_mirror_scene
+    bare = _without_model_mirrors(models, tmp_path / "bare")
+    opened = []
+    real_open = builtins.open
+
+    def counting(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)   # a missing mirror is not opened
+        if isinstance(file, (str, os.PathLike)) and Path(file).name.startswith("models_"):
+            opened.append((Path(file).name, mode))
+        return fh
+
+    monkeypatch.setattr(builtins, "open", counting)
+    for models_dir, parsed in ((models, []), (bare, [bare / MODEL_FILE] * 2)):
+        opened.clear()
+        model_parses.clear()
+        _detect_and_standardize(series, models_dir, tmp_path / f"out_{models_dir.name}")
+        mirror = [("models_2003_2004.npy", "rb")] if models_dir == models else []
+        assert opened == [(MODEL_FILE, "rb"), *mirror] * 2
+        assert model_parses == parsed
 
 
 def test_each_command_opens_its_series_once(

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmfda import dataio
@@ -65,6 +66,7 @@ from cmfda.dataio import (
     write_labels,
     write_landuse,
     write_report,
+    write_mirror,
     write_series,
     yucatan_like_config,
 )
@@ -91,7 +93,7 @@ from cmfda.standardize import (
 )
 from cmfda.training import ReportRow, TrainReport
 from cmfda.windows import DateInterval
-from conftest import assert_same_sites, harmonic_value, make_series
+from conftest import assert_same_models, assert_same_sites, harmonic_value, make_series
 
 
 def round9(x):
@@ -575,10 +577,11 @@ def test_covariance_mirror_serves_the_bits_of_the_file(tmp_path, rng):
     path, mirror = tmp_path / "cov.csv", tmp_path / "cov.npy"
     table = estimate_cube_covariances(records)
     save_covariances(path, table)
-    write_covariance_mirror(mirror, path, table)
+    write_covariance_mirror(mirror, *read_covariances_mirrored(path, None))
     loaded = load_covariances(path)
     with mock.patch.object(dataio, "load_covariances", side_effect=AssertionError("parsed")):
-        mirrored = read_covariances_mirrored(path, mirror)
+        mirrored, regain = read_covariances_mirrored(path, mirror)
+    assert regain is None
     assert 0 < len(mirrored.cubes) < len(loaded.cubes)
     assert len(mirrored.site_periods) < len(loaded.site_periods)
 
@@ -593,7 +596,9 @@ def test_covariance_mirror_serves_the_bits_of_the_file(tmp_path, rng):
         assert [bits(mirrored, key) for key in keys] == [bits(loaded, key) for key in keys]
     assert bits(loaded, ("s", 0, 0)) is not None and bits(loaded, ("t", 0, 0)) is None
     path.write_text(path.read_text().replace(",s,", ",u,"))   # stale: the file is parsed
-    assert list(read_covariances_mirrored(path, mirror).sites) == ["u", "t"]
+    stale, regain = read_covariances_mirrored(path, mirror)
+    assert list(stale.sites) == ["u", "t"]
+    assert regain == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_a_mirrored_table_is_opened_once(tmp_path, monkeypatch):
@@ -609,7 +614,7 @@ def test_a_mirrored_table_is_opened_once(tmp_path, monkeypatch):
         for doy in range(1, 4)
     ])
     save_covariances(covariances, table)
-    write_covariance_mirror(covariance_mirror, covariances, table)
+    write_covariance_mirror(covariance_mirror, *read_covariances_mirrored(covariances, None))
     opened = []
     real_open = open
 
@@ -625,7 +630,7 @@ def test_a_mirrored_table_is_opened_once(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(dataio, "open", counting, raising=False)
             got = read_series_file(series, mirror)
-            sites = read_covariances_mirrored(covariances, covariance_mirror).sites
+            sites = read_covariances_mirrored(covariances, covariance_mirror)[0].sites
             read_series_file(series, tmp_path / "missing.npy")
         assert opened == ["series.csv", "series.npy", "cov.csv", "cov.npy",
                           "series.csv", "missing.npy"]
@@ -779,6 +784,48 @@ def test_load_models_matches_row_oracle(
     assert got[0] == expected[0]
     assert list(got[1].items()) == list(expected[1].items())
     assert all(type(m.n_obs) is int and type(m.band) is Band for m in got[1].values())
+
+
+def reference_save_models(path, models, window):
+    """The row-by-row model writer: each real through ``real``, each row
+    through csv."""
+    dataio._write_table(
+        path, "models", MODEL_COLUMNS,
+        ([pixel_id, int(band), *map(real, model.coeffs), model.n_obs]
+         for (pixel_id, band), model in models.items()),
+        {"train_start": window.start.isoformat(), "train_end": window.end.isoformat()},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    keys=st.lists(st.tuples(st.text(alphabet='p1,"\r\n é', max_size=4), st.sampled_from(BAND_ORDER)),
+                  unique=True, max_size=12),
+    coeffs=st.lists(st.floats(width=64), min_size=60, max_size=60),
+    n_obs=st.lists(st.integers(0, 2**40), min_size=12, max_size=12),
+)
+def test_saved_models_are_the_csv_bytes_and_their_mirror_the_parse(keys, coeffs, n_obs):
+    """save_models writes the bytes of the row-by-row writer (pixel ids
+    quoted as csv quotes them, reals as ``real`` writes them, NaN and
+    infinities included), and the mirror it returns loads as the parse of
+    those bytes, bit for bit and in file order, without parsing."""
+    window = DateInterval(dt.date(2003, 1, 1), dt.date(2004, 12, 31))
+    models = {
+        key: HarmonicModel(key[1], key[0], tuple(coeffs[5 * k:5 * k + 5]),
+                           (window.start, window.end), n_obs[k])
+        for k, key in enumerate(keys)
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference, mirror = (Path(tmp) / name for name in ("m.csv", "ref.csv", "m.npy"))
+        header, arrays = save_models(path, models, window)
+        reference_save_models(reference, models, window)
+        assert path.read_bytes() == reference.read_bytes()
+        assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        write_mirror(mirror, header, arrays)
+        parsed = load_models(path)
+        with mock.patch.object(dataio, "_parse_models", side_effect=AssertionError("parsed")):
+            mirrored = load_models(path, mirror)
+    assert_same_models(mirrored, parsed)
 
 
 # --- standardizer -----------------------------------------------------------------
@@ -1010,14 +1057,18 @@ TABLE_READERS = {
 @pytest.mark.parametrize("fault", [
     "not-utf-8-header", "not-utf-8-columns", "not-utf-8-row", "field-too-large",
     "short-row", "column-row", "header", "open-quote",
+    *(f"not-utf-8-{part}-{end}" for part in ("header", "columns", "row") for end in ("cr", "crlf")),
 ])
 @pytest.mark.parametrize("table", list(TABLE_READERS))
 def test_table_framing_faults(tmp_path, table, fault):
     """Every table reader meets a framing fault the same way: a byte that
     is not UTF-8, a field over csv's size limit, a short row, a wrong
     column-name row or a quoted field still open at the end of the file is a
-    ParseError at its line, a wrong header a SchemaVersionMismatch."""
+    ParseError at its line, a wrong header a SchemaVersionMismatch. A byte
+    that is not UTF-8 is at its line with LF, CR LF and CR line ends."""
     read, kind, meta, columns = TABLE_READERS[table]
+    newline = {"cr": b"\r", "crlf": b"\r\n"}.get(fault.rsplit("-", 1)[-1], b"\n")
+    fault = fault.removesuffix("-crlf").removesuffix("-cr")
     lines = [f"#cmfda {kind} v1 {meta}".encode(), ",".join(columns).encode(),
              b"," * (len(columns) - 1)]
     expected = {
@@ -1043,7 +1094,7 @@ def test_table_framing_faults(tmp_path, table, fault):
     else:
         lines[0] = b"#cmfda other v1"
     path = tmp_path / "table.csv"
-    path.write_bytes(b"\n".join(lines) + b"\n")
+    path.write_bytes(newline.join(lines) + newline)
     if fault == "header":
         with pytest.raises(SchemaVersionMismatch) as err:
             read(path)
@@ -1081,6 +1132,103 @@ def test_rows_after_a_quoted_line_break_keep_their_line(tmp_path, table, chunk_r
             with pytest.raises(ParseError) as err:
                 read(path)
             assert err.value.line == (5 if table == "labels" else 6)
+
+
+def test_a_cr_only_table_names_the_undecodable_line_as_csv_counts_it(tmp_path):
+    """A bare CR ends a line for csv, so it does for the not-UTF-8 fault: a
+    labels file with CR line ends and byte 0xff on its fourth line is not
+    UTF-8 text at line 4."""
+    path = tmp_path / "labels.csv"
+    lines = [b"#cmfda labels v1", ",".join(dataio.LABEL_COLUMNS).encode(),
+             b"a,0,0,0,0", b"\xffb,1,0,0,0", b"c,2,0,0,0"]
+    path.write_bytes(b"\r".join(lines) + b"\r")
+    assert dataio.undecodable_line(path) == 4
+    with pytest.raises(ParseError) as err:
+        read_labels(path)
+    assert (err.value.line, str(err.value)) == (4, f"line 4: {path}: not utf-8 text")
+
+
+def csv_framing_oracle(path, data, names, chunk_rows):
+    """The chunks that csv.reader frames a table's bytes into, as
+    _table_chunks defines them: per chunk of ``chunk_rows`` rows read, the
+    line numbers of its non-blank rows and its columns up to the first row
+    of the wrong width, whose ParseError ends the table; a row csv refuses
+    is a ParseError at its line before its chunk is given."""
+    fh = io.TextIOWrapper(io.BytesIO(data), newline="", encoding="utf-8")
+    fh.readline()
+    reader = csv.reader(fh, strict=True)
+    assert next(reader) == list(names)
+    rows, error = [], None
+    try:
+        for row in reader:
+            rows.append((reader.line_num + 1, row))
+    except csv.Error as exc:
+        rows = rows[:len(rows) // chunk_rows * chunk_rows]
+        error = (f"line {reader.line_num + 1}: {path}: {exc}", reader.line_num + 1)
+    chunks = []
+    for start in range(0, len(rows), chunk_rows):
+        kept = [(line, row) for line, row in rows[start:start + chunk_rows] if row]
+        bad = next((k for k, (_, row) in enumerate(kept) if len(row) != len(names)), None)
+        good = kept if bad is None else kept[:bad]
+        chunks.append(([line for line, _ in kept],
+                       {name: [row[k] for _, row in good] for k, name in enumerate(names)}))
+        if bad is not None:
+            line, row = kept[bad]
+            return chunks, (f"line {line}: {path}: expected {len(names)} fields, got {len(row)}",
+                            line)
+    return chunks, error
+
+
+def _framed(path, data, names):
+    chunks = []
+    try:
+        for numbers, columns in dataio._table_chunks(path, "labels", names, data=data):
+            chunks.append((list(numbers), {name: list(column) for name, column in columns.items()}))
+    except ParseError as exc:
+        return chunks, (str(exc), exc.line)
+    return chunks, None
+
+
+FIELD_TEXT = st.text(alphabet="ab1 \té#", max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@example(rows=[["a"], ["b"] * 5, ["c"] * 5], ends=["\n"] * 15, final=True, long_row=None,
+         chunk_rows=2)   # a wrong width first in a chunk
+@example(rows=[["a"] * 5, [], ["b"] * 6, ["c"] * 5], ends=["\r\n"] * 15, final=False,
+         long_row=None, chunk_rows=1024)   # mid-chunk, after a blank line
+@example(rows=[["a"] * 5, ["b"] * 4], ends=["\r"] * 15, final=False, long_row=None,
+         chunk_rows=2)   # last in a chunk
+@given(
+    rows=st.lists(st.one_of(
+        st.lists(FIELD_TEXT, min_size=5, max_size=5),          # a row
+        st.lists(FIELD_TEXT, min_size=1, max_size=7),          # maybe of the wrong width
+        st.just([]),                                            # a blank line
+    ), max_size=12),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=15, max_size=15),
+    final=st.booleans(),
+    long_row=st.none() | st.integers(0, 12),
+    chunk_rows=st.sampled_from([1, 2, 1024]),
+)
+def test_bulk_framing_is_csv_framing(rows, ends, final, long_row, chunk_rows):
+    """A table without quotes is framed in bulk into the chunks, line
+    numbers, columns and ParseErrors of a csv.reader framing: blank lines,
+    LF, CR LF and CR line ends, no final line end, rows of the wrong width
+    anywhere in a chunk, and a field over csv's size limit (whose table
+    csv frames)."""
+    names = dataio.LABEL_COLUMNS
+    lines = [",".join(row) for row in rows]
+    if long_row is not None:
+        lines.insert(long_row % (len(lines) + 1), "x" * (csv.field_size_limit() + 1) + ",0,0,0,0")
+    text = ["#cmfda labels v1", ",".join(names), *lines]
+    data = "".join(line + end for line, end in zip(text, ends)).encode()
+    if not final and lines:
+        data = data.rstrip(b"\r\n") if lines[-1] else data
+    path = Path("table.csv")
+    assert b'"' not in data
+    assert (dataio._line_blocks(data) is None) == (long_row is not None)
+    with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+        assert _framed(path, data, names) == csv_framing_oracle(path, data, names, chunk_rows)
 
 
 # --- land use and label aggregation ------------------------------------------------------
