@@ -46,8 +46,8 @@ def main():
     rows = [
         (
             "annual + semi-annual (default)",
-            predict_many(annual.coeff_array(), doys[train]),
-            predict_many(annual.coeff_array(), doys[~train]),
+            predict_many(annual.coeffs, doys[train]),
+            predict_many(annual.coeffs, doys[~train]),
         ),
         (
             "inter-annual fitted, zeroed at prediction",

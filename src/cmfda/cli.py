@@ -27,7 +27,7 @@ from .detection import (
     estimate_cube_covariances,
     rule_bands,
 )
-from .harmonic import HarmonicModel
+from .harmonic import ModelTable
 from .errors import (
     CmfdaError,
     DegenerateClass,
@@ -365,14 +365,9 @@ def _window_tag(window: WindowPair) -> str:
 
 
 def _fit_sites(sites, windows, bands, *, workers: int):
-    """Fit every site's pixels and merge the per-site results."""
-    merged = pipeline.FitResult(models={wp.index: {} for wp in windows})
-    for pixels in sites.values():
-        fit = pipeline.fit_pixels(pixels, windows, bands, workers=workers)
-        for index, table in fit.models.items():
-            merged.models[index].update(table)
-        merged.skipped.extend(fit.skipped)
-    return merged
+    """Fit the pixels of every site in one call: a pixel id is under one site."""
+    pixels = [cp for site in sites.values() for cp in site]
+    return pipeline.fit_pixels(pixels, windows, bands, workers=workers)
 
 
 def _residual_histories(sites, fit, windows, bands):
@@ -862,20 +857,22 @@ def cmd_online(args) -> int:
     run one step of the loop on ``--batch``.
 
     The state is ``config.txt``, ``history.csv`` (every observation so far),
-    ``flagged.csv``, ``models_online.csv`` (the last step's refits),
-    ``covariances.csv`` (Mahalanobis rule only) and two binary mirrors:
-    ``history.npy`` of the parsed ``history.csv``, in the format of the
-    ``series.npy`` that ``fit`` writes, and ``covariances.npy`` of the rows
-    of ``covariances.csv`` that a lookup can serve. A mirror is derived and
-    safe to delete: a table is read once, and its mirror used only while
-    the SHA-256 it holds is that of the bytes read; a failed mirror write is
-    a warning. ``history.csv`` keeps its input rows byte for byte: a fresh
-    header and the data rows of ``--series``, then those of each batch, the
-    history bytes a step read and computed on written back with them in one
-    write. A step writes ``--out``, ``flagged.csv`` (unless the file holds
-    those bytes already), ``models_online.csv``, then ``history.csv``, which
-    commits the step, then the history mirror, and the covariance mirror
-    again when the step parsed ``covariances.csv``.
+    ``flagged.csv``, ``models_online.csv`` (the refits of the last step
+    that refitted a pixel: ``--init`` writes none, and a step without a
+    refit leaves the file as it is), ``covariances.csv`` (Mahalanobis rule
+    only) and two binary mirrors: ``history.npy`` of the parsed
+    ``history.csv``, in the format of the ``series.npy`` that ``fit``
+    writes, and ``covariances.npy`` of the rows of ``covariances.csv`` that
+    a lookup can serve. A mirror is derived and safe to delete: a table is
+    read once, and its mirror used only while the SHA-256 it holds is that
+    of the bytes read; a failed mirror write is a warning. ``history.csv``
+    keeps its input rows byte for byte: a fresh header and the data rows of
+    ``--series``, then those of each batch, the history bytes a step read
+    and computed on written back with them in one write. A step writes
+    ``--out``, ``flagged.csv`` (unless the file holds those bytes already),
+    ``models_online.csv`` (if it refitted a pixel), then ``history.csv``,
+    which commits the step, then the history mirror, and the covariance
+    mirror again when the step parsed ``covariances.csv``.
     """
     if parse_scheme(args.scheme) is not Scheme.IDENTITY:
         raise UsageError("online monitoring supports only the identity scheme")
@@ -963,13 +960,14 @@ def cmd_online(args) -> int:
 
     merged = pipeline.append_batch(history.flat, batch.flat)
     newly: dict[str, dt.date] = {}
-    models: dict[tuple[str, Band], HarmonicModel] = {}
+    refits = []
     for site_id, pixels in sorted(merged.sites().items()):
         outcome = pipeline.online_process_batch(
             pixels, batch_date, rule, monitor_year, flagged, site_id=site_id,
         )
         newly.update(outcome.newly_flagged)
-        models.update(outcome.models)
+        refits.append(outcome.models)
+    models = ModelTable.concat(refits)
 
     # history.csv gains the batch's rows after the other state files: until
     # it does, the same batch can be run again and writes the same files.
@@ -984,12 +982,10 @@ def cmd_online(args) -> int:
         for pid, date in sorted({**flagged, **newly}.items())
     ]
     dataio.replace_detections(paths["flagged"], results, {"state": "online"})
-    if models:
+    if len(models):
         # The header window spans every refit's own training window.
-        train_window = DateInterval(
-            min(model.train_window[0] for model in models.values()),
-            max(model.train_window[1] for model in models.values()),
-        )
+        train_window = DateInterval(dt.date.fromordinal(int(models.train[:, 0].min())),
+                                    dt.date.fromordinal(int(models.train[:, 1].max())))
         _replace_state(paths["models"], dataio.save_models, models, train_window)
     digest = dataio.append_series_rows(paths["history"], history, batch)
     # The step is committed; a mirror left stale by a failed write is

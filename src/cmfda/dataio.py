@@ -66,7 +66,7 @@ from .errors import (
     SchemaVersionMismatch,
     ShapeMismatch,
 )
-from .harmonic import N_COEFFS, HarmonicModel
+from .harmonic import N_COEFFS, ModelTable
 from .standardize import (
     ECDF,
     FALLBACK_LEVELS,
@@ -820,19 +820,14 @@ def aggregate_labels(
 MODEL_COLUMNS = ("pixel_id", "band", "a0", "a1", "a2", "a3", "a4", "n_obs")
 
 
-def save_models(
-    path,
-    models: Mapping[tuple[str, Band], HarmonicModel],
-    train_window: DateInterval,
-) -> tuple[dict, list[np.ndarray]]:
-    """Write a model file, its reals formatted in bulk as ``real`` formats
-    them; return its mirror (see :func:`write_mirror`): the SHA-256 of the
-    bytes written, and the rows as a read of them gives them (pixel ids,
-    int8 band codes, coefficients parsed from their text, int64 n_obs)."""
-    pixel_ids = [pixel_id for pixel_id, _ in models]
-    codes = [int(band) for _, band in models]
-    n_obs = [model.n_obs for model in models.values()]
-    values = tuple(itertools.chain.from_iterable(model.coeffs for model in models.values()))
+def save_models(path, models: ModelTable, train_window: DateInterval) -> tuple[dict, list[np.ndarray]]:
+    """Write a model file of the table's rows under ``train_window``, its
+    reals formatted in bulk as ``real`` formats them; return its mirror (see
+    :func:`write_mirror`): the SHA-256 of the bytes written, and the rows
+    as a read of them gives them (pixel ids, int8 band codes, coefficients
+    parsed from their text, int64 n_obs)."""
+    pixel_ids, codes, n_obs = models.pixel_ids, models.bands.tolist(), models.n_obs.tolist()
+    values = tuple(models.coeffs.ravel().tolist())
     texts = ("%.9g," * len(values) % values).split(",")[:-1]   # each as ``real`` formats it
     rows = zip(pixel_ids, codes, *(texts[k::N_COEFFS] for k in range(N_COEFFS)), n_obs)
     meta = {"train_start": train_window.start.isoformat(),
@@ -846,11 +841,11 @@ def save_models(
     coeffs = np.fromiter(map(float, texts), float, count=len(texts)).reshape(-1, N_COEFFS)
     header = {"format": _MODEL_MIRROR, "sha256": hashlib.sha256(data).hexdigest(),
               "pixels": pixel_ids, **meta}
-    return header, [np.array(codes, dtype=np.int8), coeffs, np.array(n_obs, dtype=np.int64)]
+    return header, [models.bands.astype(np.int8), coeffs, models.n_obs.astype(np.int64)]
 
 
-_BANDS = {int(band): band for band in Band}
-_BAND_OF = np.array([_BANDS.get(code) for code in range(max(_BANDS) + 1)], dtype=object)
+_BAND_CODES = [int(band) for band in Band]
+_INT64 = np.iinfo(np.int64)
 
 
 def _train_window(path, meta: Mapping) -> DateInterval:
@@ -862,27 +857,25 @@ def _train_window(path, meta: Mapping) -> DateInterval:
         raise ParseError(f"{path}: header lacks a valid training window", line=1) from None
 
 
-def _models_of(train: DateInterval, pixel_ids: list, bands: list, coeffs: np.ndarray, n_obs):
-    """The model dict of rows in file order; a later row of a (pixel, band)
-    replaces the earlier."""
-    models = map(HarmonicModel, bands, pixel_ids, zip(*coeffs.T.tolist()),
-                 itertools.repeat((train.start, train.end)), n_obs)
-    return dict(zip(zip(pixel_ids, bands), models))
+def _model_table(train: DateInterval, pixel_ids: list, bands, coeffs, n_obs) -> ModelTable:
+    """The table of a model file's rows, each under the file's window."""
+    return ModelTable(pixel_ids, bands, coeffs, n_obs,
+                      np.full((len(pixel_ids), 2), [train.start.toordinal(), train.end.toordinal()],
+                              dtype=np.int64))
 
 
-def _parse_models(path, data: bytes) -> tuple[DateInterval, dict[tuple[str, Band], HarmonicModel]]:
+def _parse_models(path, data: bytes) -> tuple[DateInterval, ModelTable]:
     """Parse the bytes of a model file column by column. A fault is reported
     as a row-by-row reading would meet it: the first bad row, and its first
-    failing check (band, a0..a4, then n_obs)."""
+    failing check (band, a0..a4, then n_obs, which must fit in int64)."""
     windows = []
-    models = {}
+    tables = []
     caches: dict[str, dict] = {"band": {}, "n_obs": {}}
     for lines, columns in _table_chunks(path, "models", MODEL_COLUMNS,
                                         lambda meta: windows.append(_train_window(path, meta)),
                                         data):
         n = len(columns["pixel_id"])
         codes, code_rows = _parse_distinct(columns["band"], int, caches["band"])
-        bands = [None if code is None else _BANDS.get(code) for code in codes]
         reals = [_parse_reals(columns[f"a{k}"]) for k in range(N_COEFFS)]
         counts, count_rows = _parse_distinct(columns["n_obs"], int, caches["n_obs"])
 
@@ -892,33 +885,40 @@ def _parse_models(path, data: bytes) -> tuple[DateInterval, dict[tuple[str, Band
         def unknown_band(k):
             raise ParseError(f"{path}: unknown band code {codes[code_rows[k]]}", line=lines[k])
 
+        def count_range(k):
+            raise ParseError(f"{path}: n_obs {counts[count_rows[k]]} outside int64", line=lines[k])
+
         _raise_first_failure([
             (_gather([code is None for code in codes], code_rows, bool), text_error(_parse_int, "band")),
-            (_gather([band is None for band in bands], code_rows, bool), unknown_band),
+            (_gather([code is not None and code not in _BAND_CODES for code in codes], code_rows,
+                     bool), unknown_band),
             *((bad, text_error(_parse_float, f"a{k}")) for k, (_, bad) in enumerate(reals)),
             (_gather([c is None for c in counts], count_rows, bool), text_error(_parse_int, "n_obs")),
+            (_gather([c is not None and not _INT64.min <= c <= _INT64.max for c in counts],
+                     count_rows, bool), count_range),
         ], n)
-        models.update(_models_of(
-            windows[0], columns["pixel_id"], np.array(bands, dtype=object)[code_rows].tolist(),
-            np.column_stack([v for v, _ in reals]),
-            np.array(counts, dtype=object)[count_rows].tolist(),
+        tables.append(_model_table(
+            windows[0], columns["pixel_id"], _gather(codes, code_rows, np.int8),
+            np.column_stack([v for v, _ in reals]), _gather(counts, count_rows, np.int64),
         ))
-    return windows[0], models
+    return windows[0], ModelTable.concat(tables)
 
 
 def _models_from_mirror(path, header: dict, arrays):
+    """The mirrored table, or None (so the file is parsed) when the arrays'
+    shapes are not the header's row count or a band code is no Band."""
     bands, coeffs, n_obs = arrays
     n = len(header["pixels"])
-    if (bands.shape, coeffs.shape, n_obs.shape) != ((n,), (n, N_COEFFS), (n,)):
+    if ((bands.shape, coeffs.shape, n_obs.shape) != ((n,), (n, N_COEFFS), (n,))
+            or not np.isin(bands, _BAND_CODES).all()):
         return None
     train = _train_window(path, header)
-    return train, _models_of(train, header["pixels"], _BAND_OF[bands].tolist(), coeffs,
-                             n_obs.tolist())
+    return train, _model_table(train, header["pixels"], bands, coeffs, n_obs)
 
 
-def load_models(path, mirror_path=None) -> tuple[DateInterval, dict[tuple[str, Band], HarmonicModel]]:
-    """The training window and models, in file order, of a model file read
-    once (see :func:`_read_mirrored`): taken from the mirror at
+def load_models(path, mirror_path=None) -> tuple[DateInterval, ModelTable]:
+    """The training window and model table, rows in file order, of a model
+    file read once (see :func:`_read_mirrored`): taken from the mirror at
     ``mirror_path`` while that mirrors the bytes read, and parsed from them
     otherwise (see :func:`_parse_models`)."""
     return _read_mirrored(path, mirror_path, _MODEL_MIRROR, [np.int8, np.float64, np.int64],

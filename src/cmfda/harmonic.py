@@ -8,13 +8,15 @@ The seasonal signal of one band at one pixel is modelled as
 where d is the composite day of the year. Coefficients are fitted by
 ordinary least squares over the clear observations of a training window:
 fit_batch fits many (pixel, band) series in one call, fit_arrays one.
+A ModelTable holds the fitted models of fit_batch, of a model file and of
+an online step, one row per model.
 """
 from __future__ import annotations
 
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,9 +76,6 @@ class HarmonicModel:
     coeffs: tuple[float, float, float, float, float]
     train_window: tuple[dt.date, dt.date]
     n_obs: int
-
-    def coeff_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs)
 
 
 def fit_arrays(
@@ -193,6 +192,53 @@ def fit_batch(design: np.ndarray, values: np.ndarray, mask: np.ndarray) -> Batch
         inverse = np.linalg.inv(np.linalg.cholesky(ata[own]))[factor_row[source[fitted]]]
         coeffs[fitted] = (np.swapaxes(inverse, 1, 2) @ (inverse @ aty[fitted]))[:, :, 0]
     return BatchFit(coeffs.reshape(n, n_bands, N_COEFFS), n_obs, status.reshape(n, n_bands))
+
+
+@dataclass(frozen=True, eq=False)
+class ModelTable:
+    """Fitted models as the rows of a model file: row i fits band code
+    ``bands[i]`` (int8) of pixel ``pixel_ids[i]`` on ``n_obs[i]`` (int64)
+    dates of the training ordinals ``train[i]`` (first, last). Of two rows
+    of a (pixel, band), the later serves."""
+
+    pixel_ids: list[str]
+    bands: np.ndarray
+    coeffs: np.ndarray   # (n, 5)
+    n_obs: np.ndarray
+    train: np.ndarray    # (n, 2)
+
+    def __len__(self) -> int:
+        return len(self.pixel_ids)
+
+    @classmethod
+    def of_fits(cls, fits: BatchFit, pixel_ids: Sequence[str], bands: Sequence[Band],
+                train) -> ModelTable:
+        """The fitted (group, band)s of ``fits``, group by group: group k is
+        pixel ``pixel_ids[k]`` over the training ordinals ``train[k]``, or
+        ``train`` when it is one pair; j indexes ``bands``."""
+        ks, js = np.nonzero(fits.status == FIT_OK)
+        train = np.broadcast_to(np.asarray(train, dtype=np.int64), (len(fits.status), 2))
+        return cls([pixel_ids[k] for k in ks.tolist()], np.array(bands, dtype=np.int8)[js],
+                   fits.coeffs[ks, js], fits.n_obs[ks, js].astype(np.int64), train[ks])
+
+    @classmethod
+    def of_models(cls, models: Mapping[tuple[str, Band], HarmonicModel]) -> ModelTable:
+        """A row per model keyed (pixel_id, band), in the mapping's order."""
+        fitted = models.values()
+        return cls([pixel_id for pixel_id, _ in models],
+                   np.array([band for _, band in models], dtype=np.int8),
+                   np.reshape([m.coeffs for m in fitted], (-1, N_COEFFS)),
+                   np.array([m.n_obs for m in fitted], dtype=np.int64),
+                   np.array([[d.toordinal() for d in m.train_window] for m in fitted],
+                            dtype=np.int64).reshape(-1, 2))
+
+    @classmethod
+    def concat(cls, tables: Sequence[ModelTable]) -> ModelTable:
+        """The rows of ``tables``, table by table."""
+        tables = [cls.of_models({}), *tables]
+        return cls([pixel_id for table in tables for pixel_id in table.pixel_ids], *(
+            np.concatenate([getattr(table, name) for table in tables])
+            for name in ("bands", "coeffs", "n_obs", "train")))
 
 
 def _gram(design: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarray:

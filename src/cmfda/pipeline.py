@@ -53,7 +53,7 @@ from .harmonic import (  # noqa: F401  (fit_arrays stays importable here for the
     FIT_OK,
     N_COEFFS,
     BatchFit,
-    HarmonicModel,
+    ModelTable,
     fit_arrays,
     fit_batch,
     predict_many,
@@ -113,7 +113,7 @@ class SkipRecord:
 class FitResult:
     """Per-window model tables plus the pixels that could not be fitted."""
 
-    models: dict[int, dict[tuple[str, Band], HarmonicModel]]
+    models: dict[int, ModelTable]
     skipped: list[SkipRecord] = field(default_factory=list)
 
 
@@ -152,26 +152,12 @@ def _fit_spans(stack: SeriesArrays, owner, first, last, bands: Sequence[Band]) -
     return fit_batch(stack.doys.ravel()[rows], values, used[:, :, None] & ~np.isnan(values))
 
 
-def _models(fits: BatchFit, pixel_ids, bands, trains):
-    """(k, j, model) for each fitted (group, band), group by group; group
-    k is pixel ``pixel_ids[k]`` over training window ``trains[k]``, and j
-    indexes ``bands``."""
-    ks, js = np.nonzero(fits.status == FIT_OK)
-    for k, j, coeffs, n_obs in zip(
-        ks.tolist(), js.tolist(), fits.coeffs[ks, js].tolist(), fits.n_obs[ks, js].tolist()
-    ):
-        yield k, j, HarmonicModel(bands[j], pixel_ids[k], tuple(coeffs), trains[k], n_obs)
-
-
 def _fit_chunk(chunk, windows, bands):
-    """Fit one slice of pixels over every window: its pixel ids and one
-    BatchFit per window. Only array work, so that slices on threads
-    overlap; the caller builds the models."""
+    """Fit one slice of pixels over every window: one BatchFit per window.
+    Only array work, so that slices on threads overlap."""
     stack, owner = _stack(chunk), np.arange(len(chunk))
-    return [cp.pixel_id for cp in chunk], [
-        _fit_spans(stack, owner, wp.train.start.toordinal(), wp.train.end.toordinal(), bands)
-        for wp in windows
-    ]
+    return [_fit_spans(stack, owner, wp.train.start.toordinal(), wp.train.end.toordinal(), bands)
+            for wp in windows]
 
 
 def fit_pixels(
@@ -183,24 +169,20 @@ def fit_pixels(
 ) -> FitResult:
     """Fit every (pixel, band) over each training window."""
     windows, bands = tuple(windows), tuple(bands)
-    result = FitResult(models={wp.index: {} for wp in windows})
+    compact = _ensure_compact(pixels)
+    pixel_ids = [cp.pixel_id for cp in compact]
+    slices = (_run_slices(_fit_chunk, compact, workers, windows, bands)
+              or [_fit_chunk([], windows, bands)])   # no pixels: an empty table per window
+    fits = [BatchFit(*map(np.concatenate, zip(*window_fits))) for window_fits in zip(*slices)]
+    # skips go pixel by pixel, then window by window
+    failed = np.stack([f.status for f in fits], axis=1) if fits else np.zeros((0, 0, 0))
     reasons = [failure.__name__ for failure in FIT_FAILURES]
-    for pixel_ids, fits in _run_slices(
-        _fit_chunk, _ensure_compact(pixels), workers, windows, bands
-    ):
-        keys = [[(pixel_id, band) for band in bands] for pixel_id in pixel_ids]
-        for wp, window_fits in zip(windows, fits):
-            trains = [(wp.train.start, wp.train.end)] * len(pixel_ids)
-            result.models[wp.index].update(
-                (keys[k][j], model) for k, j, model in _models(window_fits, pixel_ids, bands, trains)
-            )
-        # skips go pixel by pixel, then window by window
-        failed = np.stack([f.status for f in fits], axis=1) if fits else np.zeros((0, 0, 0))
-        result.skipped.extend(
-            SkipRecord(pixel_ids[k], windows[w].index, bands[j], reasons[failed[k, w, j] - 1])
-            for k, w, j in zip(*(axis.tolist() for axis in np.nonzero(failed)))
-        )
-    return result
+    return FitResult({
+        wp.index: ModelTable.of_fits(fit, pixel_ids, bands,
+                                     (wp.train.start.toordinal(), wp.train.end.toordinal()))
+        for wp, fit in zip(windows, fits)
+    }, [SkipRecord(pixel_ids[k], windows[w].index, bands[j], reasons[failed[k, w, j] - 1])
+        for k, w, j in zip(*(axis.tolist() for axis in np.nonzero(failed)))])
 
 
 def _ensure_compact(pixels) -> list[CompactPixel]:
@@ -288,20 +270,28 @@ def paired_residual_records(histories: Mapping[Band, ResidualHistory]) -> Paired
 
 
 def _window_coeffs(fit: FitResult, pixel_ids, windows, bands):
-    """(pixel, window, band, 5) coefficients, gathered window by window,
-    NaN where the fit has no model, and (pixel, window, band) whether it
-    has one."""
-    coeffs = np.full((len(pixel_ids), len(windows), len(bands), N_COEFFS), np.nan)
+    """(pixel, window, band, 5) coefficients, NaN where the fit has no
+    model, and (pixel, window, band) whether it has one: one join of the
+    (pixel, band) keys against each window's table, in which the later of
+    two rows of a key serves."""
+    ids, codes = distinct(pixel_ids)
+    number = {pixel_id: k for k, pixel_id in enumerate(ids)}
+    column = np.full(max(Band) + 1, -1)
+    column[[int(band) for band in bands]] = np.arange(len(bands))
+    coeffs = np.full((len(ids), len(windows), len(bands), N_COEFFS), np.nan)
     present = np.zeros(coeffs.shape[:3], dtype=bool)
     for w, wp in enumerate(windows):
-        table = fit.models.get(wp.index, {})
-        for b, band in enumerate(bands):
-            models = [table.get((pixel_id, band)) for pixel_id in pixel_ids]
-            present[:, w, b] = [model is not None for model in models]
-            coeffs[present[:, w, b], w, b] = np.reshape(
-                [m.coeffs for m in models if m is not None], (-1, N_COEFFS)
-            )
-    return coeffs, present
+        table = fit.models.get(wp.index, ModelTable.concat([]))
+        pixel = np.fromiter(map(number.get, table.pixel_ids, itertools.repeat(-1)), np.intp,
+                            count=len(table))
+        band = column[table.bands]
+        key = np.where((pixel >= 0) & (band >= 0), pixel * len(bands) + band, -1)
+        # a key's first row in the reversed keys is its last row
+        keys, last = np.unique(key[::-1], return_index=True)
+        rows = key.size - 1 - last[keys >= 0]
+        present[pixel[rows], w, band[rows]] = True
+        coeffs[pixel[rows], w, band[rows]] = table.coeffs[rows]
+    return coeffs[codes], present[codes]
 
 
 def _slice_errors(pixels, fit, windows, bands, site_id, standardizers=None):
@@ -352,18 +342,19 @@ def _detect_chunk(chunk, windows, rule, site_id, fit, standardizers):
 
 def detect_pixel(
     series: PixelSeries,
-    models: Mapping[int, Mapping[Band, HarmonicModel]],
+    models: Mapping[int, Mapping[Band, object]],
     rule: DetectionRule,
     windows: Sequence[WindowPair],
     site_id: Optional[str] = None,
 ) -> DetectionResult:
     """Apply the rule over every prediction window of one pixel, as a
-    slice of detect_pixels. The flag date is the last date of the earliest
-    triggering run (detection time, not event time)."""
+    slice of detect_pixels: ``models`` holds, per window index, each band's
+    HarmonicModel (as harmonic.fit returns it). The flag date is the last
+    date of the earliest triggering run (detection time, not event time)."""
     if isinstance(rule, MahalanobisRule) and site_id is None:
         raise OutOfRange("Mahalanobis detection requires a site_id")
     fit = FitResult({
-        index: {(series.pixel_id, band): model for band, model in table.items()}
+        index: ModelTable.of_models({(series.pixel_id, band): model for band, model in table.items()})
         for index, table in models.items()
     })
     results, skipped = _detect_chunk(compact_pixels([series]), windows, rule, site_id, fit, None)
@@ -465,7 +456,7 @@ _RUN_CHUNK = 2048
 @dataclass
 class OnlineOutcome:
     newly_flagged: dict[str, dt.date]
-    models: dict[tuple[str, Band], HarmonicModel]
+    models: ModelTable
 
 
 def _monitored_runs(pixels, rule: DetectionRule, monitor_year: int, first: int, last: int,
@@ -528,12 +519,10 @@ def online_process_batch(
     active = [cp for cp in pixels if cp.pixel_id not in already_flagged]
     batch = batch_date.toordinal()
     flags, owner, train, fits = _monitored_runs(active, rule, monitor_year, batch, batch, site_id)
-    trains = [tuple(map(dt.date.fromordinal, dates)) for dates in train.tolist()]
-    run_ids = [active[k].pixel_id for k in owner.tolist()]
     return OnlineOutcome(
         newly_flagged={active[k].pixel_id: batch_date for k in np.flatnonzero(flags).tolist()},
-        models={(model.pixel_id, model.band): model
-                for _, _, model in _models(fits, run_ids, rule_bands(rule), trains)},
+        models=ModelTable.of_fits(fits, [active[k].pixel_id for k in owner.tolist()],
+                                  rule_bands(rule), train),
     )
 
 

@@ -131,10 +131,15 @@ def assert_same_sites(got, want):
 
 
 def assert_same_models(got, want):
-    """Equal (window, models) loads: the models in the same order, with
-    the same band, pixel, window and n_obs (of the same types) and the
-    same coefficient bits."""
+    """Equal (window, model table) loads: as many rows, of the same dtypes,
+    and the models in the same order, with the same band, pixel, window
+    and n_obs (of the same types) and the same coefficient bits."""
+    from scalar_oracle import model_dict
+
     assert got[0] == want[0]
+    assert len(got[1]) == len(want[1])
+    assert (got[1].bands.dtype, got[1].n_obs.dtype) == (np.int8, np.int64)
+    got, want = (got[0], model_dict(got[1])), (want[0], model_dict(want[1]))
     assert list(got[1]) == list(want[1])
     for have, ref in zip(got[1].values(), want[1].values()):
         assert (have.band, have.pixel_id, have.train_window, have.n_obs) == (

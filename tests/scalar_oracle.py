@@ -228,16 +228,35 @@ def transform(stages, eps: float, ctx: ErrorContext) -> float:
     return value
 
 
+# --- model tables -----------------------------------------------------------------
+
+
+def model_dict(table) -> dict[tuple[str, Band], HarmonicModel]:
+    """The models of a ModelTable keyed (pixel_id, band), as a dict filled
+    row by row keeps them: each key where its first row was, holding its
+    later row."""
+    return {
+        (pixel_id, Band(code)): HarmonicModel(
+            Band(code), pixel_id, tuple(coeffs), tuple(map(dt.date.fromordinal, train)), n_obs
+        )
+        for pixel_id, code, coeffs, n_obs, train in zip(
+            table.pixel_ids, table.bands.tolist(), table.coeffs.tolist(), table.n_obs.tolist(),
+            table.train.tolist(),
+        )
+    }
+
+
 # --- residual histories and cube covariances ------------------------------------
 
 
 def training_residuals(pixels: list[CompactPixel], fit, windows, bands, site_id):
     out = {band: [] for band in bands}
+    tables = {index: model_dict(table) for index, table in fit.models.items()}
     for cp in pixels:
         a = cp.arrays
         used = np.zeros(a.ordinals.size, dtype=bool)
         for wp in windows:
-            table = fit.models.get(wp.index, {})
+            table = tables.get(wp.index, {})
             in_window = (
                 a.clear
                 & ~used
@@ -257,7 +276,7 @@ def training_residuals(pixels: list[CompactPixel], fit, windows, bands, site_id)
                 idx = fresh[~np.isnan(a.values[fresh, col])]
                 if not idx.size:
                     continue
-                predicted = predict_many(model.coeff_array(), a.doys[idx].astype(float))
+                predicted = predict_many(model.coeffs, a.doys[idx].astype(float))
                 residuals = a.values[idx, col] - predicted
                 for k, value in zip(idx, residuals):
                     out[band].append(

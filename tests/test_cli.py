@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cmfda
+import scalar_oracle as oracle
 from cmfda import dataio, pipeline
 
 from cmfda.cli import (
@@ -500,7 +501,6 @@ def test_standardize_command(sim_dir, models_dir, tmp_path):
 def test_standardize_reports_fallback_levels(tmp_path, capsys):
     """The summary counts, per stage, the history's keys that each fallback
     level served; on 12 pixels over one window most cubes are too sparse."""
-    import scalar_oracle as oracle
     from cmfda.cli import _load_model_dir
     from test_pipeline import one_year_scenario
 
@@ -1291,7 +1291,7 @@ def test_online_step_reads_a_hand_edited_history(mirror_inputs, mirror_reference
     _, batches = mirror_inputs
     root, record = mirror_reference
     _, models = load_models(root / "state" / "models_online.csv")
-    dropped = next(iter(models))[0].encode()
+    dropped = models.pixel_ids[0].encode()
     runs = []
     for rebuilt in (False, True):
         state = tmp_path / f"state_{rebuilt}"
@@ -1351,6 +1351,38 @@ def test_online_step_survives_a_failed_mirror_write(
         assert _run_steps(state, batches[step + 1:], tmp_path / f"outs{step}") == record[step + 1:]
 
 
+def test_online_step_without_refits_keeps_models_online(
+    mirror_inputs, mirror_reference, tmp_path, monkeypatch
+):
+    """models_online.csv holds the refits of the last step that refitted a
+    pixel: a step that refits none, on the mirror step's batch made all
+    cloudy, leaves it byte for byte as the step before wrote it."""
+    _, batches = mirror_inputs
+    root, _ = mirror_reference
+    state = tmp_path / "state"
+    shutil.copytree(root / f"before{MIRROR_STEP}", state)
+    before = (state / "models_online.csv").read_bytes()
+    header, names, *rows = batches[MIRROR_STEP].read_bytes().splitlines(keepends=True)
+    cloudy = tmp_path / batches[MIRROR_STEP].name
+    reliability = dataio.SERIES_COLUMNS.index("reliability")
+    cloudy.write_bytes(header + names + b"".join(
+        b",".join([*fields[:reliability], b"%d" % Reliability.CLOUDY, *fields[reliability + 1:]])
+        for fields in (row.split(b",") for row in rows)
+    ))
+    refits = []
+    process = pipeline.online_process_batch
+
+    def recording(*args, **kwargs):
+        outcome = process(*args, **kwargs)
+        refits.append(len(outcome.models))
+        return outcome
+
+    monkeypatch.setattr(pipeline, "online_process_batch", recording)
+    assert _step(state, cloudy, tmp_path / "out.csv") == EXIT_OK
+    assert refits and not any(refits)
+    assert (state / "models_online.csv").read_bytes() == before
+
+
 def test_online_models_header_spans_the_refits(mirror_inputs, tmp_path, monkeypatch):
     """The models_online.csv header window is the envelope of the step's
     refits' own training windows: it holds each, and it ends before the
@@ -1363,7 +1395,7 @@ def test_online_models_header_spans_the_refits(mirror_inputs, tmp_path, monkeypa
 
     def recording(*args, **kwargs):
         outcome = process(*args, **kwargs)
-        refits.extend(outcome.models.values())
+        refits.extend(oracle.model_dict(outcome.models).values())
         return outcome
 
     monkeypatch.setattr(pipeline, "online_process_batch", recording)
@@ -1845,13 +1877,18 @@ def test_fit_model_mirrors_load_as_the_parse(fit_mirror_scene, model_parses):
     assert model_parses == []
 
 
-@pytest.mark.parametrize("fault", ["deleted", "truncated", "foreign", "csv_edited"])
+@pytest.mark.parametrize("fault", [
+    "deleted", "truncated", "foreign", "band_77", "band_4", "csv_edited", "repeated_rows",
+])
 def test_detect_without_a_valid_model_mirror_parses_the_models(
     fit_mirror_scene, tmp_path, fault, model_parses
 ):
-    """A model mirror deleted, truncated, taken from another fit or left
-    stale by an edit of its model file: detect and standardize parse that
-    file and write what a parse gives. The edit changes the outputs."""
+    """A model mirror deleted, truncated, taken from another fit, holding a
+    first band code that is no Band (77, 4), or left stale by an edit of its
+    model file: detect and standardize parse that file and write what a
+    parse gives. The edit that raises every intercept changes the outputs.
+    The edit that puts a row with a raised intercept before each row does
+    not: of two rows of a (pixel, band), the later serves."""
     series, dropped, scene_models = fit_mirror_scene
     models = tmp_path / "models"
     shutil.copytree(scene_models, models)
@@ -1863,12 +1900,22 @@ def test_detect_without_a_valid_model_mirror_parses_the_models(
     elif fault == "foreign":
         assert _fit(dropped, tmp_path / "other") == EXIT_OK
         shutil.copy(tmp_path / "other" / "models_2003_2004.npy", mirror)
+    elif fault.startswith("band_"):   # the band codes are the first array, after the header line
+        data = bytearray(mirror.read_bytes())
+        data[data.index(b"\n") + 1] = int(fault[5:])
+        mirror.write_bytes(bytes(data))
+    elif fault == "repeated_rows":
+        header, names, *rows = (models / MODEL_FILE).read_bytes().splitlines(keepends=True)
+        raised = []
+        for row in rows:
+            pixel_id, band, a0, rest = row.split(b",", 3)
+            raised += [b",".join([pixel_id, band, dataio.real(float(a0) + 0.3).encode(), rest]), row]
+        (models / MODEL_FILE).write_bytes(header + names + b"".join(raised))
     else:   # every intercept raised, the mirror left as it was
         window, table = load_models(models / MODEL_FILE)
-        save_models(models / MODEL_FILE, {
-            key: dataclasses.replace(m, coeffs=(m.coeffs[0] + 0.3, *m.coeffs[1:]))
-            for key, m in table.items()
-        }, window)
+        save_models(models / MODEL_FILE, dataclasses.replace(
+            table, coeffs=table.coeffs + [0.3, 0.0, 0.0, 0.0, 0.0]
+        ), window)
     model_parses.clear()
     outputs = _detect_and_standardize(series, models, tmp_path / "out")
     assert model_parses == [models / MODEL_FILE] * 2

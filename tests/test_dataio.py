@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scalar_oracle as oracle
 from cmfda import dataio
 from cmfda.core import (
     BAND_ORDER,
@@ -85,7 +86,7 @@ from cmfda.errors import (
     ShapeMismatch,
     SingularCovariance,
 )
-from cmfda.harmonic import HarmonicModel, fit
+from cmfda.harmonic import HarmonicModel, ModelTable, fit
 from cmfda.pipeline import compact_pixels
 from cmfda.standardize import (
     SD, ErrorContext, ErrorRecord, KeyKind, Scheme, StageTables, Standardizer, fit_standardizer,
@@ -671,9 +672,11 @@ def test_models_round_trip(tmp_path):
         ("px", Band.NDVI): fit(series, Band.NDVI, window),
     }
     path = tmp_path / "models_2003_2004.csv"
-    save_models(path, models, window)
-    loaded_window, loaded = load_models(path)
+    save_models(path, ModelTable.of_models(models), window)
+    loaded_window, table = load_models(path)
+    loaded = oracle.model_dict(table)
     assert loaded_window == window
+    assert len(table) == len(models)
     assert set(loaded) == set(models)
     for key, model in models.items():
         got = loaded[key]
@@ -685,7 +688,9 @@ def test_models_round_trip(tmp_path):
 
 
 def oracle_load_models(path):
-    """Row-by-row model reader, the specification of the columnar one."""
+    """Row-by-row model reader, the specification of the columnar one: the
+    window, the models as a dict filled row by row keeps them, and the
+    number of rows."""
     with open(path, newline="") as fh:
         meta = _read_header(fh, "models", path)
         try:
@@ -695,7 +700,7 @@ def oracle_load_models(path):
             )
         except (KeyError, ValueError):
             raise ParseError(f"{path}: header lacks a valid training window", line=1) from None
-        models = {}
+        models, rows = {}, 0
         for line, row in reference_rows(fh, MODEL_COLUMNS, path):
             code = _parse_int(row["band"], "band", line, path)
             try:
@@ -705,14 +710,18 @@ def oracle_load_models(path):
             coeffs = tuple(
                 _parse_float(row[f"a{k}"], f"a{k}", line, path) for k in range(5)
             )
+            n_obs = _parse_int(row["n_obs"], "n_obs", line, path)
+            if not -2**63 <= n_obs < 2**63:
+                raise ParseError(f"{path}: n_obs {n_obs} outside int64", line=line)
             models[(row["pixel_id"], band)] = HarmonicModel(
                 band=band,
                 pixel_id=row["pixel_id"],
                 coeffs=coeffs,
                 train_window=(window.start, window.end),
-                n_obs=_parse_int(row["n_obs"], "n_obs", line, path),
+                n_obs=n_obs,
             )
-    return window, models
+            rows += 1
+    return window, models, rows
 
 
 @st.composite
@@ -728,7 +737,9 @@ def model_rows(draw):
     return rows
 
 
-MODEL_CORRUPTIONS = (None, "band", "unknown-band", "real", "n_obs", "fields", "header")
+MODEL_CORRUPTIONS = (
+    None, "band", "unknown-band", "real", "n_obs", "n_obs-range", "fields", "header",
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -745,9 +756,9 @@ MODEL_CORRUPTIONS = (None, "band", "unknown-band", "real", "n_obs", "fields", "h
 def test_load_models_matches_row_oracle(
     rows, kind, pick, column, blank, quoted, newline, chunk_rows
 ):
-    """The columnar model reader gives the models of the row-by-row
-    oracle, in the same order, or the same ParseError message and line,
-    also when the rows are read in several chunks."""
+    """The columnar model reader gives every row, and the models of the
+    row-by-row oracle in the same order, or the same ParseError message and
+    line, also when the rows are read in several chunks."""
     lines = [list(r) for r in rows]
     header = "#cmfda models v1 train_start=2003-01-01 train_end=2004-12-31"
     if lines:
@@ -760,6 +771,8 @@ def test_load_models_matches_row_oracle(
             parts[2 + column] = "0.1x"
         elif kind == "n_obs":
             parts[7] = "12.5"
+        elif kind == "n_obs-range":
+            parts[7] = str(2**63 if column % 2 else -2**63 - 1)
         elif kind == "fields":
             lines[pick % len(lines)] = parts[:-1] if column % 2 else parts + ["0"]
     if kind == "header":
@@ -782,8 +795,9 @@ def test_load_models_matches_row_oracle(
     if expected_error:
         return
     assert got[0] == expected[0]
-    assert list(got[1].items()) == list(expected[1].items())
-    assert all(type(m.n_obs) is int and type(m.band) is Band for m in got[1].values())
+    assert len(got[1]) == expected[2]
+    assert (got[1].bands.dtype, got[1].n_obs.dtype) == (np.int8, np.int64)
+    assert list(oracle.model_dict(got[1]).items()) == list(expected[1].items())
 
 
 def reference_save_models(path, models, window):
@@ -817,7 +831,7 @@ def test_saved_models_are_the_csv_bytes_and_their_mirror_the_parse(keys, coeffs,
     }
     with tempfile.TemporaryDirectory() as tmp:
         path, reference, mirror = (Path(tmp) / name for name in ("m.csv", "ref.csv", "m.npy"))
-        header, arrays = save_models(path, models, window)
+        header, arrays = save_models(path, ModelTable.of_models(models), window)
         reference_save_models(reference, models, window)
         assert path.read_bytes() == reference.read_bytes()
         assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,6 +1,7 @@
-"""The benchmark tracer counts records, pairs and cubes from the results of
-the functions it wraps (``perfbench/tracing.py``, loaded by path). The
-counts must stay the true ones whatever those results look like."""
+"""The benchmark tracer counts fits, refits, flags, records, pairs and
+cubes from the results of the functions it wraps (``perfbench/tracing.py``,
+loaded by path). The counts must stay the true ones whatever those results
+look like."""
 import importlib.util
 from pathlib import Path
 
@@ -8,8 +9,21 @@ import pytest
 
 import scalar_oracle as oracle
 from cmfda.core import Band
-from cmfda.detection import MIN_CUBE_SAMPLES, N_PERIODS, N_SQUARES, estimate_cube_covariances
-from cmfda.pipeline import compact_pixels, fit_pixels, paired_residual_records, training_residuals
+from cmfda.detection import (
+    MIN_CUBE_SAMPLES,
+    N_PERIODS,
+    N_SQUARES,
+    MultivariateRule,
+    estimate_cube_covariances,
+)
+from cmfda.harmonic import FIT_FAILURES, fit
+from cmfda.pipeline import (
+    compact_pixels,
+    fit_pixels,
+    online_process_batch,
+    paired_residual_records,
+    training_residuals,
+)
 from cmfda.standardize import Scheme, fit_standardizer
 from cmfda.windows import make_windows
 from test_pipeline import one_year_scenario
@@ -65,3 +79,43 @@ def test_cube_counts_are_true(chain):
         "cube_cells": len(expected.sites) * N_SQUARES * N_PERIODS,
         "cube_served": sum(e.n >= MIN_CUBE_SAMPLES for e in expected.cubes.values()),
     }
+
+
+def test_fit_counts_are_true():
+    """fits = pixels x windows x bands; the models and skips are those of
+    one scalar fit per (pixel, band, window). The last window trains on
+    2006-2007, past the scene's last date, so it has skips."""
+    pixels, _ = one_year_scenario(seed=7, n_events=4)
+    windows = make_windows(2003, 4)
+    bands = (Band.NIR, Band.NDVI)
+    fitted = skipped = 0
+    for pixel in pixels:
+        for band in bands:
+            for wp in windows:
+                try:
+                    fit(pixel, band, wp.train)
+                    fitted += 1
+                except FIT_FAILURES:
+                    skipped += 1
+    assert fitted and skipped
+    result = fit_pixels(compact_pixels(pixels), windows, bands)
+    assert tracing._fit_counts((), {}, result) == {
+        "fits": len(pixels) * len(windows) * len(bands), "skipped": skipped, "models": fitted,
+    }
+
+
+def test_online_counts_are_true():
+    """Each step's refits and new flags are those of the per-pixel oracle."""
+    pixels, _ = one_year_scenario(seed=7, n_events=4)
+    pixels = compact_pixels(pixels[:12])
+    rule = MultivariateRule(0.082, 0.182, 4)
+    steps, _ = oracle.online_steps(pixels, rule, 2005, "mini")
+    flagged = {}
+    totals = {"refits": 0, "new_flags": 0}
+    for date, newly, models in steps:
+        outcome = online_process_batch(pixels, date, rule, 2005, flagged, site_id="mini")
+        counts = tracing._online_counts((), {}, outcome)
+        assert counts == {"refits": len(models), "new_flags": len(newly)}, date
+        flagged.update(newly)
+        totals = {key: totals[key] + counts[key] for key in totals}
+    assert totals["refits"] and totals["new_flags"]
