@@ -358,7 +358,7 @@ class SiteGrid:
     """A full 25 x 25 site of pixel series, row-major."""
 
     site_id: str
-    pixels: tuple[PixelSeries, ...]
+    pixels: Sequence[PixelSeries]
     defo_type: DefoType = DefoType.UNKNOWN
 
     def __post_init__(self):

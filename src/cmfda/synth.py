@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -109,9 +109,54 @@ def _validate_config(cfg: SynthConfig) -> None:
             raise InvalidConfig(f"{band.name}: clean signal can exceed {hi}")
 
 
+class SitePixels(Sequence[PixelSeries]):
+    """The pixel series of a synthetic site, row-major, over the site's
+    (pixel, date) arrays. A pixel's ``PixelSeries`` is built the first time
+    it is taken and kept; two threads that race to build one pixel build
+    equal series."""
+
+    def __init__(self, site_id: str, dates: Sequence[dt.date], composite_doys: np.ndarray,
+                 reliability: np.ndarray, values: np.ndarray):
+        self._site_id = site_id
+        self._dates = dates
+        self._doys = composite_doys
+        self._reliability = reliability
+        self._values = values                # (pixel, date, band), bands in BAND_ORDER
+        self._built: list[Optional[PixelSeries]] = [None] * len(composite_doys)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index):
+        position = range(len(self._built))[index]   # IndexError past either end
+        if isinstance(position, range):
+            return tuple(map(self.__getitem__, position))
+        series = self._built[position]
+        if series is None:
+            series = self._built[position] = self._build(position)
+        return series
+
+    def _build(self, idx: int) -> PixelSeries:
+        row, col = divmod(idx, SITE_SIDE)
+        observations = tuple(
+            Observation(
+                nominal_date=date,
+                composite_doy=doy,
+                values=dict(zip(BAND_ORDER, values)),
+                reliability=Reliability(code),
+            )
+            for date, doy, code, values in zip(
+                self._dates, self._doys[idx].tolist(), self._reliability[idx].tolist(),
+                self._values[idx].tolist(),
+            )
+        )
+        return PixelSeries(pixel_name(self._site_id, col, row), col, row, observations)
+
+
 def generate_site(cfg: SynthConfig) -> tuple[SiteGrid, list[DeforestationLabel]]:
     """Deterministic synthetic site: per-band harmonics plus noise, monthly
-    cloud flags, and step-change events; labels mirror the event pixel set."""
+    cloud flags, and step-change events; labels mirror the event pixel set.
+    The site's pixels are built on first access (:class:`SitePixels`)."""
     _validate_config(cfg)
     rng = np.random.default_rng(cfg.seed)
     n_pixels = SITE_SIDE * SITE_SIDE
@@ -151,43 +196,26 @@ def generate_site(cfg: SynthConfig) -> tuple[SiteGrid, list[DeforestationLabel]]
             for band, amount in event.shifts.items():
                 shift[band][idx, post] += amount
 
-    values = {}
-    for band in BAND_ORDER:
-        coeffs = np.asarray(cfg.signals[band].coeffs)
-        clean = np.array(
-            [design_matrix(composite_doys[i]) @ coeffs for i in range(n_pixels)]
-        )
-        lo, hi = _CLIP[band]
-        values[band] = np.clip(clean + shift[band] + noise[band], lo, hi)
+    # One design for all bands; the stacked product multiplies each pixel's
+    # (date, 5) design by the coefficients, as a product per pixel would.
+    design = design_matrix(composite_doys)
+    values = np.stack([
+        np.clip(design @ np.asarray(cfg.signals[band].coeffs) + shift[band] + noise[band],
+                *_CLIP[band])
+        for band in BAND_ORDER
+    ], axis=-1)
+    # Clipping leaves only NaN outside the accepted ranges; refuse it here,
+    # as the pixels are built later.
+    if np.isnan(values).any():
+        raise InvalidConfig("a signal, shift or noise level is not a number")
 
-    pixels = []
     labels = []
-    for row in range(SITE_SIDE):
-        for col in range(SITE_SIDE):
-            idx = row * SITE_SIDE + col
-            observations = tuple(
-                Observation(
-                    nominal_date=dates[j],
-                    composite_doy=int(composite_doys[idx, j]),
-                    values={band: float(values[band][idx, j]) for band in BAND_ORDER},
-                    reliability=Reliability(int(reliability[idx, j])),
-                )
-                for j in range(n_dates)
-            )
-            pid = pixel_name(cfg.site_id, col, row)
-            pixels.append(PixelSeries(pid, col, row, observations))
-            deforested = (col, row) in event_pixels
-            labels.append(
-                DeforestationLabel(
-                    pixel_id=pid,
-                    col=col,
-                    row=row,
-                    defo_count=16 if deforested else 0,
-                    z=1 if deforested else 0,
-                )
-            )
-    site = SiteGrid(site_id=cfg.site_id, pixels=tuple(pixels), defo_type=cfg.defo_type)
-    return site, labels
+    for idx in range(n_pixels):
+        row, col = divmod(idx, SITE_SIDE)
+        z = int((col, row) in event_pixels)
+        labels.append(DeforestationLabel(pixel_name(cfg.site_id, col, row), col, row, 16 * z, z))
+    pixels = SitePixels(cfg.site_id, dates, composite_doys, reliability, values)
+    return SiteGrid(site_id=cfg.site_id, pixels=pixels, defo_type=cfg.defo_type), labels
 
 
 # Monthly cloudy probabilities; the April-September wet season doubles the
@@ -221,11 +249,16 @@ def _scenario_config(
     noise_sd: float,
     n_events: int,
     first_year: int,
-    event_years: Sequence[int],
+    event_years: Optional[Sequence[int]],
     cloud_base: float,
 ) -> SynthConfig:
+    n_pixels = SITE_SIDE * SITE_SIDE
+    if not 0 <= n_events <= n_pixels:
+        raise InvalidConfig(f"{n_events} events: a site has room for 0..{n_pixels}")
+    if event_years is None:
+        event_years = range(first_year + 2, first_year + 7)
     picker = np.random.default_rng(seed + 987654321)
-    chosen = picker.choice(SITE_SIDE * SITE_SIDE, size=n_events, replace=False)
+    chosen = picker.choice(n_pixels, size=n_events, replace=False)
     events = []
     for idx in sorted(int(i) for i in chosen):
         col, row = idx % SITE_SIDE, idx // SITE_SIDE
@@ -254,10 +287,11 @@ def sonora_like_config(
     noise_sd: float = 0.02,
     n_events: int = 30,
     first_year: int = 2003,
-    event_years: Sequence[int] = (2005, 2006, 2007, 2008, 2009),
+    event_years: Optional[Sequence[int]] = None,
     cloud_base: float = 0.06,
 ) -> SynthConfig:
-    """Forest-to-water scene: deforestation shows as an NIR drop."""
+    """Forest-to-water scene: deforestation shows as an NIR drop. Events
+    fall in ``event_years``, by default ``first_year + 2`` to ``first_year + 6``."""
     return _scenario_config(
         "sonora-like", {Band.NIR: -0.3}, DefoType.FOREST_TO_WATER,
         seed, noise_sd, n_events, first_year, event_years, cloud_base,
@@ -269,10 +303,11 @@ def yucatan_like_config(
     noise_sd: float = 0.02,
     n_events: int = 30,
     first_year: int = 2003,
-    event_years: Sequence[int] = (2005, 2006, 2007, 2008, 2009),
+    event_years: Optional[Sequence[int]] = None,
     cloud_base: float = 0.06,
 ) -> SynthConfig:
-    """Forest-to-urban/cropland scene: deforestation shows as an NDVI drop."""
+    """Forest-to-urban/cropland scene: deforestation shows as an NDVI drop.
+    Events fall as in :func:`sonora_like_config`."""
     return _scenario_config(
         "yucatan-like", {Band.NDVI: -0.3}, DefoType.FOREST_TO_URBAN_CROPLAND,
         seed, noise_sd, n_events, first_year, event_years, cloud_base,

@@ -87,6 +87,10 @@ def test_flag_helpers():
     assert len(windows) == 5
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def test_simulate_is_deterministic(tmp_path):
     for sub in ("a", "b"):
         assert (
@@ -100,6 +104,13 @@ def test_simulate_is_deterministic(tmp_path):
         )
     assert (tmp_path / "a" / "series.csv").read_bytes() == (tmp_path / "b" / "series.csv").read_bytes()
     assert (tmp_path / "a" / "labels.csv").read_bytes() == (tmp_path / "b" / "labels.csv").read_bytes()
+    # the bytes the generator wrote when it built every pixel eagerly
+    assert _sha256(tmp_path / "a" / "series.csv") == (
+        "ddfbf4b887b586750c9b3293295c8ac086e4dfa32050d0d3bbd72a1bcb523f98"
+    )
+    assert _sha256(tmp_path / "a" / "labels.csv") == (
+        "86358eb2d0c879e160aed9d58f222b8857aae606211a9236becaf74d925d1733"
+    )
 
 
 def test_simulate_yucatan_scenario(tmp_path):
@@ -117,6 +128,35 @@ def test_simulate_yucatan_scenario(tmp_path):
     assert len(sites["yucatan-like"]) == 625
     labels = read_labels(out / "labels.csv")
     assert sum(l.z for l in labels) == 5
+    assert _sha256(out / "series.csv") == (
+        "045c28d0860f890a51e2631574bb846d58ab6d4b7bd0e98ae69787695017c91e"
+    )
+    assert _sha256(out / "labels.csv") == (
+        "208725960af2b4e7cd1cb7c1ac473146018145dd14b562cafa44ac4eb71fbbd7"
+    )
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-events", "700"], ["--n-events", "-1"], ["--noise-sd", "nan"],
+])
+def test_simulate_refuses_a_bad_scene_before_writing(tmp_path, flags, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--out", str(out), *flags]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("cmfda: data error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_places_events_after_any_first_year(tmp_path):
+    out = tmp_path / "sim"
+    assert main(
+        ["simulate", "--out", str(out), "--first-year", "2010", "--n-events", "4", "--seed", "1"]
+    ) == EXIT_OK
+    deforested = {l.pixel_id for l in read_labels(out / "labels.csv") if l.z}
+    assert len(deforested) == 4
+    config = dataio.sonora_like_config(seed=1, n_events=4, first_year=2010)
+    assert {dataio.pixel_name(config.site_id, *e.pixels[0]) for e in config.events} == deforested
+    assert {e.date.year for e in config.events} <= set(range(2012, 2017))
 
 
 def test_fit_reports_skipped_pixels(sim_dir, tmp_path):

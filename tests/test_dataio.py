@@ -1354,6 +1354,48 @@ def test_generate_deterministic_per_seed(tmp_path):
     assert (tmp_path / "a_labels.csv").read_bytes() == (tmp_path / "b_labels.csv").read_bytes()
 
 
+def test_site_pixels_are_a_row_major_sequence_built_on_first_access():
+    site, _ = generate_site(small_config())
+    pixels = site.pixels
+    assert len(pixels) == SITE_SIDE * SITE_SIDE
+    for idx in (0, 1, SITE_SIDE, 7 * SITE_SIDE + 13, len(pixels) - 1):
+        row, col = divmod(idx, SITE_SIDE)
+        assert (pixels[idx].pixel_id, pixels[idx].col, pixels[idx].row) == (
+            f"t-{col:02d}-{row:02d}", col, row
+        )
+    assert pixels[-1] is pixels[len(pixels) - 1]
+    assert pixels[-len(pixels)] is pixels[0]
+    assert pixels[3] is pixels[3] is pixels[np.int64(3)]
+    assert type(pixels[np.int64(4)].col) is int
+    for bad in (len(pixels), -len(pixels) - 1):
+        with pytest.raises(IndexError):
+            pixels[bad]
+    for part in (slice(None, None, 12), slice(-5, None), slice(40, 10, -7), slice(700, 800)):
+        assert all(
+            a is b for a, b in zip(pixels[part], [pixels[i] for i in range(*part.indices(625))])
+        )
+        assert len(pixels[part]) == len(range(*part.indices(625)))
+    assert all(a is b for a, b in zip(pixels, [pixels[i] for i in range(len(pixels))]))
+    assert sum(1 for _ in pixels) == len(pixels)
+
+
+def test_site_pixel_subset_writes_the_rows_of_the_whole_site(tmp_path):
+    cfg = small_config(seed=11)
+    whole, _ = generate_site(cfg)
+    write_series(tmp_path / "whole.csv", {whole.site_id: whole.pixels})
+    fresh, _ = generate_site(cfg)
+    keep = [600, 3, 317, 318]
+    write_series(tmp_path / "subset.csv", {fresh.site_id: [fresh.pixels[i] for i in keep]})
+    names = [fresh.pixels[i].pixel_id for i in keep]
+    whole_lines = (tmp_path / "whole.csv").read_text().splitlines()
+    header, rows = whole_lines[:2], whole_lines[2:]
+    by_pixel = {name: [r for r in rows if r.split(",")[1] == name] for name in names}
+    assert all(by_pixel.values())
+    assert (tmp_path / "subset.csv").read_text().splitlines() == header + [
+        r for name in names for r in by_pixel[name]
+    ]
+
+
 def test_generate_different_seeds_differ(tmp_path):
     site_a, _ = generate_site(small_config(seed=1))
     site_b, _ = generate_site(small_config(seed=2))
@@ -1383,6 +1425,12 @@ def test_generate_config_validation():
     }
     with pytest.raises(InvalidConfig):
         generate_site(small_config(signals=bad_noise))
+    nan_noise = {
+        band: BandSignal(signal.coeffs, float("nan"))
+        for band, signal in small_config().signals.items()
+    }
+    with pytest.raises(InvalidConfig):
+        generate_site(small_config(signals=nan_noise))
     # NIR shift pushing the clean signal below zero
     with pytest.raises(InvalidConfig):
         generate_site(
