@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import glob
+import math
 import os
 import sys
 from dataclasses import replace
@@ -99,8 +100,8 @@ def parse_grid_spec(spec: str) -> list[float]:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise UsageError(f"bad grid spec {spec!r}; expected lo:hi:step") from None
-    if step <= 0 or hi < lo or lo <= 0:
-        raise UsageError(f"bad grid spec {spec!r}; thresholds must be positive")
+    if not (0 < lo <= hi < math.inf and 0 < step < math.inf):  # NaN fails every comparison
+        raise UsageError(f"bad grid spec {spec!r}; thresholds must be finite and positive")
     return threshold_grid(lo, hi, step)
 
 
@@ -239,7 +240,8 @@ def _train_arguments(add):
     add("--scheme", default=Scheme.IDENTITY.value)
     add("--cv-folds", type=int, default=DEFAULT_CV_FOLDS)
     add("--seed", type=int, default=0)
-    add("--anneal-iters", type=int, default=None, help="total annealing steps")
+    add("--anneal-iters", type=int, default=None,
+        help=f"total annealing steps, a positive multiple of {AnnealConfig.temp_levels}")
     add("--sweep-fixed", action="store_true",
         help="also sweep the C=3 optimum across C=2..6")
     add("--threads", type=_thread_count, default=None, help=THREADS_HELP)
@@ -625,6 +627,9 @@ def _check_train_flags(args) -> None:
         args, ("band", "grid", "grid_nir", "grid_ndvi", "anneal_iters"),
         TRAIN_RULE_FLAGS[args.rule],
     )
+    iters, levels = args.anneal_iters, AnnealConfig.temp_levels
+    if iters is not None and (iters < 1 or iters % levels):
+        raise UsageError(f"--anneal-iters must be a positive multiple of {levels}, got {iters}")
 
 
 def _trainer(args, band: Optional[Band], grids, covariances):
@@ -646,10 +651,8 @@ def _trainer(args, band: Optional[Band], grids, covariances):
     else:
         nir_grid, ndvi_grid = grids
         config = AnnealConfig()
-        if args.anneal_iters:
-            config = AnnealConfig(
-                steps_per_temp=max(1, args.anneal_iters // config.temp_levels)
-            )
+        if args.anneal_iters is not None:  # a multiple of temp_levels (_check_train_flags)
+            config = AnnealConfig(steps_per_temp=args.anneal_iters // config.temp_levels)
 
         def train(c, dataset):
             init = (

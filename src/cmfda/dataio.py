@@ -146,8 +146,9 @@ def _table_bytes(kind: str, columns: Sequence[str], rows,
 def _write_table(path, kind: str, columns: Sequence[str], rows,
                  meta: Optional[Mapping[str, str]] = None) -> None:
     """Write a table file (see :func:`_table_bytes`)."""
+    data = _table_bytes(kind, columns, rows, meta)  # first: a failed row leaves the path as it was
     with open(path, "wb") as fh:
-        fh.write(_table_bytes(kind, columns, rows, meta))
+        fh.write(data)
 
 
 def _read_header(fh, kind: str, path) -> dict[str, str]:

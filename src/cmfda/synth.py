@@ -255,6 +255,9 @@ def _scenario_config(
     n_pixels = SITE_SIDE * SITE_SIDE
     if not 0 <= n_events <= n_pixels:
         raise InvalidConfig(f"{n_events} events: a site has room for 0..{n_pixels}")
+    last_predict_year = first_year + 6  # the scene ends on 1 May of the year after
+    if not dt.MINYEAR <= first_year <= last_predict_year + 1 <= dt.MAXYEAR:
+        raise InvalidConfig(f"first year {first_year}: the scene leaves years 1..9999")
     if event_years is None:
         event_years = range(first_year + 2, first_year + 7)
     picker = np.random.default_rng(seed + 987654321)
@@ -268,7 +271,6 @@ def _scenario_config(
         events.append(
             EventSpec(pixels=((col, row),), date=dt.date(year, month, day), shifts=dict(shifts))
         )
-    last_predict_year = first_year + 6
     return SynthConfig(
         site_id=site_id,
         start=dt.date(first_year, 1, 1),

@@ -4,12 +4,14 @@ cross-validation and fixed-threshold sweeps.
 A training set holds its pixels' errors in the flat form of detection. For
 a fixed pixel and consecutive count, the thresholds at which the pixel is
 flagged are exactly (0, level) (``detection.flag_levels``), so one scan of
-the errors yields every pixel's whole threshold response.
+the errors yields every pixel's whole threshold response: on an ascending
+grid, its rank (how many thresholds the level exceeds), which is counted.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -215,21 +217,33 @@ def evaluate_rule(dataset: Dataset, rule: DetectionRule) -> ConfusionCounts:
 # --- grid search ------------------------------------------------------------
 
 
-def _grid_search_levels(
-    levels: np.ndarray, observed: np.ndarray, grid: Sequence[float]
-) -> tuple[float, float]:
-    if len(grid) == 0:
+def _grid_ranks(levels: np.ndarray, grid: Sequence[float]) -> np.ndarray:
+    """How many thresholds of the ascending grid each level exceeds, 0 for a
+    NaN level: a pixel flags at ``grid[k]`` exactly when its rank > k."""
+    thresholds = np.asarray(grid, dtype=float)
+    if thresholds.size == 0:
         raise ValueError("threshold grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not (thresholds[1:] > thresholds[:-1]).all():
         raise ValueError("threshold grid must be strictly ascending")
-    best_threshold = None
-    best_tss = -math.inf
-    for threshold in grid:
-        score = tss(_counts(levels > threshold, observed))
-        if score > best_tss:
-            best_tss = score
-            best_threshold = threshold
-    return best_threshold, best_tss
+    return np.where(np.isnan(levels), 0, np.searchsorted(thresholds, levels))
+
+
+def _grid_scores(levels: np.ndarray, observed: np.ndarray, grid: Sequence[float]) -> np.ndarray:
+    """The TSS of every threshold of the grid from one count of the ranks,
+    each equal bit for bit to ``tss`` of that threshold's confusion."""
+    ranks = _grid_ranks(levels, grid)
+    # the pixels of a class left unflagged at grid[k] are those ranked <= k
+    missed, rejected = (np.cumsum(np.bincount(ranks[cls], minlength=len(grid) + 1)[:-1])
+                        for cls in (observed, ~observed))
+    n1 = int(observed.sum())
+    n0 = observed.size - n1
+    return (n1 - missed) / n1 + rejected / n0 - 1.0
+
+
+def _grid_search_levels(levels, observed, grid) -> tuple[float, float]:
+    scores = _grid_scores(levels, observed, grid)
+    best = int(np.argmax(scores))  # the first maximum: ties go to the smallest threshold
+    return grid[best], float(scores[best])
 
 
 def grid_search_univariate(
@@ -301,25 +315,47 @@ def anneal_on_grid(
                 best_holder[1] = cache[point]
         return cache[point]
 
+    offsets: dict = {}  # a point's neighbors as offsets, by the grid edges it lies on
     current = init
     current_value = value(init)
     temp = config.initial_temp
     for _ in range(config.temp_levels):
         for _ in range(config.steps_per_temp):
             i, j = current
-            neighbors = [
-                (i + di, j + dj)
-                for di in (-1, 0, 1)
-                for dj in (-1, 0, 1)
-                if (di, dj) != (0, 0) and 0 <= i + di < n_i and 0 <= j + dj < n_j
-            ]
-            proposal = rng.choice(neighbors)
+            inside = (i > 0, i < n_i - 1, j > 0, j < n_j - 1)
+            if inside not in offsets:
+                offsets[inside] = [
+                    (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                    if (di, dj) != (0, 0) and 0 <= i + di < n_i and 0 <= j + dj < n_j
+                ]
+            di, dj = rng.choice(offsets[inside])
+            proposal = (i + di, j + dj)
             delta = value(proposal) - current_value
             if delta > 0 or rng.random() < math.exp(delta / temp):
                 current = proposal
                 current_value = cache[proposal]
         temp *= config.cooling
     return tuple(best_holder[0]), best_holder[1]
+
+
+def _pair_utility(nir_levels, ndvi_levels, observed, nir_grid, ndvi_grid):
+    """The TSS of the pair rule at (nir_grid[i], ndvi_grid[j]), equal bit for
+    bit to ``tss`` of its confusion, counted from the pixels' ranks: a pixel
+    stays unflagged there when its NIR rank is <= i and its NDVI rank <= j."""
+    nir_ranks = _grid_ranks(nir_levels, nir_grid)
+    ndvi_ranks = _grid_ranks(ndvi_levels, ndvi_grid)
+    n1 = int(observed.sum())
+    n0 = observed.size - n1
+    rows: dict[int, tuple[list[int], list[int]]] = {}  # built the first time i is asked for
+
+    def utility(i: int, j: int) -> float:
+        if i not in rows:  # each class's sorted NDVI ranks among the pixels NIR leaves unflagged
+            kept = nir_ranks <= i
+            rows[i] = (np.sort(ndvi_ranks[kept & observed]).tolist(),
+                       np.sort(ndvi_ranks[kept & ~observed]).tolist())
+        return (n1 - bisect_right(rows[i][0], j)) / n1 + bisect_right(rows[i][1], j) / n0 - 1.0
+
+    return utility
 
 
 def anneal_multivariate(
@@ -338,13 +374,11 @@ def anneal_multivariate(
     ndvi_grid = list(ndvi_grid)
     if init[0] not in nir_grid or init[1] not in ndvi_grid:
         raise InitOffGrid(f"initial thresholds {init} are not on the search grid")
-    nir_levels = univariate_flag_levels(dataset, Band.NIR, consecutive)
-    ndvi_levels = univariate_flag_levels(dataset, Band.NDVI, consecutive)
-
-    def utility(i: int, j: int) -> float:
-        flags = (nir_levels > nir_grid[i]) | (ndvi_levels > ndvi_grid[j])
-        return tss(_counts(flags, observed))
-
+    utility = _pair_utility(
+        univariate_flag_levels(dataset, Band.NIR, consecutive),
+        univariate_flag_levels(dataset, Band.NDVI, consecutive),
+        observed, nir_grid, ndvi_grid,
+    )
     init_idx = (nir_grid.index(init[0]), ndvi_grid.index(init[1]))
     (bi, bj), best_tss = anneal_on_grid(
         utility, (len(nir_grid), len(ndvi_grid)), init_idx, config, seed

@@ -1,16 +1,18 @@
 """Per-record reference implementations of the residual-history chain.
 
-These are the scalar forms that ``cmfda.standardize``, ``cmfda.pipeline``
-and ``cmfda.detection`` replaced with array code: one ``ErrorRecord`` per
-residual, one dict lookup and one ``ErrorContext`` per standardized error,
-the inverse normal CDF one float at a time, the rule scanned one
-window at a time, and the online loop run date by date and pixel by pixel.
-The tests compare the array code against them bit for bit.
+These are the scalar forms that ``cmfda.standardize``, ``cmfda.pipeline``,
+``cmfda.detection`` and ``cmfda.training`` replaced with array code: one
+``ErrorRecord`` per residual, one dict lookup and one ``ErrorContext`` per
+standardized error, the inverse normal CDF one float at a time, the rule
+scanned one window at a time, thresholds scored by a boolean pass over
+every pixel per grid point, and the online loop run date by date and pixel
+by pixel. The tests compare the array code against them bit for bit.
 """
 from __future__ import annotations
 
 import datetime as dt
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ from cmfda.detection import (
 )
 from cmfda.errors import DegenerateHistory, EmptyHistory, EmptySample, OutOfDomain, OutOfRange
 from cmfda.harmonic import FIT_OK, HarmonicModel, design_rows, fit_batch, predict_many
+from cmfda.training import _counts, tss
 from cmfda.windows import PREDICT_EXTENSION_DAYS
 from cmfda.standardize import (
     ECDF,
@@ -386,6 +389,62 @@ def scan_windows(windows, rule):
             if best is None or flag < best[0]:
                 best = (flag, band_hit)
     return best
+
+
+# --- threshold training -------------------------------------------------------------
+
+
+def grid_search_levels(levels, observed, grid):
+    """The exhaustive search one threshold at a time: a boolean pass and a
+    confusion per grid point, the first maximum winning."""
+    best_threshold, best_tss = None, -math.inf
+    for threshold in grid:
+        score = tss(_counts(levels > threshold, observed))
+        if score > best_tss:
+            best_threshold, best_tss = threshold, score
+    return best_threshold, best_tss
+
+
+def multivariate_utility(nir_levels, ndvi_levels, observed, nir_grid, ndvi_grid):
+    """The annealing utility one point at a time: TSS of the pair rule at
+    (nir_grid[i], ndvi_grid[j]) from a boolean pass over every pixel."""
+    def utility(i, j):
+        flags = (nir_levels > nir_grid[i]) | (ndvi_levels > ndvi_grid[j])
+        return tss(_counts(flags, observed))
+
+    return utility
+
+
+def anneal_on_grid(utility, shape, init, config, seed):
+    """The annealing walk building each step's neighbor list afresh: the
+    proposal is ``rng.choice`` of the (up to 8) neighbors in row-major
+    offset order, a downhill move is accepted when ``rng.random()`` falls
+    below exp(delta/T), and the best point seen is returned."""
+    n_i, n_j = shape
+    rng = random.Random(seed)
+    cache = {init: utility(*init)}
+    best, best_value = init, cache[init]
+    current, current_value = init, cache[init]
+    temp = config.initial_temp
+    for _ in range(config.temp_levels):
+        for _ in range(config.steps_per_temp):
+            i, j = current
+            neighbors = [
+                (i + di, j + dj)
+                for di in (-1, 0, 1)
+                for dj in (-1, 0, 1)
+                if (di, dj) != (0, 0) and 0 <= i + di < n_i and 0 <= j + dj < n_j
+            ]
+            proposal = rng.choice(neighbors)
+            if proposal not in cache:
+                cache[proposal] = utility(*proposal)
+                if cache[proposal] > best_value:
+                    best, best_value = proposal, cache[proposal]
+            delta = cache[proposal] - current_value
+            if delta > 0 or rng.random() < math.exp(delta / temp):
+                current, current_value = proposal, cache[proposal]
+        temp *= config.cooling
+    return best, best_value
 
 
 # --- online loop ------------------------------------------------------------------

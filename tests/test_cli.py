@@ -138,6 +138,7 @@ def test_simulate_yucatan_scenario(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--n-events", "700"], ["--n-events", "-1"], ["--noise-sd", "nan"],
+    ["--first-year", "0"], ["--first-year", "9995"],
 ])
 def test_simulate_refuses_a_bad_scene_before_writing(tmp_path, flags, capsys):
     out = tmp_path / "sim"
@@ -750,6 +751,34 @@ def test_rule_flag_conflicts_are_usage_errors(sim_dir, models_dir, tmp_path):
         ["--rule", "univariate", "--grid", "0:0.2:0.1"],
     ):
         assert main(train + extra) == EXIT_USAGE, extra
+
+
+def _train_missing_series(tmp_path):
+    """A train command whose series does not exist: a flag refused with
+    exit 1 here was refused before any file was read."""
+    return [
+        "train", "--series", str(tmp_path / "missing.csv"),
+        "--labels", str(tmp_path / "missing-labels.csv"), "--out", str(tmp_path / "r.csv"),
+    ]
+
+
+@pytest.mark.parametrize("iters", ["0", "-3", "10", "1010"])
+def test_train_refuses_anneal_iters_off_the_temperature_levels(tmp_path, iters, capsys):
+    assert main(_train_missing_series(tmp_path) + ["--anneal-iters", iters]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--anneal-iters must be a positive multiple of 20, got {iters}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rule, flag", [
+    ("univariate", "--grid"), ("mahalanobis", "--grid"),
+    ("multivariate", "--grid-nir"), ("multivariate", "--grid-ndvi"),
+])
+@pytest.mark.parametrize("spec", ["nan:0.3:0.01", "0.01:inf:0.01", "0.01:0.3:nan"])
+def test_train_refuses_a_grid_spec_that_is_not_finite(tmp_path, rule, flag, spec, capsys):
+    assert main(_train_missing_series(tmp_path) + ["--rule", rule, flag, spec]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cmfda: error: bad grid spec {spec!r}") and "Traceback" not in err
 
 
 def test_cli_online_replay_matches_cli_detect(tmp_path):

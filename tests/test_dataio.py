@@ -654,6 +654,24 @@ def test_labels_round_trip(tmp_path):
     assert read_labels(path) == labels
 
 
+@pytest.mark.parametrize("existing", [True, False])
+def test_a_row_that_fails_to_format_leaves_the_path_as_it_was(tmp_path, existing):
+    """The third label has no fields, so formatting it raises after two
+    rows were formatted: an existing file keeps its bytes, and no file
+    appears where there was none."""
+    path = tmp_path / "labels.csv"
+    if existing:
+        write_labels(path, [DeforestationLabel("old", 0, 0, 0, 0)])
+        before = path.read_bytes()
+    labels = [DeforestationLabel("p1", 0, 0, 0, 0), DeforestationLabel("p2", 1, 0, 3, 1), None]
+    with pytest.raises(AttributeError):
+        write_labels(path, labels)
+    if existing:
+        assert path.read_bytes() == before
+    else:
+        assert not path.exists()
+
+
 def test_labels_reject_invariant_violation(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("#cmfda labels v1\npixel_id,col,row,defo_count,z\np,0,0,3,0\n")

@@ -1,4 +1,5 @@
 import datetime as dt
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +22,16 @@ from cmfda.errors import (
     KeyMismatch,
     TooFewPositives,
 )
+from cmfda import training
 from cmfda.training import (
     AnnealConfig,
     ConfusionCounts,
     PixelTrainingData,
     TrainingSet,
+    _counts,
+    _grid_scores,
+    _grid_search_levels,
+    _pair_utility,
     accuracies,
     anneal_multivariate,
     anneal_on_grid,
@@ -38,6 +44,8 @@ from cmfda.training import (
     sweep_fixed,
     tss,
 )
+from scalar_oracle import anneal_on_grid as oracle_anneal_on_grid
+from scalar_oracle import grid_search_levels, multivariate_utility
 
 
 def toy_pixel(pid, label, nir_errors, ndvi_errors=None, start_ok=None, site="s"):
@@ -366,6 +374,150 @@ def test_anneal_init_off_grid():
         p.window_errors[0].errors[Band.NDVI] = p.window_errors[0].errors[Band.NIR]
     with pytest.raises(InitOffGrid):
         anneal_multivariate(dataset, 3, [0.1, 0.2], [0.1, 0.2], (0.15, 0.1), seed=0)
+
+
+# --- scoring by rank counts ----------------------------------------------------------
+
+GRID_POINTS = [0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.3]
+
+
+@st.composite
+def levels_on_grids(draw):
+    """Per-pixel NIR and NDVI levels with both classes, and two ascending
+    grids. Levels include -inf (no allowed run), NaN, grid values exactly,
+    and repeats; a class may hold a single pixel."""
+    level = st.one_of(
+        st.sampled_from([-np.inf, np.nan, np.inf, *GRID_POINTS]),
+        st.floats(-0.1, 0.4, allow_nan=False),
+    )
+    n = draw(st.integers(2, 25))
+    observed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    positive, negative = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+    negative += negative >= positive
+    observed[positive], observed[negative] = True, False
+    grids = [
+        sorted(draw(st.sets(st.sampled_from(GRID_POINTS), min_size=1)))
+        for _ in range(2)
+    ]
+    levels = [np.array(draw(st.lists(level, min_size=n, max_size=n))) for _ in range(2)]
+    return levels, observed, grids
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=levels_on_grids(), order_seed=st.integers(0, 2**16))
+def test_rank_scores_equal_per_point_tss_bit_for_bit(case, order_seed):
+    (nir_levels, ndvi_levels), observed, (nir_grid, ndvi_grid) = case
+    scores = _grid_scores(nir_levels, observed, nir_grid)
+    expected = [tss(_counts(nir_levels > g, observed)) for g in nir_grid]
+    assert scores.tolist() == expected
+    assert _grid_search_levels(nir_levels, observed, nir_grid) == grid_search_levels(
+        nir_levels, observed, nir_grid
+    )
+
+    counted = _pair_utility(nir_levels, ndvi_levels, observed, nir_grid, ndvi_grid)
+    per_point = multivariate_utility(nir_levels, ndvi_levels, observed, nir_grid, ndvi_grid)
+    points = [(i, j) for i in range(len(nir_grid)) for j in range(len(ndvi_grid))]
+    np.random.default_rng(order_seed).shuffle(points)  # rows fill in any order
+    for i, j in points:
+        assert counted(i, j) == per_point(i, j), (i, j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+    levels=st.integers(1, 6),
+    steps=st.integers(1, 40),
+    initial_temp=st.sampled_from([0.01, 0.1, 1.0]),
+)
+def test_anneal_walk_equals_the_per_step_neighbor_walk(shape, data, seed, levels, steps,
+                                                       initial_temp):
+    """Neighbor offsets kept per grid edge leave the RNG draws, and so the
+    walk, as a neighbor list built at every step gives them."""
+    if shape == (1, 1):
+        return  # a one-point grid has no neighbor to propose
+    table = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=shape[0] * shape[1],
+        max_size=shape[0] * shape[1],
+    ))).reshape(shape)
+    init = (data.draw(st.integers(0, shape[0] - 1)), data.draw(st.integers(0, shape[1] - 1)))
+    config = AnnealConfig(initial_temp=initial_temp, steps_per_temp=steps, temp_levels=levels)
+    calls = [[], []]
+
+    def utility(k):
+        return lambda i, j: calls[k].append((i, j)) or float(table[i, j])
+
+    walked = anneal_on_grid(utility(0), shape, init, config, seed)
+    assert walked == oracle_anneal_on_grid(utility(1), shape, init, config, seed)
+    assert calls[0] == calls[1]
+
+
+def random_pair_dataset(rng, n=30):
+    labels = [1, 0] + [int(z) for z in rng.integers(0, 2, size=n - 2)]
+    return [
+        toy_pixel(
+            f"p{i}", label, rng.normal(0, 0.2 if label else 0.07, 12),
+            rng.normal(0, 0.3 if label else 0.1, 12), start_ok=rng.random(12) < 0.8,
+        )
+        for i, label in enumerate(labels)
+    ]
+
+
+@pytest.mark.parametrize("config", [
+    AnnealConfig(steps_per_temp=25, temp_levels=4),
+    AnnealConfig(initial_temp=1.0, cooling=0.8, steps_per_temp=40, temp_levels=5),
+    AnnealConfig(),
+])
+def test_anneal_multivariate_equals_per_point_oracle(config, rng, monkeypatch):
+    datasets = [TrainingSet.of(random_pair_dataset(rng)) for _ in range(3)]
+    nir_grid = [round(0.02 * k, 10) for k in range(1, 16)]
+    ndvi_grid = [round(0.03 * k, 10) for k in range(1, 16)]
+    cases = [
+        (dataset, c, seed, (nir_grid[k], ndvi_grid[14 - k]))
+        for dataset in datasets for c in (2, 3, 5) for seed, k in ((0, 7), (11, 2), (97, 14))
+    ]
+    counted = [anneal_multivariate(d, c, nir_grid, ndvi_grid, init, config, seed)
+               for d, c, seed, init in cases]
+    monkeypatch.setattr(training, "_pair_utility", multivariate_utility)
+    per_point = [anneal_multivariate(d, c, nir_grid, ndvi_grid, init, config, seed)
+                 for d, c, seed, init in cases]
+    assert counted == per_point
+
+
+def test_anneal_requires_both_classes():
+    dataset = [toy_pixel(f"p{i}", 1, [0.3] * 6, [0.3] * 6) for i in range(5)]
+    with pytest.raises(DegenerateClass):
+        anneal_multivariate(dataset, 3, [0.1, 0.2], [0.1, 0.2], (0.1, 0.1))
+
+
+def test_anneal_refuses_a_grid_that_is_not_ascending():
+    dataset = separable_dataset()
+    for p in dataset:
+        p.window_errors[0].errors[Band.NDVI] = p.window_errors[0].errors[Band.NIR]
+    with pytest.raises(ValueError, match="ascending"):
+        anneal_multivariate(dataset, 3, [0.2, 0.1], [0.1, 0.2], (0.1, 0.1))
+
+
+def test_anneal_on_a_fine_grid_keeps_memory_small(rng):
+    """3,000 x 5,000 thresholds, 1,250 pixels, 1,000 steps: the rows the
+    walk visits hold sorted ranks, never a table over the grid."""
+    pixels = [
+        toy_pixel(f"p{i}", int(i % 4 == 0), rng.normal(0, 0.2 if i % 4 == 0 else 0.06, 12),
+                  rng.normal(0, 0.3 if i % 4 == 0 else 0.09, 12))
+        for i in range(1250)
+    ]
+    dataset = TrainingSet.of(pixels)
+    nir_grid = [round(0.0001 * k, 10) for k in range(1, 3001)]
+    ndvi_grid = [round(0.0001 * k, 10) for k in range(1, 5001)]
+    config = AnnealConfig(steps_per_temp=50, temp_levels=20)
+    tracemalloc.start()
+    try:
+        anneal_multivariate(dataset, 3, nir_grid, ndvi_grid, (0.15, 0.25), config, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 # --- cross validation ---------------------------------------------------------------
