@@ -9,13 +9,55 @@ the 7-coefficient model with the pair retained.
 """
 import numpy as np
 
-from cmfda.harmonic import (
-    fit_arrays,
-    fit_interannual,
-    predict_interannual,
-    predict_many,
-)
-from cmfda.core import Band
+from cmfda.core import YEAR_DAYS, Band
+from cmfda.errors import InsufficientData
+from cmfda.harmonic import fit_arrays, predict_many
+
+# --- inter-annual variant -------------------------------------------------
+#
+# Adds a two-year harmonic pair on a continuous day axis. It exists for this
+# comparison only; the pipeline always uses the 5-coefficient model.
+
+N_COEFFS_INTERANNUAL = 7
+
+
+def interannual_design_matrix(days_since_anchor: np.ndarray) -> np.ndarray:
+    x = np.asarray(days_since_anchor, dtype=float)
+    w = 2.0 * np.pi * x / YEAR_DAYS
+    return np.column_stack(
+        [
+            np.ones_like(w),
+            np.cos(w),
+            np.sin(w),
+            np.cos(w / 2.0),  # two-year cycle
+            np.sin(w / 2.0),
+            np.cos(2 * w),
+            np.sin(2 * w),
+        ]
+    )
+
+
+def fit_interannual(days_since_anchor: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of the 7-term inter-annual model."""
+    x = np.asarray(days_since_anchor, dtype=float)
+    if x.size < 2 * N_COEFFS_INTERANNUAL:
+        raise InsufficientData(
+            f"{x.size} observations, need {2 * N_COEFFS_INTERANNUAL}"
+        )
+    design = interannual_design_matrix(x)
+    coeffs, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=float), rcond=None)
+    return coeffs
+
+
+def predict_interannual(
+    coeffs: np.ndarray,
+    days_since_anchor: np.ndarray,
+    keep_interannual: bool = True,
+) -> np.ndarray:
+    used = np.array(coeffs, dtype=float, copy=True)
+    if not keep_interannual:
+        used[3:5] = 0.0
+    return interannual_design_matrix(days_since_anchor) @ used
 
 
 def rmse(a, b):

@@ -8,7 +8,6 @@ from .core import (
     PixelSeries,
     Reliability,
     SiteGrid,
-    is_clear,
 )
 from .detection import (
     CubeCovarianceTable,
@@ -21,9 +20,8 @@ from .detection import (
     multivariate_flag,
     univariate_flag,
 )
-from .harmonic import HarmonicModel, design_vector, fit, predict, residual
+from .harmonic import HarmonicModel
 from .indices import EviParams, evi, ndvi
-from .pipeline import detect_pixel
 from .standardize import Scheme, Standardizer, fit_standardizer, transform
 from .training import (
     AnnealConfig,
@@ -36,7 +34,7 @@ from .training import (
     sweep_fixed,
     tss,
 )
-from .windows import WindowPair, clear_dates, make_windows
+from .windows import WindowPair, make_windows
 
 __all__ = [
     "AnnealConfig",
@@ -60,23 +58,16 @@ __all__ = [
     "WindowPair",
     "accuracies",
     "anneal_multivariate",
-    "clear_dates",
     "confusion",
     "cross_validate",
-    "design_vector",
-    "detect_pixel",
     "estimate_cube_covariances",
     "evi",
-    "fit",
     "fit_standardizer",
     "grid_search_univariate",
-    "is_clear",
     "mahalanobis_index",
     "make_windows",
     "multivariate_flag",
     "ndvi",
-    "predict",
-    "residual",
     "sweep_fixed",
     "transform",
     "tss",

@@ -90,6 +90,9 @@ class UsageError(Exception):
     pass
 
 
+MAX_GRID_POINTS = 100_000   # the most thresholds a grid spec may ask for
+
+
 def threshold_grid(lo: float, hi: float, step: float) -> list[float]:
     n = int((hi - lo) / step + 1e-9) + 1
     return [round(lo + k * step, 10) for k in range(n)]
@@ -102,6 +105,8 @@ def parse_grid_spec(spec: str) -> list[float]:
         raise UsageError(f"bad grid spec {spec!r}; expected lo:hi:step") from None
     if not (0 < lo <= hi < math.inf and 0 < step < math.inf):  # NaN fails every comparison
         raise UsageError(f"bad grid spec {spec!r}; thresholds must be finite and positive")
+    if (hi - lo) / step + 1e-9 >= MAX_GRID_POINTS:   # threshold_grid's count, unbuilt
+        raise UsageError(f"bad grid spec {spec!r}; more than {MAX_GRID_POINTS} thresholds")
     return threshold_grid(lo, hi, step)
 
 
@@ -485,7 +490,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     series_path = os.path.join(args.out, "series.csv")
     labels_path = os.path.join(args.out, "labels.csv")
-    dataio.write_series(series_path, {site.site_id: site.pixels})
+    dataio.write_series_columns(series_path, *site.pixels.columns())
     dataio.write_labels(labels_path, labels)
     print(
         f"wrote {series_path} and {labels_path}: site {site.site_id}, "
@@ -602,13 +607,6 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _accuracy_cells(counts) -> tuple[Optional[float], Optional[float]]:
-    try:
-        return training.accuracies(counts)
-    except DegenerateClass:
-        return None, None
-
-
 def _cv_or_none(dataset, trainer, folds, seed):
     try:
         return training.cross_validate(dataset, trainer, k=folds, seed=seed)
@@ -723,12 +721,7 @@ def cmd_train(args) -> int:
         # the pooled optimum over C, scored on each site alone
         best_rule, _ = max((trained["all", c] for c in C_VALUES), key=lambda pair: pair[1])
         for site_id, dataset in datasets.items():
-            counts = training.evaluate_rule(dataset, best_rule)
-            try:
-                site_tss = training.tss(counts)
-            except DegenerateClass:
-                site_tss = None
-            producer, user = _accuracy_cells(counts)
+            site_tss, producer, user = training.skill(training.evaluate_rule(dataset, best_rule))
             rows.append(
                 ReportRow(
                     scope=site_id, consecutive=best_rule.consecutive,
@@ -1011,16 +1004,14 @@ def cmd_report(args) -> int:
         f"confusion: hits={counts.s} misses={counts.t} "
         f"correct_rejections={counts.u} false_alarms={counts.v}",
     ]
-    try:
-        lines.append(f"tss: {training.tss(counts):.4f}")
-    except DegenerateClass:
-        lines.append("tss: undefined (single observed class)")
-    try:
-        producer, user = training.accuracies(counts)
+    score, producer, user = training.skill(counts)
+    lines.append("tss: " + (f"{score:.4f}" if score is not None
+                            else "undefined (single observed class)"))
+    if producer is None:
+        lines.append("producer_acc: undefined (no observed positives)")
+    else:
         lines.append(f"producer_acc: {producer:.4f}")
         lines.append("user_acc: " + (f"{user:.4f}" if user is not None else "undefined (no flags)"))
-    except DegenerateClass:
-        lines.append("producer_acc: undefined (no observed positives)")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

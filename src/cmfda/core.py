@@ -9,7 +9,7 @@ import calendar
 import datetime as dt
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,6 +89,23 @@ def _composite_lag(nominal: dt.date, composite_doy: int) -> int:
     )
 
 
+def range_error(nominal_date: dt.date, composite_doy: int,
+                values: Mapping[Band, float]) -> Optional[OutOfRange]:
+    """The OutOfRange that an observation of these fields raises (its
+    composite day, then its lag, then its band values), or None."""
+    if not 1 <= composite_doy <= YEAR_DAYS:
+        return OutOfRange(f"composite_doy {composite_doy} outside 1..366")
+    try:
+        _composite_lag(nominal_date, composite_doy)
+    except OutOfRange as exc:
+        return exc
+    for band, value in values.items():
+        lo, hi = band_range(band)
+        if not lo <= value <= hi:
+            return OutOfRange(f"{band.name} value {value} outside [{lo}, {hi}]")
+    return None
+
+
 @dataclass(frozen=True)
 class Observation:
     """One 16-day composite for one pixel.
@@ -104,13 +121,8 @@ class Observation:
     reliability: Reliability
 
     def __post_init__(self):
-        if not 1 <= self.composite_doy <= YEAR_DAYS:
-            raise OutOfRange(f"composite_doy {self.composite_doy} outside 1..366")
-        _composite_lag(self.nominal_date, self.composite_doy)
-        for band, value in self.values.items():
-            lo, hi = band_range(band)
-            if not lo <= value <= hi:
-                raise OutOfRange(f"{band.name} value {value} outside [{lo}, {hi}]")
+        if (error := range_error(self.nominal_date, self.composite_doy, self.values)) is not None:
+            raise error
 
     def band_value(self, band: Band) -> Optional[float]:
         """Value for ``band``, or None when missing or fill-coded."""
@@ -132,11 +144,6 @@ def cadence_error(pixel_id: str, prev: dt.date, cur: dt.date) -> OutOfRange:
         f"pixel {pixel_id}: nominal dates {prev} -> {cur} are "
         f"{(cur - prev).days} days apart, expected {CADENCE_DAYS}"
     )
-
-
-def is_clear(obs: Observation) -> bool:
-    """True iff the observation's reliability is Good or Marginal."""
-    return obs.reliability in CLEAR_CODES
 
 
 @dataclass(frozen=True)
@@ -384,8 +391,3 @@ class DeforestationLabel:
             raise OutOfRange(f"defo_count {self.defo_count} outside 0..16")
         if self.z != (1 if self.defo_count >= 1 else 0):
             raise OutOfRange("z must be 1 exactly when defo_count >= 1")
-
-
-def filter_clear(observations: Iterable[Observation]) -> list[Observation]:
-    """Clear observations only, order preserved."""
-    return [o for o in observations if is_clear(o)]

@@ -9,16 +9,17 @@ are the mirrors of parsed tables (see "binary mirrors" below).
 
 Every table is written by :func:`_write_table` or, where its bytes are
 needed first, with its header writer (:func:`append_series_rows`,
-:func:`replace_detections`, :func:`save_models`, which formats its rows
-in bulk), and read through :func:`_table_chunks`, which alone checks its
-framing: header, column names, field counts, UTF-8 text and what ``csv``
-refuses; it frames a table without quotes in bulk. The row readers take
-its rows through :func:`_rows`; the series, model and covariance readers
-take its chunks column by column. A series, model or covariance file is
-read once, whole, by :func:`_read_mirrored`, which hashes those bytes and
-either takes the file's binary mirror, when the mirror holds that hash,
-or parses the same bytes; the online history grows by those bytes plus
-the data rows of a batch file as read (:func:`append_series_rows`).
+:func:`replace_detections`, and :func:`write_series_columns` and
+:func:`save_models`, which format their rows in bulk), and read through
+:func:`_table_chunks`, which alone checks its framing: header, column
+names, field counts, UTF-8 text and what ``csv`` refuses; it frames a
+table without quotes in bulk. The row readers take its rows through
+:func:`_rows`; the series, model and covariance readers take its chunks
+column by column. A series, model or covariance file is read once, whole,
+by :func:`_read_mirrored`, which hashes those bytes and either takes the
+file's binary mirror, when the mirror holds that hash, or parses the same
+bytes; the online history grows by those bytes plus the data rows of a
+batch file as read (:func:`append_series_rows`).
 A fault in a table is a ``ParseError`` naming the file and, where it has
 one, the line; a wrong header is a ``SchemaVersionMismatch``.
 """
@@ -58,6 +59,7 @@ from .core import (
     cadence_error,
     day_of_year,
     distinct,
+    range_error,
 )
 from .detection import CovarianceEntry, CubeCovarianceTable, DetectionResult
 from .errors import (
@@ -201,24 +203,57 @@ _RELIABILITY_CODES = frozenset(int(r) for r in Reliability)
 _CLEAR = (int(Reliability.GOOD), int(Reliability.MARGINAL))
 
 
-def _series_row(site_id, pixel_id, col, row, nominal: dt.date, composite_doy, reliability,
-                values) -> list:
-    """One series file row; ``values`` in BAND_ORDER, fill-coded, not NaN."""
-    return [site_id, pixel_id, col, row, nominal.isoformat(), composite_doy, int(reliability),
-            *map(real, values)]
+# A data row as csv writes it, key fields first (_key_fields); ``%.9g`` is ``real``.
+_SERIES_ROW = "%s%s,%d,%d" + ",%.9g" * len(BAND_ORDER) + "\r\n"
+_QUOTED = re.compile('[",\r\n]')   # csv quotes a field that holds one of these
+
+
+def _key_fields(key) -> str:
+    """A pixel key's four fields and the comma after them, as csv writes them."""
+    text = "%s,%s,%s,%s," % key
+    if _QUOTED.search("".join(map(str, key))):
+        line = io.StringIO()
+        csv.writer(line).writerow(key)
+        text = line.getvalue()[:-2] + ","
+    return text
+
+
+def write_series_columns(path, keys: Sequence[tuple], counts: Sequence[int], ordinals,
+                         doys, reliability, values) -> None:
+    """Write a series file of the rows of pixels ``keys``, each (site_id,
+    pixel_id, col, row), the ``counts[p]`` rows of pixel p after those of
+    the pixels before it. Row i holds nominal date ordinal ``ordinals[i]``,
+    composite day ``doys[i]``, reliability code ``reliability[i]`` and the
+    band values ``values[i]`` in BAND_ORDER, NaN (or the fill value) for
+    fill. The rows are formatted in bulk, with the bytes csv writes."""
+    ordinals = np.asarray(ordinals, dtype=np.int64).tolist()
+    dates = {o: dt.date.fromordinal(o).isoformat() for o in set(ordinals)}
+    values = np.asarray(values, dtype=float).reshape(-1, len(BAND_ORDER))
+    rows = zip(
+        itertools.chain.from_iterable(map(itertools.repeat, map(_key_fields, keys), counts)),
+        map(dates.__getitem__, ordinals), np.asarray(doys).tolist(),
+        np.asarray(reliability).tolist(), *np.where(np.isnan(values), _FILLS, values).T.tolist(),
+    )
+    head = io.StringIO()
+    _write_header(head, "series", SERIES_COLUMNS)
+    data = (head.getvalue() + "".join(map(_SERIES_ROW.__mod__, rows))).encode(ENCODING)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_series(path, sites: Mapping[str, Sequence[PixelSeries]]) -> None:
-    _write_table(path, "series", SERIES_COLUMNS, (
-        _series_row(
-            site_id, series.pixel_id, series.col, series.row,
-            obs.nominal_date, obs.composite_doy, obs.reliability,
-            map(obs.values.get, BAND_ORDER, _FILL_VALUES),
-        )
-        for site_id, pixels in sites.items()
-        for series in pixels
-        for obs in series.observations
-    ))
+    """Write a series file of the pixel series of ``sites``, site by site
+    (see :func:`write_series_columns`)."""
+    pixels = [(site_id, series) for site_id, group in sites.items() for series in group]
+    observations = [obs for _, series in pixels for obs in series.observations]
+    write_series_columns(
+        path, [(site_id, s.pixel_id, s.col, s.row) for site_id, s in pixels],
+        [len(s.observations) for _, s in pixels],
+        [obs.nominal_date.toordinal() for obs in observations],
+        [obs.composite_doy for obs in observations],
+        [int(obs.reliability) for obs in observations],
+        [list(map(obs.values.get, BAND_ORDER, _FILL_VALUES)) for obs in observations],
+    )
 
 
 # Rows per chunk of a parsed table: bounds the memory that the rows' field
@@ -448,16 +483,11 @@ def _series_chunk(path, lines, columns, caches, pixels: dict, cols: list, rows: 
         code = codes_parsed[codes_idx[k]]
         raise ParseError(f"{path}: unknown reliability code {code}", line=lines[k])
 
-    def observation_error(k):
-        try:
-            Observation(
-                nominal_date=dates[date_idx[k]],
-                composite_doy=doys_parsed[doy_idx[k]],
-                values=dict(zip(BAND_ORDER, values[k].tolist())),
-                reliability=Reliability(codes_parsed[codes_idx[k]]),
-            )
-        except OutOfRange as exc:
-            raise ParseError(f"{path}: {exc}", line=lines[k]) from None
+    def out_of_range(k):
+        error = range_error(
+            dates[date_idx[k]], doys_parsed[doy_idx[k]], dict(zip(BAND_ORDER, values[k].tolist()))
+        )
+        raise ParseError(f"{path}: {error}", line=lines[k])
 
     def failed(parsed, idx):
         return _gather([p is None for p in parsed], idx, bool)
@@ -472,7 +502,7 @@ def _series_chunk(path, lines, columns, caches, pixels: dict, cols: list, rows: 
             (doys == 0)
             | (lags < 0) | (lags > MAX_COMPOSITE_LAG)
             | ~((values >= _RANGES[0]) & (values <= _RANGES[1])).all(axis=1),
-            observation_error,
+            out_of_range,
         ),
         (failed(cols_parsed, col_idx), text_error(_parse_int, "col")),
         (failed(rows_parsed, row_idx), text_error(_parse_int, "row")),
@@ -833,7 +863,7 @@ def save_models(path, models: ModelTable, train_window: DateInterval) -> tuple[d
     rows = zip(pixel_ids, codes, *(texts[k::N_COEFFS] for k in range(N_COEFFS)), n_obs)
     meta = {"train_start": train_window.start.isoformat(),
             "train_end": train_window.end.isoformat()}
-    quoted = re.search('[",\r\n]', "".join(pixel_ids))   # csv quotes such a pixel id
+    quoted = _QUOTED.search("".join(pixel_ids))
     data = _table_bytes("models", MODEL_COLUMNS, rows if quoted else (), meta)
     if not quoted:   # the bytes csv writes, in one call
         data += "".join(map("%s,%s,%s,%s,%s,%s,%s,%s\r\n".__mod__, rows)).encode(ENCODING)

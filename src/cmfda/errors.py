@@ -25,20 +25,12 @@ class RankDeficient(CmfdaError):
     """Normal-equation matrix is singular beyond tolerance."""
 
 
-class MissingBandValue(CmfdaError):
-    """Observation carries the fill value for the requested band."""
-
-
 class WrongWindowLength(CmfdaError):
     """Residual window does not match the rule's consecutive count."""
 
 
 class SingularCovariance(CmfdaError):
     """Covariance matrix is not positive definite."""
-
-
-class NoModels(CmfdaError):
-    """A required per-window model is missing for a pixel."""
 
 
 class EmptyHistory(CmfdaError):

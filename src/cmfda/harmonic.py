@@ -16,13 +16,12 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BAND_ORDER, Band, Observation, PixelSeries, YEAR_DAYS
-from .errors import InsufficientData, MissingBandValue, OutOfRangeDay, RankDeficient
-from .windows import DateInterval
+from .core import Band, YEAR_DAYS
+from .errors import InsufficientData, OutOfRangeDay, RankDeficient
 
 N_COEFFS = 5
 
@@ -34,14 +33,6 @@ MIN_OBS = 12
 RCOND_MIN = 1e-10
 
 _TWO_PI = 2.0 * math.pi
-
-
-def design_vector(doy: int) -> np.ndarray:
-    """Regressor vector (1, cos, sin, semi-annual cos, semi-annual sin)."""
-    if not 1 <= doy <= YEAR_DAYS:
-        raise OutOfRangeDay(f"day of year {doy} outside 1..{YEAR_DAYS}")
-    w = _TWO_PI * doy / YEAR_DAYS
-    return np.array([1.0, math.cos(w), math.sin(w), math.cos(2 * w), math.sin(2 * w)])
 
 
 def design_matrix(doys: np.ndarray) -> np.ndarray:
@@ -222,20 +213,10 @@ class ModelTable:
                    fits.coeffs[ks, js], fits.n_obs[ks, js].astype(np.int64), train[ks])
 
     @classmethod
-    def of_models(cls, models: Mapping[tuple[str, Band], HarmonicModel]) -> ModelTable:
-        """A row per model keyed (pixel_id, band), in the mapping's order."""
-        fitted = models.values()
-        return cls([pixel_id for pixel_id, _ in models],
-                   np.array([band for _, band in models], dtype=np.int8),
-                   np.reshape([m.coeffs for m in fitted], (-1, N_COEFFS)),
-                   np.array([m.n_obs for m in fitted], dtype=np.int64),
-                   np.array([[d.toordinal() for d in m.train_window] for m in fitted],
-                            dtype=np.int64).reshape(-1, 2))
-
-    @classmethod
     def concat(cls, tables: Sequence[ModelTable]) -> ModelTable:
         """The rows of ``tables``, table by table."""
-        tables = [cls.of_models({}), *tables]
+        tables = [cls([], np.empty(0, np.int8), np.empty((0, N_COEFFS)),
+                      np.empty(0, np.int64), np.empty((0, 2), np.int64)), *tables]
         return cls([pixel_id for table in tables for pixel_id in table.pixel_ids], *(
             np.concatenate([getattr(table, name) for table in tables])
             for name in ("bands", "coeffs", "n_obs", "train")))
@@ -262,22 +243,6 @@ def _gram(design: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarra
     return gram
 
 
-def fit(series: PixelSeries, band: Band, window: DateInterval) -> HarmonicModel:
-    """Fit the model for one band over the clear in-window observations."""
-    a = series.to_arrays()
-    values = a.values[:, BAND_ORDER.index(band)]
-    used = (a.clear & ~np.isnan(values) & (a.ordinals >= window.start.toordinal())
-            & (a.ordinals <= window.end.toordinal()))
-    return fit_arrays(
-        a.doys[used].astype(float), values[used], band=band, pixel_id=series.pixel_id,
-        train_window=(window.start, window.end),
-    )
-
-
-def predict(model: HarmonicModel, doy: int) -> float:
-    return float(np.dot(model.coeffs, design_vector(doy)))
-
-
 def predict_many(coeffs: np.ndarray, doys: np.ndarray) -> np.ndarray:
     """Predictions at many composite days: ``coeffs`` is one (5,) model or
     one model per day, (..., 5). Integer days read the design table, which
@@ -289,59 +254,3 @@ def predict_many(coeffs: np.ndarray, doys: np.ndarray) -> np.ndarray:
     doys = np.asarray(doys)
     design = design_rows(doys) if np.issubdtype(doys.dtype, np.integer) else design_matrix(doys)
     return (design * np.asarray(coeffs)).sum(axis=-1)
-
-
-def residual(model: HarmonicModel, obs: Observation, band: Band) -> float:
-    """Prediction error, observed minus predicted."""
-    value = obs.band_value(band)
-    if value is None:
-        raise MissingBandValue(f"observation {obs.nominal_date} has no {band.name} value")
-    return value - predict(model, obs.composite_doy)
-
-
-# --- inter-annual variant -------------------------------------------------
-#
-# Adds a two-year harmonic pair on a continuous day axis. Kept for model
-# comparison experiments only; the pipeline always uses the 5-coefficient
-# model above.
-
-N_COEFFS_INTERANNUAL = 7
-
-
-def interannual_design_matrix(days_since_anchor: np.ndarray) -> np.ndarray:
-    x = np.asarray(days_since_anchor, dtype=float)
-    w = _TWO_PI * x / YEAR_DAYS
-    return np.column_stack(
-        [
-            np.ones_like(w),
-            np.cos(w),
-            np.sin(w),
-            np.cos(w / 2.0),  # two-year cycle
-            np.sin(w / 2.0),
-            np.cos(2 * w),
-            np.sin(2 * w),
-        ]
-    )
-
-
-def fit_interannual(days_since_anchor: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of the 7-term inter-annual model."""
-    x = np.asarray(days_since_anchor, dtype=float)
-    if x.size < 2 * N_COEFFS_INTERANNUAL:
-        raise InsufficientData(
-            f"{x.size} observations, need {2 * N_COEFFS_INTERANNUAL}"
-        )
-    design = interannual_design_matrix(x)
-    coeffs, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=float), rcond=None)
-    return coeffs
-
-
-def predict_interannual(
-    coeffs: np.ndarray,
-    days_since_anchor: np.ndarray,
-    keep_interannual: bool = True,
-) -> np.ndarray:
-    used = np.array(coeffs, dtype=float, copy=True)
-    if not keep_interannual:
-        used[3:5] = 0.0
-    return interannual_design_matrix(days_since_anchor) @ used

@@ -47,7 +47,6 @@ from .detection import (
     scan_window_errors,
     stack_errors,
 )
-from .errors import NoModels, OutOfRange
 from .harmonic import (  # noqa: F401  (fit_arrays stays importable here for the tracer)
     FIT_FAILURES,
     FIT_OK,
@@ -59,7 +58,7 @@ from .harmonic import (  # noqa: F401  (fit_arrays stays importable here for the
     predict_many,
 )
 from .standardize import Standardizer, transform_errors
-from .training import PixelTrainingData, TrainingSet
+from .training import TrainingSet
 from .windows import PREDICT_EXTENSION_DAYS, WindowPair
 
 
@@ -340,29 +339,6 @@ def _detect_chunk(chunk, windows, rule, site_id, fit, standardizers):
     ], skipped
 
 
-def detect_pixel(
-    series: PixelSeries,
-    models: Mapping[int, Mapping[Band, object]],
-    rule: DetectionRule,
-    windows: Sequence[WindowPair],
-    site_id: Optional[str] = None,
-) -> DetectionResult:
-    """Apply the rule over every prediction window of one pixel, as a
-    slice of detect_pixels: ``models`` holds, per window index, each band's
-    HarmonicModel (as harmonic.fit returns it). The flag date is the last
-    date of the earliest triggering run (detection time, not event time)."""
-    if isinstance(rule, MahalanobisRule) and site_id is None:
-        raise OutOfRange("Mahalanobis detection requires a site_id")
-    fit = FitResult({
-        index: ModelTable.of_models({(series.pixel_id, band): model for band, model in table.items()})
-        for index, table in models.items()
-    })
-    results, skipped = _detect_chunk(compact_pixels([series]), windows, rule, site_id, fit, None)
-    if skipped:
-        raise NoModels(f"pixel {series.pixel_id!r}: no model for some window and rule band")
-    return results[0]
-
-
 def detect_pixels(
     pixels: Sequence[PixelSeries] | Sequence[CompactPixel],
     fit: FitResult,
@@ -404,11 +380,13 @@ def build_training_dataset(
     errors, kept, skipped = _slice_errors(
         _ensure_compact(pixels), fit, tuple(windows), tuple(bands), site_id, standardizers
     )
-    pixels = [
-        PixelTrainingData(cp.pixel_id, site_id, cp.col, cp.row, labels[cp.pixel_id], [])
-        for cp in kept
-    ]
-    return replace(TrainingSet.of(pixels), errors=errors), skipped
+    ids = [cp.pixel_id for cp in kept]
+    return TrainingSet(
+        np.array(ids, dtype=object), np.full(len(ids), site_id, dtype=object),
+        np.array([cp.col for cp in kept], dtype=np.int64),
+        np.array([cp.row for cp in kept], dtype=np.int64),
+        np.array([labels[pixel_id] for pixel_id in ids], dtype=np.int64), errors,
+    ), skipped
 
 
 # --- online loop -----------------------------------------------------------------

@@ -152,6 +152,16 @@ class SitePixels(Sequence[PixelSeries]):
         )
         return PixelSeries(pixel_name(self._site_id, col, row), col, row, observations)
 
+    def columns(self) -> tuple:
+        """Every pixel's rows as the columns of ``dataio.write_series_columns``,
+        taken from the arrays: no pixel is built."""
+        n_pixels, n_dates = self._doys.shape
+        keys = [(self._site_id, pixel_name(self._site_id, col, row), col, row)
+                for row, col in (divmod(idx, SITE_SIDE) for idx in range(n_pixels))]
+        ordinals = np.tile([date.toordinal() for date in self._dates], n_pixels)
+        return (keys, [n_dates] * n_pixels, ordinals, self._doys.ravel(),
+                self._reliability.ravel(), self._values.reshape(-1, len(BAND_ORDER)))
+
 
 def generate_site(cfg: SynthConfig) -> tuple[SiteGrid, list[DeforestationLabel]]:
     """Deterministic synthetic site: per-band harmonics plus noise, monthly

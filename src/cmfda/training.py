@@ -104,6 +104,19 @@ def accuracies(c: ConfusionCounts) -> tuple[float, Optional[float]]:
     return producer, user
 
 
+def skill(c: ConfusionCounts) -> tuple[Optional[float], Optional[float], Optional[float]]:
+    """(TSS, producer's accuracy, user's accuracy) of a fixed rule's counts,
+    each None where undefined (see :func:`tss` and :func:`accuracies`)."""
+    try:
+        score = tss(c)
+    except DegenerateClass:
+        score = None
+    try:
+        return (score, *accuracies(c))
+    except DegenerateClass:
+        return score, None, None
+
+
 # --- training datasets ------------------------------------------------------
 
 
@@ -318,6 +331,8 @@ def anneal_on_grid(
     offsets: dict = {}  # a point's neighbors as offsets, by the grid edges it lies on
     current = init
     current_value = value(init)
+    if shape == (1, 1):   # no neighbor to move to
+        return tuple(init), current_value
     temp = config.initial_temp
     for _ in range(config.temp_levels):
         for _ in range(config.steps_per_temp):
@@ -473,15 +488,7 @@ def sweep_fixed(
     rows = []
     for c in c_values:
         counts = evaluate_rule(dataset, replace(rule, consecutive=c))
-        try:
-            score = tss(counts)
-        except DegenerateClass:
-            score = None
-        try:
-            producer, user = accuracies(counts)
-        except DegenerateClass:
-            producer = user = None
-        rows.append(SweepRow(c, counts.r, score, producer, user))
+        rows.append(SweepRow(c, counts.r, *skill(counts)))
     return rows
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 
-from .core import PixelSeries, is_clear
-
 # The prediction interval runs past Dec 31 so that a violation run starting
 # late in the year can complete (6 consecutive 16-day composites need 96
 # days, under the 120-day allowance).
@@ -65,11 +63,3 @@ def make_windows(first_train_year: int, n_windows: int) -> list[WindowPair]:
         pairs.append(WindowPair(j, train, predict, predict_year))
     return pairs
 
-
-def clear_dates(series: PixelSeries, interval: DateInterval) -> list[dt.date]:
-    """Nominal dates in the interval whose observation is clear, in order."""
-    return [
-        obs.nominal_date
-        for obs in series.observations
-        if obs.nominal_date in interval and is_clear(obs)
-    ]

@@ -1,7 +1,9 @@
 """Per-record reference implementations of the residual-history chain.
 
-These are the scalar forms that ``cmfda.standardize``, ``cmfda.pipeline``,
-``cmfda.detection`` and ``cmfda.training`` replaced with array code: one
+These are the scalar forms that ``cmfda.harmonic``, ``cmfda.dataio``,
+``cmfda.standardize``, ``cmfda.pipeline``, ``cmfda.detection`` and
+``cmfda.training`` replaced with array code: one fit per series and band
+and one design vector per day, one csv row per observation, one
 ``ErrorRecord`` per residual, one dict lookup and one ``ErrorContext`` per
 standardized error, the inverse normal CDF one float at a time, the rule
 scanned one window at a time, thresholds scored by a boolean pass over
@@ -10,6 +12,7 @@ by pixel. The tests compare the array code against them bit for bit.
 """
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import math
 import random
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cmfda.core import BAND_ORDER, Band, CompactPixel, day_of_year
+from cmfda.core import BAND_ORDER, YEAR_DAYS, Band, CompactPixel, band_fill, day_of_year
+from cmfda.dataio import SERIES_COLUMNS, real
 from cmfda.detection import (
     CovarianceEntry,
     CubeCovarianceTable,
@@ -30,8 +34,10 @@ from cmfda.detection import (
     rule_bands,
     run_levels,
 )
-from cmfda.errors import DegenerateHistory, EmptyHistory, EmptySample, OutOfDomain, OutOfRange
-from cmfda.harmonic import FIT_OK, HarmonicModel, design_rows, fit_batch, predict_many
+from cmfda.errors import (
+    DegenerateHistory, EmptyHistory, EmptySample, OutOfDomain, OutOfRange, OutOfRangeDay,
+)
+from cmfda.harmonic import FIT_OK, HarmonicModel, design_rows, fit_arrays, fit_batch, predict_many
 from cmfda.training import _counts, tss
 from cmfda.windows import PREDICT_EXTENSION_DAYS
 from cmfda.standardize import (
@@ -229,6 +235,55 @@ def transform(stages, eps: float, ctx: ErrorContext) -> float:
     for i, stage in enumerate(stages):
         value = stage.apply(value, ctx, final=(i == last))
     return value
+
+
+# --- the harmonic model, one series and one day at a time -----------------------
+
+
+def design_vector(doy: int) -> np.ndarray:
+    """Regressor vector (1, cos, sin, semi-annual cos, semi-annual sin)."""
+    if not 1 <= doy <= YEAR_DAYS:
+        raise OutOfRangeDay(f"day of year {doy} outside 1..{YEAR_DAYS}")
+    w = 2.0 * math.pi * doy / YEAR_DAYS
+    return np.array([1.0, math.cos(w), math.sin(w), math.cos(2 * w), math.sin(2 * w)])
+
+
+def predict(model: HarmonicModel, doy: int) -> float:
+    return float(np.dot(model.coeffs, design_vector(doy)))
+
+
+def fit(series, band: Band, window) -> HarmonicModel:
+    """Fit the model for one band of a PixelSeries over its clear in-window
+    observations."""
+    a = series.to_arrays()
+    values = a.values[:, BAND_ORDER.index(band)]
+    used = (a.clear & ~np.isnan(values) & (a.ordinals >= window.start.toordinal())
+            & (a.ordinals <= window.end.toordinal()))
+    return fit_arrays(
+        a.doys[used].astype(float), values[used], band=band, pixel_id=series.pixel_id,
+        train_window=(window.start, window.end),
+    )
+
+
+# --- series files, row by row ---------------------------------------------------
+
+
+def write_series(path, sites) -> None:
+    """A series file of the PixelSeries of ``sites``, one csv row per
+    observation, values fill-coded where a band is missing."""
+    fills = [band_fill(band) for band in BAND_ORDER]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("#cmfda series v1\n")
+        writer = csv.writer(fh)
+        writer.writerow(SERIES_COLUMNS)
+        for site_id, pixels in sites.items():
+            for series in pixels:
+                for obs in series.observations:
+                    writer.writerow([
+                        site_id, series.pixel_id, series.col, series.row,
+                        obs.nominal_date.isoformat(), obs.composite_doy, int(obs.reliability),
+                        *(real(v) for v in map(obs.values.get, BAND_ORDER, fills)),
+                    ])
 
 
 # --- model tables -----------------------------------------------------------------

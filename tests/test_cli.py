@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,9 @@ from cmfda.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_GRID_POINTS,
     SUBCOMMANDS,
+    UsageError,
     build_parser,
     load_config_file,
     main,
@@ -1183,9 +1186,11 @@ def mirror_inputs(tmp_path_factory):
                 for site_id, site in sites.items()
             }
         path = out / f"batch_{date}.csv"
-        with pytest.MonkeyPatch.context() as patch:
-            if i == 4:
-                patch.setattr(dataio, "real", lambda x: repr(float(x)))
+        if i == 4:   # the row writer, its reals written in full
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, "real", lambda x: repr(float(x)))
+                oracle.write_series(path, sites)
+        else:
             write_series(path, sites)
         batches.append(path)
     return out / "history.csv", batches
@@ -2096,3 +2101,99 @@ def test_each_command_opens_its_series_once(
         "online --init": ["history.csv"],
         "online step": ["history.csv", batches[0].name],
     }
+
+
+# --- one-point grids and the grid cap ---------------------------------------------
+
+
+def test_train_multivariate_on_one_point_grids(sim_dir, tmp_path, capsys):
+    """A 1x1 annealing grid trains its only point."""
+    out = tmp_path / "report.csv"
+    assert main([
+        "train", "--series", str(sim_dir / "series.csv"), "--labels", str(sim_dir / "labels.csv"),
+        "--out", str(out), "--rule", "multivariate", "--windows", "2003:5",
+        "--grid-nir", "0.1:0.1:0.1", "--grid-ndvi", "0.2:0.2:0.1", "--cv-folds", "2",
+        "--threads", "1",
+    ]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    assert {row.thresholds for row in read_report(out).rows} == {(0.1, 0.2)}
+
+
+def test_parse_grid_spec_caps_the_grid_at_max_grid_points():
+    assert MAX_GRID_POINTS == 100_000
+    assert len(parse_grid_spec("1:100000:1")) == MAX_GRID_POINTS
+    with pytest.raises(UsageError, match="bad grid spec '1:100001:1'"):
+        parse_grid_spec("1:100001:1")
+
+
+@pytest.mark.parametrize("rule, flag", [
+    ("univariate", "--grid"), ("mahalanobis", "--grid"),
+    ("multivariate", "--grid-nir"), ("multivariate", "--grid-ndvi"),
+])
+@pytest.mark.parametrize("spec", ["0.01:0.3:1e-300", "0.01:0.3:5e-324", "1:100001:1"])
+def test_train_refuses_a_grid_past_the_cap_at_once(tmp_path, rule, flag, spec, capsys):
+    start = time.perf_counter()
+    assert main(_train_missing_series(tmp_path) + ["--rule", rule, flag, spec]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"cmfda: error: bad grid spec {spec!r}") and "Traceback" not in err
+
+
+# --- no command builds the per-observation objects ------------------------------------
+
+
+def _rows_where(src, dst, keep):
+    """Write ``dst``: the header lines of the series file ``src`` and its data
+    rows whose nominal date passes ``keep``."""
+    head, names, *rows = src.read_text().splitlines(keepends=True)
+    dst.write_text(head + names + "".join(r for r in rows if keep(r.split(",")[4])))
+
+
+def test_no_command_builds_an_observation_or_a_pixel_series(tmp_path, monkeypatch):
+    """Every subcommand runs with Observation and PixelSeries unconstructible."""
+    def refuse(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(cmfda.core.Observation, "__post_init__", refuse)
+    monkeypatch.setattr(cmfda.core.PixelSeries, "__post_init__", refuse)
+    sim, models = tmp_path / "sim", tmp_path / "models"
+    series, labels = str(sim / "series.csv"), str(sim / "labels.csv")
+    assert main(["simulate", "--out", str(sim), "--seed", "3", "--n-events", "12"]) == EXIT_OK
+    assert main(["fit", "--series", series, "--out", str(models), "--threads", "1"]) == EXIT_OK
+    detect = ["detect", "--series", series, "--models", str(models), "--threads", "1"]
+    for k, extra in enumerate((["--rule", "univariate", "--L", "0.08"],
+                               ["--rule", "multivariate"], ["--rule", "mahalanobis"],
+                               ["--scheme", "IVii"])):
+        assert main(detect + ["--out", str(tmp_path / f"d{k}.csv")] + extra) == EXIT_OK, extra
+    assert main(["standardize", "--series", series, "--models", str(models), "--scheme", "4c",
+                 "--band", "nir", "--out", str(tmp_path / "std.csv")]) == EXIT_OK
+    train = ["train", "--series", series, "--labels", labels, "--cv-folds", "2", "--threads", "1"]
+    for rule, extra in (("univariate", ["--grid", "0.04:0.2:0.02"]),
+                        ("multivariate", ["--anneal-iters", "100"]),
+                        ("mahalanobis", ["--grid", "2:20:2"])):
+        assert main(train + ["--rule", rule, "--out", str(tmp_path / f"{rule}.csv")] + extra) \
+            == EXIT_OK, rule
+    history = tmp_path / "history.csv"
+    _rows_where(sim / "series.csv", history, lambda date: date < "2005")
+    _init_online(history, tmp_path / "state")
+    dates = sorted({row.split(",")[4] for row in (sim / "series.csv").read_text().splitlines()[2:]
+                    if row.split(",")[4] >= "2005"})
+    for date in dates[:2]:
+        batch = tmp_path / f"batch_{date}.csv"
+        _rows_where(sim / "series.csv", batch, lambda d, date=date: d == date)
+        assert _step(tmp_path / "state", batch, tmp_path / f"flags_{date}.csv") == EXIT_OK
+    assert main(["report", "--detections", str(tmp_path / "d1.csv"), "--labels", labels]) \
+        == EXIT_OK
+
+
+@pytest.mark.parametrize("scenario, make", [
+    ("sonora-like", dataio.sonora_like_config), ("yucatan-like", dataio.yucatan_like_config),
+])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_simulate_writes_the_bytes_of_write_series(scenario, make, seed, tmp_path):
+    """simulate's series file is write_series of the same site's pixels."""
+    assert main(["simulate", "--scenario", scenario, "--seed", str(seed),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    site, _ = dataio.generate_site(make(seed=seed))
+    write_series(tmp_path / "pixels.csv", {site.site_id: site.pixels})
+    assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "pixels.csv").read_bytes()

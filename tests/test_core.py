@@ -13,9 +13,8 @@ from cmfda.core import (
     PixelSeries,
     Reliability,
     SiteGrid,
-    filter_clear,
-    is_clear,
 )
+from cmfda.dataio import read_series_arrays, write_series
 from cmfda.errors import OutOfRange
 from conftest import make_obs, make_series
 
@@ -46,21 +45,28 @@ def test_reliability_codes():
         (Reliability.NOT_PROCESSED, False),
     ],
 )
-def test_is_clear(reliability, expected):
-    obs = make_obs(dt.date(2005, 3, 6), reliability=reliability)
-    assert is_clear(obs) is expected
+def test_is_clear(reliability, expected, tmp_path):
+    """An observation is clear, in its array form and as read from its
+    file, exactly when it is Good or Marginal."""
+    series = PixelSeries("p", 0, 0, (make_obs(dt.date(2005, 3, 6), reliability=reliability),))
+    assert series.to_arrays().clear.tolist() == [expected]
+    write_series(tmp_path / "s.csv", {"s": [series]})
+    (read,) = read_series_arrays(tmp_path / "s.csv")["s"]
+    assert read.arrays.clear.tolist() == [expected]
 
 
-def test_filter_clear_preserves_order_and_never_adds():
+def test_filter_clear_preserves_order_and_never_adds(tmp_path):
+    """The clear dates of a read series are its Good dates, in order."""
     series = make_series(
         end=dt.date(2003, 12, 31),
         reliability_fn=lambda d: Reliability.CLOUDY if d.month % 2 else Reliability.GOOD,
     )
-    kept = filter_clear(series.observations)
-    assert len(kept) <= len(series.observations)
-    positions = [series.observations.index(o) for o in kept]
-    assert positions == sorted(positions)
-    assert all(is_clear(o) for o in kept)
+    write_series(tmp_path / "s.csv", {"s": [series]})
+    (read,) = read_series_arrays(tmp_path / "s.csv")["s"]
+    kept = read.arrays.ordinals[read.arrays.clear].tolist()
+    assert kept == [o.nominal_date.toordinal() for o in series.observations
+                    if o.reliability is Reliability.GOOD]
+    assert 0 < len(kept) < len(series.observations)
 
 
 def test_observation_rejects_out_of_range_values():

@@ -22,6 +22,7 @@ from cmfda.core import (
     DefoType,
     DeforestationLabel,
     FILL_INDEX,
+    MAX_COMPOSITE_LAG,
     Observation,
     PixelSeries,
     Reliability,
@@ -86,14 +87,14 @@ from cmfda.errors import (
     ShapeMismatch,
     SingularCovariance,
 )
-from cmfda.harmonic import HarmonicModel, ModelTable, fit
-from cmfda.pipeline import compact_pixels
+from cmfda.harmonic import HarmonicModel, ModelTable
+from cmfda.pipeline import compact_pixels, fit_pixels
 from cmfda.standardize import (
     SD, ErrorContext, ErrorRecord, KeyKind, Scheme, StageTables, Standardizer, fit_standardizer,
     transform,
 )
 from cmfda.training import ReportRow, TrainReport
-from cmfda.windows import DateInterval
+from cmfda.windows import DateInterval, make_windows
 from conftest import assert_same_models, assert_same_sites, harmonic_value, make_series
 
 
@@ -191,6 +192,56 @@ def test_series_version_mismatch(tmp_path):
     path.write_text("#cmfda labels v1\npixel_id\n")
     with pytest.raises(SchemaVersionMismatch):
         read_series(path)
+
+
+def _band_value(band):
+    return st.one_of(st.floats(band_fill(band), 1.0), st.sampled_from([band_fill(band), -0.0]))
+
+
+@st.composite
+def _pixel_series(draw):
+    """A PixelSeries of 0..4 dates, its band values in range, some of them
+    fill-coded, -0.0 or missing."""
+    start = draw(st.dates(dt.date(1999, 1, 1), dt.date(2010, 12, 31)))
+    observations = []
+    for k in range(draw(st.integers(0, 4))):
+        date = start + dt.timedelta(days=16 * k)
+        lag = draw(st.integers(0, MAX_COMPOSITE_LAG))
+        observations.append(Observation(
+            date, day_of_year(date + dt.timedelta(days=lag)),
+            draw(st.fixed_dictionaries({}, optional={band: _band_value(band) for band in BAND_ORDER})),
+            draw(st.sampled_from(Reliability)),
+        ))
+    ids = st.text(alphabet='p1,"\r\n é', max_size=4)
+    return PixelSeries(draw(ids), draw(st.integers(-3, 30)), draw(st.integers(-3, 30)),
+                       tuple(observations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sites=st.dictionaries(st.text(alphabet='s2,"\r\n ü', max_size=3),
+                             st.lists(_pixel_series(), max_size=3), max_size=3))
+def test_series_writer_writes_the_row_writer_bytes(sites):
+    """write_series writes the bytes of the csv row writer: ids quoted as csv
+    quotes them, reals as ``real`` writes them, fill values for missing
+    bands; so does write_series_columns given NaN for every fill."""
+    pixels = [(site_id, p) for site_id, group in sites.items() for p in group]
+    observations = [o for _, p in pixels for o in p.observations]
+    fills = [band_fill(band) for band in BAND_ORDER]
+    values = np.array([[o.values.get(band, np.nan) for band in BAND_ORDER]
+                       for o in observations]).reshape(-1, len(BAND_ORDER))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, columns, reference = (Path(tmp) / name for name in ("w.csv", "c.csv", "r.csv"))
+        write_series(path, sites)
+        dataio.write_series_columns(
+            columns, [(site_id, p.pixel_id, p.col, p.row) for site_id, p in pixels],
+            [len(p.observations) for _, p in pixels],
+            [o.nominal_date.toordinal() for o in observations],
+            [o.composite_doy for o in observations], [int(o.reliability) for o in observations],
+            np.where(values == fills, np.nan, values),
+        )
+        oracle.write_series(reference, sites)
+        assert path.read_bytes() == reference.read_bytes()
+        assert columns.read_bytes() == reference.read_bytes()
 
 
 def reference_rows(fh, columns, path):
@@ -685,12 +736,10 @@ def test_labels_reject_invariant_violation(tmp_path):
 def test_models_round_trip(tmp_path):
     series = make_series(band_coeffs={Band.NIR: (0.4, 0.1, -0.05, 0.02, 0.03)})
     window = DateInterval(dt.date(2003, 1, 1), dt.date(2004, 12, 31))
-    models = {
-        ("px", Band.NIR): fit(series, Band.NIR, window),
-        ("px", Band.NDVI): fit(series, Band.NDVI, window),
-    }
+    fitted = fit_pixels([series], make_windows(2003, 1), (Band.NIR, Band.NDVI)).models[0]
+    models = oracle.model_dict(fitted)
     path = tmp_path / "models_2003_2004.csv"
-    save_models(path, ModelTable.of_models(models), window)
+    save_models(path, fitted, window)
     loaded_window, table = load_models(path)
     loaded = oracle.model_dict(table)
     assert loaded_window == window
@@ -849,7 +898,13 @@ def test_saved_models_are_the_csv_bytes_and_their_mirror_the_parse(keys, coeffs,
     }
     with tempfile.TemporaryDirectory() as tmp:
         path, reference, mirror = (Path(tmp) / name for name in ("m.csv", "ref.csv", "m.npy"))
-        header, arrays = save_models(path, ModelTable.of_models(models), window)
+        table = ModelTable(
+            [pixel_id for pixel_id, _ in keys], np.array([band for _, band in keys], np.int8),
+            np.reshape(coeffs[:5 * len(keys)], (-1, 5)), np.array(n_obs[:len(keys)], np.int64),
+            np.array([[window.start.toordinal(), window.end.toordinal()]] * len(keys),
+                     np.int64).reshape(-1, 2),
+        )
+        header, arrays = save_models(path, table, window)
         reference_save_models(reference, models, window)
         assert path.read_bytes() == reference.read_bytes()
         assert header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()

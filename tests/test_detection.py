@@ -25,12 +25,11 @@ from cmfda.detection import (
     stack_errors,
     univariate_flag,
 )
-from cmfda.errors import NoModels, OutOfRange, SingularCovariance, WrongWindowLength
-from cmfda.harmonic import fit
-from cmfda.pipeline import detect_pixel
+from cmfda.errors import OutOfRange, SingularCovariance, WrongWindowLength
+from cmfda.pipeline import FitResult, detect_pixels, fit_pixels
 from cmfda.windows import make_windows
 from conftest import make_series, nominal_dates
-from scalar_oracle import flag_level, scan_windows
+from scalar_oracle import flag_level, model_dict, predict, scan_windows
 
 error_lists = st.lists(
     st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=2, max_size=6
@@ -232,14 +231,17 @@ def test_mahalanobis_rejects_singular():
         mahalanobis_index(0.1, 0.1, np.array([[-0.01, 0.0], [0.0, 0.01]]))
 
 
-# --- detect_pixel ---------------------------------------------------------------
+# --- one pixel's detection ------------------------------------------------------
 
 
 def _fit_models(series, windows, bands):
-    return {
-        wp.index: {band: fit(series, band, wp.train) for band in bands}
-        for wp in windows
-    }
+    return fit_pixels([series], windows, bands)
+
+
+def detect_pixel(series, fit, rule, windows):
+    """detect_pixels over the one pixel, in site "s"."""
+    (result,), _ = detect_pixels([series], fit, rule, windows, "s")
+    return result
 
 
 def _step_series(band, event_date, shift, end=dt.date(2007, 5, 1), **kwargs):
@@ -344,11 +346,11 @@ def test_lower_consecutive_flags_superset():
 
 
 def test_detect_requires_models():
+    """A pixel without its models is skipped, not detected."""
     series = make_series(end=dt.date(2007, 5, 1))
     windows = make_windows(2003, 2)
     rule = UnivariateRule(Band.NIR, 0.05, 4)
-    with pytest.raises(NoModels):
-        detect_pixel(series, {}, rule, windows)
+    assert detect_pixels([series], FitResult({}), rule, windows, "s") == ([], ["px"])
 
 
 def test_multivariate_triggering_band():
@@ -378,7 +380,9 @@ def test_date_axis_requires_all_rule_bands():
     windows = make_windows(2003, 2)
     models = _fit_models(series, windows, (Band.NIR, Band.NDVI))
     bands = (Band.NIR, Band.NDVI)
-    coeffs = np.array([[[models[wp.index][band].coeffs for band in bands] for wp in windows]])
+    tables = {index: model_dict(table) for index, table in models.models.items()}
+    coeffs = np.array([[[tables[wp.index]["px", band].coeffs for band in bands]
+                        for wp in windows]])
     bounds = np.array([[[d.toordinal() for d in (wp.predict.start, wp.predict.end,
                                                  wp.predict_year.start, wp.predict_year.end)]
                         for wp in windows]])
@@ -410,20 +414,11 @@ def test_mahalanobis_rule_detection(rng):
     ]
     table = estimate_cube_covariances(records)
     rule = MahalanobisRule(11.72, table, 4)
-    result = detect_pixel(series, models, rule, windows, site_id="s")
+    result = detect_pixel(series, models, rule, windows)
     assert result.flagged
     stable = make_series(end=dt.date(2007, 5, 1))
     stable_models = _fit_models(stable, windows, (Band.NIR, Band.NDVI))
-    assert not detect_pixel(stable, stable_models, rule, windows, site_id="s").flagged
-
-
-def test_mahalanobis_rule_requires_site():
-    series = make_series(end=dt.date(2007, 5, 1))
-    windows = make_windows(2003, 1)
-    models = _fit_models(series, windows, (Band.NIR, Band.NDVI))
-    table = estimate_cube_covariances([_record(0, 0, 1, 0.1, 0.05), _record(0, 0, 6, -0.1, -0.05)])
-    with pytest.raises(OutOfRange):
-        detect_pixel(series, models, MahalanobisRule(5.0, table, 4), windows)
+    assert not detect_pixel(stable, stable_models, rule, windows).flagged
 
 
 def test_rule_validation():
@@ -452,8 +447,7 @@ def _naive_detect(series, models, rule, windows, site_id=None):
     window's models, and scan every C-run whose start lies in the bare
     year. Returns (flag date, triggering band) or None; the band is set
     only by the multivariate rule, where NIR wins a tie."""
-    from cmfda.harmonic import predict
-
+    tables = {index: model_dict(table) for index, table in models.models.items()}
     if isinstance(rule, UnivariateRule):
         bands = (rule.band,)
     else:
@@ -469,7 +463,8 @@ def _naive_detect(series, models, rule, windows, site_id=None):
         ]
         errors = {
             b: [
-                obs.band_value(b) - predict(models[wp.index][b], obs.composite_doy)
+                obs.band_value(b)
+                - predict(tables[wp.index][series.pixel_id, b], obs.composite_doy)
                 for obs in usable
             ]
             for b in bands
@@ -567,7 +562,7 @@ def test_detect_pixel_matches_naive_oracle(kind, seed, consecutive, threshold):
         ]
         rule = MahalanobisRule(80 * threshold, estimate_cube_covariances(records), consecutive)
     models = _fit_models(series, windows, rule_bands(rule))
-    result = detect_pixel(series, models, rule, windows, site_id="s")
+    result = detect_pixel(series, models, rule, windows)
     expected = _naive_detect(series, models, rule, windows, site_id="s")
     assert result.flagged == (expected is not None)
     if expected is not None:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfda.core import Band, Reliability
+from cmfda.core import BAND_ORDER, Band, PixelSeries, Reliability, SeriesArrays
+from cmfda.detection import stack_errors
 from cmfda.errors import (
     InsufficientData,
-    MissingBandValue,
     OutOfRangeDay,
     RankDeficient,
 )
@@ -17,22 +17,16 @@ from cmfda.harmonic import (
     FIT_FAILURES,
     FIT_OK,
     FIT_WIDTH,
-    HarmonicModel,
     MIN_OBS,
     design_matrix,
     design_rows,
     fit_batch,
     predict_many,
-    design_vector,
-    fit,
     fit_arrays,
-    fit_interannual,
-    predict,
-    predict_interannual,
-    residual,
 )
 from cmfda.windows import DateInterval
 from conftest import harmonic_value, make_obs, make_series
+from scalar_oracle import fit
 
 WINDOW = DateInterval(dt.date(2003, 1, 1), dt.date(2004, 12, 31))
 
@@ -43,17 +37,17 @@ coeff_strategy = st.tuples(
 
 
 def test_design_vector_full_period():
-    np.testing.assert_allclose(design_vector(366), [1, 1, 0, 1, 0], atol=1e-12)
+    np.testing.assert_allclose(design_matrix(366), [1, 1, 0, 1, 0], atol=1e-12)
 
 
 def test_design_vector_half_period():
-    np.testing.assert_allclose(design_vector(183), [1, -1, 0, 1, 0], atol=1e-12)
+    np.testing.assert_allclose(design_matrix(183), [1, -1, 0, 1, 0], atol=1e-12)
 
 
 def test_design_vector_day_91():
     w = 2 * math.pi * 91 / 366
     np.testing.assert_allclose(
-        design_vector(91),
+        design_matrix(91),
         [1, math.cos(w), math.sin(w), math.cos(2 * w), math.sin(2 * w)],
         atol=0,
     )
@@ -62,7 +56,9 @@ def test_design_vector_day_91():
 @pytest.mark.parametrize("doy", [0, 367, -5])
 def test_design_vector_rejects_bad_day(doy):
     with pytest.raises(OutOfRangeDay):
-        design_vector(doy)
+        design_matrix(doy)
+    with pytest.raises(OutOfRangeDay):
+        design_rows(np.array([doy]))
 
 
 def test_fit_constant_series():
@@ -78,7 +74,7 @@ def test_fit_recovers_generating_coefficients():
     model = fit(series, Band.NIR, WINDOW)
     np.testing.assert_allclose(model.coeffs, target, atol=1e-8)
     # prediction equals the generator at an unseen day
-    assert predict(model, 100) == pytest.approx(harmonic_value(target, 100), abs=1e-8)
+    assert predict_many(model.coeffs, 100) == pytest.approx(harmonic_value(target, 100), abs=1e-8)
 
 
 def test_fit_insufficient_data():
@@ -147,28 +143,33 @@ def test_fit_matches_pseudoinverse_oracle(rng):
 
 
 def test_predict_examples():
-    constant = HarmonicModel(Band.NIR, "p", (0.3, 0, 0, 0, 0), (dt.date.min, dt.date.max), 20)
-    assert predict(constant, 1) == pytest.approx(0.3)
-    assert predict(constant, 200) == pytest.approx(0.3)
-    annual = HarmonicModel(Band.NIR, "p", (0, 1, 0, 0, 0), (dt.date.min, dt.date.max), 20)
-    assert predict(annual, 366) == pytest.approx(1.0, abs=1e-12)
+    constant = (0.3, 0, 0, 0, 0)
+    np.testing.assert_allclose(predict_many(constant, np.array([1, 200])), 0.3)
+    assert predict_many((0, 1, 0, 0, 0), 366) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(OutOfRangeDay):
-        predict(constant, 400)
+        predict_many(constant, np.array([400]))
+
+
+def _errors(obs, coeffs):
+    """The NIR prediction errors (stack_errors) of one observation under one
+    model, in a window of its date alone."""
+    stack = SeriesArrays(*(column[None] for column in PixelSeries("p", 0, 0, (obs,)).to_arrays()))
+    day = obs.nominal_date.toordinal()
+    return stack_errors(stack, np.reshape(coeffs, (1, 1, 1, 5)), np.array([day] * 4), (Band.NIR,))
 
 
 def test_residual_sign_convention():
-    model = HarmonicModel(Band.NIR, "p", (0.3, 0, 0, 0, 0), (dt.date.min, dt.date.max), 20)
+    constant = (0.3, 0, 0, 0, 0)
     obs = make_obs(dt.date(2005, 3, 6), values={Band.NIR: 0.5})
-    assert residual(model, obs, Band.NIR) == pytest.approx(0.2)
+    assert _errors(obs, constant).errors[Band.NIR].tolist() == [pytest.approx(0.2)]
     exact = make_obs(dt.date(2005, 3, 6), values={Band.NIR: 0.3})
-    assert residual(model, exact, Band.NIR) == pytest.approx(0.0)
+    assert _errors(exact, constant).errors[Band.NIR].tolist() == [pytest.approx(0.0)]
 
 
 def test_residual_missing_band():
-    model = HarmonicModel(Band.NIR, "p", (0.3, 0, 0, 0, 0), (dt.date.min, dt.date.max), 20)
+    """A fill-coded value has no prediction error."""
     obs = make_obs(dt.date(2005, 3, 6), values={Band.NIR: -0.1})
-    with pytest.raises(MissingBandValue):
-        residual(model, obs, Band.NIR)
+    assert len(_errors(obs, (0.3, 0, 0, 0, 0))) == 0
 
 
 def test_training_residuals_sum_to_zero(rng):
@@ -178,24 +179,11 @@ def test_training_residuals_sum_to_zero(rng):
         + (rng.normal(0, 0.02) if band is Band.NIR else 0.0),
     )
     model = fit(series, Band.NIR, WINDOW)
-    total = sum(
-        residual(model, obs, Band.NIR)
-        for obs in series.observations
-        if obs.nominal_date in WINDOW
-    )
-    n = sum(1 for obs in series.observations if obs.nominal_date in WINDOW)
-    assert abs(total) < 1e-6 * n
-
-
-def test_interannual_variant_reproduces_two_year_cycle(rng):
-    days = np.arange(0, 731, 16).astype(float)
-    w = 2 * np.pi * days / 366.0
-    signal = 0.4 + 0.05 * np.cos(w) + 0.02 * np.cos(w / 2.0)
-    coeffs = fit_interannual(days, signal)
-    kept = predict_interannual(coeffs, days, keep_interannual=True)
-    np.testing.assert_allclose(kept, signal, atol=1e-8)
-    dropped = predict_interannual(coeffs, days, keep_interannual=False)
-    assert np.max(np.abs(dropped - signal)) > 0.005
+    a = series.to_arrays()
+    used = (a.ordinals >= WINDOW.start.toordinal()) & (a.ordinals <= WINDOW.end.toordinal())
+    observed = a.values[used, BAND_ORDER.index(Band.NIR)]
+    residuals = observed - predict_many(model.coeffs, a.doys[used])
+    assert abs(residuals.sum()) < 1e-6 * used.sum()
 
 
 # --- batched kernel -------------------------------------------------------------

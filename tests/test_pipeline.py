@@ -6,7 +6,7 @@ import pytest
 
 import scalar_oracle as oracle
 from cmfda import dataio
-from cmfda.core import FILL_INDEX, Band, is_clear
+from cmfda.core import CLEAR_CODES, FILL_INDEX, Band
 from cmfda.dataio import (
     SERIES_COLUMNS,
     BandSignal,
@@ -22,11 +22,9 @@ from cmfda.detection import (
     estimate_cube_covariances,
 )
 from cmfda.errors import OutOfRange
-from cmfda.harmonic import fit
 from cmfda.pipeline import (
     append_batch,
     build_training_dataset,
-    detect_pixel,
     compact_pixels,
     detect_pixels,
     fit_pixels,
@@ -90,7 +88,7 @@ def test_fit_pixels_matches_direct_fit(scenario):
     assert len(result.models[0]) == len(models) == 10
     for pixel in pixels[:5]:
         for band in (Band.NIR, Band.NDVI):
-            direct = fit(pixel, band, windows[0].train)
+            direct = oracle.fit(pixel, band, windows[0].train)
             staged = models[(pixel.pixel_id, band)]
             np.testing.assert_allclose(staged.coeffs, direct.coeffs, atol=1e-12)
             assert staged.n_obs == direct.n_obs
@@ -126,6 +124,7 @@ def test_fit_pixels_slices_do_not_change_models(scenario, monkeypatch, workers):
     assert sliced.skipped == whole.skipped
 
 def test_detect_pixels_matches_detect_pixel(scenario):
+    """Each pixel's result is that of detect_pixels over the pixel alone."""
     pixels, labels = scenario
     windows = make_windows(2003, 1)
     fit_result = fit_pixels(pixels, windows, (Band.NIR, Band.NDVI))
@@ -133,14 +132,9 @@ def test_detect_pixels_matches_detect_pixel(scenario):
     results, skipped = detect_pixels(pixels, fit_result, rule, windows, "mini")
     assert not skipped
     by_id = {r.pixel_id: r for r in results}
-    tables = {index: oracle.model_dict(table) for index, table in fit_result.models.items()}
     for pixel in pixels[:20]:
-        models = {
-            index: {band: table[pixel.pixel_id, band] for band in (Band.NIR, Band.NDVI)}
-            for index, table in tables.items()
-        }
-        direct = detect_pixel(pixel, models, rule, windows, site_id="mini")
-        assert by_id[pixel.pixel_id] == direct
+        direct, _ = detect_pixels([pixel], fit_result, rule, windows, "mini")
+        assert [by_id[pixel.pixel_id]] == direct
     flagged = {r.pixel_id for r in results if r.flagged}
     assert flagged == {pid for pid, z in labels.items() if z}
 
@@ -288,7 +282,7 @@ def test_online_models_equal_fit_pixels_over_the_run_window(scenario):
     pixel = pixels[0]
     k = next(
         i for i, o in enumerate(pixel.observations)
-        if o.nominal_date.year == 2004 and is_clear(o)
+        if o.nominal_date.year == 2004 and o.reliability in CLEAR_CODES
     )
     obs = pixel.observations[k]
     filled = dataclasses.replace(obs, values={**obs.values, Band.NDVI: FILL_INDEX})
@@ -298,7 +292,7 @@ def test_online_models_equal_fit_pixels_over_the_run_window(scenario):
     rule = MultivariateRule(0.082, 0.182, 4)
     run = [
         o.nominal_date for o in pixel.observations
-        if o.nominal_date.year == 2005 and is_clear(o)
+        if o.nominal_date.year == 2005 and o.reliability in CLEAR_CODES
         and o.band_value(Band.NIR) is not None and o.band_value(Band.NDVI) is not None
     ][: rule.consecutive]
     start, batch_date = run[0], run[-1]

@@ -41,6 +41,7 @@ from cmfda.training import (
     fill_dataset_index,
     grid_search_mahalanobis,
     grid_search_univariate,
+    skill,
     sweep_fixed,
     tss,
 )
@@ -144,6 +145,16 @@ def test_accuracies_examples():
 def test_accuracies_need_positives():
     with pytest.raises(DegenerateClass):
         accuracies(ConfusionCounts(s=0, t=0, u=5, v=5))
+
+
+@pytest.mark.parametrize("counts, expected", [
+    (ConfusionCounts(s=9, t=3, u=70, v=18), (tss(ConfusionCounts(9, 3, 70, 18)), 0.75, 9 / 27)),
+    (ConfusionCounts(s=0, t=12, u=88, v=0), (0.0, 0.0, None)),      # nothing flagged
+    (ConfusionCounts(s=3, t=1, u=0, v=0), (None, 0.75, 1.0)),       # no negatives
+    (ConfusionCounts(s=0, t=0, u=5, v=5), (None, None, None)),      # no positives
+])
+def test_skill_is_none_where_a_value_is_undefined(counts, expected):
+    assert skill(counts) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -366,6 +377,26 @@ def test_anneal_multivariate_matches_exhaustive(rng):
         dataset, 3, nir_grid, ndvi_grid, (nir_grid[0], ndvi_grid[0]), config, seed=1
     )
     assert best == pytest.approx(exhaustive, abs=1e-12)
+
+
+def test_anneal_on_a_one_point_grid_returns_that_point():
+    asked = []
+
+    def utility(i, j):
+        asked.append((i, j))
+        return 0.25
+
+    assert anneal_on_grid(utility, (1, 1), (0, 0), AnnealConfig(), seed=3) == ((0, 0), 0.25)
+    assert asked == [(0, 0)]
+
+
+def test_anneal_multivariate_on_one_point_grids():
+    dataset = separable_dataset()
+    for p in dataset:
+        p.window_errors[0].errors[Band.NDVI] = p.window_errors[0].errors[Band.NIR]
+    (l_nir, l_ndvi), best = anneal_multivariate(dataset, 3, [0.1], [0.2], (0.1, 0.2), seed=0)
+    assert (l_nir, l_ndvi) == (0.1, 0.2)
+    assert best == tss(evaluate_rule(dataset, MultivariateRule(0.1, 0.2, 3)))
 
 
 def test_anneal_init_off_grid():

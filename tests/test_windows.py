@@ -6,10 +6,17 @@ from cmfda.core import Reliability
 from cmfda.windows import (
     DateInterval,
     PREDICT_EXTENSION_DAYS,
-    clear_dates,
     make_windows,
 )
 from conftest import make_series
+
+
+def clear_dates(series, interval):
+    """The nominal dates in the interval that the series' array form marks
+    clear, in order."""
+    a = series.to_arrays()
+    inside = (a.ordinals >= interval.start.toordinal()) & (a.ordinals <= interval.end.toordinal())
+    return [dt.date.fromordinal(o) for o in a.ordinals[a.clear & inside].tolist()]
 
 
 def test_five_window_scheme():
