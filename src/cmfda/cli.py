@@ -227,7 +227,8 @@ def _detect_arguments(add):
     add("--out", required=True, help="detections file")
     _add_rule_flags(add)
     add("--standardizer", action="append", default=None,
-        help="fitted standardizer file (repeat per band)")
+        help="fitted standardizer file, one per band the rule scans, all of one scheme "
+             "(repeat per band; not with a --scheme other than ---)")
     add("--threads", type=_thread_count, default=None, help=THREADS_HELP)
     return cmd_detect
 
@@ -444,30 +445,20 @@ def _build_rule(args, covariances: Optional[CubeCovarianceTable] = None):
     raise UsageError(f"unknown rule {kind!r}")
 
 
-def _rule_meta(rule, scheme_code: str) -> dict[str, str]:
-    if isinstance(rule, UnivariateRule):
-        meta = {
-            "rule": "univariate",
-            "band": rule.band.name,
-            "L": dataio.real(rule.threshold),
-        }
-    elif isinstance(rule, MultivariateRule):
-        meta = {
-            "rule": "multivariate",
-            "L_nir": dataio.real(rule.nir_threshold),
-            "L_ndvi": dataio.real(rule.ndvi_threshold),
-        }
-    else:
-        meta = {"rule": "mahalanobis", "L": dataio.real(rule.threshold)}
-    meta["C"] = str(rule.consecutive)
-    meta["scheme"] = scheme_code
-    return meta
-
-
 def _rule_thresholds(rule) -> tuple[float, ...]:
     if isinstance(rule, MultivariateRule):
         return (rule.nir_threshold, rule.ndvi_threshold)
     return (rule.threshold,)
+
+
+def _rule_meta(rule, scheme_code: str) -> dict[str, str]:
+    if isinstance(rule, UnivariateRule):
+        meta = {"rule": "univariate", "band": rule.band.name}
+    else:
+        meta = {"rule": "multivariate" if isinstance(rule, MultivariateRule) else "mahalanobis"}
+    names = ("L_nir", "L_ndvi") if isinstance(rule, MultivariateRule) else ("L",)
+    meta.update(zip(names, map(dataio.real, _rule_thresholds(rule))))
+    return {**meta, "C": str(rule.consecutive), "scheme": scheme_code}
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -543,20 +534,36 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _load_standardizers(paths, scheme: Scheme, bands) -> dict:
+    """The standardizers of the files ``paths``: one per rule band, all of
+    one scheme, which ``--scheme`` must not name."""
+    if scheme is not Scheme.IDENTITY:
+        raise UsageError("--scheme does not apply with --standardizer: the files give the scheme")
+    loaded: dict = {}
+    for path, std in zip(paths, map(dataio.load_standardizer, paths)):
+        first = next(iter(loaded.values()), std).scheme
+        if std.band not in bands:
+            raise UsageError(f"{path}: a {std.band.name} standardizer, but the rule scans "
+                             + ", ".join(band.name for band in bands))
+        if std.band in loaded:
+            raise UsageError(f"two standardizer files for band {std.band.name}")
+        if std.scheme is not first:
+            raise UsageError(f"standardizer files of schemes {first.value} and {std.scheme.value}")
+        loaded[std.band] = std
+    for band in bands:
+        if band not in loaded:
+            raise UsageError(f"no standardizer file for band {band.name}, which the rule scans")
+    return loaded
+
+
 def _standardizers_for(args, sites, fit, windows, bands):
     scheme = parse_scheme(args.scheme)
-    loaded = {}
     if getattr(args, "standardizer", None):
-        for path in args.standardizer:
-            std = dataio.load_standardizer(path)
-            loaded[std.band] = std
-        return loaded
+        return _load_standardizers(args.standardizer, scheme, bands)
     if scheme is Scheme.IDENTITY:
         return {}
     histories = _residual_histories(sites, fit, windows, bands)
-    return {
-        band: fit_standardizer(histories[band], scheme, band) for band in bands
-    }
+    return {band: fit_standardizer(histories[band], scheme, band) for band in bands}
 
 
 def _read_series(args):
@@ -593,7 +600,9 @@ def cmd_detect(args) -> int:
         )
         results.extend(site_results)
         skipped.extend(site_skipped)
-    meta = _rule_meta(rule, args.scheme)
+    # the scheme applied, which --standardizer files give
+    meta = _rule_meta(rule, next((std.scheme.value for std in standardizers.values()),
+                                 args.scheme))
     meta["skipped"] = str(len(skipped))
     dataio.write_detections(args.out, results, meta)
     if skipped:
@@ -706,15 +715,8 @@ def cmd_train(args) -> int:
             cv = _cv_or_none(
                 dataset, lambda fold, c=c: train(c, fold)[0], args.cv_folds, args.seed
             )
-            rows.append(
-                ReportRow(
-                    scope=scope, consecutive=c, thresholds=_rule_thresholds(rule),
-                    train_tss=train_tss,
-                    cv_tss=cv.tss_mean if cv else None,
-                    producer_acc=cv.producer_acc if cv else None,
-                    user_acc=cv.user_acc if cv else None,
-                )
-            )
+            cv_cells = (cv.tss_mean, cv.producer_acc, cv.user_acc) if cv else (None, None, None)
+            rows.append(ReportRow(scope, c, _rule_thresholds(rule), train_tss, *cv_cells))
             trained[scope, c] = rule, train_tss
 
     if args.rule == "multivariate":
@@ -722,27 +724,17 @@ def cmd_train(args) -> int:
         best_rule, _ = max((trained["all", c] for c in C_VALUES), key=lambda pair: pair[1])
         for site_id, dataset in datasets.items():
             site_tss, producer, user = training.skill(training.evaluate_rule(dataset, best_rule))
-            rows.append(
-                ReportRow(
-                    scope=site_id, consecutive=best_rule.consecutive,
-                    thresholds=_rule_thresholds(best_rule),
-                    train_tss=site_tss, cv_tss=None,
-                    producer_acc=producer, user_acc=user,
-                )
-            )
+            rows.append(ReportRow(site_id, best_rule.consecutive, _rule_thresholds(best_rule),
+                                  site_tss, None, producer, user))
 
     if args.sweep_fixed:
         for scope, dataset in scopes.items():
             fixed, _ = trained[scope, 3]
-            for sweep in training.sweep_fixed(dataset, fixed, C_VALUES):
-                rows.append(
-                    ReportRow(
-                        scope=f"{scope}:fixed-L(C=3)", consecutive=sweep.consecutive,
-                        thresholds=_rule_thresholds(fixed),
-                        train_tss=sweep.tss, cv_tss=None,
-                        producer_acc=sweep.producer_acc, user_acc=sweep.user_acc,
-                    )
-                )
+            rows.extend(
+                ReportRow(f"{scope}:fixed-L(C=3)", sweep.consecutive, _rule_thresholds(fixed),
+                          sweep.tss, None, sweep.producer_acc, sweep.user_acc)
+                for sweep in training.sweep_fixed(dataset, fixed, C_VALUES)
+            )
 
     report = TrainReport(rule_kind=args.rule, band=band, rows=tuple(rows))
     dataio.write_report(args.out, report)
@@ -841,11 +833,11 @@ def _state_settings(path: str):
     return setting
 
 
-def _replace_state(path: str, write, *args, **kwargs) -> None:
-    """Write a state file with ``write(tmp, *args, **kwargs)`` to a
-    temporary path beside ``path``, which it then replaces."""
+def _replace_state(path: str, write, *args, **kwargs):
+    """``write(tmp, *args, **kwargs)`` of a temporary path beside the state
+    file ``path``, which the file written there then replaces."""
     with dataio.replacing(path) as tmp:
-        write(tmp, *args, **kwargs)
+        return write(tmp, *args, **kwargs)
 
 
 def cmd_online(args) -> int:
@@ -897,11 +889,9 @@ def cmd_online(args) -> int:
                     paths["mirror"], series.flat, digest)
         _replace_state(paths["flagged"], dataio.write_detections, [], {"state": "online"})
         if covariances is not None:
-            _replace_state(paths["covariances"], dataio.save_covariances, covariances)
-            # the mirror holds the table as a read of the file gives it (9-digit reals)
-            _try_mirror("covariance mirror", dataio.write_covariance_mirror,
-                        paths["covariance_mirror"],
-                        *dataio.read_covariances_mirrored(paths["covariances"], None))
+            mirror = _replace_state(paths["covariances"], dataio.save_covariances, covariances)
+            _try_mirror("covariance mirror", dataio.write_mirror,
+                        paths["covariance_mirror"], *mirror)
         _write_online_config(paths["config"], {
             "monitor-year": str(args.monitor_year),
             "rule": args.rule,

@@ -178,9 +178,7 @@ class PixelSeries:
                 v = obs.band_value(band)
                 if v is not None:
                     values[i, j] = v
-        clear = (reliability == int(Reliability.GOOD)) | (
-            reliability == int(Reliability.MARGINAL)
-        )
+        clear = np.isin(reliability, sorted(CLEAR_CODES))
         return SeriesArrays(ordinals, comp_ordinals, doys, reliability, clear, values)
 
 
@@ -250,12 +248,12 @@ class FlatSeries(NamedTuple):
         return out
 
 
-_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
 def ordinal_doys(ordinals: np.ndarray) -> np.ndarray:
     """Day of year of each proleptic ordinal."""
-    days = (np.asarray(ordinals, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    days = (np.asarray(ordinals, dtype=np.int64) - EPOCH_ORDINAL).astype("datetime64[D]")
     return (days - days.astype("datetime64[Y]")).astype(np.int64) + 1
 
 

@@ -7,10 +7,10 @@ Reals are written with 9 significant digits, so values round-trip through
 that precision; counts and dates round-trip exactly. The binary formats
 are the mirrors of parsed tables (see "binary mirrors" below).
 
-Every table is written by :func:`_write_table` or, where its bytes are
-needed first, with its header writer (:func:`append_series_rows`,
-:func:`replace_detections`, and :func:`write_series_columns` and
-:func:`save_models`, which format their rows in bulk), and read through
+Every table is written by :func:`_write_table` (:func:`write_series_columns`
+and :func:`save_models` format their rows in bulk for it) or, where its
+bytes are needed first, built by :func:`_table_bytes`
+(:func:`append_series_rows`, :func:`replace_detections`), and read through
 :func:`_table_chunks`, which alone checks its framing: header, column
 names, field counts, UTF-8 text and what ``csv`` refuses; it frames a
 table without quotes in bulk. The row readers take its rows through
@@ -42,6 +42,7 @@ import numpy as np
 from .core import (
     BAND_ORDER,
     CADENCE_DAYS,
+    CLEAR_CODES,
     MAX_COMPOSITE_LAG,
     YEAR_DAYS,
     Band,
@@ -61,7 +62,7 @@ from .core import (
     distinct,
     range_error,
 )
-from .detection import CovarianceEntry, CubeCovarianceTable, DetectionResult
+from .detection import COVARIANCE_POOLS, CovarianceEntry, CubeCovarianceTable, DetectionResult
 from .errors import (
     OutOfRange,
     ParseError,
@@ -127,30 +128,27 @@ def replacing(path):
         raise
 
 
-def _write_header(fh, kind: str, columns: Sequence[str],
-                  meta: Optional[Mapping[str, str]] = None) -> None:
-    """Write a table's versioned header line and its column-name row."""
-    parts = [MAGIC, kind, VERSION, *(f"{key}={value}" for key, value in (meta or {}).items())]
-    fh.write(" ".join(parts) + "\n")
-    csv.writer(fh).writerow(columns)
-
-
 def _table_bytes(kind: str, columns: Sequence[str], rows,
                  meta: Optional[Mapping[str, str]] = None) -> bytes:
-    """A table file's bytes: its header (see :func:`_write_header`), then
-    ``rows``, an iterable of field lists."""
+    """A table file's bytes: its versioned header line, its column-name
+    row, then ``rows``, an iterable of field lists."""
+    parts = [MAGIC, kind, VERSION, *(f"{key}={value}" for key, value in (meta or {}).items())]
     text = io.StringIO()
-    _write_header(text, kind, columns, meta)
-    csv.writer(text).writerows(rows)
+    text.write(" ".join(parts) + "\n")
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    writer.writerows(rows)
     return text.getvalue().encode(ENCODING)
 
 
 def _write_table(path, kind: str, columns: Sequence[str], rows,
-                 meta: Optional[Mapping[str, str]] = None) -> None:
-    """Write a table file (see :func:`_table_bytes`)."""
-    data = _table_bytes(kind, columns, rows, meta)  # first: a failed row leaves the path as it was
+                 meta: Optional[Mapping[str, str]] = None, tail: bytes = b"") -> bytes:
+    """Write a table file (see :func:`_table_bytes`) and then ``tail``, more
+    data rows as bytes; return the bytes written."""
+    data = _table_bytes(kind, columns, rows, meta) + tail  # a failed row leaves the path as it was
     with open(path, "wb") as fh:
         fh.write(data)
+    return data
 
 
 def _read_header(fh, kind: str, path) -> dict[str, str]:
@@ -167,25 +165,21 @@ def _read_header(fh, kind: str, path) -> dict[str, str]:
     return meta
 
 
-def _parse_float(text: str, column: str, line: int, path) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{path}: bad real in column {column!r}: {text!r}", line=line) from None
+def _field_parser(convert, what: str):
+    """``parse(text, column, line, path)``: ``convert(text)``, or a
+    ``ParseError`` that names a bad ``what`` in the column at the line."""
+    def parse(text: str, column: str, line: int, path):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ParseError(f"{path}: bad {what} in column {column!r}: {text!r}",
+                             line=line) from None
+    return parse
 
 
-def _parse_int(text: str, column: str, line: int, path) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{path}: bad integer in column {column!r}: {text!r}", line=line) from None
-
-
-def _parse_date(text: str, column: str, line: int, path) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError:
-        raise ParseError(f"{path}: bad ISO date in column {column!r}: {text!r}", line=line) from None
+_parse_float = _field_parser(float, "real")
+_parse_int = _field_parser(int, "integer")
+_parse_date = _field_parser(dt.date.fromisoformat, "ISO date")
 
 
 # --- series files ------------------------------------------------------------
@@ -200,7 +194,6 @@ _FILL_VALUES = tuple(band_fill(band) for band in BAND_ORDER)
 _FILLS = np.array(_FILL_VALUES)
 _RANGES = np.array([band_range(band) for band in BAND_ORDER]).T   # (2, 6): lo, hi
 _RELIABILITY_CODES = frozenset(int(r) for r in Reliability)
-_CLEAR = (int(Reliability.GOOD), int(Reliability.MARGINAL))
 
 
 # A data row as csv writes it, key fields first (_key_fields); ``%.9g`` is ``real``.
@@ -234,11 +227,8 @@ def write_series_columns(path, keys: Sequence[tuple], counts: Sequence[int], ord
         map(dates.__getitem__, ordinals), np.asarray(doys).tolist(),
         np.asarray(reliability).tolist(), *np.where(np.isnan(values), _FILLS, values).T.tolist(),
     )
-    head = io.StringIO()
-    _write_header(head, "series", SERIES_COLUMNS)
-    data = (head.getvalue() + "".join(map(_SERIES_ROW.__mod__, rows))).encode(ENCODING)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    _write_table(path, "series", SERIES_COLUMNS, (),
+                 tail="".join(map(_SERIES_ROW.__mod__, rows)).encode(ENCODING))
 
 
 def write_series(path, sites: Mapping[str, Sequence[PixelSeries]]) -> None:
@@ -423,6 +413,19 @@ def _gather(values, codes: np.ndarray, dtype) -> np.ndarray:
     return np.array(values, dtype=dtype)[codes]
 
 
+def _failed(parsed, codes: np.ndarray) -> np.ndarray:
+    """The rows whose text did not parse, of a column that
+    :func:`_parse_distinct` gave as ``parsed`` and ``codes``."""
+    return _gather([p is None for p in parsed], codes, bool)
+
+
+def _text_errors(path, lines, columns):
+    """``text_error(parse, column)``: the explain (see
+    :func:`_raise_first_failure`) that raises the ``ParseError`` of
+    ``parse`` on row k's text in ``column`` of a chunk's ``columns``."""
+    return lambda parse, column: lambda k: parse(columns[column][k], column, lines[k], path)
+
+
 def _parse_reals(texts) -> tuple[np.ndarray, np.ndarray]:
     """A column of reals (NaN where unparsable) and its mask of bad rows."""
     try:
@@ -476,8 +479,7 @@ def _series_chunk(path, lines, columns, caches, pixels: dict, cols: list, rows: 
     cols_parsed, col_idx = _parse_distinct(columns["col"], int, caches["col"])
     rows_parsed, row_idx = _parse_distinct(columns["row"], int, caches["row"])
 
-    def text_error(parse, column):
-        return lambda k: parse(columns[column][k], column, lines[k], path)
+    text_error = _text_errors(path, lines, columns)
 
     def unknown_code(k):
         code = codes_parsed[codes_idx[k]]
@@ -489,23 +491,20 @@ def _series_chunk(path, lines, columns, caches, pixels: dict, cols: list, rows: 
         )
         raise ParseError(f"{path}: {error}", line=lines[k])
 
-    def failed(parsed, idx):
-        return _gather([p is None for p in parsed], idx, bool)
-
     checks = [
-        (failed(codes_parsed, codes_idx), text_error(_parse_int, "reliability")),
+        (_failed(codes_parsed, codes_idx), text_error(_parse_int, "reliability")),
         (_gather(rel_unknown, codes_idx, bool), unknown_code),
         *((bad, text_error(_parse_float, column)) for (_, bad), column in zip(reals, BAND_COLUMNS)),
-        (failed(dates, date_idx), text_error(_parse_date, "nominal_date")),
-        (failed(doys_parsed, doy_idx), text_error(_parse_int, "composite_doy")),
+        (_failed(dates, date_idx), text_error(_parse_date, "nominal_date")),
+        (_failed(doys_parsed, doy_idx), text_error(_parse_int, "composite_doy")),
         (
             (doys == 0)
             | (lags < 0) | (lags > MAX_COMPOSITE_LAG)
             | ~((values >= _RANGES[0]) & (values <= _RANGES[1])).all(axis=1),
             out_of_range,
         ),
-        (failed(cols_parsed, col_idx), text_error(_parse_int, "col")),
-        (failed(rows_parsed, row_idx), text_error(_parse_int, "row")),
+        (_failed(cols_parsed, col_idx), text_error(_parse_int, "col")),
+        (_failed(rows_parsed, row_idx), text_error(_parse_int, "row")),
     ]
     _raise_first_failure(checks, n)
 
@@ -551,7 +550,7 @@ def _parse_series(path, data: bytes) -> FlatSeries:
     flat = FlatSeries.of_rows(
         [(*key, col, row) for key, col, row in zip(keys, cols, rows)], table.pixels,
         SeriesArrays(table.ordinals, table.ordinals + table.lags, table.doys.astype(np.int32),
-                     reliability, np.isin(reliability, _CLEAR),
+                     reliability, np.isin(reliability, sorted(CLEAR_CODES)),
                      np.where(table.values == _FILLS, np.nan, table.values)),
     )
     same = np.repeat(np.arange(len(keys)), np.diff(flat.bounds))
@@ -611,9 +610,7 @@ def append_series_rows(path, head: Optional[SeriesFile], rows: SeriesFile) -> st
     its file holds them (all after its column-name row), in one write; and
     return the SHA-256 of the bytes written, extending ``head``'s hash."""
     if head is None:
-        text = io.StringIO()
-        _write_header(text, "series", SERIES_COLUMNS)
-        data = text.getvalue().encode(ENCODING)
+        data = _table_bytes("series", SERIES_COLUMNS, ())
         sha256 = hashlib.sha256(data)
     else:
         data, sha256 = head.data, head.sha256.copy()
@@ -864,11 +861,10 @@ def save_models(path, models: ModelTable, train_window: DateInterval) -> tuple[d
     meta = {"train_start": train_window.start.isoformat(),
             "train_end": train_window.end.isoformat()}
     quoted = _QUOTED.search("".join(pixel_ids))
-    data = _table_bytes("models", MODEL_COLUMNS, rows if quoted else (), meta)
-    if not quoted:   # the bytes csv writes, in one call
-        data += "".join(map("%s,%s,%s,%s,%s,%s,%s,%s\r\n".__mod__, rows)).encode(ENCODING)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    # unquoted, the rows are the bytes csv writes, formatted in one call
+    tail = b"" if quoted else "".join(
+        map("%s,%s,%s,%s,%s,%s,%s,%s\r\n".__mod__, rows)).encode(ENCODING)
+    data = _write_table(path, "models", MODEL_COLUMNS, rows if quoted else (), meta, tail)
     coeffs = np.fromiter(map(float, texts), float, count=len(texts)).reshape(-1, N_COEFFS)
     header = {"format": _MODEL_MIRROR, "sha256": hashlib.sha256(data).hexdigest(),
               "pixels": pixel_ids, **meta}
@@ -910,8 +906,7 @@ def _parse_models(path, data: bytes) -> tuple[DateInterval, ModelTable]:
         reals = [_parse_reals(columns[f"a{k}"]) for k in range(N_COEFFS)]
         counts, count_rows = _parse_distinct(columns["n_obs"], int, caches["n_obs"])
 
-        def text_error(parse, column):
-            return lambda k: parse(columns[column][k], column, lines[k], path)
+        text_error = _text_errors(path, lines, columns)
 
         def unknown_band(k):
             raise ParseError(f"{path}: unknown band code {codes[code_rows[k]]}", line=lines[k])
@@ -920,11 +915,11 @@ def _parse_models(path, data: bytes) -> tuple[DateInterval, ModelTable]:
             raise ParseError(f"{path}: n_obs {counts[count_rows[k]]} outside int64", line=lines[k])
 
         _raise_first_failure([
-            (_gather([code is None for code in codes], code_rows, bool), text_error(_parse_int, "band")),
+            (_failed(codes, code_rows), text_error(_parse_int, "band")),
             (_gather([code is not None and code not in _BAND_CODES for code in codes], code_rows,
                      bool), unknown_band),
             *((bad, text_error(_parse_float, f"a{k}")) for k, (_, bad) in enumerate(reals)),
-            (_gather([c is None for c in counts], count_rows, bool), text_error(_parse_int, "n_obs")),
+            (_failed(counts, count_rows), text_error(_parse_int, "n_obs")),
             (_gather([c is not None and not _INT64.min <= c <= _INT64.max for c in counts],
                      count_rows, bool), count_range),
         ], n)
@@ -956,38 +951,41 @@ def load_models(path, mirror_path=None) -> tuple[DateInterval, ModelTable]:
                           _parse_models, _models_from_mirror)[0]
 
 
+# --- pool keys -------------------------------------------------------------------
+
+# The parts of a key of each pool (``detection.pool_codes``), in order; a
+# key of one part is that part, of none None. A standardizer file joins a
+# key's parts with "|"; a covariance file gives each part its column.
+_KEY_PARTS = {
+    "pixel": ("pixel",), "site": ("site",), "global": (), "period": ("period",),
+    "site_period": ("site", "period"), "cube": ("site", "square", "period"),
+}
+_KEY_SEP = "|"
+
+
+def _key_parts(pool: str, key) -> tuple:
+    return key if len(_KEY_PARTS[pool]) > 1 else (key,)[:len(_KEY_PARTS[pool])]
+
+
 # --- standardizer files ----------------------------------------------------------
 
 STANDARDIZER_COLUMNS = ("stage", "table", "kind", "key", "seq", "value")
 
-_KEY_SEP = "|"
-
 
 def _encode_key(kind: KeyKind, key) -> str:
-    if kind is KeyKind.GLOBAL:
-        return ""
-    if kind in (KeyKind.PIXEL, KeyKind.SITE, KeyKind.PERIOD):
-        return str(key)
-    return _KEY_SEP.join(str(part) for part in key)
-
-
-# Integer parts after the site in an encoded key.
-_KEY_INTS = {KeyKind.SITE_PERIOD: 1, KeyKind.CUBE: 2}
+    return _KEY_SEP.join(map(str, _key_parts(kind.value, key)))
 
 
 def _decode_key(kind: KeyKind, text: str):
     """The key that :func:`_encode_key` wrote as ``text``; ValueError when
     ``text`` is no key of ``kind``."""
-    if kind is KeyKind.GLOBAL:
-        return None
-    if kind in (KeyKind.PIXEL, KeyKind.SITE):
-        return text
-    if kind is KeyKind.PERIOD:
-        return int(text)
-    site, *ints = text.rsplit(_KEY_SEP, _KEY_INTS[kind])
-    if len(ints) != _KEY_INTS[kind]:
+    names = _KEY_PARTS[kind.value]
+    parts = text.rsplit(_KEY_SEP, len(names) - 1) if names else []
+    if len(parts) != len(names):
         raise ValueError(text)
-    return (site, *map(int, ints))
+    parts = [int(part) if name in ("square", "period") else part
+             for name, part in zip(names, parts)]
+    return tuple(parts) if len(parts) > 1 else parts[0] if parts else None
 
 
 def save_standardizer(path, std: Standardizer) -> None:
@@ -1056,16 +1054,14 @@ def load_standardizer(path) -> Standardizer:
     stages = []
     for stage_idx, (key_kind, transform_kind) in enumerate(SCHEME_STAGES[header["scheme"]]):
         tables = data.get(stage_idx, {})
-        levels = [(kind, tables.get(kind, {})) for kind in FALLBACK_LEVELS[key_kind]]
+        levels = tuple((kind, tables.get(kind, {})) for kind in FALLBACK_LEVELS[key_kind])
         if transform_kind == SD:
-            stages.append(StageTables(key_kind, SD, sd_levels=tuple(levels)))
+            stages.append(StageTables(key_kind, SD, sd_levels=levels))
         else:
-            ecdf_levels = tuple(
+            stages.append(StageTables(key_kind, ECDF, ecdf_levels=tuple(
                 (kind, {key: np.array([v for _, v in sorted(entries)])
                         for key, entries in table.items()})
-                for kind, table in levels
-            )
-            stages.append(StageTables(key_kind, ECDF, ecdf_levels=ecdf_levels))
+                for kind, table in levels)))
     return Standardizer(scheme=header["scheme"], band=header["band"], stages=tuple(stages))
 
 
@@ -1074,58 +1070,77 @@ def load_standardizer(path) -> Standardizer:
 COVARIANCE_COLUMNS = ("level", "site", "square", "period", "var_nir", "cov", "var_ndvi", "n")
 
 
-def _covariance_rows(table: CubeCovarianceTable) -> list[tuple]:
-    """(level, site, square, period, entry) per entry, in file order; ""
-    stands for a key part that the level lacks."""
-    return [
-        *(("cube", site, square, period, e) for (site, square, period), e in table.cubes.items()),
-        *(("site_period", site, "", period, e) for (site, period), e in table.site_periods.items()),
-        *(("site", site, "", "", e) for site, e in table.sites.items()),
-    ]
+def _covariance_fields(pool: str) -> list[int]:
+    """Where the parts of a key of ``pool`` go in a covariance row."""
+    return [COVARIANCE_COLUMNS.index(name) for name in _KEY_PARTS[pool]]
 
 
-def save_covariances(path, table: CubeCovarianceTable) -> None:
-    _write_table(
-        path, "covariances", COVARIANCE_COLUMNS,
-        ([*key, real(e.var_nir), real(e.cov), real(e.var_ndvi), e.n]
-         for *key, e in _covariance_rows(table)),
-        {"min_cube_samples": str(table.min_cube_samples)},
-    )
+def _covariance_rows(levels):
+    """(pool, site, square, period, entry) per entry of ``levels``, (pool,
+    {key: entry}) pairs, in file order; "" for a part the key lacks."""
+    for pool, table in levels:
+        fields = _covariance_fields(pool)
+        for key, entry in table.items():
+            row = [pool, "", "", "", entry]
+            for k, part in zip(fields, _key_parts(pool, key)):
+                row[k] = part
+            yield row
+
+
+def _covariance_table(rows, entries, min_cube_samples: int) -> CubeCovarianceTable:
+    """The table of ``entries`` at ``rows``, (pool, site, square, period,
+    ...) with parsed parts."""
+    tables: dict[str, dict] = {pool: {} for pool in COVARIANCE_POOLS}
+    fields = {pool: _covariance_fields(pool) for pool in COVARIANCE_POOLS}
+    for row, entry in zip(rows, entries):
+        parts = [row[k] for k in fields[row[0]]]
+        tables[row[0]][tuple(parts) if len(parts) > 1 else parts[0]] = entry
+    return CubeCovarianceTable(*tables.values(), min_cube_samples)
+
+
+def _covariance_mirror(table: CubeCovarianceTable, digest: str,
+                       read=float) -> tuple[dict, list[np.ndarray]]:
+    """The mirror (see :func:`write_mirror`) of the covariance file whose
+    bytes have the SHA-256 ``digest`` and hold ``table``, each value of
+    which a read of the file gives as ``read(value)``: the rows that a
+    lookup serves (see ``CubeCovarianceTable``)."""
+    served = list(_covariance_rows(table.served_levels()))
+    values = [read(v) for *_, e in served for v in (e.var_nir, e.cov, e.var_ndvi)]
+    header = {"format": _COVARIANCE_MIRROR, "sha256": digest,
+              "min_cube_samples": table.min_cube_samples, "rows": [[*key, e.n] for *key, e in served]}
+    return header, [np.array(values, dtype=float).reshape(-1, 3)]
+
+
+def save_covariances(path, table: CubeCovarianceTable) -> tuple[dict, list[np.ndarray]]:
+    """Write a covariance file of ``table``; return the mirror of the bytes
+    written (see :func:`_covariance_mirror`), its reals parsed from their
+    text."""
+    data = _write_table(path, "covariances", COVARIANCE_COLUMNS, (
+        [*key, real(e.var_nir), real(e.cov), real(e.var_ndvi), e.n]
+        for *key, e in _covariance_rows(table.levels())
+    ), {"min_cube_samples": str(table.min_cube_samples)})
+    return _covariance_mirror(table, hashlib.sha256(data).hexdigest(), lambda v: float(real(v)))
 
 
 def write_covariance_mirror(path, table: CubeCovarianceTable, digest: str) -> None:
-    """Write the mirror of the covariance file whose bytes have the SHA-256
-    ``digest``: the rows of ``table``, what a read of those bytes gives
-    (see :func:`read_covariances_mirrored`), that ``matrix_for`` can serve.
-    It replaces ``path`` when whole."""
-    served = [row for row in _covariance_rows(table)
-              if row[-1].n >= (table.min_cube_samples if row[0] == "cube" else 2)]
-    values = [v for *_, e in served for v in (e.var_nir, e.cov, e.var_ndvi)]
-    write_mirror(path, {
-        "format": _COVARIANCE_MIRROR,
-        "sha256": digest,
-        "min_cube_samples": table.min_cube_samples,
-        "rows": [[*key, e.n] for *key, e in served],
-    }, [np.array(values, dtype=float).reshape(-1, 3)])
+    """Write :func:`_covariance_mirror`; it replaces ``path`` when whole."""
+    write_mirror(path, *_covariance_mirror(table, digest))
 
 
 def _covariances_from_mirror(path, header: dict, arrays) -> Optional[CubeCovarianceTable]:
-    (values,) = arrays
-    if values.shape != (len(header["rows"]), 3):
+    (values,), rows = arrays, header["rows"]
+    if values.shape != (len(rows), 3):
         return None
-    tables: dict[str, dict] = {"cube": {}, "site_period": {}, "site": {}}
-    for (level, site, square, period, n), v in zip(header["rows"], values.tolist()):
-        key = {"cube": (site, square, period), "site_period": (site, period)}.get(level, site)
-        tables[level][key] = CovarianceEntry(*v, n)
-    return CubeCovarianceTable(*tables.values(), header["min_cube_samples"])
+    entries = (CovarianceEntry(*v, row[-1]) for row, v in zip(rows, values.tolist()))
+    return _covariance_table(rows, entries, header["min_cube_samples"])
 
 
 def read_covariances_mirrored(path, mirror_path) -> tuple[CubeCovarianceTable, Optional[str]]:
-    """``load_covariances(path)`` as ``matrix_for`` serves it, the file read
-    once (see :func:`_read_mirrored`): built from the served rows in the
-    mirror at ``mirror_path`` while that mirrors the bytes read, and parsed
-    from them otherwise; and, when parsed, the SHA-256 of the bytes read,
-    under which the mirror can be written again (None when it served)."""
+    """``load_covariances(path)`` as a lookup serves it, the file read once
+    (see :func:`_read_mirrored`): built from the served rows in the mirror
+    at ``mirror_path`` while that mirrors the bytes read, and parsed from
+    them otherwise; and, when parsed, the SHA-256 of the bytes read, under
+    which the mirror can be written again (None when it served)."""
     table, _, sha256, mirrored = _read_mirrored(path, mirror_path, _COVARIANCE_MIRROR,
                                                 [np.float64], load_covariances,
                                                 _covariances_from_mirror)
@@ -1138,48 +1153,33 @@ def load_covariances(path, data: Optional[bytes] = None) -> CubeCovarianceTable:
     first bad row, and its first failing check (reals, n, square and period
     where its level reads them, then the level)."""
     meta: dict = {}
-    tables: dict[str, dict] = {"cube": {}, "site_period": {}, "site": {}}
+    rows, entries = [], []
     caches: dict[str, dict] = {"n": {}, "square": {}, "period": {}}
     for lines, columns in _table_chunks(path, "covariances", COVARIANCE_COLUMNS, meta.update, data):
         levels = np.array(columns["level"], dtype=object)
         n = levels.size
-        is_cube = levels == "cube"
-        reads_period = is_cube | (levels == "site_period")
+        reads = {part: np.isin(levels, [p for p in COVARIANCE_POOLS if part in _KEY_PARTS[p]])
+                 for part in ("square", "period")}
         reals = [_parse_reals(columns[c]) for c in ("var_nir", "cov", "var_ndvi")]
         ints = {c: _parse_distinct(columns[c], int, caches[c]) for c in caches}
-
-        def text_error(parse, column):
-            return lambda k: parse(columns[column][k], column, lines[k], path)
+        text_error = _text_errors(path, lines, columns)
 
         def unknown_level(k):
             raise ParseError(f"{path}: unknown level {levels[k]!r}", line=lines[k])
 
-        def failed(column):
-            parsed, idx = ints[column]
-            return _gather([p is None for p in parsed], idx, bool)
-
         _raise_first_failure([
             *((bad, text_error(_parse_float, c))
               for (_, bad), c in zip(reals, ("var_nir", "cov", "var_ndvi"))),
-            (failed("n"), text_error(_parse_int, "n")),
-            (failed("square") & is_cube, text_error(_parse_int, "square")),
-            (failed("period") & reads_period, text_error(_parse_int, "period")),
-            (~(reads_period | (levels == "site")), unknown_level),
+            (_failed(*ints["n"]), text_error(_parse_int, "n")),
+            *((_failed(*ints[part]) & reads[part], text_error(_parse_int, part)) for part in reads),
+            (~np.isin(levels, COVARIANCE_POOLS), unknown_level),
         ], n)
         counts, squares, periods = (
             np.array(parsed, dtype=object)[idx].tolist()
             for parsed, idx in (ints["n"], ints["square"], ints["period"])
         )
-        entries = map(CovarianceEntry, *(v.tolist() for v, _ in reals), counts)
-        for level, site, square, period, entry in zip(
-            columns["level"], columns["site"], squares, periods, entries
-        ):
-            if level == "cube":
-                tables[level][(site, square, period)] = entry
-            elif level == "site_period":
-                tables[level][(site, period)] = entry
-            else:
-                tables[level][site] = entry
+        entries += map(CovarianceEntry, *(v.tolist() for v, _ in reals), counts)
+        rows += zip(columns["level"], columns["site"], squares, periods)
     try:
         min_cube_samples = int(meta.get("min_cube_samples", "10"))
     except ValueError:
@@ -1187,12 +1187,7 @@ def load_covariances(path, data: Optional[bytes] = None) -> CubeCovarianceTable:
             f"{path}: bad integer in header key 'min_cube_samples': {meta['min_cube_samples']!r}",
             line=1,
         ) from None
-    return CubeCovarianceTable(
-        cubes=tables["cube"],
-        site_periods=tables["site_period"],
-        sites=tables["site"],
-        min_cube_samples=min_cube_samples,
-    )
+    return _covariance_table(rows, entries, min_cube_samples)
 
 
 # --- detection files ----------------------------------------------------------

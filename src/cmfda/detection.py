@@ -21,10 +21,16 @@ runs once over the flat values; starts outside the prediction year and runs
 that cross a segment end are masked off. Training takes each pixel's
 largest level (``flag_levels``); batch detection and the online loop take
 each pixel's earliest flag date (``scan_window_errors``).
+
+The Mahalanobis covariances and the standardization schemes share one
+pooling engine: ``pool_codes`` alone keys an entry in a pool,
+``pool_statistics`` fits each pool's keys, and ``pool_walk`` serves each
+entry from the first fallback pool that serves its key.
 """
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -86,10 +92,10 @@ def cube_of(col: int, row: int, doy: int) -> tuple[int, int]:
 
 
 def pool_codes(history: ResidualHistory, pool: str):
-    """Integer code of each entry's key in a pool ("pixel", "site",
-    "global", "period", "site_period" or "cube"), and the function that
-    turns a code back into the key: a pixel or site id, None, a period,
-    (site id, period) or (site id, square, period)."""
+    """Small nonnegative integer code of each entry's key in a pool
+    ("pixel", "site", "global", "period", "site_period" or "cube"), and the
+    function that turns a code back into the key: a pixel or site id, None,
+    a period, (site id, period) or (site id, square, period)."""
     if pool == "pixel":
         return history.pixel, history.pixel_ids.__getitem__
     if pool == "site":
@@ -109,6 +115,49 @@ def pool_codes(history: ResidualHistory, pool: str):
         code // N_PERIODS % N_SQUARES,
         code % N_PERIODS,
     )
+
+
+def pool_statistics(history: ResidualHistory, pools: Sequence[str], statistic, *columns) -> list:
+    """Per pool, ``{key: statistic}``: ``statistic`` of the key's entries of
+    each of ``columns``, arrays aligned with ``history``. A pool is one
+    stable sort by its key codes, so each key's entries form a segment in
+    their original order; keys come in order of first appearance."""
+    tables = []
+    for pool in pools:
+        codes, key_of = pool_codes(history, pool)
+        order = np.argsort(codes, kind="stable")
+        ordered = [column[order] for column in columns]
+        tables.append({
+            key_of(code): statistic(*(column[lo:hi] for column in ordered))
+            for code, lo, hi in segments(codes, order)
+        })
+    return tables
+
+
+def pool_walk(history: ResidualHistory, levels) -> tuple[np.ndarray, np.ndarray]:
+    """For each entry, the row of the first of ``levels``, (pool, {served
+    key: row}) pairs, that serves its key, and that level's depth (-1 and
+    -1 where none does). A level looks up each distinct key of the entries
+    no earlier level served; the walk stops once every entry is served."""
+    rows = np.full(len(history), -1, dtype=np.intp)
+    depth = np.full(len(history), -1)
+    for level, (pool, served) in enumerate(levels):
+        unserved = np.flatnonzero(depth < 0)
+        if not unserved.size:
+            break
+        codes, key_of = pool_codes(history, pool)
+        codes = codes[unserved]
+        # A table by code marks the distinct codes, then holds their rows: np.unique
+        # and a search cost several times this (and plain np.unique imports numpy.ma).
+        table = np.zeros(codes.max() + 1, dtype=np.intp)
+        table[codes] = 1
+        keys = np.flatnonzero(table)
+        table[keys] = [served.get(key_of(code), -1) for code in keys.tolist()]
+        found = table[codes]
+        hit = found >= 0
+        rows[unserved[hit]] = found[hit]
+        depth[unserved[hit]] = level
+    return rows, depth
 
 
 def _check_consecutive(consecutive: int) -> None:
@@ -255,6 +304,15 @@ class PairedErrorRecord:
     eps_ndvi: float
 
 
+def _matrices(values: np.ndarray) -> np.ndarray:
+    """Regularized 2x2 matrices of (var_nir, cov, var_ndvi) rows: a tiny
+    ridge keeps each positive definite."""
+    var_nir, cov, var_ndvi = np.asarray(values, dtype=float).reshape(-1, 3).T
+    trace = var_nir + var_ndvi
+    ridge = np.where(trace > 0, 1e-8 * trace / 2.0, 1e-12)
+    return np.stack([var_nir + ridge, cov, cov, var_ndvi + ridge], axis=-1).reshape(-1, 2, 2)
+
+
 @dataclass(frozen=True)
 class CovarianceEntry:
     var_nir: float
@@ -263,38 +321,51 @@ class CovarianceEntry:
     n: int
 
     def matrix(self) -> np.ndarray:
-        """Regularized 2x2 matrix: a tiny ridge keeps it positive definite."""
-        trace = self.var_nir + self.var_ndvi
-        ridge = 1e-8 * trace / 2.0 if trace > 0 else 1e-12
-        return np.array(
-            [[self.var_nir + ridge, self.cov], [self.cov, self.var_ndvi + ridge]]
-        )
+        """Regularized 2x2 matrix (see ``_matrices``)."""
+        return _matrices([self.var_nir, self.cov, self.var_ndvi])[0]
+
+
+# The covariance pools, most specific first.
+COVARIANCE_POOLS = ("cube", "site_period", "site")
 
 
 @dataclass(frozen=True)
 class CubeCovarianceTable:
-    """Sample covariances of (NIR, NDVI) errors pooled by space-time cube.
-
-    Sparse cubes fall back to the site-period pool, then to the site-wide
-    pool across all periods.
-    """
+    """Sample covariances of (NIR, NDVI) errors pooled by space-time cube,
+    by site-period and by site: a lookup walks the pools in that order
+    (``pool_walk``). A cube serves from ``min_cube_samples`` pairs, a
+    site-period or a site from 2. The served matrices are stacked once."""
 
     cubes: Mapping[tuple[str, int, int], CovarianceEntry]
     site_periods: Mapping[tuple[str, int], CovarianceEntry]
     sites: Mapping[str, CovarianceEntry]
     min_cube_samples: int = MIN_CUBE_SAMPLES
 
-    def matrix_for(self, site_id: str, square: int, period: int) -> np.ndarray:
-        entry = self.cubes.get((site_id, square, period))
-        if entry is not None and entry.n >= self.min_cube_samples:
-            return entry.matrix()
-        entry = self.site_periods.get((site_id, period))
-        if entry is not None and entry.n >= 2:
-            return entry.matrix()
-        entry = self.sites.get(site_id)
-        if entry is not None and entry.n >= 2:
-            return entry.matrix()
-        raise SingularCovariance(f"no covariance history for site {site_id!r}")
+    def __post_init__(self):
+        served, rows = self.served_levels(), itertools.count()
+        object.__setattr__(self, "_levels",
+                           [(pool, dict(zip(table, rows))) for pool, table in served])
+        object.__setattr__(self, "_sigmas", _matrices(
+            [(e.var_nir, e.cov, e.var_ndvi) for _, table in served for e in table.values()]))
+
+    def levels(self) -> list[tuple[str, Mapping]]:
+        """(pool, {key: entry}) of each pool, most specific first."""
+        return list(zip(COVARIANCE_POOLS, (self.cubes, self.site_periods, self.sites)))
+
+    def served_levels(self) -> list[tuple[str, dict]]:
+        """``levels`` keeping the entries that a lookup serves."""
+        return [(pool, {key: e for key, e in table.items()
+                        if e.n >= (self.min_cube_samples if pool == "cube" else 2)})
+                for pool, table in self.levels()]
+
+    def sigmas(self, contexts: ResidualHistory) -> np.ndarray:
+        """The served matrix of each entry's cube (SingularCovariance for a
+        site that no pool serves)."""
+        rows, _ = pool_walk(contexts, self._levels)
+        if (rows < 0).any():
+            site = contexts.site_ids[contexts.site[rows < 0].min()]
+            raise SingularCovariance(f"no covariance history for site {site!r}")
+        return self._sigmas[rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,27 +399,14 @@ def estimate_cube_covariances(
     pairs: PairedResiduals | Iterable[PairedErrorRecord],
     min_cube_samples: int = MIN_CUBE_SAMPLES,
 ) -> CubeCovarianceTable:
-    """Pool historical error pairs per cube, per site-period, and per site.
-
-    Each pool is one stable sort by its integer key code; every key, in
-    order of first appearance, gets ``np.cov`` of its contiguous segment,
-    which holds the key's pairs in their original order.
-    """
+    """Pool historical error pairs per cube, per site-period, and per site
+    (see ``pool_statistics``): every key, in order of first appearance,
+    gets ``np.cov`` of its pairs in their original order."""
     if not isinstance(pairs, PairedResiduals):
         pairs = PairedResiduals.from_records(pairs)
-    tables = []
-    for pool in ("cube", "site_period", "site"):
-        codes, key_of = pool_codes(pairs.nir, pool)
-        order = np.argsort(codes, kind="stable")
-        nir, ndvi = pairs.nir.value[order], pairs.ndvi[order]
-        tables.append({
-            key_of(code): _entry_from_pairs(nir[lo:hi], ndvi[lo:hi])
-            for code, lo, hi in segments(codes, order)
-        })
-    cubes, site_periods, sites = tables
-    return CubeCovarianceTable(
-        cubes=cubes, site_periods=site_periods, sites=sites, min_cube_samples=min_cube_samples
-    )
+    return CubeCovarianceTable(*pool_statistics(
+        pairs.nir, COVARIANCE_POOLS, _entry_from_pairs, pairs.nir.value, pairs.ndvi
+    ), min_cube_samples)
 
 
 # --- flat errors --------------------------------------------------------------
@@ -475,21 +533,17 @@ def mahalanobis_series(
     cols: Sequence[int],
     rows: Sequence[int],
 ) -> np.ndarray:
-    """Index value at each entry, using the entry's cube: pixel k lies at
-    (cols[k], rows[k]) in site site_ids[k]. The covariance is looked up
-    once per distinct cube."""
-    if not len(errors):
-        return np.empty(0)
+    """Index value at each entry, with the covariance that the table serves
+    for the entry's cube: pixel k lies at (cols[k], rows[k]) in site
+    site_ids[k]."""
     pixel = errors.entry_pixels()
-    squares, periods = cube_codes(np.asarray(cols)[pixel], np.asarray(rows)[pixel], errors.doys)
-    _, site = distinct(site_ids)
-    cubes = (site[pixel] * N_SQUARES + squares) * N_PERIODS + periods
-    _, first, inverse = np.unique(cubes, return_index=True, return_inverse=True)
-    sigmas = np.array([
-        table.matrix_for(site_ids[pixel[i]], int(squares[i]), int(periods[i]))
-        for i in first.tolist()
-    ])
-    return _index_values(errors.errors[Band.NIR], errors.errors[Band.NDVI], sigmas[inverse])
+    ids, site = distinct(site_ids)
+    contexts = ResidualHistory(
+        tuple(range(len(site))), tuple(ids), pixel, site[pixel],
+        np.asarray(cols, dtype=np.int64)[pixel], np.asarray(rows, dtype=np.int64)[pixel],
+        errors.comp_ordinals, errors.doys, errors.errors[Band.NIR],
+    )
+    return _index_values(errors.errors[Band.NIR], errors.errors[Band.NDVI], table.sigmas(contexts))
 
 
 # --- run scanning ----------------------------------------------------------

@@ -1,7 +1,8 @@
 """Vegetation indices computed from reflectance bands.
 
-Used to derive index bands when building synthetic scenes and to
-cross-check ingested values.
+A reference for checking the NDVI and EVI values that a series carries
+against its reflectance bands; the synthetic scenes (``synth``) model their
+index bands directly and do not use it.
 """
 from __future__ import annotations
 

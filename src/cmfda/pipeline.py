@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     BAND_ORDER,
     CADENCE_DAYS,
+    EPOCH_ORDINAL,
     Band,
     CompactPixel,
     FlatSeries,
@@ -394,11 +395,10 @@ def build_training_dataset(
 
 def _two_years_before(ordinals: np.ndarray) -> np.ndarray:
     """The same day two years earlier of each ordinal; Feb 29 goes to Feb 28."""
-    epoch = dt.date(1970, 1, 1).toordinal()
-    days = (ordinals - epoch).astype("M8[D]")
+    days = (ordinals - EPOCH_ORDINAL).astype("M8[D]")
     month = days.astype("M8[M]") - np.timedelta64(24, "M")
     same_day = month.astype("M8[D]") + (days - days.astype("M8[M]").astype("M8[D]"))
-    return np.minimum(same_day, (month + 1).astype("M8[D]") - 1).astype(np.int64) + epoch
+    return np.minimum(same_day, (month + 1).astype("M8[D]") - 1).astype(np.int64) + EPOCH_ORDINAL
 
 
 def append_batch(history: FlatSeries, batch: FlatSeries) -> FlatSeries:

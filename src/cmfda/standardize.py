@@ -8,22 +8,23 @@ intermediate stage is followed by the inverse normal CDF so that the next
 stage sees roughly normal values, while a final ECDF stage is shifted by
 -0.5 to a symmetric uniform range.
 
-Everything runs on arrays. A history is a ``ResidualHistory``; each key
-kind is an integer code per entry, given by ``detection.pool_codes``, so a
-stage's tables take one stable sort per fallback level, with ``np.std`` or
-``np.sort`` of each key's segment. A transform walks the fallback levels in
-order and looks up, at each, the distinct keys of the entries no earlier
-level served (see ``StageTables``), then rescales, or makes one rank search
-for an ECDF stage. Tables, values and saved files are bit-identical to the
-record-by-record definition. The inverse normal CDF keeps the scalar order
-of operations and calls ``math.log``, ``math.exp`` and ``math.erfc``
-through ``np.frompyfunc``: NumPy's ``log`` and ``exp`` differ from them in
-the last ulp for some inputs, and the values a first ECDF stage passes on
-become second-stage samples, which standardizer files store exactly.
+Everything runs on arrays, on the pooling engine of ``detection``. A
+history is a ``ResidualHistory``; a stage's tables are
+``detection.pool_statistics`` of each fallback level, ``np.std`` or
+``np.sort`` of each key's values. A transform is ``detection.pool_walk``
+over the levels' served keys (see ``StageTables``), then a rescaling, or
+one rank search for an ECDF stage. Tables, values and saved files are
+bit-identical to the record-by-record definition. The inverse normal CDF
+keeps the scalar order of operations and calls ``math.log``, ``math.exp``
+and ``math.erfc`` through ``np.frompyfunc``: NumPy's ``log`` and ``exp``
+differ from them in the last ulp for some inputs, and the values a first
+ECDF stage passes on become second-stage samples, which standardizer files
+store exactly.
 """
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,8 +33,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Band, ResidualHistory, segments
-from .detection import pool_codes
+from .core import Band, ResidualHistory
+from .detection import pool_codes, pool_statistics, pool_walk
 from .errors import (
     DegenerateHistory,
     EmptyHistory,
@@ -233,13 +234,10 @@ class StageTables:
     (sd, n) per key for an sd stage, the sorted sample per key for an
     ECDF stage.
 
-    Building a stage keeps, for each fallback level, the statistic of
-    every key that level can serve: the sd where n >= 2 and sd > 0, or
-    for an ECDF stage the number of a non-empty sample, the samples lying
-    end to end in one pooled array. A lookup walks the levels in order:
-    the entries no earlier level served take their keys at the level from
-    ``pool_codes``, one dict lookup per distinct key, and the walk stops
-    once every entry is served.
+    Building a stage keeps, for each fallback level, the keys that level
+    can serve: those with n >= 2 and sd > 0, or for an ECDF stage a
+    non-empty sample, the samples lying end to end in one pooled array. A
+    lookup is ``detection.pool_walk`` over these levels.
     """
 
     key_kind: KeyKind
@@ -248,19 +246,12 @@ class StageTables:
     ecdf_levels: tuple[tuple[KeyKind, dict], ...] = ()
 
     def __post_init__(self):
-        served: list[tuple[KeyKind, dict]] = []
-        samples: list[np.ndarray] = []
-        for kind, table in self.sd_levels if self.transform_kind == SD else self.ecdf_levels:
-            stats: dict = {}
-            for key, entry in table.items():
-                if self.transform_kind == SD:
-                    sd, n = entry
-                    if n >= 2 and sd > 0:
-                        stats[key] = sd
-                elif entry.size:
-                    stats[key] = len(samples)
-                    samples.append(entry)
-            served.append((kind, stats))
+        sd = self.transform_kind == SD
+        levels = [(kind, {key: entry for key, entry in table.items()
+                          if ((entry[1] >= 2 and entry[0] > 0) if sd else entry.size)})
+                  for kind, table in (self.sd_levels if sd else self.ecdf_levels)]
+        stats = [entry for _, table in levels for entry in table.values()]
+        samples = [] if sd else stats
         sizes = np.array([sample.size for sample in samples], dtype=np.int64)
         pool = np.concatenate(samples) if samples else np.empty(0)
         # A value's rank in its sample is a search in one sorted array of
@@ -271,50 +262,30 @@ class StageTables:
         codes = np.repeat(np.arange(sizes.size), sizes) * stride + np.searchsorted(
             distinct, pool, side="right"
         )
-        set_ = partial(object.__setattr__, self)
-        set_("_served", tuple(served))
+        set_, rows = partial(object.__setattr__, self), itertools.count()
+        set_("_kinds", tuple(kind for kind, _ in levels))
+        set_("_served", [(kind.value, dict(zip(table, rows))) for kind, table in levels])
+        set_("_sds", np.array([spread for spread, _ in stats] if sd else [], dtype=float))
         set_("_sizes", sizes)
         set_("_starts", np.cumsum(sizes) - sizes)
         set_("_distinct", distinct)
         set_("_stride", stride)
         set_("_codes", codes)
 
-    def _lookup(self, errors: ResidualHistory) -> tuple[np.ndarray, np.ndarray]:
-        """For each entry: its statistic and the depth of the level that
-        served it (NaN and -1 where no level can)."""
-        stat = np.full(len(errors), np.nan)
-        depth = np.full(len(errors), -1)
-        for level, (kind, stats) in enumerate(self._served):
-            unserved = np.flatnonzero(depth < 0)
-            if not unserved.size:
-                break
-            codes, key_of = pool_codes(errors, kind.value)
-            codes = codes[unserved]
-            # np.unique's return_inverse costs several times this search
-            # on the one-entry histories of the scalar transform
-            keys = np.unique(codes)
-            found = np.array([stats.get(key_of(code), np.nan) for code in keys.tolist()])
-            found = found[np.searchsorted(keys, codes)]
-            hit = ~np.isnan(found)
-            stat[unserved[hit]] = found[hit]
-            depth[unserved[hit]] = level
-        return stat, depth
-
     def apply(self, errors: ResidualHistory, values: np.ndarray, final: bool) -> np.ndarray:
         """The stage's transform of each value, at its entry's context."""
-        stat, _ = self._lookup(errors)
-        if np.isnan(stat).any():
+        rows, _ = pool_walk(errors, self._served)
+        if (rows < 0).any():
             raise DegenerateHistory(
                 "no key with positive spread covers this context"
                 if self.transform_kind == SD
                 else "no populated sample covers this context"
             )
         if self.transform_kind == SD:
-            return values / stat
-        sample = stat.astype(np.intp)
-        value_codes = sample * self._stride + np.searchsorted(self._distinct, values, side="right")
-        rank = np.searchsorted(self._codes, value_codes, side="right") - self._starts[sample]
-        p = _rank_probability(rank, self._sizes[sample])
+            return values / self._sds[rows]
+        value_codes = rows * self._stride + np.searchsorted(self._distinct, values, side="right")
+        rank = np.searchsorted(self._codes, value_codes, side="right") - self._starts[rows]
+        p = _rank_probability(rank, self._sizes[rows])
         if final:
             return p - 0.5
         return inverse_normal_cdf_array(p)
@@ -323,11 +294,11 @@ class StageTables:
         """How many of the distinct keys that the entries have at the
         stage's own level each fallback level serves; a key whose entries
         fall back apart counts at the level that serves its first entry."""
-        _, depth = self._lookup(errors)
+        _, depth = pool_walk(errors, self._served)
         codes, _ = pool_codes(errors, self.key_kind.value)
         _, first = np.unique(codes, return_index=True)
         counts = np.bincount(depth[first], minlength=len(self._served))
-        return dict(zip((kind for kind, _ in self._served), counts.tolist()))
+        return dict(zip(self._kinds, counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -339,37 +310,27 @@ class Standardizer:
     stages: tuple[StageTables, ...]
 
 
+def _sd_of(values: np.ndarray) -> tuple[float, int]:
+    return float(np.std(values, ddof=1)) if values.size >= 2 else 0.0, values.size
+
+
 def _fit_stage(
     key_kind: KeyKind, transform_kind: str, history: ResidualHistory, values: np.ndarray
 ) -> StageTables:
-    """Tables of one stage. Each fallback level is one stable sort by the
-    level's key codes, so every key's values form a segment in their
-    original order; ``np.std`` or ``np.sort`` of that segment is then the
-    key's statistic, as it is of the key's values gathered one by one.
-    Keys come in order of first appearance."""
-    levels = []
-    for kind in FALLBACK_LEVELS[key_kind]:
-        codes, key_of = pool_codes(history, kind.value)
-        order = np.argsort(codes, kind="stable")
-        ordered = values[order]
-        if transform_kind == SD:
-            table = {
-                key_of(code): (
-                    float(np.std(ordered[lo:hi], ddof=1)) if hi - lo >= 2 else 0.0, hi - lo
-                )
-                for code, lo, hi in segments(codes, order)
-            }
-        else:
-            table = {
-                key_of(code): np.sort(ordered[lo:hi]) for code, lo, hi in segments(codes, order)
-            }
-        levels.append((kind, table))
+    """Tables of one stage: per fallback level, ``np.std`` or ``np.sort``
+    of each key's values (see ``detection.pool_statistics``), as it is of
+    the key's values gathered one by one."""
+    kinds = FALLBACK_LEVELS[key_kind]
+    tables = pool_statistics(
+        history, [kind.value for kind in kinds], _sd_of if transform_kind == SD else np.sort, values
+    )
+    levels = tuple(zip(kinds, tables))
     if transform_kind == SD:
-        global_sd, global_n = levels[-1][1][None]
+        global_sd, global_n = tables[-1][None]
         if global_n < 2 or global_sd <= 0:
             raise DegenerateHistory("history has no spread; cannot standardize by sd")
-        return StageTables(key_kind, SD, sd_levels=tuple(levels))
-    return StageTables(key_kind, ECDF, ecdf_levels=tuple(levels))
+        return StageTables(key_kind, SD, sd_levels=levels)
+    return StageTables(key_kind, ECDF, ecdf_levels=levels)
 
 
 def fit_standardizer(

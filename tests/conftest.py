@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cmfda.core import BAND_ORDER, Band, Observation, PixelSeries, Reliability
+from cmfda.core import BAND_ORDER, Band, Observation, PixelSeries, Reliability, ResidualHistory
 
 
 @pytest.hookimpl(hookwrapper=True, tryfirst=True)
@@ -114,6 +114,18 @@ def make_series(
             )
         )
     return PixelSeries(pixel_id, col, row, tuple(observations))
+
+
+def served_sigmas(table, site_id, keys):
+    """The matrices that ``table``'s walk serves for the (square, period)
+    cube ``keys`` of one site: one entry per key, at the square's corner
+    pixel on the period's first day of 2005."""
+    ordinal = dt.date(2004, 12, 31).toordinal()
+    return table.sigmas(ResidualHistory.build(
+        ["p"], [site_id], [0] * len(keys), [0] * len(keys),
+        [square % 5 * 5 for square, _ in keys], [square // 5 * 5 for square, _ in keys],
+        [ordinal + 5 * period + 1 for _, period in keys], np.zeros(len(keys)),
+    ))
 
 
 def assert_same_sites(got, want):

@@ -36,6 +36,7 @@ from cmfda.detection import (
 )
 from cmfda.errors import (
     DegenerateHistory, EmptyHistory, EmptySample, OutOfDomain, OutOfRange, OutOfRangeDay,
+    SingularCovariance,
 )
 from cmfda.harmonic import FIT_OK, HarmonicModel, design_rows, fit_arrays, fit_batch, predict_many
 from cmfda.training import _counts, tss
@@ -402,6 +403,22 @@ def estimate_cube_covariances(records, min_cube_samples: int = 10) -> CubeCovari
     )
 
 
+def matrix_for(table: CubeCovarianceTable, site_id: str, square: int, period: int) -> np.ndarray:
+    """The matrix a lookup serves for one cube key: the cube's with at
+    least ``min_cube_samples`` pairs, else the site-period's with at least
+    2, else the site's with at least 2."""
+    entry = table.cubes.get((site_id, square, period))
+    if entry is not None and entry.n >= table.min_cube_samples:
+        return entry.matrix()
+    entry = table.site_periods.get((site_id, period))
+    if entry is not None and entry.n >= 2:
+        return entry.matrix()
+    entry = table.sites.get(site_id)
+    if entry is not None and entry.n >= 2:
+        return entry.matrix()
+    raise SingularCovariance(f"no covariance history for site {site_id!r}")
+
+
 # --- per-window rule scan ------------------------------------------------------
 
 
@@ -568,7 +585,7 @@ def online_step(pixels, batch_date, rule, monitor_year, already_flagged, site_id
             index = np.array([
                 mahalanobis_index(
                     errors[Band.NIR][i], errors[Band.NDVI][i],
-                    rule.covariances.matrix_for(site_id, *cube_of(cp.col, cp.row, int(doys[i]))),
+                    matrix_for(rule.covariances, site_id, *cube_of(cp.col, cp.row, int(doys[i]))),
                 )
                 for i in range(c)
             ])

@@ -38,6 +38,7 @@ from cmfda.cli import (
 from cmfda.dataio import (
     load_covariances,
     load_models,
+    read_covariances_mirrored,
     read_detections,
     read_labels,
     read_report,
@@ -45,6 +46,7 @@ from cmfda.dataio import (
     read_series_arrays,
     save_covariances,
     save_models,
+    write_covariance_mirror,
     write_labels,
     write_series,
 )
@@ -540,6 +542,82 @@ def test_standardize_command(sim_dir, models_dir, tmp_path):
         ]
     )
     assert code == EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def standardizer_files(sim_dir, tmp_path_factory):
+    """Models of NIR, NDVI and EVI over 2003:2, and a standardizer file of
+    scheme 1 for each band and of scheme 2 for NDVI, keyed (band, scheme)."""
+    out = tmp_path_factory.mktemp("standardizers")
+    series = str(sim_dir / "series.csv")
+    assert main([
+        "fit", "--series", series, "--out", str(out / "models"), "--windows", "2003:2",
+        "--bands", "nir,ndvi,evi", "--threads", "1",
+    ]) == EXIT_OK
+    files = {}
+    for band, scheme in (("nir", "1"), ("ndvi", "1"), ("evi", "1"), ("ndvi", "2")):
+        files[band, scheme] = str(out / f"std_{band}_{scheme}.csv")
+        assert main([
+            "standardize", "--series", series, "--models", str(out / "models"),
+            "--scheme", scheme, "--band", band, "--out", files[band, scheme],
+        ]) == EXIT_OK
+    return out / "models", files
+
+
+@pytest.mark.parametrize("rule, given, extra, message", [
+    ([], [("nir", "1")], [], "no standardizer file for band NDVI, which the rule scans"),
+    ([], [("nir", "1"), ("ndvi", "1"), ("evi", "1")], [],
+     "a EVI standardizer, but the rule scans NIR, NDVI"),
+    (["--rule", "univariate", "--band", "ndvi", "--L", "4"], [("nir", "1")], [],
+     "a NIR standardizer, but the rule scans NDVI"),
+    ([], [("nir", "1"), ("ndvi", "1")], ["--scheme", "IVii"],
+     "--scheme does not apply with --standardizer"),
+    (["--rule", "univariate", "--L", "4"], [("nir", "1")], ["--scheme", "1"],
+     "--scheme does not apply with --standardizer"),
+    ([], [("ndvi", "1"), ("nir", "1"), ("ndvi", "1")], [], "two standardizer files for band NDVI"),
+    ([], [("nir", "1"), ("ndvi", "2")], [], "standardizer files of schemes 1 and 2"),
+], ids=["missing-band", "unscanned-band", "unscanned-univariate", "with-scheme",
+        "with-same-scheme", "two-for-a-band", "two-schemes"])
+def test_detect_refuses_standardizers_it_would_not_apply(
+    sim_dir, standardizer_files, tmp_path, capsys, rule, given, extra, message
+):
+    """``--standardizer`` takes one file of one scheme per band that the
+    rule scans, and no other --scheme: anything else is refused (exit 1),
+    and no detections file is written."""
+    models, files = standardizer_files
+    out = tmp_path / "det.csv"
+    paths = [arg for key in given for arg in ("--standardizer", files[key])]
+    assert main([
+        "detect", "--series", str(sim_dir / "series.csv"), "--models", str(models),
+        "--out", str(out), "--threads", "1", *rule, *paths, *extra,
+    ]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_detect_applies_and_names_the_scheme_of_its_standardizers(
+    sim_dir, standardizer_files, tmp_path
+):
+    """A file per rule band is applied as fitting their scheme in place
+    would be, and the header names the files' scheme."""
+    models, files = standardizer_files
+    base = ["detect", "--series", str(sim_dir / "series.csv"), "--models", str(models),
+            "--threads", "1"]
+    runs = {
+        "loaded": ["--standardizer", files["nir", "1"], "--standardizer", files["ndvi", "1"]],
+        "fitted": ["--scheme", "1"],
+        "raw": [],
+    }
+    for name, args in runs.items():
+        assert main(base + ["--out", str(tmp_path / f"{name}.csv"), *args]) == EXIT_OK
+    loaded, fitted, raw = (read_detections(tmp_path / f"{name}.csv") for name in runs)
+    assert loaded[0]["scheme"] == "1" and raw[0]["scheme"] == "---"
+    assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "fitted.csv").read_bytes()
+    assert loaded[1] != raw[1]
+    out = tmp_path / "ndvi.csv"
+    assert main(base + ["--out", str(out), "--rule", "univariate", "--band", "ndvi", "--L", "4",
+                        "--standardizer", files["ndvi", "2"]]) == EXIT_OK
+    assert read_detections(out)[0]["scheme"] == "2"
 
 
 def test_standardize_reports_fallback_levels(tmp_path, capsys):
@@ -1554,6 +1632,21 @@ def sigma_reference(online_inputs, tmp_path_factory):
         record = _run_steps(root / "state", batches[:SIGMA_STEPS], root / "outs")
     assert loads == []
     return root, record
+
+
+def test_online_init_mirrors_the_covariance_file_it_wrote(online_inputs, tmp_path, monkeypatch):
+    """--init writes covariances.npy from the bytes of covariances.csv as it
+    wrote them, without parsing the file back: the mirror is the one that a
+    parse of the file gives."""
+    history, _ = online_inputs
+    state = tmp_path / "state"
+    with monkeypatch.context() as patch:
+        loads = _covariance_loads(patch)
+        _init_mahalanobis(history, state)
+    assert loads == []
+    write_covariance_mirror(tmp_path / "parsed.npy",
+                            *read_covariances_mirrored(state / "covariances.csv", None))
+    assert (state / "covariances.npy").read_bytes() == (tmp_path / "parsed.npy").read_bytes()
 
 
 def _scale_covariances(path, factor):

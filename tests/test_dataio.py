@@ -95,7 +95,9 @@ from cmfda.standardize import (
 )
 from cmfda.training import ReportRow, TrainReport
 from cmfda.windows import DateInterval, make_windows
-from conftest import assert_same_models, assert_same_sites, harmonic_value, make_series
+from conftest import (
+    assert_same_models, assert_same_sites, harmonic_value, make_series, served_sigmas,
+)
 
 
 def round9(x):
@@ -612,9 +614,9 @@ def test_a_parent_format_mirror_is_parsed_around(tmp_path):
 
 def test_covariance_mirror_serves_the_bits_of_the_file(tmp_path, rng):
     """A table built from the covariance mirror holds only the rows a
-    lookup can serve, and gives the matrix_for bits of load_covariances for
-    every (square, period) of each site; a site with no served row, or
-    none, raises SingularCovariance from both."""
+    lookup can serve, and serves the bits of load_covariances for every
+    (square, period) of each site; a site with no served row, or none,
+    raises SingularCovariance from both."""
     def record(site, col, row, doy):
         return PairedErrorRecord("p", site, col, row, dt.date(2005, 1, 1), doy,
                                  float(rng.normal(0, 0.02)), float(rng.normal(0, 0.03)))
@@ -637,16 +639,16 @@ def test_covariance_mirror_serves_the_bits_of_the_file(tmp_path, rng):
     assert 0 < len(mirrored.cubes) < len(loaded.cubes)
     assert len(mirrored.site_periods) < len(loaded.site_periods)
 
-    def bits(table, key):
+    def bits(table, site):
+        keys = [(q, p) for q in range(N_SQUARES) for p in range(N_PERIODS)]
         try:
-            return table.matrix_for(*key).tobytes()
+            return served_sigmas(table, site, keys).tobytes()
         except SingularCovariance:
             return None
 
     for site in ("s", "t", "nowhere"):
-        keys = [(site, q, p) for q in range(N_SQUARES) for p in range(N_PERIODS)]
-        assert [bits(mirrored, key) for key in keys] == [bits(loaded, key) for key in keys]
-    assert bits(loaded, ("s", 0, 0)) is not None and bits(loaded, ("t", 0, 0)) is None
+        assert bits(mirrored, site) == bits(loaded, site)
+    assert bits(loaded, "s") is not None and bits(loaded, "t") is None
     path.write_text(path.read_text().replace(",s,", ",u,"))   # stale: the file is parsed
     stale, regain = read_covariances_mirrored(path, mirror)
     assert list(stale.sites) == ["u", "t"]
@@ -959,7 +961,7 @@ def test_covariances_round_trip(tmp_path, rng):
     loaded = load_covariances(path)
     assert loaded.min_cube_samples == table.min_cube_samples
     np.testing.assert_allclose(
-        loaded.matrix_for("s", 3, 10), table.matrix_for("s", 3, 10), rtol=1e-8
+        served_sigmas(loaded, "s", [(3, 10)]), served_sigmas(table, "s", [(3, 10)]), rtol=1e-8
     )
     np.testing.assert_allclose(
         loaded.sites["s"].matrix(), table.sites["s"].matrix(), rtol=1e-8

@@ -20,6 +20,7 @@ from cmfda.detection import (
     flag_levels,
     rule_bands,
     mahalanobis_index,
+    mahalanobis_series,
     multivariate_flag,
     scan_window_errors,
     stack_errors,
@@ -28,8 +29,8 @@ from cmfda.detection import (
 from cmfda.errors import OutOfRange, SingularCovariance, WrongWindowLength
 from cmfda.pipeline import FitResult, detect_pixels, fit_pixels
 from cmfda.windows import make_windows
-from conftest import make_series, nominal_dates
-from scalar_oracle import flag_level, model_dict, predict, scan_windows
+from conftest import make_series, nominal_dates, served_sigmas
+from scalar_oracle import flag_level, matrix_for, model_dict, predict, scan_windows
 
 error_lists = st.lists(
     st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=2, max_size=6
@@ -137,7 +138,7 @@ def test_cube_covariance_degenerate_component_regularized():
         _record(0, 0, 1, 0.05 if i % 2 else -0.05, 0.0) for i in range(20)
     ]
     table = estimate_cube_covariances(records)
-    sigma = table.matrix_for("s", 0, 0)
+    (sigma,) = served_sigmas(table, "s", [(0, 0)])
     assert sigma[0, 1] == 0.0
     assert sigma[1, 1] > 0  # ridge keeps it positive definite
     # index stays finite
@@ -151,7 +152,7 @@ def test_cube_covariance_monte_carlo_oracle(rng):
         _record(1, 1, 10, float(e2), float(e8)) for e2, e8 in draws
     ]
     table = estimate_cube_covariances(records)
-    sigma = table.matrix_for("s", 0, 2)  # cube of (1, 1, doy 10)
+    (sigma,) = served_sigmas(table, "s", [(0, 1)])  # cube of (1, 1, doy 10)
     for i in range(2):
         for j in range(2):
             assert abs(sigma[i, j] - true[i, j]) < 0.2 * abs(true[i, j])
@@ -163,11 +164,11 @@ def test_cube_covariance_empty_cube_falls_back_to_site():
     ]
     table = estimate_cube_covariances(records)
     # period 40 was never observed: falls back to the site pool
-    sigma = table.matrix_for("s", 24, 40)
+    (sigma,) = served_sigmas(table, "s", [(24, 40)])
     site_sigma = table.sites["s"].matrix()
     np.testing.assert_allclose(sigma, site_sigma)
     with pytest.raises(SingularCovariance):
-        table.matrix_for("unknown-site", 0, 0)
+        served_sigmas(table, "unknown-site", [(0, 0)])
 
 
 def test_sparse_cube_falls_back_before_min_samples():
@@ -177,8 +178,74 @@ def test_sparse_cube_falls_back_before_min_samples():
     ]
     table = estimate_cube_covariances(records, min_cube_samples=10)
     # cube (0,0) holds only 2 pairs -> site-period, then site fallback
-    sigma = table.matrix_for("s", 0, 0)
+    (sigma,) = served_sigmas(table, "s", [(0, 0)])
     assert np.all(np.isfinite(sigma))
+    assert sigma.tobytes() == matrix_for(table, "s", 0, 0).tobytes()
+
+
+def _served_level(table, site_id, square, period):
+    """The pool that serves a cube key, as the per-key reference walks."""
+    if getattr(table.cubes.get((site_id, square, period)), "n", 0) >= table.min_cube_samples:
+        return "cube"
+    if getattr(table.site_periods.get((site_id, period)), "n", 0) >= 2:
+        return "site_period"
+    return "site" if getattr(table.sites.get(site_id), "n", 0) >= 2 else None
+
+
+def _walk_case(rng):
+    """A table over sites a, b (one pair), c and d, and the errors of pixels
+    at (a, 0, 0), (a, 10, 10), (c, 3, 3) and (d, 20, 20), whose entries the
+    cube, the site-period and the site pools serve, each from exactly its
+    least count of pairs too: 10 in cube (a, 0, 0), 2 in site-period
+    (c, 7), 2 in site d."""
+    def pairs(col, row, doys, site):
+        return [_record(col, row, doy, *rng.normal(0, [0.02, 0.03]), site=site) for doy in doys]
+
+    records = [
+        *pairs(0, 0, [1 + i % 5 for i in range(10)], "a"), *pairs(10, 10, [3] * 3, "a"),
+        *pairs(0, 0, [100] * 5, "a"), _record(4, 4, 200, 0.01, 0.02, site="b"),
+        *pairs(3, 3, [37, 38, 67, 97], "c"), *pairs(20, 20, [10, 250], "d"),
+    ]
+    table = estimate_cube_covariances(records)
+    doys = np.array([2, 101, 200, 4, 37, 150, 300])
+    ordinals = dt.date(2004, 12, 31).toordinal() + doys
+    errors = FlatErrors(
+        ordinals, ordinals, doys, np.ones(doys.size, dtype=bool),
+        {Band.NIR: rng.normal(0, 0.05, doys.size), Band.NDVI: rng.normal(0, 0.05, doys.size)},
+        np.array([3, 4, 6, 7]), np.arange(4),
+    )
+    return table, errors, [0, 0, 0, 1, 2, 2, 3]
+
+
+WALK_COLS = WALK_ROWS = [0, 10, 3, 20]
+
+
+def test_mahalanobis_series_walks_every_level(rng):
+    """Each entry's index is the per-key reference's, bit for bit, whether
+    its cube, its site-period or its site serves it."""
+    table, errors, pixel = _walk_case(rng)
+    site_ids = ["a", "a", "c", "d"]
+    keys = [(site_ids[p], *cube_of(WALK_COLS[p], WALK_ROWS[p], int(doy)))
+            for p, doy in zip(pixel, errors.doys)]
+    levels = [_served_level(table, *key) for key in keys]
+    assert levels == ["cube", "site", "site", "site_period", "site_period", "site", "site"]
+    want = [mahalanobis_index(nir, ndvi, matrix_for(table, *key))
+            for nir, ndvi, key in zip(errors.errors[Band.NIR], errors.errors[Band.NDVI], keys)]
+    got = mahalanobis_series(errors, table, site_ids, WALK_COLS, WALK_ROWS)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("site_ids, named", [
+    (["a", "a", "nowhere", "d"], "nowhere"),
+    (["b", "a", "nowhere", "d"], "b"),
+])
+def test_mahalanobis_series_names_the_first_site_without_history(rng, site_ids, named):
+    """A site with no pool to serve it (none, or one pair) raises
+    SingularCovariance naming the first such site of ``site_ids``."""
+    table, errors, _ = _walk_case(rng)
+    with pytest.raises(SingularCovariance) as raised:
+        mahalanobis_series(errors, table, site_ids, WALK_COLS, WALK_ROWS)
+    assert str(raised.value) == f"no covariance history for site {named!r}"
 
 
 # --- mahalanobis index ---------------------------------------------------------
@@ -487,8 +554,8 @@ def _naive_detect(series, models, rule, windows, site_id=None):
                     _naive_index(
                         errors[Band.NIR][k],
                         errors[Band.NDVI][k],
-                        rule.covariances.matrix_for(
-                            site_id, *cube_of(series.col, series.row, usable[k].composite_doy)
+                        matrix_for(
+                            rule.covariances, site_id, *cube_of(series.col, series.row, usable[k].composite_doy)
                         ),
                     )
                     for k in range(i, i + c)
