@@ -17,7 +17,6 @@ from .detection import (
     UnivariateRule,
     estimate_cube_covariances,
     mahalanobis_index,
-    multivariate_flag,
     univariate_flag,
 )
 from .harmonic import HarmonicModel
@@ -66,7 +65,6 @@ __all__ = [
     "grid_search_univariate",
     "mahalanobis_index",
     "make_windows",
-    "multivariate_flag",
     "ndvi",
     "sweep_fixed",
     "transform",

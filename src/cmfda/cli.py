@@ -33,6 +33,7 @@ from .errors import (
     CmfdaError,
     DegenerateClass,
     InitOffGrid,
+    KeyMismatch,
     OutOfRange,
     ParseError,
     TooFewPositives,
@@ -634,6 +635,8 @@ def _check_train_flags(args) -> None:
         args, ("band", "grid", "grid_nir", "grid_ndvi", "anneal_iters"),
         TRAIN_RULE_FLAGS[args.rule],
     )
+    if args.cv_folds < 2:
+        raise UsageError(f"--cv-folds must be at least 2, got {args.cv_folds}")
     iters, levels = args.anneal_iters, AnnealConfig.temp_levels
     if iters is not None and (iters < 1 or iters % levels):
         raise UsageError(f"--anneal-iters must be a positive multiple of {levels}, got {iters}")
@@ -692,12 +695,15 @@ def cmd_train(args) -> int:
     labels = {l.pixel_id: l.z for l in dataio.read_labels(args.labels)}
     fit = _fit_sites(sites, windows, bands, workers=_threads(args))
     standardizers = _standardizers_for(args, sites, fit, windows, bands)
-    datasets = {
-        site_id: pipeline.build_training_dataset(
-            pixels, fit, windows, labels, site_id, bands, standardizers
-        )[0]
-        for site_id, pixels in sites.items()
-    }
+    try:
+        datasets = {
+            site_id: pipeline.build_training_dataset(
+                pixels, fit, windows, labels, site_id, bands, standardizers
+            )[0]
+            for site_id, pixels in sites.items()
+        }
+    except KeyMismatch as exc:
+        raise KeyMismatch(f"{args.labels}: {exc}") from None
     pooled = training.TrainingSet.concat(datasets.values())
     covariances = None
     if args.rule == "mahalanobis":

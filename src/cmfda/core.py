@@ -30,7 +30,6 @@ class Band(IntEnum):
 # Fixed column order used in files and value matrices.
 BAND_ORDER = (Band.RED, Band.NIR, Band.BLUE, Band.MIR, Band.NDVI, Band.EVI)
 REFLECTANCE_BANDS = (Band.RED, Band.NIR, Band.BLUE, Band.MIR)
-INDEX_BANDS = (Band.NDVI, Band.EVI)
 
 # Dataset fill values double as the lower bound of the accepted range.
 FILL_REFLECTANCE = -0.1
@@ -180,6 +179,17 @@ class PixelSeries:
                     values[i, j] = v
         clear = np.isin(reliability, sorted(CLEAR_CODES))
         return SeriesArrays(ordinals, comp_ordinals, doys, reliability, clear, values)
+
+
+def series_from_arrays(pixel_id: str, col: int, row: int, dates: Sequence[dt.date],
+                       doys: np.ndarray, codes: np.ndarray, values: np.ndarray) -> PixelSeries:
+    """A pixel's series from its rows: nominal dates, composite days,
+    reliability codes and (n, 6) band values in BAND_ORDER, fill values
+    where a band is missing."""
+    return PixelSeries(pixel_id, col, row, tuple(
+        Observation(date, doy, dict(zip(BAND_ORDER, bands)), Reliability(code))
+        for date, doy, code, bands in zip(dates, doys.tolist(), codes.tolist(), values.tolist())
+    ))
 
 
 class SeriesArrays(NamedTuple):

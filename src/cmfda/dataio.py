@@ -50,7 +50,6 @@ from .core import (
     DeforestationLabel,
     EMPTY_ARRAYS,
     FlatSeries,
-    Observation,
     PixelSeries,
     Reliability,
     SITE_SIDE,
@@ -61,6 +60,7 @@ from .core import (
     day_of_year,
     distinct,
     range_error,
+    series_from_arrays,
 )
 from .detection import COVARIANCE_POOLS, CovarianceEntry, CubeCovarianceTable, DetectionResult
 from .errors import (
@@ -98,7 +98,6 @@ VERSION = "v1"
 ENCODING = "utf-8"
 
 # NALCMS level-II class codes; 1-6 are the forest classes.
-N_LANDUSE_CLASSES = 19
 FOREST_CLASSES = frozenset(range(1, 7))
 
 FINE_SIDE = 100          # 250 m cells per site side
@@ -587,20 +586,15 @@ def read_series(path) -> dict[str, list[PixelSeries]]:
     as :func:`read_series_arrays`."""
     flat = read_series_file(path).flat
     c = flat.columns
-    observations = [
-        Observation(dt.date.fromordinal(ordinal), doy, dict(zip(BAND_ORDER, values)),
-                    Reliability(code))
-        for ordinal, doy, code, values in zip(
-            c.ordinals.tolist(), c.doys.tolist(), c.reliability.tolist(),
-            np.where(np.isnan(c.values), _FILLS, c.values).tolist(),
-        )
-    ]
+    dates = list(map(dt.date.fromordinal, c.ordinals.tolist()))
+    values = np.where(np.isnan(c.values), _FILLS, c.values)
     stops = flat.bounds.tolist()
     out: dict[str, list[PixelSeries]] = {}
     for p, (site_id, pixel_id, col, row) in enumerate(flat.keys):
-        out.setdefault(site_id, []).append(
-            PixelSeries(pixel_id, col, row, tuple(observations[stops[p]:stops[p + 1]]))
-        )
+        s = slice(stops[p], stops[p + 1])
+        out.setdefault(site_id, []).append(series_from_arrays(
+            pixel_id, col, row, dates[s], c.doys[s], c.reliability[s], values[s]
+        ))
     return out
 
 
@@ -779,34 +773,7 @@ def read_labels(path) -> list[DeforestationLabel]:
     return out
 
 
-# --- fine land-use files -------------------------------------------------------
-
-LANDUSE_COLUMNS = ("col", "row", "landuse_class")
-
-
-def write_landuse(path, grid: np.ndarray) -> None:
-    grid = np.asarray(grid)
-    _write_table(path, "landuse", LANDUSE_COLUMNS, (
-        [c, r, int(grid[r, c])] for r in range(grid.shape[0]) for c in range(grid.shape[1])
-    ))
-
-
-def read_landuse(path) -> np.ndarray:
-    grid = np.zeros((FINE_SIDE, FINE_SIDE), dtype=np.int16)
-    seen = np.zeros((FINE_SIDE, FINE_SIDE), dtype=bool)
-    for line, row in _rows(path, "landuse", LANDUSE_COLUMNS):
-        c = _parse_int(row["col"], "col", line, path)
-        r = _parse_int(row["row"], "row", line, path)
-        cls = _parse_int(row["landuse_class"], "landuse_class", line, path)
-        if not (0 <= c < FINE_SIDE and 0 <= r < FINE_SIDE):
-            raise ParseError(f"{path}: cell ({c}, {r}) outside the 100x100 grid", line=line)
-        if not 1 <= cls <= N_LANDUSE_CLASSES:
-            raise ParseError(f"{path}: land-use class {cls} outside 1..19", line=line)
-        grid[r, c] = cls
-        seen[r, c] = True
-    if not seen.all():
-        raise ParseError(f"{path}: {int((~seen).sum())} cells missing from the 100x100 grid")
-    return grid
+# --- label aggregation -------------------------------------------------------
 
 
 def aggregate_labels(

@@ -81,10 +81,6 @@ def cube_codes(cols, rows, doys) -> tuple[np.ndarray, np.ndarray]:
     return squares, periods_of(doys)
 
 
-def period_of(doy: int) -> int:
-    return int(periods_of([doy])[0])
-
-
 def cube_of(col: int, row: int, doy: int) -> tuple[int, int]:
     """(square index, period index) of a pixel-date."""
     squares, periods = cube_codes([col], [row], [doy])
@@ -160,7 +156,12 @@ def pool_walk(history: ResidualHistory, levels) -> tuple[np.ndarray, np.ndarray]
     return rows, depth
 
 
-def _check_consecutive(consecutive: int) -> None:
+def _check_rule(consecutive: int, *thresholds: float) -> None:
+    """Refuse a rule whose thresholds are not all positive or whose C lies
+    outside MIN_CONSECUTIVE..MAX_CONSECUTIVE."""
+    if any(threshold <= 0 for threshold in thresholds):
+        raise OutOfRange("thresholds must be positive" if len(thresholds) > 1
+                         else "threshold must be positive")
     if not MIN_CONSECUTIVE <= consecutive <= MAX_CONSECUTIVE:
         raise OutOfRange(
             f"consecutive count {consecutive} outside "
@@ -175,9 +176,7 @@ class UnivariateRule:
     consecutive: int
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise OutOfRange("threshold must be positive")
-        _check_consecutive(self.consecutive)
+        _check_rule(self.consecutive, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,7 @@ class MultivariateRule:
     consecutive: int
 
     def __post_init__(self):
-        if self.nir_threshold <= 0 or self.ndvi_threshold <= 0:
-            raise OutOfRange("thresholds must be positive")
-        _check_consecutive(self.consecutive)
+        _check_rule(self.consecutive, self.nir_threshold, self.ndvi_threshold)
 
 
 @dataclass(frozen=True)
@@ -201,9 +198,7 @@ class MahalanobisRule:
     consecutive: int
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise OutOfRange("threshold must be positive")
-        _check_consecutive(self.consecutive)
+        _check_rule(self.consecutive, self.threshold)
 
 
 DetectionRule = Union[UnivariateRule, MultivariateRule, MahalanobisRule]
@@ -253,19 +248,6 @@ def univariate_flag(errors: Sequence[float], threshold: float, consecutive: int)
             f"expected {consecutive} errors, got {len(errors)}"
         )
     return bool(run_levels(np.asarray(errors, dtype=float), consecutive)[0] > threshold)
-
-
-def multivariate_flag(
-    errors_nir: Sequence[float],
-    errors_ndvi: Sequence[float],
-    nir_threshold: float,
-    ndvi_threshold: float,
-    consecutive: int,
-) -> bool:
-    """Lax OR of the NIR and NDVI runs."""
-    return univariate_flag(errors_nir, nir_threshold, consecutive) | univariate_flag(
-        errors_ndvi, ndvi_threshold, consecutive
-    )
 
 
 def _index_values(eps_nir: np.ndarray, eps_ndvi: np.ndarray, sigmas: np.ndarray) -> np.ndarray:

@@ -133,13 +133,13 @@ FIT_WIDTH = 48
 _GROUP_CHUNK = 64
 
 
-def fit_batch(design: np.ndarray, values: np.ndarray, mask: np.ndarray) -> BatchFit:
+def fit_batch(doys: np.ndarray, values: np.ndarray, mask: np.ndarray) -> BatchFit:
     """OLS fits of many series at once, with the checks of fit_arrays.
 
-    A group is one pixel's dates in one training window: ``design`` (n, w,
-    5) holds their design rows (or (n, w) integer composite days, looked
-    up a few groups at a time), ``values`` (n, w, b) their values in b
-    bands and ``mask`` (n, w, b) the dates each band's fit uses.
+    A group is one pixel's dates in one training window: ``doys`` (n, w)
+    holds their integer composite days (their design rows are looked up a
+    few groups at a time), ``values`` (n, w, b) their values in b bands and
+    ``mask`` (n, w, b) the dates each band's fit uses.
 
     Each fit's normal equations come from one Gram matrix Z Zᵀ (_gram).
     It has the same shape for every fit, and blocks of a longer w are added
@@ -151,11 +151,10 @@ def fit_batch(design: np.ndarray, values: np.ndarray, mask: np.ndarray) -> Batch
     """
     n, width, n_bands = mask.shape
     fits = n * n_bands
-    as_design = design_rows if np.issubdtype(design.dtype, np.integer) else np.asarray
     gram = np.empty((n, n_bands, N_COEFFS + 1, N_COEFFS + 1))
     for lo in range(0, n, _GROUP_CHUNK):
         part = slice(lo, lo + _GROUP_CHUNK)
-        gram[part] = _gram(as_design(design[part]), values[part], mask[part])
+        gram[part] = _gram(design_rows(doys[part]), values[part], mask[part])
     ata = gram[:, :, :N_COEFFS, :N_COEFFS].reshape(n, n_bands, N_COEFFS * N_COEFFS)
     aty = gram[:, :, :N_COEFFS, N_COEFFS].reshape(fits, N_COEFFS, 1)
     del gram

@@ -48,6 +48,7 @@ from .detection import (
     scan_window_errors,
     stack_errors,
 )
+from .errors import KeyMismatch
 from .harmonic import (  # noqa: F401  (fit_arrays stays importable here for the tracer)
     FIT_FAILURES,
     FIT_OK,
@@ -64,6 +65,7 @@ from .windows import PREDICT_EXTENSION_DAYS, WindowPair
 
 
 def compact_pixels(pixels: Sequence[PixelSeries]) -> list[CompactPixel]:
+    """Each PixelSeries as the CompactPixel that the pipeline takes."""
     return [CompactPixel(p.pixel_id, p.col, p.row, p.to_arrays()) for p in pixels]
 
 
@@ -161,7 +163,7 @@ def _fit_chunk(chunk, windows, bands):
 
 
 def fit_pixels(
-    pixels: Sequence[PixelSeries] | Sequence[CompactPixel],
+    pixels: Sequence[CompactPixel],
     windows: Sequence[WindowPair],
     bands: Sequence[Band] = BAND_ORDER,
     *,
@@ -169,9 +171,8 @@ def fit_pixels(
 ) -> FitResult:
     """Fit every (pixel, band) over each training window."""
     windows, bands = tuple(windows), tuple(bands)
-    compact = _ensure_compact(pixels)
-    pixel_ids = [cp.pixel_id for cp in compact]
-    slices = (_run_slices(_fit_chunk, compact, workers, windows, bands)
+    pixel_ids = [cp.pixel_id for cp in pixels]
+    slices = (_run_slices(_fit_chunk, pixels, workers, windows, bands)
               or [_fit_chunk([], windows, bands)])   # no pixels: an empty table per window
     fits = [BatchFit(*map(np.concatenate, zip(*window_fits))) for window_fits in zip(*slices)]
     # skips go pixel by pixel, then window by window
@@ -185,17 +186,11 @@ def fit_pixels(
         for k, w, j in zip(*(axis.tolist() for axis in np.nonzero(failed)))])
 
 
-def _ensure_compact(pixels) -> list[CompactPixel]:
-    if pixels and isinstance(pixels[0], CompactPixel):
-        return list(pixels)
-    return compact_pixels(pixels)
-
-
 # --- residual histories ---------------------------------------------------------
 
 
 def training_residuals(
-    pixels: Sequence[PixelSeries] | Sequence[CompactPixel],
+    pixels: Sequence[CompactPixel],
     fit: FitResult,
     windows: Sequence[WindowPair],
     bands: Sequence[Band],
@@ -207,10 +202,9 @@ def training_residuals(
     training interval contains it and that has a model of the pixel in
     some band. Entries come pixel by pixel, window by window, in date order.
     """
-    compact = _ensure_compact(pixels)
     windows, bands = tuple(windows), tuple(bands)
-    stack = _stack(compact)
-    coeffs, present = _window_coeffs(fit, [cp.pixel_id for cp in compact], windows, bands)
+    stack = _stack(pixels)
+    coeffs, present = _window_coeffs(fit, [cp.pixel_id for cp in pixels], windows, bands)
     first, last = (
         np.array([[date.toordinal() for date in dates]], dtype=np.int64)
         for dates in ([wp.train.start for wp in windows], [wp.train.end for wp in windows])
@@ -226,7 +220,7 @@ def training_residuals(
         values = stack.values[:, :, BAND_ORDER.index(band)]
         k, w, j = np.nonzero(owner & present[:, :, b, None] & ~np.isnan(values)[:, None, :])
         residuals = values[k, j] - predict_many(coeffs[k, w, b], stack.doys[k, j])
-        histories[band] = _site_history(compact, site_id, k, stack.comp_ordinals[k, j], residuals)
+        histories[band] = _site_history(pixels, site_id, k, stack.comp_ordinals[k, j], residuals)
     return histories
 
 
@@ -341,7 +335,7 @@ def _detect_chunk(chunk, windows, rule, site_id, fit, standardizers):
 
 
 def detect_pixels(
-    pixels: Sequence[PixelSeries] | Sequence[CompactPixel],
+    pixels: Sequence[CompactPixel],
     fit: FitResult,
     rule: DetectionRule,
     windows: Sequence[WindowPair],
@@ -355,7 +349,7 @@ def detect_pixels(
     results: list[DetectionResult] = []
     skipped: list[str] = []
     for chunk_results, chunk_skipped in _run_slices(
-        _detect_chunk, _ensure_compact(pixels), workers,
+        _detect_chunk, pixels, workers,
         tuple(windows), rule, site_id, fit, standardizers,
     ):
         results.extend(chunk_results)
@@ -367,7 +361,7 @@ def detect_pixels(
 
 
 def build_training_dataset(
-    pixels: Sequence[PixelSeries] | Sequence[CompactPixel],
+    pixels: Sequence[CompactPixel],
     fit: FitResult,
     windows: Sequence[WindowPair],
     labels: Mapping[str, int],
@@ -376,12 +370,16 @@ def build_training_dataset(
     standardizers: Optional[Mapping[Band, Standardizer]] = None,
 ) -> tuple[TrainingSet, list[str]]:
     """Labelled error series for the optimizers, and the pixels skipped for
-    want of a model. The Mahalanobis index is not filled here (see
+    want of a model. Every other pixel needs a label (KeyMismatch names the
+    first without one). The Mahalanobis index is not filled here (see
     training.fill_dataset_index)."""
     errors, kept, skipped = _slice_errors(
-        _ensure_compact(pixels), fit, tuple(windows), tuple(bands), site_id, standardizers
+        pixels, fit, tuple(windows), tuple(bands), site_id, standardizers
     )
     ids = [cp.pixel_id for cp in kept]
+    unlabelled = next((pixel_id for pixel_id in ids if pixel_id not in labels), None)
+    if unlabelled is not None:
+        raise KeyMismatch(f"pixel {unlabelled!r} has no label")
     return TrainingSet(
         np.array(ids, dtype=object), np.full(len(ids), site_id, dtype=object),
         np.array([cp.col for cp in kept], dtype=np.int64),
@@ -505,7 +503,7 @@ def online_process_batch(
 
 
 def online_replay(
-    pixels: Sequence[PixelSeries] | Sequence[CompactPixel],
+    pixels: Sequence[CompactPixel],
     rule: DetectionRule,
     monitor_year: int,
     *,
@@ -514,10 +512,9 @@ def online_replay(
     """Replay the online loop over a monitored year plus its extension, as
     one pass over every run that ends in it: a pixel's flag date is the end
     of its earliest triggering run, the step that would flag it."""
-    compact = _ensure_compact(pixels)
     first = dt.date(monitor_year, 1, 1).toordinal()
     last = dt.date(monitor_year, 12, 31).toordinal() + PREDICT_EXTENSION_DAYS
-    flags, *_ = _monitored_runs(compact, rule, monitor_year, first, last, site_id)
+    flags, *_ = _monitored_runs(pixels, rule, monitor_year, first, last, site_id)
     # in step order: by flag date, then pixel
-    return {compact[k].pixel_id: dt.date.fromordinal(int(flags[k]))
+    return {pixels[k].pixel_id: dt.date.fromordinal(int(flags[k]))
             for k in np.argsort(flags, kind="stable").tolist() if flags[k]}

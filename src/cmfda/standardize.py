@@ -38,7 +38,6 @@ from .detection import pool_codes, pool_statistics, pool_walk
 from .errors import (
     DegenerateHistory,
     EmptyHistory,
-    EmptySample,
     OutOfDomain,
 )
 
@@ -149,19 +148,6 @@ def _rank_probability(rank: np.ndarray, n) -> np.ndarray:
     return np.minimum(np.maximum(rank, 1), n) / (n + 1)
 
 
-def ecdf_eval(sample: np.ndarray, x: float) -> float:
-    """Rank-based ECDF value r/(n+1), clamped away from 0 and 1.
-
-    The clamp keeps a subsequent inverse normal CDF finite for values
-    outside the sample range.
-    """
-    sample = np.asarray(sample)
-    if sample.size == 0:
-        raise EmptySample("ecdf evaluated on an empty sample")
-    rank = np.searchsorted(sample, [x], side="right")
-    return float(_rank_probability(rank, sample.size)[0])
-
-
 # Rational approximation of the normal quantile (Acklam's coefficients),
 # polished with one Halley step against the erfc-based CDF.
 _ICDF_A = (
@@ -256,8 +242,11 @@ class StageTables:
         pool = np.concatenate(samples) if samples else np.empty(0)
         # A value's rank in its sample is a search in one sorted array of
         # (sample number, rank of the value among the pool's distinct
-        # values) codes: integer codes compare as the values do.
-        distinct = np.unique(pool)
+        # values) codes: integer codes compare as the values do. The
+        # distinct values come from a sort, as in np.unique, which would
+        # import numpy.ma.
+        ordered = np.sort(pool)
+        distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]] if pool.size else pool
         stride = distinct.size + 1
         codes = np.repeat(np.arange(sizes.size), sizes) * stride + np.searchsorted(
             distinct, pool, side="right"

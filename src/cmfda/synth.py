@@ -16,11 +16,11 @@ from .core import (
     Band,
     DefoType,
     DeforestationLabel,
-    Observation,
     PixelSeries,
     Reliability,
     SiteGrid,
     ordinal_doys,
+    series_from_arrays,
 )
 from .errors import InvalidConfig
 from .harmonic import design_matrix
@@ -138,19 +138,8 @@ class SitePixels(Sequence[PixelSeries]):
 
     def _build(self, idx: int) -> PixelSeries:
         row, col = divmod(idx, SITE_SIDE)
-        observations = tuple(
-            Observation(
-                nominal_date=date,
-                composite_doy=doy,
-                values=dict(zip(BAND_ORDER, values)),
-                reliability=Reliability(code),
-            )
-            for date, doy, code, values in zip(
-                self._dates, self._doys[idx].tolist(), self._reliability[idx].tolist(),
-                self._values[idx].tolist(),
-            )
-        )
-        return PixelSeries(pixel_name(self._site_id, col, row), col, row, observations)
+        return series_from_arrays(pixel_name(self._site_id, col, row), col, row, self._dates,
+                                  self._doys[idx], self._reliability[idx], self._values[idx])
 
     def columns(self) -> tuple:
         """Every pixel's rows as the columns of ``dataio.write_series_columns``,

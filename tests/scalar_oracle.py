@@ -38,7 +38,7 @@ from cmfda.errors import (
     DegenerateHistory, EmptyHistory, EmptySample, OutOfDomain, OutOfRange, OutOfRangeDay,
     SingularCovariance,
 )
-from cmfda.harmonic import FIT_OK, HarmonicModel, design_rows, fit_arrays, fit_batch, predict_many
+from cmfda.harmonic import FIT_OK, HarmonicModel, fit_arrays, fit_batch, predict_many
 from cmfda.training import _counts, tss
 from cmfda.windows import PREDICT_EXTENSION_DAYS
 from cmfda.standardize import (
@@ -564,7 +564,7 @@ def online_step(pixels, batch_date, rule, monitor_year, already_flagged, site_id
             if a.clear[i] and train[0].toordinal() <= a.ordinals[i] <= train[1].toordinal()
         ]
         values = a.values[days][:, [BAND_ORDER.index(band) for band in bands]]
-        fitted = fit_batch(design_rows(a.doys[days])[None], values[None], ~np.isnan(values)[None])
+        fitted = fit_batch(a.doys[days][None], values[None], ~np.isnan(values)[None])
         coeffs = {}
         for j, band in enumerate(bands):
             if fitted.status[0, j] == FIT_OK:

@@ -259,6 +259,24 @@ def test_detect_identity_scheme_matches_no_scheme(sim_dir, models_dir, tmp_path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_ecdf_detect_does_not_import_numpy_ma(sim_dir, models_dir, tmp_path):
+    """An ECDF scheme's stages take their distinct values without loading
+    numpy.ma into the command's interpreter."""
+    src = str(Path(cmfda.__file__).resolve().parents[1])
+    code = (
+        "import sys; from cmfda.cli import main; "
+        f"assert main(['detect', '--series', {str(sim_dir / 'series.csv')!r}, "
+        f"'--models', {str(models_dir)!r}, '--out', {str(tmp_path / 'det.csv')!r}, "
+        "'--scheme', 'IVii', '--threads', '1']) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_detect_mahalanobis_accepts_paper_threshold(sim_dir, models_dir, tmp_path):
     out = tmp_path / "mahl.csv"
     code = main(
@@ -624,9 +642,9 @@ def test_standardize_reports_fallback_levels(tmp_path, capsys):
     """The summary counts, per stage, the history's keys that each fallback
     level served; on 12 pixels over one window most cubes are too sparse."""
     from cmfda.cli import _load_model_dir
-    from test_pipeline import one_year_scenario
+    from test_pipeline import one_year_site
 
-    pixels, _ = one_year_scenario(seed=21, n_events=6)
+    pixels, _ = one_year_site(seed=21, n_events=6)
     series = tmp_path / "series.csv"
     write_series(series, {"mini": pixels[:12]})
     models = tmp_path / "models"
@@ -705,9 +723,9 @@ def test_train_mahalanobis_computes_each_index_once(tmp_path, monkeypatch):
     search, fold and sweep row: the index entries computed add up to the
     entries of the training sets."""
     from cmfda import detection, pipeline, training
-    from test_pipeline import one_year_scenario
+    from test_pipeline import one_year_site
 
-    pixels, labels = one_year_scenario(seed=21, n_events=6)
+    pixels, labels = one_year_site(seed=21, n_events=6)
     series_path, labels_path = tmp_path / "series.csv", tmp_path / "labels.csv"
     write_series(series_path, {"mini": pixels})
     write_labels(
@@ -862,14 +880,55 @@ def test_train_refuses_a_grid_spec_that_is_not_finite(tmp_path, rule, flag, spec
     assert err.startswith(f"cmfda: error: bad grid spec {spec!r}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("folds", ["1", "0", "-2"])
+def test_train_refuses_cv_folds_below_two_at_once(tmp_path, folds, capsys):
+    assert main(_train_missing_series(tmp_path) + ["--cv-folds", folds]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"cmfda: error: --cv-folds must be at least 2, got {folds}\n"
+
+
+def _train_univariate(series, labels, out):
+    return main([
+        "train", "--series", str(series), "--labels", str(labels), "--out", str(out),
+        "--rule", "univariate", "--band", "nir", "--windows", "2003:1",
+        "--grid", "0.04:0.2:0.04", "--cv-folds", "2", "--threads", "1",
+    ])
+
+
+def test_train_needs_a_label_for_each_pixel_it_trains_on(sim_dir, tmp_path, capsys):
+    """A fitted pixel missing from the labels file is a data error that
+    names the pixel and the file, and no report is written; a pixel skipped
+    for want of a model needs no label."""
+    header, names, first, *rest = (sim_dir / "labels.csv").read_text().splitlines(True)
+    pixel_id = first.split(",")[0]
+    labels = tmp_path / "labels.csv"
+    labels.write_text(header + names + "".join(rest))
+    out = tmp_path / "report.csv"
+    assert _train_univariate(sim_dir / "series.csv", labels, out) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"cmfda: data error: {labels}: pixel {pixel_id!r} has no label\n"
+    assert not out.exists()
+
+    # the same pixel with every date cloudy is skipped, label or not
+    cloudy = tmp_path / "series.csv"
+    with open(sim_dir / "series.csv") as src, open(cloudy, "w", newline="") as dst:
+        for line in src:
+            fields = line.split(",")
+            if fields[1:2] == [pixel_id]:
+                fields[6] = str(int(Reliability.CLOUDY))
+            dst.write(",".join(fields))
+    assert _train_univariate(cloudy, labels, out) == EXIT_OK
+    assert out.exists()
+
+
 def test_cli_online_replay_matches_cli_detect(tmp_path):
     """Chapter-style loop: replaying a year of batches through the online
     command flags exactly the (pixel, date) pairs of batch detection."""
     import dataclasses
 
-    from test_pipeline import one_year_scenario
+    from test_pipeline import one_year_site
 
-    pixels, labels = one_year_scenario(seed=21, n_events=5)
+    pixels, labels = one_year_site(seed=21, n_events=5)
     pixels = pixels[:25]
     site_id = "mini"
 
@@ -1034,9 +1093,9 @@ def _sliced(pixels, keep):
 @pytest.fixture(scope="module")
 def online_inputs(tmp_path_factory):
     """A history up to 2004 and one batch file per later nominal date."""
-    from test_pipeline import one_year_scenario
+    from test_pipeline import one_year_site
 
-    pixels, _ = one_year_scenario(seed=21, n_events=5)
+    pixels, _ = one_year_site(seed=21, n_events=5)
     pixels = pixels[:25]
     out = tmp_path_factory.mktemp("online")
     split = dt.date(2005, 1, 1)
@@ -1190,9 +1249,9 @@ def test_online_state_survives_a_failed_write(online_inputs, tmp_path, monkeypat
 def test_online_models_do_not_depend_on_hash_seed(tmp_path):
     """With two sites, the step's output files are the same under any
     string hash seed: sites are processed in sorted order."""
-    from test_pipeline import one_year_scenario
+    from test_pipeline import one_year_site
 
-    pixels, _ = one_year_scenario(seed=21, n_events=5)
+    pixels, _ = one_year_site(seed=21, n_events=5)
     split = dt.date(2005, 5, 1)
     batch_date = min(
         o.nominal_date for p in pixels for o in p.observations if o.nominal_date >= split
@@ -1237,9 +1296,9 @@ def mirror_inputs(tmp_path_factory):
     last pixel joins at the second batch, and site "east" (sorted ahead of
     west, and parsed after it) at the third. The fourth batch is all
     cloudy; the fifth is written with every digit of its values."""
-    from test_pipeline import one_year_scenario
+    from test_pipeline import one_year_site
 
-    pixels, _ = one_year_scenario(seed=21, n_events=5)
+    pixels, _ = one_year_site(seed=21, n_events=5)
     west, east = pixels[:8], pixels[8:14]
     out = tmp_path_factory.mktemp("mirror")
     split = dt.date(2005, 1, 1)
@@ -1791,9 +1850,9 @@ def fit_mirror_scene(tmp_path_factory):
     """A series of two sites whose rows interleave in the file (sorted by
     date), with fill values and cloudy dates; a copy of it without one
     pixel; and the models dir that fit writes for the first."""
-    from test_pipeline import one_year_scenario
+    from test_pipeline import one_year_site
 
-    pixels, _ = one_year_scenario(seed=21, n_events=5)
+    pixels, _ = one_year_site(seed=21, n_events=5)
 
     def with_fills(pixel, k):
         observations = tuple(

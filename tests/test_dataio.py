@@ -50,7 +50,6 @@ from cmfda.dataio import (
     load_standardizer,
     read_detections,
     read_labels,
-    read_landuse,
     read_report,
     read_series,
     read_series_arrays,
@@ -66,7 +65,6 @@ from cmfda.dataio import (
     write_detections,
     write_series_mirror,
     write_labels,
-    write_landuse,
     write_report,
     write_mirror,
     write_series,
@@ -738,7 +736,8 @@ def test_labels_reject_invariant_violation(tmp_path):
 def test_models_round_trip(tmp_path):
     series = make_series(band_coeffs={Band.NIR: (0.4, 0.1, -0.05, 0.02, 0.03)})
     window = DateInterval(dt.date(2003, 1, 1), dt.date(2004, 12, 31))
-    fitted = fit_pixels([series], make_windows(2003, 1), (Band.NIR, Band.NDVI)).models[0]
+    fitted = fit_pixels(compact_pixels([series]), make_windows(2003, 1),
+                        (Band.NIR, Band.NDVI)).models[0]
     models = oracle.model_dict(fitted)
     path = tmp_path / "models_2003_2004.csv"
     save_models(path, fitted, window)
@@ -1130,7 +1129,6 @@ def test_standardizer_key_site_may_hold_the_separator(tmp_path):
 TABLE_READERS = {
     "series": (read_series, "series", "", SERIES_COLUMNS),
     "labels": (read_labels, "labels", "", dataio.LABEL_COLUMNS),
-    "landuse": (read_landuse, "landuse", "", dataio.LANDUSE_COLUMNS),
     "models": (load_models, "models", "train_start=2003-01-01 train_end=2004-12-31", MODEL_COLUMNS),
     "standardizer": (
         load_standardizer, "standardizer", "scheme=1 band=NIR", dataio.STANDARDIZER_COLUMNS
@@ -1320,24 +1318,7 @@ def test_bulk_framing_is_csv_framing(rows, ends, final, long_row, chunk_rows):
         assert _framed(path, data, names) == csv_framing_oracle(path, data, names, chunk_rows)
 
 
-# --- land use and label aggregation ------------------------------------------------------
-
-
-def test_landuse_round_trip(tmp_path, rng):
-    grid = rng.integers(1, 20, size=(100, 100))
-    path = tmp_path / "landuse_2005.csv"
-    write_landuse(path, grid)
-    np.testing.assert_array_equal(read_landuse(path), grid)
-
-
-def test_landuse_missing_cells(tmp_path, rng):
-    grid = rng.integers(1, 20, size=(100, 100))
-    path = tmp_path / "landuse.csv"
-    write_landuse(path, grid)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-10]) + "\n")
-    with pytest.raises(ParseError):
-        read_landuse(path)
+# --- label aggregation ------------------------------------------------------
 
 
 def test_aggregate_identical_grids(rng):

@@ -21,13 +21,12 @@ from cmfda.detection import (
     rule_bands,
     mahalanobis_index,
     mahalanobis_series,
-    multivariate_flag,
     scan_window_errors,
     stack_errors,
     univariate_flag,
 )
 from cmfda.errors import OutOfRange, SingularCovariance, WrongWindowLength
-from cmfda.pipeline import FitResult, detect_pixels, fit_pixels
+from cmfda.pipeline import FitResult, compact_pixels, detect_pixels, fit_pixels
 from cmfda.windows import make_windows
 from conftest import make_series, nominal_dates, served_sigmas
 from scalar_oracle import flag_level, matrix_for, model_dict, predict, scan_windows
@@ -83,12 +82,25 @@ def test_univariate_flag_matches_literal_product_form(errors, threshold):
     assert univariate_flag(errors, threshold, c) == bool(above + below)
 
 
+def _pair_flag(nir, ndvi, nir_threshold, ndvi_threshold, consecutive):
+    """Whether the pair rule flags one window of these clear-date errors,
+    any date a run start."""
+    n = len(nir)
+    ordinals = 732000 + 16 * np.arange(n, dtype=np.int64)
+    window = WindowErrors(ordinals, ordinals, np.ones(n, dtype=np.int64), np.ones(n, dtype=bool),
+                          {Band.NIR: np.array(nir, dtype=float),
+                           Band.NDVI: np.array(ndvi, dtype=float)})
+    rule = MultivariateRule(nir_threshold, ndvi_threshold, consecutive)
+    flag_dates, _ = scan_window_errors(FlatErrors.concat([window], [0]), rule, 1)
+    return bool(flag_dates[0])
+
+
 def test_multivariate_flag_is_lax_or():
     nir = [0.2, 0.3, 0.25]
     ndvi = [0.0, 0.1, 0.0]
-    assert multivariate_flag(nir, ndvi, 0.1, 0.5, 3) is True     # NIR only
-    assert multivariate_flag(ndvi, ndvi, 0.5, 0.5, 3) is False   # neither
-    assert multivariate_flag(nir, nir, 0.1, 0.1, 3) is True      # both
+    assert _pair_flag(nir, ndvi, 0.1, 0.5, 3) is True     # NIR only
+    assert _pair_flag(ndvi, ndvi, 0.5, 0.5, 3) is False   # neither
+    assert _pair_flag(nir, nir, 0.1, 0.1, 3) is True      # both
 
 
 @given(
@@ -102,7 +114,7 @@ def test_multivariate_equals_or_of_univariate(nir, seed, l_nir, l_ndvi):
     ndvi = list(rng.uniform(-1, 1, size=len(nir)))
     c = len(nir)
     expected = univariate_flag(nir, l_nir, c) or univariate_flag(ndvi, l_ndvi, c)
-    assert multivariate_flag(nir, ndvi, l_nir, l_ndvi, c) == expected
+    assert _pair_flag(nir, ndvi, l_nir, l_ndvi, c) == expected
 
 
 # --- cubes -------------------------------------------------------------------
@@ -302,12 +314,12 @@ def test_mahalanobis_rejects_singular():
 
 
 def _fit_models(series, windows, bands):
-    return fit_pixels([series], windows, bands)
+    return fit_pixels(compact_pixels([series]), windows, bands)
 
 
 def detect_pixel(series, fit, rule, windows):
     """detect_pixels over the one pixel, in site "s"."""
-    (result,), _ = detect_pixels([series], fit, rule, windows, "s")
+    (result,), _ = detect_pixels(compact_pixels([series]), fit, rule, windows, "s")
     return result
 
 
@@ -417,7 +429,9 @@ def test_detect_requires_models():
     series = make_series(end=dt.date(2007, 5, 1))
     windows = make_windows(2003, 2)
     rule = UnivariateRule(Band.NIR, 0.05, 4)
-    assert detect_pixels([series], FitResult({}), rule, windows, "s") == ([], ["px"])
+    assert detect_pixels(compact_pixels([series]), FitResult({}), rule, windows, "s") == (
+        [], ["px"]
+    )
 
 
 def test_multivariate_triggering_band():
@@ -489,14 +503,22 @@ def test_mahalanobis_rule_detection(rng):
 
 
 def test_rule_validation():
-    with pytest.raises(OutOfRange):
+    """Each rule refuses a threshold that is not positive before a C
+    outside 2..6."""
+    with pytest.raises(OutOfRange, match="^threshold must be positive$"):
         UnivariateRule(Band.NIR, -0.1, 4)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="^consecutive count 1 outside 2..6$"):
         UnivariateRule(Band.NIR, 0.1, 1)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="^consecutive count 7 outside 2..6$"):
         UnivariateRule(Band.NIR, 0.1, 7)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="^thresholds must be positive$"):
         MultivariateRule(0.0, 0.1, 4)
+    with pytest.raises(OutOfRange, match="^thresholds must be positive$"):
+        MultivariateRule(0.1, -1.0, 9)
+    with pytest.raises(OutOfRange, match="^threshold must be positive$"):
+        MahalanobisRule(0.0, CubeCovarianceTable({}, {}, {}), 1)
+    with pytest.raises(OutOfRange, match="^consecutive count 9 outside 2..6$"):
+        MahalanobisRule(3.0, CubeCovarianceTable({}, {}, {}), 9)
 
 
 def _same_sign_run(run, threshold):

@@ -225,7 +225,7 @@ def _scalar(days, values, mask):
 
 
 def _check_against_scalar(days, values, mask):
-    got = fit_batch(design_rows(days), values, mask)
+    got = fit_batch(days, values, mask)
     for g, row in enumerate(_scalar(days, values, mask)):
         for j, expected in enumerate(row):
             status = int(got.status[g, j])
@@ -260,18 +260,17 @@ def test_fit_batch_skips_clustered_and_short_series_as_scalar_fit(batch):
 @given(batch=fit_batches(), data=st.data())
 def test_fit_batch_fit_does_not_depend_on_its_batch(batch, data):
     """A group fitted alone, with one band alone, or inside any split of
-    the batch gives the same bits as in the whole batch, and so do integer
-    days given in place of their design rows."""
+    the batch gives the same bits as in the whole batch, and so does a
+    batch padded with dates no fit uses."""
     days, values, mask = batch
-    design = design_rows(days)
-    whole = fit_batch(design, values, mask)
+    whole = fit_batch(days, values, mask)
     n, _, b = mask.shape
     g = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, b - 1))
-    alone = fit_batch(design[g:g + 1], values[g:g + 1], mask[g:g + 1])
-    band = fit_batch(design[g:g + 1], values[g:g + 1, :, j:j + 1], mask[g:g + 1, :, j:j + 1])
+    alone = fit_batch(days[g:g + 1], values[g:g + 1], mask[g:g + 1])
+    band = fit_batch(days[g:g + 1], values[g:g + 1, :, j:j + 1], mask[g:g + 1, :, j:j + 1])
     cut = data.draw(st.integers(0, n))
-    parts = [fit_batch(design[s], values[s], mask[s]) for s in (slice(0, cut), slice(cut, n))]
+    parts = [fit_batch(days[s], values[s], mask[s]) for s in (slice(0, cut), slice(cut, n))]
     for field, got in zip(whole._fields, whole):
         np.testing.assert_array_equal(getattr(alone, field)[0], got[g])
         np.testing.assert_array_equal(getattr(band, field)[0, 0], got[g, j])
@@ -280,14 +279,12 @@ def test_fit_batch_fit_does_not_depend_on_its_batch(batch, data):
         )
     # the padding columns of a narrower batch change nothing either
     wider = fit_batch(
-        np.concatenate([design, np.zeros((n, 3, 5))], axis=1),
+        np.concatenate([days, np.ones((n, 3), dtype=np.int64)], axis=1),
         np.concatenate([values, np.ones((n, 3, b))], axis=1),
         np.concatenate([mask, np.zeros((n, 3, b), dtype=bool)], axis=1),
     )
-    by_days = fit_batch(days, values, mask)
     for field, got in zip(whole._fields, whole):
         np.testing.assert_array_equal(getattr(wider, field), got)
-        np.testing.assert_array_equal(getattr(by_days, field), got)
 
 
 def test_design_table_equals_design_matrix():

@@ -1,15 +1,22 @@
 """No module of the package imports a name at module level that it never
-uses, unless the import's line says ``# noqa: F401`` (a re-export). No lint
-package is needed: the check reads each module with ``ast``."""
+uses, unless the import's line says ``# noqa: F401`` (a re-export), and
+every name that a module defines at module level is read somewhere. No
+lint package is needed: the checks read each file with ``ast``."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    path for path in (Path(__file__).resolve().parents[1] / "src" / "cmfda").glob("*.py")
-    if path.name != "__init__.py"
-)
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "cmfda").glob("*.py"))
+SOURCES = [path for path in PACKAGE if path.name != "__init__.py"]
+# Every Python file that may read a name of the package.
+READERS = sorted(path for folder in ("src", "scripts", "perfbench", "tests")
+                 for path in (ROOT / folder).rglob("*.py"))
+# A string such as "PixelSeries.to_arrays": the benchmark tracer names the
+# functions it wraps this way.
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _bound_names(node):
@@ -57,3 +64,50 @@ def test_no_unused_module_imports(path):
         for name in _bound_names(node) if name not in used
     ]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _definitions(tree):
+    """(name, node) of each function, class and name that the module
+    defines at module level; ``node`` is the statement that defines it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _reads(tree):
+    """(name, line) of each name a file reads: as a name, an attribute, an
+    imported name or a part of a dotted string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            yield from ((part, node.lineno) for part in node.value.split("."))
+
+
+def test_every_module_level_name_is_read():
+    """A module-level function, class or name of the package is read in
+    src/, scripts/, perfbench/ or tests/ outside the statement that
+    defines it."""
+    reads: dict[str, list] = {}
+    for path in READERS:
+        for name, line in _reads(ast.parse(path.read_text())):
+            reads.setdefault(name, []).append((path, line))
+    dead = [
+        f"{path.name}:{node.lineno}: {name}"
+        for path in PACKAGE
+        for name, node in _definitions(ast.parse(path.read_text()))
+        if not name.startswith("__")
+        and not any(where != path or not node.lineno <= line <= node.end_lineno
+                    for where, line in reads.get(name, ()))
+    ]
+    assert not dead, "names no file reads: " + ", ".join(dead)

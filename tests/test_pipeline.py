@@ -47,7 +47,9 @@ SIGNALS = {
 }
 
 
-def one_year_scenario(seed=5, n_events=6):
+def one_year_site(seed=5, n_events=6):
+    """The event pixels and 40 stable pixels of a synthetic site through
+    2005, as PixelSeries, and their labels."""
     picker = np.random.default_rng(seed + 1000)
     chosen = sorted(int(i) for i in picker.choice(625, size=n_events, replace=False))
     events = tuple(
@@ -75,15 +77,21 @@ def one_year_scenario(seed=5, n_events=6):
     return keep, {l.pixel_id: l.z for l in labels if l.pixel_id in {p.pixel_id for p in keep}}
 
 
+def one_year_scenario(seed=5, n_events=6):
+    """The pixels of ``one_year_site`` as the pipeline takes them."""
+    keep, labels = one_year_site(seed, n_events)
+    return compact_pixels(keep), labels
+
+
 @pytest.fixture(scope="module")
 def scenario():
     return one_year_scenario()
 
 
-def test_fit_pixels_matches_direct_fit(scenario):
-    pixels, _ = scenario
+def test_fit_pixels_matches_direct_fit():
+    pixels, _ = one_year_site()
     windows = make_windows(2003, 1)
-    result = fit_pixels(pixels[:5], windows, (Band.NIR, Band.NDVI))
+    result = fit_pixels(compact_pixels(pixels[:5]), windows, (Band.NIR, Band.NDVI))
     models = oracle.model_dict(result.models[0])
     assert len(result.models[0]) == len(models) == 10
     for pixel in pixels[:5]:
@@ -255,12 +263,11 @@ def test_online_replay_matches_batch_detection(scenario, kind):
 
 
 def test_online_never_reflags(scenario):
-    pixels, _ = scenario
+    compact, _ = scenario
     rule = UnivariateRule(Band.NIR, 0.08, 4)
-    compact = compact_pixels(pixels)
     from cmfda.pipeline import online_process_batch
 
-    flagged = {pixels[0].pixel_id: dt.date(2005, 1, 1)}
+    flagged = {compact[0].pixel_id: dt.date(2005, 1, 1)}
     all_dates = sorted(
         {
             dt.date.fromordinal(int(o))
@@ -271,14 +278,14 @@ def test_online_never_reflags(scenario):
     )
     for batch_date in all_dates:
         outcome = online_process_batch(compact, batch_date, rule, 2005, flagged, site_id="mini")
-        assert pixels[0].pixel_id not in outcome.newly_flagged
+        assert compact[0].pixel_id not in outcome.newly_flagged
 
 
-def test_online_models_equal_fit_pixels_over_the_run_window(scenario):
+def test_online_models_equal_fit_pixels_over_the_run_window():
     """The online step fits each band on that band's clear, non-fill dates
     of the run's trailing window, as fit_pixels does: a fill value in one
     band does not drop the date from the other band's fit."""
-    pixels, _ = scenario
+    pixels, _ = one_year_site()
     pixel = pixels[0]
     k = next(
         i for i, o in enumerate(pixel.observations)
@@ -305,7 +312,7 @@ def test_online_models_equal_fit_pixels_over_the_run_window(scenario):
         predict=DateInterval(start, batch_date),
         predict_year=DateInterval(start, start),
     )
-    batch_fit = fit_pixels([pixel], [window], (Band.NIR, Band.NDVI))
+    batch_fit = fit_pixels(compact_pixels([pixel]), [window], (Band.NIR, Band.NDVI))
     models = oracle.model_dict(outcome.models)
     assert len(outcome.models) == len(batch_fit.models[0])
     assert models == oracle.model_dict(batch_fit.models[0])

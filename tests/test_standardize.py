@@ -16,11 +16,11 @@ from cmfda.standardize import (
     SCHEME_STAGES,
     SD,
     Scheme,
-    ecdf_eval,
     fit_standardizer,
     inverse_normal_cdf,
     transform,
 )
+from scalar_oracle import ecdf_eval, period_of
 
 SD_FINAL_SCHEMES = [
     s for s, stages in SCHEME_STAGES.items() if stages and stages[-1][1] == SD
@@ -71,7 +71,7 @@ def test_scheme_from_code():
         Scheme.from_code("nope")
 
 
-# --- ecdf_eval ------------------------------------------------------------------
+# --- ecdf_eval: the oracle of the ECDF stages' rank rule ------------------------
 
 
 def test_ecdf_eval_examples():
@@ -258,8 +258,6 @@ def test_chained_scheme_applies_date_stage_then_pixel_stage(rng):
     std = fit_standardizer(history, Scheme.DAY_PIXEL_ECDF_OVERALL_ECDF, Band.NIR)
 
     # independent oracle: period ecdf -> inverse normal -> pixel ecdf -> -0.5
-    from cmfda.detection import period_of
-
     dist = statistics.NormalDist()
 
     def period_key(r):

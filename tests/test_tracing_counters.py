@@ -26,7 +26,7 @@ from cmfda.pipeline import (
 )
 from cmfda.standardize import Scheme, fit_standardizer
 from cmfda.windows import make_windows
-from test_pipeline import one_year_scenario
+from test_pipeline import one_year_scenario, one_year_site
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -44,7 +44,6 @@ tracing = _load_tracing()
 @pytest.fixture(scope="module")
 def chain():
     pixels, _ = one_year_scenario(seed=7, n_events=4)
-    pixels = compact_pixels(pixels)
     windows = make_windows(2003, 1)
     bands = (Band.NIR, Band.NDVI)
     fit = fit_pixels(pixels, windows, bands)
@@ -85,7 +84,7 @@ def test_fit_counts_are_true():
     """fits = pixels x windows x bands; the models and skips are those of
     one scalar fit per (pixel, band, window). The last window trains on
     2006-2007, past the scene's last date, so it has skips."""
-    pixels, _ = one_year_scenario(seed=7, n_events=4)
+    pixels, _ = one_year_site(seed=7, n_events=4)
     windows = make_windows(2003, 4)
     bands = (Band.NIR, Band.NDVI)
     fitted = skipped = 0
@@ -107,7 +106,7 @@ def test_fit_counts_are_true():
 def test_online_counts_are_true():
     """Each step's refits and new flags are those of the per-pixel oracle."""
     pixels, _ = one_year_scenario(seed=7, n_events=4)
-    pixels = compact_pixels(pixels[:12])
+    pixels = pixels[:12]
     rule = MultivariateRule(0.082, 0.182, 4)
     steps, _ = oracle.online_steps(pixels, rule, 2005, "mini")
     flagged = {}
