@@ -185,7 +185,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _str2bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+    value = text.strip().lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(text)
+    return value in ("1", "true", "yes", "on")
 
 
 # Each subcommand's arguments; ``add`` adds a flag whose default a config
@@ -311,11 +314,8 @@ def build_parser(config: Optional[dict[str, str]] = None, *, only: Optional[str]
         def add(flag, *, type=str, default=None, action=None, **kw):
             key = flag.lstrip("-")
             if key in config:
-                if action == "store_true":
-                    p.add_argument(flag, default=_str2bool(config[key]), action=action, **kw)
-                    return
                 try:
-                    default = type(config[key]) if type is not None else config[key]
+                    default = (_str2bool if action == "store_true" else type)(config[key])
                 except ValueError:
                     raise UsageError(f"--config: bad value for {key}: {config[key]!r}") from None
             if action:
@@ -521,14 +521,12 @@ def cmd_fit(args) -> int:
                     *dataio.save_models(path, merged.models[wp.index], wp.train))
         n_models += len(merged.models[wp.index])
     report_path = os.path.join(args.out, "fit_report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(f"fitted {n_models} models over {len(windows)} windows\n")
-        fh.write(f"skipped {len(merged.skipped)} (pixel, window, band) fits\n")
-        for skip in merged.skipped:
-            fh.write(
-                f"skip {skip.pixel_id} window={skip.window_index} "
-                f"band={skip.band.name} reason={skip.reason}\n"
-            )
+    dataio.write_file(report_path, ["".join([
+        f"fitted {n_models} models over {len(windows)} windows\n",
+        f"skipped {len(merged.skipped)} (pixel, window, band) fits\n",
+        *(f"skip {skip.pixel_id} window={skip.window_index} "
+          f"band={skip.band.name} reason={skip.reason}\n" for skip in merged.skipped),
+    ]).encode()])
     _try_mirror("series mirror", dataio.write_series_mirror,
                 os.path.join(args.out, SERIES_MIRROR), series.flat, series.sha256.hexdigest())
     print(f"fitted {n_models} models; skipped {len(merged.skipped)}; report: {report_path}")
@@ -602,13 +600,12 @@ def cmd_detect(args) -> int:
         results.extend(site_results)
         skipped.extend(site_skipped)
     # the scheme applied, which --standardizer files give
-    meta = _rule_meta(rule, next((std.scheme.value for std in standardizers.values()),
-                                 args.scheme))
+    meta = _rule_meta(rule, next((std.scheme for std in standardizers.values()),
+                                 parse_scheme(args.scheme)).value)
     meta["skipped"] = str(len(skipped))
     dataio.write_detections(args.out, results, meta)
     if skipped:
-        with open(args.out + ".skipped.txt", "w") as fh:
-            fh.write("\n".join(skipped) + "\n")
+        dataio.write_file(args.out + ".skipped.txt", [("\n".join(skipped) + "\n").encode()])
     n_flagged = sum(r.flagged for r in results)
     print(
         f"wrote {args.out}: {n_flagged} of {len(results)} pixels flagged "
@@ -746,8 +743,7 @@ def cmd_train(args) -> int:
     dataio.write_report(args.out, report)
     text = dataio.format_report_text(report)
     text_path = os.path.splitext(args.out)[0] + ".txt"
-    with open(text_path, "w") as fh:
-        fh.write(text)
+    dataio.write_file(text_path, [text.encode()])
     print(text, end="")
     print(f"wrote {args.out} and {text_path}")
     return EXIT_OK
@@ -813,10 +809,15 @@ def _online_paths(state_dir: str) -> dict[str, str]:
     }
 
 
-def _write_online_config(path: str, values: dict[str, str]) -> None:
-    with dataio.replacing(path) as tmp, open(tmp, "w") as fh:
-        for key, value in values.items():
-            fh.write(f"{key}={value}\n")
+# A monitored year whose two training years are dates.
+MONITOR_YEARS = range(3, 10_000)
+
+
+def _monitor_year(text: str) -> int:
+    year = int(text)
+    if year not in MONITOR_YEARS:
+        raise ValueError(text)
+    return year
 
 
 def _state_settings(path: str):
@@ -837,13 +838,6 @@ def _state_settings(path: str):
             raise ParseError(f"{path}: bad value for {key!r}: {value!r}", line=line) from None
 
     return setting
-
-
-def _replace_state(path: str, write, *args, **kwargs):
-    """``write(tmp, *args, **kwargs)`` of a temporary path beside the state
-    file ``path``, which the file written there then replaces."""
-    with dataio.replacing(path) as tmp:
-        return write(tmp, *args, **kwargs)
 
 
 def cmd_online(args) -> int:
@@ -880,6 +874,8 @@ def cmd_online(args) -> int:
     if args.init:
         if not args.series or args.monitor_year is None:
             raise UsageError("--init needs --series and --monitor-year")
+        if args.monitor_year not in MONITOR_YEARS:
+            raise UsageError(f"--monitor-year must be in 3..9999, got {args.monitor_year}")
         _rule_args(args)
         series = dataio.read_series_file(args.series)
         covariances = None
@@ -893,12 +889,12 @@ def cmd_online(args) -> int:
         digest = dataio.append_series_rows(paths["history"], None, series)
         _try_mirror("history mirror", dataio.write_series_mirror,
                     paths["mirror"], series.flat, digest)
-        _replace_state(paths["flagged"], dataio.write_detections, [], {"state": "online"})
+        dataio.write_detections(paths["flagged"], [], {"state": "online"})
         if covariances is not None:
-            mirror = _replace_state(paths["covariances"], dataio.save_covariances, covariances)
+            mirror = dataio.save_covariances(paths["covariances"], covariances)
             _try_mirror("covariance mirror", dataio.write_mirror,
                         paths["covariance_mirror"], *mirror)
-        _write_online_config(paths["config"], {
+        dataio.write_file(paths["config"], ["".join(f"{key}={value}\n" for key, value in {
             "monitor-year": str(args.monitor_year),
             "rule": args.rule,
             "band": args.band,
@@ -906,14 +902,14 @@ def cmd_online(args) -> int:
             "L": "" if args.L is None else dataio.real(args.L),
             "L-nir": dataio.real(args.L_nir),
             "L-ndvi": dataio.real(args.L_ndvi),
-        })
+        }.items()).encode()])
         print(f"initialized online state in {args.state} (monitoring {args.monitor_year})")
         return EXIT_OK
 
     if not args.batch or not args.out:
         raise UsageError("online step needs --batch and --out (or --init)")
     setting = _state_settings(paths["config"])
-    monitor_year = setting("monitor-year", int)
+    monitor_year = setting("monitor-year", _monitor_year)
     kind = setting("rule")
     covariances = sigma_digest = None
     if kind == "mahalanobis":
@@ -928,7 +924,10 @@ def cmd_online(args) -> int:
         L_ndvi=setting("L-ndvi", float),
         consec=setting("consec", int),
     )
-    rule = _build_rule(rule_args, covariances)
+    try:
+        rule = _build_rule(rule_args, covariances)
+    except UsageError as exc:   # the state's rule, not the command line's
+        raise ParseError(f"{paths['config']}: {exc}") from None
 
     history = dataio.read_series_file(paths["history"], paths["mirror"])
     batch = dataio.read_series_file(args.batch)
@@ -938,7 +937,8 @@ def cmd_online(args) -> int:
 
     batch_dates = set(batch.flat.columns.ordinals.tolist())
     if len(batch_dates) != 1:
-        raise UsageError("a batch must hold exactly one nominal date")
+        raise ParseError(f"{args.batch}: a batch must hold exactly one nominal date, "
+                         f"found {len(batch_dates)}")
     batch_date = dt.date.fromordinal(batch_dates.pop())
     # A batch pixel's flag dated on the batch was written by an earlier run
     # of this step that stopped before the history took the batch; the step
@@ -978,7 +978,7 @@ def cmd_online(args) -> int:
         # The header window spans every refit's own training window.
         train_window = DateInterval(dt.date.fromordinal(int(models.train[:, 0].min())),
                                     dt.date.fromordinal(int(models.train[:, 1].max())))
-        _replace_state(paths["models"], dataio.save_models, models, train_window)
+        dataio.save_models(paths["models"], models, train_window)
     digest = dataio.append_series_rows(paths["history"], history, batch)
     # The step is committed; a mirror left stale by a failed write is
     # refused by its hash.
@@ -1010,8 +1010,7 @@ def cmd_report(args) -> int:
         lines.append("user_acc: " + (f"{user:.4f}" if user is not None else "undefined (no flags)"))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        dataio.write_file(args.out, [text.encode()])
     print(text, end="")
     return EXIT_OK
 

@@ -7,10 +7,11 @@ Reals are written with 9 significant digits, so values round-trip through
 that precision; counts and dates round-trip exactly. The binary formats
 are the mirrors of parsed tables (see "binary mirrors" below).
 
-Every table is written by :func:`_write_table` (:func:`write_series_columns`
-and :func:`save_models` format their rows in bulk for it) or, where its
-bytes are needed first, built by :func:`_table_bytes`
-(:func:`append_series_rows`, :func:`replace_detections`), and read through
+Every file reaches the disk whole or not at all through :func:`write_file`;
+every table through :func:`_write_table` (:func:`write_series_columns` and
+:func:`save_models` format its rows in bulk) or, where its bytes are needed
+first, :func:`_table_bytes` (:func:`append_series_rows`,
+:func:`replace_detections`), and is read through
 :func:`_table_chunks`, which alone checks its framing: header, column
 names, field counts, UTF-8 text and what ``csv`` refuses; it frames a
 table without quotes in bulk. The row readers take its rows through
@@ -35,6 +36,7 @@ import itertools
 import json
 import os
 import re
+import stat
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -108,22 +110,30 @@ def real(x: float) -> str:
     return format(float(x), ".9g")
 
 
-# --- versioned header helpers ----------------------------------------------
+# --- the file writer and versioned header helpers ---------------------------
 
 
-@contextlib.contextmanager
-def replacing(path):
-    """Give a temporary path beside ``path``; the file written there
-    replaces ``path`` when the block ends without error, and is removed
-    otherwise. A reader sees the old file or the new one, never part of
-    one."""
-    tmp = f"{os.fspath(path)}.tmp"
+def write_file(path, parts: Sequence) -> None:
+    """Write the bytes of ``parts`` to ``path`` with one ``os.writev``,
+    whole or not at all: into ``<path>.tmp``, which then replaces ``path``
+    or, on any failure, is removed, leaving ``path`` as it was. A path that
+    exists and is not a regular file (a device, a FIFO, a symlink) is
+    written in place, as ``open`` writes it."""
+    path = os.fspath(path)
     try:
-        yield tmp
-        os.replace(tmp, path)
+        tmp = path if not stat.S_ISREG(os.lstat(path).st_mode) else f"{path}.tmp"
+    except FileNotFoundError:
+        tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            if os.writev(fh.fileno(), parts) != sum(map(len, parts)):
+                raise OSError(f"{tmp}: short write")
+        if tmp != path:
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        if tmp != path:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise
 
 
@@ -145,8 +155,7 @@ def _write_table(path, kind: str, columns: Sequence[str], rows,
     """Write a table file (see :func:`_table_bytes`) and then ``tail``, more
     data rows as bytes; return the bytes written."""
     data = _table_bytes(kind, columns, rows, meta) + tail  # a failed row leaves the path as it was
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_file(path, [data])
     return data
 
 
@@ -615,7 +624,7 @@ def append_series_rows(path, head: Optional[SeriesFile], rows: SeriesFile) -> st
     parts = [data, b"" if data.endswith((b"\n", b"\r")) else b"\n", memoryview(rows.data)[start:]]
     for part in parts[1:]:
         sha256.update(part)
-    _write_parts(path, parts)
+    write_file(path, parts)
     return sha256.hexdigest()
 
 
@@ -639,14 +648,6 @@ _MODEL_MIRROR = "cmfda model-mirror v1"
 _ALIGN = 8
 
 
-def _write_parts(path, parts) -> None:
-    """Write the bytes of ``parts`` with one ``os.writev``; the file
-    replaces ``path`` when whole."""
-    with replacing(path) as tmp, open(tmp, "wb") as fh:
-        if os.writev(fh.fileno(), parts) != sum(map(len, parts)):
-            raise OSError(f"{tmp}: short write")
-
-
 def write_mirror(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
     """Write a mirror of ``header`` and ``arrays``; it replaces ``path``
     when whole."""
@@ -654,7 +655,7 @@ def write_mirror(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
     parts = [head + b" " * (-(len(head) + 1) % _ALIGN) + b"\n"]
     for a in arrays:
         parts += [np.ascontiguousarray(a).reshape(-1).view(np.uint8), bytes(-a.nbytes % _ALIGN)]
-    _write_parts(path, parts)
+    write_file(path, parts)
 
 
 def _read_bytes(path) -> bytes:
@@ -1189,7 +1190,7 @@ def replace_detections(
     with contextlib.suppress(OSError), open(path, "rb") as fh:
         if fh.read(len(data) + 1) == data:
             return
-    _write_parts(path, [data])
+    write_file(path, [data])
 
 
 def read_detections(path) -> tuple[dict[str, str], list[DetectionResult]]:

@@ -157,11 +157,11 @@ def pool_walk(history: ResidualHistory, levels) -> tuple[np.ndarray, np.ndarray]
 
 
 def _check_rule(consecutive: int, *thresholds: float) -> None:
-    """Refuse a rule whose thresholds are not all positive or whose C lies
-    outside MIN_CONSECUTIVE..MAX_CONSECUTIVE."""
-    if any(threshold <= 0 for threshold in thresholds):
-        raise OutOfRange("thresholds must be positive" if len(thresholds) > 1
-                         else "threshold must be positive")
+    """Refuse a rule whose thresholds are not all finite and positive or
+    whose C lies outside MIN_CONSECUTIVE..MAX_CONSECUTIVE."""
+    if not all(0 < threshold < np.inf for threshold in thresholds):  # NaN fails both
+        raise OutOfRange("thresholds must be finite and positive" if len(thresholds) > 1
+                         else "threshold must be finite and positive")
     if not MIN_CONSECUTIVE <= consecutive <= MAX_CONSECUTIVE:
         raise OutOfRange(
             f"consecutive count {consecutive} outside "

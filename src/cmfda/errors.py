@@ -41,10 +41,6 @@ class DegenerateHistory(CmfdaError):
     """History has zero spread everywhere; no usable scale exists."""
 
 
-class EmptySample(CmfdaError):
-    """Empirical CDF evaluated on an empty sample."""
-
-
 class OutOfDomain(CmfdaError):
     """Probability outside the open interval (0, 1)."""
 

@@ -35,7 +35,7 @@ from cmfda.detection import (
     run_levels,
 )
 from cmfda.errors import (
-    DegenerateHistory, EmptyHistory, EmptySample, OutOfDomain, OutOfRange, OutOfRangeDay,
+    DegenerateHistory, EmptyHistory, OutOfDomain, OutOfRange, OutOfRangeDay,
     SingularCovariance,
 )
 from cmfda.harmonic import FIT_OK, HarmonicModel, fit_arrays, fit_batch, predict_many
@@ -84,6 +84,10 @@ def key_for(kind: KeyKind, ctx: ErrorContext):
 
 
 # --- ecdf and inverse normal cdf ----------------------------------------------
+
+
+class EmptySample(ValueError):
+    """The oracle ECDF evaluated on an empty sample."""
 
 
 def ecdf_eval(sample: np.ndarray, x: float) -> float:

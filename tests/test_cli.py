@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
 import datetime as dt
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -1191,7 +1194,7 @@ def test_online_step_refuses_a_pixel_the_history_holds_under_another_site(
 
 
 def test_online_state_survives_a_failed_write(online_inputs, tmp_path, monkeypatch):
-    """A step writes the batch output, then replaces flagged.csv,
+    """A step replaces the batch output, then flagged.csv,
     models_online.csv and, last, history.csv. A failure at any of these
     writes leaves every state file whole, and running the same batch again
     ends in the output and state files of an uninterrupted run."""
@@ -1217,11 +1220,11 @@ def test_online_state_survives_a_failed_write(online_inputs, tmp_path, monkeypat
     assert _files(trial) == _files(before)
 
     real_replace = os.replace
-    order = ["flagged.csv", "models_online.csv", "history.csv"]
-    for fail_at in range(len(order)):
+    for fail_at in range(4):
         trial = tmp_path / f"trial{fail_at}"
         shutil.copytree(before, trial)
         retry_out = tmp_path / f"out{fail_at}.csv"
+        order = [retry_out.name, "flagged.csv", "models_online.csv", "history.csv"]
         targets = []
 
         def failing_replace(src, dst):
@@ -1535,8 +1538,10 @@ def test_online_step_survives_a_failed_mirror_write(
     root, record = mirror_reference
     real_replace = os.replace
     for step, replaced in [
-        (MIRROR_STEP, ["models_online.csv", "history.csv", "history.npy"]),
-        (FLAG_STEP, ["flagged.csv", "models_online.csv", "history.csv", "history.npy"]),
+        (MIRROR_STEP, [f"out{MIRROR_STEP}.csv", "models_online.csv", "history.csv",
+                       "history.npy"]),
+        (FLAG_STEP, [f"out{FLAG_STEP}.csv", "flagged.csv", "models_online.csv", "history.csv",
+                     "history.npy"]),
     ]:
         assert (b" new_flags=0" in record[step][0]) == (step == MIRROR_STEP)
         state = tmp_path / f"state{step}"
@@ -2349,3 +2354,219 @@ def test_simulate_writes_the_bytes_of_write_series(scenario, make, seed, tmp_pat
     site, _ = dataio.generate_site(make(seed=seed))
     write_series(tmp_path / "pixels.csv", {site.site_id: site.pixels})
     assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "pixels.csv").read_bytes()
+
+
+# --- one file writer: every output whole or not at all ---------------------------
+
+
+def _failing_replace(monkeypatch, name):
+    """Make os.replace fail for a target named ``name``."""
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == name:
+            raise OSError("injected failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+
+
+def test_fit_leaves_a_model_file_whole_when_its_write_fails(
+    fit_mirror_scene, tmp_path, monkeypatch, capsys
+):
+    """A model file that fit cannot replace keeps its old bytes, and no
+    temporary file is left beside it."""
+    series, _, _ = fit_mirror_scene
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / MODEL_FILE).write_bytes(b"old bytes\n")
+    _failing_replace(monkeypatch, MODEL_FILE)
+    assert _fit(series, models) == EXIT_DATA
+    assert "injected failure" in capsys.readouterr().err
+    assert (models / MODEL_FILE).read_bytes() == b"old bytes\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_online_step_leaves_its_out_whole_when_its_write_fails(
+    online_inputs, tmp_path, monkeypatch
+):
+    """A step's --out that cannot be replaced keeps its old bytes, no
+    temporary file is left and no state file changes."""
+    history, batches = online_inputs
+    state = tmp_path / "state"
+    _init_online(history, state)
+    before = _files(state)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old bytes\n")
+    _failing_replace(monkeypatch, out.name)
+    assert _step(state, batches[0], out) == EXIT_DATA
+    assert out.read_bytes() == b"old bytes\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert _files(state) == before
+
+
+def test_detect_writes_a_fifo_in_place(sim_dir, models_dir, tmp_path):
+    """An --out that exists and is not a regular file, here a FIFO, is
+    written in place: it stays a FIFO and its reader gets the bytes a
+    regular file gets."""
+    detect = ["detect", "--series", str(sim_dir / "series.csv"), "--models", str(models_dir),
+              "--threads", "1", "--out"]
+    assert main(detect + [str(tmp_path / "det.csv")]) == EXIT_OK
+    fifo = tmp_path / "det.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(detect + [str(fifo)]) == EXIT_OK
+    finally:   # a reader still waiting for a writer sees end of file
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=60)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert got == [(tmp_path / "det.csv").read_bytes()]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+# --- rule thresholds, online state and config values ----------------------------
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rule", "univariate", "--L", "nan"], ["--L-nir", "nan"], ["--L-nir", "inf"],
+    ["--rule", "mahalanobis", "--L", "inf"],
+], ids=["univariate-nan", "nir-nan", "nir-inf", "mahalanobis-inf"])
+def test_a_threshold_that_is_not_finite_is_refused(
+    sim_dir, models_dir, tmp_path, capsys, flags
+):
+    """detect and online --init refuse a rule threshold that is NaN or
+    infinite (exit 1) and write nothing."""
+    out = tmp_path / "det.csv"
+    assert main(["detect", "--series", str(sim_dir / "series.csv"), "--models", str(models_dir),
+                 "--out", str(out), "--threads", "1", *flags]) == EXIT_USAGE
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+    state = tmp_path / "state"
+    assert main(["online", "--state", str(state), "--init", "--series",
+                 str(sim_dir / "series.csv"), "--monitor-year", "2005", *flags]) == EXIT_USAGE
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not state.exists()
+
+
+@pytest.mark.parametrize("year, rule", [("2", "mahalanobis"), ("0", "multivariate"),
+                                        ("10000", "multivariate")])
+def test_online_init_refuses_a_monitored_year_off_the_calendar(
+    online_inputs, tmp_path, monkeypatch, capsys, year, rule
+):
+    """--init refuses a monitored year outside 3..9999, whose training
+    years are no dates, before it reads the series (exit 1)."""
+    history, _ = online_inputs
+    monkeypatch.setattr(dataio, "read_series_file", lambda *a, **k: pytest.fail("series read"))
+    state = tmp_path / "state"
+    assert main(["online", "--state", str(state), "--init", "--series", str(history),
+                 "--monitor-year", year, "--rule", rule]) == EXIT_USAGE
+    assert f"--monitor-year must be in 3..9999, got {year}" in capsys.readouterr().err
+    assert not state.exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("rule=multivariate", "rule=bogus", "{path}: unknown rule 'bogus'"),
+    ("consec=4", "consec=9", "{path}: consecutive count 9 outside 2..6"),
+    ("L-nir=0.082", "L-nir=-1", "{path}: thresholds must be finite and positive"),
+    ("L-nir=0.082", "L-nir=nan", "{path}: thresholds must be finite and positive"),
+    ("monitor-year=2005", "monitor-year=2", "line 1: {path}: bad value for 'monitor-year': '2'"),
+    ("monitor-year=2005", "monitor-year=10000",
+     "line 1: {path}: bad value for 'monitor-year': '10000'"),
+], ids=["rule", "consec", "threshold", "nan-threshold", "year-2", "year-10000"])
+def test_online_step_with_a_bad_state_rule_is_a_data_error(
+    online_inputs, tmp_path, capsys, old, new, message
+):
+    """A state config.txt whose rule or monitored year no step can use is a
+    data error naming the file (exit 2) that changes no state file."""
+    history, batches = online_inputs
+    state = tmp_path / "state"
+    _init_online(history, state)
+    config = state / "config.txt"
+    text = config.read_text()
+    assert old + "\n" in text
+    config.write_text(text.replace(old + "\n", new + "\n"))
+    before = _files(state)
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert _step(state, batches[0], out) == EXIT_DATA
+    assert message.format(path=config) in capsys.readouterr().err
+    assert _files(state) == before
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dates", [0, 2])
+def test_online_batch_without_one_nominal_date_is_a_data_error(
+    online_inputs, tmp_path, capsys, dates
+):
+    """A batch file with no nominal date or with two is a data error naming
+    the file and the dates it holds (exit 2) that changes no state file."""
+    history, batches = online_inputs
+    state = tmp_path / "state"
+    _init_online(history, state)
+    before = _files(state)
+    head, names, *rows = batches[0].read_bytes().splitlines(keepends=True)
+    batch = tmp_path / "batch.csv"
+    batch.write_bytes(b"".join([head, names] + (rows + batches[1].read_bytes().splitlines(
+        keepends=True)[2:] if dates else [])))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert _step(state, batch, out) == EXIT_DATA
+    assert (f"{batch}: a batch must hold exactly one nominal date, found {dates}"
+            in capsys.readouterr().err)
+    assert _files(state) == before
+    assert not out.exists()
+
+
+TRAIN_MISSING = ["train", "--series", "missing.csv", "--labels", "missing.csv", "--out", "r.csv"]
+
+
+@pytest.mark.parametrize("value", ["maybe", "ture", ""])
+def test_config_refuses_a_switch_value_it_cannot_take(tmp_path, capsys, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"sweep-fixed={value}\n")
+    assert main(["--config", str(config), *TRAIN_MISSING]) == EXIT_USAGE
+    assert f"--config: bad value for sweep-fixed: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, on", [
+    *((text, True) for text in ("1", "true", "YES", "On")),
+    *((text, False) for text in ("0", "False", "no", "OFF")),
+])
+def test_config_switch_values(value, on):
+    args = build_parser({"sweep-fixed": value}).parse_args(TRAIN_MISSING)
+    assert args.sweep_fixed is on
+
+
+@pytest.mark.parametrize("scheme", ["identity", "none", "---"])
+def test_detect_header_names_the_scheme_code(sim_dir, models_dir, tmp_path, scheme):
+    """The detections header carries the scheme's code, not the alias
+    given for it."""
+    out = tmp_path / "det.csv"
+    assert main(["detect", "--series", str(sim_dir / "series.csv"), "--models", str(models_dir),
+                 "--out", str(out), "--threads", "1", f"--scheme={scheme}"]) == EXIT_OK
+    assert read_detections(out)[0]["scheme"] == "---"
+
+
+def test_config_file_named_with_an_equals_sign(sim_dir, models_dir, tmp_path):
+    """--config=FILE reads the file as --config FILE does."""
+    config = tmp_path / "run.cfg"
+    config.write_text("rule=univariate\nband=nir\nL=0.08\nthreads=1\n")
+    out = tmp_path / "det.csv"
+    assert main([f"--config={config}", "detect", "--series", str(sim_dir / "series.csv"),
+                 "--models", str(models_dir), "--out", str(out)]) == EXIT_OK
+    meta, _ = read_detections(out)
+    assert (meta["rule"], meta["band"], float(meta["L"])) == ("univariate", "NIR", 0.08)
+
+
+def test_detect_refuses_a_models_dir_without_model_files(sim_dir, tmp_path, capsys):
+    empty = tmp_path / "models"
+    empty.mkdir()
+    out = tmp_path / "det.csv"
+    assert main(["detect", "--series", str(sim_dir / "series.csv"), "--models", str(empty),
+                 "--out", str(out)]) == EXIT_USAGE
+    assert f"no models_*.csv files in {str(empty)!r}" in capsys.readouterr().err
+    assert not out.exists()

@@ -1123,6 +1123,23 @@ def test_standardizer_key_site_may_hold_the_separator(tmp_path):
     assert load_standardizer(path).stages[0].sd_levels[0] == (KeyKind.CUBE, {("a|b", 5, 3): (0.5, 9)})
 
 
+@pytest.mark.parametrize("header, row, line, message", [
+    ("scheme=1", "0,sd,global,,5,0.2", 1, "header lacks a valid scheme/band"),
+    ("scheme=zz band=NIR", "0,sd,global,,5,0.2", 1, "header lacks a valid scheme/band"),
+    ("scheme=1 band=NIR", "3,sd,global,,5,0.2", 3, "stage 3 not in scheme"),
+    ("scheme=1 band=NIR", "0,sd,bogus,,5,0.2", 3, "unknown key kind 'bogus'"),
+], ids=["no-band", "bad-scheme", "stage", "key-kind"])
+def test_standardizer_file_faults(tmp_path, header, row, line, message):
+    """A standardizer header without a valid scheme and band, a row of a
+    stage the scheme lacks and a row of an unknown key kind are each a
+    ParseError at their line."""
+    path = tmp_path / "std.csv"
+    path.write_text(f"#cmfda standardizer v1 {header}\nstage,table,kind,key,seq,value\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_standardizer(path)
+    assert str(err.value) == f"line {line}: {path}: {message}"
+
+
 # --- table framing ------------------------------------------------------------------------
 
 # Each table reader with its kind, the header keys of a valid file and its columns.
@@ -1191,6 +1208,64 @@ def test_table_framing_faults(tmp_path, table, fault):
         read(path)
     line, message = expected[fault]
     assert (err.value.line, str(err.value)) == (line, f"line {line}: {path}: {message}")
+
+
+@pytest.mark.parametrize("table", list(TABLE_READERS))
+def test_table_without_a_column_name_row(tmp_path, table):
+    """A table that ends after its header line is a ParseError at line 2."""
+    read, kind, meta, _ = TABLE_READERS[table]
+    path = tmp_path / "table.csv"
+    path.write_text(f"#cmfda {kind} v1 {meta}\n")
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert (err.value.line, str(err.value)) == (2, f"line 2: {path}: missing column header")
+
+
+# --- the file writer ----------------------------------------------------------------------
+
+
+def test_write_file_replaces_the_file_whole(tmp_path):
+    """write_file writes its parts, in order, in place of the old file."""
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    dataio.write_file(path, [b"ab", memoryview(b"cd"), np.arange(3, dtype=np.uint8)])
+    assert path.read_bytes() == b"abcd\x00\x01\x02"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+@pytest.mark.parametrize("fail", ["replace", "writev"])
+def test_write_file_failure_leaves_the_old_file(tmp_path, monkeypatch, fail):
+    """When the write or the rename fails, the path keeps its old bytes and
+    no temporary file is left."""
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+
+    def failing(*args):
+        raise OSError("injected failure")
+
+    monkeypatch.setattr(os, fail, failing)
+    with pytest.raises(OSError, match="injected failure"):
+        dataio.write_file(path, [b"new"])
+    monkeypatch.undo()
+    assert path.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+def test_write_file_writes_through_a_symlink(tmp_path):
+    """A symlink is written in place: the link stays, its target takes the
+    bytes."""
+    target, link = tmp_path / "target.bin", tmp_path / "link.bin"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    dataio.write_file(link, [b"new"])
+    assert link.is_symlink() and target.read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.bin", "target.bin"]
+
+
+def test_write_file_into_a_missing_directory_leaves_nothing(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        dataio.write_file(tmp_path / "missing" / "out.bin", [b"new"])
+    assert list(tmp_path.iterdir()) == []
 
 
 SERIES_ROW = "p,0,0,{date},{doy},0,0.08,{nir},0.05,0.18,0.68,0.55"

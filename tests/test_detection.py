@@ -503,22 +503,29 @@ def test_mahalanobis_rule_detection(rng):
 
 
 def test_rule_validation():
-    """Each rule refuses a threshold that is not positive before a C
-    outside 2..6."""
-    with pytest.raises(OutOfRange, match="^threshold must be positive$"):
+    """Each rule refuses a threshold that is not finite and positive before
+    a C outside 2..6."""
+    with pytest.raises(OutOfRange, match="^threshold must be finite and positive$"):
         UnivariateRule(Band.NIR, -0.1, 4)
     with pytest.raises(OutOfRange, match="^consecutive count 1 outside 2..6$"):
         UnivariateRule(Band.NIR, 0.1, 1)
     with pytest.raises(OutOfRange, match="^consecutive count 7 outside 2..6$"):
         UnivariateRule(Band.NIR, 0.1, 7)
-    with pytest.raises(OutOfRange, match="^thresholds must be positive$"):
+    with pytest.raises(OutOfRange, match="^thresholds must be finite and positive$"):
         MultivariateRule(0.0, 0.1, 4)
-    with pytest.raises(OutOfRange, match="^thresholds must be positive$"):
+    with pytest.raises(OutOfRange, match="^thresholds must be finite and positive$"):
         MultivariateRule(0.1, -1.0, 9)
-    with pytest.raises(OutOfRange, match="^threshold must be positive$"):
+    with pytest.raises(OutOfRange, match="^threshold must be finite and positive$"):
         MahalanobisRule(0.0, CubeCovarianceTable({}, {}, {}), 1)
     with pytest.raises(OutOfRange, match="^consecutive count 9 outside 2..6$"):
         MahalanobisRule(3.0, CubeCovarianceTable({}, {}, {}), 9)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRange, match="^threshold must be finite and positive$"):
+            UnivariateRule(Band.NIR, bad, 4)
+        with pytest.raises(OutOfRange, match="^thresholds must be finite and positive$"):
+            MultivariateRule(0.1, bad, 4)
+        with pytest.raises(OutOfRange, match="^threshold must be finite and positive$"):
+            MahalanobisRule(bad, CubeCovarianceTable({}, {}, {}), 4)
 
 
 def _same_sign_run(run, threshold):

@@ -1,7 +1,8 @@
 """No module of the package imports a name at module level that it never
-uses, unless the import's line says ``# noqa: F401`` (a re-export), and
-every name that a module defines at module level is read somewhere. No
-lint package is needed: the checks read each file with ``ast``."""
+uses, unless the import's line says ``# noqa: F401`` (a re-export), every
+name that a module defines at module level is read somewhere, and no code
+but ``dataio.write_file`` writes a file. No lint package is needed: the
+checks read each file with ``ast``."""
 import ast
 import re
 from pathlib import Path
@@ -111,3 +112,43 @@ def test_every_module_level_name_is_read():
                     for where, line in reads.get(name, ()))
     ]
     assert not dead, "names no file reads: " + ", ".join(dead)
+
+
+# The one function of the package that writes a file (see dataio.write_file).
+WRITER = ("dataio.py", "write_file")
+WRITE_MODE = re.compile(r"[wax+]")
+OS_WRITES = ("replace", "rename", "open", "writev")
+
+
+def _file_writes(tree, skip: str | None):
+    """(line, call) of each call in ``tree`` that opens a file in a write or
+    append mode (or a mode not spelled out) or that is ``os.replace``,
+    ``os.rename``, ``os.open`` or ``os.writev``, outside the module-level
+    function named ``skip``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == skip:
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                            call.args[1] if len(call.args) > 1 else ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not WRITE_MODE.search(mode.value)):
+                    yield call.lineno, ast.unparse(call)
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id == "os" and func.attr in OS_WRITES):
+                yield call.lineno, ast.unparse(call)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_only_write_file_writes_files(path):
+    """No module of the package opens a file for writing or renames one
+    except through dataio.write_file, which writes every file whole or not
+    at all."""
+    skip = WRITER[1] if path.name == WRITER[0] else None
+    writes = [f"{path.name}:{line}: {call}"
+              for line, call in _file_writes(ast.parse(path.read_text()), skip)]
+    assert not writes, "files written outside dataio.write_file: " + ", ".join(writes)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmfda.core import Band
-from cmfda.errors import EmptyHistory, EmptySample, OutOfDomain
+from cmfda.errors import EmptyHistory, OutOfDomain
 from cmfda.standardize import (
     ECDF,
     ErrorContext,
@@ -20,7 +20,7 @@ from cmfda.standardize import (
     inverse_normal_cdf,
     transform,
 )
-from scalar_oracle import ecdf_eval, period_of
+from scalar_oracle import EmptySample, ecdf_eval, period_of
 
 SD_FINAL_SCHEMES = [
     s for s, stages in SCHEME_STAGES.items() if stages and stages[-1][1] == SD
