@@ -341,7 +341,9 @@ def _threads(args) -> int:
     return args.threads or pipeline.default_workers()
 
 
-def _load_model_dir(models_dir: str):
+def _load_model_dir(models_dir: str, bands: Sequence[Band] = ()):
+    """The windows and models of the model files in ``models_dir``; a band
+    of ``bands`` that no file holds is refused."""
     paths = sorted(glob.glob(os.path.join(models_dir, "models_*.csv")))
     if not paths:
         raise UsageError(f"no models_*.csv files in {models_dir!r}")
@@ -357,6 +359,11 @@ def _load_model_dir(models_dir: str):
             )
         windows.append(replace(window, index=index))
         fit.models[index] = models
+    held = set(np.concatenate([models.bands for models in fit.models.values()]).tolist())
+    for band in bands:
+        if band not in held:
+            raise ParseError(f"no models_*.csv file in --models {models_dir!r} holds band "
+                             f"{band.name}")
     return windows, fit
 
 
@@ -508,10 +515,13 @@ def cmd_fit(args) -> int:
     place of a parse only while that is the hash of the bytes they read. A
     mirror that cannot be written is a warning, not an error.
     """
+    bands = tuple(parse_band(b) for b in args.bands.split(","))
+    for k, band in enumerate(bands):
+        if band in bands[:k]:
+            raise UsageError(f"--bands names {band.name.lower()} twice")
     series = dataio.read_series_file(args.series)
     sites = series.flat.sites()
     windows = parse_windows_spec(args.windows)
-    bands = tuple(parse_band(b) for b in args.bands.split(","))
     os.makedirs(args.out, exist_ok=True)
     merged = _fit_sites(sites, windows, bands, workers=_threads(args))
     n_models = 0
@@ -586,7 +596,8 @@ def cmd_detect(args) -> int:
     _rule_args(args)
     _refuse_standardized_index(args)
     sites = _read_series(args)
-    windows, fit = _load_model_dir(args.models)
+    windows, fit = _load_model_dir(
+        args.models, (parse_band(args.band),) if args.rule == "univariate" else PAIR_BANDS)
     covariances = _cube_covariances(sites, fit, windows) if args.rule == "mahalanobis" else None
     rule = _build_rule(args, covariances)
     standardizers = _standardizers_for(args, sites, fit, windows, rule_bands(rule))
@@ -776,8 +787,8 @@ def cmd_standardize(args) -> int:
     of the bytes read.
     """
     sites = _read_series(args)
-    windows, fit = _load_model_dir(args.models)
     band = parse_band(args.band)
+    windows, fit = _load_model_dir(args.models, (band,))
     scheme = parse_scheme(args.scheme)
     histories = _residual_histories(sites, fit, windows, (band,))
     std = fit_standardizer(histories[band], scheme, band)
@@ -994,6 +1005,11 @@ def cmd_report(args) -> int:
     _, results = dataio.read_detections(args.detections)
     labels = {l.pixel_id: l.z for l in dataio.read_labels(args.labels)}
     preds = {r.pixel_id: int(r.flagged) for r in results}
+    for lacking, holder, held, other in ((args.labels, args.detections, preds, labels),
+                                         (args.detections, args.labels, labels, preds)):
+        pixel_id = next((p for p in held if p not in other), None)
+        if pixel_id is not None:
+            raise KeyMismatch(f"{lacking}: no row for pixel {pixel_id!r}, which {holder} holds")
     counts = training.confusion(preds, labels)
     lines = [
         f"pixels: {counts.n}",

@@ -15,12 +15,13 @@ first, :func:`_table_bytes` (:func:`append_series_rows`,
 :func:`_table_chunks`, which alone checks its framing: header, column
 names, field counts, UTF-8 text and what ``csv`` refuses; it frames a
 table without quotes in bulk. The row readers take its rows through
-:func:`_rows`; the series, model and covariance readers take its chunks
-column by column. A series, model or covariance file is read once, whole,
-by :func:`_read_mirrored`, which hashes those bytes and either takes the
-file's binary mirror, when the mirror holds that hash, or parses the same
-bytes; the online history grows by those bytes plus the data rows of a
-batch file as read (:func:`append_series_rows`).
+:func:`_rows`; the series, model and covariance readers check its
+chunks column by column (:func:`_check_columns`). A series, model or
+covariance file is read once, whole, by :func:`_read_mirrored`, which
+hashes those bytes and either takes the file's binary mirror, when the
+mirror holds that hash, or parses the same bytes; the online history
+grows by those bytes plus the data rows of a batch file as read
+(:func:`append_series_rows`).
 A fault in a table is a ``ParseError`` naming the file and, where it has
 one, the line; a wrong header is a ``SchemaVersionMismatch``.
 """
@@ -173,6 +174,10 @@ def _read_header(fh, kind: str, path) -> dict[str, str]:
     return meta
 
 
+def _bad_field(what: str, column: str, text: str) -> str:
+    return f"bad {what} in column {column!r}: {text!r}"
+
+
 def _field_parser(convert, what: str):
     """``parse(text, column, line, path)``: ``convert(text)``, or a
     ``ParseError`` that names a bad ``what`` in the column at the line."""
@@ -180,8 +185,7 @@ def _field_parser(convert, what: str):
         try:
             return convert(text)
         except ValueError:
-            raise ParseError(f"{path}: bad {what} in column {column!r}: {text!r}",
-                             line=line) from None
+            raise ParseError(f"{path}: {_bad_field(what, column, text)}", line=line) from None
     return parse
 
 
@@ -393,55 +397,107 @@ def _attempt(parse, text):
         return None
 
 
-def _parse_distinct(texts, parse, cache: dict) -> tuple[list, np.ndarray]:
-    """``parse`` of each distinct string (None where it fails), parsed once
-    per ``cache``, and each row's index into the results."""
-    texts, codes = distinct(texts)
-    for text in texts:
-        if text not in cache:
-            cache[text] = _attempt(parse, text)
-    return [cache[text] for text in texts], codes
-
-
-def _raise_first_failure(checks, n: int) -> None:
-    """``checks`` are (mask of failing rows, explain) in the order a row is
-    checked; call the explain of the first failing check of the first
-    failing row, which raises."""
-    bad = np.zeros(n, dtype=bool)
-    for mask, _ in checks:
-        bad |= mask
-    if bad.any():
-        k = int(np.argmax(bad))
-        for mask, explain in checks:
-            if mask[k]:
-                explain(k)
-
-
 def _gather(values, codes: np.ndarray, dtype) -> np.ndarray:
     return np.array(values, dtype=dtype)[codes]
 
 
-def _failed(parsed, codes: np.ndarray) -> np.ndarray:
-    """The rows whose text did not parse, of a column that
-    :func:`_parse_distinct` gave as ``parsed`` and ``codes``."""
-    return _gather([p is None for p in parsed], codes, bool)
+_CONVERT = {"integer": int, "ISO date": dt.date.fromisoformat, "text": str}
 
 
-def _text_errors(path, lines, columns):
-    """``text_error(parse, column)``: the explain (see
-    :func:`_raise_first_failure`) that raises the ``ParseError`` of
-    ``parse`` on row k's text in ``column`` of a chunk's ``columns``."""
-    return lambda parse, column: lambda k: parse(columns[column][k], column, lines[k], path)
+class _Column(NamedTuple):
+    """A column whose text parses as a ``kind`` ("real" or a key of
+    _CONVERT) in the rows that ``reads``, a function of a chunk's text
+    columns, masks (all when None), to a value that ``refused`` does not
+    hold for (reals are not refused); a refused value fails with
+    ``message`` formatted with it."""
+
+    name: str
+    kind: str
+    refused: Optional[Callable] = None
+    message: str = ""
+    reads: Optional[Callable] = None
+
+    def check(self, columns: dict, parsed: dict, caches: dict):
+        """Parse this column of ``columns`` into ``parsed``; return its check
+        (see :func:`_check_columns`): its text, then ``refused``."""
+        texts = columns[self.name]
+        if self.kind == "real":   # NaN where unparsable
+            try:
+                parsed[self.name] = np.fromiter(map(float, texts), float, count=len(texts))
+                bad = np.zeros(len(texts), bool)
+            except ValueError:
+                reals = [_attempt(float, text) for text in texts]
+                parsed[self.name] = np.array(reals, dtype=float)
+                bad = np.array([v is None for v in reals], dtype=bool)
+        else:
+            (each, rows), cache = distinct(texts), caches.setdefault(self.name, {})
+            values = [cache[text] if text in cache else cache.setdefault(
+                text, _attempt(_CONVERT[self.kind], text)) for text in each]
+            parsed[self.name] = values, rows
+            bad = _gather([v is None or self.refused is not None and self.refused(v)
+                           for v in values], rows, bool)
+        if self.reads is not None:
+            bad &= self.reads(columns)
+        return bad, lambda k: (_bad_field(self.kind, self.name, texts[k])
+                               if self.kind == "real" or values[rows[k]] is None
+                               else self.message.format(values[rows[k]]))
 
 
-def _parse_reals(texts) -> tuple[np.ndarray, np.ndarray]:
-    """A column of reals (NaN where unparsable) and its mask of bad rows."""
-    try:
-        return np.fromiter(map(float, texts), float, count=len(texts)), np.zeros(len(texts), bool)
-    except ValueError:
-        parsed = [_attempt(float, t) for t in texts]
-        bad = np.array([v is None for v in parsed], dtype=bool)
-        return np.array([np.nan if v is None else v for v in parsed]), bad
+def _check_columns(path, lines, columns, specs, caches: dict) -> dict:
+    """The columns of ``specs`` of a chunk's text ``columns``, rows at
+    ``lines`` (see :func:`_table_chunks`), parsed: reals as an array,
+    others as their distinct values (None where unparsable), parsed once
+    per ``caches[name]``, and each row's index into them. A spec is a
+    ``_Column`` or a check of several columns: a function of the columns
+    parsed so far, which may add columns it derives, returning (mask of
+    failing rows, ``describe(k)``: row k's fault). ``specs`` are in the
+    order a row is checked, and a fault is reported as a row-by-row reading
+    would meet it: a ``ParseError`` at the first bad row, with that row's
+    first failing check."""
+    parsed: dict = {}
+    checks = [spec.check(columns, parsed, caches) if isinstance(spec, _Column) else spec(parsed)
+              for spec in specs]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        k = int(np.argmax(bad))
+        describe = next(describe for mask, describe in checks if mask[k])
+        raise ParseError(f"{path}: {describe(k)}", line=lines[k])
+    return parsed
+
+
+def _out_of_range(parsed: dict):
+    """The check of a series row's observation as a whole (see
+    ``core.range_error``); adds the columns "values" (the reals in
+    BAND_ORDER), "ordinals", "doys" and "lags", 0 where a day is bad."""
+    dates, date_idx = parsed["nominal_date"]
+    doys_parsed, doy_idx = parsed["composite_doy"]
+    values = np.column_stack([parsed[column] for column in BAND_COLUMNS])
+    ordinals = _gather([d.toordinal() if d else 0 for d in dates], date_idx, np.int64)
+    nominal_doys = _gather([day_of_year(d) if d else 0 for d in dates], date_idx, np.int64)
+    year_days = _gather([365 + calendar.isleap(d.year) if d else 0 for d in dates], date_idx, np.int64)
+    doys = _gather([d if d is not None and 1 <= d <= YEAR_DAYS else 0 for d in doys_parsed],
+                   doy_idx, np.int64)
+    lags = doys - nominal_doys
+    lags = np.where((lags >= 0) & (lags <= MAX_COMPOSITE_LAG), lags, lags + year_days)
+    parsed.update(values=values, ordinals=ordinals, doys=doys, lags=lags)
+    return (
+        (doys == 0) | (lags < 0) | (lags > MAX_COMPOSITE_LAG)
+        | ~((values >= _RANGES[0]) & (values <= _RANGES[1])).all(axis=1),
+        lambda k: range_error(dates[date_idx[k]], doys_parsed[doy_idx[k]],
+                              dict(zip(BAND_ORDER, values[k].tolist()))),
+    )
+
+
+_SERIES_CHECKS = (
+    _Column("reliability", "integer", lambda code: code not in _RELIABILITY_CODES,
+            "unknown reliability code {}"),
+    *(_Column(column, "real") for column in BAND_COLUMNS),
+    _Column("nominal_date", "ISO date"),
+    _Column("composite_doy", "integer"),
+    _out_of_range,
+    _Column("col", "integer"),
+    _Column("row", "integer"),
+)
 
 
 class _SeriesChunk(NamedTuple):
@@ -453,101 +509,33 @@ class _SeriesChunk(NamedTuple):
     values: np.ndarray
 
 
-def _series_chunk(path, lines, columns, caches, pixels: dict, cols: list, rows: list):
-    """Check and convert one chunk of series rows; new pixels are added to
-    ``pixels`` (key -> index), ``cols`` and ``rows``.
-
-    Every check runs over whole columns. When a row fails, the first
-    failing row is reported with its first failing check, in this order:
+def _series_chunk(path, lines, columns, caches, pixels: dict):
+    """Check and convert one chunk of series rows, checked in this order:
     reliability, the six reals, nominal date, composite day, the
-    observation's own range checks, col, row.
-    """
-    codes_parsed, codes_idx = _parse_distinct(columns["reliability"], int, caches["reliability"])
-    rel_unknown = [c is not None and c not in _RELIABILITY_CODES for c in codes_parsed]
-    reliability = [c if c in _RELIABILITY_CODES else 0 for c in codes_parsed]
-    reals = [_parse_reals(columns[column]) for column in BAND_COLUMNS]
-    n = len(columns["site_id"])
-    values = np.column_stack([v for v, _ in reals]) if n else np.empty((0, len(BAND_ORDER)))
-
-    dates, date_idx = _parse_distinct(
-        columns["nominal_date"], dt.date.fromisoformat, caches["nominal_date"]
-    )
-    ordinals = _gather([d.toordinal() if d else 0 for d in dates], date_idx, np.int64)
-    nominal_doys = _gather([day_of_year(d) if d else 0 for d in dates], date_idx, np.int64)
-    year_days = _gather(
-        [366 if d and calendar.isleap(d.year) else 365 for d in dates], date_idx, np.int64
-    )
-    doys_parsed, doy_idx = _parse_distinct(columns["composite_doy"], int, caches["composite_doy"])
-    doys = _gather(
-        [d if d is not None and 1 <= d <= YEAR_DAYS else 0 for d in doys_parsed],
-        doy_idx, np.int64,
-    )
-    lags = doys - nominal_doys
-    lags = np.where((lags >= 0) & (lags <= MAX_COMPOSITE_LAG), lags, lags + year_days)
-    cols_parsed, col_idx = _parse_distinct(columns["col"], int, caches["col"])
-    rows_parsed, row_idx = _parse_distinct(columns["row"], int, caches["row"])
-
-    text_error = _text_errors(path, lines, columns)
-
-    def unknown_code(k):
-        code = codes_parsed[codes_idx[k]]
-        raise ParseError(f"{path}: unknown reliability code {code}", line=lines[k])
-
-    def out_of_range(k):
-        error = range_error(
-            dates[date_idx[k]], doys_parsed[doy_idx[k]], dict(zip(BAND_ORDER, values[k].tolist()))
-        )
-        raise ParseError(f"{path}: {error}", line=lines[k])
-
-    checks = [
-        (_failed(codes_parsed, codes_idx), text_error(_parse_int, "reliability")),
-        (_gather(rel_unknown, codes_idx, bool), unknown_code),
-        *((bad, text_error(_parse_float, column)) for (_, bad), column in zip(reals, BAND_COLUMNS)),
-        (_failed(dates, date_idx), text_error(_parse_date, "nominal_date")),
-        (_failed(doys_parsed, doy_idx), text_error(_parse_int, "composite_doy")),
-        (
-            (doys == 0)
-            | (lags < 0) | (lags > MAX_COMPOSITE_LAG)
-            | ~((values >= _RANGES[0]) & (values <= _RANGES[1])).all(axis=1),
-            out_of_range,
-        ),
-        (_failed(cols_parsed, col_idx), text_error(_parse_int, "col")),
-        (_failed(rows_parsed, row_idx), text_error(_parse_int, "row")),
-    ]
-    _raise_first_failure(checks, n)
-
+    observation's own range checks, col, row. New pixels are added to
+    ``pixels``, key -> (index, col, row)."""
+    parsed = _check_columns(path, lines, columns, _SERIES_CHECKS, caches)
+    (cols_parsed, col_idx), (rows_parsed, row_idx) = parsed["col"], parsed["row"]
     keys, key_idx = distinct(list(zip(columns["site_id"], columns["pixel_id"])))
     _, first = np.unique(key_idx, return_index=True)
     for key, k in zip(keys, first.tolist()):
         if key not in pixels:
-            pixels[key] = len(pixels)
-            cols.append(cols_parsed[col_idx[k]])
-            rows.append(rows_parsed[row_idx[k]])
-    return _SeriesChunk(
-        pixels=_gather([pixels[key] for key in keys], key_idx, np.intp),
-        ordinals=ordinals,
-        lags=lags,
-        doys=doys,
-        reliability=_gather(reliability, codes_idx, np.int8),
-        values=values,
-    )
+            pixels[key] = len(pixels), cols_parsed[col_idx[k]], rows_parsed[row_idx[k]]
+    parsed.update(pixels=_gather([pixels[key][0] for key in keys], key_idx, np.intp),
+                  reliability=_gather(*parsed["reliability"], np.int8))
+    return _SeriesChunk(*map(parsed.__getitem__, _SeriesChunk._fields))
 
 
 def _parse_series(path, data: bytes) -> FlatSeries:
     """Parse the bytes ``data`` of the series file ``path`` column by
-    column. A fault is reported as the row-by-row reading of the file would
-    meet it: the first bad row (see :func:`_series_chunk`; a wrong field
-    count is checked first), and a break of the 16-day cadence only after
+    column, chunk by chunk (see :func:`_series_chunk`; a wrong field count
+    is checked first); a break of the 16-day cadence is checked only after
     every row has passed."""
-    caches: dict[str, dict] = {
-        column: {} for column in ("reliability", "nominal_date", "composite_doy", "col", "row")
-    }
+    caches: dict = {}
     pixels: dict = {}
-    cols: list = []
-    rows: list = []
     chunks = []
     for lines, columns in _table_chunks(path, "series", SERIES_COLUMNS, data=data):
-        chunks.append(_series_chunk(path, lines, columns, caches, pixels, cols, rows))
+        chunks.append(_series_chunk(path, lines, columns, caches, pixels))
     if chunks:
         table = _SeriesChunk(*(np.concatenate(parts) for parts in zip(*chunks)))
     else:
@@ -556,7 +544,7 @@ def _parse_series(path, data: bytes) -> FlatSeries:
     check_pixel_sites(path, keys)
     reliability = table.reliability.astype(np.int8)
     flat = FlatSeries.of_rows(
-        [(*key, col, row) for key, col, row in zip(keys, cols, rows)], table.pixels,
+        [(*key, col, row) for key, (_, col, row) in pixels.items()], table.pixels,
         SeriesArrays(table.ordinals, table.ordinals + table.lags, table.doys.astype(np.int32),
                      reliability, np.isin(reliability, sorted(CLEAR_CODES)),
                      np.where(table.values == _FILLS, np.nan, table.values)),
@@ -566,7 +554,7 @@ def _parse_series(path, data: bytes) -> FlatSeries:
     if gap_bad.any():
         bad = np.flatnonzero(gap_bad)
         # the first break of the pixel that comes first in the file
-        j = int(bad[np.argmin([pixels[flat.keys[p][:2]] for p in same[bad].tolist()])])
+        j = int(bad[np.argmin([pixels[flat.keys[p][:2]][0] for p in same[bad].tolist()])])
         pixel_id = flat.keys[same[j]][1]
         prev, cur = (dt.date.fromordinal(int(o)) for o in flat.columns.ordinals[j:j + 2])
         raise ParseError(f"{path}: pixel {pixel_id!r}: {cadence_error(pixel_id, prev, cur)}")
@@ -756,9 +744,21 @@ def write_labels(path, labels: Sequence[DeforestationLabel]) -> None:
     ))
 
 
+def _pixel_rows(path, kind: str, columns: Sequence[str], on_header: Optional[Callable] = None):
+    """:func:`_rows` of a table of one row per pixel id (a label or
+    detection file); a second row of a pixel id is refused at its line."""
+    lines: dict[str, int] = {}
+    for line, row in _rows(path, kind, columns, on_header):
+        first = lines.setdefault(row["pixel_id"], line)
+        if first != line:
+            raise ParseError(f"{path}: pixel {row['pixel_id']!r} has a second row; the first is "
+                             f"on line {first}", line=line)
+        yield line, row
+
+
 def read_labels(path) -> list[DeforestationLabel]:
     out = []
-    for line, row in _rows(path, "labels", LABEL_COLUMNS):
+    for line, row in _pixel_rows(path, "labels", LABEL_COLUMNS):
         try:
             out.append(
                 DeforestationLabel(
@@ -859,41 +859,28 @@ def _model_table(train: DateInterval, pixel_ids: list, bands, coeffs, n_obs) -> 
                               dtype=np.int64))
 
 
+_MODEL_CHECKS = (
+    _Column("band", "integer", lambda code: code not in _BAND_CODES, "unknown band code {}"),
+    *(_Column(f"a{k}", "real") for k in range(N_COEFFS)),
+    _Column("n_obs", "integer", lambda n: not _INT64.min <= n <= _INT64.max,
+            "n_obs {} outside int64"),
+)
+
+
 def _parse_models(path, data: bytes) -> tuple[DateInterval, ModelTable]:
-    """Parse the bytes of a model file column by column. A fault is reported
-    as a row-by-row reading would meet it: the first bad row, and its first
-    failing check (band, a0..a4, then n_obs, which must fit in int64)."""
+    """Parse the bytes of a model file column by column, each row checked
+    in this order: band, a0..a4, then n_obs, which must fit in int64."""
     windows = []
     tables = []
-    caches: dict[str, dict] = {"band": {}, "n_obs": {}}
+    caches: dict = {}
     for lines, columns in _table_chunks(path, "models", MODEL_COLUMNS,
                                         lambda meta: windows.append(_train_window(path, meta)),
                                         data):
-        n = len(columns["pixel_id"])
-        codes, code_rows = _parse_distinct(columns["band"], int, caches["band"])
-        reals = [_parse_reals(columns[f"a{k}"]) for k in range(N_COEFFS)]
-        counts, count_rows = _parse_distinct(columns["n_obs"], int, caches["n_obs"])
-
-        text_error = _text_errors(path, lines, columns)
-
-        def unknown_band(k):
-            raise ParseError(f"{path}: unknown band code {codes[code_rows[k]]}", line=lines[k])
-
-        def count_range(k):
-            raise ParseError(f"{path}: n_obs {counts[count_rows[k]]} outside int64", line=lines[k])
-
-        _raise_first_failure([
-            (_failed(codes, code_rows), text_error(_parse_int, "band")),
-            (_gather([code is not None and code not in _BAND_CODES for code in codes], code_rows,
-                     bool), unknown_band),
-            *((bad, text_error(_parse_float, f"a{k}")) for k, (_, bad) in enumerate(reals)),
-            (_failed(counts, count_rows), text_error(_parse_int, "n_obs")),
-            (_gather([c is not None and not _INT64.min <= c <= _INT64.max for c in counts],
-                     count_rows, bool), count_range),
-        ], n)
+        parsed = _check_columns(path, lines, columns, _MODEL_CHECKS, caches)
         tables.append(_model_table(
-            windows[0], columns["pixel_id"], _gather(codes, code_rows, np.int8),
-            np.column_stack([v for v, _ in reals]), _gather(counts, count_rows, np.int64),
+            windows[0], columns["pixel_id"], _gather(*parsed["band"], np.int8),
+            np.column_stack([parsed[f"a{k}"] for k in range(N_COEFFS)]),
+            _gather(*parsed["n_obs"], np.int64),
         ))
     return windows[0], ModelTable.concat(tables)
 
@@ -1115,38 +1102,32 @@ def read_covariances_mirrored(path, mirror_path) -> tuple[CubeCovarianceTable, O
     return table, None if mirrored else sha256.hexdigest()
 
 
+def _keyed_by(part: str):
+    """The ``reads`` of a covariance key column: rows of a level it keys."""
+    pools = [pool for pool in COVARIANCE_POOLS if part in _KEY_PARTS[pool]]
+    return lambda columns: np.isin(columns["level"], pools)
+
+
+_COVARIANCE_REALS = ("var_nir", "cov", "var_ndvi")
+_COVARIANCE_CHECKS = (
+    *(_Column(column, "real") for column in _COVARIANCE_REALS),
+    _Column("n", "integer"),
+    *(_Column(part, "integer", reads=_keyed_by(part)) for part in ("square", "period")),
+    _Column("level", "text", lambda level: level not in COVARIANCE_POOLS, "unknown level {!r}"),
+)
+
+
 def load_covariances(path, data: Optional[bytes] = None) -> CubeCovarianceTable:
     """Parse a covariance file, or its bytes ``data`` as read, column by
-    column. A fault is reported as a row-by-row reading would meet it: the
-    first bad row, and its first failing check (reals, n, square and period
-    where its level reads them, then the level)."""
+    column, each row checked in this order: the reals, n, square and period
+    where its level reads them, then the level."""
     meta: dict = {}
     rows, entries = [], []
-    caches: dict[str, dict] = {"n": {}, "square": {}, "period": {}}
+    caches: dict = {}
     for lines, columns in _table_chunks(path, "covariances", COVARIANCE_COLUMNS, meta.update, data):
-        levels = np.array(columns["level"], dtype=object)
-        n = levels.size
-        reads = {part: np.isin(levels, [p for p in COVARIANCE_POOLS if part in _KEY_PARTS[p]])
-                 for part in ("square", "period")}
-        reals = [_parse_reals(columns[c]) for c in ("var_nir", "cov", "var_ndvi")]
-        ints = {c: _parse_distinct(columns[c], int, caches[c]) for c in caches}
-        text_error = _text_errors(path, lines, columns)
-
-        def unknown_level(k):
-            raise ParseError(f"{path}: unknown level {levels[k]!r}", line=lines[k])
-
-        _raise_first_failure([
-            *((bad, text_error(_parse_float, c))
-              for (_, bad), c in zip(reals, ("var_nir", "cov", "var_ndvi"))),
-            (_failed(*ints["n"]), text_error(_parse_int, "n")),
-            *((_failed(*ints[part]) & reads[part], text_error(_parse_int, part)) for part in reads),
-            (~np.isin(levels, COVARIANCE_POOLS), unknown_level),
-        ], n)
-        counts, squares, periods = (
-            np.array(parsed, dtype=object)[idx].tolist()
-            for parsed, idx in (ints["n"], ints["square"], ints["period"])
-        )
-        entries += map(CovarianceEntry, *(v.tolist() for v, _ in reals), counts)
+        parsed = _check_columns(path, lines, columns, _COVARIANCE_CHECKS, caches)
+        counts, squares, periods = (_gather(*parsed[c], object).tolist() for c in ("n", "square", "period"))
+        entries += map(CovarianceEntry, *(parsed[c].tolist() for c in _COVARIANCE_REALS), counts)
         rows += zip(columns["level"], columns["site"], squares, periods)
     try:
         min_cube_samples = int(meta.get("min_cube_samples", "10"))
@@ -1196,7 +1177,7 @@ def replace_detections(
 def read_detections(path) -> tuple[dict[str, str], list[DetectionResult]]:
     meta: dict[str, str] = {}
     out = []
-    for line, row in _rows(path, "detections", DETECTION_COLUMNS, meta.update):
+    for line, row in _pixel_rows(path, "detections", DETECTION_COLUMNS, meta.update):
         flagged = _parse_int(row["flagged"], "flagged", line, path)
         if flagged not in (0, 1):
             raise ParseError(f"{path}: flagged must be 0 or 1, got {flagged}", line=line)

@@ -334,6 +334,51 @@ def test_report_on_detections_with_unknown_band_is_a_data_error(sim_dir, tmp_pat
     assert f"line 3: {det}: unknown band 'FOO'" in capsys.readouterr().err
 
 
+def _detect(sim_dir, models_dir, out, *flags):
+    assert main(["detect", "--series", str(sim_dir / "series.csv"), "--models", str(models_dir),
+                 "--out", str(out), "--threads", "1", *flags]) == EXIT_OK
+
+
+def test_report_refuses_a_pixel_listed_twice(sim_dir, models_dir, tmp_path, capsys):
+    """A label or detection file holds one row per pixel: a second row of a
+    pixel is a data error at its line, not a row that silently wins."""
+    det, labels = tmp_path / "det.csv", tmp_path / "labels.csv"
+    _detect(sim_dir, models_dir, det)
+    label_lines = (sim_dir / "labels.csv").read_text().splitlines()
+    pixel = label_lines[2].split(",")[0]
+    labels.write_text("\n".join([*label_lines, f"{pixel},0,0,3,1"]) + "\n")
+    report = ["report", "--detections", str(det), "--labels", str(labels)]
+    assert main(report) == EXIT_DATA
+    assert (f"line {len(label_lines) + 1}: {labels}: pixel {pixel!r} has a second row; "
+            "the first is on line 3") in capsys.readouterr().err
+    det_lines = det.read_text().splitlines()
+    det.write_text("\n".join([*det_lines, f"{pixel},0,,"]) + "\n")
+    report[-1] = str(sim_dir / "labels.csv")
+    assert main(report) == EXIT_DATA
+    assert (f"line {len(det_lines) + 1}: {det}: pixel {pixel!r} has a second row; "
+            "the first is on line 3") in capsys.readouterr().err
+
+
+def test_report_names_a_pixel_only_one_file_holds(sim_dir, models_dir, tmp_path, capsys):
+    """Detections and labels that cover different pixels are a data error
+    naming the first pixel one of them lacks, and the file that lacks it."""
+    det, labels = tmp_path / "det.csv", tmp_path / "labels.csv"
+    _detect(sim_dir, models_dir, det)
+    full_det, full_labels = det.read_text().splitlines(), (sim_dir / "labels.csv").read_text()
+    det.write_text("\n".join(full_det[:5] + full_det[6:]) + "\n")
+    labels.write_text(full_labels)
+    report = ["report", "--detections", str(det), "--labels", str(labels)]
+    assert main(report) == EXIT_DATA
+    dropped = full_det[5].split(",")[0]
+    assert f"{det}: no row for pixel {dropped!r}, which {labels} holds" in capsys.readouterr().err
+    det.write_text("\n".join(full_det) + "\n")
+    label_lines = full_labels.splitlines()
+    labels.write_text("\n".join(label_lines[:7] + label_lines[8:]) + "\n")
+    assert main(report) == EXIT_DATA
+    dropped = label_lines[7].split(",")[0]
+    assert f"{labels}: no row for pixel {dropped!r}, which {det} holds" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(sim_dir, models_dir, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -465,6 +510,58 @@ def test_fit_refuses_a_series_it_cannot_key_by_pixel_id(sim_dir, tmp_path, capsy
         capsys.readouterr().err
     )
     assert not (tmp_path / "models").exists()
+
+
+@pytest.mark.parametrize("bands", ["nir,nir", "nir,NIR", "red,nir,ndvi,Nir"])
+def test_fit_refuses_a_band_named_twice(tmp_path, bands, capsys):
+    """A band named twice in --bands, in any case, is a usage error raised
+    before the series is read (here there is none, a data error)."""
+    out = tmp_path / "models"
+    command = ["fit", "--series", str(tmp_path / "missing.csv"), "--out", str(out),
+               "--bands", bands]
+    assert main(command) == EXIT_USAGE
+    assert "--bands names nir twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "standardize", "mahalanobis"])
+def test_a_band_no_model_file_holds_is_a_data_error(sim_dir, tmp_path, command, capsys):
+    """Models fitted without a band the command needs are a data error that
+    names the band and --models, not a run that skips every pixel."""
+    models = tmp_path / "models"
+    assert main(["fit", "--series", str(sim_dir / "series.csv"), "--out", str(models),
+                 "--windows", "2003:2", "--bands", "nir,red"]) == EXIT_OK
+    out = tmp_path / "out.csv"
+    args = {
+        "detect": ["detect", "--rule", "univariate", "--band", "blue", "--L", "0.1"],
+        "standardize": ["standardize", "--band", "blue", "--scheme", "1"],
+        "mahalanobis": ["detect", "--rule", "mahalanobis"],
+    }[command]
+    code = main([*args, "--series", str(sim_dir / "series.csv"), "--models", str(models),
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    band = "NDVI" if command == "mahalanobis" else "BLUE"
+    assert f"no models_*.csv file in --models {str(models)!r} holds band {band}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_a_band_some_windows_lack_skips_their_pixels(sim_dir, models_dir, tmp_path):
+    """A band that one model file holds and another lacks is no error: the
+    pixels of the window that lacks it are skipped."""
+    edited = tmp_path / "models"
+    edited.mkdir()
+    paths = sorted(models_dir.glob("models_*.csv"))
+    for path in paths:
+        (edited / path.name).write_text(path.read_text())
+    lines = paths[0].read_text().splitlines(keepends=True)
+    (edited / paths[0].name).write_text("".join(
+        lines[:2] + [line for line in lines[2:] if line.split(",")[1] != str(int(Band.NDVI))]))
+    det = tmp_path / "det.csv"
+    _detect(sim_dir, edited, det)
+    meta, results = read_detections(det)
+    assert int(meta["skipped"]) > 0
 
 
 def test_degenerate_training_exits_3(sim_dir, models_dir, tmp_path):

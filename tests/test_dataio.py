@@ -32,6 +32,7 @@ from cmfda.core import (
     day_of_year,
 )
 from cmfda.dataio import (
+    COVARIANCE_COLUMNS,
     MODEL_COLUMNS,
     SERIES_COLUMNS,
     _parse_date,
@@ -73,6 +74,8 @@ from cmfda.dataio import (
 from cmfda.detection import (
     N_PERIODS,
     N_SQUARES,
+    CovarianceEntry,
+    CubeCovarianceTable,
     DetectionResult,
     PairedErrorRecord,
     estimate_cube_covariances,
@@ -730,6 +733,28 @@ def test_labels_reject_invariant_violation(tmp_path):
         read_labels(path)
 
 
+@pytest.mark.parametrize("kind", ["labels", "detections"])
+def test_label_and_detection_files_refuse_a_repeated_pixel(tmp_path, kind):
+    """A label or detection file holds one row per pixel: a second row of a
+    pixel is a ParseError at its line that names the pixel, not a row that
+    silently replaces the first."""
+    path = tmp_path / f"{kind}.csv"
+    if kind == "labels":
+        write_labels(path, [DeforestationLabel("p1", 0, 0, 0, 0), DeforestationLabel("p2", 1, 0, 3, 1)])
+        repeat, read = "p1,0,0,3,1", read_labels
+    else:
+        write_detections(path, [DetectionResult("p1", False), DetectionResult("p2", False)], {})
+        repeat, read = "p2,1,2006-03-07,", read_detections
+    path.write_text(path.read_text() + "p3" + repeat[2:] + "\n" + repeat + "\n")
+    with pytest.raises(ParseError) as err:
+        read(path)
+    assert err.value.line == 6
+    assert str(err.value) == (
+        f"line 6: {path}: pixel {repeat[:2]!r} has a second row; the first is on line "
+        f"{3 if kind == 'labels' else 4}"
+    )
+
+
 # --- models -----------------------------------------------------------------------
 
 
@@ -1020,6 +1045,118 @@ def test_covariances_bad_row(tmp_path, rng, edit, line, message):
         load_covariances(path)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {path}: {message}"
+
+
+_COVARIANCE_KEYS = {"cube": ("site", "square", "period"), "site_period": ("site", "period"),
+                    "site": ("site",)}
+
+
+def oracle_load_covariances(path):
+    """Row-by-row covariance reader, the specification of the columnar one:
+    each row checked in the order reals, n, the square and period its
+    level reads, level; its entry kept under its level's key, a later row
+    of a key in place of an earlier one."""
+    with open(path, newline="") as fh:
+        meta = _read_header(fh, "covariances", path)
+        tables = {level: {} for level in _COVARIANCE_KEYS}
+        for line, row in reference_rows(fh, COVARIANCE_COLUMNS, path):
+            values = [_parse_float(row[c], c, line, path) for c in ("var_nir", "cov", "var_ndvi")]
+            n = _parse_int(row["n"], "n", line, path)
+            names = _COVARIANCE_KEYS.get(row["level"], ())
+            key = tuple(row[name] if name == "site" else _parse_int(row[name], name, line, path)
+                        for name in names)
+            if row["level"] not in tables:
+                raise ParseError(f"{path}: unknown level {row['level']!r}", line=line)
+            tables[row["level"]][key if len(key) > 1 else key[0]] = CovarianceEntry(*values, n)
+    return CubeCovarianceTable(*tables.values(), int(meta.get("min_cube_samples", "10")))
+
+
+@st.composite
+def covariance_rows(draw):
+    """Data rows of a valid covariance file: entries of all three levels,
+    some keys listed twice, reals written as ``real`` does, "" for a key
+    part the level does not read."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        level = draw(st.sampled_from(list(_COVARIANCE_KEYS)))
+        names = _COVARIANCE_KEYS[level]
+        var_nir, var_ndvi = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+        cov = draw(st.floats(-1, 1)) * (var_nir * var_ndvi) ** 0.5
+        rows.append([
+            level, f"s{draw(st.integers(0, 1))}",
+            str(draw(st.integers(0, N_SQUARES - 1))) if "square" in names else "",
+            str(draw(st.integers(0, N_PERIODS - 1))) if "period" in names else "",
+            real(var_nir), real(cov), real(var_ndvi), str(draw(st.integers(0, 400))),
+        ])
+    return rows
+
+
+COVARIANCE_CORRUPTIONS = (None, "real", "n", "key", "unread", "level", "fields")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=covariance_rows(),
+    kind=st.sampled_from(COVARIANCE_CORRUPTIONS),
+    pick=st.integers(0, 10**6),
+    column=st.integers(0, 5),
+    blank=st.none() | st.integers(0, 10**6),
+    quoted=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    chunk_rows=st.sampled_from([2, 1024]),
+)
+def test_load_covariances_matches_row_oracle(
+    rows, kind, pick, column, blank, quoted, newline, chunk_rows
+):
+    """The columnar covariance reader gives the entries of the row-by-row
+    oracle, level by level in the same order, or the same ParseError
+    message and line, also when the rows are read in several chunks."""
+    lines = [list(r) for r in rows]
+    if lines:
+        parts = lines[pick % len(lines)]
+        if kind == "real":   # and, from column 3, a bad n, which is checked later
+            parts[4 + column % 3] = "0.1x"
+            if column >= 3:
+                parts[7] = "2.5"
+        elif kind == "n":
+            parts[7] = "2.5"
+        elif kind == "key":   # a bad square, period or both on a level that reads them
+            square, period = column % 3 != 1, column % 3 != 0
+            if square or parts[0] == "site":
+                parts[:4] = ["cube", parts[1], parts[2] or "3", parts[3] or "5"]
+            if square:
+                parts[2] = "x3"
+            if period:
+                parts[3] = "x5"
+        elif kind == "unread":   # garbage in a part its level does not read
+            parts[0] = "site"
+            parts[2 if column % 2 else 3] = "x3"
+        elif kind == "level":   # which reads no square, even a bad one
+            parts[0] = "cubes"
+            if column % 2:
+                parts[2] = "x3"
+        elif kind == "fields":
+            lines[pick % len(lines)] = parts[:-1] if column % 2 else parts + ["0"]
+    if quoted:
+        for parts in lines:
+            parts[1] = f'"{parts[1]}"'
+    text = [",".join(parts) for parts in lines]
+    if blank is not None:
+        text.insert(blank % (len(text) + 1), "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "covariances.csv"
+        path.write_text(newline.join(["#cmfda covariances v1 min_cube_samples=10",
+                                      ",".join(COVARIANCE_COLUMNS), *text]) + newline, newline="")
+        expected, expected_error = _outcome(oracle_load_covariances, path)
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+            got, error = _outcome(load_covariances, path)
+    assert error == expected_error
+    if expected_error:
+        return
+    assert got.min_cube_samples == expected.min_cube_samples
+    assert [(pool, list(table.items())) for pool, table in got.levels()] == [
+        (pool, list(table.items())) for pool, table in expected.levels()
+    ]
 
 
 def test_covariances_bad_min_cube_samples(tmp_path, rng):
