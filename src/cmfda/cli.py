@@ -919,6 +919,8 @@ def cmd_online(args) -> int:
 
     if not args.batch or not args.out:
         raise UsageError("online step needs --batch and --out (or --init)")
+    if os.path.realpath(args.out) in map(os.path.realpath, paths.values()):
+        raise UsageError(f"--out {args.out} is a file of the state directory")
     setting = _state_settings(paths["config"])
     monitor_year = setting("monitor-year", _monitor_year)
     kind = setting("rule")
@@ -942,7 +944,9 @@ def cmd_online(args) -> int:
 
     history = dataio.read_series_file(paths["history"], paths["mirror"])
     batch = dataio.read_series_file(args.batch)
-    _, previously = dataio.read_detections(paths["flagged"])
+    with open(paths["flagged"], "rb") as fh:
+        flagged_bytes = fh.read()
+    _, previously = dataio.read_detections(paths["flagged"], flagged_bytes)
     keys = [*history.flat.keys, *batch.flat.keys]
     dataio.check_pixel_sites(args.batch, (key[:2] for key in keys))
 
@@ -984,7 +988,7 @@ def cmd_online(args) -> int:
         DetectionResult(pid, True, date, None)
         for pid, date in sorted({**flagged, **newly}.items())
     ]
-    dataio.replace_detections(paths["flagged"], results, {"state": "online"})
+    dataio.replace_detections(paths["flagged"], flagged_bytes, results, {"state": "online"})
     if len(models):
         # The header window spans every refit's own training window.
         train_window = DateInterval(dt.date.fromordinal(int(models.train[:, 0].min())),

@@ -350,19 +350,17 @@ def distinct(items: Sequence) -> tuple[list, np.ndarray]:
     return list(index), np.fromiter(map(index.__getitem__, items), np.intp, count=len(items))
 
 
-def segments(codes: np.ndarray, order: np.ndarray) -> list[tuple[int, int, int]]:
-    """(code, start, stop) of each group of equal codes, where ``order``
+def segments(codes: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The codes, starts and stops of the groups of equal codes, where ``order``
     sorts ``codes`` and groups them; ``start:stop`` indexes the sorted
     entries. Groups come in order of the first appearance of their code."""
     if not codes.size:
-        return []
+        return (np.empty(0, np.intp),) * 3
     ordered = codes[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     stops = np.r_[starts[1:], ordered.size]
-    first = np.minimum.reduceat(order, starts)
-    by_first = np.argsort(first, kind="stable")
-    return list(zip(ordered[starts][by_first].tolist(), starts[by_first].tolist(),
-                    stops[by_first].tolist()))
+    by_first = np.argsort(np.minimum.reduceat(order, starts), kind="stable")
+    return ordered[starts][by_first], starts[by_first], stops[by_first]
 
 
 SITE_SIDE = 25  # pixels per side of a 25 x 25 km site

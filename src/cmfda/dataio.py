@@ -382,10 +382,11 @@ def _table_chunks(path, kind: str, names: Sequence[str], on_header: Optional[Cal
             raise ParseError(f"{path}: {exc}", line=rows.line_num + 1) from None
 
 
-def _rows(path, kind: str, columns: Sequence[str], on_header: Optional[Callable] = None):
+def _rows(path, kind: str, columns: Sequence[str], on_header: Optional[Callable] = None,
+          data: Optional[bytes] = None):
     """Yield (line number, row dict) for each data row of a table file, as
     :func:`_table_chunks` reads and checks it."""
-    for lines, chunk in _table_chunks(path, kind, columns, on_header):
+    for lines, chunk in _table_chunks(path, kind, columns, on_header, data):
         for line, *fields in zip(lines, *chunk.values()):
             yield line, dict(zip(columns, fields))
 
@@ -744,11 +745,12 @@ def write_labels(path, labels: Sequence[DeforestationLabel]) -> None:
     ))
 
 
-def _pixel_rows(path, kind: str, columns: Sequence[str], on_header: Optional[Callable] = None):
+def _pixel_rows(path, kind: str, columns: Sequence[str], on_header: Optional[Callable] = None,
+                data: Optional[bytes] = None):
     """:func:`_rows` of a table of one row per pixel id (a label or
     detection file); a second row of a pixel id is refused at its line."""
     lines: dict[str, int] = {}
-    for line, row in _rows(path, kind, columns, on_header):
+    for line, row in _rows(path, kind, columns, on_header, data):
         first = lines.setdefault(row["pixel_id"], line)
         if first != line:
             raise ParseError(f"{path}: pixel {row['pixel_id']!r} has a second row; the first is "
@@ -1163,21 +1165,21 @@ def write_detections(
 
 
 def replace_detections(
-    path, results: Sequence[DetectionResult], meta: Optional[Mapping[str, str]] = None
+    path, held: bytes, results: Sequence[DetectionResult], meta: Optional[Mapping] = None
 ) -> None:
-    """Replace the detection file ``path`` with ``results`` unless it holds
-    those very bytes already."""
+    """Replace the detection file ``path``, whose bytes as read are
+    ``held``, with ``results`` unless those are the very bytes."""
     data = _table_bytes("detections", DETECTION_COLUMNS, _detection_rows(results), meta)
-    with contextlib.suppress(OSError), open(path, "rb") as fh:
-        if fh.read(len(data) + 1) == data:
-            return
-    write_file(path, [data])
+    if data != held:
+        write_file(path, [data])
 
 
-def read_detections(path) -> tuple[dict[str, str], list[DetectionResult]]:
+def read_detections(path, data: Optional[bytes] = None) -> tuple[dict, list[DetectionResult]]:
+    """The header and rows of the detection file ``path`` (of its bytes
+    ``data`` when read already)."""
     meta: dict[str, str] = {}
     out = []
-    for line, row in _pixel_rows(path, "detections", DETECTION_COLUMNS, meta.update):
+    for line, row in _pixel_rows(path, "detections", DETECTION_COLUMNS, meta.update, data):
         flagged = _parse_int(row["flagged"], "flagged", line, path)
         if flagged not in (0, 1):
             raise ParseError(f"{path}: flagged must be 0 or 1, got {flagged}", line=line)

@@ -24,8 +24,9 @@ each pixel's earliest flag date (``scan_window_errors``).
 
 The Mahalanobis covariances and the standardization schemes share one
 pooling engine: ``pool_codes`` alone keys an entry in a pool,
-``pool_statistics`` fits each pool's keys, and ``pool_walk`` serves each
-entry from the first fallback pool that serves its key.
+``pool_statistics`` hands a statistic each whole pool sorted by key, and
+``pool_walk`` serves each entry from the first fallback pool that serves
+its key.
 """
 from __future__ import annotations
 
@@ -114,19 +115,18 @@ def pool_codes(history: ResidualHistory, pool: str):
 
 
 def pool_statistics(history: ResidualHistory, pools: Sequence[str], statistic, *columns) -> list:
-    """Per pool, ``{key: statistic}``: ``statistic`` of the key's entries of
-    each of ``columns``, arrays aligned with ``history``. A pool is one
-    stable sort by its key codes, so each key's entries form a segment in
-    their original order; keys come in order of first appearance."""
+    """Per pool, ``{key: result}``. A pool is one stable sort by its key
+    codes, so each key's entries form a segment in their original order;
+    keys come in order of first appearance. ``statistic(starts, stops,
+    *columns)`` gets the bounds of every key's segment and ``columns``,
+    arrays aligned with ``history``, sorted, and gives one result per key."""
     tables = []
     for pool in pools:
         codes, key_of = pool_codes(history, pool)
         order = np.argsort(codes, kind="stable")
-        ordered = [column[order] for column in columns]
-        tables.append({
-            key_of(code): statistic(*(column[lo:hi] for column in ordered))
-            for code, lo, hi in segments(codes, order)
-        })
+        keys, starts, stops = segments(codes, order)
+        results = statistic(starts, stops, *(column[order] for column in columns))
+        tables.append(dict(zip(map(key_of, keys.tolist()), results)))
     return tables
 
 
@@ -369,12 +369,20 @@ class PairedResiduals:
         return cls(nir, np.array([r.eps_ndvi for r in records], dtype=float))
 
 
-def _entry_from_pairs(nir: np.ndarray, ndvi: np.ndarray) -> CovarianceEntry:
-    n = nir.size
-    if n < 2:
-        return CovarianceEntry(0.0, 0.0, 0.0, n)
-    cov = np.cov(nir, ndvi, ddof=1)
-    return CovarianceEntry(float(cov[0, 0]), float(cov[0, 1]), float(cov[1, 1]), n)
+def _covariance_entries(starts, stops, nir, ndvi) -> list[CovarianceEntry]:
+    """Each segment's ``np.cov(nir, ndvi, ddof=1)``, (0, 0, 0, 1) for one pair.
+    The k segments of a length m form a (k, 2, m) stack that takes np.cov's
+    operations (mean, centring, a matmul by its transpose, scale), so its bits."""
+    sizes = stops - starts
+    moments = np.zeros((sizes.size, 2, 2))
+    for m in set(sizes.tolist()) - {1}:
+        at = np.flatnonzero(sizes == m)
+        take = starts[at, None] + np.arange(m)
+        x = np.stack([nir[take], ndvi[take]], axis=1)
+        x -= x.mean(axis=-1, keepdims=True)
+        moments[at] = np.matmul(x, x.transpose(0, 2, 1)) * (1 / (m - 1))
+    return list(map(CovarianceEntry, moments[:, 0, 0].tolist(), moments[:, 0, 1].tolist(),
+                    moments[:, 1, 1].tolist(), sizes.tolist()))
 
 
 def estimate_cube_covariances(
@@ -382,12 +390,12 @@ def estimate_cube_covariances(
     min_cube_samples: int = MIN_CUBE_SAMPLES,
 ) -> CubeCovarianceTable:
     """Pool historical error pairs per cube, per site-period, and per site
-    (see ``pool_statistics``): every key, in order of first appearance,
-    gets ``np.cov`` of its pairs in their original order."""
+    (see ``pool_statistics``): each key gets ``np.cov`` of its pairs in their
+    original order, keys of one pair count at once (``_covariance_entries``)."""
     if not isinstance(pairs, PairedResiduals):
         pairs = PairedResiduals.from_records(pairs)
     return CubeCovarianceTable(*pool_statistics(
-        pairs.nir, COVARIANCE_POOLS, _entry_from_pairs, pairs.nir.value, pairs.ndvi
+        pairs.nir, COVARIANCE_POOLS, _covariance_entries, pairs.nir.value, pairs.ndvi
     ), min_cube_samples)
 
 

@@ -11,15 +11,16 @@ stage sees roughly normal values, while a final ECDF stage is shifted by
 Everything runs on arrays, on the pooling engine of ``detection``. A
 history is a ``ResidualHistory``; a stage's tables are
 ``detection.pool_statistics`` of each fallback level, ``np.std`` or
-``np.sort`` of each key's values. A transform is ``detection.pool_walk``
-over the levels' served keys (see ``StageTables``), then a rescaling, or
-one rank search for an ECDF stage. Tables, values and saved files are
-bit-identical to the record-by-record definition. The inverse normal CDF
-keeps the scalar order of operations and calls ``math.log``, ``math.exp``
-and ``math.erfc`` through ``np.frompyfunc``: NumPy's ``log`` and ``exp``
-differ from them in the last ulp for some inputs, and the values a first
-ECDF stage passes on become second-stage samples, which standardizer files
-store exactly.
+``np.sort`` of each key's segment of the values sorted by key (a stable
+(key, value) sort orders -0.0 and 0.0 otherwise). A transform is
+``detection.pool_walk`` over the levels' served keys (see ``StageTables``),
+then a rescaling, or one rank search for an ECDF stage. Tables, values and
+saved files are bit-identical to the record-by-record definition. The
+inverse normal CDF keeps the scalar order of operations and calls
+``math.log``, ``math.exp`` and ``math.erfc`` through ``np.frompyfunc``:
+NumPy's ``log`` and ``exp`` differ from them in the last ulp for some
+inputs, and the values a first ECDF stage passes on become second-stage
+samples, which standardizer files store exactly.
 """
 from __future__ import annotations
 
@@ -299,8 +300,13 @@ class Standardizer:
     stages: tuple[StageTables, ...]
 
 
-def _sd_of(values: np.ndarray) -> tuple[float, int]:
-    return float(np.std(values, ddof=1)) if values.size >= 2 else 0.0, values.size
+def _sds(starts, stops, values) -> list[tuple[float, int]]:
+    return [(float(np.std(values[lo:hi], ddof=1)) if hi - lo >= 2 else 0.0, hi - lo)
+            for lo, hi in zip(starts.tolist(), stops.tolist())]
+
+
+def _samples(starts, stops, values) -> list[np.ndarray]:
+    return [np.sort(values[lo:hi]) for lo, hi in zip(starts.tolist(), stops.tolist())]
 
 
 def _fit_stage(
@@ -311,7 +317,7 @@ def _fit_stage(
     the key's values gathered one by one."""
     kinds = FALLBACK_LEVELS[key_kind]
     tables = pool_statistics(
-        history, [kind.value for kind in kinds], _sd_of if transform_kind == SD else np.sort, values
+        history, [kind.value for kind in kinds], _sds if transform_kind == SD else _samples, values
     )
     levels = tuple(zip(kinds, tables))
     if transform_kind == SD:

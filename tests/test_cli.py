@@ -1664,6 +1664,52 @@ def test_online_step_survives_a_failed_mirror_write(
         assert _run_steps(state, batches[step + 1:], tmp_path / f"outs{step}") == record[step + 1:]
 
 
+def test_an_online_step_reads_flagged_csv_once(
+    mirror_inputs, mirror_reference, tmp_path, monkeypatch
+):
+    """A step opens flagged.csv once, to read it, and compares the bytes it
+    would write with those: a step with no new flag leaves the file as it
+    was, the very file, and one with new flags replaces it with the
+    uninterrupted run's bytes."""
+    import builtins
+
+    _, batches = mirror_inputs
+    root, record = mirror_reference
+    real_open = builtins.open
+    for step in (MIRROR_STEP, FLAG_STEP):
+        state = tmp_path / f"state{step}"
+        shutil.copytree(root / f"before{step}", state)
+        flagged = (state / "flagged.csv").resolve()
+        before, inode = flagged.read_bytes(), flagged.stat().st_ino
+        opened = []
+
+        def counting(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == flagged:
+                opened.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting)
+        assert _step(state, batches[step], tmp_path / f"out{step}.csv") == EXIT_OK
+        monkeypatch.setattr(builtins, "open", real_open)
+        assert opened == ["rb"]
+        assert flagged.read_bytes() == record[step][1]["flagged.csv"]
+        assert (flagged.read_bytes() == before) == (step == MIRROR_STEP)
+        assert (flagged.stat().st_ino == inode) == (step == MIRROR_STEP)
+
+
+def test_an_online_step_refuses_an_out_in_its_state(online_inputs, tmp_path):
+    """A step's --out may not name a file of the state directory, which the
+    step would overwrite: a usage error that changes no state file."""
+    history, batches = online_inputs
+    state = tmp_path / "state"
+    _init_online(history, state)
+    before = _files(state)
+    for name in ("flagged.csv", "history.csv", "config.txt", "models_online.csv"):
+        assert _step(state, batches[0], state / name) == EXIT_USAGE
+        assert _files(state) == before
+    assert _step(state, batches[0], tmp_path / "out.csv") == EXIT_OK
+
+
 def test_online_step_without_refits_keeps_models_online(
     mirror_inputs, mirror_reference, tmp_path, monkeypatch
 ):

@@ -23,7 +23,13 @@ from cmfda.dataio import (
     write_series,
     yucatan_like_config,
 )
-from cmfda.detection import PairedErrorRecord, estimate_cube_covariances
+from cmfda.detection import (
+    MIN_CUBE_SAMPLES,
+    CovarianceEntry,
+    PairedErrorRecord,
+    _covariance_entries,
+    estimate_cube_covariances,
+)
 from cmfda.errors import CmfdaError
 from cmfda.pipeline import paired_residual_records, training_residuals
 from cmfda.standardize import (
@@ -138,6 +144,25 @@ def test_array_standardizer_equals_scalar_oracle(extra, core):
         got = transform_errors(std, probe_history)
         assert bits(got) == bits(want), scheme
         assert bits([transform(std, probes[-1].value, probes[-1])]) == bits(want[-1:])
+
+
+def test_an_ecdf_sample_keeps_the_signed_zero_order_of_np_sort():
+    """A key whose errors hold -0.0 and 0.0 keeps them in its sample in the
+    order ``np.sort`` gives them, as the oracle does. On an x86-64 NumPy
+    2.4 build, ``np.sort`` puts (0.01, 0.01, -0.0, 0.0) in an order that a
+    stable sort of (key, value) pairs does not, so a rewrite to one fails
+    here."""
+    for values in ((0.01, 0.01, -0.0, 0.0), (0.0, -0.0, 0.0, -0.05), (-0.0, 0.02, 0.0, -0.0)):
+        records = [ErrorRecord("s0-0", "s0", 0, 0, BASE + dt.timedelta(days=3 * i), value)
+                   for i, value in enumerate(values)]
+        for scheme in (Scheme.PIXEL_ECDF, Scheme.DAY_PIXEL_SD_OVERALL_ECDF):
+            (*_, stage), (*_, expected) = (
+                fit_standardizer(history_of(records), scheme, Band.NIR).stages,
+                oracle.fit_standardizer(records, scheme),
+            )
+            (_, sample), = stage.ecdf_levels[0][1].items()
+            (_, want), = expected.ecdf_levels[0][1].items()
+            assert bits(sample) == bits(want), (values, scheme)
 
 
 def test_core_records_reach_every_fallback_level():
@@ -316,3 +341,74 @@ def test_pairing_edge_cases_equal_scalar_oracle():
             ErrorRecord(p.pixel_id, p.site_id, p.col, p.row, p.date, p.eps_nir) for p in expected
         ])
         assert bits(pairs.ndvi) == bits([p.eps_ndvi for p in expected])
+
+
+# --- cube covariances: the length-batched statistic ----------------------------------
+
+# Key lengths: one pair, two, each side of the cube threshold, and the
+# block edges of NumPy's pairwise sum (8 unrolled, blocks of 128).
+SIGMA_LENGTHS = (1, 2, MIN_CUBE_SAMPLES - 1, MIN_CUBE_SAMPLES, MIN_CUBE_SAMPLES + 1, 8, 128, 129)
+
+
+def _entry_bits(entry: CovarianceEntry):
+    assert type(entry.n) is int
+    return bits([entry.var_nir, entry.cov, entry.var_ndvi]), entry.n
+
+
+def _paired_records(keys, seed):
+    """``n`` pairs at each (site, col, row, doy, n) of ``keys``, all pairs
+    shuffled; values of magnitudes from 1e-6 to 1e2."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for site, col, row, doy, n in keys:
+        nir, ndvi = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-6, 3, (2, n))
+        records += [
+            PairedErrorRecord(f"{site}-{col}-{row}", site, col, row,
+                              dt.date(2005, 1, 1) + dt.timedelta(days=doy - 1), doy, x, y)
+            for x, y in zip(nir.tolist(), ndvi.tolist())
+        ]
+    return [records[k] for k in rng.permutation(len(records))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=st.lists(st.tuples(
+        st.sampled_from(["s0", "s1"]), st.integers(0, 24), st.integers(0, 24),
+        st.sampled_from([1, 2, 3, 100, 365]), st.sampled_from(SIGMA_LENGTHS),
+    ), max_size=6),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+# every length, in cubes of one site-period and of another period
+@example(keys=[("s0", 5 * k % 25, k, 1 + 100 * (k % 2), n) for k, n in enumerate(SIGMA_LENGTHS)],
+         seed=0)
+def test_cube_covariances_equal_scalar_oracle(keys, seed):
+    """Keys of the lengths above, some sharing a cube, a site-period or a
+    site: every cube, site-period and site entry, in the oracle's key
+    order, bit for bit; no pairs at all give empty pools."""
+    records = _paired_records(keys, seed)
+    table = estimate_cube_covariances(records)
+    expected = oracle.estimate_cube_covariances(records)
+    for level in ("cubes", "site_periods", "sites"):
+        got, want = getattr(table, level), getattr(expected, level)
+        assert list(got) == list(want)
+        assert [_entry_bits(e) for e in got.values()] == [_entry_bits(e) for e in want.values()]
+
+
+def test_stacked_covariances_equal_np_cov_per_segment():
+    """``_covariance_entries`` gives each segment ``np.cov``'s bits on the
+    BLAS this NumPy runs on: three segments of every length 1..300, in
+    shuffled key order, values of magnitudes from 1e-6 to 1e2."""
+    rng = np.random.default_rng(27)
+    sizes = np.repeat(np.arange(1, 301), 3)
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    nir, ndvi = rng.standard_normal((2, stops[-1])) * 10.0 ** rng.integers(-6, 3, (2, stops[-1]))
+    order = rng.permutation(sizes.size)
+    entries = _covariance_entries(starts[order], stops[order], nir, ndvi)
+    assert len(entries) == sizes.size
+    for entry, lo, hi in zip(entries, starts[order].tolist(), stops[order].tolist()):
+        if hi - lo < 2:
+            assert _entry_bits(entry) == (bits([0.0, 0.0, 0.0]), 1)
+            continue
+        cov = np.cov(nir[lo:hi], ndvi[lo:hi], ddof=1)
+        assert _entry_bits(entry) == (bits([cov[0, 0], cov[0, 1], cov[1, 1]]), hi - lo), hi - lo
