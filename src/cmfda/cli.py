@@ -27,6 +27,7 @@ from .detection import (
     UnivariateRule,
     estimate_cube_covariances,
     rule_bands,
+    rule_series,
 )
 from .harmonic import ModelTable
 from .errors import (
@@ -40,7 +41,7 @@ from .errors import (
 )
 from . import dataio, pipeline, training
 from .standardize import Scheme, fit_standardizer
-from .training import AnnealConfig, ReportRow, TrainReport
+from .training import C_VALUES, AnnealConfig, ReportRow, TrainReport
 from .windows import DateInterval, WindowPair, make_windows
 
 EXIT_OK = 0
@@ -61,8 +62,6 @@ DEFAULT_NIR_GRID = (0.01, 0.30, 0.01)
 DEFAULT_NDVI_GRID = (0.01, 0.50, 0.01)
 DEFAULT_MAHALANOBIS_GRID = (0.5, 30.0, 0.5)
 
-# Consecutive counts every training run covers; the sweep re-applies C=3.
-C_VALUES = (2, 3, 4, 5, 6)
 PAIR_BANDS = (Band.NIR, Band.NDVI)
 
 # The rule-specific flags `train` reads for each rule; any other is refused.
@@ -454,9 +453,7 @@ def _build_rule(args, covariances: Optional[CubeCovarianceTable] = None):
 
 
 def _rule_thresholds(rule) -> tuple[float, ...]:
-    if isinstance(rule, MultivariateRule):
-        return (rule.nir_threshold, rule.ndvi_threshold)
-    return (rule.threshold,)
+    return tuple(threshold for _, threshold in rule_series(rule))
 
 
 def _rule_meta(rule, scheme_code: str) -> dict[str, str]:
@@ -651,19 +648,19 @@ def _check_train_flags(args) -> None:
 
 
 def _trainer(args, band: Optional[Band], grids, covariances):
-    """The rule's trainer: (C, dataset) -> (rule, train TSS)."""
+    """The rule's trainer: (C, level table) -> (rule, train TSS)."""
     if args.rule == "univariate":
         (grid,) = grids
 
-        def train(c, dataset):
-            best_l, best_tss = training.grid_search_univariate(dataset, band, c, grid)
+        def train(c, table):
+            best_l, best_tss = training.grid_search_univariate(table, band, c, grid)
             return UnivariateRule(band, best_l, c), best_tss
 
     elif args.rule == "mahalanobis":
         (grid,) = grids
 
-        def train(c, dataset):
-            best_l, best_tss = training.grid_search_mahalanobis(dataset, c, grid)
+        def train(c, table):
+            best_l, best_tss = training.grid_search_mahalanobis(table, c, grid)
             return MahalanobisRule(best_l, covariances, c), best_tss
 
     else:
@@ -672,13 +669,13 @@ def _trainer(args, band: Optional[Band], grids, covariances):
         if args.anneal_iters is not None:  # a multiple of temp_levels (_check_train_flags)
             config = AnnealConfig(steps_per_temp=args.anneal_iters // config.temp_levels)
 
-        def train(c, dataset):
+        def train(c, table):
             init = (
-                _anneal_start(dataset, Band.NIR, c, nir_grid),
-                _anneal_start(dataset, Band.NDVI, c, ndvi_grid),
+                _anneal_start(table, Band.NIR, c, nir_grid),
+                _anneal_start(table, Band.NDVI, c, ndvi_grid),
             )
             (l_nir, l_ndvi), best_tss = training.anneal_multivariate(
-                dataset, c, nir_grid, ndvi_grid, init, config, args.seed
+                table, c, nir_grid, ndvi_grid, init, config, args.seed
             )
             return MultivariateRule(l_nir, l_ndvi, c), best_tss
 
@@ -720,14 +717,16 @@ def cmd_train(args) -> int:
     train = _trainer(args, band, grids, covariances)
 
     # univariate thresholds are trained per site, the pair rules on all pixels
-    scopes = datasets if args.rule == "univariate" else {"all": pooled}
+    series = (training.INDEX,) if args.rule == "mahalanobis" else bands
+    scopes = {scope: training.LevelTable.of(dataset, series, C_VALUES) for scope, dataset in
+              (datasets if args.rule == "univariate" else {"all": pooled}).items()}
     rows: list[ReportRow] = []
     trained = {}
-    for scope, dataset in scopes.items():
+    for scope, table in scopes.items():
         for c in C_VALUES:
-            rule, train_tss = train(c, dataset)
+            rule, train_tss = train(c, table)
             cv = _cv_or_none(
-                dataset, lambda fold, c=c: train(c, fold)[0], args.cv_folds, args.seed
+                table, lambda fold, c=c: train(c, fold)[0], args.cv_folds, args.seed
             )
             cv_cells = (cv.tss_mean, cv.producer_acc, cv.user_acc) if cv else (None, None, None)
             rows.append(ReportRow(scope, c, _rule_thresholds(rule), train_tss, *cv_cells))
@@ -736,18 +735,19 @@ def cmd_train(args) -> int:
     if args.rule == "multivariate":
         # the pooled optimum over C, scored on each site alone
         best_rule, _ = max((trained["all", c] for c in C_VALUES), key=lambda pair: pair[1])
-        for site_id, dataset in datasets.items():
-            site_tss, producer, user = training.skill(training.evaluate_rule(dataset, best_rule))
+        for site_id in datasets:
+            site = scopes["all"].take(np.flatnonzero(pooled.site_ids == site_id))
+            site_tss, producer, user = training.skill(training.evaluate_rule(site, best_rule))
             rows.append(ReportRow(site_id, best_rule.consecutive, _rule_thresholds(best_rule),
                                   site_tss, None, producer, user))
 
     if args.sweep_fixed:
-        for scope, dataset in scopes.items():
+        for scope, table in scopes.items():
             fixed, _ = trained[scope, 3]
             rows.extend(
                 ReportRow(f"{scope}:fixed-L(C=3)", sweep.consecutive, _rule_thresholds(fixed),
                           sweep.tss, None, sweep.producer_acc, sweep.user_acc)
-                for sweep in training.sweep_fixed(dataset, fixed, C_VALUES)
+                for sweep in training.sweep_fixed(table, fixed, C_VALUES)
             )
 
     report = TrainReport(rule_kind=args.rule, band=band, rows=tuple(rows))
@@ -760,17 +760,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _anneal_start(dataset, band, consecutive, grid) -> float:
+def _anneal_start(table, band, consecutive, grid) -> float:
     """The annealing start point: the grid point nearest the average of the
     per-site optimal thresholds."""
     optima = []
-    for site_id in dict.fromkeys(dataset.site_ids.tolist()):
-        site_pixels = dataset.take(np.flatnonzero(dataset.site_ids == site_id))
+    for site_id in dict.fromkeys(table.site_ids.tolist()):
+        site_pixels = table.take(np.flatnonzero(table.site_ids == site_id))
         try:
-            best_l, _ = training.grid_search_univariate(site_pixels, band, consecutive, grid)
+            optima.append(training.grid_search_univariate(site_pixels, band, consecutive, grid)[0])
         except DegenerateClass:
             continue
-        optima.append(best_l)
     if not optima:
         return grid[len(grid) // 2]
     average = sum(optima) / len(optima)

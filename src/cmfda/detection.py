@@ -57,6 +57,8 @@ N_PERIODS = 73
 # Cubes with fewer error pairs than this fall back to coarser pooling.
 MIN_CUBE_SAMPLES = 10
 
+INDEX = "index"  # the Mahalanobis index's key among the series a rule reads
+
 
 def periods_of(doys) -> np.ndarray:
     """5-day period index of each day of year."""
@@ -123,7 +125,10 @@ def pool_statistics(history: ResidualHistory, pools: Sequence[str], statistic, *
     tables = []
     for pool in pools:
         codes, key_of = pool_codes(history, pool)
-        order = np.argsort(codes, kind="stable")
+        # Sorted as uint16 when every code fits: the same keys give the same
+        # stable order, and NumPy sorts 16-bit keys by radix.
+        narrow = codes.size and codes.max() <= np.iinfo(np.uint16).max
+        order = np.argsort(codes.astype(np.uint16) if narrow else codes, kind="stable")
         keys, starts, stops = segments(codes, order)
         results = statistic(starts, stops, *(column[order] for column in columns))
         tables.append(dict(zip(map(key_of, keys.tolist()), results)))
@@ -426,10 +431,11 @@ class FlatErrors:
     def __len__(self) -> int:
         return self.ordinals.size
 
-    def filled_index(self) -> np.ndarray:
-        if self.index is None:
+    def series(self, key: Union[Band, str]) -> np.ndarray:
+        """A band's errors, or the filled index for ``INDEX``."""
+        if key == INDEX and self.index is None:
             raise OutOfRange("the errors have no Mahalanobis index; fill it first")
-        return self.index
+        return self.index if key == INDEX else self.errors[key]
 
     def entry_pixels(self) -> np.ndarray:
         return np.repeat(self.pixel, np.diff(self.ends, prepend=0))
@@ -455,32 +461,21 @@ class FlatErrors:
             if all(part.index is not None for part in parts) else None,
         )
 
-    def take(self, pixels) -> "FlatErrors":
-        """The segments of the given pixel numbers, pixel ``pixels[k]``
-        renumbered k."""
-        pixels = np.asarray(pixels, dtype=np.intp)
-        lo, hi = (np.searchsorted(self.pixel, pixels, side) for side in ("left", "right"))
-        chosen = _ranges(lo, hi)
-        starts = np.r_[0, self.ends[:-1]][chosen]
-        entries = _ranges(starts, self.ends[chosen])
-        return FlatErrors(
-            self.ordinals[entries], self.comp_ordinals[entries], self.doys[entries],
-            self.start_ok[entries], {band: v[entries] for band, v in self.errors.items()},
-            np.cumsum(self.ends[chosen] - starts), np.repeat(np.arange(pixels.size), hi - lo),
-            None if self.index is None else self.index[entries],
-        )
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``lo[i]:hi[i]`` for each i, concatenated."""
-    ends = np.cumsum(hi - lo)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(hi - ends, hi - lo)
-
 
 def WindowErrors(ordinals, comp_ordinals, doys, start_ok, errors, index=None) -> FlatErrors:
     """One segment, of pixel 0: a pixel's errors inside one window."""
     return FlatErrors(ordinals, comp_ordinals, doys, np.asarray(start_ok, dtype=bool),
                       dict(errors), np.array([len(ordinals)]), np.zeros(1, dtype=np.intp), index)
+
+
+def rule_series(rule: DetectionRule) -> list[tuple[Union[Band, str], float]]:
+    """(series, threshold) of each series a rule reads, a band or ``INDEX`` (one-sided
+    runs: the index is nonnegative); a pixel flags when a run of any triggers."""
+    if isinstance(rule, UnivariateRule):
+        return [(rule.band, rule.threshold)]
+    if isinstance(rule, MultivariateRule):
+        return [(Band.NIR, rule.nir_threshold), (Band.NDVI, rule.ndvi_threshold)]
+    return [(INDEX, rule.threshold)]
 
 
 def rule_bands(rule: DetectionRule) -> tuple[Band, ...]:
@@ -551,7 +546,8 @@ def flag_levels(
     errors: FlatErrors, values: np.ndarray, consecutive: int, two_sided: bool, n_pixels: int
 ) -> np.ndarray:
     """Each pixel's largest run level of ``values`` over its allowed
-    starts, -inf without one.
+    starts, -inf without one. A run holding NaN has a NaN level, which the
+    maximum skips, as the scan never flags on such a run.
 
     A pixel triggers at threshold L exactly when its level > L, which lets
     threshold sweeps reuse one pass over the data.
@@ -561,7 +557,7 @@ def flag_levels(
     ok = np.flatnonzero(_run_starts(errors, consecutive))
     levels[ok] = found[ok]
     bounds = np.r_[0, errors.ends][np.searchsorted(errors.pixel, np.arange(n_pixels + 1))]
-    out = np.maximum.reduceat(levels, bounds[:-1])
+    out = np.fmax.reduceat(levels, bounds[:-1])
     out[bounds[:-1] == bounds[1:]] = -np.inf
     return out
 
@@ -578,22 +574,14 @@ def scan_window_errors(
     earliest triggering run over all of the pixel's segments; on an equal
     date the earlier segment wins, then NIR over NDVI.
     """
-    if isinstance(rule, UnivariateRule):
-        series = [(-1, errors.errors[rule.band], rule.threshold, True)]
-    elif isinstance(rule, MultivariateRule):
-        series = [
-            (int(Band.NIR), errors.errors[Band.NIR], rule.nir_threshold, True),
-            (int(Band.NDVI), errors.errors[Band.NDVI], rule.ndvi_threshold, True),
-        ]
-    else:
-        # The index is nonnegative, so only the "> L" side can fire.
-        series = [(-1, errors.filled_index(), rule.threshold, False)]
+    series = rule_series(rule)
     c = rule.consecutive
     ok = _run_starts(errors, c)
-    hits = [np.flatnonzero((run_levels(v, c, two_sided) > threshold) & ok)
-            for _, v, threshold, two_sided in series]
+    hits = [np.flatnonzero((run_levels(errors.series(key), c, key != INDEX) > threshold) & ok)
+            for key, threshold in series]
     starts = np.concatenate(hits)
-    bands = np.repeat([code for code, *_ in series], [h.size for h in hits])
+    bands = np.repeat([int(key) if len(series) > 1 else -1 for key, _ in series],
+                      [h.size for h in hits])
     dates = errors.ordinals[starts + c - 1]
     pixel = errors.entry_pixels()[starts]
     order = np.lexsort((bands, starts, dates, pixel))

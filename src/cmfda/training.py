@@ -3,9 +3,12 @@ cross-validation and fixed-threshold sweeps.
 
 A training set holds its pixels' errors in the flat form of detection. For
 a fixed pixel and consecutive count, the thresholds at which the pixel is
-flagged are exactly (0, level) (``detection.flag_levels``), so one scan of
-the errors yields every pixel's whole threshold response: on an ascending
-grid, its rank (how many thresholds the level exceeds), which is counted.
+flagged are exactly (0, level) (``detection.flag_levels``), so its level
+fixes its whole threshold response: on an ascending grid, its rank (how
+many thresholds the level exceeds), which is counted. A level is the
+maximum over the pixel's own runs, whichever subset of pixels asks, so a
+``LevelTable`` holds each (series, C) computed once over a whole set, and
+every search, fold and sweep row indexes it.
 """
 from __future__ import annotations
 
@@ -22,9 +25,11 @@ from .detection import (
     CubeCovarianceTable,
     DetectionRule,
     FlatErrors,
+    INDEX,
     flag_levels,
     mahalanobis_series,
-    scan_window_errors,
+    rule_series,
+    scan_window_errors,  # noqa: F401 (perfbench/tracing.py wraps it at this name)
 )
 from .errors import (
     DegenerateClass,
@@ -176,23 +181,19 @@ class TrainingSet:
             FlatErrors.concat([part.errors for part in sets], np.cumsum(sizes) - sizes),
         )
 
-    def take(self, pixels) -> "TrainingSet":
-        """The given pixels, in that order, with their errors."""
-        pixels = np.asarray(pixels, dtype=np.intp)
-        return TrainingSet(
-            *(getattr(self, name)[pixels] for name in _PIXEL_FIELDS), self.errors.take(pixels)
-        )
-
 
 _PIXEL_FIELDS = ("pixel_ids", "site_ids", "cols", "rows", "labels")
 
 # What the training functions accept: a training set, or the pixels of one.
 Dataset = Union[TrainingSet, Sequence[PixelTrainingData]]
 
+# Consecutive counts every training run covers; the sweep re-applies C=3.
+C_VALUES = (2, 3, 4, 5, 6)
 
-def _check_two_classes(dataset: TrainingSet) -> np.ndarray:
+
+def _check_two_classes(table: "LevelTable") -> np.ndarray:
     """The pixels' labels as bools, when both classes occur."""
-    observed = dataset.labels != 0
+    observed = table.labels != 0
     if observed.all() or not observed.any():
         raise DegenerateClass("training labels must contain both classes")
     return observed
@@ -200,31 +201,64 @@ def _check_two_classes(dataset: TrainingSet) -> np.ndarray:
 
 def fill_dataset_index(dataset: TrainingSet, covariances: CubeCovarianceTable) -> None:
     """Store the Mahalanobis index of every entry once: thresholds and C
-    never change it, and subsets of the pixels (``take``) carry it, so
-    every later scan of the set or of its folds reads it."""
+    never change it, so every later level table of the set reads it. A
+    table made before a refill keeps the levels of the index it read."""
     dataset.errors.index = mahalanobis_series(
         dataset.errors, covariances, dataset.site_ids, dataset.cols, dataset.rows
     )
 
 
-def univariate_flag_levels(dataset: Dataset, band: Band, consecutive: int) -> np.ndarray:
+def univariate_flag_levels(dataset: TrainingSet, band: Band, consecutive: int) -> np.ndarray:
     """Per-pixel supremum threshold at which the pixel still flags."""
-    errors = TrainingSet.of(dataset).errors
-    return flag_levels(errors, errors.errors[band], consecutive, True, len(dataset))
+    errors = dataset.errors
+    return flag_levels(errors, errors.series(band), consecutive, True, len(dataset))
 
 
-def mahalanobis_flag_levels(dataset: Dataset, consecutive: int) -> np.ndarray:
-    """Levels of the filled index; the index is nonnegative, so the runs
-    are one-sided."""
-    errors = TrainingSet.of(dataset).errors
-    return flag_levels(errors, errors.filled_index(), consecutive, False, len(dataset))
+def mahalanobis_flag_levels(dataset: TrainingSet, consecutive: int) -> np.ndarray:
+    """Levels of the filled index (one-sided runs, see ``rule_series``)."""
+    errors = dataset.errors
+    return flag_levels(errors, errors.series(INDEX), consecutive, False, len(dataset))
 
 
-def evaluate_rule(dataset: Dataset, rule: DetectionRule) -> ConfusionCounts:
-    """Confusion of a fixed rule over the dataset."""
-    dataset = TrainingSet.of(dataset)
-    return _counts(scan_window_errors(dataset.errors, rule, len(dataset))[0] > 0,
-                   dataset.labels != 0)
+@dataclass(frozen=True, eq=False)
+class LevelTable:
+    """Each pixel's level of each series (``rule_series``) and C: pixel k,
+    labelled ``labels[k]`` in site ``site_ids[k]``, has ``levels[series, c][k]``."""
+
+    labels: np.ndarray
+    site_ids: np.ndarray
+    levels: Mapping[tuple[Union[Band, str], int], np.ndarray]
+
+    @classmethod
+    def of(cls, dataset: Union[Dataset, "LevelTable"],
+           series: Optional[Sequence[Union[Band, str]]] = None,
+           c_values: Sequence[int] = C_VALUES) -> "LevelTable":
+        """A level table as it is; or a dataset's levels of ``series`` (by default
+        its bands, and the index once filled) at each C, one call per (series, C)."""
+        if isinstance(dataset, LevelTable):
+            return dataset
+        dataset = TrainingSet.of(dataset)
+        if series is None:
+            series = [*dataset.errors.errors] + [INDEX] * (dataset.errors.index is not None)
+        return cls(dataset.labels, dataset.site_ids, {
+            (key, c): mahalanobis_flag_levels(dataset, c) if key == INDEX
+            else univariate_flag_levels(dataset, key, c)
+            for c in c_values for key in series
+        })
+
+    def take(self, pixels) -> "LevelTable":
+        """The given pixels, in that order."""
+        return LevelTable(self.labels[pixels], self.site_ids[pixels],
+                          {key: level[pixels] for key, level in self.levels.items()})
+
+
+def evaluate_rule(dataset: Union[Dataset, LevelTable], rule: DetectionRule) -> ConfusionCounts:
+    """Confusion of a fixed rule over the dataset: a pixel flags when its
+    level of a series the rule reads exceeds that series' threshold."""
+    series = rule_series(rule)
+    table = LevelTable.of(dataset, [key for key, _ in series], [rule.consecutive])
+    flags = [table.levels[key, rule.consecutive] > threshold for key, threshold in series]
+    return _counts(np.logical_or.reduce(flags), table.labels != 0)
 
 
 # --- grid search ------------------------------------------------------------
@@ -259,30 +293,19 @@ def _grid_search_levels(levels, observed, grid) -> tuple[float, float]:
     return grid[best], float(scores[best])
 
 
-def grid_search_univariate(
-    dataset: Dataset,
-    band: Band,
-    consecutive: int,
-    grid: Sequence[float],
-) -> tuple[float, float]:
+def grid_search_univariate(dataset: Union[Dataset, LevelTable], band: Band, consecutive: int,
+                           grid: Sequence[float]) -> tuple[float, float]:
     """Exhaustive search; ties break toward the smallest threshold, which
     favours earlier detection."""
-    dataset = TrainingSet.of(dataset)
-    observed = _check_two_classes(dataset)
-    levels = univariate_flag_levels(dataset, band, consecutive)
-    return _grid_search_levels(levels, observed, grid)
+    table = LevelTable.of(dataset, [band], [consecutive])
+    return _grid_search_levels(table.levels[band, consecutive], _check_two_classes(table), grid)
 
 
-def grid_search_mahalanobis(
-    dataset: Dataset,
-    consecutive: int,
-    grid: Sequence[float],
-) -> tuple[float, float]:
+def grid_search_mahalanobis(dataset: Union[Dataset, LevelTable], consecutive: int,
+                            grid: Sequence[float]) -> tuple[float, float]:
     """Grid search over the filled index (see fill_dataset_index)."""
-    dataset = TrainingSet.of(dataset)
-    observed = _check_two_classes(dataset)
-    levels = mahalanobis_flag_levels(dataset, consecutive)
-    return _grid_search_levels(levels, observed, grid)
+    table = LevelTable.of(dataset, [INDEX], [consecutive])
+    return _grid_search_levels(table.levels[INDEX, consecutive], _check_two_classes(table), grid)
 
 
 # --- simulated annealing ----------------------------------------------------
@@ -373,25 +396,19 @@ def _pair_utility(nir_levels, ndvi_levels, observed, nir_grid, ndvi_grid):
     return utility
 
 
-def anneal_multivariate(
-    dataset: Dataset,
-    consecutive: int,
-    nir_grid: Sequence[float],
-    ndvi_grid: Sequence[float],
-    init: tuple[float, float],
-    config: AnnealConfig = AnnealConfig(),
-    seed: int = 0,
-) -> tuple[tuple[float, float], float]:
+def anneal_multivariate(dataset: Union[Dataset, LevelTable], consecutive: int,
+                        nir_grid: Sequence[float], ndvi_grid: Sequence[float],
+                        init: tuple[float, float], config: AnnealConfig = AnnealConfig(),
+                        seed: int = 0) -> tuple[tuple[float, float], float]:
     """Joint (NIR, NDVI) threshold search by simulated annealing."""
-    dataset = TrainingSet.of(dataset)
-    observed = _check_two_classes(dataset)
+    table = LevelTable.of(dataset, (Band.NIR, Band.NDVI), [consecutive])
+    observed = _check_two_classes(table)
     nir_grid = list(nir_grid)
     ndvi_grid = list(ndvi_grid)
     if init[0] not in nir_grid or init[1] not in ndvi_grid:
         raise InitOffGrid(f"initial thresholds {init} are not on the search grid")
     utility = _pair_utility(
-        univariate_flag_levels(dataset, Band.NIR, consecutive),
-        univariate_flag_levels(dataset, Band.NDVI, consecutive),
+        table.levels[Band.NIR, consecutive], table.levels[Band.NDVI, consecutive],
         observed, nir_grid, ndvi_grid,
     )
     init_idx = (nir_grid.index(init[0]), ndvi_grid.index(init[1]))
@@ -420,18 +437,16 @@ class CvResult:
     user_acc: Optional[float]
 
 
-def cross_validate(
-    dataset: Dataset,
-    trainer: Callable[[TrainingSet], DetectionRule],
-    k: int = 5,
-    seed: int = 0,
-) -> CvResult:
+def cross_validate(dataset: Union[Dataset, LevelTable],
+                   trainer: Callable[[LevelTable], DetectionRule], k: int = 5,
+                   seed: int = 0) -> CvResult:
     """Stratified k-fold over pixels (never over dates within a pixel, so a
-    pixel's errors cannot leak between its own train and test folds)."""
+    pixel's errors cannot leak between its own train and test folds). The
+    trainer gets the training folds' rows of the dataset's ``LevelTable``."""
     if k < 2:
         raise ValueError("cross-validation needs k >= 2")
-    dataset = TrainingSet.of(dataset)
-    observed = _check_two_classes(dataset)
+    table = LevelTable.of(dataset)
+    observed = _check_two_classes(table)
     positives = np.flatnonzero(observed).tolist()
     negatives = np.flatnonzero(~observed).tolist()
     if len(positives) < k or len(negatives) < k:
@@ -447,8 +462,8 @@ def cross_validate(
     pooled = ConfusionCounts(0, 0, 0, 0)
     for held_out in range(k):
         train = [p for f in range(k) if f != held_out for p in folds[f]]
-        rule = trainer(dataset.take(train))
-        counts = evaluate_rule(dataset.take(folds[held_out]), rule)
+        rule = trainer(table.take(train))
+        counts = evaluate_rule(table.take(folds[held_out]), rule)
         fold_results.append(FoldResult(counts, tss(counts)))
         pooled = pooled + counts
     producer, user = accuracies(pooled)
@@ -474,20 +489,17 @@ class SweepRow:
     user_acc: Optional[float]
 
 
-def sweep_fixed(
-    dataset: Dataset,
-    rule: DetectionRule,
-    c_values: Sequence[int] = (2, 3, 4, 5, 6),
-) -> list[SweepRow]:
+def sweep_fixed(dataset: Union[Dataset, LevelTable], rule: DetectionRule,
+                c_values: Sequence[int] = C_VALUES) -> list[SweepRow]:
     """Re-apply one trained threshold across consecutive counts.
 
     Rows are emitted even when the skill metrics are undefined (single
     label class), with None in place of the undefined values.
     """
-    dataset = TrainingSet.of(dataset)
+    table = LevelTable.of(dataset, [key for key, _ in rule_series(rule)], c_values)
     rows = []
     for c in c_values:
-        counts = evaluate_rule(dataset, replace(rule, consecutive=c))
+        counts = evaluate_rule(table, replace(rule, consecutive=c))
         rows.append(SweepRow(c, counts.r, *skill(counts)))
     return rows
 

@@ -7,8 +7,10 @@ and one design vector per day, one csv row per observation, one
 ``ErrorRecord`` per residual, one dict lookup and one ``ErrorContext`` per
 standardized error, the inverse normal CDF one float at a time, the rule
 scanned one window at a time, thresholds scored by a boolean pass over
-every pixel per grid point, and the online loop run date by date and pixel
-by pixel. The tests compare the array code against them bit for bit.
+every pixel per grid point, each training fold and site cut from the
+errors with its levels computed afresh, and the online loop run date by
+date and pixel by pixel. The tests compare the array code against them bit
+for bit.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import csv
 import datetime as dt
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from cmfda.dataio import SERIES_COLUMNS, real
 from cmfda.detection import (
     CovarianceEntry,
     CubeCovarianceTable,
+    FlatErrors,
     MahalanobisRule,
     MultivariateRule,
     PairedErrorRecord,
@@ -33,13 +36,14 @@ from cmfda.detection import (
     mahalanobis_index,
     rule_bands,
     run_levels,
+    scan_window_errors,
 )
 from cmfda.errors import (
-    DegenerateHistory, EmptyHistory, OutOfDomain, OutOfRange, OutOfRangeDay,
+    DegenerateClass, DegenerateHistory, EmptyHistory, OutOfDomain, OutOfRange, OutOfRangeDay,
     SingularCovariance,
 )
 from cmfda.harmonic import FIT_OK, HarmonicModel, fit_arrays, fit_batch, predict_many
-from cmfda.training import _counts, tss
+from cmfda.training import TrainingSet, _counts, tss
 from cmfda.windows import PREDICT_EXTENSION_DAYS
 from cmfda.standardize import (
     ECDF,
@@ -521,6 +525,114 @@ def anneal_on_grid(utility, shape, init, config, seed):
                 current, current_value = proposal, cache[proposal]
         temp *= config.cooling
     return best, best_value
+
+
+# --- per-subset training -------------------------------------------------------------
+
+
+def take(dataset: TrainingSet, pixels) -> TrainingSet:
+    """The given pixels, in that order, with a copy of their segments'
+    errors: pixel ``pixels[k]`` renumbered k."""
+    errors = dataset.errors
+    starts = [0, *errors.ends[:-1].tolist()]
+    entries, ends, owners = [], [], []
+    for k, pixel in enumerate(pixels):
+        for segment in np.flatnonzero(errors.pixel == pixel).tolist():
+            entries.extend(range(starts[segment], int(errors.ends[segment])))
+            ends.append(len(entries))
+            owners.append(k)
+    entries = np.array(entries, dtype=np.intp)
+    pixels = np.array(pixels, dtype=np.intp)
+    return TrainingSet(
+        dataset.pixel_ids[pixels], dataset.site_ids[pixels], dataset.cols[pixels],
+        dataset.rows[pixels], dataset.labels[pixels],
+        FlatErrors(errors.ordinals[entries], errors.comp_ordinals[entries], errors.doys[entries],
+                   errors.start_ok[entries], {b: v[entries] for b, v in errors.errors.items()},
+                   np.array(ends, dtype=np.int64), np.array(owners, dtype=np.intp),
+                   None if errors.index is None else errors.index[entries]),
+    )
+
+
+def pixel_levels(dataset: TrainingSet, series, consecutive: int) -> np.ndarray:
+    """Each pixel's largest ``flag_level`` over its own segments of a band's
+    errors, or of the index for "index"."""
+    errors = dataset.errors
+    values = errors.index if series == "index" else errors.errors[series]
+    bounds = [0, *errors.ends.tolist()]
+    levels = np.full(len(dataset), -math.inf)
+    for segment, pixel in enumerate(errors.pixel.tolist()):
+        lo, hi = bounds[segment], bounds[segment + 1]
+        level = flag_level(values[lo:hi], errors.start_ok[lo:hi], consecutive, series != "index")
+        levels[pixel] = max(levels[pixel], level)
+    return levels
+
+
+def evaluate_rule(dataset: TrainingSet, rule):
+    """A fixed rule's confusion from a scan of the dataset's errors."""
+    flags = scan_window_errors(dataset.errors, rule, len(dataset))[0] > 0
+    return _counts(flags, dataset.labels != 0)
+
+
+def anneal_start(dataset: TrainingSet, band: Band, consecutive: int, grid) -> float:
+    """The grid point nearest the average of the per-site optima, each site
+    searched on its own slice of the errors."""
+    optima = []
+    for site_id in dict.fromkeys(dataset.site_ids.tolist()):
+        site = take(dataset, np.flatnonzero(dataset.site_ids == site_id).tolist())
+        try:
+            optima.append(grid_search_levels(pixel_levels(site, band, consecutive),
+                                             site.labels != 0, grid)[0])
+        except DegenerateClass:
+            continue
+    if not optima:
+        return grid[len(grid) // 2]
+    average = sum(optima) / len(optima)
+    return min(grid, key=lambda g: abs(g - average))
+
+
+def trainer(kind: str, grids, covariances, config, seed: int, band: Band = Band.NIR):
+    """Each rule's trainer, (C, dataset) -> rule, from the dataset's own
+    levels: a grid search, or the annealing walk from ``anneal_start``."""
+    def train(c, dataset):
+        observed = dataset.labels != 0
+        if kind == "univariate":
+            return UnivariateRule(
+                band, grid_search_levels(pixel_levels(dataset, band, c), observed, grids[0])[0], c)
+        if kind == "mahalanobis":
+            threshold, _ = grid_search_levels(pixel_levels(dataset, "index", c), observed, grids[0])
+            return MahalanobisRule(threshold, covariances, c)
+        nir_grid, ndvi_grid = grids
+        init = (nir_grid.index(anneal_start(dataset, Band.NIR, c, nir_grid)),
+                ndvi_grid.index(anneal_start(dataset, Band.NDVI, c, ndvi_grid)))
+        utility = multivariate_utility(pixel_levels(dataset, Band.NIR, c),
+                                       pixel_levels(dataset, Band.NDVI, c), observed,
+                                       nir_grid, ndvi_grid)
+        (i, j), _ = anneal_on_grid(utility, (len(nir_grid), len(ndvi_grid)), init, config, seed)
+        return MultivariateRule(nir_grid[i], ndvi_grid[j], c)
+
+    return train
+
+
+def cross_validate(dataset: TrainingSet, trainer, k: int, seed: int):
+    """Each fold's confusion: stratified folds, each trained on a slice of
+    the training folds' errors and scored by a scan of its own slice."""
+    observed = dataset.labels != 0
+    positives = np.flatnonzero(observed).tolist()
+    negatives = np.flatnonzero(~observed).tolist()
+    rng = random.Random(seed)
+    rng.shuffle(positives)
+    rng.shuffle(negatives)
+    folds = [positives[f::k] + negatives[f::k] for f in range(k)]
+    counts = []
+    for held_out in range(k):
+        rule = trainer(take(dataset, [p for f in range(k) if f != held_out for p in folds[f]]))
+        counts.append(evaluate_rule(take(dataset, folds[held_out]), rule))
+    return counts
+
+
+def sweep_fixed(dataset: TrainingSet, rule, c_values):
+    """The rule's confusion at each C, each from a scan."""
+    return [evaluate_rule(dataset, replace(rule, consecutive=c)) for c in c_values]
 
 
 # --- online loop ------------------------------------------------------------------

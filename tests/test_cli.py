@@ -859,6 +859,47 @@ def test_train_mahalanobis_computes_each_index_once(tmp_path, monkeypatch):
     assert sum(indexed) == entries
 
 
+@pytest.mark.parametrize("rule, flags, scopes, series", [
+    ("univariate", ["--band", "ndvi"], 2, 1),
+    ("multivariate", ["--anneal-iters", "100"], 1, 2),
+    ("mahalanobis", ["--grid", "2:20:2"], 1, 1),
+])
+def test_train_computes_each_level_once_and_never_scans(rule, flags, scopes, series, tmp_path,
+                                                         monkeypatch):
+    """A pixel's level of a series at C is the same whichever search, fold,
+    site or sweep row asks, so `train` calls flag_levels once per scope (each
+    site for the univariate rule, all pixels for the pair rules), series (a
+    band, or the index) and C, and scans no errors."""
+    from cmfda import detection, pipeline, training
+    from test_pipeline import one_year_site
+
+    pixels, labels = one_year_site(seed=21, n_events=6)
+    series_path, labels_path = tmp_path / "series.csv", tmp_path / "labels.csv"
+    write_series(series_path, {"east": pixels[0::2], "west": pixels[1::2]})
+    write_labels(
+        labels_path,
+        [DeforestationLabel(p.pixel_id, p.col, p.row, labels[p.pixel_id], labels[p.pixel_id])
+         for p in pixels],
+    )
+    levels, scans = [], []
+    flag_levels = training.flag_levels
+    monkeypatch.setattr(training, "flag_levels", lambda errors, values, c, *rest: (
+        levels.append((id(errors), id(values), c)) or flag_levels(errors, values, c, *rest)))
+    for module in (detection, pipeline, training):
+        scan = module.scan_window_errors
+        monkeypatch.setattr(module, "scan_window_errors",
+                            lambda *a, scan=scan: scans.append(a) or scan(*a))
+    assert main(
+        [
+            "train", "--series", str(series_path), "--labels", str(labels_path),
+            "--out", str(tmp_path / "r.csv"), "--rule", rule, *flags,
+            "--windows", "2003:2", "--cv-folds", "2", "--sweep-fixed", "--threads", "1",
+        ]
+    ) == EXIT_OK
+    assert len(set(levels)) == len(levels) == scopes * series * len(C_VALUES)
+    assert not scans
+
+
 def test_mahalanobis_refuses_standardized_errors(tmp_path):
     """The cube covariances come from raw residuals, so the index of
     standardized errors would flag nearly every pixel: detect and train

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmfda.core import Band, FILL_INDEX, Reliability, SeriesArrays
+from cmfda.core import Band, FILL_INDEX, Reliability, ResidualHistory, SeriesArrays
 from cmfda.detection import (
     CubeCovarianceTable,
     FlatErrors,
@@ -17,8 +17,11 @@ from cmfda.detection import (
     WindowErrors,
     cube_of,
     estimate_cube_covariances,
+    INDEX,
     flag_levels,
+    pool_statistics,
     rule_bands,
+    rule_series,
     mahalanobis_index,
     mahalanobis_series,
     scan_window_errors,
@@ -698,7 +701,7 @@ _ROUNDED = st.sampled_from([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3])
 
 
 @st.composite
-def _window(draw):
+def _window(draw, values=_ROUNDED):
     """One window of a pixel: dates from a shared 16-date pool, so windows
     overlap and reach equal flag dates, and values that are multiples of
     0.1, so NIR and NDVI runs tie."""
@@ -712,9 +715,17 @@ def _window(draw):
     return WindowErrors(
         ordinals, ordinals, np.ones(n, dtype=np.int64),
         np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
-        {Band.NIR: series(_ROUNDED), Band.NDVI: series(_ROUNDED)},
-        index=np.abs(series(_ROUNDED)),
+        {Band.NIR: series(values), Band.NDVI: series(values)},
+        index=np.abs(series(values)),
     )
+
+
+def _rule_of(kind, thresholds, consecutive):
+    if kind == "univariate":
+        return UnivariateRule(Band.NDVI, thresholds[0], consecutive)
+    if kind == "multivariate":
+        return MultivariateRule(*thresholds, consecutive)
+    return MahalanobisRule(thresholds[0], CubeCovarianceTable({}, {}, {}), consecutive)
 
 
 @settings(max_examples=300, deadline=None)
@@ -728,12 +739,7 @@ def test_segmented_scan_matches_per_window_oracle(pixels, kind, consecutive, thr
     """One scan over the flat form gives each pixel the flag date and band
     of the per-window oracle, and each pixel's largest level is the largest
     per-window level: runs never cross a segment end."""
-    if kind == "univariate":
-        rule = UnivariateRule(Band.NDVI, thresholds[0], consecutive)
-    elif kind == "multivariate":
-        rule = MultivariateRule(*thresholds, consecutive)
-    else:
-        rule = MahalanobisRule(thresholds[0], CubeCovarianceTable({}, {}, {}), consecutive)
+    rule = _rule_of(kind, thresholds, consecutive)
     flat = FlatErrors.concat(
         [window for windows in pixels for window in windows],
         [k for k, windows in enumerate(pixels) for _ in windows],
@@ -753,3 +759,67 @@ def test_segmented_scan_matches_per_window_oracle(pixels, kind, consecutive, thr
             for w in windows
         ]
         assert levels[k] == max(per_window, default=-math.inf), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pixels=st.lists(st.lists(_window(st.one_of(_ROUNDED, st.just(math.nan))), max_size=3),
+                    min_size=1, max_size=5),
+    kind=st.sampled_from(["univariate", "multivariate", "mahalanobis"]),
+    consecutive=st.integers(2, 4),
+    thresholds=st.tuples(st.sampled_from([0.05, 0.15]), st.sampled_from([0.05, 0.15])),
+)
+def test_levels_flag_as_the_scan_does_on_errors_holding_nan(pixels, kind, consecutive,
+                                                             thresholds):
+    """A run holding NaN never triggers the scan, and never hides a pixel's
+    other runs from its level: a level above a series' threshold, of either
+    band under the pair rule, flags exactly the pixels the scan flags."""
+    rule = _rule_of(kind, thresholds, consecutive)
+    flat = FlatErrors.concat(
+        [window for windows in pixels for window in windows],
+        [k for k, windows in enumerate(pixels) for _ in windows],
+    )
+    flag_dates, _ = scan_window_errors(flat, rule, len(pixels))
+    flagged = np.zeros(len(pixels), dtype=bool)
+    for key, threshold in rule_series(rule):
+        levels = flag_levels(flat, flat.series(key), consecutive, key != INDEX, len(pixels))
+        flagged |= levels > threshold
+    assert flagged.tolist() == (flag_dates > 0).tolist()
+
+
+# --- pools -----------------------------------------------------------------------
+
+
+def _pixel_history(codes) -> ResidualHistory:
+    """Entries of pixels numbered ``codes``, valued by their position."""
+    n = len(codes)
+    zeros = np.zeros(n, dtype=np.int64)
+    return ResidualHistory(
+        tuple(map(str, range(max(codes, default=-1) + 1))), ("s",),
+        np.asarray(codes, dtype=np.intp), zeros, zeros, zeros, zeros + 732000, zeros + 1,
+        np.arange(n, dtype=float),
+    )
+
+
+def _segments(starts, stops, values):
+    return [values[a:b].tolist() for a, b in zip(starts.tolist(), stops.tolist())]
+
+
+@pytest.mark.parametrize("top", [65535, 65536])
+def test_a_pool_keeps_each_keys_entries_in_order_at_the_uint16_edge(top):
+    """Codes up to 65535 sort as uint16 and a larger one as int64: either
+    way each key's entries form one segment in their original order, and
+    keys come in order of first appearance."""
+    codes = np.random.default_rng(top).choice([0, 1, 255, 256, top - 1, top], size=400).tolist()
+    history = _pixel_history(codes)
+    (table,) = pool_statistics(history, ["pixel"], _segments, history.value)
+    expected = {}
+    for position, code in enumerate(codes):
+        expected.setdefault(str(code), []).append(float(position))
+    assert list(table.items()) == list(expected.items())
+
+
+def test_an_empty_pool_has_no_keys():
+    history = _pixel_history([])
+    assert pool_statistics(history, ["pixel", "site", "cube"], _segments, history.value) == [
+        {}, {}, {}]

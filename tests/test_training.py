@@ -1,3 +1,4 @@
+import argparse
 import datetime as dt
 import tracemalloc
 from fractions import Fraction
@@ -22,10 +23,12 @@ from cmfda.errors import (
     KeyMismatch,
     TooFewPositives,
 )
-from cmfda import training
+from cmfda import cli, training
 from cmfda.training import (
+    C_VALUES,
     AnnealConfig,
     ConfusionCounts,
+    LevelTable,
     PixelTrainingData,
     TrainingSet,
     _counts,
@@ -45,6 +48,7 @@ from cmfda.training import (
     sweep_fixed,
     tss,
 )
+import scalar_oracle as oracle
 from scalar_oracle import anneal_on_grid as oracle_anneal_on_grid
 from scalar_oracle import grid_search_levels, multivariate_utility
 
@@ -633,3 +637,65 @@ def test_sweep_flags_nested_in_consecutive(rng):
             > 0
         }
     assert flagged[6] <= flagged[2]
+
+
+# --- one level table against the per-subset flow ------------------------------------
+
+NIR_GRID = [0.02, 0.05, 0.1, 0.15, 0.25]
+NDVI_GRID = [0.03, 0.08, 0.15, 0.3, 0.45]
+INDEX_GRID = [0.5, 1.0, 2.0, 3.0, 5.0, 8.0]
+
+
+def random_two_site_set(rng):
+    """Labelled pixels of two sites, each with zero to three windows of NIR
+    and NDVI errors, and the index filled from per-site covariances."""
+    labels = [1] * int(rng.integers(5, 12)) + [0] * int(rng.integers(5, 20))
+    rng.shuffle(labels)
+    pixels = []
+    for i, label in enumerate(labels):
+        windows = []
+        for _ in range(int(rng.integers(0, 4))):
+            n = int(rng.integers(0, 10))
+            doys = np.sort(rng.choice(np.arange(1, 367), size=n, replace=False))
+            ordinals = dt.date(2005, 1, 1).toordinal() - 1 + doys
+            scale = 0.2 if label else 0.07
+            windows.append(WindowErrors(
+                ordinals, ordinals, doys, rng.random(n) < 0.8,
+                {Band.NIR: rng.normal(0, scale, n), Band.NDVI: rng.normal(0, 1.5 * scale, n)},
+            ))
+        pixels.append(PixelTrainingData(f"p{i}", "ab"[int(rng.integers(0, 2))],
+                                        int(rng.integers(0, 25)), int(rng.integers(0, 25)),
+                                        label, windows))
+    covariances = CubeCovarianceTable({}, {}, {"a": CovarianceEntry(0.01, 0.004, 0.02, 100),
+                                               "b": CovarianceEntry(0.02, -0.003, 0.03, 50)})
+    dataset = TrainingSet.of(pixels)
+    fill_dataset_index(dataset, covariances)
+    return dataset, covariances
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), c=st.integers(2, 6),
+       kind=st.sampled_from(["univariate", "multivariate", "mahalanobis"]))
+def test_one_level_table_trains_as_the_per_subset_flow(seed, k, c, kind):
+    """Training, its folds, the site-averaged annealing start and the sweep
+    read rows of one level table, and give the rules and counts of the flow
+    that cuts each subset from the errors, computes its levels and scans."""
+    dataset, covariances = random_two_site_set(np.random.default_rng(seed))
+    grids = {"univariate": [NIR_GRID], "multivariate": [NIR_GRID, NDVI_GRID],
+             "mahalanobis": [INDEX_GRID]}[kind]
+    args = argparse.Namespace(rule=kind, anneal_iters=40, seed=seed % 97)
+    train = cli._trainer(args, Band.NIR if kind == "univariate" else None, grids, covariances)
+    expected = oracle.trainer(kind, grids, covariances, AnnealConfig(steps_per_temp=2), seed % 97)
+    table = LevelTable.of(dataset)
+
+    rule = train(c, table)[0]
+    assert rule == expected(c, dataset)
+    result = cross_validate(dataset, lambda fold: train(c, fold)[0], k, seed % 1000)
+    assert [fold.counts for fold in result.folds] == oracle.cross_validate(
+        dataset, lambda part: expected(c, part), k, seed % 1000)
+    assert [(row.consecutive, row.n_flagged, row.tss, row.producer_acc, row.user_acc)
+            for row in sweep_fixed(table, rule)] == [
+        (sweep_c, counts.r, *skill(counts))
+        for sweep_c, counts in zip(C_VALUES, oracle.sweep_fixed(dataset, rule, C_VALUES))]
+    for band, grid in ((Band.NIR, NIR_GRID), (Band.NDVI, NDVI_GRID)):
+        assert cli._anneal_start(table, band, c, grid) == oracle.anneal_start(dataset, band, c, grid)
